@@ -1,0 +1,119 @@
+"""Numerical toolkit for conjugations, C-symmetric linear relations and the
+complete parameterization of their C-self-adjoint extensions, with the
+doubled-operator reduction to ordinary von Neumann theory, graph-norm
+decompositions, block power identities and polar-type factorizations."""
+
+from .antilinear import (
+    AntiLinearMap,
+    Conjugation,
+    PartialConjugation,
+    SemilinearOperator,
+    conjugation_axiom_residuals,
+    conjugation_from_onb,
+    conjugation_from_unitary,
+    entrywise_conjugation,
+    flip_conjugation,
+    invariant_onb,
+    is_conjugation,
+    unitary_from_conjugations,
+)
+from .csym import (
+    AdjointPair,
+    MSpaces,
+    adjoint_pair,
+    anti_involution,
+    domain_criterion,
+    graph_inner,
+    is_c_selfadjoint,
+    is_c_symmetric,
+    m_spaces,
+    weak_c_symmetry_residual,
+)
+from .doubling import (
+    DeficiencyReport,
+    DoubledProblem,
+    block_relation,
+    block_slices,
+    build_doubled,
+    deficiency,
+    doubled_conjugation,
+    eigenspace_members,
+    race_decomposition,
+    verify_symmetry_equivalence,
+    vn_decomposition,
+)
+from .errors import InputError, PreconditionError, PropertyViolationError
+from .extensions import (
+    ExtensionParameter,
+    ExtensionResult,
+    brute_force_extensions,
+    canonical_extension,
+    extension_from_parameter,
+    l_manifolds,
+    parameter_as_conjugation,
+    parameter_as_onb,
+    parameter_as_unitary,
+    recover_parameter,
+    sample_parameters,
+)
+from .fixtures import (
+    build_example,
+    fd_derivative_minimal,
+    haar_unitary,
+    minimal_identity,
+    race_schrodinger,
+    random_conjugation,
+    random_csym,
+    random_csym_matrix,
+    random_restriction,
+    random_symmetric,
+    zero_on_subspace,
+)
+from .linalg import (
+    DEFAULT_TOL,
+    Subspace,
+    Tolerance,
+    complement,
+    full_space,
+    inner,
+    intersect,
+    is_subspace_of,
+    map_subspace,
+    max_angle_sin,
+    orthonormal_basis,
+    subspace_equal,
+    subspace_sum,
+    zero_subspace,
+)
+from .polar import (
+    CjtRefusal,
+    PolarFactors,
+    cjt_factorization,
+    conjugation_covariance,
+    matrix_c_selfadjoint_residual,
+    polar,
+    takagi,
+)
+from .powers import (
+    PowerReport,
+    QaDiagnostics,
+    doubled_power_blocks,
+    power_norm_identities,
+    power_report,
+    qa_partial_sums,
+)
+from .problems import ProblemSpec, parse_spec, spec_from_dict
+from .relations import (
+    DomainOperator,
+    LinearRelation,
+    compose,
+    from_matrix,
+    from_operator,
+    full_relation,
+    identity_relation,
+    zero_relation,
+)
+
+__version__ = "0.1.0"
+
+__all__ = [name for name in dir() if not name.startswith("_")]

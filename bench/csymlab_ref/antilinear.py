@@ -1,0 +1,287 @@
+"""Conjugations and general anti-linear machinery.
+
+An anti-linear map is stored by the matrix M of its action x -> M*conj(x).
+A conjugation is the special case where M is unitary and symmetric; those
+two matrix identities are exactly C^2 = I and <Cx, Cy> = <y, x>.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import InputError, PreconditionError, PropertyViolationError
+from .linalg import (
+    DEFAULT_TOL,
+    Subspace,
+    Tolerance,
+    complement,
+    orthonormal_basis,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class AntiLinearMap:
+    """General anti-linear map x -> matrix * conj(x) on C^n."""
+
+    matrix: np.ndarray
+    tol: Tolerance = field(default=DEFAULT_TOL)
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InputError(f"anti-linear map needs a square matrix, got shape {m.shape}")
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def apply(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        if x.shape[0] != self.dim:
+            raise InputError(f"vector has dimension {x.shape[0]}, map expects {self.dim}")
+        return self.matrix @ np.conj(x)
+
+    def map_subspace(self, s: Subspace) -> Subspace:
+        if s.ambient_dim != self.dim:
+            raise InputError(f"subspace ambient {s.ambient_dim} != map dimension {self.dim}")
+        return orthonormal_basis(self.matrix @ np.conj(s.basis), s.tol)
+
+
+def conjugation_axiom_residuals(matrix) -> tuple[float, float]:
+    """(unitarity residual, symmetry residual) of a candidate conjugation matrix."""
+    m = np.asarray(matrix, dtype=complex)
+    unit = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    symm = float(np.abs(m - m.T).max())
+    return unit, symm
+
+
+def is_conjugation(f, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff the map's matrix is unitary and symmetric within tolerance."""
+    m = f.matrix if isinstance(f, AntiLinearMap) else np.asarray(f, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    unit, symm = conjugation_axiom_residuals(m)
+    bound = 1e3 * tol.eps
+    return unit <= bound and symm <= bound
+
+
+class Conjugation(AntiLinearMap):
+    """Anti-linear involutive isometry; matrix K unitary symmetric."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        unit, symm = conjugation_axiom_residuals(self.matrix)
+        bound = 1e3 * self.tol.eps
+        if unit > bound:
+            raise InputError(f"conjugation matrix is not unitary (residual {unit:.3e})")
+        if symm > bound:
+            raise InputError(f"conjugation matrix is not symmetric (residual {symm:.3e})")
+
+
+def entrywise_conjugation(n: int, tol: Tolerance = DEFAULT_TOL) -> Conjugation:
+    return Conjugation(np.eye(n, dtype=complex), tol)
+
+
+def flip_conjugation(n: int, tol: Tolerance = DEFAULT_TOL) -> Conjugation:
+    return Conjugation(np.eye(n, dtype=complex)[::-1].copy(), tol)
+
+
+class PartialConjugation(AntiLinearMap):
+    """Anti-linear map that is a conjugation on its initial space, zero off it.
+
+    The matrix M must be symmetric with M*conj(M) an orthogonal projection P;
+    the initial space is ran(P) and applying the map twice projects onto it.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        m = self.matrix
+        bound = 1e3 * self.tol.eps
+        symm = float(np.abs(m - m.T).max())
+        if symm > bound:
+            raise InputError(f"partial conjugation matrix is not symmetric (residual {symm:.3e})")
+        p = m @ np.conj(m)
+        herm = float(np.abs(p - p.conj().T).max())
+        idem = float(np.abs(p @ p - p).max())
+        if herm > bound or idem > bound:
+            raise InputError(
+                "applying the map twice is not an orthogonal projection "
+                f"(hermiticity {herm:.3e}, idempotency {idem:.3e})"
+            )
+        # ran(M conj(M)); the map restricted there satisfies the conjugation axioms
+        object.__setattr__(self, "initial_space", orthonormal_basis(p, self.tol))
+
+
+def restricted_matrix(c: AntiLinearMap, s: Subspace) -> np.ndarray:
+    """Matrix of the map in the coordinates of the subspace basis.
+
+    For C(x) = K conj(x) and x = B z this is K_S = B^H K conj(B), acting as
+    z -> K_S conj(z).
+    """
+    return s.basis.conj().T @ c.matrix @ np.conj(s.basis)
+
+
+def preserves_subspace(c: AntiLinearMap, s: Subspace, atol=None) -> bool:
+    image = c.matrix @ np.conj(s.basis)
+    residual = image - s.basis @ (s.basis.conj().T @ image)
+    bound = s.tol.eps if atol is None else atol
+    return float(np.linalg.norm(residual, 2)) <= bound * 10
+
+
+def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
+    """Orthonormal basis of S fixed pointwise by the conjugation C.
+
+    Greedy construction: take the first column of the orthogonal complement
+    of the current span inside S as candidate v.  When v is already nearly
+    fixed (||Cv - v|| <= sqrt(eps)*||v||, looser than eps because the other
+    branch loses half the significant digits there) symmetrize to (v + Cv)/2;
+    otherwise take i(v - Cv).  Both outputs are exactly fixed by C and stay
+    orthogonal to everything found so far.
+
+    Returns the basis as the columns of an (ambient_dim x dim S) matrix.
+    """
+    if c.dim != s.ambient_dim:
+        raise InputError(f"map dimension {c.dim} != subspace ambient {s.ambient_dim}")
+    if not preserves_subspace(c, s):
+        raise PreconditionError("conjugation does not map the subspace into itself")
+    k = s.dim
+    if k == 0:
+        return np.zeros((s.ambient_dim, 0), dtype=complex)
+    ks = restricted_matrix(c, s)
+    unit, symm = conjugation_axiom_residuals(ks)
+    if max(unit, symm) > 1e3 * s.tol.eps:
+        raise PreconditionError(
+            f"map restricted to the subspace is not a conjugation (unitarity {unit:.3e}, symmetry {symm:.3e})"
+        )
+    branch_cut = np.sqrt(s.tol.eps)
+    found = np.zeros((k, 0), dtype=complex)
+    for _ in range(k):
+        v = complement(Subspace(found, s.tol)).basis[:, 0]
+        cv = ks @ np.conj(v)
+        if np.linalg.norm(cv - v) <= branch_cut * np.linalg.norm(v):
+            w = v + cv
+        else:
+            w = 1j * (v - cv)
+        w = w / np.linalg.norm(w)
+        found = np.column_stack([found, w])
+    fixed_residual = float(np.abs(ks @ np.conj(found) - found).max())
+    gram_residual = float(np.abs(found.conj().T @ found - np.eye(k)).max())
+    if max(fixed_residual, gram_residual) > 1e3 * s.tol.eps:
+        raise PropertyViolationError(
+            "invariant basis construction failed",
+            {"fixed_point": fixed_residual, "gram": gram_residual},
+        )
+    return s.basis @ found
+
+
+def conjugation_from_onb(vs, tol: Tolerance = DEFAULT_TOL):
+    """Conjugation of span(vs) fixing every column of vs: matrix V V^T.
+
+    Returns a Conjugation when the columns span the whole space, otherwise a
+    PartialConjugation with initial space span(vs).
+    """
+    v = np.asarray(vs, dtype=complex)
+    if v.ndim == 1:
+        v = v.reshape(-1, 1)
+    if v.shape[1]:
+        gram = float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max())
+        if gram > 1e3 * tol.eps:
+            raise InputError(f"basis is not orthonormal (Gram residual {gram:.3e})")
+    k = v @ v.T
+    if v.shape[1] == v.shape[0]:
+        return Conjugation(k, tol)
+    return PartialConjugation(k, tol)
+
+
+def unitary_from_conjugations(z: AntiLinearMap, j: AntiLinearMap, source: Subspace):
+    """V = Z о J as a linear map, with the compatibility check Z V Z V = I.
+
+    Z is a conjugation carrying the source subspace onto its image, J a
+    conjugation of the source; the product is linear and unitary from the
+    source onto Z(source).
+    """
+    v = z.matrix @ np.conj(j.matrix)
+    _check_zvzv(z, v, source)
+    return v
+
+
+def conjugation_from_unitary(z: AntiLinearMap, v: np.ndarray, source: Subspace):
+    """J = Z о V on the source subspace; requires Z V Z V = I there."""
+    _check_zvzv(z, np.asarray(v, dtype=complex), source)
+    m = z.matrix @ np.conj(v)
+    # anti-linear with matrix z.matrix @ conj(v): x -> z.matrix conj(v x)
+    return AntiLinearMap(m, source.tol)
+
+
+def _check_zvzv(z: AntiLinearMap, v: np.ndarray, source: Subspace):
+    b = source.basis
+    if b.shape[1] == 0:
+        return
+    zv = z.matrix @ np.conj(v)  # anti-linear matrix of Z о V
+    zvzv = zv @ np.conj(zv)
+    residual = float(np.abs(zvzv @ b - b).max())
+    if residual > 1e3 * source.tol.eps:
+        raise PropertyViolationError(
+            "Z V Z V = I fails on the source subspace", {"zvzv": residual}
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SemilinearOperator:
+    """Word algebra for alternating products of linear and anti-linear maps.
+
+    Acts as x -> matrix @ x when linear, x -> matrix @ conj(x) otherwise.
+    Composition tracks the parity: anti о anti = linear, etc.
+    """
+
+    matrix: np.ndarray
+    antilinear: bool
+
+    def __post_init__(self):
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InputError(f"square matrix required, got shape {m.shape}")
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def from_linear(cls, m) -> "SemilinearOperator":
+        return cls(np.asarray(m, dtype=complex), False)
+
+    @classmethod
+    def from_antilinear(cls, m) -> "SemilinearOperator":
+        return cls(np.asarray(m, dtype=complex), True)
+
+    @classmethod
+    def identity(cls, n: int) -> "SemilinearOperator":
+        return cls(np.eye(n, dtype=complex), False)
+
+    def apply(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        return self.matrix @ (np.conj(x) if self.antilinear else x)
+
+    def __matmul__(self, other: "SemilinearOperator") -> "SemilinearOperator":
+        # (self о other)(x): other acts first
+        inner_mat = np.conj(other.matrix) if self.antilinear else other.matrix
+        return SemilinearOperator(self.matrix @ inner_mat, self.antilinear != other.antilinear)
+
+    def power(self, k: int) -> "SemilinearOperator":
+        if k < 0:
+            raise InputError("negative powers not supported")
+        out = SemilinearOperator.identity(self.matrix.shape[0])
+        for _ in range(k):
+            out = self @ out
+        return out
+
+    def realify(self) -> np.ndarray:
+        """Real 2n x 2n matrix of the action on (Re x, Im x) stacked."""
+        x, y = self.matrix.real, self.matrix.imag
+        if self.antilinear:
+            return np.block([[x, y], [y, -x]])
+        return np.block([[x, -y], [y, x]])

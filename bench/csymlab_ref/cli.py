@@ -1,0 +1,445 @@
+"""Command line entry point: named examples or problem files in, JSON
+reports out.
+
+Exit codes: 0 when every property check passed, 1 when a check failed or a
+verified identity was violated (the report carries the residuals), 2 for
+input errors (bad flags, malformed files, parameters outside their
+contract).  Identical (problem, flags, seed) produce byte-identical reports
+except for the generated_at stamp.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import datetime
+import json
+import sys
+
+import numpy as np
+
+from . import __version__
+from .csym import (
+    domain_criterion,
+    is_c_selfadjoint,
+    is_c_symmetric,
+    weak_c_symmetry_residual,
+)
+from .doubling import build_doubled, deficiency, race_decomposition, verify_symmetry_equivalence, vn_decomposition
+from .errors import InputError, PropertyViolationError
+from .extensions import (
+    ExtensionParameter,
+    brute_force_extensions,
+    canonical_extension,
+    extension_from_parameter,
+    l_manifolds,
+    recover_parameter,
+)
+from .fixtures import EXAMPLE_BUILDERS, build_example
+from .linalg import Tolerance, max_angle_sin
+from .polar import CjtRefusal, cjt_factorization, conjugation_covariance, polar, takagi
+from .powers import power_report
+from .problems import ProblemSpec, decode_matrix, encode_matrix, parse_spec
+from .reporting import CheckList
+
+COMMANDS = (
+    "check",
+    "deficiency",
+    "extend",
+    "enumerate",
+    "polar",
+    "takagi",
+    "powers",
+    "verify-all",
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="csymlab",
+        description="Numerical checks for conjugations, C-symmetric relations "
+        "and their C-self-adjoint extensions.",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", help="path to a problem JSON file")
+    source.add_argument(
+        "--example",
+        help="named example: " + ", ".join(sorted(EXAMPLE_BUILDERS)),
+    )
+    parser.add_argument("--n", type=int, help="grid size / dimension for --example")
+    parser.add_argument("--h", type=float, help="grid spacing for --example")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--tol", type=float, help="override the problem tolerance")
+    parser.add_argument(
+        "--budget", type=int, help="sample budget (enumerate) or max exponent (powers)"
+    )
+    parser.add_argument("--param", help="path to an extension parameter JSON file")
+    parser.add_argument(
+        "--swap", action="store_true", help="companion canonical extension"
+    )
+    parser.add_argument("--json", dest="json_path", help="also write the report here")
+    return parser
+
+
+def load_problem(args) -> ProblemSpec:
+    if args.spec is not None:
+        spec = parse_spec(args.spec)
+    else:
+        params = {}
+        if args.n is not None:
+            params["n"] = args.n
+        if args.h is not None:
+            params["h"] = args.h
+        if args.example == "random_csym":
+            params["seed"] = args.seed
+        spec = build_example(args.example, **params)
+    if args.tol is not None:
+        if not 0 < args.tol < 1:
+            raise InputError(f"--tol must be in (0, 1), got {args.tol}")
+        spec = dataclasses.replace(spec, tol=Tolerance(args.tol))
+    return spec
+
+
+def load_parameter(path) -> ExtensionParameter:
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read parameter file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in parameter file: {exc}") from exc
+    if not isinstance(data, dict) or "kind" not in data or "matrix" not in data:
+        raise InputError("parameter file must be an object with 'kind' and 'matrix'")
+    return ExtensionParameter(data["kind"], decode_matrix(data["matrix"], "/matrix"))
+
+
+def _jsonify(value):
+    if isinstance(value, dict):
+        return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            return encode_matrix(value)
+        return [_jsonify(v) for v in value.tolist()]
+    if isinstance(value, (complex, np.complexfloating)):
+        z = complex(value)
+        return [z.real, z.imag]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        f = float(value)
+        return "inf" if np.isinf(f) else f
+    return value
+
+
+def _regime(rel) -> str:
+    return "operator" if rel.is_operator and rel.is_everywhere_defined else "relation"
+
+
+def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    rel = spec.relation()
+    c = spec.conjugation()
+    atol = 1e3 * spec.tol.eps
+    sym = is_c_symmetric(rel, c, atol)
+    csa = is_c_selfadjoint(rel, c, atol)
+    weak = weak_c_symmetry_residual(rel, c)
+    dc = domain_criterion(rel, rel, c, atol)
+    checks = CheckList()
+    checks.add(
+        "weak_form_matches_predicate",
+        (weak <= atol) == sym,
+        residual=weak,
+        detail="sesquilinear-form characterization of C-symmetry",
+    )
+    if sym:
+        checks.add(
+            "domain_criterion_matches_predicate",
+            dc == csa,
+            detail="D(adjoint) = C D(relation) iff C-self-adjoint",
+        )
+    else:
+        checks.skip("domain_criterion_matches_predicate", "input is not C-symmetric")
+    results = {
+        "c_symmetric": sym,
+        "c_selfadjoint": csa,
+        "weak_form_residual": weak,
+        "domain_criterion": dc,
+        "is_operator": rel.is_operator,
+        "everywhere_defined": rel.is_everywhere_defined,
+    }
+    return results, checks
+
+
+def cmd_deficiency(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    dp = build_doubled(spec.relation(), spec.conjugation())
+    rep = deficiency(dp)
+    checks = CheckList()
+    checks.extend(rep.checks)
+    checks.add(
+        "doubled_symmetry_equivalence",
+        verify_symmetry_equivalence(dp),
+        detail="C-symmetric iff doubled relation symmetric, likewise self-adjoint",
+    )
+    results = {"n_plus": rep.n_plus.dim, "n_minus": rep.n_minus.dim}
+    return results, checks
+
+
+def cmd_extend(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    dp = build_doubled(spec.relation(), spec.conjugation())
+    if args.param is not None:
+        res = extension_from_parameter(dp, load_parameter(args.param))
+    else:
+        res = canonical_extension(dp, swap=args.swap)
+    checks = CheckList()
+    checks.extend(res.checks)
+    _, _, l_checks = l_manifolds(res, dp)
+    checks.extend(l_checks)
+    results = {
+        "parameter_unitary": res.parameter.matrix,
+        "dims": res.diagnostics["dims"],
+        "is_operator": res.diagnostics["is_operator"],
+        "is_c_selfadjoint": res.diagnostics["is_c_selfadjoint"],
+    }
+    return results, checks
+
+
+def cmd_enumerate(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    dp = build_doubled(spec.relation(), spec.conjugation())
+    budget = args.budget if args.budget is not None else 2000
+    if budget < 1:
+        raise InputError(f"--budget must be positive, got {budget}")
+    hits = brute_force_extensions(dp, budget=budget, seed=args.seed)
+    worst = 0.0
+    operators = 0
+    for hit in hits:
+        param = recover_parameter(dp, hit, verify=False)
+        rebuilt = extension_from_parameter(dp, param)
+        worst = max(worst, max_angle_sin(rebuilt.a_ext.graph, hit.graph))
+        operators += int(hit.is_operator)
+    checks = CheckList()
+    checks.add_residual(
+        "completeness_roundtrip",
+        worst,
+        1e3 * spec.tol.eps,
+        detail=f"{len(hits)} hits reproduced from recovered parameters",
+    )
+    results = {
+        "budget": budget,
+        "hits": len(hits),
+        "operator_hits": operators,
+        "multivalued_hits": len(hits) - operators,
+        "max_roundtrip_angle": worst,
+    }
+    return results, checks
+
+
+def cmd_polar(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    m = spec.matrix()
+    if m is None:
+        raise InputError("polar factors need an everywhere-defined matrix")
+    c = spec.conjugation()
+    factors = polar(m, spec.tol)
+    checks = CheckList()
+    checks.extend(conjugation_covariance(m, c, spec.tol), prefix="covariance")
+    results: dict = {"rank": factors.rank, "modulus_norm": float(np.linalg.norm(factors.modulus, 2))}
+    outcome = cjt_factorization(m, c, spec.tol)
+    if isinstance(outcome, CjtRefusal):
+        checks.skip("cjt_factorization", outcome.reason)
+        results["cjt"] = {"refused": True, "residuals": outcome.residuals}
+    else:
+        recon = float(
+            np.abs(c.matrix @ np.conj(outcome.j.matrix) @ outcome.t - m).max()
+        )
+        checks.add_residual(
+            "cjt_reconstruction", recon, 1e3 * spec.tol.eps * max(1.0, float(np.linalg.norm(m, 2)))
+        )
+        results["cjt"] = {"refused": False, "rank": outcome.rank}
+    return results, checks
+
+
+def cmd_takagi(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    m = spec.matrix()
+    if m is None:
+        raise InputError("symmetric factorization needs an everywhere-defined matrix")
+    v, s = takagi(m, spec.tol)
+    factors = polar(m, spec.tol)
+    scale = max(1.0, float(s[0]) if s.size else 0.0)
+    bound = 1e3 * spec.tol.eps * scale
+    checks = CheckList()
+    checks.add_residual("reconstruction", float(np.abs((v * s) @ v.T - m).max()), bound)
+    checks.add_residual(
+        "unitarity", float(np.abs(v.conj().T @ v - np.eye(m.shape[0])).max()), bound
+    )
+    checks.add_residual(
+        "modulus_crosscheck",
+        float(np.abs(np.conj(v) * s @ v.T - factors.modulus).max()),
+        bound,
+    )
+    rank_block = np.zeros(s.shape)
+    rank_block[: factors.rank] = 1.0
+    checks.add_residual(
+        "phase_crosscheck",
+        float(np.abs((v * rank_block) @ v.T - factors.phase).max()),
+        bound,
+    )
+    results = {"singular_values": [float(x) for x in s]}
+    return results, checks
+
+
+def cmd_powers(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    m = spec.matrix()
+    if m is None:
+        raise InputError("power identities need an everywhere-defined matrix")
+    c = spec.conjugation()
+    n_max = args.budget if args.budget is not None else 4
+    if n_max < 1:
+        raise InputError(f"--budget must be positive, got {n_max}")
+    rng = np.random.default_rng(args.seed)
+    x = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+    y = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+    x /= np.linalg.norm(x)
+    y /= np.linalg.norm(y)
+    checks = CheckList()
+    per_n = []
+    for n in range(1, n_max + 1):
+        rep = power_report(m, c, x, y, n, tol=spec.tol)
+        checks.extend(rep.checks, prefix=f"n{n}")
+        per_n.append(
+            {
+                "n": n,
+                "block_residual": rep.block_residual,
+                "structural_zero": rep.structural_zero,
+                "crosscheck_residual": rep.crosscheck_residual,
+                "norm_residuals": list(rep.norm_residuals),
+                "partial_sums": rep.partial_sums,
+                "growth_bound": rep.growth_bound,
+            }
+        )
+    return {"reports": per_n}, checks
+
+
+def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    rel = spec.relation()
+    c = spec.conjugation()
+    atol = 1e3 * spec.tol.eps
+    checks = CheckList()
+    results: dict = {}
+
+    res, sub = cmd_check(spec, args)
+    results["check"] = res
+    checks.extend(sub, prefix="check")
+
+    if is_c_symmetric(rel, c, atol):
+        res, sub = cmd_deficiency(spec, args)
+        results["deficiency"] = res
+        checks.extend(sub, prefix="deficiency")
+
+        dp = build_doubled(rel, c)
+        for label, swap in (("extend", False), ("extend_swap", True)):
+            ext = canonical_extension(dp, swap=swap)
+            checks.extend(ext.checks, prefix=label)
+            _, _, l_checks = l_manifolds(ext, dp)
+            checks.extend(l_checks, prefix=label)
+            results[label] = {"dims": ext.diagnostics["dims"]}
+
+        enum_args = argparse.Namespace(**vars(args))
+        enum_args.budget = min(args.budget, 200) if args.budget is not None else 200
+        res, sub = cmd_enumerate(spec, args=enum_args)
+        results["enumerate"] = res
+        checks.extend(sub, prefix="enumerate")
+
+        vn = vn_decomposition(dp.frakA)
+        checks.extend(vn.checks, prefix="vn")
+        results["vn"] = {"regime": vn.regime}
+        race = race_decomposition(rel, c, dp)
+        checks.extend(race.checks, prefix="race")
+        results["race"] = {"regime": race.regime, "measurements": race.measurements}
+    else:
+        checks.skip("deficiency", "input is not C-symmetric")
+
+    if spec.matrix() is not None:
+        res, sub = cmd_polar(spec, args)
+        results["polar"] = res
+        checks.extend(sub, prefix="polar")
+        try:
+            res, sub = cmd_takagi(spec, args)
+            results["takagi"] = res
+            checks.extend(sub, prefix="takagi")
+        except InputError as exc:
+            checks.skip("takagi", str(exc))
+        powers_args = argparse.Namespace(**vars(args))
+        powers_args.budget = min(args.budget, 3) if args.budget is not None else 3
+        res, sub = cmd_powers(spec, args=powers_args)
+        results["powers"] = res
+        checks.extend(sub, prefix="powers")
+    else:
+        checks.skip("polar", "input is not an everywhere-defined matrix")
+    return results, checks
+
+
+DISPATCH = {
+    "check": cmd_check,
+    "deficiency": cmd_deficiency,
+    "extend": cmd_extend,
+    "enumerate": cmd_enumerate,
+    "polar": cmd_polar,
+    "takagi": cmd_takagi,
+    "powers": cmd_powers,
+    "verify-all": cmd_verify_all,
+}
+
+
+def build_report(command: str, spec: ProblemSpec, args) -> dict:
+    results, checks = DISPATCH[command](spec, args)
+    rel = spec.relation()
+    return {
+        "command": command,
+        "spec_name": spec.name,
+        "inputs_digest": spec.digest(),
+        "regime": _regime(rel),
+        "seed": args.seed,
+        "tol": spec.tol.eps,
+        "tool_version": __version__,
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "all_pass": checks.all_pass,
+        "results": _jsonify(results),
+        "check_list": _jsonify(checks.to_list()),
+    }
+
+
+def emit(payload: dict, json_path) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
+    if json_path:
+        with open(json_path, "w") as handle:
+            handle.write(text + "\n")
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = load_problem(args)
+        report = build_report(args.command, spec, args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except PropertyViolationError as exc:
+        payload = {
+            "command": args.command,
+            "error": str(exc),
+            "residuals": _jsonify(exc.residuals),
+            "all_pass": False,
+        }
+        emit(payload, args.json_path)
+        return 1
+    emit(report, args.json_path)
+    return 0 if report["all_pass"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

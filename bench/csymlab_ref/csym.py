@@ -1,0 +1,145 @@
+"""C-symmetry predicates, adjoint pairs, and the M-space geometry.
+
+For a conjugation C and a relation A we write B = CAC.  A is C-symmetric
+when CAC is contained in A* and C-self-adjoint when they coincide.  The
+extension theory lives inside the gap between graph(A) and graph(B*): its
+orthogonal difference frakM carries an anti-unitary map S with S^2 = -I
+whose isotropic subspaces enumerate the C-self-adjoint extensions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .antilinear import AntiLinearMap, Conjugation
+from .errors import PreconditionError, PropertyViolationError
+from .linalg import (
+    Subspace,
+    complement,
+    inner,
+    intersect,
+    orthonormal_basis,
+    subspace_equal,
+)
+from .relations import LinearRelation, compose, identity_relation
+
+
+def is_c_symmetric(a: LinearRelation, c: Conjugation, atol=None) -> bool:
+    """CAC contained in A*."""
+    return a.conjugated(c).contained_in(a.adjoint(), atol)
+
+
+def is_c_selfadjoint(a: LinearRelation, c: Conjugation, atol=None) -> bool:
+    """CAC = A*."""
+    return a.conjugated(c).equals(a.adjoint(), atol)
+
+
+def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:
+    """max |<Cv, x> - <Cu, y>| over graph pairs (x,y), (u,v).
+
+    Independent of the adjoint computation; zero iff A is C-symmetric.  For
+    an operator this is the pairing form <Ax, Cy> = <x, CAy> on the domain.
+    """
+    g = a.graph.basis
+    if not g.shape[1]:
+        return 0.0
+    n = a.ambient_dim
+    tops, bots = g[:n], g[n:]
+    lhs = tops.conj().T @ (c.matrix @ np.conj(bots))  # <C v_j, x_i>
+    rhs = bots.conj().T @ (c.matrix @ np.conj(tops))  # <C u_j, y_i>
+    return float(np.abs(lhs - rhs).max())
+
+
+def domain_criterion(a_tilde: LinearRelation, a: LinearRelation, c: Conjugation, atol=None) -> bool:
+    """D(adjoint of the extension) = C * D(extension)."""
+    if not a.contained_in(a_tilde):
+        raise PreconditionError("the candidate does not extend the given relation")
+    lhs = a_tilde.adjoint().domain()
+    rhs = c.map_subspace(a_tilde.domain())
+    return subspace_equal(lhs, rhs, atol)
+
+
+@dataclass(frozen=True, eq=False)
+class AdjointPair:
+    """A together with B = CAC and both adjoints."""
+
+    a: LinearRelation
+    b: LinearRelation
+    a_star: LinearRelation
+    b_star: LinearRelation
+    c: Conjugation
+
+
+def adjoint_pair(a: LinearRelation, c: Conjugation) -> AdjointPair:
+    a_star = a.adjoint()
+    return AdjointPair(a, a.conjugated(c), a_star, a_star.conjugated(c), c)
+
+
+@dataclass(frozen=True, eq=False)
+class MSpaces:
+    """The defect geometry between graph(A) and graph(B*).
+
+    frakM = graph(B*) - graph(A) and frakM_prime = graph(A*) - graph(B) as
+    orthogonal differences in H + H.  m_bstar and m_astar are the kernels
+    N(I + A* о B*) and N(I + B* о A*); their first-component identity with
+    frakM is established in m_spaces.
+    """
+
+    frakM: Subspace
+    frakM_prime: Subspace
+    m_bstar: Subspace
+    m_astar: Subspace
+
+
+def m_spaces(pair: AdjointPair, strict: bool = True) -> MSpaces:
+    if strict and not pair.b.contained_in(pair.a_star):
+        raise PreconditionError("relation is not C-symmetric; M-spaces are undefined")
+    frak_m = intersect(pair.b_star.graph, complement(pair.a.graph))
+    frak_m_prime = intersect(pair.a_star.graph, complement(pair.b.graph))
+    n = pair.a.ambient_dim
+    m_bstar = compose(pair.a_star, pair.b_star).shifted(1.0).kernel()
+    m_astar = compose(pair.b_star, pair.a_star).shifted(1.0).kernel()
+    # kernel of I + A*B* = first components of frakM, in every regime
+    bound = 1e3 * frak_m.tol.eps
+    first = orthonormal_basis(frak_m.basis[:n], frak_m.tol, n)
+    first_prime = orthonormal_basis(frak_m_prime.basis[:n], frak_m.tol, n)
+    if not subspace_equal(m_bstar, first, bound) or not subspace_equal(m_astar, first_prime, bound):
+        raise PropertyViolationError(
+            "kernels of I + A*B* and I + B*A* disagree with the first components of the M-spaces",
+            {"dims": abs(m_bstar.dim - first.dim) + abs(m_astar.dim - first_prime.dim)},
+        )
+    return MSpaces(frak_m, frak_m_prime, m_bstar, m_astar)
+
+
+def graph_inner(t: LinearRelation, f, g) -> complex:
+    """<f, g> + <Tf, Tg> for a single-valued relation and domain vectors."""
+    tf = t.apply_vector(f)
+    tg = t.apply_vector(g)
+    return inner(f, g) + inner(tf, tg)
+
+
+def anti_involution(pair: AdjointPair) -> AntiLinearMap:
+    """The graph-level anti-unitary S(f, g) = (Cg, -Cf) with S^2 = -I.
+
+    S maps frakM onto itself; on first components it acts as A*C, the
+    classical anti-involution of the defect space.  Raises when the
+    invariance or the square fails beyond tolerance.
+    """
+    k = pair.c.matrix
+    n = pair.a.ambient_dim
+    z = np.zeros((n, n), dtype=complex)
+    s = AntiLinearMap(np.block([[z, k], [-k, z]]), pair.a.tol)
+    spaces = m_spaces(pair)
+    frak_m = spaces.frakM
+    bound = 1e3 * frak_m.tol.eps
+    if frak_m.dim:
+        image = s.map_subspace(frak_m)
+        if not subspace_equal(image, frak_m, bound):
+            raise PropertyViolationError("S does not preserve frakM", {})
+        ss = s.matrix @ np.conj(s.matrix)
+        square_residual = float(np.abs(ss @ frak_m.basis + frak_m.basis).max())
+        if square_residual > bound:
+            raise PropertyViolationError("S^2 = -I fails on frakM", {"square": square_residual})
+    return s

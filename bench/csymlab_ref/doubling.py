@@ -1,0 +1,334 @@
+"""The matrix trick: doubling a C-symmetric relation into a symmetric one.
+
+A relation A on H with B = CAC is lifted to frakA on H + H acting as
+(x, y) -> (Ay, Bx), together with the block conjugation frakE(x, y) =
+(Cy, Cx).  C-symmetry of A is exactly symmetry of frakA, so ordinary
+von Neumann deficiency theory applies upstairs and is pulled back down.
+
+Coordinates of the doubled graph in C^(4n): (x, y, v, u) with domain pair
+(x, y) and value pair (v, u) = (Ay, Bx).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .antilinear import Conjugation
+from .csym import adjoint_pair, graph_inner, is_c_selfadjoint, is_c_symmetric, m_spaces
+from .errors import PreconditionError, PropertyViolationError
+from .linalg import (
+    Subspace,
+    Tolerance,
+    complement,
+    intersect,
+    max_angle_sin,
+    orthonormal_basis,
+    subspace_equal,
+    subspace_sum,
+)
+from .relations import LinearRelation, compose
+from .reporting import CheckList
+
+
+def doubled_conjugation(c: Conjugation) -> Conjugation:
+    k = c.matrix
+    z = np.zeros_like(k)
+    return Conjugation(np.block([[z, k], [k, z]]), c.tol)
+
+
+def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:
+    """{((x, y), (v, u)) : (y, v) in S, (x, u) in T} on H + H."""
+    if s.ambient_dim != t.ambient_dim:
+        raise PreconditionError(f"ambient mismatch: {s.ambient_dim} vs {t.ambient_dim}")
+    n = s.ambient_dim
+    gs, gt = s.graph.basis, t.graph.basis
+    cols = np.zeros((4 * n, gs.shape[1] + gt.shape[1]), dtype=complex)
+    cols[n : 2 * n, : gs.shape[1]] = gs[:n]
+    cols[2 * n : 3 * n, : gs.shape[1]] = gs[n:]
+    cols[:n, gs.shape[1] :] = gt[:n]
+    cols[3 * n :, gs.shape[1] :] = gt[n:]
+    # the two column groups are orthonormal and mutually orthogonal
+    return LinearRelation(Subspace(cols, s.tol))
+
+
+def block_slices(r: LinearRelation) -> tuple[LinearRelation, LinearRelation]:
+    """Extract (S, T) from a relation on H + H with block structure.
+
+    S = {(y, v) : (0, y, v, 0) in graph}, T = {(x, u) : (x, 0, 0, u) in graph}.
+    For genuinely block relations block_relation(S, T) reproduces the input.
+    """
+    n2 = r.ambient_dim
+    if n2 % 2:
+        raise PreconditionError("block slices need an even ambient dimension")
+    n = n2 // 2
+    tol = r.tol
+    e_s = np.zeros((4 * n, 2 * n), dtype=complex)
+    e_s[n : 3 * n] = np.eye(2 * n)
+    e_t = np.zeros((4 * n, 2 * n), dtype=complex)
+    e_t[:n, :n] = np.eye(n)
+    e_t[3 * n :, n:] = np.eye(n)
+    hit_s = intersect(r.graph, Subspace(e_s, tol))
+    hit_t = intersect(r.graph, Subspace(e_t, tol))
+    s = LinearRelation(orthonormal_basis(hit_s.basis[n : 3 * n], tol, 2 * n))
+    t = LinearRelation(
+        orthonormal_basis(np.vstack([hit_t.basis[:n], hit_t.basis[3 * n :]]), tol, 2 * n)
+    )
+    return s, t
+
+
+def _imaginary_graph(n: int, sign: int, tol: Tolerance) -> Subspace:
+    """Graph of multiplication by +-i on C^n, inside C^(2n)."""
+    cols = np.vstack([np.eye(n, dtype=complex), sign * 1j * np.eye(n, dtype=complex)])
+    return Subspace(cols / np.sqrt(2.0), tol)
+
+
+def eigenspace_members(r: LinearRelation, sign: int) -> Subspace:
+    """{w : (w, sign*i*w) in graph(R)} by exact intersection."""
+    n = r.ambient_dim
+    hit = intersect(r.graph, _imaginary_graph(n, sign, r.tol))
+    return orthonormal_basis(hit.basis[:n], r.tol, n)
+
+
+@dataclass(frozen=True, eq=False)
+class DoubledProblem:
+    a: LinearRelation
+    c: Conjugation
+    b: LinearRelation
+    a_star: LinearRelation
+    b_star: LinearRelation
+    frakA: LinearRelation
+    frakA_star: LinearRelation
+    frakC: Conjugation
+    n_plus: Subspace
+    n_minus: Subspace
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.a.ambient_dim
+
+    @property
+    def tol(self) -> Tolerance:
+        return self.a.tol
+
+
+def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
+    """Assemble frakA, frakE and the deficiency subspaces of frakA*.
+
+    The adjoint is computed twice: once from the assembled graph, once from
+    the block form with A* and B* swapped in.  Disagreement means a bug, not
+    a regime boundary, and raises.
+    """
+    if c.dim != a.ambient_dim:
+        raise PreconditionError(f"conjugation dimension {c.dim} != relation ambient {a.ambient_dim}")
+    pair = adjoint_pair(a, c)
+    frak_a = block_relation(a, pair.b)
+    frak_a_star = frak_a.adjoint()
+    from_blocks = block_relation(pair.b_star, pair.a_star)
+    if not frak_a_star.equals(from_blocks, 1e3 * a.tol.eps):
+        raise PropertyViolationError(
+            "adjoint of the doubled relation disagrees with the block form",
+            {"angle": max_angle_sin(frak_a_star.graph, from_blocks.graph)},
+        )
+    frak_c = doubled_conjugation(c)
+    if not frak_a.conjugated(frak_c).equals(frak_a, 1e3 * a.tol.eps):
+        raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
+    n_plus = eigenspace_members(frak_a_star, +1)
+    n_minus = eigenspace_members(frak_a_star, -1)
+    return DoubledProblem(
+        a, c, pair.b, pair.a_star, pair.b_star, frak_a, frak_a_star, frak_c, n_plus, n_minus
+    )
+
+
+def verify_symmetry_equivalence(dp: DoubledProblem, atol=None) -> bool:
+    """[A C-symmetric <=> frakA symmetric] and [A C-self-adjoint <=> frakA self-adjoint]."""
+    sym_a = is_c_symmetric(dp.a, dp.c, atol)
+    sym_frak = dp.frakA.contained_in(dp.frakA_star, atol)
+    sa_a = is_c_selfadjoint(dp.a, dp.c, atol)
+    sa_frak = dp.frakA.equals(dp.frakA_star, atol)
+    return (sym_a == sym_frak) and (sa_a == sa_frak)
+
+
+@dataclass(frozen=True, eq=False)
+class DeficiencyReport:
+    n_plus: Subspace
+    n_minus: Subspace
+    checks: CheckList
+
+
+def deficiency(dp: DoubledProblem) -> DeficiencyReport:
+    """Deficiency subspaces with the bijection and componentwise checks."""
+    if not is_c_symmetric(dp.a, dp.c):
+        raise PreconditionError("relation is not C-symmetric; deficiency theory needs symmetry upstairs")
+    checks = CheckList()
+    bound = 1e3 * dp.tol.eps
+    checks.add(
+        "dim_nplus_equals_dim_nminus",
+        dp.n_plus.dim == dp.n_minus.dim,
+        detail=f"dims {dp.n_plus.dim}, {dp.n_minus.dim}",
+    )
+    image = dp.frakC.map_subspace(dp.n_plus)
+    residual = max_angle_sin(image, dp.n_minus) if image.dim == dp.n_minus.dim else 1.0
+    checks.add_residual("frakE_maps_nplus_onto_nminus", residual, bound)
+    # componentwise: w = (x, y) in N+ means (y, ix) in graph(B*) and (x, iy) in graph(A*)
+    n = dp.ambient_dim
+    comp_res = 0.0
+    for w in dp.n_plus.basis.T:
+        x, y = w[:n], w[n:]
+        for target, pair_vec in ((dp.b_star, np.concatenate([y, 1j * x])),
+                                 (dp.a_star, np.concatenate([x, 1j * y]))):
+            gap = pair_vec - target.graph.project(pair_vec)
+            comp_res = max(comp_res, float(np.linalg.norm(gap)))
+    checks.add_residual("componentwise_characterization", comp_res, bound)
+    return DeficiencyReport(dp.n_plus, dp.n_minus, checks)
+
+
+def _orthogonality_residual(s1: Subspace, s2: Subspace) -> float:
+    if s1.dim == 0 or s2.dim == 0:
+        return 0.0
+    return float(np.abs(s1.basis.conj().T @ s2.basis).max())
+
+
+@dataclass(frozen=True, eq=False)
+class DecompositionReport:
+    regime: str
+    subspaces: dict
+    checks: CheckList
+    measurements: dict
+
+
+def vn_decomposition(t: LinearRelation) -> DecompositionReport:
+    """graph(T*) = graph(T) + N_hat_plus + N_hat_minus, orthogonally.
+
+    N_hat_+- are the graph elements (w, +-iw) of T*.  The orthogonal
+    decomposition holds for every symmetric relation; the domain-level
+    forms D(T*) = D(T) + N((T*)^2 + I) and the splitting of that kernel
+    into N(T* - i) + N(T* + i) are additionally checked, with the direct-sum
+    independence asserted only when T* is single-valued.
+    """
+    t_star = t.adjoint()
+    if not t.contained_in(t_star):
+        raise PreconditionError("relation is not symmetric")
+    tol = t.tol
+    bound = 1e3 * tol.eps
+    n = t.ambient_dim
+    checks = CheckList()
+    measurements = {}
+    hats = {}
+    for sign, name in ((+1, "plus"), (-1, "minus")):
+        hit = intersect(t_star.graph, _imaginary_graph(n, sign, tol))
+        hats[name] = hit
+    checks.add_residual("graph_orth_t_nhat_plus", _orthogonality_residual(t.graph, hats["plus"]), bound)
+    checks.add_residual("graph_orth_t_nhat_minus", _orthogonality_residual(t.graph, hats["minus"]), bound)
+    checks.add_residual("graph_orth_nhat_plus_minus", _orthogonality_residual(hats["plus"], hats["minus"]), bound)
+    total = subspace_sum(subspace_sum(t.graph, hats["plus"]), hats["minus"])
+    checks.add(
+        "graph_decomposition_spans_adjoint",
+        subspace_equal(total, t_star.graph, bound)
+        and total.dim == t.graph.dim + hats["plus"].dim + hats["minus"].dim,
+        detail=f"dims {t.graph.dim}+{hats['plus'].dim}+{hats['minus'].dim} vs {t_star.graph.dim}",
+    )
+    # kernel of (T*)^2 + I against the eigenspace members
+    kernel = compose(t_star, t_star).shifted(1.0).kernel()
+    n_plus_first = orthonormal_basis(hats["plus"].basis[:n], tol, n)
+    n_minus_first = orthonormal_basis(hats["minus"].basis[:n], tol, n)
+    eig_sum = subspace_sum(n_plus_first, n_minus_first)
+    checks.add(
+        "kernel_splits_into_eigenspace_members",
+        subspace_equal(kernel, eig_sum, bound),
+        detail=f"dim N((T*)^2+I) = {kernel.dim}",
+    )
+    independent = eig_sum.dim == n_plus_first.dim + n_minus_first.dim
+    operator_regime = t.is_operator and t_star.is_operator
+    if operator_regime:
+        checks.add("eigenspace_sum_direct", independent)
+        dom_sum = subspace_sum(t.domain(), kernel)
+        checks.add("domain_decomposition", subspace_equal(dom_sum, t_star.domain(), bound))
+        ortho = 0.0
+        for f in t.domain().basis.T:
+            for g in kernel.basis.T:
+                ortho = max(ortho, abs(graph_inner(t_star, f, g)))
+        checks.add_residual("domain_graph_norm_orthogonality", ortho, bound)
+    else:
+        measurements["eigenspace_sum_direct"] = independent
+        checks.skip(
+            "domain_decomposition",
+            "adjoint is multivalued; the decomposition is expressed at graph level",
+        )
+    return DecompositionReport(
+        "operator" if operator_regime else "relation",
+        {
+            "graph_t": t.graph,
+            "n_hat_plus": hats["plus"],
+            "n_hat_minus": hats["minus"],
+            "kernel_sq": kernel,
+        },
+        checks,
+        measurements,
+    )
+
+
+def race_decomposition(a: LinearRelation, c: Conjugation, dp: DoubledProblem = None) -> DecompositionReport:
+    """Defect decompositions of graph(B*) and graph(A*), with the
+    self-adjointness corollary: N(I + A*B*) = {0} iff A is C-self-adjoint.
+
+    The domain-level forms presume single-valued adjoints; outside that
+    regime they are reported at graph level and the verbatim versions are
+    skipped rather than silently degraded.
+    """
+    pair = adjoint_pair(a, c)
+    if not pair.b.contained_in(pair.a_star):
+        raise PreconditionError("relation is not C-symmetric")
+    spaces = m_spaces(pair)
+    tol = a.tol
+    bound = 1e3 * tol.eps
+    checks = CheckList()
+    measurements = {}
+    # graph(B*) = graph(A) + frakM and graph(A*) = graph(B) + frakM'
+    for name, big, small, m_part in (
+        ("bstar_decomposition", pair.b_star, a, spaces.frakM),
+        ("astar_decomposition", pair.a_star, pair.b, spaces.frakM_prime),
+    ):
+        total = subspace_sum(small.graph, m_part)
+        ok = (
+            subspace_equal(total, big.graph, bound)
+            and _orthogonality_residual(small.graph, m_part) <= bound
+        )
+        checks.add(name, ok, detail=f"dims {small.graph.dim}+{m_part.dim} vs {big.graph.dim}")
+    # C maps N(I + A*B*) onto N(I + B*A*)
+    image = c.map_subspace(spaces.m_bstar)
+    residual = max_angle_sin(image, spaces.m_astar) if image.dim == spaces.m_astar.dim else 1.0
+    checks.add_residual("c_maps_kernels", residual, bound)
+    # corollary: trivial kernel iff C-self-adjoint
+    kernel_trivial = spaces.m_bstar.dim == 0
+    selfadj = is_c_selfadjoint(a, c)
+    checks.add(
+        "selfadjointness_corollary",
+        kernel_trivial == selfadj,
+        detail=f"dim N(I+A*B*) = {spaces.m_bstar.dim}, C-self-adjoint = {selfadj}",
+    )
+    operator_regime = a.is_everywhere_defined and a.is_operator
+    if dp is None:
+        dp = build_doubled(a, c)
+    measurements["dim_kernel"] = spaces.m_bstar.dim
+    measurements["two_dim_nplus"] = 2 * dp.n_plus.dim
+    if operator_regime:
+        checks.add(
+            "kernel_dimension_vs_deficiency",
+            spaces.m_bstar.dim == 2 * dp.n_plus.dim,
+            detail=f"{spaces.m_bstar.dim} vs 2*{dp.n_plus.dim}",
+        )
+        dom_sum = subspace_sum(a.domain(), spaces.m_bstar)
+        checks.add("domain_decomposition", subspace_equal(dom_sum, pair.b_star.domain(), bound))
+    else:
+        checks.skip(
+            "domain_decomposition",
+            "domain is not everywhere defined; verbatim form needs single-valued adjoints",
+        )
+    return DecompositionReport(
+        "operator" if operator_regime else "relation",
+        {"frakM": spaces.frakM, "frakM_prime": spaces.frakM_prime, "kernel": spaces.m_bstar},
+        checks,
+        measurements,
+    )

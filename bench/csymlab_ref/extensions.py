@@ -1,0 +1,568 @@
+"""Complete parameterization of the C-self-adjoint extensions of a
+C-symmetric relation.
+
+Extensions are always constructed at the doubled level: for a unitary
+U: N+ -> N- the graph of frak(A)_U is graph(frakA) plus the deficiency
+span {(w - Uw, i(w + Uw)) : w in N+}, which is self-adjoint by von Neumann
+theory for relations.  The one-space extension is then read off as the
+(y -> v) block slice.
+
+Two conditions on U play different roles.  The compatibility condition
+frakE U frakE U = I makes the doubled extension frakE-self-adjoint; a
+parameter violating it is rejected as invalid input.  On top of that the
+block structure of the doubled graph survives the extension iff
+D U D U = I on N+, where D = diag(-I, I) maps each deficiency space onto
+the other.  A parameter passing the first condition but failing the second
+produces a perfectly good self-adjoint relation upstairs that is not the
+double of anything; that outcome is reported as a property violation
+carrying the block diagnosis, because it marks the boundary where the
+single-valued picture stops and not a caller mistake.
+
+The D-condition is not an extra restriction on the extensions themselves:
+every C-self-adjoint extension induces, through its own doubled relation,
+a parameter satisfying both conditions (recover_parameter), and every such
+parameter arises this way.  Soundness and completeness are both exercised
+against brute force in the tests.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .antilinear import AntiLinearMap, conjugation_axiom_residuals, invariant_onb
+from .csym import adjoint_pair, anti_involution, is_c_selfadjoint, m_spaces
+from .doubling import DoubledProblem, block_relation, block_slices
+from .errors import InputError, PreconditionError, PropertyViolationError
+from .linalg import (
+    Subspace,
+    complement,
+    intersect,
+    max_angle_sin,
+    orthonormal_basis,
+    subspace_equal,
+    subspace_sum,
+)
+from .relations import LinearRelation
+from .reporting import CheckList
+
+
+@dataclass(frozen=True, eq=False)
+class ExtensionParameter:
+    """One datum in one of the three equivalent forms.
+
+    kind "unitary": k x k matrix of U: N+ -> N- in the deficiency bases of
+    the DoubledProblem.  kind "conjugation": k x k unitary symmetric matrix
+    of a conjugation on N+ in the same basis.  kind "onb": 2n x k ambient
+    columns forming an orthonormal basis of N+ (the basis fixed by the
+    conjugation).
+    """
+
+    kind: str
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        if self.kind not in ("unitary", "onb", "conjugation"):
+            raise InputError(f"unknown parameter kind {self.kind!r}")
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2:
+            raise InputError(f"parameter matrix must be 2-dimensional, got shape {m.shape}")
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+
+def _coupling(dp: DoubledProblem):
+    """Coordinate matrices of frakE and D = diag(-I, I) between N+ and N-."""
+    bp, bm = dp.n_plus.basis, dp.n_minus.basis
+    k2 = dp.frakC.matrix
+    n = dp.ambient_dim
+    d_amb = np.diag(np.concatenate([-np.ones(n), np.ones(n)])).astype(complex)
+    e_mp = bm.conj().T @ k2 @ np.conj(bp)  # frakE: N+ -> N-, antilinear coords
+    e_pm = bp.conj().T @ k2 @ np.conj(bm)
+    d_pm = bp.conj().T @ d_amb @ bm  # D: N- -> N+, linear coords
+    return e_mp, e_pm, d_pm
+
+
+def frakE_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
+    """|| (frakE U)^2 - I || on N+ in coordinates."""
+    _, e_pm, _ = _coupling(dp)
+    g = e_pm @ np.conj(u)  # anti-linear matrix of frakE о U on N+
+    k = u.shape[0]
+    return float(np.abs(g @ np.conj(g) - np.eye(k)).max()) if k else 0.0
+
+
+def block_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
+    """|| D U D U - I || on N+; zero iff the doubled extension stays block."""
+    _, _, d_pm = _coupling(dp)
+    k = u.shape[0]
+    return float(np.abs(d_pm @ u @ d_pm @ u - np.eye(k)).max()) if k else 0.0
+
+
+def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarray:
+    """Convert any parameter form to the unitary U: N+ -> N- in coordinates.
+
+    Validates the form's own invariant and the compatibility condition
+    frakE U frakE U = I; violations are input errors.
+    """
+    k = dp.n_plus.dim
+    bound = 1e3 * dp.tol.eps
+    e_mp, _, _ = _coupling(dp)
+    if p.kind == "unitary":
+        u = np.asarray(p.matrix, dtype=complex)
+        if u.shape != (k, k):
+            raise InputError(f"unitary parameter must be {k} x {k}, got {u.shape}")
+    elif p.kind == "conjugation":
+        j = np.asarray(p.matrix, dtype=complex)
+        if j.shape != (k, k):
+            raise InputError(f"conjugation parameter must be {k} x {k}, got {j.shape}")
+        unit, symm = conjugation_axiom_residuals(j)
+        if unit > bound:
+            raise InputError(f"conjugation parameter is not unitary (residual {unit:.3e})")
+        if symm > bound:
+            raise InputError(f"conjugation parameter is not symmetric (residual {symm:.3e})")
+        u = e_mp @ np.conj(j)
+    else:  # onb
+        v = np.asarray(p.matrix, dtype=complex)
+        if v.shape != (2 * dp.ambient_dim, k):
+            raise InputError(f"basis parameter must be {2 * dp.ambient_dim} x {k}, got {v.shape}")
+        span = orthonormal_basis(v, dp.tol)
+        if span.dim != k or not subspace_equal(span, dp.n_plus, bound):
+            raise InputError("basis parameter does not span the deficiency subspace N+")
+        w = dp.n_plus.basis.conj().T @ v
+        gram = float(np.abs(w.conj().T @ w - np.eye(k)).max()) if k else 0.0
+        if gram > bound:
+            raise InputError(f"basis parameter is not orthonormal (Gram residual {gram:.3e})")
+        u = e_mp @ np.conj(w @ w.T)  # U = frakE о C_v with C_v fixing the basis
+    if k:
+        unit = float(np.abs(u.conj().T @ u - np.eye(k)).max())
+        if unit > bound:
+            raise InputError(f"parameter does not give a unitary map (residual {unit:.3e})")
+    frake = frakE_condition_residual(dp, u)
+    if frake > bound:
+        raise InputError(
+            f"parameter violates the compatibility condition frakE U frakE U = I (residual {frake:.3e})"
+        )
+    return u
+
+
+def parameter_as_conjugation(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionParameter:
+    u = parameter_as_unitary(dp, p)
+    _, e_pm, _ = _coupling(dp)
+    return ExtensionParameter("conjugation", e_pm @ np.conj(u))
+
+
+def parameter_as_onb(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionParameter:
+    """Orthonormal basis of N+ fixed by the parameter's conjugation, ambient columns."""
+    j = parameter_as_conjugation(dp, p).matrix
+    k = j.shape[0]
+    if k == 0:
+        return ExtensionParameter("onb", np.zeros((2 * dp.ambient_dim, 0)))
+    coords = invariant_onb(
+        AntiLinearMap(j, dp.tol), Subspace(np.eye(k, dtype=complex), dp.tol)
+    )
+    return ExtensionParameter("onb", dp.n_plus.basis @ coords)
+
+
+@dataclass(frozen=True, eq=False)
+class ExtensionResult:
+    a_ext: LinearRelation
+    a_ext_star: LinearRelation
+    frak_ext: LinearRelation
+    parameter: ExtensionParameter
+    l_domain: Subspace
+    l_domain_star: Subspace
+    l_graph: Subspace
+    diagnostics: dict
+    checks: CheckList
+
+
+def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionResult:
+    """Build the extension attached to a parameter, with full verification.
+
+    Raises InputError for invalid parameter data, PropertyViolationError when
+    the parameter is admissible upstairs but the doubled extension has no
+    block structure (D U D U = I fails), carrying the block diagnosis.
+    """
+    u = parameter_as_unitary(dp, p)
+    k = dp.n_plus.dim
+    tol = dp.tol
+    bound = 1e3 * tol.eps
+    block_res = block_condition_residual(dp, u)
+    if block_res > bound:
+        raise PropertyViolationError(
+            "parameter is admissible for the doubled relation but destroys its block "
+            "structure; the self-adjoint extension upstairs is not the double of any "
+            "relation downstairs (D U D U = I fails)",
+            {"block_condition": block_res, "frakE_condition": frakE_condition_residual(dp, u)},
+        )
+    checks = CheckList()
+    n2 = 2 * dp.ambient_dim
+    u_amb = dp.n_minus.basis @ u @ dp.n_plus.basis.conj().T
+    w = dp.n_plus.basis
+    defect_cols = np.vstack([w - u_amb @ w, 1j * (w + u_amb @ w)])
+    frak_ext = LinearRelation(
+        orthonormal_basis(np.hstack([dp.frakA.graph.basis, defect_cols]), tol, 2 * n2)
+    )
+    if frak_ext.graph.dim != dp.frakA.graph.dim + k:
+        raise PropertyViolationError(
+            "deficiency span is not independent of the doubled graph",
+            {"dim_gap": dp.frakA.graph.dim + k - frak_ext.graph.dim},
+        )
+    sa_res = max_angle_sin(frak_ext.graph, frak_ext.adjoint().graph)
+    checks.add_residual("doubled_selfadjoint", sa_res, bound)
+    einv_res = max_angle_sin(frak_ext.conjugated(dp.frakC).graph, frak_ext.graph)
+    checks.add_residual("doubled_frakE_selfadjoint", einv_res, bound)
+    s_block, t_block = block_slices(frak_ext)
+    if s_block.graph.dim + t_block.graph.dim != frak_ext.graph.dim or not block_relation(
+        s_block, t_block
+    ).equals(frak_ext, bound):
+        raise PropertyViolationError(
+            "extracted blocks do not reassemble the doubled extension",
+            {"dims": s_block.graph.dim + t_block.graph.dim - frak_ext.graph.dim},
+        )
+    a_ext = s_block
+    checks.add_residual(
+        "companion_block_is_conjugated",
+        max_angle_sin(t_block.graph, a_ext.conjugated(dp.c).graph),
+        bound,
+    )
+    a_ext_star = a_ext.adjoint()
+    conj_ext = a_ext.conjugated(dp.c)
+    csa_res = max(
+        max_angle_sin(conj_ext.graph, a_ext_star.graph),
+        max_angle_sin(a_ext_star.graph, conj_ext.graph),
+    )
+    checks.add_residual("extension_c_selfadjoint", csa_res, bound)
+    checks.add_residual("contains_a", max_angle_sin(dp.a.graph, a_ext.graph), bound)
+    checks.add_residual("inside_bstar", max_angle_sin(a_ext.graph, dp.b_star.graph), bound)
+    # domain-level counterpart of the deficiency span: D(A_U) = D(A) + second components
+    l_domain = orthonormal_basis(defect_cols[dp.ambient_dim : n2], tol, dp.ambient_dim)
+    l_domain_star = dp.c.map_subspace(l_domain)
+    l_graph = orthonormal_basis(
+        a_ext.graph.basis
+        - dp.a.graph.basis @ (dp.a.graph.basis.conj().T @ a_ext.graph.basis),
+        tol,
+        n2,
+    )
+    diagnostics = {
+        "is_operator": a_ext.is_operator,
+        "is_c_selfadjoint": csa_res <= bound,
+        "dims": {
+            "graph_a": dp.a.graph.dim,
+            "graph_ext": a_ext.graph.dim,
+            "graph_bstar": dp.b_star.graph.dim,
+            "n_plus": k,
+            "l_graph": l_graph.dim,
+        },
+    }
+    return ExtensionResult(
+        a_ext,
+        a_ext_star,
+        frak_ext,
+        ExtensionParameter("unitary", u),
+        l_domain,
+        l_domain_star,
+        l_graph,
+        diagnostics,
+        checks,
+    )
+
+
+def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Subspace, CheckList]:
+    """L-manifold decomposition checks for a built extension.
+
+    Verifies, at graph level, that L = graph(ext) - graph(A) and its image
+    under the anti-involution S(f, g) = (Cg, -Cf) split frakM orthogonally,
+    and that the two quotient dimensions agree.  Domain-level sums are
+    checked as subspace identities.
+    """
+    checks = CheckList()
+    tol = dp.tol
+    bound = 1e3 * tol.eps
+    pair = adjoint_pair(dp.a, dp.c)
+    spaces = m_spaces(pair)
+    s = anti_involution(pair)
+    l_graph = res.l_graph
+    s_image = s.map_subspace(l_graph)
+    ortho = 0.0
+    if l_graph.dim and s_image.dim:
+        ortho = float(np.abs(l_graph.basis.conj().T @ s_image.basis).max())
+    checks.add_residual("l_orthogonal_to_s_l", ortho, bound)
+    total = subspace_sum(l_graph, s_image)
+    checks.add(
+        "l_plus_s_l_spans_frakM",
+        subspace_equal(total, spaces.frakM, bound)
+        and total.dim == l_graph.dim + s_image.dim,
+        detail=f"dims {l_graph.dim}+{s_image.dim} vs {spaces.frakM.dim}",
+    )
+    q_upper = dp.b_star.graph.dim - res.a_ext.graph.dim
+    q_lower = res.a_ext.graph.dim - dp.a.graph.dim
+    checks.add("quotient_dimensions_equal", q_upper == q_lower, detail=f"{q_upper} vs {q_lower}")
+    dom_sum = subspace_sum(dp.a.domain(), res.l_domain)
+    checks.add(
+        "domain_sum",
+        subspace_equal(dom_sum, res.a_ext.domain(), bound),
+        detail=f"dims {dp.a.domain().dim}+{res.l_domain.dim} vs {res.a_ext.domain().dim}",
+    )
+    star_sum = subspace_sum(dp.b.domain(), res.l_domain_star)
+    checks.add(
+        "domain_sum_star",
+        subspace_equal(star_sum, res.a_ext_star.domain(), bound),
+        detail=f"dims {dp.b.domain().dim}+{res.l_domain_star.dim} vs {res.a_ext_star.domain().dim}",
+    )
+    return res.l_domain, res.l_domain_star, checks
+
+
+def _anti_involution_coords(dp: DoubledProblem, frak_m: Subspace) -> np.ndarray:
+    """Coordinate matrix of S(f, g) = (Cg, -Cf) on frakM."""
+    k = dp.c.matrix
+    n = dp.ambient_dim
+    z = np.zeros((n, n), dtype=complex)
+    s_amb = np.block([[z, k], [-k, z]])
+    return frak_m.basis.conj().T @ s_amb @ np.conj(frak_m.basis)
+
+
+def _greedy_isotropic(s_coord: np.ndarray, m: int, tol, rng=None, first=None) -> np.ndarray:
+    """Columns of an isotropic L with L + S(L) = C^m, in frakM coordinates.
+
+    Candidates are the first column of the orthogonal complement of the span
+    collected so far, or random unit vectors in it when rng is given.  Each
+    new vector is automatically S-isotropic against everything before, so
+    no repair step is needed.
+    """
+    cols = []
+    used = np.zeros((m, 0), dtype=complex)
+    while 2 * len(cols) < m:
+        if cols or first is None:
+            rest = complement(Subspace(used, tol)).basis
+            if rng is None:
+                v = rest[:, 0]
+            else:
+                coeff = rng.standard_normal(rest.shape[1]) + 1j * rng.standard_normal(rest.shape[1])
+                v = rest @ coeff
+                v = v / np.linalg.norm(v)
+        else:
+            v = first / np.linalg.norm(first)
+        sv = s_coord @ np.conj(v)
+        cols.append(v)
+        used = orthonormal_basis(np.column_stack([used, v, sv]), tol, m).basis
+        if used.shape[1] != 2 * len(cols):
+            raise PropertyViolationError(
+                "isotropic construction lost rank", {"dim": used.shape[1]}
+            )
+    return np.column_stack(cols) if cols else np.zeros((m, 0), dtype=complex)
+
+
+def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResult:
+    """Deterministic C-self-adjoint extension from a greedy isotropic L.
+
+    Repeatedly picks the first complement column inside frakM and pairs it
+    with its anti-involution image until frakM is exhausted; the collected
+    half spans L and graph(A) + L is a C-self-adjoint extension.  With
+    swap=True the companion extension built from S(L) is returned instead.
+    """
+    pair = adjoint_pair(dp.a, dp.c)
+    if not pair.b.contained_in(pair.a_star):
+        raise PreconditionError("relation is not C-symmetric")
+    spaces = m_spaces(pair)
+    frak_m = spaces.frakM
+    if frak_m.dim % 2:
+        raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
+    if frak_m.dim == 0:
+        return extension_from_parameter(dp, ExtensionParameter("unitary", np.zeros((0, 0))))
+    s_coord = _anti_involution_coords(dp, frak_m)
+    l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol)
+    if swap:
+        l_coords = s_coord @ np.conj(l_coords)
+    l_cols = frak_m.basis @ l_coords
+    a_tilde = LinearRelation(
+        orthonormal_basis(np.hstack([dp.a.graph.basis, l_cols]), dp.tol, 2 * dp.ambient_dim)
+    )
+    param = recover_parameter(dp, a_tilde, verify=False)
+    res = extension_from_parameter(dp, param)
+    if not res.a_ext.equals(a_tilde, 1e3 * dp.tol.eps):
+        raise PropertyViolationError("canonical extension failed the parameter round trip", {})
+    return res
+
+
+def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation, verify: bool = True) -> ExtensionParameter:
+    """Parameter of a given C-self-adjoint extension, via the Cayley transform.
+
+    The doubled extension is self-adjoint, so V(b + ia) = b - ia over its
+    graph pairs (a, b) is an everywhere-defined unitary; its restriction to
+    N+ is the wanted U.
+    """
+    if not dp.a.contained_in(a_tilde):
+        raise PreconditionError("relation does not extend A")
+    if not is_c_selfadjoint(a_tilde, dp.c, 1e3 * dp.tol.eps):
+        raise PreconditionError("extension is not C-self-adjoint")
+    k = dp.n_plus.dim
+    if k == 0:
+        return ExtensionParameter("unitary", np.zeros((0, 0)))
+    frak_t = block_relation(a_tilde, a_tilde.conjugated(dp.c))
+    n2 = 2 * dp.ambient_dim
+    g = frak_t.graph.basis
+    if g.shape[1] != n2:
+        raise PropertyViolationError(
+            "doubled extension has the wrong graph dimension", {"dim": g.shape[1]}
+        )
+    p_mat = g[n2:] + 1j * g[:n2]
+    q_mat = g[n2:] - 1j * g[:n2]
+    try:
+        v = np.linalg.solve(p_mat.T, q_mat.T).T
+    except np.linalg.LinAlgError as exc:
+        raise PropertyViolationError(f"Cayley transform is not everywhere defined: {exc}", {})
+    image = v @ dp.n_plus.basis
+    u = dp.n_minus.basis.conj().T @ image
+    stray = float(np.abs(image - dp.n_minus.basis @ u).max())
+    if stray > 1e3 * dp.tol.eps:
+        raise PropertyViolationError(
+            "Cayley transform does not carry N+ onto N-", {"stray": stray}
+        )
+    param = ExtensionParameter("unitary", u)
+    if verify:
+        rebuilt = extension_from_parameter(dp, param)
+        if not rebuilt.a_ext.equals(a_tilde, 1e3 * dp.tol.eps):
+            raise PropertyViolationError(
+                "recovered parameter does not reproduce the extension",
+                {"angle": max_angle_sin(rebuilt.a_ext.graph, a_tilde.graph)},
+            )
+    return param
+
+
+def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[ExtensionParameter]:
+    """Conjugation parameters of `count` randomly sampled extensions.
+
+    Sampling is done on the extension side (random isotropic L inside frakM)
+    and pulled back through recover_parameter, which keeps every sample
+    inside the block-compatible family.
+    """
+    pair = adjoint_pair(dp.a, dp.c)
+    spaces = m_spaces(pair)
+    frak_m = spaces.frakM
+    rng = np.random.default_rng(seed)
+    out = []
+    if frak_m.dim == 0:
+        empty = ExtensionParameter("conjugation", np.zeros((0, 0)))
+        return [empty for _ in range(count)]
+    s_coord = _anti_involution_coords(dp, frak_m)
+    for _ in range(count):
+        l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol, rng=rng)
+        l_cols = frak_m.basis @ l_coords
+        a_tilde = LinearRelation(
+            orthonormal_basis(np.hstack([dp.a.graph.basis, l_cols]), dp.tol, 2 * dp.ambient_dim)
+        )
+        u_param = recover_parameter(dp, a_tilde, verify=False)
+        out.append(parameter_as_conjugation(dp, u_param))
+    return out
+
+
+def brute_force_extensions(
+    dp: DoubledProblem, budget: int = 10000, seed: int = 0, max_hits: int | None = 1000
+) -> list[LinearRelation]:
+    """Sampled search for C-self-adjoint extensions, independent of the
+    parameterization machinery.
+
+    Candidates are midpoint subspaces graph(A) + L with L inside frakM of
+    half its dimension, drawn from a deterministic structured sweep (pairs
+    of pool vectors rotated through a small angle/phase grid, completed
+    greedily when half-dimension exceeds one), a stream of isotropic
+    completions of random first vectors, and raw random subspaces of frakM.
+    Each candidate is kept iff the direct C-self-adjointness test passes.
+    Results are deduplicated and deterministic for a fixed seed.
+
+    When the family is continuous nearly every half-dimension-one candidate
+    is a distinct hit, so the returned list is capped at max_hits (sampling
+    stops once the cap is reached; the structured sweep runs first and is
+    never truncated by the random streams).  Pass None to disable the cap.
+    """
+    pair = adjoint_pair(dp.a, dp.c)
+    spaces = m_spaces(pair)
+    frak_m = spaces.frakM
+    if frak_m.dim > 8:
+        raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
+    if frak_m.dim == 0:
+        return [dp.a]
+    if frak_m.dim % 2:
+        raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
+    m = frak_m.dim
+    half = m // 2
+    n2 = 2 * dp.ambient_dim
+    tol = dp.tol
+    rng = np.random.default_rng(seed)
+    s_coord = _anti_involution_coords(dp, frak_m)
+
+    # pool: frakM basis directions plus the members aligned with one
+    # coordinate block (pure first or pure second component)
+    pool = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
+    for block in (slice(0, dp.ambient_dim), slice(dp.ambient_dim, n2)):
+        aligned = np.zeros((n2, dp.ambient_dim), dtype=complex)
+        aligned[block] = np.eye(dp.ambient_dim)
+        part = intersect(frak_m, Subspace(aligned, tol))
+        coords = frak_m.basis.conj().T @ part.basis
+        pool.extend(coords[:, j] for j in range(part.dim))
+
+    def first_vectors():
+        angles = (0.0, np.pi / 4, np.pi / 2)
+        phases = (1.0, 1j, -1.0, -1j)
+        for i in range(len(pool)):
+            for j in range(len(pool)):
+                if i == j:
+                    continue
+                for th in angles:
+                    for ph in phases:
+                        v = np.cos(th) * pool[i] + np.sin(th) * ph * pool[j]
+                        nv = np.linalg.norm(v)
+                        if nv > 1e-8:
+                            yield v / nv
+
+    def candidate_from_first(v):
+        try:
+            return _greedy_isotropic(s_coord, m, tol, first=v)
+        except PropertyViolationError:
+            return None
+
+    hits: list[LinearRelation] = []
+    seen: set[bytes] = set()
+
+    def consider(l_coords):
+        if l_coords is None:
+            return
+        l_cols = frak_m.basis @ l_coords
+        cols = np.hstack([dp.a.graph.basis, l_cols])
+        cand_graph = orthonormal_basis(cols, tol, n2)
+        if cand_graph.dim != dp.a.graph.dim + half:
+            return
+        cand = LinearRelation(cand_graph)
+        if not is_c_selfadjoint(cand, dp.c, 1e3 * tol.eps):
+            return
+        # dedup on the rounded graph projector, which is basis-independent;
+        # adding 0.0 normalizes negative zeros so keys are reproducible
+        key = (np.round(cand_graph.projector(), 8) + 0.0).tobytes()
+        if key in seen:
+            return
+        seen.add(key)
+        hits.append(cand)
+
+    def full() -> bool:
+        return max_hits is not None and len(hits) >= max_hits
+
+    evaluated = 0
+    for v in first_vectors():
+        if evaluated >= budget or full():
+            break
+        consider(candidate_from_first(v) if half > 1 else v.reshape(-1, 1))
+        evaluated += 1
+    iso_share = max(0, (budget - evaluated) // 10)
+    for _ in range(iso_share):
+        if full():
+            break
+        consider(_greedy_isotropic(s_coord, m, tol, rng=rng))
+        evaluated += 1
+    while evaluated < budget and not full():
+        z = rng.standard_normal((m, half)) + 1j * rng.standard_normal((m, half))
+        consider(orthonormal_basis(z, tol, m).basis)
+        evaluated += 1
+    return hits

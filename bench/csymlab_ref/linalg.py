@@ -1,0 +1,198 @@
+"""Dense complex linear-algebra substrate.
+
+Everything downstream works with subspaces of C^n carried by orthonormal
+bases.  Rank decisions are made exclusively through singular values with a
+single scale rule, so that every higher-level construction (relation
+adjoints, deficiency spaces, extension manifolds) inherits one consistent
+notion of "numerically zero".
+
+Inner product convention: <u, v> = sum_i u_i * conj(v_i), linear in the
+first argument.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import InputError
+
+
+@dataclass(frozen=True)
+class Tolerance:
+    """Tolerance governing rank decisions and residual comparisons.
+
+    A singular value sigma is treated as zero iff
+    sigma <= eps * max(1, sigma_max).  The same Tolerance object should be
+    threaded through a whole computation.
+    """
+
+    eps: float = 1e-10
+
+    def __post_init__(self):
+        if not (self.eps > 0 and np.isfinite(self.eps)):
+            raise InputError(f"tolerance eps must be positive and finite, got {self.eps}")
+
+    def zero_cutoff(self, sigma_max: float) -> float:
+        return self.eps * max(1.0, float(sigma_max))
+
+
+DEFAULT_TOL = Tolerance()
+
+
+def inner(u, v) -> complex:
+    """<u, v> = sum_i u_i conj(v_i); linear in the first argument."""
+    return complex(np.vdot(v, u))
+
+
+def _as_complex_matrix(a, name="matrix"):
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise InputError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.size and not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+        raise InputError(f"{name} contains non-finite entries")
+    return m
+
+
+@dataclass(frozen=True, eq=False)
+class Subspace:
+    """A subspace of C^n held as an n x k matrix with orthonormal columns."""
+
+    basis: np.ndarray
+    tol: Tolerance = field(default=DEFAULT_TOL)
+
+    def __post_init__(self):
+        b = _as_complex_matrix(self.basis, "basis")
+        if b.shape[0] < 1:
+            raise InputError("ambient dimension must be positive")
+        if b.shape[1] > b.shape[0]:
+            raise InputError(f"basis has more columns ({b.shape[1]}) than ambient dimension ({b.shape[0]})")
+        if b.shape[1]:
+            gram_residual = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
+            if gram_residual > 1e3 * self.tol.eps:
+                raise InputError(f"basis columns are not orthonormal (Gram residual {gram_residual:.3e})")
+        b = b.copy()
+        b.setflags(write=False)
+        object.__setattr__(self, "basis", b)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+    def projector(self) -> np.ndarray:
+        return self.basis @ self.basis.conj().T
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=complex)
+        return self.basis @ (self.basis.conj().T @ x)
+
+    def contains_vector(self, x, atol=None) -> bool:
+        x = np.asarray(x, dtype=complex)
+        bound = (self.tol.eps if atol is None else atol) * max(1.0, float(np.linalg.norm(x)))
+        return float(np.linalg.norm(x - self.project(x))) <= bound
+
+
+def _check_same_ambient(s1: Subspace, s2: Subspace):
+    if s1.ambient_dim != s2.ambient_dim:
+        raise InputError(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
+
+
+def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL, ambient_dim=None) -> Subspace:
+    """Build the span of the given vectors as a Subspace.
+
+    ``vectors`` is either a sequence of ambient vectors or a 2-d array whose
+    columns are the vectors.  Rank is decided by the Tolerance scale rule on
+    the singular values.
+    """
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        a = np.asarray(vectors, dtype=complex)
+    else:
+        cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        if not cols:
+            if ambient_dim is None:
+                raise InputError("empty vector list needs an explicit ambient_dim")
+            return Subspace(np.zeros((ambient_dim, 0), dtype=complex), tol)
+        n = cols[0].shape[0]
+        for v in cols:
+            if v.shape[0] != n:
+                raise InputError(f"vectors have mismatched dimensions: {v.shape[0]} vs {n}")
+        a = np.column_stack(cols)
+    if ambient_dim is not None and a.shape[0] != ambient_dim:
+        raise InputError(f"vectors live in dimension {a.shape[0]}, expected {ambient_dim}")
+    if a.shape[1] == 0:
+        return Subspace(a, tol)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > tol.zero_cutoff(s[0] if s.size else 0.0)))
+    return Subspace(u[:, :rank], tol)
+
+
+def zero_subspace(n: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    return Subspace(np.zeros((n, 0), dtype=complex), tol)
+
+
+def full_space(n: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    return Subspace(np.eye(n, dtype=complex), tol)
+
+
+def complement(s: Subspace) -> Subspace:
+    """Orthogonal complement; dim complement = ambient_dim - dim."""
+    n, k = s.basis.shape
+    if k == 0:
+        return full_space(n, s.tol)
+    u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
+    return Subspace(u[:, k:], s.tol)
+
+
+def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
+    _check_same_ambient(s1, s2)
+    return orthonormal_basis(np.hstack([s1.basis, s2.basis]), s1.tol)
+
+
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """S1 cap S2, computed as complement(complement(S1) + complement(S2))."""
+    _check_same_ambient(s1, s2)
+    return complement(subspace_sum(complement(s1), complement(s2)))
+
+
+def max_angle_sin(s1: Subspace, s2: Subspace) -> float:
+    """sin of the largest principal angle from S1 into S2.
+
+    Zero iff S1 is contained in S2; equals the operator norm of
+    (I - P_{S2}) restricted to S1.
+    """
+    _check_same_ambient(s1, s2)
+    if s1.dim == 0:
+        return 0.0
+    residual = s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
+    return float(np.linalg.norm(residual, 2))
+
+
+def is_subspace_of(s1: Subspace, s2: Subspace, atol=None) -> bool:
+    """True iff S1 is contained in S2 within tolerance."""
+    _check_same_ambient(s1, s2)
+    if s1.dim > s2.dim:
+        return False
+    bound = s1.tol.eps if atol is None else atol
+    return max_angle_sin(s1, s2) <= bound
+
+
+def subspace_equal(s1: Subspace, s2: Subspace, atol=None) -> bool:
+    """True iff dims agree and the largest principal angle is within tolerance."""
+    _check_same_ambient(s1, s2)
+    if s1.dim != s2.dim:
+        return False
+    bound = s1.tol.eps if atol is None else atol
+    return max_angle_sin(s1, s2) <= bound
+
+
+def map_subspace(m: np.ndarray, s: Subspace) -> Subspace:
+    """Image of a subspace under a linear map (rank decided by Tolerance)."""
+    m = _as_complex_matrix(m)
+    if m.shape[1] != s.ambient_dim:
+        raise InputError(f"map expects dimension {m.shape[1]}, subspace has {s.ambient_dim}")
+    return orthonormal_basis(m @ s.basis, s.tol)

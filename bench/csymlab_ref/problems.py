@@ -1,0 +1,230 @@
+"""Problem descriptions: a small JSON schema for an operator (possibly
+restricted to a subspace) together with its conjugation.
+
+Complex numbers travel as [re, im] pairs so fixture files stay hand-editable
+and diffable.  Parse errors carry the JSON-pointer path of the offending
+element.  The operator is stored as domain columns and their images; the
+relation is the span of the stacked pairs, so a non-orthonormal domain basis
+is legal input (it is orthonormalized on load, with a warning when that
+actually changes the columns).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .antilinear import (
+    Conjugation,
+    entrywise_conjugation,
+    flip_conjugation,
+    conjugation_axiom_residuals,
+)
+from .errors import InputError
+from .linalg import DEFAULT_TOL, Tolerance, orthonormal_basis
+from .relations import LinearRelation, from_matrix
+
+
+@dataclass(frozen=True, eq=False)
+class ProblemSpec:
+    """A conjugation plus an operator given by domain columns and images.
+
+    domain_basis is None for everywhere-defined operators, in which case
+    images is the full n x n matrix.
+    """
+
+    name: str
+    dim: int
+    conjugation_kind: str
+    conjugation_matrix: np.ndarray | None
+    domain_basis: np.ndarray | None
+    images: np.ndarray
+    tol: Tolerance
+
+    def __post_init__(self):
+        for field in ("conjugation_matrix", "domain_basis", "images"):
+            value = getattr(self, field)
+            if value is not None:
+                arr = np.asarray(value, dtype=complex).copy()
+                arr.setflags(write=False)
+                object.__setattr__(self, field, arr)
+
+    def conjugation(self) -> Conjugation:
+        if self.conjugation_kind == "entrywise":
+            return entrywise_conjugation(self.dim)
+        if self.conjugation_kind == "flip":
+            return flip_conjugation(self.dim)
+        return Conjugation(self.conjugation_matrix, self.tol)
+
+    def relation(self) -> LinearRelation:
+        if self.domain_basis is None:
+            return from_matrix(self.images, self.tol)
+        graph_cols = np.vstack([self.domain_basis, self.images])
+        graph = orthonormal_basis(graph_cols, self.tol, 2 * self.dim)
+        if graph.dim != self.domain_basis.shape[1]:
+            raise InputError(
+                "domain columns and images do not define an operator graph "
+                f"(rank {graph.dim} from {self.domain_basis.shape[1]} pairs)"
+            )
+        return LinearRelation(graph)
+
+    def matrix(self) -> np.ndarray | None:
+        """Full matrix when everywhere-defined, else None."""
+        if self.domain_basis is None:
+            return np.asarray(self.images)
+        return None
+
+    def to_json_dict(self) -> dict:
+        out: dict = {"name": self.name, "dim": self.dim}
+        conj: dict = {"kind": self.conjugation_kind}
+        if self.conjugation_matrix is not None:
+            conj["matrix"] = encode_matrix(self.conjugation_matrix)
+        out["conjugation"] = conj
+        op: dict = {"images": encode_matrix(self.images)}
+        if self.domain_basis is not None:
+            op["domain_basis"] = encode_matrix(self.domain_basis)
+        out["operator"] = op
+        out["tol"] = self.tol.eps
+        return out
+
+    def digest(self) -> str:
+        payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def encode_complex(z: complex) -> list[float]:
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+def encode_matrix(m: np.ndarray) -> list:
+    """Columns as lists of [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return [[encode_complex(z) for z in m[:, j]] for j in range(m.shape[1])]
+
+
+def _parse_complex(value, pointer: str) -> complex:
+    if isinstance(value, (int, float)):
+        return complex(value)
+    if (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(part, (int, float)) for part in value)
+    ):
+        return complex(value[0], value[1])
+    raise InputError(f"{pointer}: expected a number or [re, im] pair, got {value!r}")
+
+
+def _parse_vector(value, dim: int, pointer: str) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != dim:
+        raise InputError(f"{pointer}: expected a list of {dim} entries")
+    return np.array(
+        [_parse_complex(entry, f"{pointer}/{i}") for i, entry in enumerate(value)]
+    )
+
+
+def _parse_vectors(value, dim: int, pointer: str) -> np.ndarray:
+    if not isinstance(value, list) or not value:
+        raise InputError(f"{pointer}: expected a nonempty list of vectors")
+    cols = [_parse_vector(v, dim, f"{pointer}/{i}") for i, v in enumerate(value)]
+    return np.column_stack(cols)
+
+
+def decode_matrix(value, pointer: str) -> np.ndarray:
+    """Columns of [re, im] entries with the length inferred from the first.
+
+    Used for free-standing matrix payloads such as extension parameters,
+    where the expected shape is checked downstream.
+    """
+    if not isinstance(value, list):
+        raise InputError(f"{pointer}: expected a list of columns")
+    if not value:
+        return np.zeros((0, 0), dtype=complex)
+    if not isinstance(value[0], list):
+        raise InputError(f"{pointer}/0: expected a list of entries")
+    return _parse_vectors(value, len(value[0]), pointer)
+
+
+def spec_from_dict(data, name: str | None = None, pointer: str = "") -> ProblemSpec:
+    if not isinstance(data, dict):
+        raise InputError(f"{pointer or '/'}: expected a JSON object")
+    if name is None:
+        embedded = data.get("name", "spec")
+        if not isinstance(embedded, str):
+            raise InputError(f"{pointer}/name: expected a string, got {embedded!r}")
+        name = embedded
+    dim = data.get("dim")
+    if not isinstance(dim, int) or dim < 1:
+        raise InputError(f"{pointer}/dim: expected a positive integer, got {dim!r}")
+    tol_value = data.get("tol", DEFAULT_TOL.eps)
+    if not isinstance(tol_value, (int, float)) or not 0 < tol_value < 1:
+        raise InputError(f"{pointer}/tol: expected a real in (0, 1), got {tol_value!r}")
+    tol = Tolerance(float(tol_value))
+
+    conj = data.get("conjugation")
+    if not isinstance(conj, dict) or "kind" not in conj:
+        raise InputError(f"{pointer}/conjugation: expected an object with a 'kind'")
+    kind = conj["kind"]
+    matrix = None
+    if kind == "matrix":
+        if "matrix" not in conj:
+            raise InputError(f"{pointer}/conjugation/matrix: required for kind 'matrix'")
+        matrix = _parse_vectors(conj["matrix"], dim, f"{pointer}/conjugation/matrix")
+        if matrix.shape != (dim, dim):
+            raise InputError(
+                f"{pointer}/conjugation/matrix: expected {dim} columns, got {matrix.shape[1]}"
+            )
+        unit, symm = conjugation_axiom_residuals(matrix)
+        if unit > 1e3 * tol.eps:
+            raise InputError(
+                f"{pointer}/conjugation/matrix: not anti-unitary (residual {unit:.3e})"
+            )
+        if symm > 1e3 * tol.eps:
+            raise InputError(
+                f"{pointer}/conjugation/matrix: not an involution, matrix must be "
+                f"symmetric (residual {symm:.3e})"
+            )
+    elif kind not in ("entrywise", "flip"):
+        raise InputError(
+            f"{pointer}/conjugation/kind: expected entrywise, flip or matrix, got {kind!r}"
+        )
+
+    op = data.get("operator")
+    if not isinstance(op, dict) or "images" not in op:
+        raise InputError(f"{pointer}/operator: expected an object with 'images'")
+    domain = None
+    if "domain_basis" in op:
+        domain = _parse_vectors(op["domain_basis"], dim, f"{pointer}/operator/domain_basis")
+        ortho = orthonormal_basis(domain, tol, dim)
+        if ortho.dim != domain.shape[1]:
+            raise InputError(
+                f"{pointer}/operator/domain_basis: columns are linearly dependent"
+            )
+        gram = float(np.abs(domain.conj().T @ domain - np.eye(domain.shape[1])).max())
+        if gram > 1e3 * tol.eps:
+            warnings.warn(
+                f"domain basis is not orthonormal (Gram residual {gram:.3e}); "
+                "it will be orthonormalized",
+                stacklevel=2,
+            )
+    images = _parse_vectors(op["images"], dim, f"{pointer}/operator/images")
+    expected = dim if domain is None else domain.shape[1]
+    if images.shape[1] != expected:
+        raise InputError(
+            f"{pointer}/operator/images: expected {expected} vectors, got {images.shape[1]}"
+        )
+    return ProblemSpec(name, dim, kind, matrix, domain, images, tol)
+
+
+def parse_spec(path) -> ProblemSpec:
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read problem file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in problem file: {exc}") from exc
+    return spec_from_dict(data)

@@ -1,0 +1,207 @@
+"""Linear relations: subspaces of H + H generalizing operator graphs.
+
+A relation on C^n is carried by an orthonormal basis of its graph inside
+C^(2n); the first n coordinates are the argument, the last n the value.
+Adjoints, compositions and kernels are computed by exact subspace algebra,
+never through pseudo-inverses, so rank decisions stay centralized in the
+Tolerance rule.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .antilinear import AntiLinearMap
+from .errors import InputError, PreconditionError
+from .linalg import (
+    DEFAULT_TOL,
+    Subspace,
+    Tolerance,
+    complement,
+    full_space,
+    intersect,
+    is_subspace_of,
+    orthonormal_basis,
+    subspace_equal,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class DomainOperator:
+    """A partially defined operator: a domain plus the images of its basis."""
+
+    domain: Subspace
+    images: np.ndarray
+
+    def __post_init__(self):
+        im = np.asarray(self.images, dtype=complex)
+        if im.shape != (self.domain.ambient_dim, self.domain.dim):
+            raise InputError(
+                f"images shape {im.shape} does not match domain "
+                f"({self.domain.ambient_dim} x {self.domain.dim})"
+            )
+        im = im.copy()
+        im.setflags(write=False)
+        object.__setattr__(self, "images", im)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.domain.ambient_dim
+
+
+@dataclass(frozen=True, eq=False)
+class LinearRelation:
+    """Subspace of C^n + C^n holding the graph of a (possibly multivalued) map."""
+
+    graph: Subspace
+
+    def __post_init__(self):
+        if self.graph.ambient_dim % 2:
+            raise InputError(f"graph ambient dimension {self.graph.ambient_dim} is odd")
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.graph.ambient_dim // 2
+
+    @property
+    def tol(self) -> Tolerance:
+        return self.graph.tol
+
+    def _top(self) -> np.ndarray:
+        return self.graph.basis[: self.ambient_dim]
+
+    def _bottom(self) -> np.ndarray:
+        return self.graph.basis[self.ambient_dim :]
+
+    def domain(self) -> Subspace:
+        return orthonormal_basis(self._top(), self.tol, self.ambient_dim)
+
+    def range(self) -> Subspace:
+        return orthonormal_basis(self._bottom(), self.tol, self.ambient_dim)
+
+    def kernel(self) -> Subspace:
+        """{x : (x, 0) in graph}."""
+        n = self.ambient_dim
+        hit = intersect(self.graph, _coordinate_block(n, top=True, tol=self.tol))
+        return orthonormal_basis(hit.basis[:n], self.tol, n)
+
+    def multivalued_part(self) -> Subspace:
+        """{y : (0, y) in graph}; zero iff the relation is an operator."""
+        n = self.ambient_dim
+        hit = intersect(self.graph, _coordinate_block(n, top=False, tol=self.tol))
+        return orthonormal_basis(hit.basis[n:], self.tol, n)
+
+    @property
+    def is_operator(self) -> bool:
+        return self.multivalued_part().dim == 0
+
+    @property
+    def is_everywhere_defined(self) -> bool:
+        return self.domain().dim == self.ambient_dim
+
+    def adjoint(self) -> "LinearRelation":
+        """graph(R*) = orthogonal complement of {(y, -x) : (x, y) in graph(R)}."""
+        flipped = np.vstack([self._bottom(), -self._top()])
+        return LinearRelation(complement(orthonormal_basis(flipped, self.tol, 2 * self.ambient_dim)))
+
+    def conjugated(self, c: AntiLinearMap) -> "LinearRelation":
+        """C R C: graph {(Cx, Cy)}; involutive when C is a conjugation."""
+        if c.dim != self.ambient_dim:
+            raise InputError(f"conjugation dimension {c.dim} != relation ambient {self.ambient_dim}")
+        k = c.matrix
+        cols = np.vstack([k @ np.conj(self._top()), k @ np.conj(self._bottom())])
+        return LinearRelation(orthonormal_basis(cols, self.tol))
+
+    def shifted(self, lam: complex) -> "LinearRelation":
+        """R + lam: {(x, y + lam*x) : (x, y) in graph(R)}."""
+        cols = np.vstack([self._top(), self._bottom() + lam * self._top()])
+        return LinearRelation(orthonormal_basis(cols, self.tol))
+
+    def scaled(self, alpha: complex) -> "LinearRelation":
+        """alpha * R: {(x, alpha*y)}; for alpha = 0 this is the zero operator on the domain."""
+        cols = np.vstack([self._top(), alpha * self._bottom()])
+        return LinearRelation(orthonormal_basis(cols, self.tol))
+
+    def contained_in(self, other: "LinearRelation", atol=None) -> bool:
+        return is_subspace_of(self.graph, other.graph, atol)
+
+    def equals(self, other: "LinearRelation", atol=None) -> bool:
+        return subspace_equal(self.graph, other.graph, atol)
+
+    def apply_vector(self, x) -> np.ndarray:
+        """Value at x for single-valued relations; x must lie in the domain."""
+        x = np.asarray(x, dtype=complex)
+        if not self.is_operator:
+            raise PreconditionError("relation is multivalued; apply_vector needs an operator")
+        dom = self.domain()
+        if not dom.contains_vector(x, 1e3 * self.tol.eps):
+            raise PreconditionError("vector is outside the domain")
+        # graph columns (d_j, v_j): solve for coefficients of x in the tops
+        coeff, *_ = np.linalg.lstsq(self._top(), x, rcond=None)
+        return self._bottom() @ coeff
+
+
+def _coordinate_block(n: int, top: bool, tol: Tolerance) -> Subspace:
+    basis = np.zeros((2 * n, n), dtype=complex)
+    if top:
+        basis[:n] = np.eye(n)
+    else:
+        basis[n:] = np.eye(n)
+    return Subspace(basis, tol)
+
+
+def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
+    """Everywhere-defined operator given by a square matrix."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InputError(f"square matrix required, got shape {m.shape}")
+    cols = np.vstack([np.eye(m.shape[0], dtype=complex), m])
+    return LinearRelation(orthonormal_basis(cols, tol))
+
+
+def from_operator(dop: DomainOperator, tol: Tolerance = None) -> LinearRelation:
+    """Graph span{(d_j, images e_j)} of a partially defined operator."""
+    t = tol if tol is not None else dop.domain.tol
+    cols = np.vstack([dop.domain.basis, dop.images])
+    rel = LinearRelation(orthonormal_basis(cols, t))
+    if rel.graph.dim != dop.domain.dim:
+        raise InputError("graph columns are linearly dependent; domain basis must be independent")
+    return rel
+
+
+def identity_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
+    return from_matrix(np.eye(n, dtype=complex), tol)
+
+
+def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
+    """outer о inner = {(x, z) : exists y with (x, y) in inner, (y, z) in outer}.
+
+    Computed by intersecting the two embedded constraint spaces inside
+    C^(3n) and projecting out the middle coordinate.
+    """
+    if outer.ambient_dim != inner.ambient_dim:
+        raise InputError(f"ambient mismatch: {outer.ambient_dim} vs {inner.ambient_dim}")
+    n = outer.ambient_dim
+    tol = inner.tol
+    gi, go = inner.graph.basis, outer.graph.basis
+    # E1 = {(x, y, z) : (x, y) in inner}, E2 = {(x, y, z) : (y, z) in outer}
+    e1 = np.zeros((3 * n, gi.shape[1] + n), dtype=complex)
+    e1[: 2 * n, : gi.shape[1]] = gi
+    e1[2 * n :, gi.shape[1] :] = np.eye(n)
+    e2 = np.zeros((3 * n, go.shape[1] + n), dtype=complex)
+    e2[:n, :n] = np.eye(n)
+    e2[n:, n:] = go
+    w = intersect(orthonormal_basis(e1, tol), orthonormal_basis(e2, tol))
+    return LinearRelation(orthonormal_basis(np.vstack([w.basis[:n], w.basis[2 * n :]]), tol, 2 * n))
+
+
+def zero_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
+    """The zero operator on the zero domain (empty graph)."""
+    return LinearRelation(Subspace(np.zeros((2 * n, 0), dtype=complex), tol))
+
+
+def full_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
+    """The relation H x H (everything related to everything)."""
+    return LinearRelation(full_space(2 * n, tol))
