@@ -174,8 +174,9 @@ def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     return results, checks
 
 
-def cmd_deficiency(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
-    dp = build_doubled(spec.relation(), spec.conjugation())
+def cmd_deficiency(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
+    if dp is None:
+        dp = build_doubled(spec.relation(), spec.conjugation())
     rep = deficiency(dp)
     checks = CheckList()
     checks.extend(rep.checks)
@@ -207,8 +208,9 @@ def cmd_extend(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     return results, checks
 
 
-def cmd_enumerate(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
-    dp = build_doubled(spec.relation(), spec.conjugation())
+def cmd_enumerate(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
+    if dp is None:
+        dp = build_doubled(spec.relation(), spec.conjugation())
     budget = args.budget if args.budget is not None else 2000
     if budget < 1:
         raise InputError(f"--budget must be positive, got {budget}")
@@ -334,11 +336,11 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     checks.extend(sub, prefix="check")
 
     if is_c_symmetric(rel, c, atol):
-        res, sub = cmd_deficiency(spec, args)
+        dp = build_doubled(rel, c)
+        res, sub = cmd_deficiency(spec, args, dp)
         results["deficiency"] = res
         checks.extend(sub, prefix="deficiency")
 
-        dp = build_doubled(rel, c)
         for label, swap in (("extend", False), ("extend_swap", True)):
             ext = canonical_extension(dp, swap=swap)
             checks.extend(ext.checks, prefix=label)
@@ -348,7 +350,7 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
 
         enum_args = argparse.Namespace(**vars(args))
         enum_args.budget = min(args.budget, 200) if args.budget is not None else 200
-        res, sub = cmd_enumerate(spec, args=enum_args)
+        res, sub = cmd_enumerate(spec, enum_args, dp)
         results["enumerate"] = res
         checks.extend(sub, prefix="enumerate")
 

@@ -17,13 +17,14 @@ from .antilinear import AntiLinearMap, Conjugation
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
+    _complement_formula_intersect,
     complement,
     inner,
     intersect,
     orthonormal_basis,
     subspace_equal,
 )
-from .relations import LinearRelation, compose, identity_relation
+from .relations import LinearRelation, compose
 
 
 def is_c_symmetric(a: LinearRelation, c: Conjugation, atol=None) -> bool:
@@ -96,7 +97,8 @@ class MSpaces:
 def m_spaces(pair: AdjointPair, strict: bool = True) -> MSpaces:
     if strict and not pair.b.contained_in(pair.a_star):
         raise PreconditionError("relation is not C-symmetric; M-spaces are undefined")
-    frak_m = intersect(pair.b_star.graph, complement(pair.a.graph))
+    # frakM's basis is the brute-force sweep's coordinate system
+    frak_m = _complement_formula_intersect(pair.b_star.graph, complement(pair.a.graph))
     frak_m_prime = intersect(pair.a_star.graph, complement(pair.b.graph))
     n = pair.a.ambient_dim
     m_bstar = compose(pair.a_star, pair.b_star).shifted(1.0).kernel()
@@ -120,19 +122,19 @@ def graph_inner(t: LinearRelation, f, g) -> complex:
     return inner(f, g) + inner(tf, tg)
 
 
-def anti_involution(pair: AdjointPair) -> AntiLinearMap:
+def anti_involution(pair: AdjointPair, spaces: MSpaces | None = None) -> AntiLinearMap:
     """The graph-level anti-unitary S(f, g) = (Cg, -Cf) with S^2 = -I.
 
     S maps frakM onto itself; on first components it acts as A*C, the
     classical anti-involution of the defect space.  Raises when the
-    invariance or the square fails beyond tolerance.
+    invariance or the square fails beyond tolerance.  ``spaces`` are the
+    pair's M-spaces when already computed.
     """
     k = pair.c.matrix
     n = pair.a.ambient_dim
     z = np.zeros((n, n), dtype=complex)
     s = AntiLinearMap(np.block([[z, k], [-k, z]]), pair.a.tol)
-    spaces = m_spaces(pair)
-    frak_m = spaces.frakM
+    frak_m = (m_spaces(pair) if spaces is None else spaces).frakM
     bound = 1e3 * frak_m.tol.eps
     if frak_m.dim:
         image = s.map_subspace(frak_m)

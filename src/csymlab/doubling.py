@@ -12,16 +12,25 @@ Coordinates of the doubled graph in C^(4n): (x, y, v, u) with domain pair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .antilinear import Conjugation
-from .csym import adjoint_pair, graph_inner, is_c_selfadjoint, is_c_symmetric, m_spaces
+from .antilinear import AntiLinearMap, Conjugation
+from .csym import (
+    AdjointPair,
+    MSpaces,
+    adjoint_pair,
+    anti_involution,
+    graph_inner,
+    is_c_selfadjoint,
+    is_c_symmetric,
+    m_spaces,
+)
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     Tolerance,
-    complement,
     intersect,
     max_angle_sin,
     orthonormal_basis,
@@ -112,6 +121,21 @@ class DoubledProblem:
     def tol(self) -> Tolerance:
         return self.a.tol
 
+    # The defect geometry below is computed once per problem on first use.
+    @cached_property
+    def pair(self) -> AdjointPair:
+        return AdjointPair(self.a, self.b, self.a_star, self.b_star, self.c)
+
+    @cached_property
+    def spaces(self) -> MSpaces:
+        """M-spaces of the pair; raises PreconditionError unless C-symmetric."""
+        return m_spaces(self.pair)
+
+    @cached_property
+    def s_map(self) -> AntiLinearMap:
+        """The anti-involution S(f, g) = (Cg, -Cf), checked on frakM."""
+        return anti_involution(self.pair, self.spaces)
+
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     """Assemble frakA, frakE and the deficiency subspaces of frakA*.
@@ -159,7 +183,7 @@ class DeficiencyReport:
 
 def deficiency(dp: DoubledProblem) -> DeficiencyReport:
     """Deficiency subspaces with the bijection and componentwise checks."""
-    if not is_c_symmetric(dp.a, dp.c):
+    if not dp.b.contained_in(dp.a_star):
         raise PreconditionError("relation is not C-symmetric; deficiency theory needs symmetry upstairs")
     checks = CheckList()
     bound = 1e3 * dp.tol.eps
@@ -275,12 +299,13 @@ def race_decomposition(a: LinearRelation, c: Conjugation, dp: DoubledProblem = N
 
     The domain-level forms presume single-valued adjoints; outside that
     regime they are reported at graph level and the verbatim versions are
-    skipped rather than silently degraded.
+    skipped rather than silently degraded.  ``dp``, when given, is the
+    doubled problem of (a, c); its cached M-spaces are used.
     """
-    pair = adjoint_pair(a, c)
-    if not pair.b.contained_in(pair.a_star):
-        raise PreconditionError("relation is not C-symmetric")
-    spaces = m_spaces(pair)
+    if dp is None:
+        dp = build_doubled(a, c)
+    pair = dp.pair
+    spaces = dp.spaces  # raises PreconditionError unless C-symmetric
     tol = a.tol
     bound = 1e3 * tol.eps
     checks = CheckList()
@@ -309,8 +334,6 @@ def race_decomposition(a: LinearRelation, c: Conjugation, dp: DoubledProblem = N
         detail=f"dim N(I+A*B*) = {spaces.m_bstar.dim}, C-self-adjoint = {selfadj}",
     )
     operator_regime = a.is_everywhere_defined and a.is_operator
-    if dp is None:
-        dp = build_doubled(a, c)
     measurements["dim_kernel"] = spaces.m_bstar.dim
     measurements["two_dim_nplus"] = 2 * dp.n_plus.dim
     if operator_regime:

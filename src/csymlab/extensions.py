@@ -32,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antilinear import AntiLinearMap, conjugation_axiom_residuals, invariant_onb
-from .csym import adjoint_pair, anti_involution, is_c_selfadjoint, m_spaces
+from .csym import is_c_selfadjoint
 from .doubling import DoubledProblem, block_relation, block_slices
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
+    _complement_formula_intersect,
     complement,
-    intersect,
     max_angle_sin,
     orthonormal_basis,
     subspace_equal,
@@ -281,11 +281,9 @@ def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Sub
     checks = CheckList()
     tol = dp.tol
     bound = 1e3 * tol.eps
-    pair = adjoint_pair(dp.a, dp.c)
-    spaces = m_spaces(pair)
-    s = anti_involution(pair)
+    frak_m = dp.spaces.frakM
     l_graph = res.l_graph
-    s_image = s.map_subspace(l_graph)
+    s_image = dp.s_map.map_subspace(l_graph)
     ortho = 0.0
     if l_graph.dim and s_image.dim:
         ortho = float(np.abs(l_graph.basis.conj().T @ s_image.basis).max())
@@ -293,9 +291,9 @@ def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Sub
     total = subspace_sum(l_graph, s_image)
     checks.add(
         "l_plus_s_l_spans_frakM",
-        subspace_equal(total, spaces.frakM, bound)
+        subspace_equal(total, frak_m, bound)
         and total.dim == l_graph.dim + s_image.dim,
-        detail=f"dims {l_graph.dim}+{s_image.dim} vs {spaces.frakM.dim}",
+        detail=f"dims {l_graph.dim}+{s_image.dim} vs {frak_m.dim}",
     )
     q_upper = dp.b_star.graph.dim - res.a_ext.graph.dim
     q_lower = res.a_ext.graph.dim - dp.a.graph.dim
@@ -317,11 +315,7 @@ def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Sub
 
 def _anti_involution_coords(dp: DoubledProblem, frak_m: Subspace) -> np.ndarray:
     """Coordinate matrix of S(f, g) = (Cg, -Cf) on frakM."""
-    k = dp.c.matrix
-    n = dp.ambient_dim
-    z = np.zeros((n, n), dtype=complex)
-    s_amb = np.block([[z, k], [-k, z]])
-    return frak_m.basis.conj().T @ s_amb @ np.conj(frak_m.basis)
+    return frak_m.basis.conj().T @ dp.s_map.matrix @ np.conj(frak_m.basis)
 
 
 def _greedy_isotropic(s_coord: np.ndarray, m: int, tol, rng=None, first=None) -> np.ndarray:
@@ -363,11 +357,7 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
     half spans L and graph(A) + L is a C-self-adjoint extension.  With
     swap=True the companion extension built from S(L) is returned instead.
     """
-    pair = adjoint_pair(dp.a, dp.c)
-    if not pair.b.contained_in(pair.a_star):
-        raise PreconditionError("relation is not C-symmetric")
-    spaces = m_spaces(pair)
-    frak_m = spaces.frakM
+    frak_m = dp.spaces.frakM  # raises PreconditionError unless C-symmetric
     if frak_m.dim % 2:
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     if frak_m.dim == 0:
@@ -439,9 +429,7 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
     and pulled back through recover_parameter, which keeps every sample
     inside the block-compatible family.
     """
-    pair = adjoint_pair(dp.a, dp.c)
-    spaces = m_spaces(pair)
-    frak_m = spaces.frakM
+    frak_m = dp.spaces.frakM
     rng = np.random.default_rng(seed)
     out = []
     if frak_m.dim == 0:
@@ -478,9 +466,7 @@ def brute_force_extensions(
     stops once the cap is reached; the structured sweep runs first and is
     never truncated by the random streams).  Pass None to disable the cap.
     """
-    pair = adjoint_pair(dp.a, dp.c)
-    spaces = m_spaces(pair)
-    frak_m = spaces.frakM
+    frak_m = dp.spaces.frakM
     if frak_m.dim > 8:
         raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
     if frak_m.dim == 0:
@@ -495,12 +481,13 @@ def brute_force_extensions(
     s_coord = _anti_involution_coords(dp, frak_m)
 
     # pool: frakM basis directions plus the members aligned with one
-    # coordinate block (pure first or pure second component)
+    # coordinate block (pure first or pure second component); the pool's
+    # basis is part of the sweep, so it keeps the complement formula
     pool = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
     for block in (slice(0, dp.ambient_dim), slice(dp.ambient_dim, n2)):
         aligned = np.zeros((n2, dp.ambient_dim), dtype=complex)
         aligned[block] = np.eye(dp.ambient_dim)
-        part = intersect(frak_m, Subspace(aligned, tol))
+        part = _complement_formula_intersect(frak_m, Subspace(aligned, tol))
         coords = frak_m.basis.conj().T @ part.basis
         pool.extend(coords[:, j] for j in range(part.dim))
 

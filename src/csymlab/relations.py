@@ -179,7 +179,9 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     """outer о inner = {(x, z) : exists y with (x, y) in inner, (y, z) in outer}.
 
     Computed by intersecting the two embedded constraint spaces inside
-    C^(3n) and projecting out the middle coordinate.
+    C^(3n) and projecting out the middle coordinate.  Both embeddings stack
+    an orthonormal graph basis and an identity block on disjoint rows, so
+    their columns are orthonormal as built.
     """
     if outer.ambient_dim != inner.ambient_dim:
         raise InputError(f"ambient mismatch: {outer.ambient_dim} vs {inner.ambient_dim}")
@@ -193,7 +195,7 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     e2 = np.zeros((3 * n, go.shape[1] + n), dtype=complex)
     e2[:n, :n] = np.eye(n)
     e2[n:, n:] = go
-    w = intersect(orthonormal_basis(e1, tol), orthonormal_basis(e2, tol))
+    w = intersect(Subspace(e1, tol), Subspace(e2, tol))
     return LinearRelation(orthonormal_basis(np.vstack([w.basis[:n], w.basis[2 * n :]]), tol, 2 * n))
 
 

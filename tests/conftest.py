@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,3 +11,18 @@ def rng():
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name, patched in every csymlab module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.partition(".")[0] == "csymlab" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import csymlab as cs
+from csymlab.cli import main
 from csymlab.extensions import block_condition_residual, frakE_condition_residual, parameter_as_unitary
+
+from conftest import count_calls
 
 FIXTURES = lambda: (
     cs.minimal_identity(),
@@ -202,3 +205,20 @@ def test_brute_force_selfadjoint_input_returns_input():
     dp = doubled(cs.random_csym(3, seed=1))
     hits = cs.brute_force_extensions(dp, budget=50, seed=0)
     assert len(hits) == 1 and hits[0].equals(dp.a)
+
+
+@pytest.mark.parametrize("swap", [[], ["--swap"]], ids=["plain", "swap"])
+def test_extend_report_computes_m_spaces_once(monkeypatch, capsys, swap):
+    calls = count_calls(monkeypatch, cs.csym, "m_spaces")
+    assert main(["extend", "--example", "race_schrodinger", "--n", "16", *swap]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_doubled_problem_caches_defect_geometry():
+    dp = doubled(cs.zero_on_subspace(4))
+    assert dp.spaces is dp.spaces and dp.s_map is dp.s_map
+    assert dp.pair.b_star is dp.b_star
+    fresh = cs.m_spaces(cs.adjoint_pair(dp.a, dp.c))
+    for name in ("frakM", "frakM_prime", "m_bstar", "m_astar"):
+        assert cs.subspace_equal(getattr(dp.spaces, name), getattr(fresh, name))

@@ -133,3 +133,55 @@ def test_double_complement_identity(n, seed):
     k = int(rng.integers(0, n + 1))
     s = cs.orthonormal_basis(random_complex(rng, n, k)) if k else cs.zero_subspace(n)
     assert cs.subspace_equal(cs.complement(cs.complement(s)), s)
+
+
+MACHINE_EPS = np.finfo(float).eps
+
+
+def complement_formula(s1, s2):
+    """Reference intersection: complement(complement(S1) + complement(S2))."""
+    return cs.complement(cs.subspace_sum(cs.complement(s1), cs.complement(s2)))
+
+
+def assert_same_subspace(a, b):
+    assert a.dim == b.dim
+    assert max(cs.max_angle_sin(a, b), cs.max_angle_sin(b, a)) <= 1e3 * MACHINE_EPS
+
+
+def test_intersect_matches_complement_formula_with_planted_overlap(rng):
+    for n in (8, 32, 128, 256):
+        for _ in range(3):
+            k = int(rng.integers(1, n // 4 + 1))
+            base = random_complex(rng, n, k)
+            s1 = cs.orthonormal_basis(np.hstack([base, random_complex(rng, n, int(rng.integers(0, n // 3)))]))
+            s2 = cs.orthonormal_basis(np.hstack([base, random_complex(rng, n, int(rng.integers(0, n // 3)))]))
+            meet = cs.intersect(s1, s2)
+            assert meet.dim == k
+            assert_same_subspace(meet, complement_formula(s1, s2))
+            assert_same_subspace(meet, cs.intersect(s2, s1))
+            np.testing.assert_allclose(meet.basis.conj().T @ meet.basis, np.eye(k), atol=1e3 * MACHINE_EPS)
+
+
+def test_intersect_edge_cases(rng):
+    n = 16
+    s = cs.orthonormal_basis(random_complex(rng, n, 6))
+    inner = cs.orthonormal_basis(s.basis @ random_complex(rng, 6, 3))
+    empty = cs.zero_subspace(n)
+    assert cs.intersect(empty, s).dim == 0
+    assert cs.intersect(s, empty).dim == 0
+    for s1, s2, expected in ((inner, s, inner), (s, inner, inner), (s, s, s)):
+        assert_same_subspace(cs.intersect(s1, s2), expected)
+        assert_same_subspace(complement_formula(s1, s2), expected)
+
+
+@pytest.mark.parametrize("angle, merged", [(1e-13, True), (1e-6, False)])
+def test_intersect_angle_threshold(rng, angle, merged):
+    # span{q0, q2} and span{cos(angle) q0 + sin(angle) q1, q2} share q2 exactly
+    q = cs.orthonormal_basis(random_complex(rng, 12, 3)).basis
+    tilted = np.cos(angle) * q[:, :1] + np.sin(angle) * q[:, 1:2]
+    s1 = cs.Subspace(q[:, [0, 2]])
+    s2 = cs.orthonormal_basis(np.hstack([tilted, q[:, 2:]]))
+    expected = 2 if merged else 1
+    assert cs.intersect(s1, s2).dim == expected
+    assert complement_formula(s1, s2).dim == expected
+    assert cs.intersect(cs.Subspace(q[:, :1]), cs.Subspace(tilted)).dim == expected - 1

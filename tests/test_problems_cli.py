@@ -8,6 +8,8 @@ import pytest
 import csymlab as cs
 from csymlab.cli import main
 
+from conftest import count_calls
+
 SYMMETRIC_SPEC = {
     "name": "toy",
     "dim": 2,
@@ -218,6 +220,27 @@ def test_cli_enumerate(capsys):
     assert out["results"]["hits"] >= 1
     assert out["results"]["max_roundtrip_angle"] <= 1e-9
     assert out["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "example, n, hits, operator_hits",
+    [("race_schrodinger", 16, 57, 57), ("zero_on_subspace", 16, 33, 23), ("race_schrodinger", 32, 93, 88)],
+)
+def test_cli_enumerate_pinned_hits(capsys, example, n, hits, operator_hits):
+    # the brute-force sweep draws candidates in the bases of frakM and of its
+    # aligned pools, so a change to either basis moves these counts (of the
+    # three, only race_schrodinger n=32 moves with the pool basis alone)
+    argv = ["enumerate", "--example", example, "--n", str(n), "--budget", "200", "--seed", "0"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["results"]["hits"], out["results"]["operator_hits"]) == (hits, operator_hits)
+
+
+def test_cli_verify_all_builds_doubled_problem_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, cs.doubling, "build_doubled")
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "8"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_cli_verify_all_golden(tmp_path, capsys):
