@@ -49,6 +49,7 @@ from .extensions import (
     brute_force_extensions,
     canonical_extension,
     extension_from_parameter,
+    extension_graph,
     l_manifolds,
     parameter_as_conjugation,
     parameter_as_onb,

@@ -55,6 +55,8 @@ class AntiLinearMap:
 def conjugation_axiom_residuals(matrix) -> tuple[float, float]:
     """(unitarity residual, symmetry residual) of a candidate conjugation matrix."""
     m = np.asarray(matrix, dtype=complex)
+    if not m.size:  # the conjugation on the zero space
+        return 0.0, 0.0
     unit = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
     symm = float(np.abs(m - m.T).max())
     return unit, symm

@@ -32,6 +32,7 @@ from .extensions import (
     brute_force_extensions,
     canonical_extension,
     extension_from_parameter,
+    extension_graph,
     l_manifolds,
     recover_parameter,
 )
@@ -218,9 +219,8 @@ def cmd_enumerate(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
     worst = 0.0
     operators = 0
     for hit in hits:
-        param = recover_parameter(dp, hit, verify=False)
-        rebuilt = extension_from_parameter(dp, param)
-        worst = max(worst, max_angle_sin(rebuilt.a_ext.graph, hit.graph))
+        rebuilt = extension_graph(dp, recover_parameter(dp, hit, verify=False))
+        worst = max(worst, max_angle_sin(rebuilt.graph, hit.graph))
         operators += int(hit.is_operator)
     checks = CheckList()
     checks.add_residual(

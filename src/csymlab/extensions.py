@@ -18,6 +18,12 @@ double of anything; that outcome is reported as a property violation
 carrying the block diagnosis, because it marks the boundary where the
 single-valued picture stops and not a caller mistake.
 
+When D U D U = I holds, every element (x, y, v, u) of the doubled extension
+splits into (0, y, v, 0) + (x, 0, 0, u) inside it, so the extension is also
+graph(A) plus the (y, v) rows of the deficiency span (extension_graph);
+without the condition that split fails, so the closed form refuses such
+parameters with the same block diagnosis.
+
 The D-condition is not an extra restriction on the extensions themselves:
 every C-self-adjoint extension induces, through its own doubled relation,
 a parameter satisfying both conditions (recover_parameter), and every such
@@ -178,6 +184,48 @@ class ExtensionResult:
     checks: CheckList
 
 
+def _deficiency_span(dp: DoubledProblem, p: ExtensionParameter) -> tuple[np.ndarray, np.ndarray]:
+    """U in coordinates and the 4n x k columns (w - Uw, i(w + Uw)), w in N+.
+
+    Raises InputError for invalid parameter data, PropertyViolationError when
+    the parameter is admissible upstairs but the doubled extension has no
+    block structure (D U D U = I fails), carrying the block diagnosis.
+    """
+    u = parameter_as_unitary(dp, p)
+    block_res = block_condition_residual(dp, u)
+    if block_res > 1e3 * dp.tol.eps:
+        raise PropertyViolationError(
+            "parameter is admissible for the doubled relation but destroys its block "
+            "structure; the self-adjoint extension upstairs is not the double of any "
+            "relation downstairs (D U D U = I fails)",
+            {"block_condition": block_res, "frakE_condition": frakE_condition_residual(dp, u)},
+        )
+    u_amb = dp.n_minus.basis @ u @ dp.n_plus.basis.conj().T
+    w = dp.n_plus.basis
+    return u, np.vstack([w - u_amb @ w, 1j * (w + u_amb @ w)])
+
+
+def extension_graph(dp: DoubledProblem, p: ExtensionParameter) -> LinearRelation:
+    """The extension attached to a parameter in closed form, unverified.
+
+    graph(A) plus the (y, v) rows of the deficiency span, one rank decision
+    in 2n dimensions.  Raises like extension_from_parameter on invalid or
+    non-block parameters, and PropertyViolationError when the graph does
+    not have dimension dim graph(A) + k/2.
+    """
+    _, defect_cols = _deficiency_span(dp, p)
+    n = dp.ambient_dim
+    graph = orthonormal_basis(
+        np.hstack([dp.a.graph.basis, defect_cols[n : 3 * n]]), dp.tol, 2 * n
+    )
+    gap = dp.n_plus.dim - 2 * (graph.dim - dp.a.graph.dim)
+    if gap:
+        raise PropertyViolationError(
+            "deficiency rows do not add half the deficiency to graph(A)", {"dim_gap": gap}
+        )
+    return LinearRelation(graph)
+
+
 def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionResult:
     """Build the extension attached to a parameter, with full verification.
 
@@ -185,23 +233,12 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     the parameter is admissible upstairs but the doubled extension has no
     block structure (D U D U = I fails), carrying the block diagnosis.
     """
-    u = parameter_as_unitary(dp, p)
+    u, defect_cols = _deficiency_span(dp, p)
     k = dp.n_plus.dim
     tol = dp.tol
     bound = 1e3 * tol.eps
-    block_res = block_condition_residual(dp, u)
-    if block_res > bound:
-        raise PropertyViolationError(
-            "parameter is admissible for the doubled relation but destroys its block "
-            "structure; the self-adjoint extension upstairs is not the double of any "
-            "relation downstairs (D U D U = I fails)",
-            {"block_condition": block_res, "frakE_condition": frakE_condition_residual(dp, u)},
-        )
     checks = CheckList()
     n2 = 2 * dp.ambient_dim
-    u_amb = dp.n_minus.basis @ u @ dp.n_plus.basis.conj().T
-    w = dp.n_plus.basis
-    defect_cols = np.vstack([w - u_amb @ w, 1j * (w + u_amb @ w)])
     frak_ext = LinearRelation(
         orthonormal_basis(np.hstack([dp.frakA.graph.basis, defect_cols]), tol, 2 * n2)
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .antilinear import Conjugation, PartialConjugation
 from .errors import InputError, PropertyViolationError
@@ -165,6 +164,8 @@ def takagi(a, tol: Tolerance = DEFAULT_TOL, rounding: int = 12):
     turns the two singular bases into one.  Singular values are grouped by
     rounded equality; the result is deterministic.
     """
+    import scipy.linalg  # here, not at module level: it dominates `import csymlab`
+
     a = _as_complex_matrix(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"factorization needs a square matrix, got shape {a.shape}")

@@ -15,6 +15,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class ProblemSpec:
         return Conjugation(self.conjugation_matrix, self.tol)
 
     def relation(self) -> LinearRelation:
+        """The operator's graph, built on the first call and then reused."""
+        return self._relation
+
+    @cached_property
+    def _relation(self) -> LinearRelation:
         if self.domain_basis is None:
             return from_matrix(self.images, self.tol)
         graph_cols = np.vstack([self.domain_basis, self.images])
@@ -96,14 +102,10 @@ class ProblemSpec:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def encode_matrix(m: np.ndarray) -> list:
-    """Columns as lists of [re, im] pairs."""
+    """Columns as lists of [re, im] pairs of Python floats."""
     m = np.asarray(m, dtype=complex)
-    return [[encode_complex(z) for z in m[:, j]] for j in range(m.shape[1])]
+    return np.stack([m.real, m.imag], -1).transpose(1, 0, 2).tolist()
 
 
 def _parse_complex(value, pointer: str) -> complex:

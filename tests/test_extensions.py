@@ -54,8 +54,13 @@ def test_phase_twist_keeps_frakE_but_breaks_block():
     twisted = np.exp(1j * np.pi / 4) * u
     assert frakE_condition_residual(dp, twisted) <= 1e-9
     assert block_condition_residual(dp, twisted) == pytest.approx(np.sqrt(2), abs=1e-9)
-    with pytest.raises(cs.PropertyViolationError):
-        cs.extension_from_parameter(dp, cs.ExtensionParameter("unitary", twisted))
+    errors = []
+    for build in (cs.extension_from_parameter, cs.extension_graph):
+        with pytest.raises(cs.PropertyViolationError) as info:
+            build(dp, cs.ExtensionParameter("unitary", twisted))
+        errors.append((str(info.value), info.value.residuals))
+    assert errors[0] == errors[1]
+    assert "D U D U = I fails" in errors[0][0]
 
 
 def test_negated_parameter_is_also_admissible():
@@ -79,6 +84,27 @@ def test_block_condition_counterexample_raises():
             cs.extension_from_parameter(dp, p)
         assert info.value.residuals["block_condition"] > 1e-2
         assert info.value.residuals["frakE_condition"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cs.race_schrodinger(16),
+        cs.fd_derivative_minimal(16),
+        cs.zero_on_subspace(8),
+        cs.random_csym(8, seed=3),  # C-self-adjoint: frakM = 0, k = 0
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_closed_form_matches_verified_extension(spec):
+    dp = doubled(spec)
+    bound = 1e3 * np.finfo(float).eps
+    for p in cs.sample_parameters(dp, 4, seed=4):
+        closed = cs.extension_graph(dp, p).graph
+        full = cs.extension_from_parameter(dp, p).a_ext.graph
+        assert closed.dim == full.dim == dp.a.graph.dim + dp.n_plus.dim // 2
+        assert cs.max_angle_sin(closed, full) <= bound
+        assert cs.max_angle_sin(full, closed) <= bound
 
 
 def test_three_forms_produce_identical_graphs():

@@ -1,5 +1,9 @@
 """Polar factors, conjugation covariance, CJT and Takagi factorizations."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +11,13 @@ import scipy.linalg
 import csymlab as cs
 
 from conftest import random_complex
+
+
+def test_import_csymlab_leaves_scipy_linalg_unloaded():
+    src = str(Path(cs.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import csymlab; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_polar_matches_scipy_on_invertible(rng):

@@ -90,6 +90,23 @@ def test_spec_digest_stable_and_sensitive():
     assert cs.spec_from_dict(changed).digest() != a.digest()
 
 
+def test_encode_matrix_matches_per_entry_encoding():
+    m = np.array([[0.0, -0.0 + 1j, 1.5 - 0.0j], [-0.0 - 0.0j, 2.0 - 3j, 1e-300 + 0j]])
+    per_entry = [[[float(z.real), float(z.imag)] for z in m[:, j]] for j in range(m.shape[1])]
+    encoded = cs.problems.encode_matrix(m)
+    assert encoded == per_entry
+    assert json.dumps(encoded) == json.dumps(per_entry)
+    assert "-0.0" in json.dumps(encoded)
+    assert cs.problems.encode_matrix(np.zeros((3, 0))) == []
+
+
+def test_inputs_digest_pinned(capsys):
+    # hashes the JSON encoding of the spec, so a change to the encoding moves it
+    assert main(["check", "--example", "race_schrodinger", "--n", "8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["inputs_digest"] == "5f5842e075c9e07a6b67fb32db0250a68fb8872cf887698db48dc8e09650fe11"
+
+
 def test_parse_spec_round_trip(tmp_path):
     path = write_spec(tmp_path, SYMMETRIC_SPEC)
     spec = cs.parse_spec(path)
@@ -241,6 +258,41 @@ def test_cli_verify_all_builds_doubled_problem_once(monkeypatch, capsys):
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "8"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_cli_verify_all_builds_relation_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, cs.relations, "from_matrix")
+    assert main(["verify-all", "--example", "random_csym", "--n", "6"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_cli_verify_all_runs_full_extension_only_for_canonical(monkeypatch, capsys):
+    # the enumerate round trip rebuilds every hit in closed form; only the
+    # two canonical extensions go through the fully verified construction
+    calls = count_calls(monkeypatch, cs.extensions, "extension_from_parameter")
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "8"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["enumerate"]["hits"] > 0
+    assert len(calls) == 2
+
+
+def test_cli_enumerate_roundtrip_catches_wrong_block(monkeypatch, capsys):
+    # mutation: rebuild from the (x, u) rows of the deficiency span, i.e. the
+    # companion block, instead of the (y, v) rows
+    def xu_rows(dp, p):
+        _, cols = cs.extensions._deficiency_span(dp, p)
+        n = dp.ambient_dim
+        rows = np.vstack([cols[:n], cols[3 * n :]])
+        graph = cs.orthonormal_basis(np.hstack([dp.a.graph.basis, rows]), dp.tol, 2 * n)
+        return cs.LinearRelation(graph)
+
+    monkeypatch.setattr(cs.cli, "extension_graph", xu_rows)
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    (check,) = [c for c in out["check_list"] if c["name"].endswith("completeness_roundtrip")]
+    assert check["status"] == "fail"
+    assert out["results"]["enumerate"]["max_roundtrip_angle"] > 1e-3
 
 
 def test_cli_verify_all_golden(tmp_path, capsys):
