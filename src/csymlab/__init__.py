@@ -10,12 +10,10 @@ from .antilinear import (
     SemilinearOperator,
     conjugation_axiom_residuals,
     conjugation_from_onb,
-    conjugation_from_unitary,
     entrywise_conjugation,
     flip_conjugation,
     invariant_onb,
     is_conjugation,
-    unitary_from_conjugations,
 )
 from .csym import (
     AdjointPair,
@@ -105,11 +103,9 @@ from .powers import (
 )
 from .problems import ProblemSpec, parse_spec, spec_from_dict
 from .relations import (
-    DomainOperator,
     LinearRelation,
     compose,
     from_matrix,
-    from_operator,
     full_relation,
     identity_relation,
     zero_relation,

@@ -200,39 +200,6 @@ def conjugation_from_onb(vs, tol: Tolerance = DEFAULT_TOL):
     return PartialConjugation(k, tol)
 
 
-def unitary_from_conjugations(z: AntiLinearMap, j: AntiLinearMap, source: Subspace):
-    """V = Z о J as a linear map, with the compatibility check Z V Z V = I.
-
-    Z is a conjugation carrying the source subspace onto its image, J a
-    conjugation of the source; the product is linear and unitary from the
-    source onto Z(source).
-    """
-    v = z.matrix @ np.conj(j.matrix)
-    _check_zvzv(z, v, source)
-    return v
-
-
-def conjugation_from_unitary(z: AntiLinearMap, v: np.ndarray, source: Subspace):
-    """J = Z о V on the source subspace; requires Z V Z V = I there."""
-    _check_zvzv(z, np.asarray(v, dtype=complex), source)
-    m = z.matrix @ np.conj(v)
-    # anti-linear with matrix z.matrix @ conj(v): x -> z.matrix conj(v x)
-    return AntiLinearMap(m, source.tol)
-
-
-def _check_zvzv(z: AntiLinearMap, v: np.ndarray, source: Subspace):
-    b = source.basis
-    if b.shape[1] == 0:
-        return
-    zv = z.matrix @ np.conj(v)  # anti-linear matrix of Z о V
-    zvzv = zv @ np.conj(zv)
-    residual = float(np.abs(zvzv @ b - b).max())
-    if residual > 1e3 * source.tol.eps:
-        raise PropertyViolationError(
-            "Z V Z V = I fails on the source subspace", {"zvzv": residual}
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class SemilinearOperator:
     """Word algebra for alternating products of linear and anti-linear maps.

@@ -354,7 +354,7 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
         results["enumerate"] = res
         checks.extend(sub, prefix="enumerate")
 
-        vn = vn_decomposition(dp.frakA)
+        vn = vn_decomposition(dp.frakA, dp.frakA_star)
         checks.extend(vn.checks, prefix="vn")
         results["vn"] = {"regime": vn.regime}
         race = race_decomposition(rel, c, dp)

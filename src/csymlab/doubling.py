@@ -224,16 +224,18 @@ class DecompositionReport:
     measurements: dict
 
 
-def vn_decomposition(t: LinearRelation) -> DecompositionReport:
+def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) -> DecompositionReport:
     """graph(T*) = graph(T) + N_hat_plus + N_hat_minus, orthogonally.
 
     N_hat_+- are the graph elements (w, +-iw) of T*.  The orthogonal
     decomposition holds for every symmetric relation; the domain-level
     forms D(T*) = D(T) + N((T*)^2 + I) and the splitting of that kernel
     into N(T* - i) + N(T* + i) are additionally checked, with the direct-sum
-    independence asserted only when T* is single-valued.
+    independence asserted only when T* is single-valued.  ``t_star`` is T*
+    when already computed.
     """
-    t_star = t.adjoint()
+    if t_star is None:
+        t_star = t.adjoint()
     if not t.contained_in(t_star):
         raise PreconditionError("relation is not symmetric")
     tol = t.tol

@@ -29,29 +29,6 @@ from .linalg import (
 
 
 @dataclass(frozen=True, eq=False)
-class DomainOperator:
-    """A partially defined operator: a domain plus the images of its basis."""
-
-    domain: Subspace
-    images: np.ndarray
-
-    def __post_init__(self):
-        im = np.asarray(self.images, dtype=complex)
-        if im.shape != (self.domain.ambient_dim, self.domain.dim):
-            raise InputError(
-                f"images shape {im.shape} does not match domain "
-                f"({self.domain.ambient_dim} x {self.domain.dim})"
-            )
-        im = im.copy()
-        im.setflags(write=False)
-        object.__setattr__(self, "images", im)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.domain.ambient_dim
-
-
-@dataclass(frozen=True, eq=False)
 class LinearRelation:
     """Subspace of C^n + C^n holding the graph of a (possibly multivalued) map."""
 
@@ -106,6 +83,22 @@ class LinearRelation:
         flipped = np.vstack([self._bottom(), -self._top()])
         return LinearRelation(complement(orthonormal_basis(flipped, self.tol, 2 * self.ambient_dim)))
 
+    def adjoint_gap(self, q) -> float:
+        """sin of the largest angle from span(q) into graph(R*), R* never built.
+
+        q has orthonormal columns in C^(2n).  graph(R*) is the orthogonal
+        complement of J graph(R), J(x, y) = (y, -x), so with [X; Y] the graph
+        basis the sine is ||(J [X; Y])^H q||_2 = ||Y^H q_top - X^H q_bot||_2.
+        """
+        q = np.asarray(q, dtype=complex)
+        n = self.ambient_dim
+        if q.ndim != 2 or q.shape[0] != 2 * n:
+            raise InputError(f"columns of shape {q.shape} do not live in C^{2 * n}")
+        if not (q.shape[1] and self.graph.dim):
+            return 0.0
+        gap = self._bottom().conj().T @ q[:n] - self._top().conj().T @ q[n:]
+        return float(np.linalg.norm(gap, 2))
+
     def conjugated(self, c: AntiLinearMap) -> "LinearRelation":
         """C R C: graph {(Cx, Cy)}; involutive when C is a conjugation."""
         if c.dim != self.ambient_dim:
@@ -159,16 +152,6 @@ def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
         raise InputError(f"square matrix required, got shape {m.shape}")
     cols = np.vstack([np.eye(m.shape[0], dtype=complex), m])
     return LinearRelation(orthonormal_basis(cols, tol))
-
-
-def from_operator(dop: DomainOperator, tol: Tolerance = None) -> LinearRelation:
-    """Graph span{(d_j, images e_j)} of a partially defined operator."""
-    t = tol if tol is not None else dop.domain.tol
-    cols = np.vstack([dop.domain.basis, dop.images])
-    rel = LinearRelation(orthonormal_basis(cols, t))
-    if rel.graph.dim != dop.domain.dim:
-        raise InputError("graph columns are linearly dependent; domain basis must be independent")
-    return rel
 
 
 def identity_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:

@@ -13,15 +13,22 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def count_calls(monkeypatch, module, name):
-    """Count calls of module.name, patched in every csymlab module that binds it."""
-    original = getattr(module, name)
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name.
+
+    owner is a module, whose function is patched in every csymlab module
+    that binds it, or a class, whose method is patched on the class.
+    """
+    original = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+        return calls
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.partition(".")[0] == "csymlab" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)

@@ -5,7 +5,7 @@ import pytest
 
 import csymlab as cs
 
-from conftest import random_complex
+from conftest import count_calls, random_complex
 
 
 def test_entrywise_csym_is_transpose_symmetry(rng):
@@ -118,3 +118,78 @@ def test_domain_criterion_on_extension():
         assert cs.domain_criterion(res.a_ext, rel, c)
     # the full adjoint is too large to satisfy the criterion
     assert not cs.domain_criterion(rel.adjoint(), rel, c)
+
+
+def test_selfadjoint_predicate_agrees_with_adjoint_route_on_sweep(monkeypatch):
+    # every candidate the brute-force sweep tests, hits and misses, against
+    # the definition CAC = A* with both sides built
+    verdicts = []
+
+    def compared(a, c, atol=None):
+        fast = cs.is_c_selfadjoint(a, c, atol)
+        assert fast == a.conjugated(c).equals(a.adjoint(), atol)
+        verdicts.append(fast)
+        return fast
+
+    monkeypatch.setattr(cs.extensions, "is_c_selfadjoint", compared)
+    for example in ("race_schrodinger", "zero_on_subspace"):
+        spec = cs.build_example(example, n=16)
+        dp = cs.build_doubled(spec.relation(), spec.conjugation())
+        assert cs.brute_force_extensions(dp, budget=200, seed=0)
+    assert len(verdicts) == 400
+    assert 0 < sum(verdicts) < 400
+
+
+def test_selfadjoint_needs_graph_dimension_n(rng):
+    # the C-image lies in graph(A*) for the zero relation and for a
+    # C-symmetric restriction, so only the dimension count rejects them
+    c = cs.random_conjugation(4, rng)
+    spec = cs.random_restriction(4, seed=11)
+    for rel, conj in ((cs.zero_relation(4), c), (spec.relation(), spec.conjugation())):
+        assert rel.graph.dim != 4 and cs.is_c_symmetric(rel, conj)
+        assert not cs.is_c_selfadjoint(rel, conj)
+    assert not cs.is_c_selfadjoint(cs.full_relation(4), c)
+
+
+def test_selfadjoint_rejects_conjugation_of_other_dimension(rng):
+    rel = cs.from_matrix(cs.random_symmetric(3, rng))
+    with pytest.raises(cs.InputError):
+        cs.is_c_selfadjoint(rel, cs.entrywise_conjugation(4))
+    with pytest.raises(cs.InputError):
+        cs.is_c_selfadjoint(cs.zero_relation(3), cs.entrywise_conjugation(2))
+
+
+def test_selfadjoint_builds_neither_conjugate_nor_adjoint(monkeypatch):
+    spec = cs.random_csym(6)
+    adjoints = count_calls(monkeypatch, cs.LinearRelation, "adjoint")
+    conjugates = count_calls(monkeypatch, cs.LinearRelation, "conjugated")
+    assert cs.is_c_selfadjoint(spec.relation(), spec.conjugation())
+    assert (len(adjoints), len(conjugates)) == (0, 0)
+
+
+def test_selfadjoint_fails_without_conjugating(monkeypatch):
+    # mutation: C applied as the linear map K instead of x -> K conj(x)
+    spec = cs.random_csym(6)
+    rel, c = spec.relation(), spec.conjugation()
+    assert cs.is_c_selfadjoint(rel, c)
+
+    class LinearC:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def conj(x):
+            return x
+
+    monkeypatch.setattr(cs.csym, "np", LinearC())
+    assert not cs.is_c_selfadjoint(rel, c)
+
+
+def test_selfadjoint_fails_for_nonsymmetric_k(rng):
+    # mutation: K times a unitary near I stays unitary but is not symmetric
+    spec = cs.random_csym(6)
+    rel, k = spec.relation(), spec.conjugation().matrix
+    q, _ = np.linalg.qr(np.eye(6) + 1e-3 * random_complex(rng, 6, 6))
+    perturbed = cs.AntiLinearMap(k @ q)
+    assert cs.conjugation_axiom_residuals(perturbed.matrix)[1] > 1e-5
+    assert not cs.is_c_selfadjoint(rel, perturbed)

@@ -1,5 +1,7 @@
 """Extension parameterization: forms, gates, completeness, L-manifolds."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,24 @@ def test_doubled_problem_caches_defect_geometry():
     fresh = cs.m_spaces(cs.adjoint_pair(dp.a, dp.c))
     for name in ("frakM", "frakM_prime", "m_bstar", "m_astar"):
         assert cs.subspace_equal(getattr(dp.spaces, name), getattr(fresh, name))
+
+
+def test_extend_fails_when_adjoint_gap_sign_is_flipped(monkeypatch, tmp_path, capsys):
+    # mutation: (J G)^H q with J(x, y) = (y, x), i.e. the adjoint's sign dropped
+    example = ["--example", "race_schrodinger", "--n", "16"]
+    spec = cs.race_schrodinger(16)
+    dp = cs.build_doubled(spec.relation(), spec.conjugation())
+    param = cs.canonical_extension(dp).parameter.matrix
+    path = tmp_path / "param.json"
+    path.write_text(json.dumps({"kind": "unitary", "matrix": cs.problems.encode_matrix(param)}))
+
+    def flipped(self, q):
+        n = self.ambient_dim
+        g = self.graph.basis
+        return float(np.linalg.norm(g[n:].conj().T @ q[:n] + g[:n].conj().T @ q[n:], 2))
+
+    monkeypatch.setattr(cs.LinearRelation, "adjoint_gap", flipped)
+    assert main(["extend", *example, "--param", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    status = {c["name"]: c["status"] for c in out["check_list"]}
+    assert status["doubled_selfadjoint"] == status["extension_c_selfadjoint"] == "fail"

@@ -267,6 +267,16 @@ def test_cli_verify_all_builds_relation_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
+    # two in check (C-symmetry and the domain criterion), one for the
+    # C-symmetry gate, one each for A and frakA while doubling, one per
+    # canonical extension; C-self-adjointness and vn build none
+    calls = count_calls(monkeypatch, cs.LinearRelation, "adjoint")
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 7
+
+
 def test_cli_verify_all_runs_full_extension_only_for_canonical(monkeypatch, capsys):
     # the enumerate round trip rebuilds every hit in closed form; only the
     # two canonical extensions go through the fully verified construction

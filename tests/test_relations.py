@@ -137,3 +137,36 @@ def test_identity_and_zero_relations():
     z = cs.zero_relation(3)
     assert z.graph.dim == 0
     assert z.adjoint().equals(cs.full_relation(3))
+
+
+MACHINE_EPS = np.finfo(float).eps
+
+
+def test_adjoint_gap_matches_angle_into_built_adjoint(rng):
+    # graph dims 0..2n, plus multivalued relations carrying (0, y) columns;
+    # q ranges over random subspaces (zero columns included) and the two graphs
+    multivalued = 0
+    for _ in range(80):
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(0, 2 * n + 1))
+        rel = random_relation(rng, n, k) if k else cs.zero_relation(n)
+        if 0 < k <= n and rng.random() < 0.5:
+            mv = np.vstack([np.zeros((n, k)), random_complex(rng, n, k)])
+            mixed = np.hstack([rel.graph.basis[:, : k // 2], mv[:, : k - k // 2]])
+            rel = cs.LinearRelation(cs.orthonormal_basis(mixed, ambient_dim=2 * n))
+        multivalued += not rel.is_operator
+        star = rel.adjoint().graph
+        qdim = int(rng.integers(0, 2 * n + 1))
+        q = cs.orthonormal_basis(random_complex(rng, 2 * n, qdim), ambient_dim=2 * n)
+        for s in (q, rel.graph, star):
+            assert abs(rel.adjoint_gap(s.basis) - cs.max_angle_sin(s, star)) <= 1e3 * MACHINE_EPS
+    assert multivalued >= 20
+
+
+def test_adjoint_gap_detects_multivalued_part():
+    # graph(full) = C^2n, so graph(full*) = 0 and every direction is at angle pi/2
+    full = cs.full_relation(2)
+    assert full.adjoint_gap(np.eye(4, dtype=complex)[:, :1]) == pytest.approx(1.0)
+    assert full.adjoint_gap(np.zeros((4, 0), dtype=complex)) == 0.0
+    with pytest.raises(cs.InputError):
+        full.adjoint_gap(np.eye(3, dtype=complex))
