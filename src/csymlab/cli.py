@@ -327,7 +327,6 @@ def cmd_powers(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
 def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     rel = spec.relation()
     c = spec.conjugation()
-    atol = 1e3 * spec.tol.eps
     checks = CheckList()
     results: dict = {}
 
@@ -335,7 +334,7 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     results["check"] = res
     checks.extend(sub, prefix="check")
 
-    if is_c_symmetric(rel, c, atol):
+    if res["c_symmetric"]:
         dp = build_doubled(rel, c)
         res, sub = cmd_deficiency(spec, args, dp)
         results["deficiency"] = res

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antilinear import AntiLinearMap, Conjugation
-from .errors import InputError, PreconditionError, PropertyViolationError
+from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     _complement_formula_intersect,
@@ -44,14 +44,8 @@ def is_c_symmetric(a: LinearRelation, c: Conjugation, atol=None) -> bool:
 
 def is_c_selfadjoint(a: LinearRelation, c: Conjugation, atol=None) -> bool:
     """CAC = A*, read off the C-image of graph(A) without building either side."""
-    n = a.ambient_dim
-    if c.dim != n:
-        raise InputError(f"conjugation dimension {c.dim} != relation ambient {n}")
-    if a.graph.dim != n:
-        return False
-    g = a.graph.basis
-    image = np.vstack([c.matrix @ np.conj(g[:n]), c.matrix @ np.conj(g[n:])])
-    return a.adjoint_gap(image) <= (a.tol.eps if atol is None else atol)
+    image = a.conjugated_basis(c)  # raises InputError for a conjugation of another dimension
+    return a.graph.dim == a.ambient_dim and a.adjoint_gap(image) <= (a.tol.eps if atol is None else atol)
 
 
 def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:

@@ -248,7 +248,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
             {"dim_gap": dp.frakA.graph.dim + k - frak_ext.graph.dim},
         )
     checks.add_residual("doubled_selfadjoint", frak_ext.adjoint_gap(frak_ext.graph.basis), bound)
-    einv_res = max_angle_sin(frak_ext.conjugated(dp.frakC).graph, frak_ext.graph)
+    einv_res = max_angle_sin(Subspace(frak_ext.conjugated_basis(dp.frakC), tol), frak_ext.graph)
     checks.add_residual("doubled_frakE_selfadjoint", einv_res, bound)
     s_block, t_block = block_slices(frak_ext)
     if s_block.graph.dim + t_block.graph.dim != frak_ext.graph.dim or not block_relation(

@@ -6,7 +6,9 @@ single scale rule, so that every higher-level construction (relation
 adjoints, deficiency spaces, extension manifolds) inherits one consistent
 notion of "numerically zero".  Intersections are read off the principal
 angles between the two subspaces (sin theta at or below the zero cutoff),
-from one thin SVD in the smaller subspace's dimension.
+from one SVD in the smaller subspace's dimension.  Operator 2-norms (the
+largest principal-angle sine, the adjoint gap) are read off the top
+eigenvalue of the smaller Gram matrix, with no SVD.
 
 Inner product convention: <u, v> = sum_i u_i * conj(v_i), linear in the
 first argument.
@@ -163,7 +165,10 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     singular vectors V the principal directions in S1 (Bjorck & Golub,
     Math. Comp. 27 (1973)).  The intersection is S1 V restricted to the
     directions with sin theta <= tol.zero_cutoff(1.0); its columns are
-    orthonormal by construction.  One thin SVD of an n x min(dim) matrix.
+    orthonormal by construction.  Rows of the residual that are exactly
+    zero (all of S2's rows when S2 is a coordinate block) change neither
+    the sines nor V and are dropped before the SVD; when fewer rows than
+    columns remain, the missing sines are 0.
     """
     _check_same_ambient(s1, s2)
     if s1.dim > s2.dim:
@@ -171,7 +176,9 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.dim == 0:
         return zero_subspace(s1.ambient_dim, s1.tol)
     residual = s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
-    _, sines, vh = np.linalg.svd(residual, full_matrices=False)
+    residual = residual[np.any(residual != 0, axis=1)]
+    _, sines, vh = np.linalg.svd(residual, full_matrices=residual.shape[0] < s1.dim)
+    sines = np.pad(sines, (0, s1.dim - sines.size))
     inside = sines <= s1.tol.zero_cutoff(1.0)
     return Subspace(s1.basis @ vh[inside].conj().T, s1.tol)
 
@@ -197,8 +204,19 @@ def max_angle_sin(s1: Subspace, s2: Subspace) -> float:
     _check_same_ambient(s1, s2)
     if s1.dim == 0:
         return 0.0
-    residual = s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
-    return float(np.linalg.norm(residual, 2))
+    return _spectral_norm(s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis))
+
+
+def _spectral_norm(m: np.ndarray) -> float:
+    """||m||_2 as sqrt of the top eigenvalue of the smaller Gram matrix.
+
+    The Gram matrix carries sigma_max^2 to relative accuracy eps, so
+    sigma_max keeps its relative accuracy; no SVD is taken.
+    """
+    if not m.size:
+        return 0.0
+    gram = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def is_subspace_of(s1: Subspace, s2: Subspace, atol=None) -> bool:

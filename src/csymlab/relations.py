@@ -10,6 +10,7 @@ Tolerance rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _spectral_norm,
     complement,
     full_space,
     intersect,
@@ -53,6 +55,11 @@ class LinearRelation:
         return self.graph.basis[self.ambient_dim :]
 
     def domain(self) -> Subspace:
+        """Built on the first call and then reused (the graph is immutable)."""
+        return self._domain
+
+    @cached_property
+    def _domain(self) -> Subspace:
         return orthonormal_basis(self._top(), self.tol, self.ambient_dim)
 
     def range(self) -> Subspace:
@@ -96,16 +103,21 @@ class LinearRelation:
             raise InputError(f"columns of shape {q.shape} do not live in C^{2 * n}")
         if not (q.shape[1] and self.graph.dim):
             return 0.0
-        gap = self._bottom().conj().T @ q[:n] - self._top().conj().T @ q[n:]
-        return float(np.linalg.norm(gap, 2))
+        return _spectral_norm(self._bottom().conj().T @ q[:n] - self._top().conj().T @ q[n:])
 
-    def conjugated(self, c: AntiLinearMap) -> "LinearRelation":
-        """C R C: graph {(Cx, Cy)}; involutive when C is a conjugation."""
+    def conjugated_basis(self, c: AntiLinearMap) -> np.ndarray:
+        """The columns (K conj X; K conj Y) spanning graph(C R C), no rank cut.
+
+        For antiunitary C they are orthonormal, like the graph basis [X; Y].
+        """
         if c.dim != self.ambient_dim:
             raise InputError(f"conjugation dimension {c.dim} != relation ambient {self.ambient_dim}")
         k = c.matrix
-        cols = np.vstack([k @ np.conj(self._top()), k @ np.conj(self._bottom())])
-        return LinearRelation(orthonormal_basis(cols, self.tol))
+        return np.vstack([k @ np.conj(self._top()), k @ np.conj(self._bottom())])
+
+    def conjugated(self, c: AntiLinearMap) -> "LinearRelation":
+        """C R C: graph {(Cx, Cy)}; involutive when C is a conjugation."""
+        return LinearRelation(orthonormal_basis(self.conjugated_basis(c), self.tol))
 
     def shifted(self, lam: complex) -> "LinearRelation":
         """R + lam: {(x, y + lam*x) : (x, y) in graph(R)}."""

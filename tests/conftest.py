@@ -3,6 +3,8 @@ import sys
 import numpy as np
 import pytest
 
+import csymlab as cs
+
 
 @pytest.fixture
 def rng():
@@ -33,3 +35,13 @@ def count_calls(monkeypatch, owner, name):
         if mod_name.partition(".")[0] == "csymlab" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def nonblock_parameter(dp):
+    """i J0 for the conjugation J0 of the canonical extension.
+
+    It passes the frakE gate, and its unitary is -i U0, so D U D U = -I and
+    the block residual is exactly 2 in every choice of deficiency bases.
+    """
+    j0 = cs.parameter_as_conjugation(dp, cs.canonical_extension(dp).parameter).matrix
+    return cs.ExtensionParameter("conjugation", 1j * j0)

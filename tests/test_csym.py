@@ -181,7 +181,7 @@ def test_selfadjoint_fails_without_conjugating(monkeypatch):
         def conj(x):
             return x
 
-    monkeypatch.setattr(cs.csym, "np", LinearC())
+    monkeypatch.setattr(cs.relations, "np", LinearC())  # conjugated_basis applies C
     assert not cs.is_c_selfadjoint(rel, c)
 
 

@@ -55,6 +55,59 @@ def test_symmetry_equivalence(rng):
         assert dp.frakA.contained_in(dp.frakA_star) == sym
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [cs.race_schrodinger(16), cs.zero_on_subspace(4), cs.minimal_identity(), cs.random_restriction(5, seed=7)],
+    ids=lambda spec: spec.name,
+)
+def test_block_form_adjoint_matches_built_adjoint(spec):
+    dp = doubled(spec)
+    assert dp.frakA_star.equals(dp.frakA.adjoint(), 1e3 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("mutation", ["swapped", "symmetric_part"])
+def test_build_doubled_rejects_wrong_block_adjoint(monkeypatch, mutation):
+    # mutations of the block form of frakA*: A* and B* swapped (a positive
+    # adjoint gap), or B and A in their places, which gives frakA itself,
+    # inside frakA* with gap 0 but of too small a dimension
+    spec = cs.race_schrodinger(16)
+    original = cs.doubling.adjoint_pair
+
+    def mutated(a, c):
+        p = original(a, c)
+        if mutation == "swapped":
+            return cs.AdjointPair(p.a, p.b, p.b_star, p.a_star, p.c)
+        return cs.AdjointPair(p.a, p.b, p.b, p.a, p.c)
+
+    monkeypatch.setattr(cs.doubling, "adjoint_pair", mutated)
+    with pytest.raises(cs.PropertyViolationError, match="adjoint of the doubled relation") as info:
+        doubled(spec)
+    assert (info.value.residuals["angle"] > 1e-3) == (mutation == "swapped")
+
+
+def test_frakE_checks_fail_without_conjugating(monkeypatch):
+    # mutation: frakE applied as the linear map (x, y) -> (Ky, Kx); B = CAC
+    # keeps the true conjugation
+    spec = cs.race_schrodinger(16)
+    dp = doubled(spec)
+    param = cs.canonical_extension(dp).parameter
+    original = cs.LinearRelation.conjugated_basis
+
+    def linear(self, c):
+        n = self.ambient_dim
+        g = self.graph.basis
+        return np.vstack([c.matrix @ g[:n], c.matrix @ g[n:]])
+
+    monkeypatch.setattr(
+        cs.LinearRelation, "conjugated", lambda self, c: cs.LinearRelation(cs.orthonormal_basis(original(self, c)))
+    )
+    monkeypatch.setattr(cs.LinearRelation, "conjugated_basis", linear)
+    with pytest.raises(cs.PropertyViolationError, match="frakE frakA frakE = frakA fails"):
+        doubled(spec)
+    res = cs.extension_from_parameter(dp, param)
+    assert {c.name: c.status for c in res.checks}["doubled_frakE_selfadjoint"] == "fail"
+
+
 def test_frozen_deficiency_dims():
     assert doubled(cs.minimal_identity()).n_plus.dim == 2
     assert doubled(cs.zero_on_subspace(4)).n_plus.dim == 4

@@ -9,7 +9,7 @@ import csymlab as cs
 from csymlab.cli import main
 from csymlab.extensions import block_condition_residual, frakE_condition_residual, parameter_as_unitary
 
-from conftest import count_calls
+from conftest import count_calls, nonblock_parameter
 
 FIXTURES = lambda: (
     cs.minimal_identity(),
@@ -73,13 +73,12 @@ def test_negated_parameter_is_also_admissible():
 
 
 def test_block_condition_counterexample_raises():
-    # the identity conjugation on N+ coordinates passes the frakE gate by
-    # construction but its doubled extension is not block: this separates
-    # the two admissibility conditions at relation regime
+    # i J0 passes the frakE gate by construction but its doubled extension
+    # is not block: this separates the two admissibility conditions at
+    # relation regime
     for spec in (cs.zero_on_subspace(4), cs.minimal_identity()):
         dp = doubled(spec)
-        k = dp.n_plus.dim
-        p = cs.ExtensionParameter("conjugation", np.eye(k, dtype=complex))
+        p = nonblock_parameter(dp)
         u = parameter_as_unitary(dp, p)  # frakE gate passes
         assert block_condition_residual(dp, u) > 1e-2
         with pytest.raises(cs.PropertyViolationError) as info:
@@ -267,7 +266,11 @@ def test_extend_fails_when_adjoint_gap_sign_is_flipped(monkeypatch, tmp_path, ca
         return float(np.linalg.norm(g[n:].conj().T @ q[:n] + g[:n].conj().T @ q[n:], 2))
 
     monkeypatch.setattr(cs.LinearRelation, "adjoint_gap", flipped)
+    # build_doubled checks frakA* with the same gap, so the CLI fails there
     assert main(["extend", *example, "--param", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)
-    status = {c["name"]: c["status"] for c in out["check_list"]}
+    assert "adjoint of the doubled relation disagrees with the block form" in out["error"]
+    # dp and the parameter were built before the patch
+    res = cs.extension_from_parameter(dp, cs.ExtensionParameter("unitary", param))
+    status = {c.name: c.status for c in res.checks}
     assert status["doubled_selfadjoint"] == status["extension_c_selfadjoint"] == "fail"

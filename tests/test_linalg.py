@@ -185,3 +185,69 @@ def test_intersect_angle_threshold(rng, angle, merged):
     assert cs.intersect(s1, s2).dim == expected
     assert complement_formula(s1, s2).dim == expected
     assert cs.intersect(cs.Subspace(q[:, :1]), cs.Subspace(tilted)).dim == expected - 1
+
+
+@pytest.mark.parametrize("shape", [(40, 7), (7, 40), (16, 16), (1, 9), (9, 1), (0, 5), (5, 0)])
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 1e8])
+def test_spectral_norm_matches_numpy(rng, shape, scale):
+    m = scale * random_complex(rng, *shape)
+    reference = float(np.linalg.norm(m, 2)) if m.size else 0.0
+    assert abs(cs.linalg._spectral_norm(m) - reference) <= 1e-12 * reference
+    if m.size:
+        low_rank = m[:, :1] @ m[:1, :] if min(shape) > 1 else m
+        ref = float(np.linalg.norm(low_rank, 2))
+        assert abs(cs.linalg._spectral_norm(low_rank) - ref) <= 1e-12 * ref
+
+
+def test_max_angle_sin_makes_no_svd(rng, monkeypatch):
+    s1 = cs.orthonormal_basis(random_complex(rng, 20, 4))
+    s2 = cs.orthonormal_basis(random_complex(rng, 20, 9))
+    expected = float(np.linalg.norm(s1.basis - s2.projector() @ s1.basis, 2))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert cs.max_angle_sin(s1, s2) == pytest.approx(expected, rel=1e-12)
+
+
+def coordinate_block(n2, rows):
+    basis = np.zeros((n2, len(rows)), dtype=complex)
+    basis[rows, np.arange(len(rows))] = 1.0
+    return cs.Subspace(basis)
+
+
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_intersect_with_coordinate_blocks_matches_complement_formula(rng, n):
+    # the residual against a coordinate block has exactly zero rows there;
+    # dropping them must change neither the dimension nor the subspace
+    rows = np.arange(n, 3 * n)
+    block = coordinate_block(4 * n, rows)
+    for planted in (0, 1, n // 2):
+        inside = np.zeros((4 * n, planted), dtype=complex)
+        inside[rows] = random_complex(rng, 2 * n, planted)
+        s = cs.orthonormal_basis(np.hstack([inside, random_complex(rng, 4 * n, 2 * n - planted)]))
+        for s1, s2 in ((s, block), (block, s)):
+            meet = cs.intersect(s1, s2)
+            assert meet.dim == planted
+            assert_same_subspace(meet, cs.linalg._complement_formula_intersect(s1, s2))
+
+
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_kernel_with_wide_residual(n):
+    # graph = span{(e_j, 0) : j < n-1} + (e_{n-1}, e_0)/sqrt2 + (0, e_1), of
+    # dimension n + 1 > n: against the top block, the residual keeps two
+    # nonzero rows for n columns, and n - 1 of the sines are the missing ones
+    g = np.zeros((2 * n, n + 1), dtype=complex)
+    g[np.arange(n - 1), np.arange(n - 1)] = 1.0
+    g[[n - 1, n], n - 1] = 1 / np.sqrt(2.0)
+    g[n + 1, n] = 1.0
+    rel = cs.LinearRelation(cs.Subspace(g))
+    top = coordinate_block(2 * n, np.arange(n))
+    assert_same_subspace(cs.intersect(rel.graph, top), cs.linalg._complement_formula_intersect(rel.graph, top))
+    assert_same_subspace(rel.kernel(), coordinate_block(n, np.arange(n - 1)))
+    # all rows vanish: graph = C^n x span{e_1}, kernel = C^n
+    full = np.zeros((2 * n, n + 1), dtype=complex)
+    full[:n, :n] = np.eye(n)
+    full[n + 1, n] = 1.0
+    assert cs.LinearRelation(cs.Subspace(full)).kernel().dim == n

@@ -8,7 +8,7 @@ import pytest
 import csymlab as cs
 from csymlab.cli import main
 
-from conftest import count_calls
+from conftest import count_calls, nonblock_parameter
 
 SYMMETRIC_SPEC = {
     "name": "toy",
@@ -198,14 +198,15 @@ def test_cli_extend_param_roundtrip(tmp_path, capsys):
 
 
 def test_cli_extend_rejects_nonblock_param(tmp_path, capsys):
-    # identity conjugation on N+ coordinates: admissible upstairs, no block
-    # structure downstairs; the coordinate matrix of the induced unitary is
-    # recomputed here and fed through the CLI, expecting exit code 1
+    # i J0, J0 the canonical extension's conjugation: admissible upstairs,
+    # no block structure downstairs (D U D U = -I in every basis); the
+    # coordinate matrix of the induced unitary is recomputed here and fed
+    # through the CLI, expecting exit code 1
     spec = cs.zero_on_subspace(4)
     dp = cs.build_doubled(spec.relation(), spec.conjugation())
     from csymlab.extensions import parameter_as_unitary
 
-    u = parameter_as_unitary(dp, cs.ExtensionParameter("conjugation", np.eye(4, dtype=complex)))
+    u = parameter_as_unitary(dp, nonblock_parameter(dp))
     param_path = tmp_path / "bad.json"
     param_path.write_text(json.dumps({"kind": "unitary", "matrix": cs.problems.encode_matrix(u)}))
     code = main(
@@ -268,13 +269,14 @@ def test_cli_verify_all_builds_relation_once(monkeypatch, capsys):
 
 
 def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
-    # two in check (C-symmetry and the domain criterion), one for the
-    # C-symmetry gate, one each for A and frakA while doubling, one per
-    # canonical extension; C-self-adjointness and vn build none
+    # two in check (C-symmetry and the domain criterion), one for A while
+    # doubling, one per canonical extension; the C-symmetry gate reuses
+    # check's answer, frakA* is assembled from A* and B*, and
+    # C-self-adjointness and vn build none
     calls = count_calls(monkeypatch, cs.LinearRelation, "adjoint")
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
-    assert len(calls) == 7
+    assert len(calls) == 5
 
 
 def test_cli_verify_all_runs_full_extension_only_for_canonical(monkeypatch, capsys):

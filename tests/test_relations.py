@@ -170,3 +170,10 @@ def test_adjoint_gap_detects_multivalued_part():
     assert full.adjoint_gap(np.zeros((4, 0), dtype=complex)) == 0.0
     with pytest.raises(cs.InputError):
         full.adjoint_gap(np.eye(3, dtype=complex))
+
+
+def test_domain_is_built_once(rng):
+    rel = random_relation(rng, 4, 3)
+    first = rel.domain()
+    assert rel.domain() is first
+    assert first.dim == 3
