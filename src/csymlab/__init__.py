@@ -9,11 +9,9 @@ from .antilinear import (
     PartialConjugation,
     SemilinearOperator,
     conjugation_axiom_residuals,
-    conjugation_from_onb,
     entrywise_conjugation,
     flip_conjugation,
     invariant_onb,
-    is_conjugation,
 )
 from .csym import (
     AdjointPair,
@@ -107,7 +105,6 @@ from .relations import (
     compose,
     from_matrix,
     full_relation,
-    identity_relation,
     zero_relation,
 )
 

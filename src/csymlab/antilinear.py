@@ -16,6 +16,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _spectral_norm,
     complement,
     orthonormal_basis,
 )
@@ -62,23 +63,13 @@ def conjugation_axiom_residuals(matrix) -> tuple[float, float]:
     return unit, symm
 
 
-def is_conjugation(f, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the map's matrix is unitary and symmetric within tolerance."""
-    m = f.matrix if isinstance(f, AntiLinearMap) else np.asarray(f, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    unit, symm = conjugation_axiom_residuals(m)
-    bound = 1e3 * tol.eps
-    return unit <= bound and symm <= bound
-
-
 class Conjugation(AntiLinearMap):
     """Anti-linear involutive isometry; matrix K unitary symmetric."""
 
     def __post_init__(self):
         super().__post_init__()
         unit, symm = conjugation_axiom_residuals(self.matrix)
-        bound = 1e3 * self.tol.eps
+        bound = self.tol.bound()
         if unit > bound:
             raise InputError(f"conjugation matrix is not unitary (residual {unit:.3e})")
         if symm > bound:
@@ -103,7 +94,7 @@ class PartialConjugation(AntiLinearMap):
     def __post_init__(self):
         super().__post_init__()
         m = self.matrix
-        bound = 1e3 * self.tol.eps
+        bound = self.tol.bound()
         symm = float(np.abs(m - m.T).max())
         if symm > bound:
             raise InputError(f"partial conjugation matrix is not symmetric (residual {symm:.3e})")
@@ -132,7 +123,7 @@ def preserves_subspace(c: AntiLinearMap, s: Subspace, atol=None) -> bool:
     image = c.matrix @ np.conj(s.basis)
     residual = image - s.basis @ (s.basis.conj().T @ image)
     bound = s.tol.eps if atol is None else atol
-    return float(np.linalg.norm(residual, 2)) <= bound * 10
+    return _spectral_norm(residual) <= bound
 
 
 def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
@@ -149,14 +140,14 @@ def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
     """
     if c.dim != s.ambient_dim:
         raise InputError(f"map dimension {c.dim} != subspace ambient {s.ambient_dim}")
-    if not preserves_subspace(c, s):
+    if not preserves_subspace(c, s, s.tol.bound()):
         raise PreconditionError("conjugation does not map the subspace into itself")
     k = s.dim
     if k == 0:
         return np.zeros((s.ambient_dim, 0), dtype=complex)
     ks = restricted_matrix(c, s)
     unit, symm = conjugation_axiom_residuals(ks)
-    if max(unit, symm) > 1e3 * s.tol.eps:
+    if max(unit, symm) > s.tol.bound():
         raise PreconditionError(
             f"map restricted to the subspace is not a conjugation (unitarity {unit:.3e}, symmetry {symm:.3e})"
         )
@@ -173,31 +164,12 @@ def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
         found = np.column_stack([found, w])
     fixed_residual = float(np.abs(ks @ np.conj(found) - found).max())
     gram_residual = float(np.abs(found.conj().T @ found - np.eye(k)).max())
-    if max(fixed_residual, gram_residual) > 1e3 * s.tol.eps:
+    if max(fixed_residual, gram_residual) > s.tol.bound():
         raise PropertyViolationError(
             "invariant basis construction failed",
             {"fixed_point": fixed_residual, "gram": gram_residual},
         )
     return s.basis @ found
-
-
-def conjugation_from_onb(vs, tol: Tolerance = DEFAULT_TOL):
-    """Conjugation of span(vs) fixing every column of vs: matrix V V^T.
-
-    Returns a Conjugation when the columns span the whole space, otherwise a
-    PartialConjugation with initial space span(vs).
-    """
-    v = np.asarray(vs, dtype=complex)
-    if v.ndim == 1:
-        v = v.reshape(-1, 1)
-    if v.shape[1]:
-        gram = float(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max())
-        if gram > 1e3 * tol.eps:
-            raise InputError(f"basis is not orthonormal (Gram residual {gram:.3e})")
-    k = v @ v.T
-    if v.shape[1] == v.shape[0]:
-        return Conjugation(k, tol)
-    return PartialConjugation(k, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,10 +190,6 @@ class SemilinearOperator:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_linear(cls, m) -> "SemilinearOperator":
-        return cls(np.asarray(m, dtype=complex), False)
 
     @classmethod
     def from_antilinear(cls, m) -> "SemilinearOperator":

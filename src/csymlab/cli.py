@@ -37,7 +37,7 @@ from .extensions import (
     recover_parameter,
 )
 from .fixtures import EXAMPLE_BUILDERS, build_example
-from .linalg import Tolerance, max_angle_sin
+from .linalg import Tolerance, _spectral_norm, max_angle_sin
 from .polar import CjtRefusal, cjt_factorization, conjugation_covariance, polar, takagi
 from .powers import power_report
 from .problems import ProblemSpec, decode_matrix, encode_matrix, parse_spec
@@ -144,7 +144,7 @@ def _regime(rel) -> str:
 def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     rel = spec.relation()
     c = spec.conjugation()
-    atol = 1e3 * spec.tol.eps
+    atol = spec.tol.bound()
     sym = is_c_symmetric(rel, c, atol)
     csa = is_c_selfadjoint(rel, c, atol)
     weak = weak_c_symmetry_residual(rel, c)
@@ -183,7 +183,7 @@ def cmd_deficiency(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
     checks.extend(rep.checks)
     checks.add(
         "doubled_symmetry_equivalence",
-        verify_symmetry_equivalence(dp),
+        verify_symmetry_equivalence(dp, spec.tol.bound()),
         detail="C-symmetric iff doubled relation symmetric, likewise self-adjoint",
     )
     results = {"n_plus": rep.n_plus.dim, "n_minus": rep.n_minus.dim}
@@ -219,14 +219,14 @@ def cmd_enumerate(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
     worst = 0.0
     operators = 0
     for hit in hits:
-        rebuilt = extension_graph(dp, recover_parameter(dp, hit, verify=False))
+        rebuilt = extension_graph(dp, recover_parameter(dp, hit))
         worst = max(worst, max_angle_sin(rebuilt.graph, hit.graph))
         operators += int(hit.is_operator)
     checks = CheckList()
     checks.add_residual(
         "completeness_roundtrip",
         worst,
-        1e3 * spec.tol.eps,
+        spec.tol.bound(),
         detail=f"{len(hits)} hits reproduced from recovered parameters",
     )
     results = {
@@ -247,7 +247,7 @@ def cmd_polar(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     factors = polar(m, spec.tol)
     checks = CheckList()
     checks.extend(conjugation_covariance(m, c, spec.tol), prefix="covariance")
-    results: dict = {"rank": factors.rank, "modulus_norm": float(np.linalg.norm(factors.modulus, 2))}
+    results: dict = {"rank": factors.rank, "modulus_norm": _spectral_norm(factors.modulus)}
     outcome = cjt_factorization(m, c, spec.tol)
     if isinstance(outcome, CjtRefusal):
         checks.skip("cjt_factorization", outcome.reason)
@@ -256,9 +256,7 @@ def cmd_polar(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
         recon = float(
             np.abs(c.matrix @ np.conj(outcome.j.matrix) @ outcome.t - m).max()
         )
-        checks.add_residual(
-            "cjt_reconstruction", recon, 1e3 * spec.tol.eps * max(1.0, float(np.linalg.norm(m, 2)))
-        )
+        checks.add_residual("cjt_reconstruction", recon, spec.tol.bound(max(1.0, _spectral_norm(m))))
         results["cjt"] = {"refused": False, "rank": outcome.rank}
     return results, checks
 
@@ -270,7 +268,7 @@ def cmd_takagi(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     v, s = takagi(m, spec.tol)
     factors = polar(m, spec.tol)
     scale = max(1.0, float(s[0]) if s.size else 0.0)
-    bound = 1e3 * spec.tol.eps * scale
+    bound = spec.tol.bound(scale)
     checks = CheckList()
     checks.add_residual("reconstruction", float(np.abs((v * s) @ v.T - m).max()), bound)
     checks.add_residual(
@@ -356,7 +354,7 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
         vn = vn_decomposition(dp.frakA, dp.frakA_star)
         checks.extend(vn.checks, prefix="vn")
         results["vn"] = {"regime": vn.regime}
-        race = race_decomposition(rel, c, dp)
+        race = race_decomposition(dp)
         checks.extend(race.checks, prefix="race")
         results["race"] = {"regime": race.regime, "measurements": race.measurements}
     else:

@@ -66,7 +66,7 @@ def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:
 
 def domain_criterion(a_tilde: LinearRelation, a: LinearRelation, c: Conjugation, atol=None) -> bool:
     """D(adjoint of the extension) = C * D(extension)."""
-    if not a.contained_in(a_tilde):
+    if not a.contained_in(a_tilde, a.tol.bound()):
         raise PreconditionError("the candidate does not extend the given relation")
     lhs = a_tilde.adjoint().domain()
     rhs = c.map_subspace(a_tilde.domain())
@@ -105,8 +105,8 @@ class MSpaces:
     m_astar: Subspace
 
 
-def m_spaces(pair: AdjointPair, strict: bool = True) -> MSpaces:
-    if strict and not pair.b.contained_in(pair.a_star):
+def m_spaces(pair: AdjointPair) -> MSpaces:
+    if not pair.b.contained_in(pair.a_star, pair.a.tol.bound()):
         raise PreconditionError("relation is not C-symmetric; M-spaces are undefined")
     # frakM's basis is the brute-force sweep's coordinate system
     frak_m = _complement_formula_intersect(pair.b_star.graph, complement(pair.a.graph))
@@ -115,7 +115,7 @@ def m_spaces(pair: AdjointPair, strict: bool = True) -> MSpaces:
     m_bstar = compose(pair.a_star, pair.b_star).shifted(1.0).kernel()
     m_astar = compose(pair.b_star, pair.a_star).shifted(1.0).kernel()
     # kernel of I + A*B* = first components of frakM, in every regime
-    bound = 1e3 * frak_m.tol.eps
+    bound = frak_m.tol.bound()
     first = orthonormal_basis(frak_m.basis[:n], frak_m.tol, n)
     first_prime = orthonormal_basis(frak_m_prime.basis[:n], frak_m.tol, n)
     if not subspace_equal(m_bstar, first, bound) or not subspace_equal(m_astar, first_prime, bound):
@@ -133,20 +133,20 @@ def graph_inner(t: LinearRelation, f, g) -> complex:
     return inner(f, g) + inner(tf, tg)
 
 
-def anti_involution(pair: AdjointPair, spaces: MSpaces | None = None) -> AntiLinearMap:
+def anti_involution(pair: AdjointPair, spaces: MSpaces) -> AntiLinearMap:
     """The graph-level anti-unitary S(f, g) = (Cg, -Cf) with S^2 = -I.
 
     S maps frakM onto itself; on first components it acts as A*C, the
     classical anti-involution of the defect space.  Raises when the
     invariance or the square fails beyond tolerance.  ``spaces`` are the
-    pair's M-spaces when already computed.
+    pair's M-spaces.
     """
     k = pair.c.matrix
     n = pair.a.ambient_dim
     z = np.zeros((n, n), dtype=complex)
     s = AntiLinearMap(np.block([[z, k], [-k, z]]), pair.a.tol)
-    frak_m = (m_spaces(pair) if spaces is None else spaces).frakM
-    bound = 1e3 * frak_m.tol.eps
+    frak_m = spaces.frakM
+    bound = frak_m.tol.bound()
     if frak_m.dim:
         image = s.map_subspace(frak_m)
         if not subspace_equal(image, frak_m, bound):

@@ -150,7 +150,7 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     """
     if c.dim != a.ambient_dim:
         raise PreconditionError(f"conjugation dimension {c.dim} != relation ambient {a.ambient_dim}")
-    bound = 1e3 * a.tol.eps
+    bound = a.tol.bound()
     pair = adjoint_pair(a, c)
     frak_a = block_relation(a, pair.b)
     frak_a_star = block_relation(pair.b_star, pair.a_star)
@@ -190,10 +190,10 @@ class DeficiencyReport:
 
 def deficiency(dp: DoubledProblem) -> DeficiencyReport:
     """Deficiency subspaces with the bijection and componentwise checks."""
-    if not dp.b.contained_in(dp.a_star):
+    bound = dp.tol.bound()
+    if not dp.b.contained_in(dp.a_star, bound):
         raise PreconditionError("relation is not C-symmetric; deficiency theory needs symmetry upstairs")
     checks = CheckList()
-    bound = 1e3 * dp.tol.eps
     checks.add(
         "dim_nplus_equals_dim_nminus",
         dp.n_plus.dim == dp.n_minus.dim,
@@ -241,10 +241,10 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
     """
     if t_star is None:
         t_star = t.adjoint()
-    if not t.contained_in(t_star):
-        raise PreconditionError("relation is not symmetric")
     tol = t.tol
-    bound = 1e3 * tol.eps
+    bound = tol.bound()
+    if not t.contained_in(t_star, bound):
+        raise PreconditionError("relation is not symmetric")
     n = t.ambient_dim
     checks = CheckList()
     measurements = {}
@@ -302,21 +302,18 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
     )
 
 
-def race_decomposition(a: LinearRelation, c: Conjugation, dp: DoubledProblem = None) -> DecompositionReport:
+def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
     """Defect decompositions of graph(B*) and graph(A*), with the
     self-adjointness corollary: N(I + A*B*) = {0} iff A is C-self-adjoint.
 
     The domain-level forms presume single-valued adjoints; outside that
     regime they are reported at graph level and the verbatim versions are
-    skipped rather than silently degraded.  ``dp``, when given, is the
-    doubled problem of (a, c); its cached M-spaces are used.
+    skipped rather than silently degraded.  A and C are those of ``dp``,
+    whose cached M-spaces are used.
     """
-    if dp is None:
-        dp = build_doubled(a, c)
-    pair = dp.pair
+    a, c, pair = dp.a, dp.c, dp.pair
     spaces = dp.spaces  # raises PreconditionError unless C-symmetric
-    tol = a.tol
-    bound = 1e3 * tol.eps
+    bound = dp.tol.bound()
     checks = CheckList()
     measurements = {}
     # graph(B*) = graph(A) + frakM and graph(A*) = graph(B) + frakM'
@@ -336,7 +333,7 @@ def race_decomposition(a: LinearRelation, c: Conjugation, dp: DoubledProblem = N
     checks.add_residual("c_maps_kernels", residual, bound)
     # corollary: trivial kernel iff C-self-adjoint
     kernel_trivial = spaces.m_bstar.dim == 0
-    selfadj = is_c_selfadjoint(a, c)
+    selfadj = is_c_selfadjoint(a, c, bound)
     checks.add(
         "selfadjointness_corollary",
         kernel_trivial == selfadj,

@@ -113,7 +113,7 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
     frakE U frakE U = I; violations are input errors.
     """
     k = dp.n_plus.dim
-    bound = 1e3 * dp.tol.eps
+    bound = dp.tol.bound()
     e_mp, _, _ = _coupling(dp)
     if p.kind == "unitary":
         u = np.asarray(p.matrix, dtype=complex)
@@ -174,7 +174,6 @@ def parameter_as_onb(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionPara
 @dataclass(frozen=True, eq=False)
 class ExtensionResult:
     a_ext: LinearRelation
-    a_ext_star: LinearRelation
     frak_ext: LinearRelation
     parameter: ExtensionParameter
     l_domain: Subspace
@@ -193,7 +192,7 @@ def _deficiency_span(dp: DoubledProblem, p: ExtensionParameter) -> tuple[np.ndar
     """
     u = parameter_as_unitary(dp, p)
     block_res = block_condition_residual(dp, u)
-    if block_res > 1e3 * dp.tol.eps:
+    if block_res > dp.tol.bound():
         raise PropertyViolationError(
             "parameter is admissible for the doubled relation but destroys its block "
             "structure; the self-adjoint extension upstairs is not the double of any "
@@ -236,7 +235,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     u, defect_cols = _deficiency_span(dp, p)
     k = dp.n_plus.dim
     tol = dp.tol
-    bound = 1e3 * tol.eps
+    bound = tol.bound()
     checks = CheckList()
     n2 = 2 * dp.ambient_dim
     frak_ext = LinearRelation(
@@ -290,7 +289,6 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     }
     return ExtensionResult(
         a_ext,
-        a_ext.adjoint(),
         frak_ext,
         ExtensionParameter("unitary", u),
         l_domain,
@@ -310,8 +308,7 @@ def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Sub
     checked as subspace identities.
     """
     checks = CheckList()
-    tol = dp.tol
-    bound = 1e3 * tol.eps
+    bound = dp.tol.bound()
     frak_m = dp.spaces.frakM
     l_graph = res.l_graph
     s_image = dp.s_map.map_subspace(l_graph)
@@ -335,11 +332,13 @@ def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Sub
         subspace_equal(dom_sum, res.a_ext.domain(), bound),
         detail=f"dims {dp.a.domain().dim}+{res.l_domain.dim} vs {res.a_ext.domain().dim}",
     )
+    # D(A_ext*) = mul(A_ext)^perp in finite dimensions, so A_ext* is not built
+    star_domain = complement(res.a_ext.multivalued_part())
     star_sum = subspace_sum(dp.b.domain(), res.l_domain_star)
     checks.add(
         "domain_sum_star",
-        subspace_equal(star_sum, res.a_ext_star.domain(), bound),
-        detail=f"dims {dp.b.domain().dim}+{res.l_domain_star.dim} vs {res.a_ext_star.domain().dim}",
+        subspace_equal(star_sum, star_domain, bound),
+        detail=f"dims {dp.b.domain().dim}+{res.l_domain_star.dim} vs {star_domain.dim}",
     )
     return res.l_domain, res.l_domain_star, checks
 
@@ -401,23 +400,23 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
     a_tilde = LinearRelation(
         orthonormal_basis(np.hstack([dp.a.graph.basis, l_cols]), dp.tol, 2 * dp.ambient_dim)
     )
-    param = recover_parameter(dp, a_tilde, verify=False)
-    res = extension_from_parameter(dp, param)
-    if not res.a_ext.equals(a_tilde, 1e3 * dp.tol.eps):
+    res = extension_from_parameter(dp, recover_parameter(dp, a_tilde))
+    if not res.a_ext.equals(a_tilde, dp.tol.bound()):
         raise PropertyViolationError("canonical extension failed the parameter round trip", {})
     return res
 
 
-def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation, verify: bool = True) -> ExtensionParameter:
+def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionParameter:
     """Parameter of a given C-self-adjoint extension, via the Cayley transform.
 
     The doubled extension is self-adjoint, so V(b + ia) = b - ia over its
     graph pairs (a, b) is an everywhere-defined unitary; its restriction to
-    N+ is the wanted U.
+    N+ is the wanted U.  Rebuilding the extension from it is left to callers.
     """
-    if not dp.a.contained_in(a_tilde):
+    bound = dp.tol.bound()
+    if not dp.a.contained_in(a_tilde, bound):
         raise PreconditionError("relation does not extend A")
-    if not is_c_selfadjoint(a_tilde, dp.c, 1e3 * dp.tol.eps):
+    if not is_c_selfadjoint(a_tilde, dp.c, bound):
         raise PreconditionError("extension is not C-self-adjoint")
     k = dp.n_plus.dim
     if k == 0:
@@ -438,19 +437,11 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation, verify: bool 
     image = v @ dp.n_plus.basis
     u = dp.n_minus.basis.conj().T @ image
     stray = float(np.abs(image - dp.n_minus.basis @ u).max())
-    if stray > 1e3 * dp.tol.eps:
+    if stray > bound:
         raise PropertyViolationError(
             "Cayley transform does not carry N+ onto N-", {"stray": stray}
         )
-    param = ExtensionParameter("unitary", u)
-    if verify:
-        rebuilt = extension_from_parameter(dp, param)
-        if not rebuilt.a_ext.equals(a_tilde, 1e3 * dp.tol.eps):
-            raise PropertyViolationError(
-                "recovered parameter does not reproduce the extension",
-                {"angle": max_angle_sin(rebuilt.a_ext.graph, a_tilde.graph)},
-            )
-    return param
+    return ExtensionParameter("unitary", u)
 
 
 def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[ExtensionParameter]:
@@ -473,7 +464,7 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
         a_tilde = LinearRelation(
             orthonormal_basis(np.hstack([dp.a.graph.basis, l_cols]), dp.tol, 2 * dp.ambient_dim)
         )
-        u_param = recover_parameter(dp, a_tilde, verify=False)
+        u_param = recover_parameter(dp, a_tilde)
         out.append(parameter_as_conjugation(dp, u_param))
     return out
 
@@ -554,7 +545,7 @@ def brute_force_extensions(
         if cand_graph.dim != dp.a.graph.dim + half:
             return
         cand = LinearRelation(cand_graph)
-        if not is_c_selfadjoint(cand, dp.c, 1e3 * tol.eps):
+        if not is_c_selfadjoint(cand, dp.c, tol.bound()):
             return
         # dedup on the rounded graph projector, which is basis-independent;
         # adding 0.0 normalizes negative zeros so keys are reproducible

@@ -27,9 +27,14 @@ from .errors import InputError
 class Tolerance:
     """Tolerance governing rank decisions and residual comparisons.
 
-    A singular value sigma is treated as zero iff
-    sigma <= eps * max(1, sigma_max).  The same Tolerance object should be
-    threaded through a whole computation.
+    Ranks: a singular value sigma is treated as zero iff
+    sigma <= zero_cutoff(sigma_max) = eps * max(1, sigma_max).  Identities:
+    every check that a residual vanishes compares it with
+    bound(scale) = 1e3 * eps * scale, scale being the norm the residual
+    grows with (1 on orthonormal bases).  The library passes bound() to
+    every predicate; their atol=None default (bare eps) is for callers.
+    The same Tolerance object should be threaded through a whole
+    computation.
     """
 
     eps: float = 1e-10
@@ -40,6 +45,9 @@ class Tolerance:
 
     def zero_cutoff(self, sigma_max: float) -> float:
         return self.eps * max(1.0, float(sigma_max))
+
+    def bound(self, scale: float = 1.0) -> float:
+        return 1e3 * self.eps * scale
 
 
 DEFAULT_TOL = Tolerance()
@@ -74,7 +82,7 @@ class Subspace:
             raise InputError(f"basis has more columns ({b.shape[1]}) than ambient dimension ({b.shape[0]})")
         if b.shape[1]:
             gram_residual = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
-            if gram_residual > 1e3 * self.tol.eps:
+            if gram_residual > self.tol.bound():
                 raise InputError(f"basis columns are not orthonormal (Gram residual {gram_residual:.3e})")
         b = b.copy()
         b.setflags(write=False)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .antilinear import Conjugation, PartialConjugation
 from .errors import InputError, PropertyViolationError
-from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix
+from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _spectral_norm
 from .reporting import CheckList
 
 
@@ -47,7 +47,7 @@ def polar(a, tol: Tolerance = DEFAULT_TOL) -> PolarFactors:
     phase = w[:, :r] @ vh[:r]
     res = float(np.abs(phase @ modulus - a).max()) if a.size else 0.0
     scale = max(1.0, float(s[0]) if s.size else 0.0)
-    if res > 1e3 * tol.eps * scale:
+    if res > tol.bound(scale):
         raise PropertyViolationError(
             "polar reconstruction failed", {"reconstruction": res}
         )
@@ -72,8 +72,7 @@ def conjugation_covariance(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL) -> C
     cac = _conjugated_matrix(a, c)
     p_a = polar(a, tol)
     p_cac = polar(cac, tol)
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    bound = 1e3 * tol.eps * scale
+    bound = tol.bound(max(1.0, _spectral_norm(a)))
     checks = CheckList()
     mod_res = float(np.abs(p_cac.modulus - _conjugated_matrix(p_a.modulus, c)).max())
     checks.add_residual("modulus_covariance", mod_res, bound)
@@ -117,8 +116,7 @@ def cjt_factorization(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL):
     C-self-adjoint.
     """
     a = _as_complex_matrix(a, "matrix")
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    bound = 1e3 * tol.eps * scale
+    bound = tol.bound(max(1.0, _spectral_norm(a)))
     factors = polar(a, tol)
     sa_res = matrix_c_selfadjoint_residual(a, c)
     phase_id_res = float(
@@ -170,8 +168,8 @@ def takagi(a, tol: Tolerance = DEFAULT_TOL, rounding: int = 12):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"factorization needs a square matrix, got shape {a.shape}")
     sym_res = float(np.abs(a - a.T).max()) if a.size else 0.0
-    scale = max(1.0, float(np.linalg.norm(a, 2))) if a.size else 1.0
-    if sym_res > 1e3 * tol.eps * scale:
+    bound = tol.bound(max(1.0, _spectral_norm(a)))
+    if sym_res > bound:
         raise InputError(f"matrix is not symmetric (residual {sym_res:.3e})")
     w, s, v0h = np.linalg.svd(a)
     v0 = v0h.conj().T
@@ -188,7 +186,7 @@ def takagi(a, tol: Tolerance = DEFAULT_TOL, rounding: int = 12):
     v = w @ np.conj(q)
     res = float(np.abs((v * s) @ v.T - a).max())
     unit = float(np.abs(v.conj().T @ v - np.eye(a.shape[0])).max())
-    if max(res, unit) > 1e3 * tol.eps * scale:
+    if max(res, unit) > bound:
         raise PropertyViolationError(
             "symmetric factorization failed", {"reconstruction": res, "unitarity": unit}
         )

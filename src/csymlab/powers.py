@@ -20,7 +20,7 @@ import numpy as np
 
 from .antilinear import Conjugation, SemilinearOperator
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix
+from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _spectral_norm
 from .reporting import CheckList
 
 
@@ -120,8 +120,8 @@ def doubled_power_blocks(
         m, shape_res = _derealify(r_block, antilinear=False)
         cross = max(cross, shape_res, float(np.abs(m - op.matrix).max()))
 
-    scale = max(1.0, float(np.linalg.norm(a, 2)))
-    bound = 1e3 * tol.eps * (1.0 + scale) ** n
+    scale = max(1.0, _spectral_norm(a))
+    bound = tol.bound((1.0 + scale) ** n)
     checks = CheckList()
     checks.add_residual("power_block_identity", block_residual, bound)
     checks.add_residual("power_structural_zeros", structural_zero, bound)
@@ -216,9 +216,9 @@ def power_report(
     base = doubled_power_blocks(a, c, n, tol)
     devs = power_norm_identities(a, c, x, y, n, tol)
     qa = qa_partial_sums(a, c, x, n_terms, tol)
-    scale = max(1.0, float(np.linalg.norm(np.asarray(a), 2)))
+    scale = max(1.0, _spectral_norm(np.asarray(a)))
     # deviations compare squared norms, which grow like ||A||^(2m) at m = 2n+1
-    nbound = 1e3 * tol.eps * (1.0 + scale) ** (4 * n + 2)
+    nbound = tol.bound((1.0 + scale) ** (4 * n + 2))
     nx = max(1.0, float(np.linalg.norm(x)) ** 2 + float(np.linalg.norm(y)) ** 2)
     checks = CheckList()
     checks.extend(base.checks)

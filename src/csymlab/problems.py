@@ -180,11 +180,11 @@ def spec_from_dict(data, name: str | None = None, pointer: str = "") -> ProblemS
                 f"{pointer}/conjugation/matrix: expected {dim} columns, got {matrix.shape[1]}"
             )
         unit, symm = conjugation_axiom_residuals(matrix)
-        if unit > 1e3 * tol.eps:
+        if unit > tol.bound():
             raise InputError(
                 f"{pointer}/conjugation/matrix: not anti-unitary (residual {unit:.3e})"
             )
-        if symm > 1e3 * tol.eps:
+        if symm > tol.bound():
             raise InputError(
                 f"{pointer}/conjugation/matrix: not an involution, matrix must be "
                 f"symmetric (residual {symm:.3e})"
@@ -206,7 +206,7 @@ def spec_from_dict(data, name: str | None = None, pointer: str = "") -> ProblemS
                 f"{pointer}/operator/domain_basis: columns are linearly dependent"
             )
         gram = float(np.abs(domain.conj().T @ domain - np.eye(domain.shape[1])).max())
-        if gram > 1e3 * tol.eps:
+        if gram > tol.bound():
             warnings.warn(
                 f"domain basis is not orthonormal (Gram residual {gram:.3e}); "
                 "it will be orthonormalized",

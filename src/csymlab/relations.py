@@ -86,7 +86,14 @@ class LinearRelation:
         return self.domain().dim == self.ambient_dim
 
     def adjoint(self) -> "LinearRelation":
-        """graph(R*) = orthogonal complement of {(y, -x) : (x, y) in graph(R)}."""
+        """graph(R*) = orthogonal complement of {(y, -x) : (x, y) in graph(R)}.
+
+        Built on the first call and then reused, like domain().
+        """
+        return self._adjoint
+
+    @cached_property
+    def _adjoint(self) -> "LinearRelation":
         flipped = np.vstack([self._bottom(), -self._top()])
         return LinearRelation(complement(orthonormal_basis(flipped, self.tol, 2 * self.ambient_dim)))
 
@@ -124,11 +131,6 @@ class LinearRelation:
         cols = np.vstack([self._top(), self._bottom() + lam * self._top()])
         return LinearRelation(orthonormal_basis(cols, self.tol))
 
-    def scaled(self, alpha: complex) -> "LinearRelation":
-        """alpha * R: {(x, alpha*y)}; for alpha = 0 this is the zero operator on the domain."""
-        cols = np.vstack([self._top(), alpha * self._bottom()])
-        return LinearRelation(orthonormal_basis(cols, self.tol))
-
     def contained_in(self, other: "LinearRelation", atol=None) -> bool:
         return is_subspace_of(self.graph, other.graph, atol)
 
@@ -141,7 +143,7 @@ class LinearRelation:
         if not self.is_operator:
             raise PreconditionError("relation is multivalued; apply_vector needs an operator")
         dom = self.domain()
-        if not dom.contains_vector(x, 1e3 * self.tol.eps):
+        if not dom.contains_vector(x, self.tol.bound()):
             raise PreconditionError("vector is outside the domain")
         # graph columns (d_j, v_j): solve for coefficients of x in the tops
         coeff, *_ = np.linalg.lstsq(self._top(), x, rcond=None)
@@ -164,10 +166,6 @@ def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
         raise InputError(f"square matrix required, got shape {m.shape}")
     cols = np.vstack([np.eye(m.shape[0], dtype=complex), m])
     return LinearRelation(orthonormal_basis(cols, tol))
-
-
-def identity_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
-    return from_matrix(np.eye(n, dtype=complex), tol)
 
 
 def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:

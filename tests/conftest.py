@@ -1,4 +1,5 @@
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ def count_calls(monkeypatch, owner, name):
     """Count calls of owner.name.
 
     owner is a module, whose function is patched in every csymlab module
-    that binds it, or a class, whose method is patched on the class.
+    that binds it, or a class, whose method is patched on the class.  For a
+    cached_property the body is counted, i.e. once per instance it builds.
     """
     original = getattr(owner, name)
     calls = []
@@ -29,6 +31,11 @@ def count_calls(monkeypatch, owner, name):
         return original(*args, **kwargs)
 
     if isinstance(owner, type):
+        prop = vars(owner).get(name)
+        if isinstance(prop, cached_property):
+            original = prop.func
+            counted = cached_property(counted)
+            counted.__set_name__(owner, name)
         monkeypatch.setattr(owner, name, counted)
         return calls
     for mod_name, mod in list(sys.modules.items()):

@@ -140,7 +140,7 @@ def test_criterion_05_extension_soundness():
                 graphs.append(res.a_ext.graph)
             built += 1
             contains = cs.max_angle_sin(dp.a.graph, graphs[0]) <= 1e-9
-            csa = res.a_ext.conjugated(dp.c).equals(res.a_ext_star, 1e-9)
+            csa = res.a_ext.conjugated(dp.c).equals(res.a_ext.adjoint(), 1e-9)
             same = all(cs.subspace_equal(graphs[0], g, 1e-9) for g in graphs[1:])
             if not (contains and csa and same):
                 bad += 1
@@ -161,7 +161,7 @@ def test_criterion_06_extension_completeness():
         hits = cs.brute_force_extensions(dp, budget=10**4, seed=0)
         counts[label] = len(hits)
         for h in hits:
-            p = cs.recover_parameter(dp, h, verify=False)
+            p = cs.recover_parameter(dp, h)
             rebuilt = cs.extension_from_parameter(dp, p)
             if not rebuilt.a_ext.equals(h, 1e-9):
                 bad += 1
@@ -353,7 +353,7 @@ def test_criterion_12_decompositions():
             rel = cs.LinearRelation(
                 cs.orthonormal_basis(np.vstack([dom.basis, a @ dom.basis]), ambient_dim=2 * n)
             )
-        race = cs.race_decomposition(rel, c)
+        race = cs.race_decomposition(cs.build_doubled(rel, c))
         corollary = race.measurements["dim_kernel"] == 0
         if corollary != cs.is_c_selfadjoint(rel, c) or not race.checks.all_pass:
             disagreements += 1

@@ -48,11 +48,6 @@ def test_antilinearity_of_apply(rng):
     np.testing.assert_allclose(c.apply(2j * x), -2j * c.apply(x), atol=1e-12)
 
 
-def test_is_conjugation_predicate(rng):
-    assert cs.is_conjugation(cs.entrywise_conjugation(3).matrix)
-    assert not cs.is_conjugation(np.diag([1.0, 2.0]).astype(complex))
-
-
 def test_invariant_onb_properties(rng):
     for _ in range(40):
         n = int(rng.integers(1, 9))
@@ -93,8 +88,8 @@ def test_invariant_onb_rejects_noninvariant_subspace(rng):
 def test_conjugation_from_onb_roundtrip(rng):
     c = cs.random_conjugation(6, rng)
     onb = cs.invariant_onb(c, cs.full_space(6))
-    rebuilt = cs.conjugation_from_onb(onb)
-    np.testing.assert_allclose(rebuilt.matrix, c.matrix, atol=1e-9)
+    # the conjugation fixing every column of an orthonormal basis V is V V^T
+    np.testing.assert_allclose(onb @ onb.T, c.matrix, atol=1e-9)
 
 
 def test_partial_conjugation_axioms(rng):
@@ -120,7 +115,7 @@ def test_semilinear_composition_signs(rng):
     a = random_complex(rng, 3, 3)
     b = random_complex(rng, 3, 3)
     x = random_complex(rng, 3)
-    lin = cs.SemilinearOperator.from_linear(a)
+    lin = cs.SemilinearOperator(a, False)
     anti = cs.SemilinearOperator.from_antilinear(b)
     # (anti o anti) is linear, (anti o lin) stays antilinear
     assert not (anti @ anti).antilinear
@@ -141,7 +136,7 @@ def test_semilinear_power_matches_iterated_apply(rng):
 
 def test_realify_intertwines_apply(rng):
     m = random_complex(rng, 3, 3)
-    for op in (cs.SemilinearOperator.from_linear(m), cs.SemilinearOperator.from_antilinear(m)):
+    for op in (cs.SemilinearOperator(m, False), cs.SemilinearOperator.from_antilinear(m)):
         r = op.realify()
         x = random_complex(rng, 3)
         stacked = np.concatenate([x.real, x.imag])

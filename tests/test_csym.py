@@ -98,8 +98,9 @@ def test_graph_inner(rng):
 def test_anti_involution_square_and_invariance():
     spec = cs.zero_on_subspace(4)
     pair = cs.adjoint_pair(spec.relation(), spec.conjugation())
-    s = cs.anti_involution(pair)
-    frak_m = cs.m_spaces(pair).frakM
+    spaces = cs.m_spaces(pair)
+    s = cs.anti_involution(pair, spaces)
+    frak_m = spaces.frakM
     # S^2 = -I on frakM and S frakM = frakM
     for v in frak_m.basis.T:
         np.testing.assert_allclose(s.apply(s.apply(v)), -v, atol=1e-10)

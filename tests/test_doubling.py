@@ -178,9 +178,8 @@ def test_vn_rejects_nonsymmetric(rng):
 
 
 def test_race_decomposition_fixture_measurements():
-    rep = cs.race_decomposition(
-        cs.zero_on_subspace(4).relation(), cs.zero_on_subspace(4).conjugation()
-    )
+    spec = cs.zero_on_subspace(4)
+    rep = cs.race_decomposition(cs.build_doubled(spec.relation(), spec.conjugation()))
     assert rep.regime == "relation"
     assert rep.checks.all_pass, rep.checks.to_list()
     # kernel dim 2 but 2 dim N+ = 8: the operator-regime count fails here,
@@ -191,7 +190,7 @@ def test_race_decomposition_fixture_measurements():
 def test_race_decomposition_operator_regime(rng):
     c = cs.random_conjugation(4, rng)
     a = cs.from_matrix(cs.random_csym_matrix(4, rng, c))
-    rep = cs.race_decomposition(a, c)
+    rep = cs.race_decomposition(cs.build_doubled(a, c))
     assert rep.regime == "operator"
     assert rep.checks.all_pass
     assert rep.measurements["dim_kernel"] == 0
@@ -199,6 +198,6 @@ def test_race_decomposition_operator_regime(rng):
 
 def test_race_corollary_detects_nonselfadjoint():
     spec = cs.random_restriction(5, seed=4)
-    rep = cs.race_decomposition(spec.relation(), spec.conjugation())
+    rep = cs.race_decomposition(cs.build_doubled(spec.relation(), spec.conjugation()))
     assert rep.measurements["dim_kernel"] > 0
     assert rep.checks.all_pass  # the corollary check passes because both sides agree

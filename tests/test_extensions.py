@@ -130,7 +130,7 @@ def test_extension_soundness_on_fixtures():
             res = cs.extension_from_parameter(dp, p)
             assert res.checks.all_pass, (spec.name, res.checks.to_list())
             assert dp.a.contained_in(res.a_ext, 1e-9)
-            assert res.a_ext.conjugated(dp.c).equals(res.a_ext_star, 1e-9)
+            assert res.a_ext.conjugated(dp.c).equals(res.a_ext.adjoint(), 1e-9)
 
 
 def test_canonical_extension_and_swap():
@@ -162,7 +162,7 @@ def test_recover_parameter_roundtrip():
     for spec in FIXTURES():
         dp = doubled(spec)
         res = cs.canonical_extension(dp)
-        p = cs.recover_parameter(dp, res.a_ext)  # verify=True path
+        p = cs.recover_parameter(dp, res.a_ext)
         rebuilt = cs.extension_from_parameter(dp, p)
         assert rebuilt.a_ext.equals(res.a_ext, 1e-9)
         np.testing.assert_allclose(p.matrix, res.parameter.matrix, atol=1e-9)
@@ -214,7 +214,7 @@ def test_brute_force_f_min_members():
     assert any(not h.is_operator for h in hits)
     # every hit is a genuine extension that round-trips through the parameter
     for h in hits[:50]:
-        p = cs.recover_parameter(dp, h, verify=False)
+        p = cs.recover_parameter(dp, h)
         rebuilt = cs.extension_from_parameter(dp, p)
         assert rebuilt.a_ext.equals(h, 1e-9)
 

@@ -1,5 +1,9 @@
 """Subspace arithmetic against a Gram-determinant rank oracle."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,6 +121,22 @@ def test_tolerance_validation():
     with pytest.raises(cs.InputError):
         cs.Tolerance(eps=-1.0)
     assert cs.DEFAULT_TOL.zero_cutoff(10.0) == pytest.approx(10.0 * cs.DEFAULT_TOL.eps)
+
+
+def test_check_bound_lives_in_tolerance_only():
+    # one tolerance policy: the 1e3 factor of the check bound is written in
+    # Tolerance.bound and nowhere else in the package
+    src = Path(cs.__file__).parent
+    tree = ast.parse((src / "linalg.py").read_text())
+    tol_cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Tolerance")
+    literal = re.compile(r"\b1e3\s*\*")
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            inside = path.name == "linalg.py" and tol_cls.lineno <= lineno <= tol_cls.end_lineno
+            if literal.search(line) and not inside:
+                stray.append(f"{path.name}:{lineno}")
+    assert not stray
 
 
 def test_zero_and_full():

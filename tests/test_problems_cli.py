@@ -269,14 +269,44 @@ def test_cli_verify_all_builds_relation_once(monkeypatch, capsys):
 
 
 def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
-    # two in check (C-symmetry and the domain criterion), one for A while
-    # doubling, one per canonical extension; the C-symmetry gate reuses
-    # check's answer, frakA* is assembled from A* and B*, and
-    # C-self-adjointness and vn build none
-    calls = count_calls(monkeypatch, cs.LinearRelation, "adjoint")
+    # A* is built once, by check's C-symmetry test, and reused from the cache
+    # by the domain criterion and the doubling; frakA* is assembled from A*
+    # and B*, and C-self-adjointness, the extensions' domain_sum_star and vn
+    # build none
+    calls = count_calls(monkeypatch, cs.LinearRelation, "_adjoint")
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
-    assert len(calls) == 5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["deficiency", "verify-all"])
+def test_cli_one_bound_for_check_and_deficiency(tmp_path, capsys, command):
+    # a symmetric matrix plus an antisymmetric perturbation of 2-norm 1e-9:
+    # check calls it C-symmetric (weak residual ~2e-10 is within the check
+    # bound), so the deficiency precondition must accept it at that bound too
+    a = cs.random_symmetric(6, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    k = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    k = k - k.T
+    m = a + 1e-9 * k / np.linalg.norm(k, 2)
+    spec = cs.ProblemSpec("perturbed", 6, "entrywise", None, None, m, cs.DEFAULT_TOL)
+    path = write_spec(tmp_path, spec.to_json_dict())
+    assert main(["check", "--spec", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["c_symmetric"] is True
+    assert main([command, "--spec", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_pass"] is True
+    assert all(ch["status"] != "fail" for ch in out["check_list"])
+    if command == "verify-all":
+        assert out["results"]["check"]["c_symmetric"] is True
+
+
+def test_cli_verify_all_fails_with_zero_check_bound(monkeypatch, capsys):
+    # mutation: every identity check reads Tolerance.bound, so a zero bound
+    # must make the report fail
+    monkeypatch.setattr(cs.Tolerance, "bound", lambda self, scale=1.0: 0.0)
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) != 0
+    capsys.readouterr()
 
 
 def test_cli_verify_all_runs_full_extension_only_for_canonical(monkeypatch, capsys):
