@@ -138,6 +138,19 @@ class DoubledProblem:
         """The anti-involution S(f, g) = (Cg, -Cf), checked on frakM."""
         return anti_involution(self.pair, self.spaces)
 
+    @cached_property
+    def coupling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinate matrices of frakE: N+ -> N-, frakE: N- -> N+ (antilinear)
+        and D = diag(-I, I): N- -> N+ (linear), in the deficiency bases."""
+        bp, bm = self.n_plus.basis, self.n_minus.basis
+        k2 = self.frakC.matrix
+        n = self.ambient_dim
+        signs = np.concatenate([-np.ones(n), np.ones(n)])
+        e_mp = bm.conj().T @ k2 @ np.conj(bp)
+        e_pm = bp.conj().T @ k2 @ np.conj(bm)
+        d_pm = bp.conj().T @ (signs[:, None] * bm)
+        return e_mp, e_pm, d_pm
+
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     """Assemble frakA, frakE and the deficiency subspaces of frakA*.

@@ -29,6 +29,11 @@ every C-self-adjoint extension induces, through its own doubled relation,
 a parameter satisfying both conditions (recover_parameter), and every such
 parameter arises this way.  Soundness and completeness are both exercised
 against brute force in the tests.
+
+The brute-force sweep decides in frakM coordinates and lifts only distinct
+survivors to C^(2n): its filter ||L^H W conj(L)||_2 is the 2-norm of a block
+of the direct adjoint-gap matrix of graph(A) + L, which never exceeds the
+matrix's, so it cannot reject a candidate the direct test accepts.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     _complement_formula_intersect,
+    _spectral_norm,
     complement,
     max_angle_sin,
     orthonormal_basis,
@@ -79,21 +85,9 @@ class ExtensionParameter:
         object.__setattr__(self, "matrix", m)
 
 
-def _coupling(dp: DoubledProblem):
-    """Coordinate matrices of frakE and D = diag(-I, I) between N+ and N-."""
-    bp, bm = dp.n_plus.basis, dp.n_minus.basis
-    k2 = dp.frakC.matrix
-    n = dp.ambient_dim
-    d_amb = np.diag(np.concatenate([-np.ones(n), np.ones(n)])).astype(complex)
-    e_mp = bm.conj().T @ k2 @ np.conj(bp)  # frakE: N+ -> N-, antilinear coords
-    e_pm = bp.conj().T @ k2 @ np.conj(bm)
-    d_pm = bp.conj().T @ d_amb @ bm  # D: N- -> N+, linear coords
-    return e_mp, e_pm, d_pm
-
-
 def frakE_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
     """|| (frakE U)^2 - I || on N+ in coordinates."""
-    _, e_pm, _ = _coupling(dp)
+    _, e_pm, _ = dp.coupling
     g = e_pm @ np.conj(u)  # anti-linear matrix of frakE о U on N+
     k = u.shape[0]
     return float(np.abs(g @ np.conj(g) - np.eye(k)).max()) if k else 0.0
@@ -101,7 +95,7 @@ def frakE_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
 
 def block_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
     """|| D U D U - I || on N+; zero iff the doubled extension stays block."""
-    _, _, d_pm = _coupling(dp)
+    _, _, d_pm = dp.coupling
     k = u.shape[0]
     return float(np.abs(d_pm @ u @ d_pm @ u - np.eye(k)).max()) if k else 0.0
 
@@ -114,7 +108,7 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
     """
     k = dp.n_plus.dim
     bound = dp.tol.bound()
-    e_mp, _, _ = _coupling(dp)
+    e_mp, _, _ = dp.coupling
     if p.kind == "unitary":
         u = np.asarray(p.matrix, dtype=complex)
         if u.shape != (k, k):
@@ -155,7 +149,7 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
 
 def parameter_as_conjugation(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionParameter:
     u = parameter_as_unitary(dp, p)
-    _, e_pm, _ = _coupling(dp)
+    _, e_pm, _ = dp.coupling
     return ExtensionParameter("conjugation", e_pm @ np.conj(u))
 
 
@@ -421,7 +415,9 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     k = dp.n_plus.dim
     if k == 0:
         return ExtensionParameter("unitary", np.zeros((0, 0)))
-    frak_t = block_relation(a_tilde, a_tilde.conjugated(dp.c))
+    # C is antiunitary, so the C-image of the orthonormal graph basis is orthonormal
+    conj_tilde = LinearRelation(Subspace(a_tilde.conjugated_basis(dp.c), dp.tol))
+    frak_t = block_relation(a_tilde, conj_tilde)
     n2 = 2 * dp.ambient_dim
     g = frak_t.graph.basis
     if g.shape[1] != n2:
@@ -469,49 +465,50 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
     return out
 
 
-def brute_force_extensions(
-    dp: DoubledProblem, budget: int = 10000, seed: int = 0, max_hits: int | None = 1000
-) -> list[LinearRelation]:
-    """Sampled search for C-self-adjoint extensions, independent of the
-    parameterization machinery.
+def _omega_coords(dp: DoubledProblem, frak_m: Subspace) -> np.ndarray:
+    """W = (J M)^H K^ conj(M) for the frakM basis M, J(x, y) = (y, -x) and
+    K^ = diag(K, K): the form omega(x, y) = <Jx, Cy> on frakM in coordinates."""
+    n = dp.ambient_dim
+    top, bot = frak_m.basis[:n], frak_m.basis[n:]
+    k = dp.c.matrix
+    return bot.conj().T @ (k @ np.conj(top)) - top.conj().T @ (k @ np.conj(bot))
 
-    Candidates are midpoint subspaces graph(A) + L with L inside frakM of
-    half its dimension, drawn from a deterministic structured sweep (pairs
-    of pool vectors rotated through a small angle/phase grid, completed
-    greedily when half-dimension exceeds one), a stream of isotropic
-    completions of random first vectors, and raw random subspaces of frakM.
-    Each candidate is kept iff the direct C-self-adjointness test passes.
-    Results are deduplicated and deterministic for a fixed seed.
 
-    When the family is continuous nearly every half-dimension-one candidate
-    is a distinct hit, so the returned list is capped at max_hits (sampling
-    stops once the cap is reached; the structured sweep runs first and is
-    never truncated by the random streams).  Pass None to disable the cap.
+def _omega_residual(w: np.ndarray, l_coords: np.ndarray) -> float:
+    """||L^H W conj(L)||_2, the frakM block of the adjoint-gap matrix of
+    graph(A) + M L for orthonormal L (see brute_force_extensions)."""
+    return _spectral_norm(l_coords.conj().T @ w @ np.conj(l_coords))
+
+
+def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
+    """frakM basis directions plus the members aligned with one coordinate
+    block (pure first or pure second component), in frakM coordinates.
+
+    The pool's basis is part of the sweep, so it keeps the complement formula.
     """
+    m = frak_m.dim
+    n, n2 = dp.ambient_dim, 2 * dp.ambient_dim
+    pool = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
+    for block in (slice(0, n), slice(n, n2)):
+        aligned = np.zeros((n2, n), dtype=complex)
+        aligned[block] = np.eye(n)
+        part = _complement_formula_intersect(frak_m, Subspace(aligned, dp.tol))
+        coords = frak_m.basis.conj().T @ part.basis
+        pool.extend(coords[:, j] for j in range(part.dim))
+    return pool
+
+
+def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
+    """The brute-force sweep's `budget` candidates L, m x h in frakM
+    coordinates, in order; None stands for a first vector whose isotropic
+    completion lost rank.  frakM must have even dimension 0 < m <= 8."""
     frak_m = dp.spaces.frakM
-    if frak_m.dim > 8:
-        raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
-    if frak_m.dim == 0:
-        return [dp.a]
-    if frak_m.dim % 2:
-        raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     m = frak_m.dim
     half = m // 2
-    n2 = 2 * dp.ambient_dim
     tol = dp.tol
     rng = np.random.default_rng(seed)
     s_coord = _anti_involution_coords(dp, frak_m)
-
-    # pool: frakM basis directions plus the members aligned with one
-    # coordinate block (pure first or pure second component); the pool's
-    # basis is part of the sweep, so it keeps the complement formula
-    pool = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
-    for block in (slice(0, dp.ambient_dim), slice(dp.ambient_dim, n2)):
-        aligned = np.zeros((n2, dp.ambient_dim), dtype=complex)
-        aligned[block] = np.eye(dp.ambient_dim)
-        part = _complement_formula_intersect(frak_m, Subspace(aligned, tol))
-        coords = frak_m.basis.conj().T @ part.basis
-        pool.extend(coords[:, j] for j in range(part.dim))
+    pool = _sweep_pool(dp, frak_m)
 
     def first_vectors():
         angles = (0.0, np.pi / 4, np.pi / 2)
@@ -527,51 +524,83 @@ def brute_force_extensions(
                         if nv > 1e-8:
                             yield v / nv
 
-    def candidate_from_first(v):
-        try:
-            return _greedy_isotropic(s_coord, m, tol, first=v)
-        except PropertyViolationError:
-            return None
-
-    hits: list[LinearRelation] = []
-    seen: set[bytes] = set()
-
-    def consider(l_coords):
-        if l_coords is None:
-            return
-        l_cols = frak_m.basis @ l_coords
-        cols = np.hstack([dp.a.graph.basis, l_cols])
-        cand_graph = orthonormal_basis(cols, tol, n2)
-        if cand_graph.dim != dp.a.graph.dim + half:
-            return
-        cand = LinearRelation(cand_graph)
-        if not is_c_selfadjoint(cand, dp.c, tol.bound()):
-            return
-        # dedup on the rounded graph projector, which is basis-independent;
-        # adding 0.0 normalizes negative zeros so keys are reproducible
-        key = (np.round(cand_graph.projector(), 8) + 0.0).tobytes()
-        if key in seen:
-            return
-        seen.add(key)
-        hits.append(cand)
-
-    def full() -> bool:
-        return max_hits is not None and len(hits) >= max_hits
-
     evaluated = 0
     for v in first_vectors():
-        if evaluated >= budget or full():
+        if evaluated >= budget:
             break
-        consider(candidate_from_first(v) if half > 1 else v.reshape(-1, 1))
+        if half > 1:
+            try:
+                l_coords = _greedy_isotropic(s_coord, m, tol, first=v)
+            except PropertyViolationError:
+                l_coords = None
+            yield l_coords
+        else:
+            yield v.reshape(-1, 1)
         evaluated += 1
     iso_share = max(0, (budget - evaluated) // 10)
     for _ in range(iso_share):
-        if full():
-            break
-        consider(_greedy_isotropic(s_coord, m, tol, rng=rng))
-        evaluated += 1
-    while evaluated < budget and not full():
+        yield _greedy_isotropic(s_coord, m, tol, rng=rng)
+    for _ in range(budget - evaluated - iso_share):
         z = rng.standard_normal((m, half)) + 1j * rng.standard_normal((m, half))
-        consider(orthonormal_basis(z, tol, m).basis)
-        evaluated += 1
+        yield orthonormal_basis(z, tol, m).basis
+
+
+def brute_force_extensions(
+    dp: DoubledProblem, budget: int = 10000, seed: int = 0, max_hits: int | None = 1000
+) -> list[LinearRelation]:
+    """Sampled search for C-self-adjoint extensions, independent of the
+    parameterization machinery.
+
+    Candidates are midpoint subspaces graph(A) + L with L inside frakM of
+    half its dimension, drawn from a deterministic structured sweep (pairs
+    of pool vectors rotated through a small angle/phase grid, completed
+    greedily when half-dimension exceeds one), a stream of isotropic
+    completions of random first vectors, and raw random subspaces of frakM.
+    Each candidate is kept iff the direct C-self-adjointness test passes.
+    Results are deduplicated and deterministic for a fixed seed.
+
+    Candidates are filtered and deduplicated in frakM coordinates, and only
+    new survivors are lifted to C^(2n) for the direct test.  With M the
+    frakM basis, L orthonormal and W = (J M)^H K^ conj(M), the h x h matrix
+    L^H W conj(L) is the lower-right block of the adjoint-gap matrix
+    (J G)^H K^ conj(G) of G = [graph(A), M L], and a block's 2-norm never
+    exceeds the matrix's, so the filter never drops a candidate the direct
+    test would accept.
+
+    When the family is continuous nearly every half-dimension-one candidate
+    is a distinct hit, so the returned list is capped at max_hits (sampling
+    stops once the cap is reached; the structured sweep runs first and is
+    never truncated by the random streams).  Pass None to disable the cap.
+    """
+    frak_m = dp.spaces.frakM
+    if frak_m.dim > 8:
+        raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
+    if frak_m.dim == 0:
+        return [dp.a]
+    if frak_m.dim % 2:
+        raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
+    tol = dp.tol
+    bound = tol.bound()
+    w = _omega_coords(dp, frak_m)
+    hits: list[LinearRelation] = []
+    seen: set[bytes] = set()
+    for l_coords in _sweep_candidates(dp, budget, seed):
+        if max_hits is not None and len(hits) >= max_hits:
+            break
+        if l_coords is None:
+            continue
+        span = orthonormal_basis(l_coords, tol, frak_m.dim)
+        if 2 * span.dim != frak_m.dim or _omega_residual(w, span.basis) > bound:
+            continue
+        # dedup on the rounded projector of L, which is basis-independent;
+        # adding 0.0 normalizes negative zeros so keys are reproducible
+        key = (np.round(span.projector(), 8) + 0.0).tobytes()
+        if key in seen:
+            continue
+        # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
+        lifted = np.hstack([dp.a.graph.basis, frak_m.basis @ span.basis])
+        cand = LinearRelation(Subspace(lifted, tol))
+        if is_c_selfadjoint(cand, dp.c, bound):
+            seen.add(key)
+            hits.append(cand)
     return hits

@@ -121,24 +121,60 @@ def test_domain_criterion_on_extension():
     assert not cs.domain_criterion(rel.adjoint(), rel, c)
 
 
-def test_selfadjoint_predicate_agrees_with_adjoint_route_on_sweep(monkeypatch):
-    # every candidate the brute-force sweep tests, hits and misses, against
-    # the definition CAC = A* with both sides built
+def _lifted_sweep(example, n):
+    """(dp, W, L, graph(A) + M L) for every candidate L of the budget-200
+    sweep at seed 0, L orthonormalized in frakM coordinates, M the frakM basis."""
+    spec = cs.build_example(example, n=n)
+    dp = cs.build_doubled(spec.relation(), spec.conjugation())
+    frak_m = dp.spaces.frakM
+    w = cs.extensions._omega_coords(dp, frak_m)
+    for l_coords in cs.extensions._sweep_candidates(dp, 200, 0):
+        if l_coords is None:
+            continue
+        span = cs.orthonormal_basis(l_coords, dp.tol, frak_m.dim).basis
+        graph = cs.Subspace(np.hstack([dp.a.graph.basis, frak_m.basis @ span]), dp.tol)
+        yield dp, w, span, cs.LinearRelation(graph)
+
+
+def test_selfadjoint_predicate_agrees_with_adjoint_route_on_sweep():
+    # every candidate of the brute-force sweep, hits and misses: the frakM
+    # residual that filters candidates is a block of the direct adjoint-gap
+    # matrix, so it never exceeds the direct gap, and the direct test agrees
+    # with the definition CAC = A* with both sides built
     verdicts = []
+    fixtures = (
+        ("race_schrodinger", 16),
+        ("zero_on_subspace", 16),
+        ("fd_derivative_minimal", 16),
+        ("race_schrodinger", 32),
+    )
+    for example, n in fixtures:
+        for dp, w, span, cand in _lifted_sweep(example, n):
+            bound = dp.tol.bound()
+            direct = cand.adjoint_gap(cand.conjugated_basis(dp.c))
+            assert cs.extensions._omega_residual(w, span) <= direct + 1e-14
+            fast = cs.is_c_selfadjoint(cand, dp.c, bound)
+            assert fast == cand.conjugated(dp.c).equals(cand.adjoint(), bound)
+            verdicts.append(fast)
+    assert len(verdicts) == 800
+    assert 0 < sum(verdicts) < len(verdicts)
 
-    def compared(a, c, atol=None):
-        fast = cs.is_c_selfadjoint(a, c, atol)
-        assert fast == a.conjugated(c).equals(a.adjoint(), atol)
-        verdicts.append(fast)
-        return fast
 
-    monkeypatch.setattr(cs.extensions, "is_c_selfadjoint", compared)
-    for example in ("race_schrodinger", "zero_on_subspace"):
-        spec = cs.build_example(example, n=16)
-        dp = cs.build_doubled(spec.relation(), spec.conjugation())
-        assert cs.brute_force_extensions(dp, budget=200, seed=0)
-    assert len(verdicts) == 400
-    assert 0 < sum(verdicts) < 400
+def test_sweep_residual_without_conj_fails(monkeypatch):
+    # mutation: L^H W L instead of L^H W conj(L) is no block of the direct
+    # gap matrix; it exceeds the direct gap and drops every hit
+    def unconjugated(w, l_coords):
+        return cs.linalg._spectral_norm(l_coords.conj().T @ w @ l_coords)
+
+    monkeypatch.setattr(cs.extensions, "_omega_residual", unconjugated)
+    above = [
+        cs.extensions._omega_residual(w, span) > cand.adjoint_gap(cand.conjugated_basis(dp.c)) + 1e-14
+        for dp, w, span, cand in _lifted_sweep("race_schrodinger", 16)
+    ]
+    assert any(above)
+    spec = cs.build_example("race_schrodinger", n=16)
+    dp = cs.build_doubled(spec.relation(), spec.conjugation())
+    assert len(cs.brute_force_extensions(dp, budget=200, seed=0)) != 57
 
 
 def test_selfadjoint_needs_graph_dimension_n(rng):

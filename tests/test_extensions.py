@@ -234,6 +234,36 @@ def test_brute_force_selfadjoint_input_returns_input():
     assert len(hits) == 1 and hits[0].equals(dp.a)
 
 
+def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
+    # the sweep decides in frakM coordinates: apart from its pool, built once
+    # per sweep, it runs no SVD with more than m rows, and the direct test in
+    # C^(2n) runs once per distinct survivor (every survivor is a hit here)
+    dp = doubled(cs.race_schrodinger(32))
+    m = dp.spaces.frakM.dim
+    assert dp.s_map  # the problem's cached geometry is built before counting
+    pool, svd = cs.extensions._sweep_pool, np.linalg.svd
+    in_pool, rows = [], []
+
+    def counted_pool(*args):
+        in_pool.append(True)
+        try:
+            return pool(*args)
+        finally:
+            in_pool.pop()
+
+    def counted_svd(a, *args, **kwargs):
+        if not in_pool:
+            rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(cs.extensions, "_sweep_pool", counted_pool)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    direct = count_calls(monkeypatch, cs.csym, "is_c_selfadjoint")
+    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
+    assert rows and max(rows) <= m
+    assert len(direct) == len(hits) == 93
+
+
 @pytest.mark.parametrize("swap", [[], ["--swap"]], ids=["plain", "swap"])
 def test_extend_report_computes_m_spaces_once(monkeypatch, capsys, swap):
     calls = count_calls(monkeypatch, cs.csym, "m_spaces")

@@ -242,12 +242,17 @@ def test_cli_enumerate(capsys):
 
 @pytest.mark.parametrize(
     "example, n, hits, operator_hits",
-    [("race_schrodinger", 16, 57, 57), ("zero_on_subspace", 16, 33, 23), ("race_schrodinger", 32, 93, 88)],
+    [
+        ("race_schrodinger", 16, 57, 57),
+        ("zero_on_subspace", 16, 33, 23),
+        ("race_schrodinger", 32, 93, 88),
+        ("fd_derivative_minimal", 16, 56, 56),
+    ],
 )
 def test_cli_enumerate_pinned_hits(capsys, example, n, hits, operator_hits):
     # the brute-force sweep draws candidates in the bases of frakM and of its
     # aligned pools, so a change to either basis moves these counts (of the
-    # three, only race_schrodinger n=32 moves with the pool basis alone)
+    # first three, only race_schrodinger n=32 moves with the pool basis alone)
     argv = ["enumerate", "--example", example, "--n", str(n), "--budget", "200", "--seed", "0"]
     assert main(argv) == 0
     out = json.loads(capsys.readouterr().out)
