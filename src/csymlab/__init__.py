@@ -71,6 +71,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     complement,
+    extend_basis,
     full_space,
     inner,
     intersect,

@@ -332,33 +332,32 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     results["check"] = res
     checks.extend(sub, prefix="check")
 
-    if res["c_symmetric"]:
-        dp = build_doubled(rel, c)
-        res, sub = cmd_deficiency(spec, args, dp)
-        results["deficiency"] = res
-        checks.extend(sub, prefix="deficiency")
+    # deficiency raises PreconditionError (exit 2) unless A is C-symmetric,
+    # the hypothesis of everything below
+    dp = build_doubled(rel, c)
+    res, sub = cmd_deficiency(spec, args, dp)
+    results["deficiency"] = res
+    checks.extend(sub, prefix="deficiency")
 
-        for label, swap in (("extend", False), ("extend_swap", True)):
-            ext = canonical_extension(dp, swap=swap)
-            checks.extend(ext.checks, prefix=label)
-            _, _, l_checks = l_manifolds(ext, dp)
-            checks.extend(l_checks, prefix=label)
-            results[label] = {"dims": ext.diagnostics["dims"]}
+    for label, swap in (("extend", False), ("extend_swap", True)):
+        ext = canonical_extension(dp, swap=swap)
+        checks.extend(ext.checks, prefix=label)
+        _, _, l_checks = l_manifolds(ext, dp)
+        checks.extend(l_checks, prefix=label)
+        results[label] = {"dims": ext.diagnostics["dims"]}
 
-        enum_args = argparse.Namespace(**vars(args))
-        enum_args.budget = min(args.budget, 200) if args.budget is not None else 200
-        res, sub = cmd_enumerate(spec, enum_args, dp)
-        results["enumerate"] = res
-        checks.extend(sub, prefix="enumerate")
+    enum_args = argparse.Namespace(**vars(args))
+    enum_args.budget = min(args.budget, 200) if args.budget is not None else 200
+    res, sub = cmd_enumerate(spec, enum_args, dp)
+    results["enumerate"] = res
+    checks.extend(sub, prefix="enumerate")
 
-        vn = vn_decomposition(dp.frakA, dp.frakA_star)
-        checks.extend(vn.checks, prefix="vn")
-        results["vn"] = {"regime": vn.regime}
-        race = race_decomposition(dp)
-        checks.extend(race.checks, prefix="race")
-        results["race"] = {"regime": race.regime, "measurements": race.measurements}
-    else:
-        checks.skip("deficiency", "input is not C-symmetric")
+    vn = vn_decomposition(dp.frakA, dp.frakA_star)
+    checks.extend(vn.checks, prefix="vn")
+    results["vn"] = {"regime": vn.regime}
+    race = race_decomposition(dp)
+    checks.extend(race.checks, prefix="race")
+    results["race"] = {"regime": race.regime, "measurements": race.measurements}
 
     if spec.matrix() is not None:
         res, sub = cmd_polar(spec, args)

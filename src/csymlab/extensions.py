@@ -4,8 +4,8 @@ C-symmetric relation.
 Extensions are always constructed at the doubled level: for a unitary
 U: N+ -> N- the graph of frak(A)_U is graph(frakA) plus the deficiency
 span {(w - Uw, i(w + Uw)) : w in N+}, which is self-adjoint by von Neumann
-theory for relations.  The one-space extension is then read off as the
-(y -> v) block slice.
+theory for relations.  Every graph here is grown from a known one by its k
+new directions (linalg.extend_basis), never re-orthonormalized whole.
 
 Two conditions on U play different roles.  The compatibility condition
 frakE U frakE U = I makes the doubled extension frakE-self-adjoint; a
@@ -19,10 +19,13 @@ carrying the block diagnosis, because it marks the boundary where the
 single-valued picture stops and not a caller mistake.
 
 When D U D U = I holds, every element (x, y, v, u) of the doubled extension
-splits into (0, y, v, 0) + (x, 0, 0, u) inside it, so the extension is also
-graph(A) plus the (y, v) rows of the deficiency span (extension_graph);
-without the condition that split fails, so the closed form refuses such
-parameters with the same block diagnosis.
+splits into (0, y, v, 0) + (x, 0, 0, u) inside it, so the one-space
+extension is read off in closed form: S = graph(A) plus the (y, v) rows of
+the deficiency span, and its companion T = graph(B) plus the (x, u) rows.
+The doubled extension always lies inside block_relation(S, T), so the
+block check is a dimension count (dim S + dim T = dim frak(A)_U) plus one
+angle between the two; without the condition the split fails, the slices
+come out too large, and the parameter is refused with the block diagnosis.
 
 The D-condition is not an extra restriction on the extensions themselves:
 every C-self-adjoint extension induces, through its own doubled relation,
@@ -44,13 +47,14 @@ import numpy as np
 
 from .antilinear import AntiLinearMap, conjugation_axiom_residuals, invariant_onb
 from .csym import is_c_selfadjoint
-from .doubling import DoubledProblem, block_relation, block_slices
+from .doubling import DoubledProblem, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     _complement_formula_intersect,
     _spectral_norm,
     complement,
+    extend_basis,
     max_angle_sin,
     orthonormal_basis,
     subspace_equal,
@@ -201,16 +205,14 @@ def _deficiency_span(dp: DoubledProblem, p: ExtensionParameter) -> tuple[np.ndar
 def extension_graph(dp: DoubledProblem, p: ExtensionParameter) -> LinearRelation:
     """The extension attached to a parameter in closed form, unverified.
 
-    graph(A) plus the (y, v) rows of the deficiency span, one rank decision
-    in 2n dimensions.  Raises like extension_from_parameter on invalid or
-    non-block parameters, and PropertyViolationError when the graph does
-    not have dimension dim graph(A) + k/2.
+    graph(A) grown by the (y, v) rows of the deficiency span.  Raises like
+    extension_from_parameter on invalid or non-block parameters, and
+    PropertyViolationError when the graph does not have dimension
+    dim graph(A) + k/2.
     """
     _, defect_cols = _deficiency_span(dp, p)
     n = dp.ambient_dim
-    graph = orthonormal_basis(
-        np.hstack([dp.a.graph.basis, defect_cols[n : 3 * n]]), dp.tol, 2 * n
-    )
+    graph = extend_basis(dp.a.graph, defect_cols[n : 3 * n])
     gap = dp.n_plus.dim - 2 * (graph.dim - dp.a.graph.dim)
     if gap:
         raise PropertyViolationError(
@@ -219,22 +221,38 @@ def extension_graph(dp: DoubledProblem, p: ExtensionParameter) -> LinearRelation
     return LinearRelation(graph)
 
 
+def _closed_form_slices(
+    dp: DoubledProblem, defect_cols: np.ndarray
+) -> tuple[LinearRelation, LinearRelation]:
+    """(S, T) of the doubled extension in closed form: graph(A) grown by the
+    (y, v) rows of the deficiency columns and graph(B) by their (x, u) rows.
+
+    Each column (x, y, v, u) is (0, y, v, 0) + (x, 0, 0, u), so the doubled
+    extension lies in block_relation(S, T) for every parameter; the two are
+    equal iff the extension is block (doubling.block_slices is the oracle).
+    """
+    n = dp.ambient_dim
+    s = extend_basis(dp.a.graph, defect_cols[n : 3 * n])
+    t = extend_basis(dp.b.graph, np.vstack([defect_cols[:n], defect_cols[3 * n :]]))
+    return LinearRelation(s), LinearRelation(t)
+
+
 def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionResult:
     """Build the extension attached to a parameter, with full verification.
 
     Raises InputError for invalid parameter data, PropertyViolationError when
     the parameter is admissible upstairs but the doubled extension has no
-    block structure (D U D U = I fails), carrying the block diagnosis.
+    block structure (D U D U = I fails), carrying the block diagnosis.  When
+    the closed-form slices do not reassemble the doubled extension, the
+    error's ``dims`` is dim S + dim T - dim frak(A)_U: positive when the
+    slices are too large, which is how a non-block extension shows.
     """
     u, defect_cols = _deficiency_span(dp, p)
     k = dp.n_plus.dim
     tol = dp.tol
     bound = tol.bound()
     checks = CheckList()
-    n2 = 2 * dp.ambient_dim
-    frak_ext = LinearRelation(
-        orthonormal_basis(np.hstack([dp.frakA.graph.basis, defect_cols]), tol, 2 * n2)
-    )
+    frak_ext = LinearRelation(extend_basis(dp.frakA.graph, defect_cols))
     if frak_ext.graph.dim != dp.frakA.graph.dim + k:
         raise PropertyViolationError(
             "deficiency span is not independent of the doubled graph",
@@ -243,16 +261,14 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     checks.add_residual("doubled_selfadjoint", frak_ext.adjoint_gap(frak_ext.graph.basis), bound)
     einv_res = max_angle_sin(Subspace(frak_ext.conjugated_basis(dp.frakC), tol), frak_ext.graph)
     checks.add_residual("doubled_frakE_selfadjoint", einv_res, bound)
-    s_block, t_block = block_slices(frak_ext)
-    if s_block.graph.dim + t_block.graph.dim != frak_ext.graph.dim or not block_relation(
-        s_block, t_block
-    ).equals(frak_ext, bound):
+    a_ext, t_block = _closed_form_slices(dp, defect_cols)
+    dims = a_ext.graph.dim + t_block.graph.dim - frak_ext.graph.dim
+    if dims or not block_relation(a_ext, t_block).equals(frak_ext, bound):
         raise PropertyViolationError(
-            "extracted blocks do not reassemble the doubled extension",
-            {"dims": s_block.graph.dim + t_block.graph.dim - frak_ext.graph.dim},
+            "extracted blocks do not reassemble the doubled extension", {"dims": dims}
         )
-    a_ext = s_block
-    conj_ext = a_ext.conjugated(dp.c)
+    # C is antiunitary, so the C-image of the orthonormal graph basis is orthonormal
+    conj_ext = LinearRelation(Subspace(a_ext.conjugated_basis(dp.c), tol))
     checks.add_residual(
         "companion_block_is_conjugated", max_angle_sin(t_block.graph, conj_ext.graph), bound
     )
@@ -262,14 +278,11 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     checks.add_residual("contains_a", max_angle_sin(dp.a.graph, a_ext.graph), bound)
     checks.add_residual("inside_bstar", max_angle_sin(a_ext.graph, dp.b_star.graph), bound)
     # domain-level counterpart of the deficiency span: D(A_U) = D(A) + second components
-    l_domain = orthonormal_basis(defect_cols[dp.ambient_dim : n2], tol, dp.ambient_dim)
+    n = dp.ambient_dim
+    l_domain = orthonormal_basis(defect_cols[n : 2 * n], tol, n)
     l_domain_star = dp.c.map_subspace(l_domain)
-    l_graph = orthonormal_basis(
-        a_ext.graph.basis
-        - dp.a.graph.basis @ (dp.a.graph.basis.conj().T @ a_ext.graph.basis),
-        tol,
-        n2,
-    )
+    # a_ext's basis is [graph(A) basis, new columns], the new ones orthogonal to graph(A)
+    l_graph = Subspace(a_ext.graph.basis[:, dp.a.graph.dim :], tol)
     diagnostics = {
         "is_operator": a_ext.is_operator,
         "is_c_selfadjoint": csa_res <= bound,
@@ -390,10 +403,7 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
     l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol)
     if swap:
         l_coords = s_coord @ np.conj(l_coords)
-    l_cols = frak_m.basis @ l_coords
-    a_tilde = LinearRelation(
-        orthonormal_basis(np.hstack([dp.a.graph.basis, l_cols]), dp.tol, 2 * dp.ambient_dim)
-    )
+    a_tilde = LinearRelation(extend_basis(dp.a.graph, frak_m.basis @ l_coords))
     res = extension_from_parameter(dp, recover_parameter(dp, a_tilde))
     if not res.a_ext.equals(a_tilde, dp.tol.bound()):
         raise PropertyViolationError("canonical extension failed the parameter round trip", {})
@@ -405,7 +415,9 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
 
     The doubled extension is self-adjoint, so V(b + ia) = b - ia over its
     graph pairs (a, b) is an everywhere-defined unitary; its restriction to
-    N+ is the wanted U.  Rebuilding the extension from it is left to callers.
+    N+ is the wanted U.  With P = B + iA and Q = B - iA from the graph basis,
+    V = Q P^-1, so V N+ = Q X for the k columns X solving P X = N+; V itself
+    is never formed.  Rebuilding the extension from U is left to callers.
     """
     bound = dp.tol.bound()
     if not dp.a.contained_in(a_tilde, bound):
@@ -424,13 +436,11 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
         raise PropertyViolationError(
             "doubled extension has the wrong graph dimension", {"dim": g.shape[1]}
         )
-    p_mat = g[n2:] + 1j * g[:n2]
-    q_mat = g[n2:] - 1j * g[:n2]
     try:
-        v = np.linalg.solve(p_mat.T, q_mat.T).T
+        x = np.linalg.solve(g[n2:] + 1j * g[:n2], dp.n_plus.basis)
     except np.linalg.LinAlgError as exc:
         raise PropertyViolationError(f"Cayley transform is not everywhere defined: {exc}", {})
-    image = v @ dp.n_plus.basis
+    image = (g[n2:] - 1j * g[:n2]) @ x
     u = dp.n_minus.basis.conj().T @ image
     stray = float(np.abs(image - dp.n_minus.basis @ u).max())
     if stray > bound:
@@ -456,10 +466,7 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
     s_coord = _anti_involution_coords(dp, frak_m)
     for _ in range(count):
         l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol, rng=rng)
-        l_cols = frak_m.basis @ l_coords
-        a_tilde = LinearRelation(
-            orthonormal_basis(np.hstack([dp.a.graph.basis, l_cols]), dp.tol, 2 * dp.ambient_dim)
-        )
+        a_tilde = LinearRelation(extend_basis(dp.a.graph, frak_m.basis @ l_coords))
         u_param = recover_parameter(dp, a_tilde)
         out.append(parameter_as_conjugation(dp, u_param))
     return out

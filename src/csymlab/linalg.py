@@ -10,6 +10,13 @@ from one SVD in the smaller subspace's dimension.  Operator 2-norms (the
 largest principal-angle sine, the adjoint gap) are read off the top
 eigenvalue of the smaller Gram matrix, with no SVD.
 
+Sums are grown by bordering: extend_basis(S, cols) keeps the basis of S as
+it is and appends an orthonormal basis of what cols add.  The columns are
+projected off S twice, which leaves them orthogonal to S to working
+precision ("twice is enough": Giraud, Langou & Rozloznik, Comput. Math.
+Appl. 50 (2005)), and one SVD of that residual makes the rank decision.  A
+sum thus costs an SVD in the number of new columns, not in dim S + k.
+
 Inner product convention: <u, v> = sum_i u_i * conj(v_i), linear in the
 first argument.
 """
@@ -160,9 +167,29 @@ def complement(s: Subspace) -> Subspace:
     return Subspace(u[:, k:], s.tol)
 
 
+def extend_basis(s: Subspace, cols) -> Subspace:
+    """span(S) + span(cols) with the basis [S.basis, new].
+
+    new is an orthonormal basis of the residual of cols after two
+    projections off S.  The rank cut is tol.zero_cutoff(||cols||_2): the
+    scale comes from the columns as given, so a direction is dropped only
+    when it is at rounding level relative to them, never relative to what
+    is left of them after the projections.
+    """
+    cols = _as_complex_matrix(cols, "cols")
+    if cols.shape[0] != s.ambient_dim:
+        raise InputError(f"columns live in dimension {cols.shape[0]}, subspace in {s.ambient_dim}")
+    if cols.shape[1] == 0:
+        return s
+    residual = cols - s.basis @ (s.basis.conj().T @ cols)
+    residual -= s.basis @ (s.basis.conj().T @ residual)
+    u, sigma, _ = np.linalg.svd(residual, full_matrices=False)
+    rank = int(np.sum(sigma > s.tol.zero_cutoff(_spectral_norm(cols))))
+    return Subspace(np.hstack([s.basis, u[:, :rank]]), s.tol)
+
+
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    _check_same_ambient(s1, s2)
-    return orthonormal_basis(np.hstack([s1.basis, s2.basis]), s1.tol)
+    return extend_basis(s1, s2.basis)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -197,10 +224,13 @@ def _complement_formula_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     Same subspace as intersect, in a different basis.  The brute-force
     sweep draws its candidates in the bases of frakM and of its aligned
     pools, and its hit counts change with those bases, so these two (and
-    nothing else) keep this formula to keep the sweep's hits fixed.
+    nothing else) keep this formula, with the sum taken by one SVD of the
+    stacked complements rather than by extend_basis, to keep the sweep's
+    hits fixed.
     """
     _check_same_ambient(s1, s2)
-    return complement(subspace_sum(complement(s1), complement(s2)))
+    stacked = np.hstack([complement(s1).basis, complement(s2).basis])
+    return complement(orthonormal_basis(stacked, s1.tol))
 
 
 def max_angle_sin(s1: Subspace, s2: Subspace) -> float:

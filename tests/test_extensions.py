@@ -7,7 +7,13 @@ import pytest
 
 import csymlab as cs
 from csymlab.cli import main
-from csymlab.extensions import block_condition_residual, frakE_condition_residual, parameter_as_unitary
+from csymlab.extensions import (
+    _closed_form_slices,
+    _deficiency_span,
+    block_condition_residual,
+    frakE_condition_residual,
+    parameter_as_unitary,
+)
 
 from conftest import count_calls, nonblock_parameter
 
@@ -21,6 +27,13 @@ FIXTURES = lambda: (
 
 def doubled(spec):
     return cs.build_doubled(spec.relation(), spec.conjugation())
+
+
+DEFECT_FIXTURES = pytest.mark.parametrize(
+    "spec",
+    [cs.race_schrodinger(16), cs.zero_on_subspace(8), cs.fd_derivative_minimal(16)],
+    ids=lambda spec: spec.name,
+)
 
 
 def test_parameter_kind_validation():
@@ -304,3 +317,66 @@ def test_extend_fails_when_adjoint_gap_sign_is_flipped(monkeypatch, tmp_path, ca
     res = cs.extension_from_parameter(dp, cs.ExtensionParameter("unitary", param))
     status = {c.name: c.status for c in res.checks}
     assert status["doubled_selfadjoint"] == status["extension_c_selfadjoint"] == "fail"
+
+
+@DEFECT_FIXTURES
+def test_closed_form_slices_match_intersection_oracle(spec):
+    # S and T grown from graph(A) and graph(B) are the slices that
+    # block_slices cuts out of the doubled extension by intersection
+    dp = doubled(spec)
+    bound = dp.tol.bound()
+    for p in cs.sample_parameters(dp, 3, seed=6):
+        _, defect_cols = _deficiency_span(dp, p)
+        s, t = _closed_form_slices(dp, defect_cols)
+        oracle_s, oracle_t = cs.block_slices(cs.extension_from_parameter(dp, p).frak_ext)
+        assert s.equals(oracle_s, bound) and t.equals(oracle_t, bound)
+
+
+@DEFECT_FIXTURES
+def test_block_check_refuses_nonblock_parameter_past_its_gate(monkeypatch, spec):
+    # mutation: with the D U D U = I gate disabled, the non-block parameter
+    # reaches the slices, which come out too large by k in all
+    dp = doubled(spec)
+    p = nonblock_parameter(dp)
+    monkeypatch.setattr(cs.extensions, "block_condition_residual", lambda dp, u: 0.0)
+    with pytest.raises(cs.PropertyViolationError, match="blocks do not reassemble") as info:
+        cs.extension_from_parameter(dp, p)
+    assert info.value.residuals["dims"] == dp.n_plus.dim
+
+
+@DEFECT_FIXTURES
+def test_recover_parameter_matches_full_cayley_transform(spec):
+    dp = doubled(spec)
+    n2 = 2 * dp.ambient_dim
+    for p in cs.sample_parameters(dp, 3, seed=8):
+        a_tilde = cs.extension_graph(dp, p)
+        u = cs.recover_parameter(dp, a_tilde).matrix
+        # reference: V = Q P^-1 on all of C^(2n), restricted to N+ afterwards
+        conj = cs.LinearRelation(cs.Subspace(a_tilde.conjugated_basis(dp.c)))
+        g = cs.block_relation(a_tilde, conj).graph.basis
+        v = np.linalg.solve((g[n2:] + 1j * g[:n2]).T, (g[n2:] - 1j * g[:n2]).T).T
+        reference = dp.n_minus.basis.conj().T @ v @ dp.n_plus.basis
+        np.testing.assert_allclose(u, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["plain", "swap"])
+def test_extension_path_svds_are_bordered(monkeypatch, swap):
+    # graphs are grown by their k new directions: no SVD under the extension
+    # path with 2n rows or more has more than k columns (the problem's cached
+    # defect geometry is built before counting)
+    dp = doubled(cs.race_schrodinger(32, h=0.02))
+    n, k = dp.ambient_dim, dp.n_plus.dim
+    assert dp.s_map is not None and dp.coupling and dp.b.domain()
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    res = cs.canonical_extension(dp, swap=swap)
+    cs.l_manifolds(res, dp)
+    tall = [shape for shape in shapes if shape[0] >= 2 * n]
+    assert max(rows for rows, _ in tall) == 4 * n
+    assert all(cols <= k for _, cols in tall), tall

@@ -271,3 +271,52 @@ def test_kernel_with_wide_residual(n):
     full[:n, :n] = np.eye(n)
     full[n + 1, n] = 1.0
     assert cs.LinearRelation(cs.Subspace(full)).kernel().dim == n
+
+
+@pytest.mark.parametrize("n", [8, 32, 128, 256])
+def test_extend_basis_rank_matches_stacked_svd(rng, n):
+    # columns inside S, fresh columns, and mixtures of both: only the fresh
+    # directions are new, whichever rank route counts them
+    for _ in range(3):
+        d = int(rng.integers(1, n // 2))
+        s = cs.orthonormal_basis(random_complex(rng, n, d))
+        fresh = random_complex(rng, n, int(rng.integers(0, n // 4 + 1)))
+        inside = s.basis @ random_complex(rng, d, 3)
+        mixed = inside[:, :2] + fresh @ random_complex(rng, fresh.shape[1], 2)
+        cols = np.hstack([inside, fresh, mixed])
+        grown = cs.extend_basis(s, cols)
+        stacked = cs.orthonormal_basis(np.hstack([s.basis, cols]))
+        assert grown.dim == stacked.dim == d + fresh.shape[1]
+        np.testing.assert_array_equal(grown.basis[:, :d], s.basis)
+        assert_same_subspace(grown, stacked)
+        gram = np.abs(grown.basis.conj().T @ grown.basis - np.eye(grown.dim)).max()
+        assert gram <= s.tol.bound()
+
+
+@pytest.mark.parametrize("angle, merged", [(1e-13, True), (1e-6, False)])
+def test_extend_basis_angle_threshold(rng, angle, merged):
+    q = cs.orthonormal_basis(random_complex(rng, 12, 3)).basis
+    tilted = np.cos(angle) * q[:, :1] + np.sin(angle) * q[:, 1:2]
+    grown = cs.extend_basis(cs.Subspace(q[:, [0, 2]]), tilted)
+    assert grown.dim == (2 if merged else 3)
+    if not merged:
+        assert abs(abs(np.vdot(q[:, 1], grown.basis[:, 2])) - 1.0) <= 1e3 * MACHINE_EPS
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_extend_basis_rank_is_scale_free(rng, scale):
+    n, d = 40, 10
+    s = cs.orthonormal_basis(random_complex(rng, n, d))
+    fresh = random_complex(rng, n, 3)
+    cols = np.hstack([s.basis @ random_complex(rng, d, 2), fresh, fresh[:, :2] + s.basis[:, :2]])
+    assert cs.extend_basis(s, scale * cols).dim == d + 3
+
+
+def test_extend_basis_returns_s_when_nothing_is_new(rng):
+    s = cs.orthonormal_basis(random_complex(rng, 16, 5))
+    for cols in (np.zeros((16, 0)), np.zeros((16, 2)), s.basis @ random_complex(rng, 5, 3)):
+        np.testing.assert_array_equal(cs.extend_basis(s, cols).basis, s.basis)
+    empty = cs.zero_subspace(16)
+    assert cs.extend_basis(empty, s.basis).dim == 5
+    with pytest.raises(cs.InputError):
+        cs.extend_basis(s, np.ones((15, 1)))

@@ -284,18 +284,24 @@ def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", ["deficiency", "verify-all"])
-def test_cli_one_bound_for_check_and_deficiency(tmp_path, capsys, command):
-    # a symmetric matrix plus an antisymmetric perturbation of 2-norm 1e-9:
-    # check calls it C-symmetric (weak residual ~2e-10 is within the check
-    # bound), so the deficiency precondition must accept it at that bound too
+def perturbed_symmetric_spec(tmp_path, size):
+    """A symmetric matrix plus an antisymmetric perturbation of 2-norm size,
+    under entrywise conjugation, written as a spec file."""
     a = cs.random_symmetric(6, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     k = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     k = k - k.T
-    m = a + 1e-9 * k / np.linalg.norm(k, 2)
+    m = a + size * k / np.linalg.norm(k, 2)
     spec = cs.ProblemSpec("perturbed", 6, "entrywise", None, None, m, cs.DEFAULT_TOL)
-    path = write_spec(tmp_path, spec.to_json_dict())
+    return write_spec(tmp_path, spec.to_json_dict())
+
+
+@pytest.mark.parametrize("command", ["deficiency", "verify-all"])
+def test_cli_one_bound_for_check_and_deficiency(tmp_path, capsys, command):
+    # perturbation 1e-9: check calls it C-symmetric (weak residual ~2e-10 is
+    # within the check bound), so the deficiency precondition must accept it
+    # at that bound too
+    path = perturbed_symmetric_spec(tmp_path, 1e-9)
     assert main(["check", "--spec", path]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["c_symmetric"] is True
     assert main([command, "--spec", path]) == 0
@@ -304,6 +310,20 @@ def test_cli_one_bound_for_check_and_deficiency(tmp_path, capsys, command):
     assert all(ch["status"] != "fail" for ch in out["check_list"])
     if command == "verify-all":
         assert out["results"]["check"]["c_symmetric"] is True
+
+
+def test_cli_verify_all_refuses_input_that_is_not_c_symmetric(tmp_path, capsys):
+    # perturbation 1e-6 (weak residual ~2e-7): check reports it as not
+    # C-symmetric and passes, while verify-all, whose theory needs the
+    # symmetry, refuses it like deficiency does instead of skipping it all
+    path = perturbed_symmetric_spec(tmp_path, 1e-6)
+    assert main(["check", "--spec", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["c_symmetric"] is False
+    for command in ("deficiency", "verify-all"):
+        assert main([command, "--spec", path]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "relation is not C-symmetric" in captured.err
 
 
 def test_cli_verify_all_fails_with_zero_check_bound(monkeypatch, capsys):
