@@ -16,7 +16,9 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _gram_residual,
     _spectral_norm,
+    _trusted,
     complement,
     orthonormal_basis,
 )
@@ -58,9 +60,7 @@ def conjugation_axiom_residuals(matrix) -> tuple[float, float]:
     m = np.asarray(matrix, dtype=complex)
     if not m.size:  # the conjugation on the zero space
         return 0.0, 0.0
-    unit = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-    symm = float(np.abs(m - m.T).max())
-    return unit, symm
+    return _gram_residual(m), float(np.abs(m - m.T).max())
 
 
 class Conjugation(AntiLinearMap):
@@ -154,7 +154,7 @@ def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
     branch_cut = np.sqrt(s.tol.eps)
     found = np.zeros((k, 0), dtype=complex)
     for _ in range(k):
-        v = complement(Subspace(found, s.tol)).basis[:, 0]
+        v = complement(_trusted(found, s.tol)).basis[:, 0]
         cv = ks @ np.conj(v)
         if np.linalg.norm(cv - v) <= branch_cut * np.linalg.norm(v):
             w = v + cv
@@ -163,7 +163,7 @@ def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
         w = w / np.linalg.norm(w)
         found = np.column_stack([found, w])
     fixed_residual = float(np.abs(ks @ np.conj(found) - found).max())
-    gram_residual = float(np.abs(found.conj().T @ found - np.eye(k)).max())
+    gram_residual = _gram_residual(found)
     if max(fixed_residual, gram_residual) > s.tol.bound():
         raise PropertyViolationError(
             "invariant basis construction failed",

@@ -37,7 +37,7 @@ from .extensions import (
     recover_parameter,
 )
 from .fixtures import EXAMPLE_BUILDERS, build_example
-from .linalg import Tolerance, _spectral_norm, max_angle_sin
+from .linalg import Tolerance, _gram_residual, _spectral_norm, max_angle_sin
 from .polar import CjtRefusal, cjt_factorization, conjugation_covariance, polar, takagi
 from .powers import power_report
 from .problems import ProblemSpec, decode_matrix, encode_matrix, parse_spec
@@ -217,11 +217,10 @@ def cmd_enumerate(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
         raise InputError(f"--budget must be positive, got {budget}")
     hits = brute_force_extensions(dp, budget=budget, seed=args.seed)
     worst = 0.0
-    operators = 0
     for hit in hits:
         rebuilt = extension_graph(dp, recover_parameter(dp, hit))
         worst = max(worst, max_angle_sin(rebuilt.graph, hit.graph))
-        operators += int(hit.is_operator)
+    operators = sum(hit.is_operator for hit in hits)
     checks = CheckList()
     checks.add_residual(
         "completeness_roundtrip",
@@ -271,9 +270,7 @@ def cmd_takagi(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     bound = spec.tol.bound(scale)
     checks = CheckList()
     checks.add_residual("reconstruction", float(np.abs((v * s) @ v.T - m).max()), bound)
-    checks.add_residual(
-        "unitarity", float(np.abs(v.conj().T @ v - np.eye(m.shape[0])).max()), bound
-    )
+    checks.add_residual("unitarity", _gram_residual(v), bound)
     checks.add_residual(
         "modulus_crosscheck",
         float(np.abs(np.conj(v) * s @ v.T - factors.modulus).max()),

@@ -33,6 +33,7 @@ from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     Tolerance,
+    _trusted,
     intersect,
     max_angle_sin,
     orthonormal_basis,
@@ -61,7 +62,7 @@ def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:
     cols[:n, gs.shape[1] :] = gt[:n]
     cols[3 * n :, gs.shape[1] :] = gt[n:]
     # the two column groups are orthonormal and mutually orthogonal
-    return LinearRelation(Subspace(cols, s.tol))
+    return LinearRelation(_trusted(cols, s.tol))
 
 
 def block_slices(r: LinearRelation) -> tuple[LinearRelation, LinearRelation]:
@@ -75,13 +76,9 @@ def block_slices(r: LinearRelation) -> tuple[LinearRelation, LinearRelation]:
         raise PreconditionError("block slices need an even ambient dimension")
     n = n2 // 2
     tol = r.tol
-    e_s = np.zeros((4 * n, 2 * n), dtype=complex)
-    e_s[n : 3 * n] = np.eye(2 * n)
-    e_t = np.zeros((4 * n, 2 * n), dtype=complex)
-    e_t[:n, :n] = np.eye(n)
-    e_t[3 * n :, n:] = np.eye(n)
-    hit_s = intersect(r.graph, Subspace(e_s, tol))
-    hit_t = intersect(r.graph, Subspace(e_t, tol))
+    eye = np.eye(4 * n, dtype=complex)
+    hit_s = intersect(r.graph, _trusted(eye[:, n : 3 * n], tol))
+    hit_t = intersect(r.graph, _trusted(np.hstack([eye[:, :n], eye[:, 3 * n :]]), tol))
     s = LinearRelation(orthonormal_basis(hit_s.basis[n : 3 * n], tol, 2 * n))
     t = LinearRelation(
         orthonormal_basis(np.vstack([hit_t.basis[:n], hit_t.basis[3 * n :]]), tol, 2 * n)
@@ -92,7 +89,7 @@ def block_slices(r: LinearRelation) -> tuple[LinearRelation, LinearRelation]:
 def _imaginary_graph(n: int, sign: int, tol: Tolerance) -> Subspace:
     """Graph of multiplication by +-i on C^n, inside C^(2n)."""
     cols = np.vstack([np.eye(n, dtype=complex), sign * 1j * np.eye(n, dtype=complex)])
-    return Subspace(cols / np.sqrt(2.0), tol)
+    return _trusted(cols / np.sqrt(2.0), tol)
 
 
 def eigenspace_members(r: LinearRelation, sign: int) -> Subspace:
@@ -173,7 +170,7 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
             "adjoint of the doubled relation disagrees with the block form", {"angle": gap}
         )
     frak_c = doubled_conjugation(c)
-    if not subspace_equal(Subspace(frak_a.conjugated_basis(frak_c), a.tol), frak_a.graph, bound):
+    if not subspace_equal(_trusted(frak_a.conjugated_basis(frak_c), a.tol), frak_a.graph, bound):
         raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
     n_plus = eigenspace_members(frak_a_star, +1)
     n_minus = eigenspace_members(frak_a_star, -1)

@@ -47,12 +47,14 @@ import numpy as np
 
 from .antilinear import AntiLinearMap, conjugation_axiom_residuals, invariant_onb
 from .csym import is_c_selfadjoint
-from .doubling import DoubledProblem, block_relation
+from .doubling import DoubledProblem, _orthogonality_residual, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     _complement_formula_intersect,
+    _gram_residual,
     _spectral_norm,
+    _trusted,
     complement,
     extend_basis,
     max_angle_sin,
@@ -135,14 +137,13 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
         if span.dim != k or not subspace_equal(span, dp.n_plus, bound):
             raise InputError("basis parameter does not span the deficiency subspace N+")
         w = dp.n_plus.basis.conj().T @ v
-        gram = float(np.abs(w.conj().T @ w - np.eye(k)).max()) if k else 0.0
+        gram = _gram_residual(w)
         if gram > bound:
             raise InputError(f"basis parameter is not orthonormal (Gram residual {gram:.3e})")
         u = e_mp @ np.conj(w @ w.T)  # U = frakE о C_v with C_v fixing the basis
-    if k:
-        unit = float(np.abs(u.conj().T @ u - np.eye(k)).max())
-        if unit > bound:
-            raise InputError(f"parameter does not give a unitary map (residual {unit:.3e})")
+    unit = _gram_residual(u)
+    if unit > bound:
+        raise InputError(f"parameter does not give a unitary map (residual {unit:.3e})")
     frake = frakE_condition_residual(dp, u)
     if frake > bound:
         raise InputError(
@@ -163,9 +164,7 @@ def parameter_as_onb(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionPara
     k = j.shape[0]
     if k == 0:
         return ExtensionParameter("onb", np.zeros((2 * dp.ambient_dim, 0)))
-    coords = invariant_onb(
-        AntiLinearMap(j, dp.tol), Subspace(np.eye(k, dtype=complex), dp.tol)
-    )
+    coords = invariant_onb(AntiLinearMap(j, dp.tol), _trusted(np.eye(k, dtype=complex), dp.tol))
     return ExtensionParameter("onb", dp.n_plus.basis @ coords)
 
 
@@ -259,7 +258,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
             {"dim_gap": dp.frakA.graph.dim + k - frak_ext.graph.dim},
         )
     checks.add_residual("doubled_selfadjoint", frak_ext.adjoint_gap(frak_ext.graph.basis), bound)
-    einv_res = max_angle_sin(Subspace(frak_ext.conjugated_basis(dp.frakC), tol), frak_ext.graph)
+    einv_res = max_angle_sin(_trusted(frak_ext.conjugated_basis(dp.frakC), tol), frak_ext.graph)
     checks.add_residual("doubled_frakE_selfadjoint", einv_res, bound)
     a_ext, t_block = _closed_form_slices(dp, defect_cols)
     dims = a_ext.graph.dim + t_block.graph.dim - frak_ext.graph.dim
@@ -268,7 +267,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
             "extracted blocks do not reassemble the doubled extension", {"dims": dims}
         )
     # C is antiunitary, so the C-image of the orthonormal graph basis is orthonormal
-    conj_ext = LinearRelation(Subspace(a_ext.conjugated_basis(dp.c), tol))
+    conj_ext = LinearRelation(_trusted(a_ext.conjugated_basis(dp.c), tol))
     checks.add_residual(
         "companion_block_is_conjugated", max_angle_sin(t_block.graph, conj_ext.graph), bound
     )
@@ -282,7 +281,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     l_domain = orthonormal_basis(defect_cols[n : 2 * n], tol, n)
     l_domain_star = dp.c.map_subspace(l_domain)
     # a_ext's basis is [graph(A) basis, new columns], the new ones orthogonal to graph(A)
-    l_graph = Subspace(a_ext.graph.basis[:, dp.a.graph.dim :], tol)
+    l_graph = _trusted(a_ext.graph.basis[:, dp.a.graph.dim :], tol)
     diagnostics = {
         "is_operator": a_ext.is_operator,
         "is_c_selfadjoint": csa_res <= bound,
@@ -319,10 +318,7 @@ def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Sub
     frak_m = dp.spaces.frakM
     l_graph = res.l_graph
     s_image = dp.s_map.map_subspace(l_graph)
-    ortho = 0.0
-    if l_graph.dim and s_image.dim:
-        ortho = float(np.abs(l_graph.basis.conj().T @ s_image.basis).max())
-    checks.add_residual("l_orthogonal_to_s_l", ortho, bound)
+    checks.add_residual("l_orthogonal_to_s_l", _orthogonality_residual(l_graph, s_image), bound)
     total = subspace_sum(l_graph, s_image)
     checks.add(
         "l_plus_s_l_spans_frakM",
@@ -367,7 +363,7 @@ def _greedy_isotropic(s_coord: np.ndarray, m: int, tol, rng=None, first=None) ->
     used = np.zeros((m, 0), dtype=complex)
     while 2 * len(cols) < m:
         if cols or first is None:
-            rest = complement(Subspace(used, tol)).basis
+            rest = complement(_trusted(used, tol)).basis
             if rng is None:
                 v = rest[:, 0]
             else:
@@ -428,7 +424,7 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     if k == 0:
         return ExtensionParameter("unitary", np.zeros((0, 0)))
     # C is antiunitary, so the C-image of the orthonormal graph basis is orthonormal
-    conj_tilde = LinearRelation(Subspace(a_tilde.conjugated_basis(dp.c), dp.tol))
+    conj_tilde = LinearRelation(_trusted(a_tilde.conjugated_basis(dp.c), dp.tol))
     frak_t = block_relation(a_tilde, conj_tilde)
     n2 = 2 * dp.ambient_dim
     g = frak_t.graph.basis
@@ -497,9 +493,8 @@ def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
     n, n2 = dp.ambient_dim, 2 * dp.ambient_dim
     pool = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
     for block in (slice(0, n), slice(n, n2)):
-        aligned = np.zeros((n2, n), dtype=complex)
-        aligned[block] = np.eye(n)
-        part = _complement_formula_intersect(frak_m, Subspace(aligned, dp.tol))
+        aligned = _trusted(np.eye(n2, dtype=complex)[:, block], dp.tol)
+        part = _complement_formula_intersect(frak_m, aligned)
         coords = frak_m.basis.conj().T @ part.basis
         pool.extend(coords[:, j] for j in range(part.dim))
     return pool
@@ -606,7 +601,7 @@ def brute_force_extensions(
             continue
         # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
         lifted = np.hstack([dp.a.graph.basis, frak_m.basis @ span.basis])
-        cand = LinearRelation(Subspace(lifted, tol))
+        cand = LinearRelation(_trusted(lifted, tol))
         if is_c_selfadjoint(cand, dp.c, bound):
             seen.add(key)
             hits.append(cand)

@@ -17,6 +17,11 @@ precision ("twice is enough": Giraud, Langou & Rozloznik, Comput. Math.
 Appl. 50 (2005)), and one SVD of that residual makes the rank decision.  A
 sum thus costs an SVD in the number of new columns, not in dim S + k.
 
+Trust boundary: Subspace(...) checks that a basis from outside is finite
+and orthonormal.  Bases orthonormal by construction (SVD factors, coordinate
+blocks, bordered sums, antiunitary images) go through _trusted, which skips
+both checks; a test puts them back over every CLI command and fixture.
+
 Inner product convention: <u, v> = sum_i u_i * conj(v_i), linear in the
 first argument.
 """
@@ -74,26 +79,24 @@ def _as_complex_matrix(a, name="matrix"):
     return m
 
 
+def _gram_residual(m: np.ndarray) -> float:
+    """max |m^H m - I| over the entries; 0.0 when m has no columns."""
+    return float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max()) if m.shape[1] else 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of C^n held as an n x k matrix with orthonormal columns."""
+    """A subspace of C^n held as an n x k orthonormal basis, checked here (see _trusted)."""
 
     basis: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL)
 
     def __post_init__(self):
         b = _as_complex_matrix(self.basis, "basis")
-        if b.shape[0] < 1:
-            raise InputError("ambient dimension must be positive")
-        if b.shape[1] > b.shape[0]:
-            raise InputError(f"basis has more columns ({b.shape[1]}) than ambient dimension ({b.shape[0]})")
-        if b.shape[1]:
-            gram_residual = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
-            if gram_residual > self.tol.bound():
-                raise InputError(f"basis columns are not orthonormal (Gram residual {gram_residual:.3e})")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        _freeze_basis(self, b)
+        gram_residual = _gram_residual(b)
+        if gram_residual > self.tol.bound():
+            raise InputError(f"basis columns are not orthonormal (Gram residual {gram_residual:.3e})")
 
     @property
     def ambient_dim(self) -> int:
@@ -116,6 +119,25 @@ class Subspace:
         return float(np.linalg.norm(x - self.project(x))) <= bound
 
 
+def _freeze_basis(s: Subspace, b: np.ndarray) -> None:
+    if b.shape[0] < 1:
+        raise InputError("ambient dimension must be positive")
+    if b.shape[1] > b.shape[0]:
+        raise InputError(f"basis has more columns ({b.shape[1]}) than ambient dimension ({b.shape[0]})")
+    b = b.copy()
+    b.setflags(write=False)
+    object.__setattr__(s, "basis", b)
+
+
+def _trusted(basis: np.ndarray, tol: Tolerance) -> Subspace:
+    """Subspace(basis, tol) for a basis orthonormal by construction: shape
+    checked, copied and frozen, with no finiteness scan and no Gram check."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "tol", tol)
+    _freeze_basis(s, np.asarray(basis, dtype=complex))
+    return s
+
+
 def _check_same_ambient(s1: Subspace, s2: Subspace):
     if s1.ambient_dim != s2.ambient_dim:
         raise InputError(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
@@ -135,7 +157,7 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL, ambient_dim=None) -
         if not cols:
             if ambient_dim is None:
                 raise InputError("empty vector list needs an explicit ambient_dim")
-            return Subspace(np.zeros((ambient_dim, 0), dtype=complex), tol)
+            return _trusted(np.zeros((ambient_dim, 0), dtype=complex), tol)
         n = cols[0].shape[0]
         for v in cols:
             if v.shape[0] != n:
@@ -144,18 +166,18 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL, ambient_dim=None) -
     if ambient_dim is not None and a.shape[0] != ambient_dim:
         raise InputError(f"vectors live in dimension {a.shape[0]}, expected {ambient_dim}")
     if a.shape[1] == 0:
-        return Subspace(a, tol)
+        return _trusted(a, tol)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > tol.zero_cutoff(s[0] if s.size else 0.0)))
-    return Subspace(u[:, :rank], tol)
+    return _trusted(u[:, :rank], tol)
 
 
 def zero_subspace(n: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    return Subspace(np.zeros((n, 0), dtype=complex), tol)
+    return _trusted(np.zeros((n, 0), dtype=complex), tol)
 
 
 def full_space(n: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    return Subspace(np.eye(n, dtype=complex), tol)
+    return _trusted(np.eye(n, dtype=complex), tol)
 
 
 def complement(s: Subspace) -> Subspace:
@@ -164,7 +186,7 @@ def complement(s: Subspace) -> Subspace:
     if k == 0:
         return full_space(n, s.tol)
     u, _, _ = np.linalg.svd(s.basis, full_matrices=True)
-    return Subspace(u[:, k:], s.tol)
+    return _trusted(u[:, k:], s.tol)
 
 
 def extend_basis(s: Subspace, cols) -> Subspace:
@@ -185,7 +207,7 @@ def extend_basis(s: Subspace, cols) -> Subspace:
     residual -= s.basis @ (s.basis.conj().T @ residual)
     u, sigma, _ = np.linalg.svd(residual, full_matrices=False)
     rank = int(np.sum(sigma > s.tol.zero_cutoff(_spectral_norm(cols))))
-    return Subspace(np.hstack([s.basis, u[:, :rank]]), s.tol)
+    return _trusted(np.hstack([s.basis, u[:, :rank]]), s.tol)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -215,7 +237,7 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     _, sines, vh = np.linalg.svd(residual, full_matrices=residual.shape[0] < s1.dim)
     sines = np.pad(sines, (0, s1.dim - sines.size))
     inside = sines <= s1.tol.zero_cutoff(1.0)
-    return Subspace(s1.basis @ vh[inside].conj().T, s1.tol)
+    return _trusted(s1.basis @ vh[inside].conj().T, s1.tol)
 
 
 def _complement_formula_intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -260,19 +282,13 @@ def _spectral_norm(m: np.ndarray) -> float:
 def is_subspace_of(s1: Subspace, s2: Subspace, atol=None) -> bool:
     """True iff S1 is contained in S2 within tolerance."""
     _check_same_ambient(s1, s2)
-    if s1.dim > s2.dim:
-        return False
-    bound = s1.tol.eps if atol is None else atol
-    return max_angle_sin(s1, s2) <= bound
+    return s1.dim <= s2.dim and max_angle_sin(s1, s2) <= (s1.tol.eps if atol is None else atol)
 
 
 def subspace_equal(s1: Subspace, s2: Subspace, atol=None) -> bool:
     """True iff dims agree and the largest principal angle is within tolerance."""
     _check_same_ambient(s1, s2)
-    if s1.dim != s2.dim:
-        return False
-    bound = s1.tol.eps if atol is None else atol
-    return max_angle_sin(s1, s2) <= bound
+    return s1.dim == s2.dim and is_subspace_of(s1, s2, atol)
 
 
 def map_subspace(m: np.ndarray, s: Subspace) -> Subspace:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .antilinear import Conjugation, PartialConjugation
 from .errors import InputError, PropertyViolationError
-from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _spectral_norm
+from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _gram_residual, _spectral_norm
 from .reporting import CheckList
 
 
@@ -185,7 +185,7 @@ def takagi(a, tol: Tolerance = DEFAULT_TOL, rounding: int = 12):
     q = scipy.linalg.block_diag(*blocks) if blocks else np.zeros_like(a)
     v = w @ np.conj(q)
     res = float(np.abs((v * s) @ v.T - a).max())
-    unit = float(np.abs(v.conj().T @ v - np.eye(a.shape[0])).max())
+    unit = _gram_residual(v)
     if max(res, unit) > bound:
         raise PropertyViolationError(
             "symmetric factorization failed", {"reconstruction": res, "unitarity": unit}

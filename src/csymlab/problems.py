@@ -26,7 +26,7 @@ from .antilinear import (
     conjugation_axiom_residuals,
 )
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerance, orthonormal_basis
+from .linalg import DEFAULT_TOL, Tolerance, _gram_residual, orthonormal_basis
 from .relations import LinearRelation, from_matrix
 
 
@@ -205,7 +205,7 @@ def spec_from_dict(data, name: str | None = None, pointer: str = "") -> ProblemS
             raise InputError(
                 f"{pointer}/operator/domain_basis: columns are linearly dependent"
             )
-        gram = float(np.abs(domain.conj().T @ domain - np.eye(domain.shape[1])).max())
+        gram = _gram_residual(domain)
         if gram > tol.bound():
             warnings.warn(
                 f"domain basis is not orthonormal (Gram residual {gram:.3e}); "

@@ -21,6 +21,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     _spectral_norm,
+    _trusted,
     complement,
     full_space,
     intersect,
@@ -68,18 +69,24 @@ class LinearRelation:
     def kernel(self) -> Subspace:
         """{x : (x, 0) in graph}."""
         n = self.ambient_dim
-        hit = intersect(self.graph, _coordinate_block(n, top=True, tol=self.tol))
+        hit = intersect(self.graph, _trusted(np.eye(2 * n, dtype=complex)[:, :n], self.tol))
         return orthonormal_basis(hit.basis[:n], self.tol, n)
 
     def multivalued_part(self) -> Subspace:
         """{y : (0, y) in graph}; zero iff the relation is an operator."""
         n = self.ambient_dim
-        hit = intersect(self.graph, _coordinate_block(n, top=False, tol=self.tol))
+        hit = intersect(self.graph, _trusted(np.eye(2 * n, dtype=complex)[:, n:], self.tol))
         return orthonormal_basis(hit.basis[n:], self.tol, n)
 
     @property
     def is_operator(self) -> bool:
-        return self.multivalued_part().dim == 0
+        """multivalued_part().dim == 0 from singular values alone: those of
+        the top block X of the graph basis are the sines intersect takes
+        against {(0, y)}, so none may be at or below tol.zero_cutoff(1.0)."""
+        if self.graph.dim > self.ambient_dim:
+            return False
+        sines = np.linalg.svd(self._top(), compute_uv=False)
+        return not np.any(sines <= self.tol.zero_cutoff(1.0))
 
     @property
     def is_everywhere_defined(self) -> bool:
@@ -150,15 +157,6 @@ class LinearRelation:
         return self._bottom() @ coeff
 
 
-def _coordinate_block(n: int, top: bool, tol: Tolerance) -> Subspace:
-    basis = np.zeros((2 * n, n), dtype=complex)
-    if top:
-        basis[:n] = np.eye(n)
-    else:
-        basis[n:] = np.eye(n)
-    return Subspace(basis, tol)
-
-
 def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
     """Everywhere-defined operator given by a square matrix."""
     m = np.asarray(m, dtype=complex)
@@ -182,19 +180,15 @@ def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
     tol = inner.tol
     gi, go = inner.graph.basis, outer.graph.basis
     # E1 = {(x, y, z) : (x, y) in inner}, E2 = {(x, y, z) : (y, z) in outer}
-    e1 = np.zeros((3 * n, gi.shape[1] + n), dtype=complex)
-    e1[: 2 * n, : gi.shape[1]] = gi
-    e1[2 * n :, gi.shape[1] :] = np.eye(n)
-    e2 = np.zeros((3 * n, go.shape[1] + n), dtype=complex)
-    e2[:n, :n] = np.eye(n)
-    e2[n:, n:] = go
-    w = intersect(Subspace(e1, tol), Subspace(e2, tol))
+    e1 = np.block([[gi, np.zeros((2 * n, n))], [np.zeros((n, gi.shape[1])), np.eye(n)]])
+    e2 = np.block([[np.eye(n), np.zeros((n, go.shape[1]))], [np.zeros((2 * n, n)), go]])
+    w = intersect(_trusted(e1, tol), _trusted(e2, tol))
     return LinearRelation(orthonormal_basis(np.vstack([w.basis[:n], w.basis[2 * n :]]), tol, 2 * n))
 
 
 def zero_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
     """The zero operator on the zero domain (empty graph)."""
-    return LinearRelation(Subspace(np.zeros((2 * n, 0), dtype=complex), tol))
+    return LinearRelation(_trusted(np.zeros((2 * n, 0), dtype=complex), tol))
 
 
 def full_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:

@@ -38,10 +38,27 @@ def count_calls(monkeypatch, owner, name):
             counted.__set_name__(owner, name)
         monkeypatch.setattr(owner, name, counted)
         return calls
+    patch_everywhere(monkeypatch, owner, name, counted)
+    return calls
+
+
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace module.name in every csymlab module that binds it."""
+    original = getattr(module, name)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.partition(".")[0] == "csymlab" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def check_trusted_bases(monkeypatch):
+    """Route linalg._trusted through the checked Subspace constructor, so
+    every basis the package builds runs the finiteness and Gram checks."""
+    patch_everywhere(monkeypatch, cs.linalg, "_trusted", cs.Subspace)
+
+
+@pytest.fixture
+def checked_subspaces(monkeypatch):
+    check_trusted_bases(monkeypatch)
 
 
 def nonblock_parameter(dp):

@@ -320,3 +320,43 @@ def test_extend_basis_returns_s_when_nothing_is_new(rng):
     assert cs.extend_basis(empty, s.basis).dim == 5
     with pytest.raises(cs.InputError):
         cs.extend_basis(s, np.ones((15, 1)))
+
+
+def test_public_subspace_checks_its_basis(rng):
+    q = cs.orthonormal_basis(random_complex(rng, 6, 3)).basis
+    skewed = q.copy()
+    skewed[:, 1] += 1e-3 * q[:, 0]
+    with pytest.raises(cs.InputError, match="not orthonormal"):
+        cs.Subspace(skewed)
+    for bad in (np.nan, np.inf):
+        broken = q.copy()
+        broken[2, 1] = bad
+        with pytest.raises(cs.InputError, match="non-finite"):
+            cs.Subspace(broken)
+    with pytest.raises(cs.InputError, match="more columns"):
+        cs.Subspace(np.eye(3, 4, dtype=complex))
+    with pytest.raises(cs.InputError, match="2-dimensional"):
+        cs.Subspace(q[:, 0])
+
+
+def test_trusted_subspace_copies_and_freezes_without_gram_check(rng):
+    from csymlab.linalg import _trusted
+
+    q = cs.orthonormal_basis(random_complex(rng, 6, 3)).basis
+    raw = 2.0 * q  # not orthonormal: the trusted path takes it as given
+    tol = cs.Tolerance(1e-9)
+    s = _trusted(raw, tol)
+    assert s.tol is tol and s.dim == 3 and s.ambient_dim == 6
+    assert not s.basis.flags.writeable and not np.shares_memory(s.basis, raw)
+    np.testing.assert_array_equal(s.basis, raw)
+    with pytest.raises(cs.InputError, match="more columns"):
+        _trusted(np.eye(3, 4, dtype=complex), tol)
+
+
+def test_gram_residual_is_the_inline_expression(rng):
+    from csymlab.linalg import _gram_residual
+
+    m = random_complex(rng, 7, 4)
+    assert _gram_residual(m) == float(np.abs(m.conj().T @ m - np.eye(4)).max())
+    assert _gram_residual(np.zeros((5, 0), dtype=complex)) == 0.0
+    assert _gram_residual(np.zeros((0, 0), dtype=complex)) == 0.0

@@ -8,7 +8,7 @@ import pytest
 import csymlab as cs
 from csymlab.cli import main
 
-from conftest import count_calls, nonblock_parameter
+from conftest import check_trusted_bases, count_calls, nonblock_parameter, patch_everywhere
 
 SYMMETRIC_SPEC = {
     "name": "toy",
@@ -282,6 +282,74 @@ def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_cli_verify_all_gram_checks_pinned(monkeypatch, capsys):
+    # every basis of an --example input is built inside the package and is
+    # orthonormal by construction, so none runs the checked constructor
+    calls = count_calls(monkeypatch, cs.Subspace, "__post_init__")
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 0
+
+
+def _report(capsys, argv):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    out.pop("generated_at")
+    return code, out
+
+
+HARNESS_COMMANDS = (
+    ("verify-all",),
+    ("extend",),
+    ("extend", "--swap"),
+    ("enumerate", "--budget", "200"),
+    ("deficiency",),
+)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ("--example", "race_schrodinger", "--n", "16"),
+        ("--example", "fd_derivative_minimal", "--n", "8"),
+        ("--example", "zero_on_subspace", "--n", "8"),
+        ("--example", "random_csym", "--n", "6"),
+        "complex_symmetric",
+    ],
+    ids=lambda source: source if isinstance(source, str) else source[1],
+)
+def test_cli_reports_unchanged_with_checked_bases(tmp_path, monkeypatch, capsys, source):
+    # trusted bases skip the Gram check; running every command again with the
+    # check put back must pass it everywhere and give the same reports
+    if source == "complex_symmetric":
+        m = cs.random_symmetric(6, np.random.default_rng(0))
+        spec = cs.ProblemSpec("complex_symmetric", 6, "entrywise", None, None, m, cs.DEFAULT_TOL)
+        source = ("--spec", write_spec(tmp_path, spec.to_json_dict()))
+    argvs = [[cmd, *source, *opts] for cmd, *opts in HARNESS_COMMANDS]
+    trusted = [_report(capsys, argv) for argv in argvs]
+    assert [code for code, _ in trusted] == [0] * len(argvs)
+    check_trusted_bases(monkeypatch)
+    checked = count_calls(monkeypatch, cs.Subspace, "__post_init__")
+    assert [_report(capsys, argv) for argv in argvs] == trusted
+    assert len(checked) > 100
+
+
+def test_checked_bases_catch_unprojected_extend_basis(monkeypatch, checked_subspaces):
+    # mutation: grow a basis by the new columns' own SVD basis, without
+    # projecting them off S; the checked constructor must refuse the result
+    def unprojected(s, cols):
+        u, sigma, _ = np.linalg.svd(cols, full_matrices=False)
+        rank = int(np.sum(sigma > s.tol.zero_cutoff(sigma[0])))
+        return cs.linalg._trusted(np.hstack([s.basis, u[:, :rank]]), s.tol)
+
+    spec = cs.race_schrodinger(8)
+    dp = cs.build_doubled(spec.relation(), spec.conjugation())
+    res = cs.canonical_extension(dp)
+    patch_everywhere(monkeypatch, cs.linalg, "extend_basis", unprojected)
+    with pytest.raises(cs.InputError, match="not orthonormal"):
+        cs.l_manifolds(res, dp)
 
 
 def perturbed_symmetric_spec(tmp_path, size):

@@ -174,3 +174,36 @@ def test_domain_is_built_once(rng):
     first = rel.domain()
     assert rel.domain() is first
     assert first.dim == 3
+
+
+def _is_operator_reference(rel):
+    return rel.multivalued_part().dim == 0
+
+
+def test_is_operator_matches_multivalued_part(rng):
+    # the values-only predicate against the intersect route on every fixture
+    # relation (with its doubled relations), every enumerate hit, planted
+    # multivalued parts and graphs with dim > n
+    rels = []
+    for spec in (
+        cs.race_schrodinger(16),
+        cs.fd_derivative_minimal(16),
+        cs.zero_on_subspace(16),
+        cs.random_csym(8),
+        cs.random_restriction(4, 3),
+    ):
+        dp = cs.build_doubled(spec.relation(), spec.conjugation())
+        rels += [dp.a, dp.b, dp.a_star, dp.b_star, dp.frakA, dp.frakA_star]
+        rels += cs.brute_force_extensions(dp, budget=200, seed=0)
+    n = 5
+    for k in range(1, 2 * n + 1):
+        rels.append(random_relation(rng, n, k))
+    for mul in (1, 2):
+        cols = np.vstack([random_complex(rng, n, 3), random_complex(rng, n, 3)])
+        cols[:n, :mul] = 0.0
+        rels.append(cs.LinearRelation(cs.orthonormal_basis(cols)))
+    rels += [cs.zero_relation(3), cs.full_relation(3), cs.from_matrix(np.zeros((3, 3)))]
+    verdicts = [rel.is_operator for rel in rels]
+    assert verdicts == [_is_operator_reference(rel) for rel in rels]
+    assert any(verdicts) and not all(verdicts)
+    assert not random_relation(rng, n, n + 1).is_operator
