@@ -14,9 +14,7 @@ from .antilinear import (
     invariant_onb,
 )
 from .csym import (
-    AdjointPair,
     MSpaces,
-    adjoint_pair,
     anti_involution,
     domain_criterion,
     graph_inner,
@@ -26,7 +24,6 @@ from .csym import (
     weak_c_symmetry_residual,
 )
 from .doubling import (
-    DeficiencyReport,
     DoubledProblem,
     block_relation,
     block_slices,
@@ -46,7 +43,6 @@ from .extensions import (
     canonical_extension,
     extension_from_parameter,
     extension_graph,
-    l_manifolds,
     parameter_as_conjugation,
     parameter_as_onb,
     parameter_as_unitary,

@@ -25,15 +25,15 @@ from .csym import (
     is_c_symmetric,
     weak_c_symmetry_residual,
 )
-from .doubling import build_doubled, deficiency, race_decomposition, verify_symmetry_equivalence, vn_decomposition
+from .doubling import DoubledProblem, deficiency, race_decomposition, verify_symmetry_equivalence, vn_decomposition
 from .errors import InputError, PropertyViolationError
 from .extensions import (
     ExtensionParameter,
+    ExtensionResult,
     brute_force_extensions,
     canonical_extension,
     extension_from_parameter,
     extension_graph,
-    l_manifolds,
     recover_parameter,
 )
 from .fixtures import EXAMPLE_BUILDERS, build_example
@@ -175,43 +175,46 @@ def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     return results, checks
 
 
-def cmd_deficiency(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
-    if dp is None:
-        dp = build_doubled(spec.relation(), spec.conjugation())
-    rep = deficiency(dp)
-    checks = CheckList()
-    checks.extend(rep.checks)
+def cmd_deficiency(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    dp = spec.doubled()
+    checks = deficiency(dp)
     checks.add(
         "doubled_symmetry_equivalence",
         verify_symmetry_equivalence(dp, spec.tol.bound()),
         detail="C-symmetric iff doubled relation symmetric, likewise self-adjoint",
     )
-    results = {"n_plus": rep.n_plus.dim, "n_minus": rep.n_minus.dim}
+    results = {"n_plus": dp.n_plus.dim, "n_minus": dp.n_minus.dim}
     return results, checks
 
 
+def _extension_dims(dp: DoubledProblem, res: ExtensionResult) -> dict:
+    return {
+        "graph_a": dp.a.graph.dim,
+        "graph_ext": res.a_ext.graph.dim,
+        "graph_bstar": dp.b_star.graph.dim,
+        "n_plus": dp.n_plus.dim,
+        "l_graph": res.a_ext.graph.dim - dp.a.graph.dim,
+    }
+
+
 def cmd_extend(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
-    dp = build_doubled(spec.relation(), spec.conjugation())
+    dp = spec.doubled()
     if args.param is not None:
         res = extension_from_parameter(dp, load_parameter(args.param))
     else:
         res = canonical_extension(dp, swap=args.swap)
-    checks = CheckList()
-    checks.extend(res.checks)
-    _, _, l_checks = l_manifolds(res, dp)
-    checks.extend(l_checks)
+    status = {check.name: check.status for check in res.checks}
     results = {
         "parameter_unitary": res.parameter.matrix,
-        "dims": res.diagnostics["dims"],
-        "is_operator": res.diagnostics["is_operator"],
-        "is_c_selfadjoint": res.diagnostics["is_c_selfadjoint"],
+        "dims": _extension_dims(dp, res),
+        "is_operator": res.a_ext.is_operator,
+        "is_c_selfadjoint": status["extension_c_selfadjoint"] == "pass",
     }
-    return results, checks
+    return results, res.checks
 
 
-def cmd_enumerate(spec: ProblemSpec, args, dp=None) -> tuple[dict, CheckList]:
-    if dp is None:
-        dp = build_doubled(spec.relation(), spec.conjugation())
+def cmd_enumerate(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
+    dp = spec.doubled()
     budget = args.budget if args.budget is not None else 2000
     if budget < 1:
         raise InputError(f"--budget must be positive, got {budget}")
@@ -320,8 +323,6 @@ def cmd_powers(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
 
 
 def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
-    rel = spec.relation()
-    c = spec.conjugation()
     checks = CheckList()
     results: dict = {}
 
@@ -331,21 +332,19 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
 
     # deficiency raises PreconditionError (exit 2) unless A is C-symmetric,
     # the hypothesis of everything below
-    dp = build_doubled(rel, c)
-    res, sub = cmd_deficiency(spec, args, dp)
+    res, sub = cmd_deficiency(spec, args)
     results["deficiency"] = res
     checks.extend(sub, prefix="deficiency")
 
+    dp = spec.doubled()
     for label, swap in (("extend", False), ("extend_swap", True)):
         ext = canonical_extension(dp, swap=swap)
         checks.extend(ext.checks, prefix=label)
-        _, _, l_checks = l_manifolds(ext, dp)
-        checks.extend(l_checks, prefix=label)
-        results[label] = {"dims": ext.diagnostics["dims"]}
+        results[label] = {"dims": _extension_dims(dp, ext)}
 
     enum_args = argparse.Namespace(**vars(args))
     enum_args.budget = min(args.budget, 200) if args.budget is not None else 200
-    res, sub = cmd_enumerate(spec, enum_args, dp)
+    res, sub = cmd_enumerate(spec, enum_args)
     results["enumerate"] = res
     checks.extend(sub, prefix="enumerate")
 

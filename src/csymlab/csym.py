@@ -1,4 +1,4 @@
-"""C-symmetry predicates, adjoint pairs, and the M-space geometry.
+"""C-symmetry predicates and the M-space geometry of a doubled problem.
 
 For a conjugation C and a relation A we write B = CAC.  A is C-symmetric
 when CAC is contained in A* and C-self-adjoint when they coincide.  The
@@ -15,11 +15,16 @@ antiunitary, so the C-image of an orthonormal basis stays orthonormal.
 is_c_symmetric keeps the adjoint route: the CLI compares it with the
 adjoint-free weak form, and that check can only fail while the two are
 computed independently.
+
+m_spaces and anti_involution read A, B = CAC, A* and B* from the
+DoubledProblem that owns them (doubling.build_doubled), which caches both
+results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +40,9 @@ from .linalg import (
     subspace_equal,
 )
 from .relations import LinearRelation, compose
+
+if TYPE_CHECKING:
+    from .doubling import DoubledProblem
 
 
 def is_c_symmetric(a: LinearRelation, c: Conjugation, atol=None) -> bool:
@@ -74,22 +82,6 @@ def domain_criterion(a_tilde: LinearRelation, a: LinearRelation, c: Conjugation,
 
 
 @dataclass(frozen=True, eq=False)
-class AdjointPair:
-    """A together with B = CAC and both adjoints."""
-
-    a: LinearRelation
-    b: LinearRelation
-    a_star: LinearRelation
-    b_star: LinearRelation
-    c: Conjugation
-
-
-def adjoint_pair(a: LinearRelation, c: Conjugation) -> AdjointPair:
-    a_star = a.adjoint()
-    return AdjointPair(a, a.conjugated(c), a_star, a_star.conjugated(c), c)
-
-
-@dataclass(frozen=True, eq=False)
 class MSpaces:
     """The defect geometry between graph(A) and graph(B*).
 
@@ -105,15 +97,17 @@ class MSpaces:
     m_astar: Subspace
 
 
-def m_spaces(pair: AdjointPair) -> MSpaces:
-    if not pair.b.contained_in(pair.a_star, pair.a.tol.bound()):
+def m_spaces(dp: DoubledProblem) -> MSpaces:
+    """The M-spaces of dp's A, B, A* and B*; raises PreconditionError
+    unless A is C-symmetric."""
+    if not dp.b.contained_in(dp.a_star, dp.tol.bound()):
         raise PreconditionError("relation is not C-symmetric; M-spaces are undefined")
     # frakM's basis is the brute-force sweep's coordinate system
-    frak_m = _complement_formula_intersect(pair.b_star.graph, complement(pair.a.graph))
-    frak_m_prime = intersect(pair.a_star.graph, complement(pair.b.graph))
-    n = pair.a.ambient_dim
-    m_bstar = compose(pair.a_star, pair.b_star).shifted(1.0).kernel()
-    m_astar = compose(pair.b_star, pair.a_star).shifted(1.0).kernel()
+    frak_m = _complement_formula_intersect(dp.b_star.graph, complement(dp.a.graph))
+    frak_m_prime = intersect(dp.a_star.graph, complement(dp.b.graph))
+    n = dp.ambient_dim
+    m_bstar = compose(dp.a_star, dp.b_star).shifted(1.0).kernel()
+    m_astar = compose(dp.b_star, dp.a_star).shifted(1.0).kernel()
     # kernel of I + A*B* = first components of frakM, in every regime
     bound = frak_m.tol.bound()
     first = orthonormal_basis(frak_m.basis[:n], frak_m.tol, n)
@@ -133,19 +127,18 @@ def graph_inner(t: LinearRelation, f, g) -> complex:
     return inner(f, g) + inner(tf, tg)
 
 
-def anti_involution(pair: AdjointPair, spaces: MSpaces) -> AntiLinearMap:
+def anti_involution(dp: DoubledProblem) -> AntiLinearMap:
     """The graph-level anti-unitary S(f, g) = (Cg, -Cf) with S^2 = -I.
 
-    S maps frakM onto itself; on first components it acts as A*C, the
-    classical anti-involution of the defect space.  Raises when the
-    invariance or the square fails beyond tolerance.  ``spaces`` are the
-    pair's M-spaces.
+    S maps frakM (dp's cached M-spaces) onto itself; on first components it
+    acts as A*C, the classical anti-involution of the defect space.  Raises
+    when the invariance or the square fails beyond tolerance.
     """
-    k = pair.c.matrix
-    n = pair.a.ambient_dim
+    k = dp.c.matrix
+    n = dp.ambient_dim
     z = np.zeros((n, n), dtype=complex)
-    s = AntiLinearMap(np.block([[z, k], [-k, z]]), pair.a.tol)
-    frak_m = spaces.frakM
+    s = AntiLinearMap(np.block([[z, k], [-k, z]]), dp.tol)
+    frak_m = dp.spaces.frakM
     bound = frak_m.tol.bound()
     if frak_m.dim:
         image = s.map_subspace(frak_m)

@@ -10,6 +10,11 @@ Coordinates of the doubled graph in C^(4n): (x, y, v, u) with domain pair
 
 frakA* is assembled from B* and A*, and frakE (antiunitary) keeps graph
 bases orthonormal, so neither is re-derived by a rank decision in C^(4n).
+
+DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
+frakA, frakA*, frakE and N+-, built once by build_doubled, and the M-spaces
+and the anti-involution S, built on first use.  Everything downstream reads
+them from it.
 """
 
 from __future__ import annotations
@@ -20,15 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .antilinear import AntiLinearMap, Conjugation
-from .csym import (
-    AdjointPair,
-    MSpaces,
-    adjoint_pair,
-    anti_involution,
-    graph_inner,
-    is_c_selfadjoint,
-    m_spaces,
-)
+from .csym import MSpaces, anti_involution, graph_inner, is_c_selfadjoint, m_spaces
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
@@ -122,18 +119,14 @@ class DoubledProblem:
 
     # The defect geometry below is computed once per problem on first use.
     @cached_property
-    def pair(self) -> AdjointPair:
-        return AdjointPair(self.a, self.b, self.a_star, self.b_star, self.c)
-
-    @cached_property
     def spaces(self) -> MSpaces:
-        """M-spaces of the pair; raises PreconditionError unless C-symmetric."""
-        return m_spaces(self.pair)
+        """M-spaces of A and B*; raises PreconditionError unless C-symmetric."""
+        return m_spaces(self)
 
     @cached_property
     def s_map(self) -> AntiLinearMap:
         """The anti-involution S(f, g) = (Cg, -Cf), checked on frakM."""
-        return anti_involution(self.pair, self.spaces)
+        return anti_involution(self)
 
     @cached_property
     def coupling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,7 +143,8 @@ class DoubledProblem:
 
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
-    """Assemble frakA, frakE and the deficiency subspaces of frakA*.
+    """Assemble A*, B = CAC, B*, frakA, frakE and the deficiency subspaces
+    of frakA*.
 
     frakA* is the block form with B* and A* swapped in.  It is checked
     against graph(frakA) alone: its dimension must be 4n - dim graph(frakA)
@@ -161,9 +155,11 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     if c.dim != a.ambient_dim:
         raise PreconditionError(f"conjugation dimension {c.dim} != relation ambient {a.ambient_dim}")
     bound = a.tol.bound()
-    pair = adjoint_pair(a, c)
-    frak_a = block_relation(a, pair.b)
-    frak_a_star = block_relation(pair.b_star, pair.a_star)
+    a_star = a.adjoint()
+    b = a.conjugated(c)
+    b_star = a_star.conjugated(c)
+    frak_a = block_relation(a, b)
+    frak_a_star = block_relation(b_star, a_star)
     gap = frak_a.adjoint_gap(frak_a_star.graph.basis)
     if frak_a.graph.dim + frak_a_star.graph.dim != 4 * a.ambient_dim or gap > bound:
         raise PropertyViolationError(
@@ -174,9 +170,7 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
         raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
     n_plus = eigenspace_members(frak_a_star, +1)
     n_minus = eigenspace_members(frak_a_star, -1)
-    return DoubledProblem(
-        a, c, pair.b, pair.a_star, pair.b_star, frak_a, frak_a_star, frak_c, n_plus, n_minus
-    )
+    return DoubledProblem(a, c, b, a_star, b_star, frak_a, frak_a_star, frak_c, n_plus, n_minus)
 
 
 def verify_symmetry_equivalence(dp: DoubledProblem, atol=None) -> bool:
@@ -191,15 +185,8 @@ def verify_symmetry_equivalence(dp: DoubledProblem, atol=None) -> bool:
     return (sym_a == sym_frak) and (sa_a == sa_frak)
 
 
-@dataclass(frozen=True, eq=False)
-class DeficiencyReport:
-    n_plus: Subspace
-    n_minus: Subspace
-    checks: CheckList
-
-
-def deficiency(dp: DoubledProblem) -> DeficiencyReport:
-    """Deficiency subspaces with the bijection and componentwise checks."""
+def deficiency(dp: DoubledProblem) -> CheckList:
+    """Bijection and componentwise checks of dp's deficiency subspaces."""
     bound = dp.tol.bound()
     if not dp.b.contained_in(dp.a_star, bound):
         raise PreconditionError("relation is not C-symmetric; deficiency theory needs symmetry upstairs")
@@ -222,7 +209,7 @@ def deficiency(dp: DoubledProblem) -> DeficiencyReport:
             gap = pair_vec - target.graph.project(pair_vec)
             comp_res = max(comp_res, float(np.linalg.norm(gap)))
     checks.add_residual("componentwise_characterization", comp_res, bound)
-    return DeficiencyReport(dp.n_plus, dp.n_minus, checks)
+    return checks
 
 
 def _orthogonality_residual(s1: Subspace, s2: Subspace) -> float:
@@ -321,15 +308,15 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
     skipped rather than silently degraded.  A and C are those of ``dp``,
     whose cached M-spaces are used.
     """
-    a, c, pair = dp.a, dp.c, dp.pair
+    a, c = dp.a, dp.c
     spaces = dp.spaces  # raises PreconditionError unless C-symmetric
     bound = dp.tol.bound()
     checks = CheckList()
     measurements = {}
     # graph(B*) = graph(A) + frakM and graph(A*) = graph(B) + frakM'
     for name, big, small, m_part in (
-        ("bstar_decomposition", pair.b_star, a, spaces.frakM),
-        ("astar_decomposition", pair.a_star, pair.b, spaces.frakM_prime),
+        ("bstar_decomposition", dp.b_star, a, spaces.frakM),
+        ("astar_decomposition", dp.a_star, dp.b, spaces.frakM_prime),
     ):
         total = subspace_sum(small.graph, m_part)
         ok = (
@@ -359,7 +346,7 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
             detail=f"{spaces.m_bstar.dim} vs 2*{dp.n_plus.dim}",
         )
         dom_sum = subspace_sum(a.domain(), spaces.m_bstar)
-        checks.add("domain_decomposition", subspace_equal(dom_sum, pair.b_star.domain(), bound))
+        checks.add("domain_decomposition", subspace_equal(dom_sum, dp.b_star.domain(), bound))
     else:
         checks.skip(
             "domain_decomposition",

@@ -6,6 +6,8 @@ U: N+ -> N- the graph of frak(A)_U is graph(frakA) plus the deficiency
 span {(w - Uw, i(w + Uw)) : w in N+}, which is self-adjoint by von Neumann
 theory for relations.  Every graph here is grown from a known one by its k
 new directions (linalg.extend_basis), never re-orthonormalized whole.
+extension_from_parameter returns one record carrying every check of the
+extension, the L-manifold decomposition of frakM included.
 
 Two conditions on U play different roles.  The compatibility condition
 frakE U frakE U = I makes the doubled extension frakE-self-adjoint; a
@@ -170,13 +172,12 @@ def parameter_as_onb(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionPara
 
 @dataclass(frozen=True, eq=False)
 class ExtensionResult:
+    """A verified extension: its checks cover the doubled extension, the
+    block split, C-self-adjointness and the L-manifold decomposition."""
+
     a_ext: LinearRelation
     frak_ext: LinearRelation
     parameter: ExtensionParameter
-    l_domain: Subspace
-    l_domain_star: Subspace
-    l_graph: Subspace
-    diagnostics: dict
     checks: CheckList
 
 
@@ -239,6 +240,12 @@ def _closed_form_slices(
 def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionResult:
     """Build the extension attached to a parameter, with full verification.
 
+    The checks cover the doubled extension (self-adjoint and
+    frakE-self-adjoint), the companion block, C-self-adjointness, and the
+    L-manifold decomposition: L = graph(A_U) - graph(A) and its image under
+    S(f, g) = (Cg, -Cf) split frakM orthogonally, the quotient dimensions
+    agree, and the domain-level sums hold as subspace identities.
+
     Raises InputError for invalid parameter data, PropertyViolationError when
     the parameter is admissible upstairs but the doubled extension has no
     block structure (D U D U = I fails), carrying the block diagnosis.  When
@@ -247,7 +254,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     slices are too large, which is how a non-block extension shows.
     """
     u, defect_cols = _deficiency_span(dp, p)
-    k = dp.n_plus.dim
+    n, k = dp.ambient_dim, dp.n_plus.dim
     tol = dp.tol
     bound = tol.bound()
     checks = CheckList()
@@ -272,51 +279,13 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
         "companion_block_is_conjugated", max_angle_sin(t_block.graph, conj_ext.graph), bound
     )
     # dim graph(A*) = 2n - dim graph(A): the two sides can only agree at dim n
-    csa_res = a_ext.adjoint_gap(conj_ext.graph.basis) if a_ext.graph.dim == dp.ambient_dim else 1.0
+    csa_res = a_ext.adjoint_gap(conj_ext.graph.basis) if a_ext.graph.dim == n else 1.0
     checks.add_residual("extension_c_selfadjoint", csa_res, bound)
-    checks.add_residual("contains_a", max_angle_sin(dp.a.graph, a_ext.graph), bound)
     checks.add_residual("inside_bstar", max_angle_sin(a_ext.graph, dp.b_star.graph), bound)
-    # domain-level counterpart of the deficiency span: D(A_U) = D(A) + second components
-    n = dp.ambient_dim
-    l_domain = orthonormal_basis(defect_cols[n : 2 * n], tol, n)
-    l_domain_star = dp.c.map_subspace(l_domain)
+    # L-manifolds: L = graph(A_U) - graph(A) and its S-image split frakM
+    frak_m = dp.spaces.frakM
     # a_ext's basis is [graph(A) basis, new columns], the new ones orthogonal to graph(A)
     l_graph = _trusted(a_ext.graph.basis[:, dp.a.graph.dim :], tol)
-    diagnostics = {
-        "is_operator": a_ext.is_operator,
-        "is_c_selfadjoint": csa_res <= bound,
-        "dims": {
-            "graph_a": dp.a.graph.dim,
-            "graph_ext": a_ext.graph.dim,
-            "graph_bstar": dp.b_star.graph.dim,
-            "n_plus": k,
-            "l_graph": l_graph.dim,
-        },
-    }
-    return ExtensionResult(
-        a_ext,
-        frak_ext,
-        ExtensionParameter("unitary", u),
-        l_domain,
-        l_domain_star,
-        l_graph,
-        diagnostics,
-        checks,
-    )
-
-
-def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Subspace, CheckList]:
-    """L-manifold decomposition checks for a built extension.
-
-    Verifies, at graph level, that L = graph(ext) - graph(A) and its image
-    under the anti-involution S(f, g) = (Cg, -Cf) split frakM orthogonally,
-    and that the two quotient dimensions agree.  Domain-level sums are
-    checked as subspace identities.
-    """
-    checks = CheckList()
-    bound = dp.tol.bound()
-    frak_m = dp.spaces.frakM
-    l_graph = res.l_graph
     s_image = dp.s_map.map_subspace(l_graph)
     checks.add_residual("l_orthogonal_to_s_l", _orthogonality_residual(l_graph, s_image), bound)
     total = subspace_sum(l_graph, s_image)
@@ -326,24 +295,27 @@ def l_manifolds(res: ExtensionResult, dp: DoubledProblem) -> tuple[Subspace, Sub
         and total.dim == l_graph.dim + s_image.dim,
         detail=f"dims {l_graph.dim}+{s_image.dim} vs {frak_m.dim}",
     )
-    q_upper = dp.b_star.graph.dim - res.a_ext.graph.dim
-    q_lower = res.a_ext.graph.dim - dp.a.graph.dim
+    q_upper = dp.b_star.graph.dim - a_ext.graph.dim
+    q_lower = a_ext.graph.dim - dp.a.graph.dim
     checks.add("quotient_dimensions_equal", q_upper == q_lower, detail=f"{q_upper} vs {q_lower}")
-    dom_sum = subspace_sum(dp.a.domain(), res.l_domain)
+    # domain-level counterpart of the deficiency span: D(A_U) = D(A) + second components
+    l_domain = orthonormal_basis(defect_cols[n : 2 * n], tol, n)
+    dom_sum = subspace_sum(dp.a.domain(), l_domain)
     checks.add(
         "domain_sum",
-        subspace_equal(dom_sum, res.a_ext.domain(), bound),
-        detail=f"dims {dp.a.domain().dim}+{res.l_domain.dim} vs {res.a_ext.domain().dim}",
+        subspace_equal(dom_sum, a_ext.domain(), bound),
+        detail=f"dims {dp.a.domain().dim}+{l_domain.dim} vs {a_ext.domain().dim}",
     )
     # D(A_ext*) = mul(A_ext)^perp in finite dimensions, so A_ext* is not built
-    star_domain = complement(res.a_ext.multivalued_part())
-    star_sum = subspace_sum(dp.b.domain(), res.l_domain_star)
+    l_domain_star = dp.c.map_subspace(l_domain)
+    star_domain = complement(a_ext.multivalued_part())
+    star_sum = subspace_sum(dp.b.domain(), l_domain_star)
     checks.add(
         "domain_sum_star",
         subspace_equal(star_sum, star_domain, bound),
-        detail=f"dims {dp.b.domain().dim}+{res.l_domain_star.dim} vs {star_domain.dim}",
+        detail=f"dims {dp.b.domain().dim}+{l_domain_star.dim} vs {star_domain.dim}",
     )
-    return res.l_domain, res.l_domain_star, checks
+    return ExtensionResult(a_ext, frak_ext, ExtensionParameter("unitary", u), checks)
 
 
 def _anti_involution_coords(dp: DoubledProblem, frak_m: Subspace) -> np.ndarray:

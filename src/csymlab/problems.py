@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +26,7 @@ from .antilinear import (
     flip_conjugation,
     conjugation_axiom_residuals,
 )
+from .doubling import DoubledProblem, build_doubled
 from .errors import InputError
 from .linalg import DEFAULT_TOL, Tolerance, _gram_residual, orthonormal_basis
 from .relations import LinearRelation, from_matrix
@@ -78,6 +80,15 @@ class ProblemSpec:
             )
         return LinearRelation(graph)
 
+    def doubled(self) -> DoubledProblem:
+        """The doubled problem of relation() and conjugation(), built on the
+        first call and then reused."""
+        return self._doubled
+
+    @cached_property
+    def _doubled(self) -> DoubledProblem:
+        return build_doubled(self.relation(), self.conjugation())
+
     def matrix(self) -> np.ndarray | None:
         """Full matrix when everywhere-defined, else None."""
         if self.domain_basis is None:
@@ -108,16 +119,18 @@ def encode_matrix(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).transpose(1, 0, 2).tolist()
 
 
+def _is_real(value) -> bool:
+    """A JSON number that is a finite float: json accepts NaN, Infinity and
+    integers past the float range, and bool is an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _parse_complex(value, pointer: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_real(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(part, (int, float)) for part in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_real(part) for part in value):
         return complex(value[0], value[1])
-    raise InputError(f"{pointer}: expected a number or [re, im] pair, got {value!r}")
+    raise InputError(f"{pointer}: expected a finite number or [re, im] pair, got {value!r}")
 
 
 def _parse_vector(value, dim: int, pointer: str) -> np.ndarray:
@@ -159,7 +172,7 @@ def spec_from_dict(data, name: str | None = None, pointer: str = "") -> ProblemS
             raise InputError(f"{pointer}/name: expected a string, got {embedded!r}")
         name = embedded
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError(f"{pointer}/dim: expected a positive integer, got {dim!r}")
     tol_value = data.get("tol", DEFAULT_TOL.eps)
     if not isinstance(tol_value, (int, float)) or not 0 < tol_value < 1:

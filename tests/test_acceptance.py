@@ -190,9 +190,8 @@ def test_criterion_07_l_manifold_decomposition():
         dp = cs.build_doubled(spec.relation(), spec.conjugation())
         for swap in (False, True):
             res = cs.canonical_extension(dp, swap=swap)
-            _, _, checks = cs.l_manifolds(res, dp)
             produced += 1
-            if not checks.all_pass:
+            if not res.checks.all_pass:
                 bad += 1
     report(
         7,

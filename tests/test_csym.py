@@ -46,35 +46,35 @@ def test_weak_form_residual_tracks_predicate(rng):
 
 def test_adjoint_pair_relations(rng):
     spec = cs.zero_on_subspace(4)
-    pair = cs.adjoint_pair(spec.relation(), spec.conjugation())
+    dp = spec.doubled()
     # B = CAC and the adjoint pair inclusions
-    assert pair.b.equals(pair.a.conjugated(pair.c))
-    assert pair.b.contained_in(pair.a_star)
-    assert pair.a.contained_in(pair.b_star)
+    assert dp.b.equals(dp.a.conjugated(dp.c))
+    assert dp.b.contained_in(dp.a_star)
+    assert dp.a.contained_in(dp.b_star)
     # conjugating the adjoint gives the adjoint of the conjugate
-    assert pair.b_star.equals(pair.a_star.conjugated(pair.c))
+    assert dp.b_star.equals(dp.a_star.conjugated(dp.c))
+    assert dp.b_star.equals(dp.b.adjoint())
 
 
 def test_m_spaces_two_path_identity():
     # frakM first components = N(I + A*B*), both computed independently
     for spec in (cs.minimal_identity(), cs.zero_on_subspace(4), cs.random_restriction(6, seed=3)):
-        pair = cs.adjoint_pair(spec.relation(), spec.conjugation())
-        spaces = cs.m_spaces(pair)
-        n = pair.a.ambient_dim
+        dp = spec.doubled()
+        spaces = cs.m_spaces(dp)
+        n = dp.ambient_dim
         first = cs.orthonormal_basis(spaces.frakM.basis[:n], ambient_dim=n)
         assert cs.subspace_equal(spaces.m_bstar, first, 1e-9)
         # frakM orthogonal to graph(A) inside graph(B*)
-        if spaces.frakM.dim and pair.a.graph.dim:
-            overlap = np.abs(pair.a.graph.basis.conj().T @ spaces.frakM.basis).max()
+        if spaces.frakM.dim and dp.a.graph.dim:
+            overlap = np.abs(dp.a.graph.basis.conj().T @ spaces.frakM.basis).max()
             assert overlap <= 1e-10
-        total = cs.subspace_sum(pair.a.graph, spaces.frakM)
-        assert cs.subspace_equal(total, pair.b_star.graph, 1e-9)
+        total = cs.subspace_sum(dp.a.graph, spaces.frakM)
+        assert cs.subspace_equal(total, dp.b_star.graph, 1e-9)
 
 
 def test_m_spaces_trivial_for_selfadjoint(rng):
     c = cs.entrywise_conjugation(3)
-    pair = cs.adjoint_pair(cs.from_matrix(cs.random_symmetric(3, rng)), c)
-    spaces = cs.m_spaces(pair)
+    spaces = cs.m_spaces(cs.build_doubled(cs.from_matrix(cs.random_symmetric(3, rng)), c))
     assert spaces.frakM.dim == 0
     assert spaces.m_bstar.dim == 0
 
@@ -83,7 +83,7 @@ def test_m_spaces_requires_symmetry(rng):
     c = cs.entrywise_conjugation(2)
     bad = cs.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(cs.InputError):
-        cs.m_spaces(cs.adjoint_pair(bad, c))
+        cs.m_spaces(cs.build_doubled(bad, c))
 
 
 def test_graph_inner(rng):
@@ -97,10 +97,9 @@ def test_graph_inner(rng):
 
 def test_anti_involution_square_and_invariance():
     spec = cs.zero_on_subspace(4)
-    pair = cs.adjoint_pair(spec.relation(), spec.conjugation())
-    spaces = cs.m_spaces(pair)
-    s = cs.anti_involution(pair, spaces)
-    frak_m = spaces.frakM
+    dp = spec.doubled()
+    s = cs.anti_involution(dp)
+    frak_m = dp.spaces.frakM
     # S^2 = -I on frakM and S frakM = frakM
     for v in frak_m.basis.T:
         np.testing.assert_allclose(s.apply(s.apply(v)), -v, atol=1e-10)
@@ -115,7 +114,7 @@ def test_domain_criterion_on_extension():
     rel, c = spec.relation(), spec.conjugation()
     dp = cs.build_doubled(rel, c)
     res = cs.canonical_extension(dp)
-    if res.diagnostics["is_operator"]:
+    if res.a_ext.is_operator:
         assert cs.domain_criterion(res.a_ext, rel, c)
     # the full adjoint is too large to satisfy the criterion
     assert not cs.domain_criterion(rel.adjoint(), rel, c)

@@ -71,15 +71,17 @@ def test_build_doubled_rejects_wrong_block_adjoint(monkeypatch, mutation):
     # adjoint gap), or B and A in their places, which gives frakA itself,
     # inside frakA* with gap 0 but of too small a dimension
     spec = cs.race_schrodinger(16)
-    original = cs.doubling.adjoint_pair
+    original = cs.doubling.block_relation
+    assembled = []
 
-    def mutated(a, c):
-        p = original(a, c)
-        if mutation == "swapped":
-            return cs.AdjointPair(p.a, p.b, p.b_star, p.a_star, p.c)
-        return cs.AdjointPair(p.a, p.b, p.b, p.a, p.c)
+    def mutated(s, t):
+        # build_doubled assembles frakA = block(A, B), then frakA* = block(B*, A*)
+        assembled.append((s, t))
+        if len(assembled) == 2:
+            s, t = (t, s) if mutation == "swapped" else assembled[0]
+        return original(s, t)
 
-    monkeypatch.setattr(cs.doubling, "adjoint_pair", mutated)
+    monkeypatch.setattr(cs.doubling, "block_relation", mutated)
     with pytest.raises(cs.PropertyViolationError, match="adjoint of the doubled relation") as info:
         doubled(spec)
     assert (info.value.residuals["angle"] > 1e-3) == (mutation == "swapped")
@@ -119,11 +121,11 @@ def test_frozen_deficiency_dims():
 def test_deficiency_report_checks():
     for spec in (cs.minimal_identity(), cs.zero_on_subspace(4), cs.race_schrodinger(8)):
         dp = doubled(spec)
-        rep = cs.deficiency(dp)
-        assert rep.checks.all_pass, rep.checks.to_list()
-        assert rep.n_plus.dim == rep.n_minus.dim
-        image = dp.frakC.map_subspace(rep.n_plus)
-        assert cs.subspace_equal(image, rep.n_minus, 1e-9)
+        checks = cs.deficiency(dp)
+        assert checks.all_pass, checks.to_list()
+        assert dp.n_plus.dim == dp.n_minus.dim
+        image = dp.frakC.map_subspace(dp.n_plus)
+        assert cs.subspace_equal(image, dp.n_minus, 1e-9)
 
 
 def test_deficiency_rejects_nonsymmetric():

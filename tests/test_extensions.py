@@ -29,6 +29,14 @@ def doubled(spec):
     return cs.build_doubled(spec.relation(), spec.conjugation())
 
 
+L_MANIFOLD_CHECKS = (
+    "l_orthogonal_to_s_l",
+    "l_plus_s_l_spans_frakM",
+    "quotient_dimensions_equal",
+    "domain_sum",
+    "domain_sum_star",
+)
+
 DEFECT_FIXTURES = pytest.mark.parametrize(
     "spec",
     [cs.race_schrodinger(16), cs.zero_on_subspace(8), cs.fd_derivative_minimal(16)],
@@ -121,6 +129,19 @@ def test_closed_form_matches_verified_extension(spec):
         assert cs.max_angle_sin(full, closed) <= bound
 
 
+@DEFECT_FIXTURES
+def test_extension_basis_begins_with_graph_a(spec):
+    # the extension is grown from graph(A) by extend_basis, which keeps
+    # graph(A)'s basis as its first columns, so A is contained in every
+    # extension by construction and no check of that containment can fail
+    dp = doubled(spec)
+    d = dp.a.graph.dim
+    params = [cs.canonical_extension(dp, swap=swap).parameter for swap in (False, True)]
+    for p in params + cs.sample_parameters(dp, 3, seed=3):
+        res = cs.extension_from_parameter(dp, p)
+        np.testing.assert_array_equal(res.a_ext.graph.basis[:, :d], dp.a.graph.basis)
+
+
 def test_three_forms_produce_identical_graphs():
     for spec in FIXTURES():
         dp = doubled(spec)
@@ -196,11 +217,17 @@ def test_l_manifold_decomposition():
         dp = doubled(spec)
         for swap in (False, True):
             res = cs.canonical_extension(dp, swap=swap)
-            l_dom, l_dom_star, checks = cs.l_manifolds(res, dp)
-            assert checks.all_pass, (spec.name, swap, checks.to_list())
-            # the domain increment can be smaller than L when the extension
-            # picks up a multivalued part; never larger
-            assert l_dom.dim <= res.l_graph.dim
+            assert res.checks.all_pass, (spec.name, swap, res.checks.to_list())
+            status = {c.name: c.status for c in res.checks}
+            for name in L_MANIFOLD_CHECKS:
+                assert status[name] == "pass", (spec.name, swap, name)
+            # the domain increment (second components of the deficiency
+            # span) can be smaller than L when the extension picks up a
+            # multivalued part; never larger
+            n = dp.ambient_dim
+            _, defect_cols = _deficiency_span(dp, res.parameter)
+            l_dom = cs.orthonormal_basis(defect_cols[n : 2 * n], dp.tol, n)
+            assert l_dom.dim <= res.a_ext.graph.dim - dp.a.graph.dim
 
 
 def test_sample_parameters_deterministic_and_valid():
@@ -286,10 +313,11 @@ def test_extend_report_computes_m_spaces_once(monkeypatch, capsys, swap):
 
 
 def test_doubled_problem_caches_defect_geometry():
-    dp = doubled(cs.zero_on_subspace(4))
+    spec = cs.zero_on_subspace(4)
+    dp = spec.doubled()
+    assert spec.doubled() is dp
     assert dp.spaces is dp.spaces and dp.s_map is dp.s_map
-    assert dp.pair.b_star is dp.b_star
-    fresh = cs.m_spaces(cs.adjoint_pair(dp.a, dp.c))
+    fresh = cs.m_spaces(cs.build_doubled(dp.a, dp.c))
     for name in ("frakM", "frakM_prime", "m_bstar", "m_astar"):
         assert cs.subspace_equal(getattr(dp.spaces, name), getattr(fresh, name))
 
@@ -375,8 +403,7 @@ def test_extension_path_svds_are_bordered(monkeypatch, swap):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    res = cs.canonical_extension(dp, swap=swap)
-    cs.l_manifolds(res, dp)
+    cs.canonical_extension(dp, swap=swap)
     tall = [shape for shape in shapes if shape[0] >= 2 * n]
     assert max(rows for rows, _ in tall) == 4 * n
     assert all(cols <= k for _, cols in tall), tall

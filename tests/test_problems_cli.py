@@ -167,6 +167,33 @@ def test_cli_exit_code_2_on_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "dim, images, pointer",
+    [
+        (2, [[float("nan"), 0.0], [0.0, 1.0]], "/operator/images/0/0"),
+        (2, [[[2.0, float("inf")], 0.0], [0.0, 1.0]], "/operator/images/0/0"),
+        (2, [[True, 0.0], [0.0, 1.0]], "/operator/images/0/0"),
+        (2, [[0.0, 10**400], [0.0, 1.0]], "/operator/images/0/1"),
+        (True, [[2.0]], "/dim"),
+    ],
+    ids=["nan_image", "infinite_entry", "boolean_image", "huge_integer", "boolean_dim"],
+)
+def test_cli_rejects_nonfinite_and_boolean_numbers(tmp_path, capsys, dim, images, pointer):
+    # json accepts NaN, Infinity and true, and bool is an int in Python
+    data = {"dim": dim, "conjugation": {"kind": "entrywise"}, "operator": {"images": images}}
+    assert main(["check", "--spec", write_spec(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"error: {pointer}:" in captured.err
+
+
+def test_parameter_file_rejects_nonfinite_entries(tmp_path):
+    path = tmp_path / "param.json"
+    path.write_text(json.dumps({"kind": "unitary", "matrix": [[[1.0, float("nan")]]]}))
+    with pytest.raises(cs.InputError, match="/matrix/0/0"):
+        cs.cli.load_parameter(path)
+
+
 def test_cli_requires_exactly_one_source():
     with pytest.raises(SystemExit) as info:
         main(["check"])
@@ -259,9 +286,11 @@ def test_cli_enumerate_pinned_hits(capsys, example, n, hits, operator_hits):
     assert (out["results"]["hits"], out["results"]["operator_hits"]) == (hits, operator_hits)
 
 
-def test_cli_verify_all_builds_doubled_problem_once(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["extend", "deficiency", "enumerate", "verify-all"])
+def test_cli_builds_doubled_problem_once(monkeypatch, capsys, command):
+    # every command reads the doubled problem from ProblemSpec.doubled()
     calls = count_calls(monkeypatch, cs.doubling, "build_doubled")
-    assert main(["verify-all", "--example", "race_schrodinger", "--n", "8"]) == 0
+    assert main([command, "--example", "race_schrodinger", "--n", "8", "--budget", "200"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
 
@@ -346,10 +375,10 @@ def test_checked_bases_catch_unprojected_extend_basis(monkeypatch, checked_subsp
 
     spec = cs.race_schrodinger(8)
     dp = cs.build_doubled(spec.relation(), spec.conjugation())
-    res = cs.canonical_extension(dp)
+    param = cs.canonical_extension(dp).parameter
     patch_everywhere(monkeypatch, cs.linalg, "extend_basis", unprojected)
     with pytest.raises(cs.InputError, match="not orthonormal"):
-        cs.l_manifolds(res, dp)
+        cs.extension_from_parameter(dp, param)
 
 
 def perturbed_symmetric_spec(tmp_path, size):
