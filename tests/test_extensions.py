@@ -218,9 +218,7 @@ def test_l_manifold_decomposition():
         for swap in (False, True):
             res = cs.canonical_extension(dp, swap=swap)
             assert res.checks.all_pass, (spec.name, swap, res.checks.to_list())
-            status = {c.name: c.status for c in res.checks}
-            for name in L_MANIFOLD_CHECKS:
-                assert status[name] == "pass", (spec.name, swap, name)
+            assert set(L_MANIFOLD_CHECKS) <= {c.name for c in res.checks}
             # the domain increment (second components of the deficiency
             # span) can be smaller than L when the extension picks up a
             # multivalued part; never larger
