@@ -3,6 +3,8 @@ complete parameterization of their C-self-adjoint extensions, with the
 doubled-operator reduction to ordinary von Neumann theory, graph-norm
 decompositions, block power identities and polar-type factorizations."""
 
+from types import ModuleType as _ModuleType
+
 from .antilinear import (
     AntiLinearMap,
     Conjugation,
@@ -72,7 +74,6 @@ from .linalg import (
     inner,
     intersect,
     is_subspace_of,
-    map_subspace,
     max_angle_sin,
     orthonormal_basis,
     subspace_equal,
@@ -107,4 +108,7 @@ from .relations import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules that the imports above bind here are not API
+__all__ = sorted(
+    name for name, value in list(globals().items()) if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

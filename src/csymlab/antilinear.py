@@ -119,11 +119,11 @@ def restricted_matrix(c: AntiLinearMap, s: Subspace) -> np.ndarray:
     return s.basis.conj().T @ c.matrix @ np.conj(s.basis)
 
 
-def preserves_subspace(c: AntiLinearMap, s: Subspace, atol=None) -> bool:
+def preserves_subspace(c: AntiLinearMap, s: Subspace) -> bool:
+    """C maps S into itself, within S's tol.bound()."""
     image = c.matrix @ np.conj(s.basis)
     residual = image - s.basis @ (s.basis.conj().T @ image)
-    bound = s.tol.eps if atol is None else atol
-    return _spectral_norm(residual) <= bound
+    return _spectral_norm(residual) <= s.tol.bound()
 
 
 def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
@@ -140,7 +140,7 @@ def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
     """
     if c.dim != s.ambient_dim:
         raise InputError(f"map dimension {c.dim} != subspace ambient {s.ambient_dim}")
-    if not preserves_subspace(c, s, s.tol.bound()):
+    if not preserves_subspace(c, s):
         raise PreconditionError("conjugation does not map the subspace into itself")
     k = s.dim
     if k == 0:

@@ -144,15 +144,14 @@ def _regime(rel) -> str:
 def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     rel = spec.relation()
     c = spec.conjugation()
-    atol = spec.tol.bound()
-    sym = is_c_symmetric(rel, c, atol)
-    csa = is_c_selfadjoint(rel, c, atol)
+    sym = is_c_symmetric(rel, c)
+    csa = is_c_selfadjoint(rel, c)
     weak = weak_c_symmetry_residual(rel, c)
-    dc = domain_criterion(rel, rel, c, atol)
+    dc = domain_criterion(rel, rel, c)
     checks = CheckList()
     checks.add(
         "weak_form_matches_predicate",
-        (weak <= atol) == sym,
+        (weak <= spec.tol.bound()) == sym,
         residual=weak,
         detail="sesquilinear-form characterization of C-symmetry",
     )
@@ -180,7 +179,7 @@ def cmd_deficiency(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     checks = deficiency(dp)
     checks.add(
         "doubled_symmetry_equivalence",
-        verify_symmetry_equivalence(dp, spec.tol.bound()),
+        verify_symmetry_equivalence(dp),
         detail="C-symmetric iff doubled relation symmetric, likewise self-adjoint",
     )
     results = {"n_plus": dp.n_plus.dim, "n_minus": dp.n_minus.dim}

@@ -45,15 +45,15 @@ if TYPE_CHECKING:
     from .doubling import DoubledProblem
 
 
-def is_c_symmetric(a: LinearRelation, c: Conjugation, atol=None) -> bool:
+def is_c_symmetric(a: LinearRelation, c: Conjugation) -> bool:
     """CAC contained in A*."""
-    return a.conjugated(c).contained_in(a.adjoint(), atol)
+    return a.conjugated(c).contained_in(a.adjoint())
 
 
-def is_c_selfadjoint(a: LinearRelation, c: Conjugation, atol=None) -> bool:
+def is_c_selfadjoint(a: LinearRelation, c: Conjugation) -> bool:
     """CAC = A*, read off the C-image of graph(A) without building either side."""
     image = a.conjugated_basis(c)  # raises InputError for a conjugation of another dimension
-    return a.graph.dim == a.ambient_dim and a.adjoint_gap(image) <= (a.tol.eps if atol is None else atol)
+    return a.graph.dim == a.ambient_dim and a.adjoint_gap(image) <= a.tol.bound()
 
 
 def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:
@@ -72,13 +72,13 @@ def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def domain_criterion(a_tilde: LinearRelation, a: LinearRelation, c: Conjugation, atol=None) -> bool:
+def domain_criterion(a_tilde: LinearRelation, a: LinearRelation, c: Conjugation) -> bool:
     """D(adjoint of the extension) = C * D(extension)."""
-    if not a.contained_in(a_tilde, a.tol.bound()):
+    if not a.contained_in(a_tilde):
         raise PreconditionError("the candidate does not extend the given relation")
     lhs = a_tilde.adjoint().domain()
     rhs = c.map_subspace(a_tilde.domain())
-    return subspace_equal(lhs, rhs, atol)
+    return subspace_equal(lhs, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +100,7 @@ class MSpaces:
 def m_spaces(dp: DoubledProblem) -> MSpaces:
     """The M-spaces of dp's A, B, A* and B*; raises PreconditionError
     unless A is C-symmetric."""
-    if not dp.b.contained_in(dp.a_star, dp.tol.bound()):
+    if not dp.b.contained_in(dp.a_star):
         raise PreconditionError("relation is not C-symmetric; M-spaces are undefined")
     # frakM's basis is the brute-force sweep's coordinate system
     frak_m = _complement_formula_intersect(dp.b_star.graph, complement(dp.a.graph))
@@ -109,10 +109,9 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
     m_bstar = compose(dp.a_star, dp.b_star).shifted(1.0).kernel()
     m_astar = compose(dp.b_star, dp.a_star).shifted(1.0).kernel()
     # kernel of I + A*B* = first components of frakM, in every regime
-    bound = frak_m.tol.bound()
     first = orthonormal_basis(frak_m.basis[:n], frak_m.tol, n)
     first_prime = orthonormal_basis(frak_m_prime.basis[:n], frak_m.tol, n)
-    if not subspace_equal(m_bstar, first, bound) or not subspace_equal(m_astar, first_prime, bound):
+    if not subspace_equal(m_bstar, first) or not subspace_equal(m_astar, first_prime):
         raise PropertyViolationError(
             "kernels of I + A*B* and I + B*A* disagree with the first components of the M-spaces",
             {"dims": abs(m_bstar.dim - first.dim) + abs(m_astar.dim - first_prime.dim)},
@@ -142,7 +141,7 @@ def anti_involution(dp: DoubledProblem) -> AntiLinearMap:
     bound = frak_m.tol.bound()
     if frak_m.dim:
         image = s.map_subspace(frak_m)
-        if not subspace_equal(image, frak_m, bound):
+        if not subspace_equal(image, frak_m):
             raise PropertyViolationError("S does not preserve frakM", {})
         ss = s.matrix @ np.conj(s.matrix)
         square_residual = float(np.abs(ss @ frak_m.basis + frak_m.basis).max())

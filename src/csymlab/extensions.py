@@ -136,7 +136,7 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
         if v.shape != (2 * dp.ambient_dim, k):
             raise InputError(f"basis parameter must be {2 * dp.ambient_dim} x {k}, got {v.shape}")
         span = orthonormal_basis(v, dp.tol)
-        if span.dim != k or not subspace_equal(span, dp.n_plus, bound):
+        if span.dim != k or not subspace_equal(span, dp.n_plus):
             raise InputError("basis parameter does not span the deficiency subspace N+")
         w = dp.n_plus.basis.conj().T @ v
         gram = _gram_residual(w)
@@ -269,7 +269,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     checks.add_residual("doubled_frakE_selfadjoint", einv_res, bound)
     a_ext, t_block = _closed_form_slices(dp, defect_cols)
     dims = a_ext.graph.dim + t_block.graph.dim - frak_ext.graph.dim
-    if dims or not block_relation(a_ext, t_block).equals(frak_ext, bound):
+    if dims or not block_relation(a_ext, t_block).equals(frak_ext):
         raise PropertyViolationError(
             "extracted blocks do not reassemble the doubled extension", {"dims": dims}
         )
@@ -291,8 +291,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     total = subspace_sum(l_graph, s_image)
     checks.add(
         "l_plus_s_l_spans_frakM",
-        subspace_equal(total, frak_m, bound)
-        and total.dim == l_graph.dim + s_image.dim,
+        subspace_equal(total, frak_m) and total.dim == l_graph.dim + s_image.dim,
         detail=f"dims {l_graph.dim}+{s_image.dim} vs {frak_m.dim}",
     )
     q_upper = dp.b_star.graph.dim - a_ext.graph.dim
@@ -303,7 +302,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     dom_sum = subspace_sum(dp.a.domain(), l_domain)
     checks.add(
         "domain_sum",
-        subspace_equal(dom_sum, a_ext.domain(), bound),
+        subspace_equal(dom_sum, a_ext.domain()),
         detail=f"dims {dp.a.domain().dim}+{l_domain.dim} vs {a_ext.domain().dim}",
     )
     # D(A_ext*) = mul(A_ext)^perp in finite dimensions, so A_ext* is not built
@@ -312,7 +311,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     star_sum = subspace_sum(dp.b.domain(), l_domain_star)
     checks.add(
         "domain_sum_star",
-        subspace_equal(star_sum, star_domain, bound),
+        subspace_equal(star_sum, star_domain),
         detail=f"dims {dp.b.domain().dim}+{l_domain_star.dim} vs {star_domain.dim}",
     )
     return ExtensionResult(a_ext, frak_ext, ExtensionParameter("unitary", u), checks)
@@ -373,7 +372,7 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
         l_coords = s_coord @ np.conj(l_coords)
     a_tilde = LinearRelation(extend_basis(dp.a.graph, frak_m.basis @ l_coords))
     res = extension_from_parameter(dp, recover_parameter(dp, a_tilde))
-    if not res.a_ext.equals(a_tilde, dp.tol.bound()):
+    if not res.a_ext.equals(a_tilde):
         raise PropertyViolationError("canonical extension failed the parameter round trip", {})
     return res
 
@@ -387,10 +386,9 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     V = Q P^-1, so V N+ = Q X for the k columns X solving P X = N+; V itself
     is never formed.  Rebuilding the extension from U is left to callers.
     """
-    bound = dp.tol.bound()
-    if not dp.a.contained_in(a_tilde, bound):
+    if not dp.a.contained_in(a_tilde):
         raise PreconditionError("relation does not extend A")
-    if not is_c_selfadjoint(a_tilde, dp.c, bound):
+    if not is_c_selfadjoint(a_tilde, dp.c):
         raise PreconditionError("extension is not C-self-adjoint")
     k = dp.n_plus.dim
     if k == 0:
@@ -411,7 +409,7 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     image = (g[n2:] - 1j * g[:n2]) @ x
     u = dp.n_minus.basis.conj().T @ image
     stray = float(np.abs(image - dp.n_minus.basis @ u).max())
-    if stray > bound:
+    if stray > dp.tol.bound():
         raise PropertyViolationError(
             "Cayley transform does not carry N+ onto N-", {"stray": stray}
         )
@@ -574,7 +572,7 @@ def brute_force_extensions(
         # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
         lifted = np.hstack([dp.a.graph.basis, frak_m.basis @ span.basis])
         cand = LinearRelation(_trusted(lifted, tol))
-        if is_c_selfadjoint(cand, dp.c, bound):
+        if is_c_selfadjoint(cand, dp.c):
             seen.add(key)
             hits.append(cand)
     return hits

@@ -4,11 +4,13 @@ Everything downstream works with subspaces of C^n carried by orthonormal
 bases.  Rank decisions are made exclusively through singular values with a
 single scale rule, so that every higher-level construction (relation
 adjoints, deficiency spaces, extension manifolds) inherits one consistent
-notion of "numerically zero".  Intersections are read off the principal
-angles between the two subspaces (sin theta at or below the zero cutoff),
-from one SVD in the smaller subspace's dimension.  Operator 2-norms (the
-largest principal-angle sine, the adjoint gap) are read off the top
-eigenvalue of the smaller Gram matrix, with no SVD.
+notion of "numerically zero".  Every subspace predicate compares its
+residual with tol.bound() of the Tolerance its first operand carries.
+Intersections are read off the principal angles between the two subspaces
+(sin theta at or below the zero cutoff), from one SVD in the smaller
+subspace's dimension.  Operator 2-norms (the largest principal-angle sine,
+the adjoint gap) are read off the top eigenvalue of the smaller Gram
+matrix, with no SVD.
 
 Sums are grown by bordering: extend_basis(S, cols) keeps the basis of S as
 it is and appends an orthonormal basis of what cols add.  The columns are
@@ -43,10 +45,10 @@ class Tolerance:
     sigma <= zero_cutoff(sigma_max) = eps * max(1, sigma_max).  Identities:
     every check that a residual vanishes compares it with
     bound(scale) = 1e3 * eps * scale, scale being the norm the residual
-    grows with (1 on orthonormal bases).  The library passes bound() to
-    every predicate; their atol=None default (bare eps) is for callers.
-    The same Tolerance object should be threaded through a whole
-    computation.
+    grows with (1 on orthonormal bases).  Predicates take no tolerance
+    argument: each reads bound() from the Tolerance of its first subspace
+    or relation operand.  The same Tolerance object should be threaded
+    through a whole computation.
     """
 
     eps: float = 1e-10
@@ -113,9 +115,9 @@ class Subspace:
         x = np.asarray(x, dtype=complex)
         return self.basis @ (self.basis.conj().T @ x)
 
-    def contains_vector(self, x, atol=None) -> bool:
+    def contains_vector(self, x) -> bool:
         x = np.asarray(x, dtype=complex)
-        bound = (self.tol.eps if atol is None else atol) * max(1.0, float(np.linalg.norm(x)))
+        bound = self.tol.bound(max(1.0, float(np.linalg.norm(x))))
         return float(np.linalg.norm(x - self.project(x))) <= bound
 
 
@@ -143,28 +145,19 @@ def _check_same_ambient(s1: Subspace, s2: Subspace):
         raise InputError(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
 
 
-def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL, ambient_dim=None) -> Subspace:
-    """Build the span of the given vectors as a Subspace.
+def orthonormal_basis(cols, tol: Tolerance = DEFAULT_TOL, ambient_dim=None) -> Subspace:
+    """The span of the columns of a 2-d array as a Subspace.
 
-    ``vectors`` is either a sequence of ambient vectors or a 2-d array whose
-    columns are the vectors.  Rank is decided by the Tolerance scale rule on
-    the singular values.
+    Rank is decided by the Tolerance scale rule on the singular values.
+    Anything but a 2-d ndarray is refused: np.asarray would read a list of
+    vectors as rows.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        a = np.asarray(vectors, dtype=complex)
-    else:
-        cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if not cols:
-            if ambient_dim is None:
-                raise InputError("empty vector list needs an explicit ambient_dim")
-            return _trusted(np.zeros((ambient_dim, 0), dtype=complex), tol)
-        n = cols[0].shape[0]
-        for v in cols:
-            if v.shape[0] != n:
-                raise InputError(f"vectors have mismatched dimensions: {v.shape[0]} vs {n}")
-        a = np.column_stack(cols)
+    if not (isinstance(cols, np.ndarray) and cols.ndim == 2):
+        got = f"shape {cols.shape}" if isinstance(cols, np.ndarray) else type(cols).__name__
+        raise InputError(f"columns must be a 2-d array, got {got}")
+    a = np.asarray(cols, dtype=complex)
     if ambient_dim is not None and a.shape[0] != ambient_dim:
-        raise InputError(f"vectors live in dimension {a.shape[0]}, expected {ambient_dim}")
+        raise InputError(f"columns live in dimension {a.shape[0]}, expected {ambient_dim}")
     if a.shape[1] == 0:
         return _trusted(a, tol)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -279,21 +272,13 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
-def is_subspace_of(s1: Subspace, s2: Subspace, atol=None) -> bool:
-    """True iff S1 is contained in S2 within tolerance."""
+def is_subspace_of(s1: Subspace, s2: Subspace) -> bool:
+    """True iff S1 is contained in S2 within S1's tol.bound()."""
     _check_same_ambient(s1, s2)
-    return s1.dim <= s2.dim and max_angle_sin(s1, s2) <= (s1.tol.eps if atol is None else atol)
+    return s1.dim <= s2.dim and max_angle_sin(s1, s2) <= s1.tol.bound()
 
 
-def subspace_equal(s1: Subspace, s2: Subspace, atol=None) -> bool:
-    """True iff dims agree and the largest principal angle is within tolerance."""
+def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
+    """True iff dims agree and the largest principal angle is within S1's tol.bound()."""
     _check_same_ambient(s1, s2)
-    return s1.dim == s2.dim and is_subspace_of(s1, s2, atol)
-
-
-def map_subspace(m: np.ndarray, s: Subspace) -> Subspace:
-    """Image of a subspace under a linear map (rank decided by Tolerance)."""
-    m = _as_complex_matrix(m)
-    if m.shape[1] != s.ambient_dim:
-        raise InputError(f"map expects dimension {m.shape[1]}, subspace has {s.ambient_dim}")
-    return orthonormal_basis(m @ s.basis, s.tol)
+    return s1.dim == s2.dim and is_subspace_of(s1, s2)

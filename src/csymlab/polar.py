@@ -18,6 +18,9 @@ from .errors import InputError, PropertyViolationError
 from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _gram_residual, _spectral_norm
 from .reporting import CheckList
 
+# takagi groups singular values that agree to this many decimal places
+GROUPING_DECIMALS = 12
+
 
 @dataclass(frozen=True, eq=False)
 class PolarFactors:
@@ -153,14 +156,14 @@ def cjt_factorization(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL):
     return PolarFactors(factors.phase, factors.modulus, factors.rank, j, t)
 
 
-def takagi(a, tol: Tolerance = DEFAULT_TOL, rounding: int = 12):
+def takagi(a, tol: Tolerance = DEFAULT_TOL):
     """Factor a complex symmetric matrix as A = V diag(s) V^T.
 
     Works from the singular value decomposition A = W diag(s) V0^H: within
     each group of equal singular values the matrix Z = V0_g^T W_g is unitary
     symmetric, and absorbing the principal square root of each Z into V0
     turns the two singular bases into one.  Singular values are grouped by
-    rounded equality; the result is deterministic.
+    equality rounded to GROUPING_DECIMALS; the result is deterministic.
     """
     import scipy.linalg  # here, not at module level: it dominates `import csymlab`
 
@@ -175,7 +178,7 @@ def takagi(a, tol: Tolerance = DEFAULT_TOL, rounding: int = 12):
     v0 = v0h.conj().T
     groups: dict[float, list[int]] = {}
     for idx, value in enumerate(s):
-        groups.setdefault(round(float(value), rounding), []).append(idx)
+        groups.setdefault(round(float(value), GROUPING_DECIMALS), []).append(idx)
     blocks = []
     for indices in groups.values():
         # per equal-singular-value group the two singular bases differ by a

@@ -23,6 +23,9 @@ from .errors import InputError
 from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _spectral_norm
 from .reporting import CheckList
 
+# partial sums of || (AC)^k x ||^(-1/k) that power_report records
+QA_TERMS = 8
+
 
 @dataclass(frozen=True, eq=False)
 class PowerReport:
@@ -208,14 +211,14 @@ def power_report(
     x,
     y,
     n: int,
-    n_terms: int = 8,
     tol: Tolerance = DEFAULT_TOL,
 ) -> PowerReport:
     """Full report for one exponent: block residuals for frakA^n, norm
-    identities at exponents 2n and 2n+1, and partial-sum diagnostics."""
+    identities at exponents 2n and 2n+1, and the first QA_TERMS partial
+    sums."""
     base = doubled_power_blocks(a, c, n, tol)
     devs = power_norm_identities(a, c, x, y, n, tol)
-    qa = qa_partial_sums(a, c, x, n_terms, tol)
+    qa = qa_partial_sums(a, c, x, QA_TERMS, tol)
     scale = max(1.0, _spectral_norm(np.asarray(a)))
     # deviations compare squared norms, which grow like ||A||^(2m) at m = 2n+1
     nbound = tol.bound((1.0 + scale) ** (4 * n + 2))

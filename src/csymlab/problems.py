@@ -58,9 +58,9 @@ class ProblemSpec:
 
     def conjugation(self) -> Conjugation:
         if self.conjugation_kind == "entrywise":
-            return entrywise_conjugation(self.dim)
+            return entrywise_conjugation(self.dim, self.tol)
         if self.conjugation_kind == "flip":
-            return flip_conjugation(self.dim)
+            return flip_conjugation(self.dim, self.tol)
         return Conjugation(self.conjugation_matrix, self.tol)
 
     def relation(self) -> LinearRelation:

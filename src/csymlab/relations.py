@@ -63,9 +63,6 @@ class LinearRelation:
     def _domain(self) -> Subspace:
         return orthonormal_basis(self._top(), self.tol, self.ambient_dim)
 
-    def range(self) -> Subspace:
-        return orthonormal_basis(self._bottom(), self.tol, self.ambient_dim)
-
     def kernel(self) -> Subspace:
         """{x : (x, 0) in graph}."""
         n = self.ambient_dim
@@ -104,6 +101,20 @@ class LinearRelation:
         flipped = np.vstack([self._bottom(), -self._top()])
         return LinearRelation(complement(orthonormal_basis(flipped, self.tol, 2 * self.ambient_dim)))
 
+    def imaginary_members(self) -> tuple[Subspace, Subspace]:
+        """The graph elements (w, iw) and (w, -iw): graph(R) intersected
+        with the graphs of +-i.  Built on the first call and then reused,
+        like domain()."""
+        return self._imaginary_members
+
+    @cached_property
+    def _imaginary_members(self) -> tuple[Subspace, Subspace]:
+        eye = np.eye(self.ambient_dim, dtype=complex)
+        return tuple(
+            intersect(self.graph, _trusted(np.vstack([eye, sign * 1j * eye]) / np.sqrt(2.0), self.tol))
+            for sign in (1, -1)
+        )
+
     def adjoint_gap(self, q) -> float:
         """sin of the largest angle from span(q) into graph(R*), R* never built.
 
@@ -138,11 +149,11 @@ class LinearRelation:
         cols = np.vstack([self._top(), self._bottom() + lam * self._top()])
         return LinearRelation(orthonormal_basis(cols, self.tol))
 
-    def contained_in(self, other: "LinearRelation", atol=None) -> bool:
-        return is_subspace_of(self.graph, other.graph, atol)
+    def contained_in(self, other: "LinearRelation") -> bool:
+        return is_subspace_of(self.graph, other.graph)
 
-    def equals(self, other: "LinearRelation", atol=None) -> bool:
-        return subspace_equal(self.graph, other.graph, atol)
+    def equals(self, other: "LinearRelation") -> bool:
+        return subspace_equal(self.graph, other.graph)
 
     def apply_vector(self, x) -> np.ndarray:
         """Value at x for single-valued relations; x must lie in the domain."""
@@ -150,7 +161,7 @@ class LinearRelation:
         if not self.is_operator:
             raise PreconditionError("relation is multivalued; apply_vector needs an operator")
         dom = self.domain()
-        if not dom.contains_vector(x, self.tol.bound()):
+        if not dom.contains_vector(x):
             raise PreconditionError("vector is outside the domain")
         # graph columns (d_j, v_j): solve for coefficients of x in the tops
         coeff, *_ = np.linalg.lstsq(self._top(), x, rcond=None)

@@ -16,6 +16,20 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def within(a, b, bound, equal=False):
+    """max_angle_sin(a, b) <= bound, and with equal=True also dim a == dim b.
+
+    a and b are Subspaces, LinearRelations (their graphs) or vectors (their
+    spans).  The package's predicates read their bound from the operands'
+    Tolerance; a test that needs a bound of its own states it here.
+    """
+    a, b = (
+        cs.orthonormal_basis(s.reshape(-1, 1)) if isinstance(s, np.ndarray) else getattr(s, "graph", s)
+        for s in (a, b)
+    )
+    return cs.max_angle_sin(a, b) <= bound and (not equal or a.dim == b.dim)
+
+
 def count_calls(monkeypatch, owner, name):
     """Count calls of owner.name.
 

@@ -16,6 +16,8 @@ import csymlab as cs
 from csymlab.cli import main
 from csymlab.extensions import parameter_as_unitary
 
+from conftest import within
+
 
 def report(num, label, ok, detail):
     line = f"criterion {num:02d} {label}: {'PASS' if ok else 'FAIL'} ({detail})"
@@ -68,7 +70,7 @@ def test_criterion_02_adjoint_involution():
             )
         else:
             rel = cs.zero_relation(n)
-        if not cs.subspace_equal(rel.adjoint().adjoint().graph, rel.graph, 1e-9):
+        if not within(rel.adjoint().adjoint(), rel, 1e-9, equal=True):
             bad += 1
     report(
         2,
@@ -112,7 +114,7 @@ def test_criterion_04_deficiency_structure():
             bad += 1
             continue
         image = dp.frakC.map_subspace(dp.n_plus)
-        if not cs.subspace_equal(image, dp.n_minus, 1e-9):
+        if not within(image, dp.n_minus, 1e-9, equal=True):
             bad += 1
         worst = max(worst, cs.max_angle_sin(image, dp.n_minus) if image.dim else 0.0)
     report(
@@ -140,8 +142,8 @@ def test_criterion_05_extension_soundness():
                 graphs.append(res.a_ext.graph)
             built += 1
             contains = cs.max_angle_sin(dp.a.graph, graphs[0]) <= 1e-9
-            csa = res.a_ext.conjugated(dp.c).equals(res.a_ext.adjoint(), 1e-9)
-            same = all(cs.subspace_equal(graphs[0], g, 1e-9) for g in graphs[1:])
+            csa = within(res.a_ext.conjugated(dp.c), res.a_ext.adjoint(), 1e-9, equal=True)
+            same = all(within(graphs[0], g, 1e-9, equal=True) for g in graphs[1:])
             if not (contains and csa and same):
                 bad += 1
     report(
@@ -163,13 +165,13 @@ def test_criterion_06_extension_completeness():
         for h in hits:
             p = cs.recover_parameter(dp, h)
             rebuilt = cs.extension_from_parameter(dp, p)
-            if not rebuilt.a_ext.equals(h, 1e-9):
+            if not within(rebuilt.a_ext, h, 1e-9, equal=True):
                 bad += 1
         if label == "F_min":
             landmarks = [np.diag([1.0, 0.0]), np.diag([1.0, 1.0]), np.diag([1.0, 1j])]
             for m in landmarks:
                 target = cs.from_matrix(m.astype(complex))
-                if not any(h.equals(target, 1e-9) for h in hits):
+                if not any(within(h, target, 1e-9, equal=True) for h in hits):
                     bad += 1
             if not any(not h.is_operator for h in hits):
                 bad += 1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import csymlab as cs
 
-from conftest import random_complex
+from conftest import random_complex, within
 
 
 def test_entrywise_and_flip_are_conjugations():
@@ -64,7 +64,7 @@ def test_invariant_onb_properties(rng):
         np.testing.assert_allclose(onb.conj().T @ onb, np.eye(s.dim), atol=1e-10)
         for v in onb.T:
             assert np.linalg.norm(c.apply(v) - v) <= 1e-9
-            assert s.contains_vector(v, atol=1e-9)
+            assert within(v, s, 1e-9)
 
 
 def test_invariant_onb_deterministic(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import csymlab as cs
-from csymlab.cli import main
+from csymlab.cli import build_parser, load_problem, main
 
 from conftest import check_trusted_bases, count_calls, nonblock_parameter, patch_everywhere
 
@@ -148,6 +148,16 @@ def test_example_fixture_properties():
     assert cs.is_c_selfadjoint(full, c)
     with pytest.raises(cs.InputError):
         cs.zero_on_subspace(3)
+
+
+@pytest.mark.parametrize("example", ["race_schrodinger", "fd_derivative_minimal", "random_csym"])
+def test_cli_tol_reaches_the_conjugation(example):
+    # entrywise, flip and matrix conjugations: --tol reaches C and frakE as
+    # it reaches A and everything built from it
+    spec = load_problem(build_parser().parse_args(["check", "--example", example, "--tol", "1e-12"]))
+    dp = spec.doubled()
+    assert spec.tol == cs.Tolerance(1e-12)
+    assert all(obj.tol == spec.tol for obj in (spec.conjugation(), dp.c, dp.frakC, dp.a, dp.frakA_star, dp.n_plus))
 
 
 def test_cli_check_runs(capsys):
@@ -308,6 +318,15 @@ def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
     # and B*, and C-self-adjointness, the extensions' domain_sum_star and vn
     # build none
     calls = count_calls(monkeypatch, cs.LinearRelation, "_adjoint")
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_cli_verify_all_imaginary_members_count_pinned(monkeypatch, capsys):
+    # N+- of the doubled problem and vn's N_hat+- are the members (w, +-iw)
+    # of frakA*: intersected once and then read from its cache
+    calls = count_calls(monkeypatch, cs.LinearRelation, "_imaginary_members")
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
