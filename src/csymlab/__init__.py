@@ -34,7 +34,6 @@ from .doubling import (
     doubled_conjugation,
     eigenspace_members,
     race_decomposition,
-    verify_symmetry_equivalence,
     vn_decomposition,
 )
 from .errors import InputError, PreconditionError, PropertyViolationError

@@ -106,8 +106,6 @@ class PartialConjugation(AntiLinearMap):
                 "applying the map twice is not an orthogonal projection "
                 f"(hermiticity {herm:.3e}, idempotency {idem:.3e})"
             )
-        # ran(M conj(M)); the map restricted there satisfies the conjugation axioms
-        object.__setattr__(self, "initial_space", orthonormal_basis(p, self.tol))
 
 
 def restricted_matrix(c: AntiLinearMap, s: Subspace) -> np.ndarray:

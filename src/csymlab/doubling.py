@@ -168,18 +168,6 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     return DoubledProblem(a, c, b, a_star, b_star, frak_a, frak_a_star, frak_c, n_plus, n_minus)
 
 
-def verify_symmetry_equivalence(dp: DoubledProblem) -> bool:
-    """[A C-symmetric <=> frakA symmetric] and [A C-self-adjoint <=> frakA self-adjoint].
-
-    The one-space sides compare CAC and A* as the DoubledProblem holds them.
-    """
-    sym_a = dp.b.contained_in(dp.a_star)
-    sym_frak = dp.frakA.contained_in(dp.frakA_star)
-    sa_a = dp.b.equals(dp.a_star)
-    sa_frak = dp.frakA.equals(dp.frakA_star)
-    return (sym_a == sym_frak) and (sa_a == sa_frak)
-
-
 def deficiency(dp: DoubledProblem) -> CheckList:
     """Bijection and componentwise checks of dp's deficiency subspaces."""
     bound = dp.tol.bound()

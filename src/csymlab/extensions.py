@@ -53,6 +53,7 @@ from .doubling import DoubledProblem, _orthogonality_residual, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
+    _as_complex_matrix,
     _complement_formula_intersect,
     _gram_residual,
     _spectral_norm,
@@ -85,10 +86,7 @@ class ExtensionParameter:
     def __post_init__(self):
         if self.kind not in ("unitary", "onb", "conjugation"):
             raise InputError(f"unknown parameter kind {self.kind!r}")
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise InputError(f"parameter matrix must be 2-dimensional, got shape {m.shape}")
-        m = m.copy()
+        m = _as_complex_matrix(self.matrix, "parameter matrix").copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

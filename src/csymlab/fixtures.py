@@ -74,11 +74,12 @@ def race_schrodinger(n: int = 16, h: float = 0.25, tol: Tolerance = DEFAULT_TOL)
     """
     if n < 4:
         raise InputError(f"need at least 4 grid points, got {n}")
-    if h <= 0:
-        raise InputError(f"grid spacing must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise InputError(f"grid spacing must be finite and positive, got {h}")
     x = h * np.arange(1, n + 1)
-    main = -2.0 * np.ones(n) / h**2 - 2j * np.exp(2.0 * (1.0 + 1j) * x)
-    off = np.ones(n - 1) / h**2
+    # h * h, not h**2: a float power raises OverflowError where a product gives inf
+    main = -2.0 * np.ones(n) / (h * h) - 2j * np.exp(2.0 * (1.0 + 1j) * x)
+    off = np.ones(n - 1) / (h * h)
     matrix = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
     domain = np.eye(n, dtype=complex)[:, 1 : n - 1]
     return ProblemSpec(
@@ -95,8 +96,8 @@ def fd_derivative_minimal(n: int = 8, h: float = 0.25, tol: Tolerance = DEFAULT_
     """
     if n < 4:
         raise InputError(f"need at least 4 grid points, got {n}")
-    if h <= 0:
-        raise InputError(f"grid spacing must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise InputError(f"grid spacing must be finite and positive, got {h}")
     off = np.ones(n - 1) / (2.0 * h)
     matrix = 1j * (np.diag(off, 1) - np.diag(off, -1))
     domain = np.eye(n, dtype=complex)[:, 1 : n - 1]
@@ -149,6 +150,9 @@ def build_example(name: str, **params) -> ProblemSpec:
         known = ", ".join(sorted(EXAMPLE_BUILDERS))
         raise InputError(f"unknown example {name!r}; known examples: {known}")
     try:
-        return EXAMPLE_BUILDERS[name](**params)
+        # a spacing whose matrix overflows leaves non-finite entries, which
+        # ProblemSpec refuses as input errors
+        with np.errstate(over="ignore", invalid="ignore"):
+            return EXAMPLE_BUILDERS[name](**params)
     except TypeError as exc:
         raise InputError(f"bad parameters for example {name!r}: {exc}") from exc

@@ -68,8 +68,8 @@ def conjugation_covariance(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL) -> C
 
     Both polar decompositions are computed independently and compared
     against the conjugated factors; with CAC = A the modulus is C-real,
-    which is recorded as its own check.  Failures are property violations:
-    these are theorems for exact arithmetic.
+    which is recorded as its own check.  A failed identity is a failed
+    check in the returned list, with its residual.
     """
     a = _as_complex_matrix(a, "matrix")
     cac = _conjugated_matrix(a, c)
@@ -84,11 +84,6 @@ def conjugation_covariance(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL) -> C
     if float(np.abs(cac - a).max()) <= bound:
         real_res = float(np.abs(_conjugated_matrix(p_a.modulus, c) - p_a.modulus).max())
         checks.add_residual("c_real_modulus", real_res, bound)
-    if not checks.all_pass:
-        raise PropertyViolationError(
-            "polar covariance identities failed",
-            {ch.name: ch.residual for ch in checks.failed()},
-        )
     return checks
 
 

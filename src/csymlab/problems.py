@@ -28,7 +28,7 @@ from .antilinear import (
 )
 from .doubling import DoubledProblem, build_doubled
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerance, _gram_residual, orthonormal_basis
+from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _gram_residual, orthonormal_basis
 from .relations import LinearRelation, from_matrix
 
 
@@ -52,7 +52,7 @@ class ProblemSpec:
         for field in ("conjugation_matrix", "domain_basis", "images"):
             value = getattr(self, field)
             if value is not None:
-                arr = np.asarray(value, dtype=complex).copy()
+                arr = _as_complex_matrix(value, f"{self.name}: {field}").copy()
                 arr.setflags(write=False)
                 object.__setattr__(self, field, arr)
 

@@ -46,9 +46,6 @@ class CheckList:
     def all_pass(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def failed(self) -> list[Check]:
-        return [c for c in self.checks if c.status == "fail"]
-
     def to_list(self) -> list[dict]:
         return [c.to_dict() for c in self.checks]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import csymlab as cs
 
-from conftest import random_complex, within
+from conftest import count_calls, random_complex, within
 
 
 def test_entrywise_and_flip_are_conjugations():
@@ -104,6 +104,13 @@ def test_partial_conjugation_axioms(rng):
     np.testing.assert_allclose(j.apply(j.apply(inside)), inside, atol=1e-10)
     outside = x - inside
     np.testing.assert_allclose(j.apply(outside), 0.0, atol=1e-10)
+
+
+def test_partial_conjugation_makes_no_svd(monkeypatch):
+    # it checks the axioms on its matrix and builds no basis of its initial space
+    calls = count_calls(monkeypatch, cs.linalg, "orthonormal_basis")
+    cs.PartialConjugation(np.diag([1.0, 0.0]).astype(complex))
+    assert calls == []
 
 
 def test_partial_conjugation_rejects_defective_matrix():

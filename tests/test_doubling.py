@@ -41,7 +41,9 @@ def test_doubled_conjugation_swaps_components(rng):
 
 
 def test_symmetry_equivalence(rng):
-    # C-symmetric and non-symmetric inputs both satisfy the equivalence
+    # frakA and frakA* are the block forms of (A, B) and (B*, A*), so the
+    # doubled angle is the one-space angle: A is C-symmetric iff frakA is
+    # symmetric, on C-symmetric and non-symmetric inputs alike
     for trial in range(30):
         n = int(rng.integers(1, 6))
         c = cs.random_conjugation(n, rng)
@@ -50,9 +52,10 @@ def test_symmetry_equivalence(rng):
         else:
             a = cs.from_matrix(random_complex(rng, n, n))
         dp = cs.build_doubled(a, c)
-        assert cs.verify_symmetry_equivalence(dp)
-        sym = cs.is_c_symmetric(a, c)
-        assert dp.frakA.contained_in(dp.frakA_star) == sym
+        one_space = cs.max_angle_sin(dp.b.graph, dp.a_star.graph)
+        doubled_angle = cs.max_angle_sin(dp.frakA.graph, dp.frakA_star.graph)
+        assert abs(one_space - doubled_angle) <= 1e-14
+        assert dp.frakA.contained_in(dp.frakA_star) == cs.is_c_symmetric(a, c)
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,15 @@ def test_parameter_kind_validation():
         cs.ExtensionParameter("unitary", np.zeros(3))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+def test_parameter_rejects_nonfinite_entries(entry):
+    # a NaN passes every "residual > bound" gate of parameter_as_unitary
+    dp = doubled(cs.minimal_identity())
+    k = dp.n_plus.dim
+    with pytest.raises(cs.InputError, match="non-finite"):
+        parameter_as_unitary(dp, cs.ExtensionParameter("unitary", np.full((k, k), entry)))
+
+
 def test_unitary_form_shape_and_gates():
     dp = doubled(cs.minimal_identity())
     with pytest.raises(cs.InputError):

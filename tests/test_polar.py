@@ -1,5 +1,7 @@
 """Polar factors, conjugation covariance, CJT and Takagi factorizations."""
 
+import dataclasses
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import csymlab as cs
+from csymlab.cli import main
 
 from conftest import random_complex
 
@@ -175,3 +178,65 @@ def test_takagi_agrees_with_polar(rng):
 def test_takagi_rejects_nonsymmetric(rng):
     with pytest.raises(cs.InputError):
         cs.takagi(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+def _cli_checks(tmp_path, capsys, command, matrix):
+    """Exit code and {name: check} of a CLI report on matrix under entrywise C."""
+    spec = cs.ProblemSpec("m", matrix.shape[0], "entrywise", None, None, matrix, cs.DEFAULT_TOL)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(spec.to_json_dict()))
+    code = main([command, "--spec", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert "error" not in out, out
+    return code, {check["name"]: check for check in out["check_list"]}
+
+
+@pytest.mark.parametrize(
+    "call, field, delta, failing",
+    [
+        (2, "modulus", 1e-3, {"modulus_covariance"}),
+        (2, "phase", 1e-3, {"phase_covariance"}),
+        (1, "modulus", 1e-3j, {"modulus_covariance", "c_real_modulus"}),
+    ],
+    ids=["modulus_of_cac", "phase_of_cac", "modulus_not_c_real"],
+)
+def test_covariance_failures_reach_the_report(tmp_path, capsys, monkeypatch, call, field, delta, failing):
+    # mutation: shift one factor of one of the two polar decompositions that
+    # conjugation_covariance compares (call 1 factors A, call 2 CAC); A is
+    # real symmetric, so CAC = A and the C-real clause is checked too
+    module = sys.modules["csymlab.polar"]  # cs.polar is the function
+    original, calls = module.polar, []
+
+    def shifted(a, tol=cs.DEFAULT_TOL):
+        factors = original(a, tol)
+        calls.append(a)
+        if len(calls) != call:
+            return factors
+        return dataclasses.replace(factors, **{field: getattr(factors, field) + delta * np.eye(len(a))})
+
+    monkeypatch.setattr(module, "polar", shifted)
+    a = np.random.default_rng(0).standard_normal((4, 4))
+    code, checks = _cli_checks(tmp_path, capsys, "polar", a + a.T)
+    assert code == 1
+    covariance = {name.removeprefix("covariance"): check for name, check in checks.items()}
+    assert {name for name, check in covariance.items() if check["status"] == "fail"} == failing
+    assert all(covariance[name]["residual"] >= 1e-3 for name in failing)
+
+
+@pytest.mark.parametrize(
+    "mutation, failing",
+    [
+        (lambda v, s: (1j * v, s), "phase_crosscheck"),
+        (lambda v, s: (v, 1.001 * s), "modulus_crosscheck"),
+    ],
+    ids=["phase_times_i", "scaled_singular_values"],
+)
+def test_takagi_crosscheck_failures_reach_the_report(tmp_path, capsys, monkeypatch, mutation, failing):
+    # V -> iV keeps conj(V) S V^T = |A| and negates V V^T = U_A; scaling S
+    # moves |A| and leaves the phase, which reads only the rank
+    original = cs.cli.takagi
+    monkeypatch.setattr(cs.cli, "takagi", lambda a, tol: mutation(*original(a, tol)))
+    code, checks = _cli_checks(tmp_path, capsys, "takagi", cs.random_symmetric(4, np.random.default_rng(0)))
+    assert code == 1
+    assert {name for name, check in checks.items() if check["status"] == "fail"} == {failing}
+    assert checks[failing]["residual"] > 1e-3

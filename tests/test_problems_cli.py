@@ -1,6 +1,7 @@
 """Problem spec parsing, example builders, CLI commands and exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -197,11 +198,52 @@ def test_cli_rejects_nonfinite_and_boolean_numbers(tmp_path, capsys, dim, images
     assert f"error: {pointer}:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "example, h",
+    [
+        ("race_schrodinger", "nan"),
+        ("race_schrodinger", "inf"),
+        ("race_schrodinger", "1e-160"),
+        ("race_schrodinger", "1e300"),
+        ("fd_derivative_minimal", "nan"),
+    ],
+)
+def test_cli_rejects_bad_grid_spacing(capsys, example, h):
+    # NaN passes an "h <= 0" guard; 1e-160 and 1e300 are finite spacings
+    # whose matrices overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", "--example", example, "--h", h]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and caught == []
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_parameter_file_rejects_nonfinite_entries(tmp_path):
     path = tmp_path / "param.json"
     path.write_text(json.dumps({"kind": "unitary", "matrix": [[[1.0, float("nan")]]]}))
     with pytest.raises(cs.InputError, match="/matrix/0/0"):
         cs.cli.load_parameter(path)
+
+
+def test_cli_check_names_are_unique(capsys):
+    # cmd_extend looks checks up by name, and a repeated name would hide one
+    reports = 0
+    for source in (
+        ("--example", "race_schrodinger", "--n", "8"),
+        ("--example", "fd_derivative_minimal", "--n", "8"),
+        ("--example", "zero_on_subspace", "--n", "8"),
+        ("--example", "random_csym", "--n", "6"),
+    ):
+        for command in cs.cli.COMMANDS:
+            if main([command, *source, "--budget", "2" if command == "powers" else "200"]) == 2:
+                continue  # outside the command's hypotheses: no report
+            names = [check["name"] for check in json.loads(capsys.readouterr().out)["check_list"]]
+            assert len(names) == len(set(names)), (command, source)
+            reports += 1
+    capsys.readouterr()
+    # polar, takagi and powers need a matrix; takagi also needs A = A^T
+    assert reports == 22
 
 
 def test_cli_requires_exactly_one_source():

@@ -2,7 +2,6 @@
 tol.bound() of the Tolerance its operands carry, and takes no tolerance
 argument."""
 
-import dataclasses
 import inspect
 
 import numpy as np
@@ -33,12 +32,6 @@ def _domain_criterion(r, tol):
     return cs.domain_criterion(rel, rel, cs.entrywise_conjugation(2, tol))
 
 
-def _symmetry_equivalence(r, tol):
-    # A = 0 on C^1 is C-self-adjoint, so frakA = frakA*; only B is moved, by r
-    dp = cs.build_doubled(_operator([[0.0]], tol), cs.entrywise_conjugation(1, tol))
-    return cs.verify_symmetry_equivalence(dataclasses.replace(dp, b=_operator([[r]], tol)))
-
-
 # each case decides a pair whose residual is about r, all of it carrying tol
 CASES = {
     "Subspace.contains_vector": lambda r, tol: _span([1, 0], tol).contains_vector(np.array([1.0, r])),
@@ -52,7 +45,6 @@ CASES = {
     "antilinear.preserves_subspace": lambda r, tol: cs.antilinear.preserves_subspace(
         cs.entrywise_conjugation(2, tol), _span([1, 0.5j * r], tol)
     ),
-    "verify_symmetry_equivalence": _symmetry_equivalence,
 }
 
 
