@@ -38,8 +38,8 @@ from .extensions import (
 )
 from .fixtures import EXAMPLE_BUILDERS, build_example
 from .linalg import Tolerance, _spectral_norm, max_angle_sin
-from .polar import CjtRefusal, cjt_factorization, conjugation_covariance, polar, takagi
-from .powers import power_report
+from .polar import CjtRefusal, cjt_factorization, conjugation_covariance, takagi
+from .powers import QA_TERMS, power_report, qa_partial_sums
 from .problems import ProblemSpec, decode_matrix, encode_matrix, parse_spec
 from .reporting import CheckList
 
@@ -236,31 +236,28 @@ def cmd_enumerate(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
 
 
 def cmd_polar(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
-    m = spec.matrix()
-    if m is None:
-        raise InputError("polar factors need an everywhere-defined matrix")
+    factors = spec.polar()
     c = spec.conjugation()
-    factors = polar(m, spec.tol)
     checks = CheckList()
-    checks.extend(conjugation_covariance(m, c, spec.tol), prefix="covariance")
+    checks.extend(conjugation_covariance(factors, c), prefix="covariance")
     results: dict = {"rank": factors.rank, "modulus_norm": _spectral_norm(factors.modulus)}
-    outcome = cjt_factorization(m, c, spec.tol)
+    outcome = cjt_factorization(factors, c)
     if isinstance(outcome, CjtRefusal):
         checks.skip("cjt_factorization", outcome.reason)
         results["cjt"] = {"refused": True, "residuals": outcome.residuals}
     else:
-        results["cjt"] = {"refused": False, "rank": outcome.rank}
+        results["cjt"] = {"refused": False, "rank": factors.rank}
     return results, checks
 
 
 def cmd_takagi(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
-    m = spec.matrix()
-    if m is None:
+    if spec.matrix() is None:
         raise InputError("symmetric factorization needs an everywhere-defined matrix")
-    v, s = takagi(m, spec.tol)
-    factors = polar(m, spec.tol)
-    scale = max(1.0, float(s[0]) if s.size else 0.0)
-    bound = spec.tol.bound(scale)
+    factors = spec.polar()
+    v, s = takagi(factors)
+    # V comes from the same SVD as the factors; the checks compare what V and
+    # s rebuild against them, so a wrong V still fails
+    bound = factors.bound
     checks = CheckList()
     checks.add_residual(
         "modulus_crosscheck",
@@ -291,6 +288,7 @@ def cmd_powers(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     y = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
+    qa = qa_partial_sums(m, c, x, QA_TERMS, spec.tol)
     checks = CheckList()
     per_n = []
     for n in range(1, n_max + 1):
@@ -300,11 +298,10 @@ def cmd_powers(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
             {
                 "n": n,
                 "block_residual": rep.block_residual,
-                "structural_zero": rep.structural_zero,
                 "crosscheck_residual": rep.crosscheck_residual,
                 "norm_residuals": list(rep.norm_residuals),
-                "partial_sums": rep.partial_sums,
-                "growth_bound": rep.growth_bound,
+                "partial_sums": qa.partial_sums,
+                "growth_bound": qa.growth_bound,
             }
         )
     return {"reports": per_n}, checks

@@ -29,6 +29,7 @@ from .antilinear import (
 from .doubling import DoubledProblem, build_doubled
 from .errors import InputError
 from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _gram_residual, orthonormal_basis
+from .polar import PolarFactors, polar
 from .relations import LinearRelation, from_matrix
 
 
@@ -94,6 +95,18 @@ class ProblemSpec:
         if self.domain_basis is None:
             return np.asarray(self.images)
         return None
+
+    def polar(self) -> PolarFactors:
+        """Polar factors of matrix(), built on the first call and then
+        reused; InputError unless the problem is everywhere-defined."""
+        return self._polar
+
+    @cached_property
+    def _polar(self) -> PolarFactors:
+        m = self.matrix()
+        if m is None:
+            raise InputError("polar factors need an everywhere-defined matrix")
+        return polar(m, self.tol)
 
     def to_json_dict(self) -> dict:
         out: dict = {"name": self.name, "dim": self.dim}
@@ -163,60 +176,58 @@ def decode_matrix(value, pointer: str) -> np.ndarray:
     return _parse_vectors(value, len(value[0]), pointer)
 
 
-def spec_from_dict(data, name: str | None = None, pointer: str = "") -> ProblemSpec:
+def spec_from_dict(data) -> ProblemSpec:
     if not isinstance(data, dict):
-        raise InputError(f"{pointer or '/'}: expected a JSON object")
-    if name is None:
-        embedded = data.get("name", "spec")
-        if not isinstance(embedded, str):
-            raise InputError(f"{pointer}/name: expected a string, got {embedded!r}")
-        name = embedded
+        raise InputError("/: expected a JSON object")
+    name = data.get("name", "spec")
+    if not isinstance(name, str):
+        raise InputError(f"/name: expected a string, got {name!r}")
     dim = data.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputError(f"{pointer}/dim: expected a positive integer, got {dim!r}")
+        raise InputError(f"/dim: expected a positive integer, got {dim!r}")
     tol_value = data.get("tol", DEFAULT_TOL.eps)
     if not isinstance(tol_value, (int, float)) or not 0 < tol_value < 1:
-        raise InputError(f"{pointer}/tol: expected a real in (0, 1), got {tol_value!r}")
+        raise InputError(f"/tol: expected a real in (0, 1), got {tol_value!r}")
     tol = Tolerance(float(tol_value))
 
     conj = data.get("conjugation")
     if not isinstance(conj, dict) or "kind" not in conj:
-        raise InputError(f"{pointer}/conjugation: expected an object with a 'kind'")
+        raise InputError("/conjugation: expected an object with a 'kind'")
     kind = conj["kind"]
     matrix = None
     if kind == "matrix":
         if "matrix" not in conj:
-            raise InputError(f"{pointer}/conjugation/matrix: required for kind 'matrix'")
-        matrix = _parse_vectors(conj["matrix"], dim, f"{pointer}/conjugation/matrix")
+            raise InputError("/conjugation/matrix: required for kind 'matrix'")
+        matrix = _parse_vectors(conj["matrix"], dim, "/conjugation/matrix")
         if matrix.shape != (dim, dim):
             raise InputError(
-                f"{pointer}/conjugation/matrix: expected {dim} columns, got {matrix.shape[1]}"
+                f"/conjugation/matrix: expected {dim} columns, got {matrix.shape[1]}"
             )
         unit, symm = conjugation_axiom_residuals(matrix)
         if unit > tol.bound():
             raise InputError(
-                f"{pointer}/conjugation/matrix: not anti-unitary (residual {unit:.3e})"
+                f"/conjugation/matrix: not anti-unitary (residual {unit:.3e})"
             )
         if symm > tol.bound():
             raise InputError(
-                f"{pointer}/conjugation/matrix: not an involution, matrix must be "
+                "/conjugation/matrix: not an involution, matrix must be "
                 f"symmetric (residual {symm:.3e})"
             )
     elif kind not in ("entrywise", "flip"):
         raise InputError(
-            f"{pointer}/conjugation/kind: expected entrywise, flip or matrix, got {kind!r}"
+            f"/conjugation/kind: expected entrywise, flip or matrix, got {kind!r}"
         )
 
     op = data.get("operator")
     if not isinstance(op, dict) or "images" not in op:
-        raise InputError(f"{pointer}/operator: expected an object with 'images'")
+        raise InputError("/operator: expected an object with 'images'")
     domain = None
     if "domain_basis" in op:
-        domain = _parse_vectors(op["domain_basis"], dim, f"{pointer}/operator/domain_basis")
+        domain = _parse_vectors(op["domain_basis"], dim, "/operator/domain_basis")
         ortho = orthonormal_basis(domain, tol, dim)
         if ortho.dim != domain.shape[1]:
             raise InputError(
-                f"{pointer}/operator/domain_basis: columns are linearly dependent"
+                "/operator/domain_basis: columns are linearly dependent"
             )
         gram = _gram_residual(domain)
         if gram > tol.bound():
@@ -225,11 +236,11 @@ def spec_from_dict(data, name: str | None = None, pointer: str = "") -> ProblemS
                 "it will be orthonormalized",
                 stacklevel=2,
             )
-    images = _parse_vectors(op["images"], dim, f"{pointer}/operator/images")
+    images = _parse_vectors(op["images"], dim, "/operator/images")
     expected = dim if domain is None else domain.shape[1]
     if images.shape[1] != expected:
         raise InputError(
-            f"{pointer}/operator/images: expected {expected} vectors, got {images.shape[1]}"
+            f"/operator/images: expected {expected} vectors, got {images.shape[1]}"
         )
     return ProblemSpec(name, dim, kind, matrix, domain, images, tol)
 

@@ -75,11 +75,12 @@ class LinearRelation:
         hit = intersect(self.graph, _trusted(np.eye(2 * n, dtype=complex)[:, n:], self.tol))
         return orthonormal_basis(hit.basis[n:], self.tol, n)
 
-    @property
+    @cached_property
     def is_operator(self) -> bool:
         """multivalued_part().dim == 0 from singular values alone: those of
         the top block X of the graph basis are the sines intersect takes
-        against {(0, y)}, so none may be at or below tol.zero_cutoff(1.0)."""
+        against {(0, y)}, so none may be at or below tol.zero_cutoff(1.0).
+        Decided on the first access and then reused, like domain()."""
         if self.graph.dim > self.ambient_dim:
             return False
         sines = np.linalg.svd(self._top(), compute_uv=False)

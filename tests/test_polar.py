@@ -56,14 +56,14 @@ def test_conjugation_covariance(rng):
         n = int(rng.integers(1, 7))
         c = cs.random_conjugation(n, rng)
         a = random_complex(rng, n, n)
-        checks = cs.conjugation_covariance(a, c)
+        checks = cs.conjugation_covariance(cs.polar(a), c)
         assert checks.all_pass, checks.to_list()
 
 
 def test_covariance_c_real_clause(rng):
     # real matrix, entrywise C: |A| and the phase are C-real
     a = rng.standard_normal((4, 4))
-    checks = cs.conjugation_covariance(a, cs.entrywise_conjugation(4))
+    checks = cs.conjugation_covariance(cs.polar(a), cs.entrywise_conjugation(4))
     names = [c.name for c in checks if c.status == "pass"]
     assert "c_real_modulus" in names
 
@@ -80,41 +80,44 @@ def test_cjt_on_complex_symmetric(rng):
         n = int(rng.integers(1, 7))
         c = cs.entrywise_conjugation(n)
         a = cs.random_symmetric(n, rng)
-        f = cs.cjt_factorization(a, c)
-        assert isinstance(f, cs.PolarFactors)
+        f = cs.polar(a)
+        j = cs.cjt_factorization(f, c)
+        assert isinstance(j, cs.PartialConjugation)
         # A = C J T with J a partial conjugation and T = |A|
-        rebuilt = np.column_stack([c.apply(f.j.apply(col)) for col in f.t.T])
+        t = f.modulus
+        rebuilt = np.column_stack([c.apply(j.apply(col)) for col in t.T])
         np.testing.assert_allclose(rebuilt, a, atol=1e-9)
-        np.testing.assert_allclose(f.t, f.modulus, atol=1e-12)
         # JTJ = T on the initial space; J T J is linear with matrix
         # M_J conj(T) conj(M_J)
         proj = f.phase.conj().T @ f.phase
-        jtj = f.j.matrix @ np.conj(f.t) @ np.conj(f.j.matrix)
-        np.testing.assert_allclose((jtj - f.t) @ proj, 0.0, atol=1e-9)
+        jtj = j.matrix @ np.conj(t) @ np.conj(j.matrix)
+        np.testing.assert_allclose((jtj - t) @ proj, 0.0, atol=1e-9)
 
 
 def test_cjt_explicit_example():
     a = np.array([[1.0, 1j], [1j, 0.0]])
     c = cs.entrywise_conjugation(2)
-    f = cs.cjt_factorization(a, c)
-    assert isinstance(f, cs.PolarFactors)
+    f = cs.polar(a)
+    j = cs.cjt_factorization(f, c)
+    assert isinstance(j, cs.PartialConjugation)
     assert f.rank == 2
-    rebuilt = np.column_stack([c.apply(f.j.apply(col)) for col in f.t.T])
+    rebuilt = np.column_stack([c.apply(j.apply(col)) for col in f.modulus.T])
     np.testing.assert_allclose(rebuilt, a, atol=1e-10)
 
 
 def test_cjt_zero_matrix():
-    f = cs.cjt_factorization(np.zeros((2, 2)), cs.entrywise_conjugation(2))
-    assert isinstance(f, cs.PolarFactors)
+    f = cs.polar(np.zeros((2, 2)))
+    j = cs.cjt_factorization(f, cs.entrywise_conjugation(2))
+    assert isinstance(j, cs.PartialConjugation)
     assert f.rank == 0
-    np.testing.assert_allclose(f.j.matrix, 0.0, atol=1e-15)
+    np.testing.assert_allclose(j.matrix, 0.0, atol=1e-15)
 
 
 def test_cjt_refusal_with_diagnosis():
     # the nilpotent shift is not complex symmetric: refusal carries both the
     # symmetry residual and the phase-adjoint-identity residual
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    out = cs.cjt_factorization(bad, cs.entrywise_conjugation(2))
+    out = cs.cjt_factorization(cs.polar(bad), cs.entrywise_conjugation(2))
     assert isinstance(out, cs.CjtRefusal)
     assert out.residuals["c_selfadjoint"] > 1e-3
     assert out.residuals["phase_adjoint_identity"] > 1e-3
@@ -127,7 +130,7 @@ def test_cjt_refusals_random(rng):
         a = random_complex(rng, 3, 3)
         if cs.matrix_c_selfadjoint_residual(a, c) < 1e-6:
             continue
-        out = cs.cjt_factorization(a, c)
+        out = cs.cjt_factorization(cs.polar(a), c)
         assert isinstance(out, cs.CjtRefusal)
         count += 1
     assert count >= 8
@@ -136,9 +139,10 @@ def test_cjt_refusals_random(rng):
 def test_cjt_general_conjugation(rng):
     c = cs.random_conjugation(5, rng)
     a = cs.random_csym_matrix(5, rng, c)
-    f = cs.cjt_factorization(a, c)
-    assert isinstance(f, cs.PolarFactors)
-    rebuilt = np.column_stack([c.apply(f.j.apply(col)) for col in f.t.T])
+    f = cs.polar(a)
+    j = cs.cjt_factorization(f, c)
+    assert isinstance(j, cs.PartialConjugation)
+    rebuilt = np.column_stack([c.apply(j.apply(col)) for col in f.modulus.T])
     np.testing.assert_allclose(rebuilt, a, atol=1e-9)
 
 
@@ -146,7 +150,7 @@ def test_takagi_reconstruction(rng):
     for _ in range(25):
         n = int(rng.integers(1, 7))
         a = cs.random_symmetric(n, rng)
-        v, s = cs.takagi(a)
+        v, s = cs.takagi(cs.polar(a))
         np.testing.assert_allclose((v * s) @ v.T, a, atol=1e-9)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-10)
         assert np.all(np.diff(s) <= 1e-12) and np.all(s >= 0)
@@ -161,23 +165,38 @@ def test_takagi_degenerate_singular_values():
         np.diag([2.0, 2.0, 1.0]).astype(complex),
     ]
     for a in cases:
-        v, s = cs.takagi(a)
+        v, s = cs.takagi(cs.polar(a))
         np.testing.assert_allclose((v * s) @ v.T, a, atol=1e-10)
 
 
 def test_takagi_agrees_with_polar(rng):
     a = cs.random_symmetric(5, rng)
-    v, s = cs.takagi(a)
     f = cs.polar(a)
+    v, s = cs.takagi(f)
     # |A| = conj(V) S V^T and U_A = V diag(rank indicator) V^T
     np.testing.assert_allclose(np.conj(v) * s @ v.T, f.modulus, atol=1e-9)
     indicator = (s > cs.DEFAULT_TOL.zero_cutoff(s[0] if s.size else 1.0)).astype(float)
     np.testing.assert_allclose((v * indicator) @ v.T, f.phase, atol=1e-9)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_takagi_groups_singular_values_relative_to_scale(seed):
+    # 1e4 U diag(3,3,3,2,1,1) U^T: the equal singular values agree only to
+    # about 1e-11 at this scale.  With a complex Haar U each group's factor
+    # Z = W_g^T V0_g is a full unitary symmetric block, so splitting a group
+    # breaks the factorization; a real orthogonal U is the control.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    for u in (cs.haar_unitary(6, rng), q):
+        a = 1e4 * (u * np.array([3.0, 3.0, 3.0, 2.0, 1.0, 1.0])) @ u.T
+        v, s = cs.takagi(cs.polar(a))
+        np.testing.assert_allclose((v * s) @ v.T, a, atol=1e-6)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-10)
+
+
 def test_takagi_rejects_nonsymmetric(rng):
     with pytest.raises(cs.InputError):
-        cs.takagi(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        cs.takagi(cs.polar(np.array([[0.0, 1.0], [2.0, 0.0]])))
 
 
 def _cli_checks(tmp_path, capsys, command, matrix):
@@ -192,29 +211,29 @@ def _cli_checks(tmp_path, capsys, command, matrix):
 
 
 @pytest.mark.parametrize(
-    "call, field, delta, failing",
+    "factored, field, delta, failing",
     [
-        (2, "modulus", 1e-3, {"modulus_covariance"}),
-        (2, "phase", 1e-3, {"phase_covariance"}),
-        (1, "modulus", 1e-3j, {"modulus_covariance", "c_real_modulus"}),
+        ("cac", "modulus", 1e-3, {"modulus_covariance"}),
+        ("cac", "phase", 1e-3, {"phase_covariance"}),
+        ("a", "modulus", 1e-3j, {"modulus_covariance", "c_real_modulus"}),
     ],
     ids=["modulus_of_cac", "phase_of_cac", "modulus_not_c_real"],
 )
-def test_covariance_failures_reach_the_report(tmp_path, capsys, monkeypatch, call, field, delta, failing):
+def test_covariance_failures_reach_the_report(tmp_path, capsys, monkeypatch, factored, field, delta, failing):
     # mutation: shift one factor of one of the two polar decompositions that
-    # conjugation_covariance compares (call 1 factors A, call 2 CAC); A is
-    # real symmetric, so CAC = A and the C-real clause is checked too
-    module = sys.modules["csymlab.polar"]  # cs.polar is the function
-    original, calls = module.polar, []
+    # conjugation_covariance compares, A's (its argument, shifted for it alone
+    # since the CJT split reads the same factors) or CAC's (its own polar
+    # call); A is real symmetric, so CAC = A and the C-real clause is checked too
+    def shifted(factors):
+        return dataclasses.replace(factors, **{field: getattr(factors, field) + delta * np.eye(len(factors.matrix))})
 
-    def shifted(a, tol=cs.DEFAULT_TOL):
-        factors = original(a, tol)
-        calls.append(a)
-        if len(calls) != call:
-            return factors
-        return dataclasses.replace(factors, **{field: getattr(factors, field) + delta * np.eye(len(a))})
-
-    monkeypatch.setattr(module, "polar", shifted)
+    if factored == "a":
+        original = cs.cli.conjugation_covariance
+        monkeypatch.setattr(cs.cli, "conjugation_covariance", lambda p, c: original(shifted(p), c))
+    else:
+        module = sys.modules["csymlab.polar"]  # cs.polar is the function
+        original = module.polar
+        monkeypatch.setattr(module, "polar", lambda a, tol: shifted(original(a, tol)))
     a = np.random.default_rng(0).standard_normal((4, 4))
     code, checks = _cli_checks(tmp_path, capsys, "polar", a + a.T)
     assert code == 1
@@ -235,7 +254,7 @@ def test_takagi_crosscheck_failures_reach_the_report(tmp_path, capsys, monkeypat
     # V -> iV keeps conj(V) S V^T = |A| and negates V V^T = U_A; scaling S
     # moves |A| and leaves the phase, which reads only the rank
     original = cs.cli.takagi
-    monkeypatch.setattr(cs.cli, "takagi", lambda a, tol: mutation(*original(a, tol)))
+    monkeypatch.setattr(cs.cli, "takagi", lambda p: mutation(*original(p)))
     code, checks = _cli_checks(tmp_path, capsys, "takagi", cs.random_symmetric(4, np.random.default_rng(0)))
     assert code == 1
     assert {name for name, check in checks.items() if check["status"] == "fail"} == {failing}

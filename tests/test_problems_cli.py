@@ -1,6 +1,7 @@
 """Problem spec parsing, example builders, CLI commands and exit codes."""
 
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -381,6 +382,32 @@ def test_cli_verify_all_gram_checks_pinned(monkeypatch, capsys):
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
     assert len(calls) == 0
+
+
+def _complex_symmetric_n32(tmp_path):
+    m = cs.random_symmetric(32, np.random.default_rng([0, 2]))
+    spec = cs.ProblemSpec("complex_symmetric_n32", 32, "entrywise", None, None, m, cs.DEFAULT_TOL)
+    return write_spec(tmp_path, spec.to_json_dict())
+
+
+def test_cli_verify_all_factors_each_matrix_once(tmp_path, monkeypatch, capsys):
+    # polar factors A once for covariance, the CJT split and takagi, and CAC
+    # once for covariance; the QA partial sums do not depend on the exponent
+    polars = count_calls(monkeypatch, sys.modules["csymlab.polar"], "polar")  # cs.polar is the function
+    sums = count_calls(monkeypatch, cs.powers, "qa_partial_sums")
+    assert main(["verify-all", "--spec", _complex_symmetric_n32(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (len(polars), len(sums)) == (2, 1)
+
+
+@pytest.mark.parametrize("command, count", [("check", 1), ("verify-all", 3)])
+def test_cli_is_operator_count_pinned(tmp_path, monkeypatch, capsys, command, count):
+    # decided once per relation: the input's, and in verify-all also frakA's
+    # and frakA*'s in vn_decomposition
+    calls = count_calls(monkeypatch, cs.LinearRelation, "is_operator")
+    assert main([command, "--spec", _complex_symmetric_n32(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == count
 
 
 def _report(capsys, argv):
