@@ -32,7 +32,6 @@ from .doubling import (
     build_doubled,
     deficiency,
     doubled_conjugation,
-    eigenspace_members,
     race_decomposition,
     vn_decomposition,
 )
@@ -89,8 +88,10 @@ from .polar import (
     takagi,
 )
 from .powers import (
+    DoubledMatrix,
     PowerReport,
     QaDiagnostics,
+    doubled_matrix,
     doubled_power_blocks,
     power_norm_identities,
     power_report,

@@ -37,9 +37,9 @@ from .extensions import (
     recover_parameter,
 )
 from .fixtures import EXAMPLE_BUILDERS, build_example
-from .linalg import Tolerance, _spectral_norm, max_angle_sin
+from .linalg import Tolerance, max_angle_sin
 from .polar import CjtRefusal, cjt_factorization, conjugation_covariance, takagi
-from .powers import QA_TERMS, power_report, qa_partial_sums
+from .powers import QA_TERMS, doubled_matrix, power_report, qa_partial_sums
 from .problems import ProblemSpec, decode_matrix, encode_matrix, parse_spec
 from .reporting import CheckList
 
@@ -240,7 +240,7 @@ def cmd_polar(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     c = spec.conjugation()
     checks = CheckList()
     checks.extend(conjugation_covariance(factors, c), prefix="covariance")
-    results: dict = {"rank": factors.rank, "modulus_norm": _spectral_norm(factors.modulus)}
+    results: dict = {"rank": factors.rank, "modulus_norm": float(factors.s[0])}
     outcome = cjt_factorization(factors, c)
     if isinstance(outcome, CjtRefusal):
         checks.skip("cjt_factorization", outcome.reason)
@@ -289,10 +289,11 @@ def cmd_powers(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
     qa = qa_partial_sums(m, c, x, QA_TERMS, spec.tol)
+    doubled = doubled_matrix(m, c, spec.tol)
     checks = CheckList()
     per_n = []
     for n in range(1, n_max + 1):
-        rep = power_report(m, c, x, y, n, tol=spec.tol)
+        rep = power_report(doubled, x, y, n)
         checks.extend(rep.checks, prefix=f"n{n}")
         per_n.append(
             {

@@ -16,9 +16,12 @@ is_c_symmetric keeps the adjoint route: the CLI compares it with the
 adjoint-free weak form, and that check can only fail while the two are
 computed independently.
 
-m_spaces and anti_involution read A, B = CAC, A* and B* from the
+m_spaces and anti_involution read A, B = CAC, A*, B* and frakM from the
 DoubledProblem that owns them (doubling.build_doubled), which caches both
-results.
+results.  frakM is built there, since N+- are read off its basis; m_spaces
+adds frakM' = graph(A*) - graph(B), with graph(B)'s complement taken as
+J^-1 graph(B*) = {(-v, u) : (u, v) in graph(B*)}, and the kernels of
+I + A*B* and I + B*A*.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from .antilinear import AntiLinearMap, Conjugation
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
-    _complement_formula_intersect,
-    complement,
+    _trusted,
     inner,
     intersect,
     orthonormal_basis,
@@ -102,10 +104,11 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
     unless A is C-symmetric."""
     if not dp.b.contained_in(dp.a_star):
         raise PreconditionError("relation is not C-symmetric; M-spaces are undefined")
-    # frakM's basis is the brute-force sweep's coordinate system
-    frak_m = _complement_formula_intersect(dp.b_star.graph, complement(dp.a.graph))
-    frak_m_prime = intersect(dp.a_star.graph, complement(dp.b.graph))
+    frak_m = dp.frakM
     n = dp.ambient_dim
+    # graph(B*) is the complement of J graph(B), so J^-1 graph(B*) is graph(B)'s
+    u, v = dp.b_star.graph.basis[:n], dp.b_star.graph.basis[n:]
+    frak_m_prime = intersect(dp.a_star.graph, _trusted(np.vstack([-v, u]), dp.tol))
     m_bstar = compose(dp.a_star, dp.b_star).shifted(1.0).kernel()
     m_astar = compose(dp.b_star, dp.a_star).shifted(1.0).kernel()
     # kernel of I + A*B* = first components of frakM, in every regime

@@ -11,10 +11,19 @@ Coordinates of the doubled graph in C^(4n): (x, y, v, u) with domain pair
 frakA* is assembled from B* and A*, and frakE (antiunitary) keeps graph
 bases orthonormal, so neither is re-derived by a rank decision in C^(4n).
 
+The deficiency spaces are read off frakM = graph(B*) - graph(A), the
+orthogonal difference in H + H: N+- = {(y, +-ix) : (x, y) in frakM}.  For
+w = (y, ix) the pair (w, iw) = (y, ix, iy, -x) lies in graph(frakA*) iff
+(ix, iy) is in graph(B*) and (y, -x) in graph(A*), that is iff (x, y) is in
+graph(B*) and orthogonal to graph(A), graph(A*) being the complement of
+J graph(A), J(x, y) = (y, -x); N- likewise.  The map (x, y) -> (y, +-ix) is
+unitary, so N+- come with orthonormal bases and no SVD in C^(4n), and the
+identity needs no C-symmetry.
+
 DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
-frakA, frakA*, frakE and N+-, built once by build_doubled, and the M-spaces
-and the anti-involution S, built on first use.  Everything downstream reads
-them from it.
+frakA, frakA*, frakE, frakM and N+-, built once by build_doubled, and the
+M-spaces and the anti-involution S, built on first use.  Everything
+downstream reads them from it.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     Tolerance,
+    _complement_formula_intersect,
     _trusted,
+    complement,
     intersect,
     max_angle_sin,
     orthonormal_basis,
@@ -83,14 +94,6 @@ def block_slices(r: LinearRelation) -> tuple[LinearRelation, LinearRelation]:
     return s, t
 
 
-def eigenspace_members(r: LinearRelation, sign: int) -> Subspace:
-    """{w : (w, sign*i*w) in graph(R)} for sign = +-1, from R's cached
-    imaginary members."""
-    n = r.ambient_dim
-    plus, minus = r.imaginary_members()
-    return orthonormal_basis((plus if sign == 1 else minus).basis[:n], r.tol, n)
-
-
 @dataclass(frozen=True, eq=False)
 class DoubledProblem:
     a: LinearRelation
@@ -101,6 +104,7 @@ class DoubledProblem:
     frakA: LinearRelation
     frakA_star: LinearRelation
     frakC: Conjugation
+    frakM: Subspace
     n_plus: Subspace
     n_minus: Subspace
 
@@ -138,14 +142,16 @@ class DoubledProblem:
 
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
-    """Assemble A*, B = CAC, B*, frakA, frakE and the deficiency subspaces
-    of frakA*.
+    """Assemble A*, B = CAC, B*, frakA, frakE, frakM and the deficiency
+    subspaces N+- of frakA*.
 
     frakA* is the block form with B* and A* swapped in.  It is checked
     against graph(frakA) alone: its dimension must be 4n - dim graph(frakA)
     and its adjoint gap must vanish.  frakE frakA frakE = frakA is checked
     on the frakE-image of the graph basis, with no rank cut.  Failure of
-    either means a bug, not a regime boundary, and raises.
+    either means a bug, not a regime boundary, and raises.  N+- are the
+    unitary images {(y, +-ix)} of frakM's basis [X; Y] (see the module
+    docstring); deficiency() checks them.
     """
     if c.dim != a.ambient_dim:
         raise PreconditionError(f"conjugation dimension {c.dim} != relation ambient {a.ambient_dim}")
@@ -163,20 +169,35 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     frak_c = doubled_conjugation(c)
     if not subspace_equal(_trusted(frak_a.conjugated_basis(frak_c), a.tol), frak_a.graph):
         raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
-    n_plus = eigenspace_members(frak_a_star, +1)
-    n_minus = eigenspace_members(frak_a_star, -1)
-    return DoubledProblem(a, c, b, a_star, b_star, frak_a, frak_a_star, frak_c, n_plus, n_minus)
+    # frakM's basis is the brute-force sweep's coordinate system
+    frak_m = _complement_formula_intersect(b_star.graph, complement(a.graph))
+    n = a.ambient_dim
+    top, bottom = frak_m.basis[:n], frak_m.basis[n:]
+    n_plus = _trusted(np.vstack([bottom, 1j * top]), a.tol)
+    n_minus = _trusted(np.vstack([bottom, -1j * top]), a.tol)
+    return DoubledProblem(
+        a, c, b, a_star, b_star, frak_a, frak_a_star, frak_c, frak_m, n_plus, n_minus
+    )
 
 
 def deficiency(dp: DoubledProblem) -> CheckList:
-    """Bijection and componentwise checks of dp's deficiency subspaces."""
+    """Dimension, bijection and componentwise checks of dp's deficiency
+    subspaces.
+
+    N+- are built from frakM, so their dimensions agree by construction;
+    the dimension check compares both with the von Neumann count
+    (dim graph(frakA*) - dim graph(frakA)) / 2, read from the graph bases.
+    The componentwise check proves membership in graph(frakA*); with the
+    count it proves equality.
+    """
     bound = dp.tol.bound()
     if not dp.b.contained_in(dp.a_star):
         raise PreconditionError("relation is not C-symmetric; deficiency theory needs symmetry upstairs")
     checks = CheckList()
+    excess = dp.frakA_star.graph.dim - dp.frakA.graph.dim
     checks.add(
         "dim_nplus_equals_dim_nminus",
-        dp.n_plus.dim == dp.n_minus.dim,
+        2 * dp.n_plus.dim == 2 * dp.n_minus.dim == excess,
         detail=f"dims {dp.n_plus.dim}, {dp.n_minus.dim}",
     )
     image = dp.frakC.map_subspace(dp.n_plus)

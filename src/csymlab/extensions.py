@@ -5,7 +5,9 @@ Extensions are always constructed at the doubled level: for a unitary
 U: N+ -> N- the graph of frak(A)_U is graph(frakA) plus the deficiency
 span {(w - Uw, i(w + Uw)) : w in N+}, which is self-adjoint by von Neumann
 theory for relations.  Every graph here is grown from a known one by its k
-new directions (linalg.extend_basis), never re-orthonormalized whole.
+new directions (linalg.extend_basis), never re-orthonormalized whole; the
+doubled extension needs no rank decision at all, since its new directions
+are orthonormal and orthogonal to graph(frakA) as built.
 extension_from_parameter returns one record carrying every check of the
 extension, the L-manifold decomposition of frakM included.
 
@@ -252,16 +254,14 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     slices are too large, which is how a non-block extension shows.
     """
     u, defect_cols = _deficiency_span(dp, p)
-    n, k = dp.ambient_dim, dp.n_plus.dim
+    n = dp.ambient_dim
     tol = dp.tol
     bound = tol.bound()
     checks = CheckList()
-    frak_ext = LinearRelation(extend_basis(dp.frakA.graph, defect_cols))
-    if frak_ext.graph.dim != dp.frakA.graph.dim + k:
-        raise PropertyViolationError(
-            "deficiency span is not independent of the doubled graph",
-            {"dim_gap": dp.frakA.graph.dim + k - frak_ext.graph.dim},
-        )
+    # the columns (w - Uw, i(w + Uw))/2 are orthonormal for unitary U, and
+    # orthogonal to graph(frakA) because N+- are read off frakM (its members
+    # lie in graph(B*) and are orthogonal to graph(A)), so no SVD is needed
+    frak_ext = LinearRelation(_trusted(np.hstack([dp.frakA.graph.basis, defect_cols / 2]), tol))
     checks.add_residual("doubled_selfadjoint", frak_ext.adjoint_gap(frak_ext.graph.basis), bound)
     einv_res = max_angle_sin(_trusted(frak_ext.conjugated_basis(dp.frakC), tol), frak_ext.graph)
     checks.add_residual("doubled_frakE_selfadjoint", einv_res, bound)

@@ -58,9 +58,36 @@ def _derealify(r: np.ndarray, antilinear: bool) -> tuple[np.ndarray, float]:
     return x + 1j * y, res
 
 
-def doubled_power_blocks(
-    a, c: Conjugation, n: int, tol: Tolerance = DEFAULT_TOL
-) -> PowerReport:
+@dataclass(frozen=True, eq=False)
+class DoubledMatrix:
+    """frakA = [[0, A], [CAC, 0]] for a square matrix A, built once with
+    ||A||_2 and the Tolerance, so that the reports of every exponent read
+    them instead of rebuilding frakA and recomputing the norm."""
+
+    a: np.ndarray
+    c: Conjugation
+    frak: np.ndarray
+    norm: float
+    tol: Tolerance
+
+    def bound(self, power: int) -> float:
+        """The residual bound at the scale (1 + max(1, ||A||_2))^power."""
+        return self.tol.bound((1.0 + max(1.0, self.norm)) ** power)
+
+
+def doubled_matrix(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL) -> DoubledMatrix:
+    """frakA of a square matrix A under C, with ||A||_2 taken once."""
+    a = _as_complex_matrix(a, "matrix")
+    dim = a.shape[0]
+    if a.shape != (dim, dim) or c.matrix.shape != (dim, dim):
+        raise InputError("matrix and conjugation dimensions do not match")
+    k = c.matrix
+    z = np.zeros_like(a)
+    frak = np.block([[z, a], [k @ np.conj(a) @ np.conj(k), z]])
+    return DoubledMatrix(a, c, frak, _spectral_norm(a), tol)
+
+
+def doubled_power_blocks(d: DoubledMatrix, n: int) -> PowerReport:
     """Compare frakA^n against its predicted block form.
 
     The direct path is a plain matrix power of the doubled matrix; the
@@ -69,14 +96,8 @@ def doubled_power_blocks(
     """
     if n < 1:
         raise InputError(f"exponent must be at least 1, got {n}")
-    a = _as_complex_matrix(a, "matrix")
+    a, k, frak = d.a, d.c.matrix, d.frak
     dim = a.shape[0]
-    if a.shape != (dim, dim) or c.matrix.shape != (dim, dim):
-        raise InputError("matrix and conjugation dimensions do not match")
-    k = c.matrix
-    b = k @ np.conj(a) @ np.conj(k)
-    z = np.zeros_like(a)
-    frak = np.block([[z, a], [b, z]])
     direct = np.linalg.matrix_power(frak, n)
 
     ac = SemilinearOperator.from_antilinear(a @ k)
@@ -117,15 +138,14 @@ def doubled_power_blocks(
         m, shape_res = _derealify(r_block, antilinear=False)
         cross = max(cross, shape_res, float(np.abs(m - op.matrix).max()))
 
-    scale = max(1.0, _spectral_norm(a))
-    bound = tol.bound((1.0 + scale) ** n)
+    bound = d.bound(n)
     checks = CheckList()
     checks.add_residual("power_block_identity", block_residual, bound)
     checks.add_residual("power_evaluation_crosscheck", cross, bound)
     return PowerReport(n, block_residual, cross, None, checks)
 
 
-def power_norm_identities(a, c: Conjugation, x, y, n: int, tol: Tolerance = DEFAULT_TOL):
+def power_norm_identities(d: DoubledMatrix, x, y, n: int):
     """Deviations in the norm identities for exponents 2n and 2n+1.
 
     Both parities reduce to || frakA^m (x, y) ||^2 =
@@ -133,13 +153,9 @@ def power_norm_identities(a, c: Conjugation, x, y, n: int, tol: Tolerance = DEFA
     """
     if n < 0:
         raise InputError(f"exponent index must be nonnegative, got {n}")
-    a = _as_complex_matrix(a, "matrix")
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    k = c.matrix
-    b = k @ np.conj(a) @ np.conj(k)
-    z = np.zeros_like(a)
-    frak = np.block([[z, a], [b, z]])
+    a, c, k, frak = d.a, d.c, d.c.matrix, d.frak
     ac = SemilinearOperator.from_antilinear(a @ k)
     cy = c.apply(y)
     devs = []
@@ -198,22 +214,14 @@ def qa_partial_sums(
     return QaDiagnostics(terms, sums, diverged, growth)
 
 
-def power_report(
-    a,
-    c: Conjugation,
-    x,
-    y,
-    n: int,
-    tol: Tolerance = DEFAULT_TOL,
-) -> PowerReport:
+def power_report(d: DoubledMatrix, x, y, n: int) -> PowerReport:
     """Full report for one exponent: block residuals for frakA^n and norm
     identities at exponents 2n and 2n+1.  The partial sums do not depend on
     the exponent; qa_partial_sums gives them once for all exponents."""
-    base = doubled_power_blocks(a, c, n, tol)
-    devs = power_norm_identities(a, c, x, y, n, tol)
-    scale = max(1.0, _spectral_norm(np.asarray(a)))
+    base = doubled_power_blocks(d, n)
+    devs = power_norm_identities(d, x, y, n)
     # deviations compare squared norms, which grow like ||A||^(2m) at m = 2n+1
-    nbound = tol.bound((1.0 + scale) ** (4 * n + 2))
+    nbound = d.bound(4 * n + 2)
     nx = max(1.0, float(np.linalg.norm(x)) ** 2 + float(np.linalg.norm(y)) ** 2)
     checks = CheckList()
     checks.extend(base.checks)

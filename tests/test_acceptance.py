@@ -243,8 +243,9 @@ def test_criterion_09_power_identities():
         y = complex_randn(rng, n)
         x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
         cap = 1e-9 * (1.0 + np.linalg.norm(a, 2)) ** (2 * order + 1)
-        blocks = cs.doubled_power_blocks(a, c, order)
-        dev_even, dev_odd = cs.power_norm_identities(a, c, x, y, order)
+        d = cs.doubled_matrix(a, c)
+        blocks = cs.doubled_power_blocks(d, order)
+        dev_even, dev_odd = cs.power_norm_identities(d, x, y, order)
         if blocks.block_residual > cap or dev_even > cap or dev_odd > cap:
             bad += 1
         if blocks.crosscheck_residual > 1e-10:

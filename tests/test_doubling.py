@@ -1,5 +1,7 @@
 """Doubled operator, deficiency subspaces, decomposition reports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,11 +140,75 @@ def test_deficiency_rejects_nonsymmetric():
         cs.deficiency(dp)
 
 
-def test_eigenspace_members_on_explicit_relation():
+def test_imaginary_members_on_explicit_relation():
     # graph of multiplication by i in C^1: the +i members are everything
     rel = cs.from_matrix(np.array([[1j]]))
-    assert cs.eigenspace_members(rel, +1).dim == 1
-    assert cs.eigenspace_members(rel, -1).dim == 0
+    plus, minus = rel.imaginary_members()
+    assert (plus.dim, minus.dim) == (1, 0)
+    assert within(plus, np.array([1.0, 1j]), 1e-14)
+
+
+def _nonsymmetric_spec():
+    # a random matrix restricted to a 3-dimensional domain in C^6: not
+    # C-symmetric, with frakM of dimension 6
+    rng = np.random.default_rng(5)
+    domain = np.linalg.qr(random_complex(rng, 6, 3))[0]
+    images = random_complex(rng, 6, 6) @ domain
+    return cs.ProblemSpec("nonsymmetric", 6, "entrywise", None, domain, images, cs.DEFAULT_TOL)
+
+
+ORACLE_SPECS = [
+    cs.race_schrodinger(16, h=0.02),
+    cs.race_schrodinger(32, h=0.02),
+    cs.fd_derivative_minimal(16),
+    cs.zero_on_subspace(8),
+    *(cs.random_restriction(8, seed=seed) for seed in range(4)),
+    _nonsymmetric_spec(),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_deficiency_spaces_match_imaginary_members_of_frakA_star(spec):
+    # N+- are read off frakM; the oracle intersects graph(frakA*) with the
+    # graphs of +-i in C^(4n) and keeps the first blocks.  The identity needs
+    # no C-symmetry, so the non-symmetric input is covered too
+    dp = doubled(spec)
+    n2 = 2 * dp.ambient_dim
+    assert dp.n_plus.dim > 0
+    for mine, members in zip((dp.n_plus, dp.n_minus), dp.frakA_star.imaginary_members()):
+        assert cs.subspace_equal(mine, cs.orthonormal_basis(members.basis[:n2], dp.tol, n2))
+
+
+def _statuses(checks):
+    return {check.name: check.status for check in checks}
+
+
+def test_nplus_from_wrong_sign_fails_componentwise_characterization():
+    # mutation: N+ built from (y, -ix) instead of (y, ix), (x, y) in frakM
+    dp = doubled(cs.race_schrodinger(16, h=0.02))
+    n = dp.ambient_dim
+    m = dp.frakM.basis
+    wrong = cs.Subspace(np.vstack([m[n:], -1j * m[:n]]), dp.tol)
+    assert _statuses(cs.deficiency(dp))["componentwise_characterization"] == "pass"
+    status = _statuses(cs.deficiency(dataclasses.replace(dp, n_plus=wrong)))
+    assert status["componentwise_characterization"] == "fail"
+    assert status["dim_nplus_equals_dim_nminus"] == "pass"
+
+
+def test_frakM_missing_a_column_fails_the_von_neumann_count(monkeypatch):
+    # mutation: frakM loses its last basis column, so N+ and N- still have
+    # equal dimensions, one short of (dim graph(frakA*) - dim graph(frakA))/2
+    original = cs.linalg._complement_formula_intersect
+
+    def short(s1, s2):
+        full = original(s1, s2)
+        return cs.Subspace(full.basis[:, :-1], full.tol)
+
+    monkeypatch.setattr(cs.doubling, "_complement_formula_intersect", short)
+    dp = doubled(cs.race_schrodinger(16, h=0.02))
+    status = _statuses(cs.deficiency(dp))
+    assert status["dim_nplus_equals_dim_nminus"] == "fail"
+    assert status["componentwise_characterization"] == "pass"
 
 
 def test_vn_decomposition_operator_regime(rng):

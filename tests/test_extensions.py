@@ -396,8 +396,9 @@ def test_recover_parameter_matches_full_cayley_transform(spec):
 @pytest.mark.parametrize("swap", [False, True], ids=["plain", "swap"])
 def test_extension_path_svds_are_bordered(monkeypatch, swap):
     # graphs are grown by their k new directions: no SVD under the extension
-    # path with 2n rows or more has more than k columns (the problem's cached
-    # defect geometry is built before counting)
+    # path with 2n rows or more has more than k columns, and none has more
+    # than 2n rows, since graph(frakA) grows by columns orthonormal as built
+    # (the problem's cached defect geometry is built before counting)
     dp = doubled(cs.race_schrodinger(32, h=0.02))
     n, k = dp.ambient_dim, dp.n_plus.dim
     assert dp.s_map is not None and dp.coupling and dp.b.domain()
@@ -411,5 +412,5 @@ def test_extension_path_svds_are_bordered(monkeypatch, swap):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     cs.canonical_extension(dp, swap=swap)
     tall = [shape for shape in shapes if shape[0] >= 2 * n]
-    assert max(rows for rows, _ in tall) == 4 * n
+    assert max(rows for rows, _ in tall) == 2 * n
     assert all(cols <= k for _, cols in tall), tall

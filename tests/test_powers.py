@@ -22,7 +22,7 @@ def test_block_power_identity_random(rng):
         c = cs.random_conjugation(n, rng)
         a = random_complex(rng, n, n)
         for order in range(1, 6):
-            rep = cs.doubled_power_blocks(a, c, order)
+            rep = cs.doubled_power_blocks(cs.doubled_matrix(a, c), order)
             assert rep.checks.all_pass, (order, rep.checks.to_list())
 
 
@@ -50,7 +50,7 @@ def test_power_identity_scalar_case():
     a = 2.0 * np.eye(2)
     c = cs.entrywise_conjugation(2)
     np.testing.assert_allclose(brute_power(a, c, 2, 2), 4.0 * np.eye(4), atol=1e-14)
-    rep = cs.doubled_power_blocks(a, c, 2)
+    rep = cs.doubled_power_blocks(cs.doubled_matrix(a, c), 2)
     assert rep.checks.all_pass
 
 
@@ -73,7 +73,7 @@ def test_block_at_a_zero_position_fails_the_block_identity(rng, monkeypatch, ord
         return power
 
     monkeypatch.setattr(np.linalg, "matrix_power", misplaced)
-    rep = cs.doubled_power_blocks(a, c, order)
+    rep = cs.doubled_power_blocks(cs.doubled_matrix(a, c), order)
     assert [check.name for check in rep.checks if check.status == "fail"] == ["power_block_identity"]
     assert rep.block_residual > 1e-3
 
@@ -86,7 +86,7 @@ def test_norm_identities(rng):
         x = random_complex(rng, n)
         y = random_complex(rng, n)
         for order in range(1, 4):
-            dev_even, dev_odd = cs.power_norm_identities(a, c, x, y, order)
+            dev_even, dev_odd = cs.power_norm_identities(cs.doubled_matrix(a, c), x, y, order)
             scale = (1.0 + np.linalg.norm(a, 2)) ** (2 * order + 1)
             cap = 1e-9 * scale * max(1.0, np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2)
             assert dev_even <= cap and dev_odd <= cap
@@ -116,7 +116,7 @@ def test_power_report_assembles(rng):
         a = random_complex(rng, n, n)
         x, y = random_complex(rng, n), random_complex(rng, n)
         for order in range(1, 6):
-            rep = cs.power_report(a, c, x, y, order)
+            rep = cs.power_report(cs.doubled_matrix(a, c), x, y, order)
             assert rep.checks.all_pass, (order, rep.checks.to_list())
             assert rep.n == order
 
@@ -160,4 +160,4 @@ def test_power_rejects_bad_order(rng):
     c = cs.entrywise_conjugation(2)
     a = random_complex(rng, 2, 2)
     with pytest.raises(cs.InputError):
-        cs.doubled_power_blocks(a, c, 0)
+        cs.doubled_power_blocks(cs.doubled_matrix(a, c), 0)

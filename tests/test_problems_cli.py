@@ -367,12 +367,34 @@ def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
 
 
 def test_cli_verify_all_imaginary_members_count_pinned(monkeypatch, capsys):
-    # N+- of the doubled problem and vn's N_hat+- are the members (w, +-iw)
-    # of frakA*: intersected once and then read from its cache
+    # vn's N_hat+- are the members (w, +-iw) of frakA*, intersected once and
+    # then read from its cache; N+- of the doubled problem are read off
+    # frakM and intersect nothing
     calls = count_calls(monkeypatch, cs.LinearRelation, "_imaginary_members")
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [["deficiency"], ["extend"], ["extend", "--swap"]], ids=" ".join)
+def test_cli_defect_geometry_takes_no_svd_in_c4n(monkeypatch, capsys, command):
+    # N+- come from frakM in C^(2n) and the doubled extension grows graph(frakA)
+    # by columns orthonormal as built, so no SVD has more than 2n rows and
+    # frakA*'s imaginary members are never intersected
+    rows = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    members = count_calls(monkeypatch, cs.LinearRelation, "_imaginary_members")
+    n = 16
+    assert main([*command, "--example", "race_schrodinger", "--n", str(n), "--h", "0.02"]) == 0
+    capsys.readouterr()
+    assert rows and max(rows) <= 2 * n
+    assert len(members) == 0
 
 
 def test_cli_verify_all_gram_checks_pinned(monkeypatch, capsys):
@@ -382,6 +404,21 @@ def test_cli_verify_all_gram_checks_pinned(monkeypatch, capsys):
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
     assert len(calls) == 0
+
+
+def test_cli_powers_doubles_the_matrix_once(monkeypatch, capsys):
+    # frakA and ||A||_2 are built once per report and read by every exponent
+    doubles = count_calls(monkeypatch, cs.powers, "doubled_matrix")
+    norms = count_calls(monkeypatch, cs.linalg, "_spectral_norm")
+    assert main(["powers", "--example", "random_csym", "--n", "6", "--budget", "4"]) == 0
+    capsys.readouterr()
+    assert (len(doubles), len(norms)) == (1, 1)
+
+
+def test_cli_polar_modulus_norm_is_the_top_singular_value(capsys):
+    assert main(["polar", "--example", "random_csym", "--n", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["modulus_norm"] == float(cs.random_csym(6, seed=0).polar().s[0])
 
 
 def _complex_symmetric_n32(tmp_path):
