@@ -4,15 +4,19 @@
     python3 scripts/scale_sweep.py --label change
     python3 scripts/scale_sweep.py --src OTHER_CHECKOUT/src --label parent
 
-Each n runs three times, each time in a fresh child process that imports
-csymlab from --src (this checkout's src/ by default) and calls the CLI in
-process; the run with the median wall time is recorded.  The child records
-the wall time of the report, the number of numpy SVDs, the largest SVD
-shape (by entry count) and the most rows of any SVD, the exit code with
-the error message of a failed report, and its peak resident set size.  The
-results are stored under --label in --out (BENCH_scale.json at the
-repository root), next to the runs already there, so one file holds a
-before/after pair measured on the same machine.
+For each n in SIZES the report runs REPEATS times untraced and once under
+the benchmark's span tracer (bench/tracer.py), each run in a fresh child
+process that imports csymlab from --src (this checkout's src/ by default)
+and calls the CLI in process.  The untraced runs give the wall time (the
+median is recorded, with every run), the peak resident set size of the
+median run, and the exit code with the error message of a failed report.
+The traced run gives the tracer's SVD call count and largest SVD
+dimension (`linalg.svd.calls` and `linalg.svd.max_dim` of the benchmark;
+SVDs inside np.linalg.norm are counted) and the shape of the largest SVD
+by entry count.  The results are stored under --label in --out
+(BENCH_scale.json at the repository root), next to the runs already
+there, so one file holds a before/after pair measured on the same machine.
+The sweep is a record: it is not a workload of BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -33,53 +37,61 @@ REPEATS = 3
 
 CHILD = r"""
 import contextlib, io, json, resource, sys, time
-sys.path.insert(0, sys.argv[1])
+src, bench, argv, traced = sys.argv[1], sys.argv[2], json.loads(sys.argv[3]), sys.argv[4] == "1"
+sys.path[:0] = [src, bench]
 import numpy as np
+import tracer
 from csymlab.cli import main
 
-shapes = []
-svd = np.linalg.svd
 
-def counted(a, *args, **kwargs):
-    shapes.append(tuple(int(d) for d in np.shape(a)))
-    return svd(a, *args, **kwargs)
+class ShapeTracer(tracer.Tracer):
+    # the benchmark's tracer, also keeping the shape of each SVD it observes
+    def __init__(self):
+        super().__init__()
+        self.svd_shapes = []
 
-np.linalg.svd = counted
-argv = json.loads(sys.argv[2])
+    def _observe_svd(self, args, result, parent):
+        super()._observe_svd(args, result, parent)
+        self.svd_shapes.append([int(d) for d in np.shape(args[0])[-2:]])
+
+
+spans = ShapeTracer()
+if traced:
+    spans.install()
 err = io.StringIO()
 start = time.perf_counter()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     code = main(argv)
 wall = time.perf_counter() - start
-largest = max(shapes, key=lambda s: (s[0] * s[1], s)) if shapes else None
-print(json.dumps({
-    "exit_code": code,
-    "error": err.getvalue().strip() or None,
-    "wall_s": round(wall, 3),
-    "svd_calls": len(shapes),
-    "largest_svd": list(largest) if largest else None,
-    "max_svd_rows": max((s[0] for s in shapes), default=0),
-    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-}))
+out = {"exit_code": code, "error": err.getvalue().strip() or None}
+if traced:
+    out["svd_calls"] = spans.stats[tracer.SVD][0]
+    out["svd_max_dim"] = int(spans.counters["linalg.svd.max_dim"])
+    out["largest_svd"] = max(spans.svd_shapes, key=lambda s: (s[0] * s[1], s), default=None)
+else:
+    out["wall_s"] = round(wall, 3)
+    out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+print(json.dumps(out))
 """
 
 
+def child(src: Path, argv: list, traced: bool) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(src), str(ROOT / "bench"), json.dumps(argv), str(int(traced))],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def measure(src: Path, n: int) -> dict:
-    """REPEATS child runs at n: the median wall time, every wall time, and
-    the counts and peak RSS of the run with the median time."""
+    """The median of REPEATS untraced runs at n, every wall time, and the
+    SVD counts of one traced run."""
     argv = [*COMMAND, "--n", str(n)]
-    runs = []
-    for _ in range(REPEATS):
-        proc = subprocess.run(
-            [sys.executable, "-c", CHILD, str(src), json.dumps(argv)],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-    runs.sort(key=lambda run: run["wall_s"])
+    runs = sorted((child(src, argv, traced=False) for _ in range(REPEATS)), key=lambda run: run["wall_s"])
     median = runs[len(runs) // 2]
-    return {"n": n, **median, "wall_s_runs": [run["wall_s"] for run in runs]}
+    return {"n": n, **median, "wall_s_runs": [run["wall_s"] for run in runs], **child(src, argv, traced=True)}
 
 
 def machine() -> dict:
@@ -99,7 +111,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding csymlab/")
     parser.add_argument("--label", required=True, help="name of this run in the output file")
-    parser.add_argument("--ns", type=int, nargs="+", default=list(SIZES), help="grid sizes")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
     args = parser.parse_args()
     if not (args.src / "csymlab" / "__init__.py").is_file():
@@ -107,12 +118,11 @@ def main() -> int:
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["command"] = " ".join(COMMAND) + " --n N"
     record["machine"] = machine()
-    runs = record.setdefault("runs", {})
     results = []
-    for n in args.ns:
+    for n in SIZES:
         results.append(measure(args.src.resolve(), n))
         print(json.dumps(results[-1]), file=sys.stderr)
-    runs[args.label] = results
+    record.setdefault("runs", {})[args.label] = results
     args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -85,15 +85,15 @@ def domain_criterion(a_tilde: LinearRelation, a: LinearRelation, c: Conjugation)
 
 @dataclass(frozen=True, eq=False)
 class MSpaces:
-    """The defect geometry between graph(A) and graph(B*).
+    """The defect geometry between graph(A) and graph(B*) beyond frakM.
 
-    frakM = graph(B*) - graph(A) and frakM_prime = graph(A*) - graph(B) as
-    orthogonal differences in H + H.  m_bstar and m_astar are the kernels
-    N(I + A* о B*) and N(I + B* о A*); their first-component identity with
-    frakM is established in m_spaces.
+    frakM_prime = graph(A*) - graph(B) is the orthogonal difference in
+    H + H, the companion of DoubledProblem.frakM = graph(B*) - graph(A).
+    m_bstar and m_astar are the kernels N(I + A* о B*) and N(I + B* о A*);
+    their first-component identity with frakM and frakM_prime is
+    established in m_spaces.
     """
 
-    frakM: Subspace
     frakM_prime: Subspace
     m_bstar: Subspace
     m_astar: Subspace
@@ -119,7 +119,7 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
             "kernels of I + A*B* and I + B*A* disagree with the first components of the M-spaces",
             {"dims": abs(m_bstar.dim - first.dim) + abs(m_astar.dim - first_prime.dim)},
         )
-    return MSpaces(frak_m, frak_m_prime, m_bstar, m_astar)
+    return MSpaces(frak_m_prime, m_bstar, m_astar)
 
 
 def graph_inner(t: LinearRelation, f, g) -> complex:
@@ -140,7 +140,8 @@ def anti_involution(dp: DoubledProblem) -> AntiLinearMap:
     n = dp.ambient_dim
     z = np.zeros((n, n), dtype=complex)
     s = AntiLinearMap(np.block([[z, k], [-k, z]]), dp.tol)
-    frak_m = dp.spaces.frakM
+    dp.spaces  # raises PreconditionError unless C-symmetric
+    frak_m = dp.frakM
     bound = frak_m.tol.bound()
     if frak_m.dim:
         image = s.map_subspace(frak_m)

@@ -22,7 +22,7 @@ identity needs no C-symmetry.
 
 DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
 frakA, frakA*, frakE, frakM and N+-, built once by build_doubled, and the
-M-spaces and the anti-involution S, built on first use.  Everything
+other M-spaces and the anti-involution S, built on first use.  Everything
 downstream reads them from it.
 """
 
@@ -195,9 +195,10 @@ def deficiency(dp: DoubledProblem) -> CheckList:
         raise PreconditionError("relation is not C-symmetric; deficiency theory needs symmetry upstairs")
     checks = CheckList()
     excess = dp.frakA_star.graph.dim - dp.frakA.graph.dim
+    # N+- share frakM's column count as built, so each is held to the count
     checks.add(
         "dim_nplus_equals_dim_nminus",
-        2 * dp.n_plus.dim == 2 * dp.n_minus.dim == excess,
+        all(2 * space.dim == excess for space in (dp.n_plus, dp.n_minus)),
         detail=f"dims {dp.n_plus.dim}, {dp.n_minus.dim}",
     )
     image = dp.frakC.map_subspace(dp.n_plus)
@@ -315,7 +316,7 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
     measurements = {}
     # graph(B*) = graph(A) + frakM and graph(A*) = graph(B) + frakM'
     for name, big, small, m_part in (
-        ("bstar_decomposition", dp.b_star, a, spaces.frakM),
+        ("bstar_decomposition", dp.b_star, a, dp.frakM),
         ("astar_decomposition", dp.a_star, dp.b, spaces.frakM_prime),
     ):
         total = subspace_sum(small.graph, m_part)
@@ -351,7 +352,7 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
         )
     return DecompositionReport(
         "operator" if operator_regime else "relation",
-        {"frakM": spaces.frakM, "frakM_prime": spaces.frakM_prime, "kernel": spaces.m_bstar},
+        {"frakM": dp.frakM, "frakM_prime": spaces.frakM_prime, "kernel": spaces.m_bstar},
         checks,
         measurements,
     )

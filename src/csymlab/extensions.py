@@ -281,7 +281,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     checks.add_residual("extension_c_selfadjoint", csa_res, bound)
     checks.add_residual("inside_bstar", max_angle_sin(a_ext.graph, dp.b_star.graph), bound)
     # L-manifolds: L = graph(A_U) - graph(A) and its S-image split frakM
-    frak_m = dp.spaces.frakM
+    frak_m = dp.frakM
     # a_ext's basis is [graph(A) basis, new columns], the new ones orthogonal to graph(A)
     l_graph = _trusted(a_ext.graph.basis[:, dp.a.graph.dim :], tol)
     s_image = dp.s_map.map_subspace(l_graph)
@@ -359,7 +359,8 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
     half spans L and graph(A) + L is a C-self-adjoint extension.  With
     swap=True the companion extension built from S(L) is returned instead.
     """
-    frak_m = dp.spaces.frakM  # raises PreconditionError unless C-symmetric
+    dp.spaces  # raises PreconditionError unless C-symmetric
+    frak_m = dp.frakM
     if frak_m.dim % 2:
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     if frak_m.dim == 0:
@@ -421,7 +422,8 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
     and pulled back through recover_parameter, which keeps every sample
     inside the block-compatible family.
     """
-    frak_m = dp.spaces.frakM
+    dp.spaces  # raises PreconditionError unless C-symmetric
+    frak_m = dp.frakM
     rng = np.random.default_rng(seed)
     out = []
     if frak_m.dim == 0:
@@ -472,7 +474,7 @@ def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
     """The brute-force sweep's `budget` candidates L, m x h in frakM
     coordinates, in order; None stands for a first vector whose isotropic
     completion lost rank.  frakM must have even dimension 0 < m <= 8."""
-    frak_m = dp.spaces.frakM
+    frak_m = dp.frakM
     m = frak_m.dim
     half = m // 2
     tol = dp.tol
@@ -542,7 +544,8 @@ def brute_force_extensions(
     stops once the cap is reached; the structured sweep runs first and is
     never truncated by the random streams).  Pass None to disable the cap.
     """
-    frak_m = dp.spaces.frakM
+    dp.spaces  # raises PreconditionError unless C-symmetric
+    frak_m = dp.frakM
     if frak_m.dim > 8:
         raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
     if frak_m.dim == 0:

@@ -62,21 +62,21 @@ def test_m_spaces_two_path_identity():
         dp = spec.doubled()
         spaces = cs.m_spaces(dp)
         n = dp.ambient_dim
-        first = cs.orthonormal_basis(spaces.frakM.basis[:n], ambient_dim=n)
+        first = cs.orthonormal_basis(dp.frakM.basis[:n], ambient_dim=n)
         assert within(spaces.m_bstar, first, 1e-9, equal=True)
         # frakM orthogonal to graph(A) inside graph(B*)
-        if spaces.frakM.dim and dp.a.graph.dim:
-            overlap = np.abs(dp.a.graph.basis.conj().T @ spaces.frakM.basis).max()
+        if dp.frakM.dim and dp.a.graph.dim:
+            overlap = np.abs(dp.a.graph.basis.conj().T @ dp.frakM.basis).max()
             assert overlap <= 1e-10
-        total = cs.subspace_sum(dp.a.graph, spaces.frakM)
+        total = cs.subspace_sum(dp.a.graph, dp.frakM)
         assert within(total, dp.b_star, 1e-9, equal=True)
 
 
 def test_m_spaces_trivial_for_selfadjoint(rng):
     c = cs.entrywise_conjugation(3)
-    spaces = cs.m_spaces(cs.build_doubled(cs.from_matrix(cs.random_symmetric(3, rng)), c))
-    assert spaces.frakM.dim == 0
-    assert spaces.m_bstar.dim == 0
+    dp = cs.build_doubled(cs.from_matrix(cs.random_symmetric(3, rng)), c)
+    assert dp.frakM.dim == 0
+    assert cs.m_spaces(dp).m_bstar.dim == 0
 
 
 def test_m_spaces_requires_symmetry(rng):
@@ -99,7 +99,7 @@ def test_anti_involution_square_and_invariance():
     spec = cs.zero_on_subspace(4)
     dp = spec.doubled()
     s = cs.anti_involution(dp)
-    frak_m = dp.spaces.frakM
+    frak_m = dp.frakM
     # S^2 = -I on frakM and S frakM = frakM
     for v in frak_m.basis.T:
         np.testing.assert_allclose(s.apply(s.apply(v)), -v, atol=1e-10)
@@ -125,7 +125,7 @@ def _lifted_sweep(example, n):
     sweep at seed 0, L orthonormalized in frakM coordinates, M the frakM basis."""
     spec = cs.build_example(example, n=n)
     dp = cs.build_doubled(spec.relation(), spec.conjugation())
-    frak_m = dp.spaces.frakM
+    frak_m = dp.frakM
     w = cs.extensions._omega_coords(dp, frak_m)
     for l_coords in cs.extensions._sweep_candidates(dp, 200, 0):
         if l_coords is None:

@@ -286,7 +286,7 @@ def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
     # per sweep, it runs no SVD with more than m rows, and the direct test in
     # C^(2n) runs once per distinct survivor (every survivor is a hit here)
     dp = doubled(cs.race_schrodinger(32))
-    m = dp.spaces.frakM.dim
+    m = dp.frakM.dim
     assert dp.s_map  # the problem's cached geometry is built before counting
     pool, svd = cs.extensions._sweep_pool, np.linalg.svd
     in_pool, rows = [], []
@@ -324,8 +324,10 @@ def test_doubled_problem_caches_defect_geometry():
     dp = spec.doubled()
     assert spec.doubled() is dp
     assert dp.spaces is dp.spaces and dp.s_map is dp.s_map
-    fresh = cs.m_spaces(cs.build_doubled(dp.a, dp.c))
-    for name in ("frakM", "frakM_prime", "m_bstar", "m_astar"):
+    rebuilt = cs.build_doubled(dp.a, dp.c)
+    assert within(dp.frakM, rebuilt.frakM, 1e-10, equal=True)
+    fresh = cs.m_spaces(rebuilt)
+    for name in ("frakM_prime", "m_bstar", "m_astar"):
         assert within(getattr(dp.spaces, name), getattr(fresh, name), 1e-10, equal=True)
 
 
