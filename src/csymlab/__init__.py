@@ -98,13 +98,7 @@ from .powers import (
     qa_partial_sums,
 )
 from .problems import ProblemSpec, parse_spec, spec_from_dict
-from .relations import (
-    LinearRelation,
-    compose,
-    from_matrix,
-    full_relation,
-    zero_relation,
-)
+from .relations import LinearRelation, from_matrix, kernel_one_plus
 
 __version__ = "0.1.0"
 

@@ -21,7 +21,8 @@ DoubledProblem that owns them (doubling.build_doubled), which caches both
 results.  frakM is built there, since N+- are read off its basis; m_spaces
 adds frakM' = graph(A*) - graph(B), with graph(B)'s complement taken as
 J^-1 graph(B*) = {(-v, u) : (u, v) in graph(B*)}, and the kernels of
-I + A*B* and I + B*A*.
+I + A*B* and I + B*A*, each from one null-space solve in the middle
+coordinate (relations.kernel_one_plus), independent of frakM.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .linalg import (
     orthonormal_basis,
     subspace_equal,
 )
-from .relations import LinearRelation, compose
+from .relations import LinearRelation, kernel_one_plus
 
 if TYPE_CHECKING:
     from .doubling import DoubledProblem
@@ -89,9 +90,10 @@ class MSpaces:
 
     frakM_prime = graph(A*) - graph(B) is the orthogonal difference in
     H + H, the companion of DoubledProblem.frakM = graph(B*) - graph(A).
-    m_bstar and m_astar are the kernels N(I + A* о B*) and N(I + B* о A*);
-    their first-component identity with frakM and frakM_prime is
-    established in m_spaces.
+    m_bstar and m_astar are the kernels N(I + A* о B*) and N(I + B* о A*),
+    computed by kernel_one_plus and not read off frakM, so that their
+    first-component identity with frakM and frakM_prime, established in
+    m_spaces, compares two independent computations.
     """
 
     frakM_prime: Subspace
@@ -109,8 +111,8 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
     # graph(B*) is the complement of J graph(B), so J^-1 graph(B*) is graph(B)'s
     u, v = dp.b_star.graph.basis[:n], dp.b_star.graph.basis[n:]
     frak_m_prime = intersect(dp.a_star.graph, _trusted(np.vstack([-v, u]), dp.tol))
-    m_bstar = compose(dp.a_star, dp.b_star).shifted(1.0).kernel()
-    m_astar = compose(dp.b_star, dp.a_star).shifted(1.0).kernel()
+    m_bstar = kernel_one_plus(dp.a_star, dp.b_star)
+    m_astar = kernel_one_plus(dp.b_star, dp.a_star)
     # kernel of I + A*B* = first components of frakM, in every regime
     first = orthonormal_basis(frak_m.basis[:n], frak_m.tol, n)
     first_prime = orthonormal_basis(frak_m_prime.basis[:n], frak_m.tol, n)

@@ -48,7 +48,7 @@ from .linalg import (
     subspace_equal,
     subspace_sum,
 )
-from .relations import LinearRelation, compose
+from .relations import LinearRelation, kernel_one_plus
 from .reporting import CheckList
 
 
@@ -238,8 +238,9 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
     decomposition holds for every symmetric relation; the domain-level
     forms D(T*) = D(T) + N((T*)^2 + I) and the splitting of that kernel
     into N(T* - i) + N(T* + i) are additionally checked, with the direct-sum
-    independence asserted only when T* is single-valued.  ``t_star`` is T*
-    when already computed.
+    independence asserted only when T* is single-valued.  The kernel comes
+    from relations.kernel_one_plus(T*, T*), independent of the eigenspace
+    members it is compared with.  ``t_star`` is T* when already computed.
     """
     if t_star is None:
         t_star = t.adjoint()
@@ -261,7 +262,7 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
         detail=f"dims {t.graph.dim}+{plus.dim}+{minus.dim} vs {t_star.graph.dim}",
     )
     # kernel of (T*)^2 + I against the eigenspace members
-    kernel = compose(t_star, t_star).shifted(1.0).kernel()
+    kernel = kernel_one_plus(t_star, t_star)
     n_plus_first = orthonormal_basis(plus.basis[:n], tol, n)
     n_minus_first = orthonormal_basis(minus.basis[:n], tol, n)
     eig_sum = subspace_sum(n_plus_first, n_minus_first)

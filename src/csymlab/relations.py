@@ -2,9 +2,10 @@
 
 A relation on C^n is carried by an orthonormal basis of its graph inside
 C^(2n); the first n coordinates are the argument, the last n the value.
-Adjoints, compositions and kernels are computed by exact subspace algebra,
+Adjoints and the kernels N(I + R S) are computed by exact subspace algebra,
 never through pseudo-inverses, so rank decisions stay centralized in the
-Tolerance rule.
+Tolerance rule.  The domain, the multivalued part and the operator test are
+one rank decision, read off one cached SVD of the graph basis's top block.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .linalg import (
     _spectral_norm,
     _trusted,
     complement,
-    full_space,
     intersect,
     is_subspace_of,
     orthonormal_basis,
@@ -55,36 +55,37 @@ class LinearRelation:
     def _bottom(self) -> np.ndarray:
         return self.graph.basis[self.ambient_dim :]
 
+    @cached_property
+    def _top_svd(self) -> tuple[np.ndarray, int, np.ndarray]:
+        """(U, r, V^H) of the top block X of the graph basis, r its rank at
+        tol.zero_cutoff(1.0).  The singular values of X are the sines of the
+        angles between graph(R) and {(0, y)}, so r decides the domain, the
+        multivalued part and is_operator at once.  Built on the first access
+        and then reused (the graph is immutable)."""
+        x = self._top()
+        u, sines, vh = np.linalg.svd(x, full_matrices=x.shape[1] > x.shape[0])
+        return u, int(np.sum(sines > self.tol.zero_cutoff(1.0))), vh
+
     def domain(self) -> Subspace:
-        """Built on the first call and then reused (the graph is immutable)."""
+        """span X = U[:, :r]; built on the first call and then reused."""
         return self._domain
 
     @cached_property
     def _domain(self) -> Subspace:
-        return orthonormal_basis(self._top(), self.tol, self.ambient_dim)
-
-    def kernel(self) -> Subspace:
-        """{x : (x, 0) in graph}."""
-        n = self.ambient_dim
-        hit = intersect(self.graph, _trusted(np.eye(2 * n, dtype=complex)[:, :n], self.tol))
-        return orthonormal_basis(hit.basis[:n], self.tol, n)
+        u, r, _ = self._top_svd
+        return _trusted(u[:, :r], self.tol)
 
     def multivalued_part(self) -> Subspace:
-        """{y : (0, y) in graph}; zero iff the relation is an operator."""
-        n = self.ambient_dim
-        hit = intersect(self.graph, _trusted(np.eye(2 * n, dtype=complex)[:, n:], self.tol))
-        return orthonormal_basis(hit.basis[n:], self.tol, n)
+        """{y : (0, y) in graph} = span Y V[:, r:]; zero iff the relation is
+        an operator.  [X; Y] V is orthonormal and ||X V[:, r:]|| is at most
+        tol.zero_cutoff(1.0), so these columns are orthonormal as built."""
+        _, r, vh = self._top_svd
+        return _trusted(self._bottom() @ vh[r:].conj().T, self.tol)
 
-    @cached_property
+    @property
     def is_operator(self) -> bool:
-        """multivalued_part().dim == 0 from singular values alone: those of
-        the top block X of the graph basis are the sines intersect takes
-        against {(0, y)}, so none may be at or below tol.zero_cutoff(1.0).
-        Decided on the first access and then reused, like domain()."""
-        if self.graph.dim > self.ambient_dim:
-            return False
-        sines = np.linalg.svd(self._top(), compute_uv=False)
-        return not np.any(sines <= self.tol.zero_cutoff(1.0))
+        """multivalued_part().dim == 0, i.e. X has full column rank."""
+        return self._top_svd[1] == self.graph.dim
 
     @property
     def is_everywhere_defined(self) -> bool:
@@ -145,11 +146,6 @@ class LinearRelation:
         """C R C: graph {(Cx, Cy)}; involutive when C is a conjugation."""
         return LinearRelation(orthonormal_basis(self.conjugated_basis(c), self.tol))
 
-    def shifted(self, lam: complex) -> "LinearRelation":
-        """R + lam: {(x, y + lam*x) : (x, y) in graph(R)}."""
-        cols = np.vstack([self._top(), self._bottom() + lam * self._top()])
-        return LinearRelation(orthonormal_basis(cols, self.tol))
-
     def contained_in(self, other: "LinearRelation") -> bool:
         return is_subspace_of(self.graph, other.graph)
 
@@ -178,31 +174,24 @@ def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
     return LinearRelation(orthonormal_basis(cols, tol))
 
 
-def compose(outer: LinearRelation, inner: LinearRelation) -> LinearRelation:
-    """outer о inner = {(x, z) : exists y with (x, y) in inner, (y, z) in outer}.
+def kernel_one_plus(outer: LinearRelation, inner: LinearRelation) -> Subspace:
+    """N(I + outer о inner) = {x : (x, y) in inner and (y, -x) in outer for some y}.
 
-    Computed by intersecting the two embedded constraint spaces inside
-    C^(3n) and projecting out the middle coordinate.  Both embeddings stack
-    an orthonormal graph basis and an identity block on disjoint rows, so
-    their columns are orthonormal as built.
+    With [X1; Y1] and [X2; Y2] the graph bases of inner and outer, x is in
+    the kernel iff x = X1 a for a null vector (a, b) of
+    [[Y1, -X2], [X1, Y2]]: the first rows say Y1 a = X2 b (the middle
+    coordinate), the last X1 a + Y2 b = 0.  Each column group is a graph
+    basis with its rows permuted, hence orthonormal, so the singular values
+    are sqrt(1 -+ cos theta) over the principal angles theta between the
+    two groups' spans; the small ones, sqrt(2) sin(theta/2), vanish on
+    their meet.  They are cut at tol.zero_cutoff(1.0), within a factor
+    sqrt(2) of intersect's cut on sin theta.  One SVD with 2n rows, then
+    the rank decision of orthonormal_basis on the columns X1 a.
     """
     if outer.ambient_dim != inner.ambient_dim:
         raise InputError(f"ambient mismatch: {outer.ambient_dim} vs {inner.ambient_dim}")
-    n = outer.ambient_dim
     tol = inner.tol
-    gi, go = inner.graph.basis, outer.graph.basis
-    # E1 = {(x, y, z) : (x, y) in inner}, E2 = {(x, y, z) : (y, z) in outer}
-    e1 = np.block([[gi, np.zeros((2 * n, n))], [np.zeros((n, gi.shape[1])), np.eye(n)]])
-    e2 = np.block([[np.eye(n), np.zeros((n, go.shape[1]))], [np.zeros((2 * n, n)), go]])
-    w = intersect(_trusted(e1, tol), _trusted(e2, tol))
-    return LinearRelation(orthonormal_basis(np.vstack([w.basis[:n], w.basis[2 * n :]]), tol, 2 * n))
-
-
-def zero_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
-    """The zero operator on the zero domain (empty graph)."""
-    return LinearRelation(_trusted(np.zeros((2 * n, 0), dtype=complex), tol))
-
-
-def full_relation(n: int, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
-    """The relation H x H (everything related to everything)."""
-    return LinearRelation(full_space(2 * n, tol))
+    m = np.block([[inner._bottom(), -outer._top()], [inner._top(), outer._bottom()]])
+    _, sigma, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    rank = int(np.sum(sigma > tol.zero_cutoff(1.0)))
+    return orthonormal_basis(inner._top() @ vh[rank:, : inner.graph.dim].conj().T, tol, inner.ambient_dim)

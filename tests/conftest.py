@@ -30,6 +30,16 @@ def within(a, b, bound, equal=False):
     return cs.max_angle_sin(a, b) <= bound and (not equal or a.dim == b.dim)
 
 
+def zero_relation(n):
+    """The zero operator on the zero domain (empty graph)."""
+    return cs.LinearRelation(cs.zero_subspace(2 * n))
+
+
+def full_relation(n):
+    """The relation H x H (everything related to everything)."""
+    return cs.LinearRelation(cs.full_space(2 * n))
+
+
 def count_calls(monkeypatch, owner, name):
     """Count calls of owner.name.
 

@@ -16,7 +16,7 @@ import csymlab as cs
 from csymlab.cli import main
 from csymlab.extensions import parameter_as_unitary
 
-from conftest import within
+from conftest import within, zero_relation
 
 
 def report(num, label, ok, detail):
@@ -69,7 +69,7 @@ def test_criterion_02_adjoint_involution():
                 cs.orthonormal_basis(complex_randn(rng, 2 * n, k), ambient_dim=2 * n)
             )
         else:
-            rel = cs.zero_relation(n)
+            rel = zero_relation(n)
         if not within(rel.adjoint().adjoint(), rel, 1e-9, equal=True):
             bad += 1
     report(

@@ -5,7 +5,7 @@ import pytest
 
 import csymlab as cs
 
-from conftest import count_calls, random_complex, within
+from conftest import count_calls, full_relation, random_complex, within, zero_relation
 
 
 def test_entrywise_csym_is_transpose_symmetry(rng):
@@ -180,10 +180,10 @@ def test_selfadjoint_needs_graph_dimension_n(rng):
     # C-symmetric restriction, so only the dimension count rejects them
     c = cs.random_conjugation(4, rng)
     spec = cs.random_restriction(4, seed=11)
-    for rel, conj in ((cs.zero_relation(4), c), (spec.relation(), spec.conjugation())):
+    for rel, conj in ((zero_relation(4), c), (spec.relation(), spec.conjugation())):
         assert rel.graph.dim != 4 and cs.is_c_symmetric(rel, conj)
         assert not cs.is_c_selfadjoint(rel, conj)
-    assert not cs.is_c_selfadjoint(cs.full_relation(4), c)
+    assert not cs.is_c_selfadjoint(full_relation(4), c)
 
 
 def test_selfadjoint_rejects_conjugation_of_other_dimension(rng):
@@ -191,7 +191,7 @@ def test_selfadjoint_rejects_conjugation_of_other_dimension(rng):
     with pytest.raises(cs.InputError):
         cs.is_c_selfadjoint(rel, cs.entrywise_conjugation(4))
     with pytest.raises(cs.InputError):
-        cs.is_c_selfadjoint(cs.zero_relation(3), cs.entrywise_conjugation(2))
+        cs.is_c_selfadjoint(zero_relation(3), cs.entrywise_conjugation(2))
 
 
 def test_selfadjoint_builds_neither_conjugate_nor_adjoint(monkeypatch):

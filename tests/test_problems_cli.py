@@ -437,14 +437,68 @@ def test_cli_verify_all_factors_each_matrix_once(tmp_path, monkeypatch, capsys):
     assert (len(polars), len(sums)) == (2, 1)
 
 
-@pytest.mark.parametrize("command, count", [("check", 1), ("verify-all", 3)])
-def test_cli_is_operator_count_pinned(tmp_path, monkeypatch, capsys, command, count):
-    # decided once per relation: the input's, and in verify-all also frakA's
-    # and frakA*'s in vn_decomposition
-    calls = count_calls(monkeypatch, cs.LinearRelation, "is_operator")
+@pytest.mark.parametrize("command, count", [("check", 2), ("verify-all", 8)])
+def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, count):
+    # domain, multivalued part and operator test share one top-block SVD per
+    # relation: in check those of A and A*, in verify-all of eight relations
+    calls = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
     assert main([command, "--spec", _complex_symmetric_n32(tmp_path)]) == 0
     capsys.readouterr()
     assert len(calls) == count
+
+
+def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
+    # one null-space SVD per kernel of I + RS and one top-block SVD per
+    # relation whose domain is read
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 33
+
+
+def _drop_first_column(function):
+    def dropped(*args):
+        space = function(*args)
+        return cs.Subspace(space.basis[:, 1:], space.tol)
+
+    return dropped
+
+
+def _failing_checks(capsys, argv):
+    assert main(argv) == 1
+    return {c["name"] for c in json.loads(capsys.readouterr().out)["check_list"] if c["status"] == "fail"}
+
+
+def test_cli_m_spaces_identity_catches_short_kernel(monkeypatch, capsys):
+    # mutation: N(I + A*B*) misses a direction in m_spaces only
+    monkeypatch.setattr(cs.csym, "kernel_one_plus", _drop_first_column(cs.kernel_one_plus))
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert "kernels of I + A*B* and I + B*A* disagree" in out["error"]
+
+
+def test_cli_vn_kernel_check_catches_short_kernel(monkeypatch, capsys):
+    # mutation: N((T*)^2 + I) misses a direction in vn_decomposition only
+    monkeypatch.setattr(cs.doubling, "kernel_one_plus", _drop_first_column(cs.kernel_one_plus))
+    failing = _failing_checks(capsys, ["verify-all", "--example", "race_schrodinger", "--n", "16"])
+    assert failing == {"vnkernel_splits_into_eigenspace_members"}
+
+
+def test_cli_domain_sum_star_catches_short_multivalued_part(monkeypatch, capsys):
+    # mutation: mul(A_ext) misses a direction; the swap extension of
+    # zero_on_subspace has a 2-dimensional multivalued part
+    monkeypatch.setattr(
+        cs.LinearRelation, "multivalued_part", _drop_first_column(cs.LinearRelation.multivalued_part)
+    )
+    failing = _failing_checks(capsys, ["verify-all", "--example", "zero_on_subspace", "--n", "16"])
+    assert failing == {"extend_swapdomain_sum_star"}
 
 
 def _report(capsys, argv):

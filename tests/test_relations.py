@@ -1,4 +1,4 @@
-"""Linear relations: adjoints, composition, regime predicates.
+"""Linear relations: adjoints, kernels of I + RS, regime predicates.
 
 Expected dims and membership conditions for the two small fixtures were
 computed by hand from the orthogonality definition of the adjoint and are
@@ -7,10 +7,11 @@ frozen here as literals.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import csymlab as cs
 
-from conftest import random_complex, within
+from conftest import full_relation, random_complex, within, zero_relation
 
 
 def random_relation(rng, n, k):
@@ -59,7 +60,7 @@ def test_adjoint_is_involution(rng):
     for _ in range(60):
         n = int(rng.integers(1, 9))
         k = int(rng.integers(0, 2 * n + 1))
-        rel = random_relation(rng, n, k) if k else cs.zero_relation(n)
+        rel = random_relation(rng, n, k) if k else zero_relation(n)
         again = rel.adjoint().adjoint()
         assert within(again, rel, 1e-9, equal=True)
 
@@ -82,34 +83,61 @@ def test_adjoint_reverses_inclusion(rng):
 def test_kernel_multivalued(rng):
     m = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     rel = cs.from_matrix(m)
-    assert rel.kernel().dim == 1
+    # N(I - m) = span{e1}
+    assert within(cs.kernel_one_plus(cs.from_matrix(-np.eye(2)), rel), np.array([1.0, 0]), 1e-12, equal=True)
     assert rel.multivalued_part().dim == 0
-    assert cs.full_relation(2).multivalued_part().dim == 2
+    assert full_relation(2).multivalued_part().dim == 2
 
 
-def test_compose_matches_matrix_product(rng):
-    a = random_complex(rng, 4, 4)
-    b = random_complex(rng, 4, 4)
-    comp = cs.compose(cs.from_matrix(a), cs.from_matrix(b))
-    assert within(comp, cs.from_matrix(a @ b), 1e-10, equal=True)
+def _with_kernel(rng, n, d):
+    """(R, S) with S invertible and I + RS of rank n - d."""
+    s = random_complex(rng, n, n)
+    w = random_complex(rng, n, n - d) @ random_complex(rng, n - d, n)
+    return (w - np.eye(n)) @ np.linalg.inv(s), s
 
 
-def test_compose_with_restricted_inner(rng):
-    # inner relation only defined on span{e1}; composition domain shrinks
-    dom = cs.orthonormal_basis(np.eye(3)[:, :1])
-    inner_rel = cs.LinearRelation(
-        cs.orthonormal_basis(np.vstack([dom.basis, dom.basis]), ambient_dim=6)
-    )
-    outer = cs.from_matrix(np.diag([2.0, 3.0, 4.0]).astype(complex))
-    comp = cs.compose(outer, inner_rel)
-    assert comp.domain().dim == 1
-    np.testing.assert_allclose(comp.apply_vector(np.eye(3)[:, 0]), [2.0, 0, 0], atol=1e-12)
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 0), (4, 2), (6, 1), (8, 5)])
+def test_kernel_one_plus_matches_null_space(rng, n, d):
+    r, s = _with_kernel(rng, n, d)
+    kernel = cs.kernel_one_plus(cs.from_matrix(r), cs.from_matrix(s))
+    expected = scipy.linalg.null_space(np.eye(n) + r @ s)
+    assert expected.shape[1] == d
+    assert within(kernel, cs.Subspace(expected), 1e-9, equal=True)
 
 
-def test_shift_and_scale(rng):
-    m = random_complex(rng, 3, 3)
-    rel = cs.from_matrix(m)
-    assert within(rel.shifted(2.5), cs.from_matrix(m + 2.5 * np.eye(3)), 1e-10, equal=True)
+def test_kernel_one_plus_with_restricted_inner():
+    # inner = identity on span{e1}: the kernel is span{e1} or 0 as outer maps e1 to -e1 or not
+    e1 = np.eye(3)[:, :1]
+    inner_rel = cs.LinearRelation(cs.orthonormal_basis(np.vstack([e1, e1]), ambient_dim=6))
+    assert inner_rel.domain().dim == 1
+    flip = cs.from_matrix(np.diag([-1.0, -1.0, 4.0]))
+    assert within(cs.kernel_one_plus(flip, inner_rel), e1[:, 0], 1e-12)
+    assert cs.kernel_one_plus(flip, inner_rel).dim == 1
+    assert cs.kernel_one_plus(cs.from_matrix(np.diag([2.0, -1.0, 4.0])), inner_rel).dim == 0
+
+
+def test_kernel_one_plus_with_multivalued_outer(rng):
+    # outer = graph(M) + ({0} x span w): x + M S x in span w, so the kernel
+    # is span (I + MS)^-1 w
+    n = 4
+    m, s, w = random_complex(rng, n, n), random_complex(rng, n, n), random_complex(rng, n)
+    cols = np.hstack([np.vstack([np.eye(n), m]), np.concatenate([np.zeros(n), w])[:, None]])
+    outer = cs.LinearRelation(cs.orthonormal_basis(cols))
+    assert outer.multivalued_part().dim == 1
+    kernel = cs.kernel_one_plus(outer, cs.from_matrix(s))
+    assert kernel.dim == 1
+    assert within(kernel, np.linalg.solve(np.eye(n) + m @ s, w), 1e-10)
+
+
+def test_kernel_one_plus_with_empty_graph(rng):
+    n = 3
+    some = cs.from_matrix(random_complex(rng, n, n))
+    for outer, inner_rel in ((some, zero_relation(n)), (zero_relation(n), some), (zero_relation(n), zero_relation(n))):
+        assert cs.kernel_one_plus(outer, inner_rel).dim == 0
+    # every (y, -x) lies in H x H: the kernel is all of dom S
+    assert cs.kernel_one_plus(full_relation(n), some).dim == n
+    with pytest.raises(cs.InputError):
+        cs.kernel_one_plus(some, zero_relation(n + 1))
 
 
 def test_conjugated_relation(rng):
@@ -124,15 +152,15 @@ def test_apply_vector_guards():
     rel = cs.zero_on_subspace(4).relation()
     with pytest.raises(cs.InputError):
         rel.apply_vector(np.eye(4)[:, 0])  # outside the domain
-    mv = cs.full_relation(2)
+    mv = full_relation(2)
     with pytest.raises(cs.InputError):
         mv.apply_vector(np.array([1.0, 0.0]))  # multivalued
 
 
 def test_identity_and_zero_relations():
-    z = cs.zero_relation(3)
+    z = zero_relation(3)
     assert z.graph.dim == 0
-    assert within(z.adjoint(), cs.full_relation(3), 1e-10, equal=True)
+    assert within(z.adjoint(), full_relation(3), 1e-10, equal=True)
 
 
 MACHINE_EPS = np.finfo(float).eps
@@ -145,7 +173,7 @@ def test_adjoint_gap_matches_angle_into_built_adjoint(rng):
     for _ in range(80):
         n = int(rng.integers(1, 7))
         k = int(rng.integers(0, 2 * n + 1))
-        rel = random_relation(rng, n, k) if k else cs.zero_relation(n)
+        rel = random_relation(rng, n, k) if k else zero_relation(n)
         if 0 < k <= n and rng.random() < 0.5:
             mv = np.vstack([np.zeros((n, k)), random_complex(rng, n, k)])
             mixed = np.hstack([rel.graph.basis[:, : k // 2], mv[:, : k - k // 2]])
@@ -161,7 +189,7 @@ def test_adjoint_gap_matches_angle_into_built_adjoint(rng):
 
 def test_adjoint_gap_detects_multivalued_part():
     # graph(full) = C^2n, so graph(full*) = 0 and every direction is at angle pi/2
-    full = cs.full_relation(2)
+    full = full_relation(2)
     assert full.adjoint_gap(np.eye(4, dtype=complex)[:, :1]) == pytest.approx(1.0)
     assert full.adjoint_gap(np.zeros((4, 0), dtype=complex)) == 0.0
     with pytest.raises(cs.InputError):
@@ -175,14 +203,17 @@ def test_domain_is_built_once(rng):
     assert first.dim == 3
 
 
-def _is_operator_reference(rel):
-    return rel.multivalued_part().dim == 0
+def _multivalued_reference(rel):
+    """{y : (0, y) in graph} by the intersect route, independent of the top-block SVD."""
+    n = rel.ambient_dim
+    hit = cs.intersect(rel.graph, cs.Subspace(np.eye(2 * n, dtype=complex)[:, n:]))
+    return cs.orthonormal_basis(hit.basis[n:], ambient_dim=n)
 
 
 def test_is_operator_matches_multivalued_part(rng):
-    # the values-only predicate against the intersect route on every fixture
-    # relation (with its doubled relations), every enumerate hit, planted
-    # multivalued parts and graphs with dim > n
+    # the top-block SVD's multivalued part and operator test against the
+    # intersect route on every fixture relation (with its doubled relations),
+    # every enumerate hit, planted multivalued parts and graphs with dim > n
     rels = []
     for spec in (
         cs.race_schrodinger(16),
@@ -201,8 +232,11 @@ def test_is_operator_matches_multivalued_part(rng):
         cols = np.vstack([random_complex(rng, n, 3), random_complex(rng, n, 3)])
         cols[:n, :mul] = 0.0
         rels.append(cs.LinearRelation(cs.orthonormal_basis(cols)))
-    rels += [cs.zero_relation(3), cs.full_relation(3), cs.from_matrix(np.zeros((3, 3)))]
+    rels += [zero_relation(3), full_relation(3), cs.from_matrix(np.zeros((3, 3)))]
+    references = [_multivalued_reference(rel) for rel in rels]
+    for rel, reference in zip(rels, references):
+        assert within(rel.multivalued_part(), reference, 1e-9, equal=True)
     verdicts = [rel.is_operator for rel in rels]
-    assert verdicts == [_is_operator_reference(rel) for rel in rels]
+    assert verdicts == [reference.dim == 0 for reference in references]
     assert any(verdicts) and not all(verdicts)
     assert not random_relation(rng, n, n + 1).is_operator
