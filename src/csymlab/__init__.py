@@ -1,7 +1,7 @@
 """Numerical toolkit for conjugations, C-symmetric linear relations and the
 complete parameterization of their C-self-adjoint extensions, with the
-doubled-operator reduction to ordinary von Neumann theory, graph-norm
-decompositions, block power identities and polar-type factorizations."""
+doubled-operator reduction to ordinary von Neumann theory, graph-level
+defect decompositions, block power identities and polar-type factorizations."""
 
 from types import ModuleType as _ModuleType
 
@@ -19,7 +19,6 @@ from .csym import (
     MSpaces,
     anti_involution,
     domain_criterion,
-    graph_inner,
     is_c_selfadjoint,
     is_c_symmetric,
     m_spaces,

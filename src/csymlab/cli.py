@@ -288,8 +288,8 @@ def cmd_powers(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     y = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
     x /= np.linalg.norm(x)
     y /= np.linalg.norm(y)
-    qa = qa_partial_sums(m, c, x, QA_TERMS, spec.tol)
     doubled = doubled_matrix(m, c, spec.tol)
+    qa = qa_partial_sums(doubled, x, QA_TERMS)
     checks = CheckList()
     per_n = []
     for n in range(1, n_max + 1):

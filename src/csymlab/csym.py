@@ -37,7 +37,6 @@ from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     _trusted,
-    inner,
     intersect,
     orthonormal_basis,
     subspace_equal,
@@ -122,13 +121,6 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
             {"dims": abs(m_bstar.dim - first.dim) + abs(m_astar.dim - first_prime.dim)},
         )
     return MSpaces(frak_m_prime, m_bstar, m_astar)
-
-
-def graph_inner(t: LinearRelation, f, g) -> complex:
-    """<f, g> + <Tf, Tg> for a single-valued relation and domain vectors."""
-    tf = t.apply_vector(f)
-    tg = t.apply_vector(g)
-    return inner(f, g) + inner(tf, tg)
 
 
 def anti_involution(dp: DoubledProblem) -> AntiLinearMap:

@@ -22,8 +22,11 @@ identity needs no C-symmetry.
 
 DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
 frakA, frakA*, frakE, frakM and N+-, built once by build_doubled, and the
-other M-spaces and the anti-involution S, built on first use.  Everything
-downstream reads them from it.
+other M-spaces, the anti-involution S and omega, built on first use.
+Everything downstream reads them from it.  omega, the matrix of S in
+frakM's basis, is the one coordinate matrix of the defect space: frakE
+between N+ and N-, the block map D, and the symplectic form whose
+Lagrangians are the extensions are all read off it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .antilinear import AntiLinearMap, Conjugation
-from .csym import MSpaces, anti_involution, graph_inner, is_c_selfadjoint, m_spaces
+from .csym import MSpaces, anti_involution, is_c_selfadjoint, m_spaces
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
@@ -128,17 +131,24 @@ class DoubledProblem:
         return anti_involution(self)
 
     @cached_property
-    def coupling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coordinate matrices of frakE: N+ -> N-, frakE: N- -> N+ (antilinear)
-        and D = diag(-I, I): N- -> N+ (linear), in the deficiency bases."""
-        bp, bm = self.n_plus.basis, self.n_minus.basis
-        k2 = self.frakC.matrix
-        n = self.ambient_dim
-        signs = np.concatenate([-np.ones(n), np.ones(n)])
-        e_mp = bm.conj().T @ k2 @ np.conj(bp)
-        e_pm = bp.conj().T @ k2 @ np.conj(bm)
-        d_pm = bp.conj().T @ (signs[:, None] * bm)
-        return e_mp, e_pm, d_pm
+    def omega(self) -> np.ndarray:
+        """Omega = M^H S conj(M), the k x k matrix of S on frakM in its basis M.
+
+        With M = [X; Y], N+- = [Y; +-iX] (build_doubled), and each defect
+        coordinate matrix is Omega up to a unit: frakE: N+ -> N- is
+        i Omega and frakE: N- -> N+ is -i Omega (antilinear), D = diag(-I, I)
+        is -I from N- to N+, and the symplectic form omega(x, y) =
+        <Jx, Cy> of frakM, J(x, y) = (y, -x), has matrix -Omega.
+
+        The product is formed exactly so, left to right: the brute-force
+        sweep reads Omega as S's coordinates, and its hit counts depend on
+        the rounding.  With -W, W = Y^H K conj(X) - X^H K conj(Y) summed
+        blockwise, in place of Omega, the sweep finds 56 hits instead of 57
+        on race_schrodinger n=16 and 55 instead of 56 on
+        fd_derivative_minimal n=16.  Raises like s_map.
+        """
+        m = self.frakM.basis
+        return m.conj().T @ self.s_map.matrix @ np.conj(m)
 
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
@@ -235,12 +245,19 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
     """graph(T*) = graph(T) + N_hat_plus + N_hat_minus, orthogonally.
 
     N_hat_+- are the graph elements (w, +-iw) of T*.  The orthogonal
-    decomposition holds for every symmetric relation; the domain-level
-    forms D(T*) = D(T) + N((T*)^2 + I) and the splitting of that kernel
-    into N(T* - i) + N(T* + i) are additionally checked, with the direct-sum
-    independence asserted only when T* is single-valued.  The kernel comes
-    from relations.kernel_one_plus(T*, T*), independent of the eigenspace
-    members it is compared with.  ``t_star`` is T* when already computed.
+    decomposition holds for every symmetric relation; the splitting of
+    N((T*)^2 + I) into the first components of N_hat_+- is additionally
+    checked.  The kernel comes from relations.kernel_one_plus(T*, T*),
+    independent of the eigenspace members it is compared with.  ``t_star``
+    is T* when already computed.
+
+    There is no domain-level check D(T*) = D(T) + N((T*)^2 + I).  When T
+    and T* are both single-valued (the operator regime), T* single-valued
+    makes D(T) = mul(T*)^perp the whole space, so dim graph(T) = n =
+    dim graph(T*), and T inside T* gives T = T*.  Then (T*)^2 + I =
+    T*T + I is injective, N((T*)^2 + I) = {0}, and the form says nothing.
+    Otherwise it is skipped and the independence of
+    the eigenspace sum is recorded as a measurement.
     """
     if t_star is None:
         t_star = t.adjoint()
@@ -271,19 +288,9 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
         subspace_equal(kernel, eig_sum),
         detail=f"dim N((T*)^2+I) = {kernel.dim}",
     )
-    independent = eig_sum.dim == n_plus_first.dim + n_minus_first.dim
     operator_regime = t.is_operator and t_star.is_operator
-    if operator_regime:
-        checks.add("eigenspace_sum_direct", independent)
-        dom_sum = subspace_sum(t.domain(), kernel)
-        checks.add("domain_decomposition", subspace_equal(dom_sum, t_star.domain()))
-        ortho = 0.0
-        for f in t.domain().basis.T:
-            for g in kernel.basis.T:
-                ortho = max(ortho, abs(graph_inner(t_star, f, g)))
-        checks.add_residual("domain_graph_norm_orthogonality", ortho, bound)
-    else:
-        measurements["eigenspace_sum_direct"] = independent
+    if not operator_regime:
+        measurements["eigenspace_sum_direct"] = eig_sum.dim == n_plus_first.dim + n_minus_first.dim
         checks.skip(
             "domain_decomposition",
             "adjoint is multivalued; the decomposition is expressed at graph level",
@@ -305,16 +312,18 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
     """Defect decompositions of graph(B*) and graph(A*), with the
     self-adjointness corollary: N(I + A*B*) = {0} iff A is C-self-adjoint.
 
-    The domain-level forms presume single-valued adjoints; outside that
-    regime they are reported at graph level and the verbatim versions are
-    skipped rather than silently degraded.  A and C are those of ``dp``,
-    whose cached M-spaces are used.
+    The forms are checked at graph level.  The domain-level form
+    D(B*) = D(A) + N(I + A*B*) presumes single-valued adjoints and is
+    skipped outside the operator regime.  Inside it there is nothing to
+    check: an everywhere-defined C-symmetric A has dim graph(B) = n =
+    dim graph(A*), so B = A* and B* = A, N(I + A*B*) = N(I + A*A) = {0},
+    and frakM = graph(B*) - graph(A) = {0}, so N+- = {0}.  A and C are
+    those of ``dp``, whose cached M-spaces are used.
     """
     a, c = dp.a, dp.c
     spaces = dp.spaces  # raises PreconditionError unless C-symmetric
     bound = dp.tol.bound()
     checks = CheckList()
-    measurements = {}
     # graph(B*) = graph(A) + frakM and graph(A*) = graph(B) + frakM'
     for name, big, small, m_part in (
         ("bstar_decomposition", dp.b_star, a, dp.frakM),
@@ -336,17 +345,8 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
         detail=f"dim N(I+A*B*) = {spaces.m_bstar.dim}, C-self-adjoint = {selfadj}",
     )
     operator_regime = a.is_everywhere_defined and a.is_operator
-    measurements["dim_kernel"] = spaces.m_bstar.dim
-    measurements["two_dim_nplus"] = 2 * dp.n_plus.dim
-    if operator_regime:
-        checks.add(
-            "kernel_dimension_vs_deficiency",
-            spaces.m_bstar.dim == 2 * dp.n_plus.dim,
-            detail=f"{spaces.m_bstar.dim} vs 2*{dp.n_plus.dim}",
-        )
-        dom_sum = subspace_sum(a.domain(), spaces.m_bstar)
-        checks.add("domain_decomposition", subspace_equal(dom_sum, dp.b_star.domain()))
-    else:
+    measurements = {"dim_kernel": spaces.m_bstar.dim, "two_dim_nplus": 2 * dp.n_plus.dim}
+    if not operator_regime:
         checks.skip(
             "domain_decomposition",
             "domain is not everywhere defined; verbatim form needs single-valued adjoints",

@@ -11,18 +11,24 @@ are orthonormal and orthogonal to graph(frakA) as built.
 extension_from_parameter returns one record carrying every check of the
 extension, the L-manifold decomposition of frakM included.
 
-Two conditions on U play different roles.  The compatibility condition
-frakE U frakE U = I makes the doubled extension frakE-self-adjoint; a
-parameter violating it is rejected as invalid input.  On top of that the
-block structure of the doubled graph survives the extension iff
-D U D U = I on N+, where D = diag(-I, I) maps each deficiency space onto
-the other.  A parameter passing the first condition but failing the second
-produces a perfectly good self-adjoint relation upstairs that is not the
-double of anything; that outcome is reported as a property violation
-carrying the block diagnosis, because it marks the boundary where the
-single-valued picture stops and not a caller mistake.
+Two conditions on U play different roles.  Both read Omega =
+DoubledProblem.omega, in which frakE is i Omega from N+ to N- and -i Omega
+back.  The compatibility condition frakE U frakE U = I makes the doubled
+extension frakE-self-adjoint; a parameter violating it is rejected as
+invalid input.  On top of that the block structure of the doubled graph
+survives the extension iff D U D U = I on N+, where D = diag(-I, I) maps
+each deficiency space onto the other.  In the bases N+- = [Y; +-iX] read
+off frakM's basis M = [X; Y], D = -I, so the block condition is U^2 = I.
+With unitarity, a block-compatible U is a Hermitian involution U = 2P - I,
+P the projector onto range(I + U), and the extension is
+graph(A) + M range(I + U): range(I + U) is its Lagrangian in frakM.  A
+parameter passing the first condition but failing the second produces a
+perfectly good self-adjoint relation upstairs that is not the double of
+anything; that outcome is reported as a property violation carrying the
+block diagnosis, because it marks the boundary where the single-valued
+picture stops and not a caller mistake.
 
-When D U D U = I holds, every element (x, y, v, u) of the doubled extension
+When U^2 = I holds, every element (x, y, v, u) of the doubled extension
 splits into (0, y, v, 0) + (x, 0, 0, u) inside it, so the one-space
 extension is read off in closed form: S = graph(A) plus the (y, v) rows of
 the deficiency span, and its companion T = graph(B) plus the (x, u) rows.
@@ -38,9 +44,9 @@ parameter arises this way.  Soundness and completeness are both exercised
 against brute force in the tests.
 
 The brute-force sweep decides in frakM coordinates and lifts only distinct
-survivors to C^(2n): its filter ||L^H W conj(L)||_2 is the 2-norm of a block
-of the direct adjoint-gap matrix of graph(A) + L, which never exceeds the
-matrix's, so it cannot reject a candidate the direct test accepts.
+survivors to C^(2n): its filter ||L^H Omega conj(L)||_2 is the 2-norm of a
+block of the direct adjoint-gap matrix of graph(A) + L, which never exceeds
+the matrix's, so it cannot reject a candidate the direct test accepts.
 """
 
 from __future__ import annotations
@@ -95,17 +101,17 @@ class ExtensionParameter:
 
 def frakE_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
     """|| (frakE U)^2 - I || on N+ in coordinates."""
-    _, e_pm, _ = dp.coupling
-    g = e_pm @ np.conj(u)  # anti-linear matrix of frakE о U on N+
+    g = -1j * dp.omega @ np.conj(u)  # anti-linear matrix of frakE о U on N+
     k = u.shape[0]
     return float(np.abs(g @ np.conj(g) - np.eye(k)).max()) if k else 0.0
 
 
 def block_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
-    """|| D U D U - I || on N+; zero iff the doubled extension stays block."""
-    _, _, d_pm = dp.coupling
+    """|| D U D U - I || on N+; zero iff the doubled extension stays block.
+
+    D = -I in the bases N+-, so this is || U^2 - I ||."""
     k = u.shape[0]
-    return float(np.abs(d_pm @ u @ d_pm @ u - np.eye(k)).max()) if k else 0.0
+    return float(np.abs(u @ u - np.eye(k)).max()) if k else 0.0
 
 
 def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarray:
@@ -116,7 +122,6 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
     """
     k = dp.n_plus.dim
     bound = dp.tol.bound()
-    e_mp, _, _ = dp.coupling
     if p.kind == "unitary":
         u = np.asarray(p.matrix, dtype=complex)
         if u.shape != (k, k):
@@ -130,7 +135,7 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
             raise InputError(f"conjugation parameter is not unitary (residual {unit:.3e})")
         if symm > bound:
             raise InputError(f"conjugation parameter is not symmetric (residual {symm:.3e})")
-        u = e_mp @ np.conj(j)
+        u = 1j * dp.omega @ np.conj(j)  # frakE: N+ -> N- is i Omega
     else:  # onb
         v = np.asarray(p.matrix, dtype=complex)
         if v.shape != (2 * dp.ambient_dim, k):
@@ -142,7 +147,7 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
         gram = _gram_residual(w)
         if gram > bound:
             raise InputError(f"basis parameter is not orthonormal (Gram residual {gram:.3e})")
-        u = e_mp @ np.conj(w @ w.T)  # U = frakE о C_v with C_v fixing the basis
+        u = 1j * dp.omega @ np.conj(w @ w.T)  # U = frakE о C_v with C_v fixing the basis
     unit = _gram_residual(u)
     if unit > bound:
         raise InputError(f"parameter does not give a unitary map (residual {unit:.3e})")
@@ -156,8 +161,7 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
 
 def parameter_as_conjugation(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionParameter:
     u = parameter_as_unitary(dp, p)
-    _, e_pm, _ = dp.coupling
-    return ExtensionParameter("conjugation", e_pm @ np.conj(u))
+    return ExtensionParameter("conjugation", -1j * dp.omega @ np.conj(u))
 
 
 def parameter_as_onb(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionParameter:
@@ -184,6 +188,8 @@ class ExtensionResult:
 def _deficiency_span(dp: DoubledProblem, p: ExtensionParameter) -> tuple[np.ndarray, np.ndarray]:
     """U in coordinates and the 4n x k columns (w - Uw, i(w + Uw)), w in N+.
 
+    With frakM's basis [X; Y], N+- = [Y; +-iX], so the columns are
+    (Y(I - U), iX(I + U), iY(I + U), -X(I - U)), read off frakM's blocks.
     Raises InputError for invalid parameter data, PropertyViolationError when
     the parameter is admissible upstairs but the doubled extension has no
     block structure (D U D U = I fails), carrying the block diagnosis.
@@ -197,9 +203,11 @@ def _deficiency_span(dp: DoubledProblem, p: ExtensionParameter) -> tuple[np.ndar
             "relation downstairs (D U D U = I fails)",
             {"block_condition": block_res, "frakE_condition": frakE_condition_residual(dp, u)},
         )
-    u_amb = dp.n_minus.basis @ u @ dp.n_plus.basis.conj().T
-    w = dp.n_plus.basis
-    return u, np.vstack([w - u_amb @ w, 1j * (w + u_amb @ w)])
+    n = dp.ambient_dim
+    x, y = dp.frakM.basis[:n], dp.frakM.basis[n:]
+    eye = np.eye(u.shape[0])
+    minus, plus = eye - u, eye + u
+    return u, np.vstack([y @ minus, 1j * (x @ plus), 1j * (y @ plus), -(x @ minus)])
 
 
 def extension_graph(dp: DoubledProblem, p: ExtensionParameter) -> LinearRelation:
@@ -315,11 +323,6 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     return ExtensionResult(a_ext, frak_ext, ExtensionParameter("unitary", u), checks)
 
 
-def _anti_involution_coords(dp: DoubledProblem, frak_m: Subspace) -> np.ndarray:
-    """Coordinate matrix of S(f, g) = (Cg, -Cf) on frakM."""
-    return frak_m.basis.conj().T @ dp.s_map.matrix @ np.conj(frak_m.basis)
-
-
 def _greedy_isotropic(s_coord: np.ndarray, m: int, tol, rng=None, first=None) -> np.ndarray:
     """Columns of an isotropic L with L + S(L) = C^m, in frakM coordinates.
 
@@ -365,7 +368,7 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     if frak_m.dim == 0:
         return extension_from_parameter(dp, ExtensionParameter("unitary", np.zeros((0, 0))))
-    s_coord = _anti_involution_coords(dp, frak_m)
+    s_coord = dp.omega
     l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol)
     if swap:
         l_coords = s_coord @ np.conj(l_coords)
@@ -429,7 +432,7 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
     if frak_m.dim == 0:
         empty = ExtensionParameter("conjugation", np.zeros((0, 0)))
         return [empty for _ in range(count)]
-    s_coord = _anti_involution_coords(dp, frak_m)
+    s_coord = dp.omega
     for _ in range(count):
         l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol, rng=rng)
         a_tilde = LinearRelation(extend_basis(dp.a.graph, frak_m.basis @ l_coords))
@@ -438,19 +441,11 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
     return out
 
 
-def _omega_coords(dp: DoubledProblem, frak_m: Subspace) -> np.ndarray:
-    """W = (J M)^H K^ conj(M) for the frakM basis M, J(x, y) = (y, -x) and
-    K^ = diag(K, K): the form omega(x, y) = <Jx, Cy> on frakM in coordinates."""
-    n = dp.ambient_dim
-    top, bot = frak_m.basis[:n], frak_m.basis[n:]
-    k = dp.c.matrix
-    return bot.conj().T @ (k @ np.conj(top)) - top.conj().T @ (k @ np.conj(bot))
-
-
-def _omega_residual(w: np.ndarray, l_coords: np.ndarray) -> float:
-    """||L^H W conj(L)||_2, the frakM block of the adjoint-gap matrix of
-    graph(A) + M L for orthonormal L (see brute_force_extensions)."""
-    return _spectral_norm(l_coords.conj().T @ w @ np.conj(l_coords))
+def _omega_residual(omega: np.ndarray, l_coords: np.ndarray) -> float:
+    """||L^H Omega conj(L)||_2, the 2-norm of the frakM block of the
+    adjoint-gap matrix of graph(A) + M L for orthonormal L (see
+    brute_force_extensions)."""
+    return _spectral_norm(l_coords.conj().T @ omega @ np.conj(l_coords))
 
 
 def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
@@ -479,7 +474,7 @@ def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
     half = m // 2
     tol = dp.tol
     rng = np.random.default_rng(seed)
-    s_coord = _anti_involution_coords(dp, frak_m)
+    s_coord = dp.omega
     pool = _sweep_pool(dp, frak_m)
 
     def first_vectors():
@@ -533,11 +528,12 @@ def brute_force_extensions(
 
     Candidates are filtered and deduplicated in frakM coordinates, and only
     new survivors are lifted to C^(2n) for the direct test.  With M the
-    frakM basis, L orthonormal and W = (J M)^H K^ conj(M), the h x h matrix
-    L^H W conj(L) is the lower-right block of the adjoint-gap matrix
-    (J G)^H K^ conj(G) of G = [graph(A), M L], and a block's 2-norm never
-    exceeds the matrix's, so the filter never drops a candidate the direct
-    test would accept.
+    frakM basis, L orthonormal, J(x, y) = (y, -x), K^ = diag(K, K) and
+    Omega = M^H S conj(M) = -(J M)^H K^ conj(M), the h x h matrix
+    L^H Omega conj(L) is minus the lower-right block of the adjoint-gap
+    matrix (J G)^H K^ conj(G) of G = [graph(A), M L].  A block's 2-norm
+    never exceeds the matrix's, and the sign does not change it, so the
+    filter never drops a candidate the direct test would accept.
 
     When the family is continuous nearly every half-dimension-one candidate
     is a distinct hit, so the returned list is capped at max_hits (sampling
@@ -554,7 +550,7 @@ def brute_force_extensions(
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     tol = dp.tol
     bound = tol.bound()
-    w = _omega_coords(dp, frak_m)
+    omega = dp.omega
     hits: list[LinearRelation] = []
     seen: set[bytes] = set()
     for l_coords in _sweep_candidates(dp, budget, seed):
@@ -563,7 +559,7 @@ def brute_force_extensions(
         if l_coords is None:
             continue
         span = orthonormal_basis(l_coords, tol, frak_m.dim)
-        if 2 * span.dim != frak_m.dim or _omega_residual(w, span.basis) > bound:
+        if 2 * span.dim != frak_m.dim or _omega_residual(omega, span.basis) > bound:
             continue
         # dedup on the rounded projector of L, which is basis-independent;
         # adding 0.0 normalizes negative zeros so keys are reproducible

@@ -182,16 +182,20 @@ class QaDiagnostics:
     growth_bound: float
 
 
-def qa_partial_sums(
-    a, c: Conjugation, x, n_terms: int, tol: Tolerance = DEFAULT_TOL
-) -> QaDiagnostics:
+def qa_partial_sums(d: DoubledMatrix, x, n_terms: int) -> QaDiagnostics:
+    """Quasi-analytic partial sums of x under the A and C of d.
+
+    A step annihilates x when ||(AC)^k x|| <= eps ||A||_2 ||(AC)^(k-1) x||:
+    the cut is relative to the step, so a matrix of small norm that
+    annihilates nothing keeps finite terms.
+    """
     if n_terms < 1:
         raise InputError(f"need at least one term, got {n_terms}")
-    a = _as_complex_matrix(a, "matrix")
     x = np.asarray(x, dtype=complex).reshape(-1)
-    if np.linalg.norm(x) <= tol.eps:
+    norm = float(np.linalg.norm(x))
+    if norm <= d.tol.eps:
         raise InputError("partial sums are undefined for the zero vector")
-    ac = SemilinearOperator.from_antilinear(a @ c.matrix)
+    ac = SemilinearOperator.from_antilinear(d.a @ d.c.matrix)
     terms: list[float] = []
     sums: list[float] = []
     diverged = False
@@ -200,8 +204,8 @@ def qa_partial_sums(
     total = 0.0
     for k in range(1, n_terms + 1):
         v = ac.apply(v)
-        norm = float(np.linalg.norm(v))
-        if norm <= tol.eps:
+        previous, norm = norm, float(np.linalg.norm(v))
+        if norm <= d.tol.eps * d.norm * previous:
             diverged = True
         if diverged:
             terms.append(np.inf)

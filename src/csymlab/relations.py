@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .antilinear import AntiLinearMap
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
@@ -151,18 +151,6 @@ class LinearRelation:
 
     def equals(self, other: "LinearRelation") -> bool:
         return subspace_equal(self.graph, other.graph)
-
-    def apply_vector(self, x) -> np.ndarray:
-        """Value at x for single-valued relations; x must lie in the domain."""
-        x = np.asarray(x, dtype=complex)
-        if not self.is_operator:
-            raise PreconditionError("relation is multivalued; apply_vector needs an operator")
-        dom = self.domain()
-        if not dom.contains_vector(x):
-            raise PreconditionError("vector is outside the domain")
-        # graph columns (d_j, v_j): solve for coefficients of x in the tops
-        coeff, *_ = np.linalg.lstsq(self._top(), x, rcond=None)
-        return self._bottom() @ coeff
 
 
 def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:

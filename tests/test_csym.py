@@ -86,15 +86,6 @@ def test_m_spaces_requires_symmetry(rng):
         cs.m_spaces(cs.build_doubled(bad, c))
 
 
-def test_graph_inner(rng):
-    m = random_complex(rng, 3, 3)
-    t = cs.from_matrix(m)
-    f = random_complex(rng, 3)
-    g = random_complex(rng, 3)
-    expected = cs.inner(f, g) + cs.inner(m @ f, m @ g)
-    assert cs.graph_inner(t, f, g) == pytest.approx(expected)
-
-
 def test_anti_involution_square_and_invariance():
     spec = cs.zero_on_subspace(4)
     dp = spec.doubled()
@@ -121,12 +112,12 @@ def test_domain_criterion_on_extension():
 
 
 def _lifted_sweep(example, n):
-    """(dp, W, L, graph(A) + M L) for every candidate L of the budget-200
+    """(dp, Omega, L, graph(A) + M L) for every candidate L of the budget-200
     sweep at seed 0, L orthonormalized in frakM coordinates, M the frakM basis."""
     spec = cs.build_example(example, n=n)
     dp = cs.build_doubled(spec.relation(), spec.conjugation())
     frak_m = dp.frakM
-    w = cs.extensions._omega_coords(dp, frak_m)
+    w = dp.omega
     for l_coords in cs.extensions._sweep_candidates(dp, 200, 0):
         if l_coords is None:
             continue

@@ -28,9 +28,9 @@ def test_block_relation_acts_as_block_matrix(rng):
     frak = cs.block_relation(cs.from_matrix(a), cs.from_matrix(b))
     x = random_complex(rng, 3)
     y = random_complex(rng, 3)
-    out = frak.apply_vector(np.concatenate([x, y]))
-    np.testing.assert_allclose(out[:3], a @ y, atol=1e-10)
-    np.testing.assert_allclose(out[3:], b @ x, atol=1e-10)
+    # (x, y) -> (Ay, Bx), and not (Bx, Ay)
+    assert frak.graph.contains_vector(np.concatenate([x, y, a @ y, b @ x]))
+    assert not frak.graph.contains_vector(np.concatenate([x, y, b @ x, a @ y]))
 
 
 def test_doubled_conjugation_swaps_components(rng):
@@ -272,3 +272,39 @@ def test_race_corollary_detects_nonselfadjoint():
     rep = cs.race_decomposition(cs.build_doubled(spec.relation(), spec.conjugation()))
     assert rep.measurements["dim_kernel"] > 0
     assert rep.checks.all_pass  # the corollary check passes because both sides agree
+
+
+def _csym_from_matrix_n5():
+    rng = np.random.default_rng(0)
+    c = cs.random_conjugation(5, rng)
+    return cs.build_doubled(cs.from_matrix(cs.random_csym_matrix(5, rng, c)), c)
+
+
+def _complex_symmetric_n32():
+    m = cs.random_symmetric(32, np.random.default_rng([0, 2]))
+    spec = cs.ProblemSpec("complex_symmetric_n32", 32, "entrywise", None, None, m, cs.DEFAULT_TOL)
+    return doubled(spec)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: doubled(cs.random_csym(6)),
+        lambda: doubled(cs.random_csym(64)),
+        _complex_symmetric_n32,
+        _csym_from_matrix_n5,
+    ],
+    ids=["random_csym_n6", "random_csym_n64", "complex_symmetric_n32", "from_matrix_n5"],
+)
+def test_operator_regime_has_no_defect(build):
+    # why vn and race check no domain-level form in the operator regime: an
+    # everywhere-defined C-symmetric A has CAC = A*, so frakA = frakA* and
+    # every defect space is {0}
+    dp = build()
+    assert dp.frakA.equals(dp.frakA_star)
+    vn = cs.vn_decomposition(dp.frakA, dp.frakA_star)
+    assert vn.regime == "operator"
+    assert [vn.subspaces[name].dim for name in ("kernel_sq", "n_hat_plus", "n_hat_minus")] == [0, 0, 0]
+    race = cs.race_decomposition(dp)
+    assert race.regime == "operator"
+    assert race.measurements == {"dim_kernel": 0, "two_dim_nplus": 0}

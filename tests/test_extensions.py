@@ -380,6 +380,52 @@ def test_block_check_refuses_nonblock_parameter_past_its_gate(monkeypatch, spec)
     assert info.value.residuals["dims"] == dp.n_plus.dim
 
 
+OMEGA_FIXTURES = pytest.mark.parametrize(
+    "spec",
+    [
+        cs.race_schrodinger(16),
+        cs.race_schrodinger(64, h=0.02),
+        cs.zero_on_subspace(16),
+        cs.fd_derivative_minimal(16),
+        cs.random_restriction(8, seed=1),
+        cs.random_restriction(8, seed=3),
+    ],
+    ids=["race_n16", "race_n64_h0.02", "zero_n16", "fd_n16", "restriction_n8_s1", "restriction_n8_s3"],
+)
+
+
+@OMEGA_FIXTURES
+def test_omega_gives_every_defect_coordinate_matrix(spec):
+    # the generic products that Omega replaced, from the bases of N+- and
+    # frakM, against i Omega, -i Omega, -I and -Omega
+    dp = doubled(spec)
+    n, k = dp.ambient_dim, dp.n_plus.dim
+    bp, bm, k2 = dp.n_plus.basis, dp.n_minus.basis, dp.frakC.matrix
+    signs = np.concatenate([-np.ones(n), np.ones(n)])
+    top, bot = dp.frakM.basis[:n], dp.frakM.basis[n:]
+    kk = dp.c.matrix
+    w = bot.conj().T @ (kk @ np.conj(top)) - top.conj().T @ (kk @ np.conj(bot))
+    omega = dp.omega
+    for reference, expected in (
+        (bm.conj().T @ k2 @ np.conj(bp), 1j * omega),  # frakE: N+ -> N-
+        (bp.conj().T @ k2 @ np.conj(bm), -1j * omega),  # frakE: N- -> N+
+        (bp.conj().T @ (signs[:, None] * bm), -np.eye(k)),  # D = diag(-I, I): N- -> N+
+        (w, -omega),  # omega(x, y) = <Jx, Cy>, J(x, y) = (y, -x)
+    ):
+        np.testing.assert_allclose(expected, reference, rtol=0, atol=1e-14)
+
+
+@OMEGA_FIXTURES
+def test_deficiency_span_matches_ambient_unitary(spec):
+    # the columns read off frakM's blocks against (w - Uw, i(w + Uw)) with U
+    # lifted to C^(2n)
+    dp = doubled(spec)
+    u, cols = cs.extensions._deficiency_span(dp, cs.canonical_extension(dp).parameter)
+    w = dp.n_plus.basis
+    u_amb = dp.n_minus.basis @ u @ w.conj().T
+    np.testing.assert_allclose(cols, np.vstack([w - u_amb @ w, 1j * (w + u_amb @ w)]), rtol=0, atol=1e-14)
+
+
 @DEFECT_FIXTURES
 def test_recover_parameter_matches_full_cayley_transform(spec):
     dp = doubled(spec)
@@ -403,7 +449,7 @@ def test_extension_path_svds_are_bordered(monkeypatch, swap):
     # (the problem's cached defect geometry is built before counting)
     dp = doubled(cs.race_schrodinger(32, h=0.02))
     n, k = dp.ambient_dim, dp.n_plus.dim
-    assert dp.s_map is not None and dp.coupling and dp.b.domain()
+    assert dp.omega is not None and dp.b.domain()
     svd = np.linalg.svd
     shapes = []
 

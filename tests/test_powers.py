@@ -126,7 +126,7 @@ def test_qa_terms_identity():
     # diverged stays False because it flags annihilation, not a finite-budget
     # guess about the series
     c = cs.entrywise_conjugation(2)
-    qa = cs.qa_partial_sums(np.eye(2), c, np.array([1.0, 0.0]), 6)
+    qa = cs.qa_partial_sums(cs.doubled_matrix(np.eye(2), c), np.array([1.0, 0.0]), 6)
     np.testing.assert_allclose(qa.terms, 1.0)
     np.testing.assert_allclose(qa.partial_sums, np.arange(1, 7, dtype=float))
     assert not qa.diverged
@@ -136,7 +136,7 @@ def test_qa_terms_identity():
 def test_qa_scalar_growth():
     # A = 2I: terms are 1/2 each, growth bound is max_k (2^k / k!)^(1/k) = 2
     c = cs.entrywise_conjugation(3)
-    qa = cs.qa_partial_sums(2.0 * np.eye(3), c, np.ones(3) / np.sqrt(3), 8)
+    qa = cs.qa_partial_sums(cs.doubled_matrix(2.0 * np.eye(3), c), np.ones(3) / np.sqrt(3), 8)
     np.testing.assert_allclose(qa.terms, 0.5)
     assert qa.growth_bound == pytest.approx(2.0)
 
@@ -145,15 +145,29 @@ def test_qa_nilpotent_annihilation():
     # (AC) e2 = e1, (AC)^2 e2 = 0: the series hits an infinite term
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     c = cs.entrywise_conjugation(2)
-    qa = cs.qa_partial_sums(a, c, np.array([0.0, 1.0]), 5)
+    qa = cs.qa_partial_sums(cs.doubled_matrix(a, c), np.array([0.0, 1.0]), 5)
     assert qa.terms[0] == pytest.approx(1.0)
     assert np.isinf(qa.terms[1])
     assert qa.diverged
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-11])
+def test_qa_small_scale_annihilates_nothing(scale):
+    # A = scale diag(1, 2, 3) is invertible: every term is finite, since the
+    # annihilation cut is relative to ||A|| and to the previous step
+    c = cs.entrywise_conjugation(3)
+    x = np.ones(3) / np.sqrt(3)
+    qa = cs.qa_partial_sums(cs.doubled_matrix(scale * np.diag([1.0, 2.0, 3.0]), c), x, 8)
+    assert not qa.diverged
+    assert np.all(np.isfinite(qa.terms))
+    # ||(AC)^k x|| lies between scale^k and (3 scale)^k, so each term is
+    # between 1/(3 scale) and 1/scale
+    assert all(1 / (3 * scale) <= term <= 1 / scale for term in qa.terms)
+
+
 def test_qa_rejects_zero_vector():
     with pytest.raises(cs.InputError):
-        cs.qa_partial_sums(np.eye(2), cs.entrywise_conjugation(2), np.zeros(2), 4)
+        cs.qa_partial_sums(cs.doubled_matrix(np.eye(2), cs.entrywise_conjugation(2)), np.zeros(2), 4)
 
 
 def test_power_rejects_bad_order(rng):
