@@ -17,7 +17,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     _gram_residual,
-    _spectral_norm,
+    _norm_within,
     _trusted,
     complement,
     orthonormal_basis,
@@ -121,7 +121,7 @@ def preserves_subspace(c: AntiLinearMap, s: Subspace) -> bool:
     """C maps S into itself, within S's tol.bound()."""
     image = c.matrix @ np.conj(s.basis)
     residual = image - s.basis @ (s.basis.conj().T @ image)
-    return _spectral_norm(residual) <= s.tol.bound()
+    return _norm_within(residual, s.tol.bound())
 
 
 def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:

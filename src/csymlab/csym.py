@@ -21,8 +21,8 @@ DoubledProblem that owns them (doubling.build_doubled), which caches both
 results.  frakM is built there, since N+- are read off its basis; m_spaces
 adds frakM' = graph(A*) - graph(B), with graph(B)'s complement taken as
 J^-1 graph(B*) = {(-v, u) : (u, v) in graph(B*)}, and the kernels of
-I + A*B* and I + B*A*, each from one null-space solve in the middle
-coordinate (relations.kernel_one_plus), independent of frakM.
+I + A*B* and I + B*A*, each from one intersect in the middle coordinate
+(relations.kernel_one_plus), independent of frakM.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .antilinear import AntiLinearMap, Conjugation
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
+    _norm_within,
     _trusted,
     intersect,
     orthonormal_basis,
@@ -55,7 +56,7 @@ def is_c_symmetric(a: LinearRelation, c: Conjugation) -> bool:
 def is_c_selfadjoint(a: LinearRelation, c: Conjugation) -> bool:
     """CAC = A*, read off the C-image of graph(A) without building either side."""
     image = a.conjugated_basis(c)  # raises InputError for a conjugation of another dimension
-    return a.graph.dim == a.ambient_dim and a.adjoint_gap(image) <= a.tol.bound()
+    return a.graph.dim == a.ambient_dim and _norm_within(a._gap_matrix(image), a.tol.bound())
 
 
 def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:

@@ -43,6 +43,8 @@ from .linalg import (
     Subspace,
     Tolerance,
     _complement_formula_intersect,
+    _norm_within,
+    _spectral_norm,
     _trusted,
     complement,
     intersect,
@@ -171,10 +173,11 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     b_star = a_star.conjugated(c)
     frak_a = block_relation(a, b)
     frak_a_star = block_relation(b_star, a_star)
-    gap = frak_a.adjoint_gap(frak_a_star.graph.basis)
-    if frak_a.graph.dim + frak_a_star.graph.dim != 4 * a.ambient_dim or gap > bound:
+    gap = frak_a._gap_matrix(frak_a_star.graph.basis)
+    if frak_a.graph.dim + frak_a_star.graph.dim != 4 * a.ambient_dim or not _norm_within(gap, bound):
         raise PropertyViolationError(
-            "adjoint of the doubled relation disagrees with the block form", {"angle": gap}
+            "adjoint of the doubled relation disagrees with the block form",
+            {"angle": _spectral_norm(gap)},
         )
     frak_c = doubled_conjugation(c)
     if not subspace_equal(_trusted(frak_a.conjugated_basis(frak_c), a.tol), frak_a.graph):

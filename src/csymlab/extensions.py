@@ -64,7 +64,7 @@ from .linalg import (
     _as_complex_matrix,
     _complement_formula_intersect,
     _gram_residual,
-    _spectral_norm,
+    _norm_within,
     _trusted,
     complement,
     extend_basis,
@@ -441,11 +441,10 @@ def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[Ext
     return out
 
 
-def _omega_residual(omega: np.ndarray, l_coords: np.ndarray) -> float:
-    """||L^H Omega conj(L)||_2, the 2-norm of the frakM block of the
-    adjoint-gap matrix of graph(A) + M L for orthonormal L (see
-    brute_force_extensions)."""
-    return _spectral_norm(l_coords.conj().T @ omega @ np.conj(l_coords))
+def _omega_block(omega: np.ndarray, l_coords: np.ndarray) -> np.ndarray:
+    """L^H Omega conj(L), the frakM block of the adjoint-gap matrix of
+    graph(A) + M L for orthonormal L (see brute_force_extensions)."""
+    return l_coords.conj().T @ omega @ np.conj(l_coords)
 
 
 def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
@@ -559,7 +558,7 @@ def brute_force_extensions(
         if l_coords is None:
             continue
         span = orthonormal_basis(l_coords, tol, frak_m.dim)
-        if 2 * span.dim != frak_m.dim or _omega_residual(omega, span.basis) > bound:
+        if 2 * span.dim != frak_m.dim or not _norm_within(_omega_block(omega, span.basis), bound):
             continue
         # dedup on the rounded projector of L, which is basis-independent;
         # adding 0.0 normalizes negative zeros so keys are reproducible

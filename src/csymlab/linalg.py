@@ -8,9 +8,38 @@ notion of "numerically zero".  Every subspace predicate compares its
 residual with tol.bound() of the Tolerance its first operand carries.
 Intersections are read off the principal angles between the two subspaces
 (sin theta at or below the zero cutoff), from one SVD in the smaller
-subspace's dimension.  Operator 2-norms (the largest principal-angle sine,
-the adjoint gap) are read off the top eigenvalue of the smaller Gram
-matrix, with no SVD.
+subspace's dimension.
+
+Every SVD and matrix norm of the package is one of four kinds:
+
+- Rank decision (the rank is unknown; singular values are cut at
+  zero_cutoff): orthonormal_basis on data from outside (ProblemSpec's
+  graph and domain, fixtures, an "onb" parameter) and on projections
+  (kernel_one_plus's and m_spaces' first components, block_slices, the
+  sweep's candidates and isotropic completions, extensions' domain
+  sums); extend_basis's SVD of the new residual; intersect, and through
+  it kernel_one_plus, imaginary_members, block_slices and frakM';
+  LinearRelation._top_svd (domain, multivalued part, is_operator);
+  polar's rank r and takagi's grouping of the same singular values.
+- Structural rank (the rank is known by construction, so the SVD only
+  re-orthonormalizes): complement; orthonormal_basis in adjoint (J is
+  unitary), conjugated and map_subspace (C is antiunitary), from_matrix
+  and _complement_formula_intersect's complements.  QR or _trusted could
+  replace them, but frakM's basis, on which the brute-force sweep's hit
+  counts depend, is built through them.
+- 2-norm value (a number that is reported or scales a cut), by
+  _spectral_norm, the top eigenvalue of the smaller Gram matrix, with no
+  SVD: max_angle_sin and adjoint_gap wherever a check reports them as
+  residuals (deficiency, extension_from_parameter, race_decomposition,
+  enumerate's roundtrip angle), build_doubled's error payload,
+  extend_basis's scale ||cols||_2 and powers' ||A||_2.
+- Bound-only decision (a yes/no against tol.bound()), by _norm_within,
+  the Frobenius certificate: is_subspace_of (subspace_equal,
+  contained_in, equals), is_c_selfadjoint, preserves_subspace,
+  build_doubled's frakA* guard and the brute-force filter.  Each builds
+  its residual matrix once (_angle_residual, LinearRelation._gap_matrix,
+  extensions._omega_block) and takes a Gram eigenvalue only when the
+  Frobenius norm leaves the answer open.
 
 Sums are grown by bordering: extend_basis(S, cols) keeps the basis of S as
 it is and appends an orthonormal basis of what cols add.  The columns are
@@ -248,16 +277,20 @@ def _complement_formula_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return complement(orthonormal_basis(stacked, s1.tol))
 
 
+def _angle_residual(s1: Subspace, s2: Subspace) -> np.ndarray:
+    """S1 - S2 (S2^H S1): the part of S1's basis outside S2.  Its 2-norm is
+    the sine of the largest principal angle from S1 into S2."""
+    _check_same_ambient(s1, s2)
+    return s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
+
+
 def max_angle_sin(s1: Subspace, s2: Subspace) -> float:
     """sin of the largest principal angle from S1 into S2.
 
     Zero iff S1 is contained in S2; equals the operator norm of
     (I - P_{S2}) restricted to S1.
     """
-    _check_same_ambient(s1, s2)
-    if s1.dim == 0:
-        return 0.0
-    return _spectral_norm(s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis))
+    return _spectral_norm(_angle_residual(s1, s2))
 
 
 def _spectral_norm(m: np.ndarray) -> float:
@@ -272,10 +305,27 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
+def _norm_within(m: np.ndarray, bound: float) -> bool:
+    """||m||_2 <= bound, decided by the Frobenius norm where it settles it.
+
+    ||m||_F / sqrt(r) <= ||m||_2 <= ||m||_F with r = min(m.shape) (Golub &
+    Van Loan, Matrix Computations, 2.3), so ||m||_F <= bound proves the
+    bound and ||m||_F > sqrt(r) bound refutes it.  Only in between is the
+    2-norm computed (_spectral_norm).  The answer is that of
+    _spectral_norm(m) <= bound; only the work differs.
+    """
+    frobenius = float(np.linalg.norm(m))
+    if frobenius <= bound:
+        return True
+    if frobenius > np.sqrt(min(m.shape)) * bound:
+        return False
+    return _spectral_norm(m) <= bound
+
+
 def is_subspace_of(s1: Subspace, s2: Subspace) -> bool:
     """True iff S1 is contained in S2 within S1's tol.bound()."""
     _check_same_ambient(s1, s2)
-    return s1.dim <= s2.dim and max_angle_sin(s1, s2) <= s1.tol.bound()
+    return s1.dim <= s2.dim and _norm_within(_angle_residual(s1, s2), s1.tol.bound())
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:

@@ -193,7 +193,7 @@ def qa_partial_sums(d: DoubledMatrix, x, n_terms: int) -> QaDiagnostics:
         raise InputError(f"need at least one term, got {n_terms}")
     x = np.asarray(x, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(x))
-    if norm <= d.tol.eps:
+    if not np.any(x):
         raise InputError("partial sums are undefined for the zero vector")
     ac = SemilinearOperator.from_antilinear(d.a @ d.c.matrix)
     terms: list[float] = []

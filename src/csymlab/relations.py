@@ -122,15 +122,18 @@ class LinearRelation:
 
         q has orthonormal columns in C^(2n).  graph(R*) is the orthogonal
         complement of J graph(R), J(x, y) = (y, -x), so with [X; Y] the graph
-        basis the sine is ||(J [X; Y])^H q||_2 = ||Y^H q_top - X^H q_bot||_2.
+        basis the sine is ||(J [X; Y])^H q||_2 = ||Y^H q_top - X^H q_bot||_2,
+        the 2-norm of _gap_matrix(q).
         """
+        return _spectral_norm(self._gap_matrix(q))
+
+    def _gap_matrix(self, q) -> np.ndarray:
+        """Y^H q_top - X^H q_bot = (J [X; Y])^H q, whose 2-norm is adjoint_gap(q)."""
         q = np.asarray(q, dtype=complex)
         n = self.ambient_dim
         if q.ndim != 2 or q.shape[0] != 2 * n:
             raise InputError(f"columns of shape {q.shape} do not live in C^{2 * n}")
-        if not (q.shape[1] and self.graph.dim):
-            return 0.0
-        return _spectral_norm(self._bottom().conj().T @ q[:n] - self._top().conj().T @ q[n:])
+        return self._bottom().conj().T @ q[:n] - self._top().conj().T @ q[n:]
 
     def conjugated_basis(self, c: AntiLinearMap) -> np.ndarray:
         """The columns (K conj X; K conj Y) spanning graph(C R C), no rank cut.
@@ -166,20 +169,22 @@ def kernel_one_plus(outer: LinearRelation, inner: LinearRelation) -> Subspace:
     """N(I + outer о inner) = {x : (x, y) in inner and (y, -x) in outer for some y}.
 
     With [X1; Y1] and [X2; Y2] the graph bases of inner and outer, x is in
-    the kernel iff x = X1 a for a null vector (a, b) of
-    [[Y1, -X2], [X1, Y2]]: the first rows say Y1 a = X2 b (the middle
-    coordinate), the last X1 a + Y2 b = 0.  Each column group is a graph
-    basis with its rows permuted, hence orthonormal, so the singular values
-    are sqrt(1 -+ cos theta) over the principal angles theta between the
-    two groups' spans; the small ones, sqrt(2) sin(theta/2), vanish on
-    their meet.  They are cut at tol.zero_cutoff(1.0), within a factor
-    sqrt(2) of intersect's cut on sin theta.  One SVD with 2n rows, then
-    the rank decision of orthonormal_basis on the columns X1 a.
+    the kernel iff x = X1 a with [Y1; X1] a = [-X2; Y2] b for some b: the
+    first rows say Y1 a = X2 b (the middle coordinate), the last
+    X1 a + Y2 b = 0.  Both column groups are graph bases with rows permuted
+    (and a sign), hence orthonormal, so the pairs are the meet of their
+    spans, read off by intersect at its cut sin theta <= tol.zero_cutoff(1.0),
+    the one intersection cut of the package.  (A null-space solve of
+    [[Y1, -X2], [X1, Y2]] would cut its singular values sqrt(2) sin(theta/2)
+    instead, about sqrt(2) looser.)  The kernel is the span of the
+    meet's last n rows (X1 a, or Y2 b = -X1 a when the roles swap), by the
+    rank decision of orthonormal_basis.
     """
     if outer.ambient_dim != inner.ambient_dim:
         raise InputError(f"ambient mismatch: {outer.ambient_dim} vs {inner.ambient_dim}")
     tol = inner.tol
-    m = np.block([[inner._bottom(), -outer._top()], [inner._top(), outer._bottom()]])
-    _, sigma, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    rank = int(np.sum(sigma > tol.zero_cutoff(1.0)))
-    return orthonormal_basis(inner._top() @ vh[rank:, : inner.graph.dim].conj().T, tol, inner.ambient_dim)
+    meet = intersect(
+        _trusted(np.vstack([inner._bottom(), inner._top()]), tol),
+        _trusted(np.vstack([-outer._top(), outer._bottom()]), tol),
+    )
+    return orthonormal_basis(meet.basis[inner.ambient_dim :], tol, inner.ambient_dim)

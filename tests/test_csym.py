@@ -141,7 +141,7 @@ def test_selfadjoint_predicate_agrees_with_adjoint_route_on_sweep():
     for example, n in fixtures:
         for dp, w, span, cand in _lifted_sweep(example, n):
             direct = cand.adjoint_gap(cand.conjugated_basis(dp.c))
-            assert cs.extensions._omega_residual(w, span) <= direct + 1e-14
+            assert cs.linalg._spectral_norm(cs.extensions._omega_block(w, span)) <= direct + 1e-14
             fast = cs.is_c_selfadjoint(cand, dp.c)
             assert fast == cand.conjugated(dp.c).equals(cand.adjoint())
             verdicts.append(fast)
@@ -153,11 +153,12 @@ def test_sweep_residual_without_conj_fails(monkeypatch):
     # mutation: L^H W L instead of L^H W conj(L) is no block of the direct
     # gap matrix; it exceeds the direct gap and drops every hit
     def unconjugated(w, l_coords):
-        return cs.linalg._spectral_norm(l_coords.conj().T @ w @ l_coords)
+        return l_coords.conj().T @ w @ l_coords
 
-    monkeypatch.setattr(cs.extensions, "_omega_residual", unconjugated)
+    monkeypatch.setattr(cs.extensions, "_omega_block", unconjugated)
     above = [
-        cs.extensions._omega_residual(w, span) > cand.adjoint_gap(cand.conjugated_basis(dp.c)) + 1e-14
+        cs.linalg._spectral_norm(cs.extensions._omega_block(w, span))
+        > cand.adjoint_gap(cand.conjugated_basis(dp.c)) + 1e-14
         for dp, w, span, cand in _lifted_sweep("race_schrodinger", 16)
     ]
     assert any(above)

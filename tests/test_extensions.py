@@ -343,9 +343,9 @@ def test_extend_fails_when_adjoint_gap_sign_is_flipped(monkeypatch, tmp_path, ca
     def flipped(self, q):
         n = self.ambient_dim
         g = self.graph.basis
-        return float(np.linalg.norm(g[n:].conj().T @ q[:n] + g[:n].conj().T @ q[n:], 2))
+        return g[n:].conj().T @ q[:n] + g[:n].conj().T @ q[n:]
 
-    monkeypatch.setattr(cs.LinearRelation, "adjoint_gap", flipped)
+    monkeypatch.setattr(cs.LinearRelation, "_gap_matrix", flipped)
     # build_doubled checks frakA* with the same gap, so the CLI fails there
     assert main(["extend", *example, "--param", str(path)]) == 1
     out = json.loads(capsys.readouterr().out)

@@ -233,6 +233,74 @@ def test_max_angle_sin_makes_no_svd(rng, monkeypatch):
     assert cs.max_angle_sin(s1, s2) == pytest.approx(expected, rel=1e-12)
 
 
+def _norm_within_case(rng, kind, shape, factor):
+    """(m, bound) of one kind.  "random": Gaussian; "rank_one": an outer
+    product, whose Frobenius norm is its 2-norm; "flat": orthonormal rows
+    or columns, every singular value 1, so the Frobenius norm is sqrt(r)
+    times the 2-norm; "between": flat with ||m||_2 <= bound < ||m||_F for
+    0 < factor < 1.  Otherwise bound is factor times ||m||_2, or factor
+    when m has no entries."""
+    rows, cols = shape
+    if kind == "random":
+        m = random_complex(rng, rows, cols)
+    elif kind == "rank_one":
+        m = random_complex(rng, rows, 1) @ random_complex(rng, 1, cols)
+    else:
+        q = cs.orthonormal_basis(random_complex(rng, max(shape), min(shape))).basis
+        m = q if rows >= cols else q.T
+    norm = float(np.linalg.norm(m, 2)) if m.size else 0.0
+    if kind == "between":
+        root = np.sqrt(min(shape))
+        return m, norm * (1.0 + (root - 1.0) * factor)
+    return m, factor * norm if norm else factor
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+def test_norm_within_agrees_with_spectral_norm(rng, monkeypatch, scale):
+    # each draw decides like _spectral_norm(m) <= bound, and every branch
+    # of the certificate runs: Frobenius accept, Frobenius reject, 2-norm
+    spectral = cs.linalg._spectral_norm
+    fallbacks = []
+
+    def counted(m):
+        fallbacks.append(m.shape)
+        return spectral(m)
+
+    monkeypatch.setattr(cs.linalg, "_spectral_norm", counted)
+    branches = {}
+    shapes = [(5, 0), (0, 5), (1, 7), (7, 1), (6, 6), (9, 4), (4, 9)]
+    for kind in ("random", "rank_one", "flat", "between"):
+        for shape in shapes:
+            if kind == "between" and min(shape) < 2:
+                continue
+            for factor in (0.2, 0.5, 0.9) + ((1.1, 3.0) if kind != "between" else ()):
+                m, bound = _norm_within_case(rng, kind, shape, factor)
+                m, bound = scale * m, scale * bound
+                del fallbacks[:]
+                decided = cs.linalg._norm_within(m, bound)
+                assert decided == (spectral(m) <= bound), (kind, shape, factor)
+                branch = "2-norm" if fallbacks else ("within" if decided else "outside")
+                branches.setdefault(branch, set()).add(kind)
+                if kind == "between":
+                    assert branch == "2-norm" and decided
+    assert set(branches) == {"within", "outside", "2-norm"}
+    # rank one (F = ||m||_2) reaches both Frobenius verdicts
+    assert "rank_one" in branches["within"] and "rank_one" in branches["outside"]
+
+
+def test_predicates_take_no_gram_eigenvalues(rng, monkeypatch):
+    # containment far inside or far outside the bound is settled by the
+    # Frobenius norm alone
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    s = cs.orthonormal_basis(random_complex(rng, 20, 4))
+    t = cs.orthonormal_basis(random_complex(rng, 20, 4))
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    assert cs.subspace_equal(s, cs.Subspace(s.basis[:, ::-1]))
+    assert not cs.is_subspace_of(s, t)
+
+
 def coordinate_block(n2, rows):
     basis = np.zeros((n2, len(rows)), dtype=complex)
     basis[rows, np.arange(len(rows))] = 1.0

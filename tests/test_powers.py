@@ -170,6 +170,13 @@ def test_qa_rejects_zero_vector():
         cs.qa_partial_sums(cs.doubled_matrix(np.eye(2), cs.entrywise_conjugation(2)), np.zeros(2), 4)
 
 
+def test_qa_accepts_a_tiny_nonzero_vector():
+    # only the exact zero vector is refused: the cut is not absolute
+    qa = cs.qa_partial_sums(cs.doubled_matrix(np.eye(3), cs.entrywise_conjugation(3)), 1e-13 * np.ones(3), 4)
+    assert not qa.diverged
+    np.testing.assert_allclose(qa.terms, [(np.sqrt(3.0) * 1e-13) ** (-1.0 / k) for k in range(1, 5)])
+
+
 def test_power_rejects_bad_order(rng):
     c = cs.entrywise_conjugation(2)
     a = random_complex(rng, 2, 2)

@@ -448,20 +448,37 @@ def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, 
     assert len(calls) == count
 
 
-def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
-    # one null-space SVD per kernel of I + RS and one top-block SVD per
-    # relation whose domain is read
+def _count_numpy_linalg(monkeypatch, *names):
+    """Count calls of each np.linalg function named, by name."""
     calls = []
-    svd = np.linalg.svd
+    for name in names:
+        original = getattr(np.linalg, name)
 
-    def counted_svd(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
+    # one principal-angle SVD per kernel of I + RS and one top-block SVD per
+    # relation whose domain is read; the Gram eigenvalues are those of the
+    # reported 2-norms and of extend_basis's rank scale, none of a predicate
+    calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh")
     assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert len(calls) == 33
+    assert (calls.count("svd"), calls.count("eigvalsh")) == (33, 11)
+
+
+def test_cli_verify_all_eigvalsh_count_pinned(monkeypatch, capsys):
+    # the predicates (the sweep's filter, C-self-adjointness, containment)
+    # decide by the Frobenius certificate and take no Gram eigenvalues
+    calls = _count_numpy_linalg(monkeypatch, "eigvalsh")
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "32"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 215
 
 
 def _drop_first_column(function):

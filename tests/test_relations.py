@@ -117,6 +117,27 @@ def test_kernel_one_plus_with_restricted_inner():
     assert cs.kernel_one_plus(cs.from_matrix(np.diag([2.0, -1.0, 4.0])), inner_rel).dim == 0
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.2, 2.0, 10.0, 1e4])
+def test_kernel_one_plus_cut_is_intersects(rng, ratio):
+    # the meet of [Y1; X1] and [-X2; Y2] shares q2 exactly and q0 up to the
+    # angle theta = ratio * cutoff: the kernel keeps q0's direction exactly
+    # when intersect does, also between intersect's cut on sin theta and the
+    # sqrt(2) sin(theta/2) of a null-space solve (ratio 1.2)
+    n = 6
+    theta = ratio * cs.DEFAULT_TOL.zero_cutoff(1.0)
+    q = cs.orthonormal_basis(random_complex(rng, 2 * n, 3)).basis
+    tilted = np.cos(theta) * q[:, :1] + np.sin(theta) * q[:, 1:2]
+    swapped_inner = cs.Subspace(q[:, [0, 2]])
+    flipped_outer = cs.orthonormal_basis(np.hstack([tilted, q[:, 2:]]))
+    inner = cs.LinearRelation(cs.Subspace(np.vstack([swapped_inner.basis[n:], swapped_inner.basis[:n]])))
+    outer = cs.LinearRelation(cs.Subspace(np.vstack([-flipped_outer.basis[:n], flipped_outer.basis[n:]])))
+    kernel = cs.kernel_one_plus(outer, inner)
+    assert kernel.dim == cs.intersect(swapped_inner, flipped_outer).dim == (2 if ratio <= 0.5 else 1)
+    # the direction shared exactly is q2's bottom rows, X1 of that pair; a
+    # principal direction a gap theta from the next is fixed to about eps/theta
+    assert within(q[n:, 2], kernel, 1e-5)
+
+
 def test_kernel_one_plus_with_multivalued_outer(rng):
     # outer = graph(M) + ({0} x span w): x + M S x in span w, so the kernel
     # is span (I + MS)^-1 w
