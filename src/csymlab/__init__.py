@@ -9,7 +9,6 @@ from .antilinear import (
     AntiLinearMap,
     Conjugation,
     PartialConjugation,
-    SemilinearOperator,
     conjugation_axiom_residuals,
     entrywise_conjugation,
     flip_conjugation,
@@ -43,10 +42,8 @@ from .extensions import (
     extension_from_parameter,
     extension_graph,
     parameter_as_conjugation,
-    parameter_as_onb,
     parameter_as_unitary,
     recover_parameter,
-    sample_parameters,
 )
 from .fixtures import (
     build_example,

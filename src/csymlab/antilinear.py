@@ -168,55 +168,3 @@ def invariant_onb(c: AntiLinearMap, s: Subspace) -> np.ndarray:
             {"fixed_point": fixed_residual, "gram": gram_residual},
         )
     return s.basis @ found
-
-
-@dataclass(frozen=True, eq=False)
-class SemilinearOperator:
-    """Word algebra for alternating products of linear and anti-linear maps.
-
-    Acts as x -> matrix @ x when linear, x -> matrix @ conj(x) otherwise.
-    Composition tracks the parity: anti о anti = linear, etc.
-    """
-
-    matrix: np.ndarray
-    antilinear: bool
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputError(f"square matrix required, got shape {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_antilinear(cls, m) -> "SemilinearOperator":
-        return cls(np.asarray(m, dtype=complex), True)
-
-    @classmethod
-    def identity(cls, n: int) -> "SemilinearOperator":
-        return cls(np.eye(n, dtype=complex), False)
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        return self.matrix @ (np.conj(x) if self.antilinear else x)
-
-    def __matmul__(self, other: "SemilinearOperator") -> "SemilinearOperator":
-        # (self о other)(x): other acts first
-        inner_mat = np.conj(other.matrix) if self.antilinear else other.matrix
-        return SemilinearOperator(self.matrix @ inner_mat, self.antilinear != other.antilinear)
-
-    def power(self, k: int) -> "SemilinearOperator":
-        if k < 0:
-            raise InputError("negative powers not supported")
-        out = SemilinearOperator.identity(self.matrix.shape[0])
-        for _ in range(k):
-            out = self @ out
-        return out
-
-    def realify(self) -> np.ndarray:
-        """Real 2n x 2n matrix of the action on (Re x, Im x) stacked."""
-        x, y = self.matrix.real, self.matrix.imag
-        if self.antilinear:
-            return np.block([[x, y], [y, -x]])
-        return np.block([[x, -y], [y, x]])

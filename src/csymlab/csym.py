@@ -23,6 +23,12 @@ adds frakM' = graph(A*) - graph(B), with graph(B)'s complement taken as
 J^-1 graph(B*) = {(-v, u) : (u, v) in graph(B*)}, and the kernels of
 I + A*B* and I + B*A*, each from one intersect in the middle coordinate
 (relations.kernel_one_plus), independent of frakM.
+
+m_spaces, anti_involution and doubling.deficiency share one guard,
+_require_c_symmetric: B inside A*, or PreconditionError.  It builds no
+M-space, so the extension builders, which reach it through omega and
+anti_involution, never build frakM'; race_decomposition is the only reader
+of m_spaces.
 """
 
 from __future__ import annotations
@@ -101,11 +107,16 @@ class MSpaces:
     m_astar: Subspace
 
 
+def _require_c_symmetric(dp: DoubledProblem) -> None:
+    """Raise PreconditionError unless dp's B = CAC lies inside A*."""
+    if not dp.b.contained_in(dp.a_star):
+        raise PreconditionError("relation is not C-symmetric; the defect theory needs CAC inside A*")
+
+
 def m_spaces(dp: DoubledProblem) -> MSpaces:
     """The M-spaces of dp's A, B, A* and B*; raises PreconditionError
     unless A is C-symmetric."""
-    if not dp.b.contained_in(dp.a_star):
-        raise PreconditionError("relation is not C-symmetric; M-spaces are undefined")
+    _require_c_symmetric(dp)
     frak_m = dp.frakM
     n = dp.ambient_dim
     # graph(B*) is the complement of J graph(B), so J^-1 graph(B*) is graph(B)'s
@@ -127,15 +138,16 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
 def anti_involution(dp: DoubledProblem) -> AntiLinearMap:
     """The graph-level anti-unitary S(f, g) = (Cg, -Cf) with S^2 = -I.
 
-    S maps frakM (dp's cached M-spaces) onto itself; on first components it
-    acts as A*C, the classical anti-involution of the defect space.  Raises
-    when the invariance or the square fails beyond tolerance.
+    S maps frakM onto itself; on first components it acts as A*C, the
+    classical anti-involution of the defect space.  Raises PreconditionError
+    unless A is C-symmetric, and PropertyViolationError when the invariance
+    or the square fails beyond tolerance.
     """
     k = dp.c.matrix
     n = dp.ambient_dim
     z = np.zeros((n, n), dtype=complex)
     s = AntiLinearMap(np.block([[z, k], [-k, z]]), dp.tol)
-    dp.spaces  # raises PreconditionError unless C-symmetric
+    _require_c_symmetric(dp)
     frak_m = dp.frakM
     bound = frak_m.tol.bound()
     if frak_m.dim:

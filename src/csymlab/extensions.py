@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import AntiLinearMap, conjugation_axiom_residuals, invariant_onb
+from .antilinear import conjugation_axiom_residuals
 from .csym import is_c_selfadjoint
 from .doubling import DoubledProblem, _orthogonality_residual, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
@@ -162,16 +162,6 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
 def parameter_as_conjugation(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionParameter:
     u = parameter_as_unitary(dp, p)
     return ExtensionParameter("conjugation", -1j * dp.omega @ np.conj(u))
-
-
-def parameter_as_onb(dp: DoubledProblem, p: ExtensionParameter) -> ExtensionParameter:
-    """Orthonormal basis of N+ fixed by the parameter's conjugation, ambient columns."""
-    j = parameter_as_conjugation(dp, p).matrix
-    k = j.shape[0]
-    if k == 0:
-        return ExtensionParameter("onb", np.zeros((2 * dp.ambient_dim, 0)))
-    coords = invariant_onb(AntiLinearMap(j, dp.tol), _trusted(np.eye(k, dtype=complex), dp.tol))
-    return ExtensionParameter("onb", dp.n_plus.basis @ coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,13 +352,12 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
     half spans L and graph(A) + L is a C-self-adjoint extension.  With
     swap=True the companion extension built from S(L) is returned instead.
     """
-    dp.spaces  # raises PreconditionError unless C-symmetric
+    s_coord = dp.omega  # raises PreconditionError unless C-symmetric
     frak_m = dp.frakM
     if frak_m.dim % 2:
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     if frak_m.dim == 0:
         return extension_from_parameter(dp, ExtensionParameter("unitary", np.zeros((0, 0))))
-    s_coord = dp.omega
     l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol)
     if swap:
         l_coords = s_coord @ np.conj(l_coords)
@@ -416,29 +405,6 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
             "Cayley transform does not carry N+ onto N-", {"stray": stray}
         )
     return ExtensionParameter("unitary", u)
-
-
-def sample_parameters(dp: DoubledProblem, count: int, seed: int = 0) -> list[ExtensionParameter]:
-    """Conjugation parameters of `count` randomly sampled extensions.
-
-    Sampling is done on the extension side (random isotropic L inside frakM)
-    and pulled back through recover_parameter, which keeps every sample
-    inside the block-compatible family.
-    """
-    dp.spaces  # raises PreconditionError unless C-symmetric
-    frak_m = dp.frakM
-    rng = np.random.default_rng(seed)
-    out = []
-    if frak_m.dim == 0:
-        empty = ExtensionParameter("conjugation", np.zeros((0, 0)))
-        return [empty for _ in range(count)]
-    s_coord = dp.omega
-    for _ in range(count):
-        l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol, rng=rng)
-        a_tilde = LinearRelation(extend_basis(dp.a.graph, frak_m.basis @ l_coords))
-        u_param = recover_parameter(dp, a_tilde)
-        out.append(parameter_as_conjugation(dp, u_param))
-    return out
 
 
 def _omega_block(omega: np.ndarray, l_coords: np.ndarray) -> np.ndarray:
@@ -539,7 +505,7 @@ def brute_force_extensions(
     stops once the cap is reached; the structured sweep runs first and is
     never truncated by the random streams).  Pass None to disable the cap.
     """
-    dp.spaces  # raises PreconditionError unless C-symmetric
+    omega = dp.omega  # raises PreconditionError unless C-symmetric
     frak_m = dp.frakM
     if frak_m.dim > 8:
         raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
@@ -549,7 +515,6 @@ def brute_force_extensions(
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     tol = dp.tol
     bound = tol.bound()
-    omega = dp.omega
     hits: list[LinearRelation] = []
     seen: set[bytes] = set()
     for l_coords in _sweep_candidates(dp, budget, seed):

@@ -5,10 +5,14 @@ The doubled operator frakA = [[0, A], [CAC, 0]] is linear, so its powers can
 be taken directly; the content is that they collapse to words in the single
 anti-linear composition AC.  Even powers are block-diagonal with blocks
 (AC)^2m and C(AC)^2m C, odd powers block-antidiagonal with (AC)^(2m+1) C in
-the upper right and C(AC)^(2m+1) in the lower left.  Words are evaluated as
-alternating products of matrices and conjugations; realified 2N-dimensional
-real arithmetic is kept as an independent second path, since the two
-strategies fail differently when a conjugation is misplaced.
+the upper right and C(AC)^(2m+1) in the lower left.  With C = K conj, the
+word (AC)^m has the matrix W_m of the recurrence W_0 = I,
+W_(m+1) = AK conj(W_m), acting linearly for even m and anti-linearly for odd
+m.  The block forms run the recurrence on matrices; the norm identities and
+the partial sums run it on vectors, v <- AK conj(v), and take no matrix
+power.  Realified 2N-dimensional real arithmetic is kept as an independent
+second path, since the two strategies fail differently when a conjugation
+is misplaced.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antilinear import Conjugation, SemilinearOperator
+from .antilinear import Conjugation
 from .errors import InputError
 from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _spectral_norm
 from .reporting import CheckList
@@ -38,35 +42,45 @@ class PowerReport:
     checks: CheckList
 
 
-def _derealify(r: np.ndarray, antilinear: bool) -> tuple[np.ndarray, float]:
-    """Complex matrix from a realified block matrix, with the residual of
-    the shape constraint that makes the real matrix (anti)linear."""
+def _realify(m: np.ndarray) -> np.ndarray:
+    """Real 2N x 2N matrix of the anti-linear map x -> M conj(x) acting on
+    (Re x, Im x) stacked."""
+    x, y = m.real, m.imag
+    return np.block([[x, y], [y, -x]])
+
+
+def _ac_word(ak: np.ndarray, m: int) -> np.ndarray:
+    """W_m of the recurrence W_0 = I, W_(k+1) = AK conj(W_k): the matrix of
+    (AC)^m, linear for even m and anti-linear for odd m."""
+    w = np.eye(ak.shape[0], dtype=complex)
+    for _ in range(m):
+        w = ak @ np.conj(w)
+    return w
+
+
+def _derealify(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """Complex matrix of a realified linear map, with the residual of the
+    shape constraint that makes the real matrix complex-linear."""
     n = r.shape[0] // 2
-    x = r[:n, :n]
-    if antilinear:
-        y = r[:n, n:]
-        res = max(
-            float(np.abs(r[n:, :n] - y).max()),
-            float(np.abs(r[n:, n:] + x).max()),
-        )
-    else:
-        y = r[n:, :n]
-        res = max(
-            float(np.abs(r[:n, n:] + y).max()),
-            float(np.abs(r[n:, n:] - x).max()),
-        )
+    x, y = r[:n, :n], r[n:, :n]
+    res = max(
+        float(np.abs(r[:n, n:] + y).max()),
+        float(np.abs(r[n:, n:] - x).max()),
+    )
     return x + 1j * y, res
 
 
 @dataclass(frozen=True, eq=False)
 class DoubledMatrix:
     """frakA = [[0, A], [CAC, 0]] for a square matrix A, built once with
-    ||A||_2 and the Tolerance, so that the reports of every exponent read
-    them instead of rebuilding frakA and recomputing the norm."""
+    AK, the matrix of AC, ||A||_2 and the Tolerance, so that the reports of
+    every exponent read them instead of rebuilding frakA and recomputing
+    the norm."""
 
     a: np.ndarray
     c: Conjugation
     frak: np.ndarray
+    ak: np.ndarray
     norm: float
     tol: Tolerance
 
@@ -76,7 +90,7 @@ class DoubledMatrix:
 
 
 def doubled_matrix(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL) -> DoubledMatrix:
-    """frakA of a square matrix A under C, with ||A||_2 taken once."""
+    """frakA of a square matrix A under C, with AK and ||A||_2 taken once."""
     a = _as_complex_matrix(a, "matrix")
     dim = a.shape[0]
     if a.shape != (dim, dim) or c.matrix.shape != (dim, dim):
@@ -84,59 +98,46 @@ def doubled_matrix(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL) -> DoubledMa
     k = c.matrix
     z = np.zeros_like(a)
     frak = np.block([[z, a], [k @ np.conj(a) @ np.conj(k), z]])
-    return DoubledMatrix(a, c, frak, _spectral_norm(a), tol)
+    return DoubledMatrix(a, c, frak, a @ k, _spectral_norm(a), tol)
 
 
 def doubled_power_blocks(d: DoubledMatrix, n: int) -> PowerReport:
     """Compare frakA^n against its predicted block form.
 
-    The direct path is a plain matrix power of the doubled matrix; the
-    predicted blocks are words in AC and C evaluated by alternating-product
-    bookkeeping, cross-checked against realified real-linear arithmetic.
+    The direct path is a plain matrix power of the doubled matrix.  The
+    predicted blocks are read off W = W_n (_ac_word) and K: for even n,
+    W and K conj(W) conj(K); for odd n, W conj(K) and K conj(W).  They are
+    cross-checked against the n-th power of the realified AC composed with
+    the realified C.
     """
     if n < 1:
         raise InputError(f"exponent must be at least 1, got {n}")
-    a, k, frak = d.a, d.c.matrix, d.frak
-    dim = a.shape[0]
+    k, ak, frak = d.c.matrix, d.ak, d.frak
+    dim = k.shape[0]
     direct = np.linalg.matrix_power(frak, n)
 
-    ac = SemilinearOperator.from_antilinear(a @ k)
-    c_op = SemilinearOperator.from_antilinear(k)
-    word = ac.power(n)
+    w = _ac_word(ak, n)
+    # second path: the same words in realified real-linear arithmetic
+    r_word = np.linalg.matrix_power(_realify(ak), n)
+    r_c = _realify(k)
     if n % 2 == 0:
         blocks = {
-            (0, 0): word,
-            (1, 1): c_op @ word @ c_op,
+            (0, 0): (w, r_word),
+            (1, 1): (k @ np.conj(w) @ np.conj(k), r_c @ r_word @ r_c),
         }
     else:
         blocks = {
-            (0, 1): word @ c_op,
-            (1, 0): c_op @ word,
+            (0, 1): (w @ np.conj(k), r_word @ r_c),
+            (1, 0): (k @ np.conj(w), r_c @ r_word),
         }
     predicted = np.zeros_like(frak)
-    for (i, j), op in blocks.items():
-        if op.antilinear:
-            raise InputError("block word parity bookkeeping failed")
-        predicted[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = op.matrix
+    cross = 0.0
+    for (i, j), (block, r_block) in blocks.items():
+        predicted[i * dim : (i + 1) * dim, j * dim : (j + 1) * dim] = block
+        m, shape_res = _derealify(r_block)
+        cross = max(cross, shape_res, float(np.abs(m - block).max()))
     # over every entry, so a nonzero where the predicted blocks are zero fails too
     block_residual = float(np.abs(direct - predicted).max())
-
-    # second path: realified word arithmetic for every block
-    r_ac = ac.realify()
-    r_c = c_op.realify()
-    r_word = np.linalg.matrix_power(r_ac, n)
-    cross = 0.0
-    for (i, j), op in blocks.items():
-        if (i, j) == (0, 0):
-            r_block = r_word
-        elif (i, j) == (1, 1):
-            r_block = r_c @ r_word @ r_c
-        elif (i, j) == (0, 1):
-            r_block = r_word @ r_c
-        else:
-            r_block = r_c @ r_word
-        m, shape_res = _derealify(r_block, antilinear=False)
-        cross = max(cross, shape_res, float(np.abs(m - op.matrix).max()))
 
     bound = d.bound(n)
     checks = CheckList()
@@ -149,22 +150,23 @@ def power_norm_identities(d: DoubledMatrix, x, y, n: int):
     """Deviations in the norm identities for exponents 2n and 2n+1.
 
     Both parities reduce to || frakA^m (x, y) ||^2 =
-    ||(AC)^m x||^2 + ||(AC)^m Cy||^2, using that C is isometric.
+    ||(AC)^m x||^2 + ||(AC)^m Cy||^2, using that C is isometric.  Each side
+    is iterated on vectors, u <- frakA u and v <- AK conj(v), so no matrix
+    power is formed.
     """
     if n < 0:
         raise InputError(f"exponent index must be nonnegative, got {n}")
     x = np.asarray(x, dtype=complex).reshape(-1)
     y = np.asarray(y, dtype=complex).reshape(-1)
-    a, c, k, frak = d.a, d.c, d.c.matrix, d.frak
-    ac = SemilinearOperator.from_antilinear(a @ k)
-    cy = c.apply(y)
-    devs = []
-    for m in (2 * n, 2 * n + 1):
-        lhs = float(np.linalg.norm(np.linalg.matrix_power(frak, m) @ np.concatenate([x, y])) ** 2)
-        w = ac.power(m)
-        rhs = float(np.linalg.norm(w.apply(x)) ** 2 + np.linalg.norm(w.apply(cy)) ** 2)
-        devs.append(abs(lhs - rhs))
-    return devs[0], devs[1]
+    ak, frak = d.ak, d.frak
+    u = np.concatenate([x, y])
+    v = np.column_stack([x, d.c.apply(y)])  # the Frobenius norm sums both columns
+    for _ in range(2 * n):
+        u, v = frak @ u, ak @ np.conj(v)
+    even = abs(float(np.linalg.norm(u)) ** 2 - float(np.linalg.norm(v)) ** 2)
+    u, v = frak @ u, ak @ np.conj(v)
+    odd = abs(float(np.linalg.norm(u)) ** 2 - float(np.linalg.norm(v)) ** 2)
+    return even, odd
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +197,6 @@ def qa_partial_sums(d: DoubledMatrix, x, n_terms: int) -> QaDiagnostics:
     norm = float(np.linalg.norm(x))
     if not np.any(x):
         raise InputError("partial sums are undefined for the zero vector")
-    ac = SemilinearOperator.from_antilinear(d.a @ d.c.matrix)
     terms: list[float] = []
     sums: list[float] = []
     diverged = False
@@ -203,7 +204,7 @@ def qa_partial_sums(d: DoubledMatrix, x, n_terms: int) -> QaDiagnostics:
     v = x
     total = 0.0
     for k in range(1, n_terms + 1):
-        v = ac.apply(v)
+        v = d.ak @ np.conj(v)
         previous, norm = norm, float(np.linalg.norm(v))
         if norm <= d.tol.eps * d.norm * previous:
             diverged = True

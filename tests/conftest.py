@@ -93,3 +93,34 @@ def nonblock_parameter(dp):
     """
     j0 = cs.parameter_as_conjugation(dp, cs.canonical_extension(dp).parameter).matrix
     return cs.ExtensionParameter("conjugation", 1j * j0)
+
+
+def sample_parameters(dp, count, seed=0):
+    """Conjugation parameters of `count` randomly sampled extensions.
+
+    Sampling is done on the extension side (random isotropic L inside frakM)
+    and pulled back through recover_parameter, which keeps every sample
+    inside the block-compatible family.
+    """
+    s_coord = dp.omega  # raises PreconditionError unless C-symmetric
+    frak_m = dp.frakM
+    if frak_m.dim == 0:
+        return [cs.ExtensionParameter("conjugation", np.zeros((0, 0))) for _ in range(count)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        l_coords = cs.extensions._greedy_isotropic(s_coord, frak_m.dim, dp.tol, rng=rng)
+        a_tilde = cs.LinearRelation(cs.extend_basis(dp.a.graph, frak_m.basis @ l_coords))
+        out.append(cs.parameter_as_conjugation(dp, cs.recover_parameter(dp, a_tilde)))
+    return out
+
+
+def parameter_as_onb(dp, p):
+    """Orthonormal basis of N+ fixed by the parameter's conjugation, ambient columns."""
+    j = cs.parameter_as_conjugation(dp, p).matrix
+    k = j.shape[0]
+    if k == 0:
+        return cs.ExtensionParameter("onb", np.zeros((2 * dp.ambient_dim, 0)))
+    whole = cs.linalg._trusted(np.eye(k, dtype=complex), dp.tol)
+    coords = cs.invariant_onb(cs.AntiLinearMap(j, dp.tol), whole)
+    return cs.ExtensionParameter("onb", dp.n_plus.basis @ coords)

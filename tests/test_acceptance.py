@@ -16,7 +16,7 @@ import csymlab as cs
 from csymlab.cli import main
 from csymlab.extensions import parameter_as_unitary
 
-from conftest import within, zero_relation
+from conftest import parameter_as_onb, sample_parameters, within, zero_relation
 
 
 def report(num, label, ok, detail):
@@ -131,12 +131,12 @@ def test_criterion_05_extension_soundness():
     built = 0
     for spec in fixture_pool():
         dp = cs.build_doubled(spec.relation(), spec.conjugation())
-        for p in cs.sample_parameters(dp, 20, seed=5):
+        for p in sample_parameters(dp, 20, seed=5):
             graphs = []
             for form in (
                 p,
                 cs.ExtensionParameter("unitary", parameter_as_unitary(dp, p)),
-                cs.parameter_as_onb(dp, p),
+                parameter_as_onb(dp, p),
             ):
                 res = cs.extension_from_parameter(dp, form)
                 graphs.append(res.a_ext.graph)

@@ -118,39 +118,6 @@ def test_partial_conjugation_rejects_defective_matrix():
         cs.PartialConjugation(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
-def test_semilinear_composition_signs(rng):
-    a = random_complex(rng, 3, 3)
-    b = random_complex(rng, 3, 3)
-    x = random_complex(rng, 3)
-    lin = cs.SemilinearOperator(a, False)
-    anti = cs.SemilinearOperator.from_antilinear(b)
-    # (anti o anti) is linear, (anti o lin) stays antilinear
-    assert not (anti @ anti).antilinear
-    assert (anti @ lin).antilinear
-    np.testing.assert_allclose((anti @ lin).apply(x), b @ np.conj(a @ x), atol=1e-12)
-    np.testing.assert_allclose((anti @ anti).apply(x), b @ np.conj(b @ np.conj(x)), atol=1e-12)
-
-
-def test_semilinear_power_matches_iterated_apply(rng):
-    m = random_complex(rng, 4, 4)
-    op = cs.SemilinearOperator.from_antilinear(m)
-    x = random_complex(rng, 4)
-    expected = x
-    for k in range(1, 6):
-        expected = op.apply(expected)
-        np.testing.assert_allclose(op.power(k).apply(x), expected, atol=1e-9)
-
-
-def test_realify_intertwines_apply(rng):
-    m = random_complex(rng, 3, 3)
-    for op in (cs.SemilinearOperator(m, False), cs.SemilinearOperator.from_antilinear(m)):
-        r = op.realify()
-        x = random_complex(rng, 3)
-        stacked = np.concatenate([x.real, x.imag])
-        out = r @ stacked
-        np.testing.assert_allclose(out[:3] + 1j * out[3:], op.apply(x), atol=1e-12)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
 def test_conjugation_isometry_property(n, seed):

@@ -15,7 +15,7 @@ from csymlab.extensions import (
     parameter_as_unitary,
 )
 
-from conftest import count_calls, nonblock_parameter, within
+from conftest import count_calls, nonblock_parameter, parameter_as_onb, sample_parameters, within
 
 FIXTURES = lambda: (
     cs.minimal_identity(),
@@ -130,7 +130,7 @@ def test_block_condition_counterexample_raises():
 def test_closed_form_matches_verified_extension(spec):
     dp = doubled(spec)
     bound = 1e3 * np.finfo(float).eps
-    for p in cs.sample_parameters(dp, 4, seed=4):
+    for p in sample_parameters(dp, 4, seed=4):
         closed = cs.extension_graph(dp, p).graph
         full = cs.extension_from_parameter(dp, p).a_ext.graph
         assert closed.dim == full.dim == dp.a.graph.dim + dp.n_plus.dim // 2
@@ -146,7 +146,7 @@ def test_extension_basis_begins_with_graph_a(spec):
     dp = doubled(spec)
     d = dp.a.graph.dim
     params = [cs.canonical_extension(dp, swap=swap).parameter for swap in (False, True)]
-    for p in params + cs.sample_parameters(dp, 3, seed=3):
+    for p in params + sample_parameters(dp, 3, seed=3):
         res = cs.extension_from_parameter(dp, p)
         np.testing.assert_array_equal(res.a_ext.graph.basis[:, :d], dp.a.graph.basis)
 
@@ -154,11 +154,11 @@ def test_extension_basis_begins_with_graph_a(spec):
 def test_three_forms_produce_identical_graphs():
     for spec in FIXTURES():
         dp = doubled(spec)
-        for p in cs.sample_parameters(dp, 5, seed=1):
+        for p in sample_parameters(dp, 5, seed=1):
             graphs = []
             for form in (
                 p,
-                cs.parameter_as_onb(dp, p),
+                parameter_as_onb(dp, p),
                 cs.ExtensionParameter("unitary", parameter_as_unitary(dp, p)),
             ):
                 graphs.append(cs.extension_from_parameter(dp, form).a_ext.graph)
@@ -169,7 +169,7 @@ def test_three_forms_produce_identical_graphs():
 def test_extension_soundness_on_fixtures():
     for spec in FIXTURES():
         dp = doubled(spec)
-        for p in cs.sample_parameters(dp, 6, seed=2):
+        for p in sample_parameters(dp, 6, seed=2):
             res = cs.extension_from_parameter(dp, p)
             assert res.checks.all_pass, (spec.name, res.checks.to_list())
             assert within(dp.a, res.a_ext, 1e-9)
@@ -239,8 +239,8 @@ def test_l_manifold_decomposition():
 
 def test_sample_parameters_deterministic_and_valid():
     dp = doubled(cs.zero_on_subspace(4))
-    first = cs.sample_parameters(dp, 4, seed=5)
-    second = cs.sample_parameters(dp, 4, seed=5)
+    first = sample_parameters(dp, 4, seed=5)
+    second = sample_parameters(dp, 4, seed=5)
     for p, q in zip(first, second):
         np.testing.assert_array_equal(p.matrix, q.matrix)
         assert p.kind == "conjugation"
@@ -312,11 +312,30 @@ def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
 
 
 @pytest.mark.parametrize("swap", [[], ["--swap"]], ids=["plain", "swap"])
-def test_extend_report_computes_m_spaces_once(monkeypatch, capsys, swap):
+def test_extend_report_builds_no_m_spaces(monkeypatch, capsys, swap):
+    # extend reads frakM and omega only; the C-symmetry guard needs no M-spaces
     calls = count_calls(monkeypatch, cs.csym, "m_spaces")
     assert main(["extend", "--example", "race_schrodinger", "--n", "16", *swap]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+def test_extension_builders_refuse_non_c_symmetric_input_with_zero_frakm():
+    # A = [[0, 1], [0, 0]] under entrywise C: CAC = A is not inside A* = A^H,
+    # and frakM = 0, so a guard placed after the frakM.dim == 0 return misses it
+    a = cs.from_matrix([[0.0, 1.0], [0.0, 0.0]])
+    c = cs.entrywise_conjugation(2)
+    assert cs.build_doubled(a, c).frakM.dim == 0
+    for build in (
+        cs.canonical_extension,
+        cs.brute_force_extensions,
+        lambda dp: sample_parameters(dp, 2),
+        cs.m_spaces,
+        cs.anti_involution,
+        cs.deficiency,
+    ):
+        with pytest.raises(cs.PreconditionError, match="not C-symmetric"):
+            build(cs.build_doubled(a, c))
 
 
 def test_doubled_problem_caches_defect_geometry():
@@ -361,7 +380,7 @@ def test_closed_form_slices_match_intersection_oracle(spec):
     # S and T grown from graph(A) and graph(B) are the slices that
     # block_slices cuts out of the doubled extension by intersection
     dp = doubled(spec)
-    for p in cs.sample_parameters(dp, 3, seed=6):
+    for p in sample_parameters(dp, 3, seed=6):
         _, defect_cols = _deficiency_span(dp, p)
         s, t = _closed_form_slices(dp, defect_cols)
         oracle_s, oracle_t = cs.block_slices(cs.extension_from_parameter(dp, p).frak_ext)
@@ -430,7 +449,7 @@ def test_deficiency_span_matches_ambient_unitary(spec):
 def test_recover_parameter_matches_full_cayley_transform(spec):
     dp = doubled(spec)
     n2 = 2 * dp.ambient_dim
-    for p in cs.sample_parameters(dp, 3, seed=8):
+    for p in sample_parameters(dp, 3, seed=8):
         a_tilde = cs.extension_graph(dp, p)
         u = cs.recover_parameter(dp, a_tilde).matrix
         # reference: V = Q P^-1 on all of C^(2n), restricted to N+ afterwards

@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 import csymlab as cs
+from csymlab import powers
 
 from conftest import random_complex
+
+
+def ac_apply(a, c, x, m):
+    """(AC)^m x by m literal applications of A after C."""
+    for _ in range(m):
+        x = a @ c.apply(x)
+    return x
 
 
 def brute_power(a, c, n, order):
@@ -32,9 +40,9 @@ def test_even_powers_are_block_diagonal(rng):
     direct = brute_power(a, c, 3, 4)
     np.testing.assert_allclose(direct[:3, 3:], 0.0, atol=1e-10)
     np.testing.assert_allclose(direct[3:, :3], 0.0, atol=1e-10)
-    # diagonal block is the alternating word (AC)^4 as a linear map
-    ac = cs.SemilinearOperator.from_antilinear(a @ c.matrix)
-    np.testing.assert_allclose(direct[:3, :3], ac.power(4).matrix, atol=1e-9)
+    # the diagonal block is the linear map (AC)^4
+    x = random_complex(rng, 3)
+    np.testing.assert_allclose(direct[:3, :3] @ x, ac_apply(a, c, x, 4), atol=1e-9)
 
 
 def test_odd_powers_are_off_diagonal(rng):
@@ -78,6 +86,54 @@ def test_block_at_a_zero_position_fails_the_block_identity(rng, monkeypatch, ord
     assert rep.block_residual > 1e-3
 
 
+def test_ac_word_matches_iterated_application(rng):
+    # W_m acts as x -> W_m x for even m and x -> W_m conj(x) for odd m
+    n = 4
+    c = cs.random_conjugation(n, rng)
+    a = random_complex(rng, n, n)
+    d = cs.doubled_matrix(a, c)
+    np.testing.assert_allclose(d.ak, a @ c.matrix)
+    x = random_complex(rng, n)
+    for m in range(6):
+        w = powers._ac_word(d.ak, m)
+        np.testing.assert_allclose(w @ (x if m % 2 == 0 else np.conj(x)), ac_apply(a, c, x, m), atol=1e-9)
+
+
+def test_realify_intertwines_antilinear_action(rng):
+    # x -> M conj(x) on (Re x, Im x), and _derealify inverts the linear realify
+    m = random_complex(rng, 3, 3)
+    x = random_complex(rng, 3)
+    out = powers._realify(m) @ np.concatenate([x.real, x.imag])
+    np.testing.assert_allclose(out[:3] + 1j * out[3:], m @ np.conj(x), atol=1e-12)
+    linear = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    back, shape_res = powers._derealify(linear)
+    np.testing.assert_allclose(back, m)
+    assert shape_res == 0.0
+    # a real matrix that is not complex-linear leaves a shape residual
+    assert powers._derealify(powers._realify(m))[1] > 0.1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_sign_flipped_realify_fails_the_crosscheck_alone(rng, monkeypatch, order):
+    # realify with the imaginary blocks negated realifies conj(M) instead of
+    # M: the second path then evaluates the wrong words, and only the
+    # cross-check reads it
+    dim = 3
+    c = cs.random_conjugation(dim, rng)
+    a = random_complex(rng, dim, dim)
+    x, y = random_complex(rng, dim), random_complex(rng, dim)
+    d = cs.doubled_matrix(a, c)
+    assert cs.power_report(d, x, y, order).checks.all_pass
+
+    def flipped(m):
+        return np.block([[m.real, -m.imag], [-m.imag, -m.real]])
+
+    monkeypatch.setattr(powers, "_realify", flipped)
+    rep = cs.power_report(d, x, y, order)
+    assert [check.name for check in rep.checks if check.status == "fail"] == ["power_evaluation_crosscheck"]
+    assert rep.crosscheck_residual > 1e-3
+
+
 def test_norm_identities(rng):
     for _ in range(20):
         n = int(rng.integers(1, 5))
@@ -101,11 +157,7 @@ def test_norm_identity_explicit(rng):
     m = 2
     frak_m = brute_power(a, c, n, m)
     lhs = np.linalg.norm(frak_m @ np.concatenate([x, y])) ** 2
-    ac = cs.SemilinearOperator.from_antilinear(a @ c.matrix)
-    rhs = (
-        np.linalg.norm(ac.power(m).apply(x)) ** 2
-        + np.linalg.norm(ac.power(m).apply(c.apply(y))) ** 2
-    )
+    rhs = np.linalg.norm(ac_apply(a, c, x, m)) ** 2 + np.linalg.norm(ac_apply(a, c, c.apply(y), m)) ** 2
     assert lhs == pytest.approx(rhs, rel=1e-9)
 
 

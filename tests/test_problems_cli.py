@@ -463,13 +463,26 @@ def _count_numpy_linalg(monkeypatch, *names):
 
 
 def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
-    # one principal-angle SVD per kernel of I + RS and one top-block SVD per
-    # relation whose domain is read; the Gram eigenvalues are those of the
-    # reported 2-norms and of extend_basis's rank scale, none of a predicate
+    # one top-block SVD per relation whose domain is read, and no M-spaces
+    # beyond frakM; the Gram eigenvalues are those of the reported 2-norms
+    # and of extend_basis's rank scale, none of a predicate
     calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh")
     assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (calls.count("svd"), calls.count("eigvalsh")) == (33, 11)
+    assert (calls.count("svd"), calls.count("eigvalsh")) == (26, 11)
+
+
+def test_cli_race_n24_fails_only_where_the_kernel_identity_is_reported(capsys):
+    # the kernel identity of m_spaces fails at race n=24 (its bound is not
+    # scaled by ||A||); extend and enumerate do not report it, so they build
+    # no M-spaces and pass, while verify-all's race section still fails on it
+    example = ["--example", "race_schrodinger", "--n", "24"]
+    for command in ("extend", "enumerate"):
+        assert main([command, *example]) == 0
+        assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    assert main(["verify-all", *example]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"].startswith("kernels of I + A*B* and I + B*A* disagree")
 
 
 def test_cli_verify_all_eigvalsh_count_pinned(monkeypatch, capsys):
