@@ -14,7 +14,8 @@ The traced run gives the tracer's SVD call count and largest SVD
 dimension (`linalg.svd.calls` and `linalg.svd.max_dim` of the benchmark;
 SVDs inside np.linalg.norm are counted), the shape of the largest SVD by
 entry count, and the number of np.linalg.eigvalsh calls (the Gram
-eigenvalues of the 2-norms).  The results are stored under --label in --out
+eigenvalues of the 2-norms) with the dimension of the largest Gram matrix
+among them.  The results are stored under --label in --out
 (BENCH_scale.json at the repository root), next to the runs already
 there, so one file holds a before/after pair measured on the same machine.
 The sweep is a record: it is not a workload of BENCHMARK.json.
@@ -49,14 +50,18 @@ EIGVALSH = "linalg.eigvalsh"
 
 class ShapeTracer(tracer.Tracer):
     # the benchmark's tracer, also keeping the shape of each SVD it observes
-    # and counting the Gram eigenvalue solves of the 2-norms
+    # and counting the Gram eigenvalue solves of the 2-norms with their size
     def __init__(self):
         super().__init__()
         self.svd_shapes = []
+        self.eigvalsh_max_dim = 0
 
     def install(self):
         super().install()
-        self._patch(np.linalg, "eigvalsh", self.wrap(EIGVALSH, np.linalg.eigvalsh))
+        self._patch(np.linalg, "eigvalsh", self.wrap(EIGVALSH, np.linalg.eigvalsh, self._observe_eigvalsh))
+
+    def _observe_eigvalsh(self, args, result, parent):
+        self.eigvalsh_max_dim = max(self.eigvalsh_max_dim, int(np.shape(args[0])[-1]))
 
     def _observe_svd(self, args, result, parent):
         super()._observe_svd(args, result, parent)
@@ -75,6 +80,7 @@ out = {"exit_code": code, "error": err.getvalue().strip() or None}
 if traced:
     out["svd_calls"] = spans.stats[tracer.SVD][0]
     out["eigvalsh_calls"] = spans.stats[EIGVALSH][0]
+    out["eigvalsh_max_dim"] = spans.eigvalsh_max_dim
     out["svd_max_dim"] = int(spans.counters["linalg.svd.max_dim"])
     out["largest_svd"] = max(spans.svd_shapes, key=lambda s: (s[0] * s[1], s), default=None)
 else:

@@ -26,7 +26,6 @@ from .csym import (
 from .doubling import (
     DoubledProblem,
     block_relation,
-    block_slices,
     build_doubled,
     deficiency,
     doubled_conjugation,

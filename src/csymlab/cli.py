@@ -30,6 +30,7 @@ from .errors import InputError, PropertyViolationError
 from .extensions import (
     ExtensionParameter,
     ExtensionResult,
+    _new_columns,
     brute_force_extensions,
     canonical_extension,
     extension_from_parameter,
@@ -216,7 +217,8 @@ def cmd_enumerate(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     worst = 0.0
     for hit in hits:
         rebuilt = extension_graph(dp, recover_parameter(dp, hit))
-        worst = max(worst, max_angle_sin(rebuilt.graph, hit.graph))
+        # rebuilt borders graph(A), which recover_parameter required inside hit
+        worst = max(worst, max_angle_sin(_new_columns(rebuilt, dp.a).graph, hit.graph))
     operators = sum(hit.is_operator for hit in hits)
     checks = CheckList()
     checks.add_residual(

@@ -47,7 +47,6 @@ from .linalg import (
     _spectral_norm,
     _trusted,
     complement,
-    intersect,
     max_angle_sin,
     orthonormal_basis,
     subspace_equal,
@@ -76,27 +75,6 @@ def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:
     cols[3 * n :, gs.shape[1] :] = gt[n:]
     # the two column groups are orthonormal and mutually orthogonal
     return LinearRelation(_trusted(cols, s.tol))
-
-
-def block_slices(r: LinearRelation) -> tuple[LinearRelation, LinearRelation]:
-    """Extract (S, T) from a relation on H + H with block structure.
-
-    S = {(y, v) : (0, y, v, 0) in graph}, T = {(x, u) : (x, 0, 0, u) in graph}.
-    For genuinely block relations block_relation(S, T) reproduces the input.
-    """
-    n2 = r.ambient_dim
-    if n2 % 2:
-        raise PreconditionError("block slices need an even ambient dimension")
-    n = n2 // 2
-    tol = r.tol
-    eye = np.eye(4 * n, dtype=complex)
-    hit_s = intersect(r.graph, _trusted(eye[:, n : 3 * n], tol))
-    hit_t = intersect(r.graph, _trusted(np.hstack([eye[:, :n], eye[:, 3 * n :]]), tol))
-    s = LinearRelation(orthonormal_basis(hit_s.basis[n : 3 * n], tol, 2 * n))
-    t = LinearRelation(
-        orthonormal_basis(np.vstack([hit_t.basis[:n], hit_t.basis[3 * n :]]), tol, 2 * n)
-    )
-    return s, t
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,10 +15,10 @@ Every SVD and matrix norm of the package is one of four kinds:
 - Rank decision (the rank is unknown; singular values are cut at
   zero_cutoff): orthonormal_basis on data from outside (ProblemSpec's
   graph and domain, fixtures, an "onb" parameter) and on projections
-  (kernel_one_plus's and m_spaces' first components, block_slices, the
-  sweep's candidates and isotropic completions, extensions' domain
-  sums); extend_basis's SVD of the new residual; intersect, and through
-  it kernel_one_plus, imaginary_members, block_slices and frakM';
+  (kernel_one_plus's and m_spaces' first components, the sweep's
+  candidates and isotropic completions, extensions' domain sums);
+  extend_basis's SVD of the new residual; intersect, and through it
+  kernel_one_plus, imaginary_members and frakM';
   LinearRelation._top_svd (domain, multivalued part, is_operator);
   polar's rank r and takagi's grouping of the same singular values.
 - Structural rank (the rank is known by construction, so the SVD only
@@ -30,9 +30,10 @@ Every SVD and matrix norm of the package is one of four kinds:
 - 2-norm value (a number that is reported or scales a cut), by
   _spectral_norm, the top eigenvalue of the smaller Gram matrix, with no
   SVD: max_angle_sin and adjoint_gap wherever a check reports them as
-  residuals (deficiency, extension_from_parameter, race_decomposition,
-  enumerate's roundtrip angle), build_doubled's error payload,
-  extend_basis's scale ||cols||_2 and powers' ||A||_2.
+  residuals (deficiency and race_decomposition; extension_from_parameter
+  and enumerate's roundtrip angle take them over the k new columns of a
+  bordered graph, so on k x k Gram matrices), build_doubled's error
+  payload, extend_basis's scale ||cols||_2 and powers' ||A||_2.
 - Bound-only decision (a yes/no against tol.bound()), by _norm_within,
   the Frobenius certificate: is_subspace_of (subspace_equal,
   contained_in, equals), is_c_selfadjoint, preserves_subspace,

@@ -124,3 +124,20 @@ def parameter_as_onb(dp, p):
     whole = cs.linalg._trusted(np.eye(k, dtype=complex), dp.tol)
     coords = cs.invariant_onb(cs.AntiLinearMap(j, dp.tol), whole)
     return cs.ExtensionParameter("onb", dp.n_plus.basis @ coords)
+
+
+def block_slices(r):
+    """(S, T) cut out of a relation on H + H by intersection, the oracle of
+    extensions._closed_form_slices.
+
+    S = {(y, v) : (0, y, v, 0) in graph}, T = {(x, u) : (x, 0, 0, u) in graph}.
+    For genuinely block relations block_relation(S, T) reproduces the input.
+    """
+    n = r.ambient_dim // 2
+    tol = r.tol
+    eye = np.eye(4 * n, dtype=complex)
+    hit_s = cs.intersect(r.graph, cs.linalg._trusted(eye[:, n : 3 * n], tol))
+    hit_t = cs.intersect(r.graph, cs.linalg._trusted(np.hstack([eye[:, :n], eye[:, 3 * n :]]), tol))
+    s = cs.LinearRelation(cs.orthonormal_basis(hit_s.basis[n : 3 * n], tol, 2 * n))
+    t = cs.LinearRelation(cs.orthonormal_basis(np.vstack([hit_t.basis[:n], hit_t.basis[3 * n :]]), tol, 2 * n))
+    return s, t

@@ -7,7 +7,7 @@ import pytest
 
 import csymlab as cs
 
-from conftest import random_complex, within
+from conftest import block_slices, random_complex, within
 
 
 def doubled(spec):
@@ -18,7 +18,7 @@ def test_block_relation_slices_roundtrip(rng):
     s = cs.from_matrix(random_complex(rng, 3, 3))
     t = cs.from_matrix(random_complex(rng, 3, 3))
     frak = cs.block_relation(s, t)
-    s2, t2 = cs.block_slices(frak)
+    s2, t2 = block_slices(frak)
     assert within(s2, s, 1e-10, equal=True) and within(t2, t, 1e-10, equal=True)
 
 

@@ -10,12 +10,21 @@ from csymlab.cli import main
 from csymlab.extensions import (
     _closed_form_slices,
     _deficiency_span,
+    _new_columns,
     block_condition_residual,
     frakE_condition_residual,
     parameter_as_unitary,
 )
 
-from conftest import count_calls, nonblock_parameter, parameter_as_onb, sample_parameters, within
+from conftest import (
+    block_slices,
+    count_calls,
+    nonblock_parameter,
+    parameter_as_onb,
+    random_complex,
+    sample_parameters,
+    within,
+)
 
 FIXTURES = lambda: (
     cs.minimal_identity(),
@@ -383,7 +392,7 @@ def test_closed_form_slices_match_intersection_oracle(spec):
     for p in sample_parameters(dp, 3, seed=6):
         _, defect_cols = _deficiency_span(dp, p)
         s, t = _closed_form_slices(dp, defect_cols)
-        oracle_s, oracle_t = cs.block_slices(cs.extension_from_parameter(dp, p).frak_ext)
+        oracle_s, oracle_t = block_slices(cs.extension_from_parameter(dp, p).frak_ext)
         assert s.equals(oracle_s) and t.equals(oracle_t)
 
 
@@ -399,6 +408,65 @@ def test_block_check_refuses_nonblock_parameter_past_its_gate(monkeypatch, spec)
     assert info.value.residuals["dims"] == dp.n_plus.dim
 
 
+def _turn_first_new_column(grown, known):
+    """grown with its first column past known's turned by 0.1 rad towards a
+    random unit vector orthogonal to grown; the basis stays orthonormal."""
+    g = grown.graph.basis.copy()
+    w = random_complex(np.random.default_rng(5), g.shape[0])
+    for _ in range(2):
+        w -= g @ (g.conj().T @ w)
+    j = known.graph.dim
+    g[:, j] = np.cos(0.1) * g[:, j] + np.sin(0.1) * w / np.linalg.norm(w)
+    return cs.LinearRelation(cs.Subspace(g))
+
+
+@DEFECT_FIXTURES
+def test_block_check_refuses_a_turned_slice(monkeypatch, spec):
+    # mutation: a new column of S turned out of the doubled extension; the
+    # dimensions still add up, so the containment of frak(A)_U's new columns
+    # in block_relation(S, T) has to refuse it
+    dp = doubled(spec)
+    p = cs.canonical_extension(dp).parameter
+
+    def turned(dp, cols):
+        s, t = _closed_form_slices(dp, cols)
+        return _turn_first_new_column(s, dp.a), t
+
+    monkeypatch.setattr(cs.extensions, "_closed_form_slices", turned)
+    with pytest.raises(cs.PropertyViolationError, match="blocks do not reassemble") as info:
+        cs.extension_from_parameter(dp, p)
+    assert info.value.residuals["dims"] == 0
+
+
+@DEFECT_FIXTURES
+def test_bordered_checks_fail_on_a_turned_new_column(monkeypatch, spec):
+    # mutation: a new column of S turned, and the doubled columns rebuilt
+    # from the turned slices, so that they still reassemble
+    dp = doubled(spec)
+    p = cs.canonical_extension(dp).parameter
+
+    def turned(dp, p):
+        u, cols = _deficiency_span(dp, p)
+        s, t = _closed_form_slices(dp, cols)
+        s_new = _new_columns(_turn_first_new_column(s, dp.a), dp.a)
+        return u, 2 * cs.block_relation(s_new, _new_columns(t, dp.b)).graph.basis
+
+    monkeypatch.setattr(cs.extensions, "_deficiency_span", turned)
+    status = {c.name: c.status for c in cs.extension_from_parameter(dp, p).checks}
+    for name in ("companion_block_is_conjugated", "extension_c_selfadjoint", "inside_bstar"):
+        assert status[name] == "fail", name
+
+
+def test_canonical_round_trip_refuses_another_extension(monkeypatch):
+    # mutation: recover_parameter answers with the companion extension's
+    # parameter, whose new columns leave the greedy extension's graph
+    dp = doubled(cs.race_schrodinger(16))
+    other = cs.canonical_extension(dp, swap=True).parameter
+    monkeypatch.setattr(cs.extensions, "recover_parameter", lambda dp, a_tilde: other)
+    with pytest.raises(cs.PropertyViolationError, match="failed the parameter round trip"):
+        cs.canonical_extension(dp)
+
+
 OMEGA_FIXTURES = pytest.mark.parametrize(
     "spec",
     [
@@ -411,6 +479,47 @@ OMEGA_FIXTURES = pytest.mark.parametrize(
     ],
     ids=["race_n16", "race_n64_h0.02", "zero_n16", "fd_n16", "restriction_n8_s1", "restriction_n8_s3"],
 )
+
+
+_DEFECT_NAMES = {spec.name for spec in DEFECT_FIXTURES.args[1]}
+BORDERED_FIXTURES = pytest.mark.parametrize(
+    "spec",
+    [*DEFECT_FIXTURES.args[1], *(s for s in OMEGA_FIXTURES.args[1] if s.name not in _DEFECT_NAMES)],
+    ids=lambda spec: spec.name,
+)
+
+
+@BORDERED_FIXTURES
+def test_bordered_checks_against_full_basis_oracle(spec):
+    # each check taken over the whole basis: the bordered residual is a block
+    # of it (up to rounding), and a guard certifies the rest, so a bordered
+    # pass with the guards passing is a full-basis pass
+    dp = doubled(spec)  # build_doubled's guards raise on failure
+    cs.csym._require_c_symmetric(dp)
+    bound = dp.tol.bound()
+    rounding = 8 * np.finfo(float).eps
+    for p in sample_parameters(dp, 3, seed=4):
+        res = cs.extension_from_parameter(dp, p)
+        reported = {c.name: c for c in res.checks}
+        frak, a_ext = res.frak_ext, res.a_ext
+        s, t = _closed_form_slices(dp, _deficiency_span(dp, p)[1])
+        conj = cs.LinearRelation(cs.Subspace(a_ext.conjugated_basis(dp.c)))
+        frake = cs.Subspace(frak.conjugated_basis(dp.frakC))
+        full = {
+            "doubled_selfadjoint": frak.adjoint_gap(frak.graph.basis),
+            "doubled_frakE_selfadjoint": cs.max_angle_sin(frake, frak.graph),
+            "companion_block_is_conjugated": cs.max_angle_sin(t.graph, conj.graph),
+            "extension_c_selfadjoint": a_ext.adjoint_gap(conj.graph.basis),
+            "inside_bstar": cs.max_angle_sin(a_ext.graph, dp.b_star.graph),
+        }
+        for name, value in full.items():
+            assert reported[name].residual <= value + rounding, name
+            assert reported[name].status == "pass" and value <= bound, name
+        # the block reassembly raises instead of reporting; at equal
+        # dimensions the largest angle is the same both ways
+        block = cs.block_relation(s, t)
+        bordered = cs.max_angle_sin(_new_columns(frak, dp.frakA).graph, block.graph)
+        assert bordered <= cs.max_angle_sin(block.graph, frak.graph) + rounding <= bound
 
 
 @OMEGA_FIXTURES
@@ -481,3 +590,21 @@ def test_extension_path_svds_are_bordered(monkeypatch, swap):
     tall = [shape for shape in shapes if shape[0] >= 2 * n]
     assert max(rows for rows, _ in tall) == 2 * n
     assert all(cols <= k for _, cols in tall), tall
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["plain", "swap"])
+def test_extension_path_eigvalsh_are_bordered(monkeypatch, swap):
+    # every 2-norm under the extension path is taken over new columns:
+    # no Gram matrix is larger than k x k
+    dp = doubled(cs.race_schrodinger(32, h=0.02))
+    assert dp.omega is not None and dp.b.domain()
+    eigvalsh = np.linalg.eigvalsh
+    sizes = []
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    cs.canonical_extension(dp, swap=swap)
+    assert sizes and max(sizes) <= dp.n_plus.dim, sizes

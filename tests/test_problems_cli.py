@@ -653,13 +653,12 @@ def test_cli_verify_all_runs_full_extension_only_for_canonical(monkeypatch, caps
 
 def test_cli_enumerate_roundtrip_catches_wrong_block(monkeypatch, capsys):
     # mutation: rebuild from the (x, u) rows of the deficiency span, i.e. the
-    # companion block, instead of the (y, v) rows
+    # companion block, instead of the (y, v) rows; graph(A) is bordered as in
+    # extension_graph, so the round trip's new columns are the wrong ones
     def xu_rows(dp, p):
         _, cols = cs.extensions._deficiency_span(dp, p)
         n = dp.ambient_dim
-        rows = np.vstack([cols[:n], cols[3 * n :]])
-        graph = cs.orthonormal_basis(np.hstack([dp.a.graph.basis, rows]), dp.tol, 2 * n)
-        return cs.LinearRelation(graph)
+        return cs.LinearRelation(cs.extend_basis(dp.a.graph, np.vstack([cols[:n], cols[3 * n :]])))
 
     monkeypatch.setattr(cs.cli, "extension_graph", xu_rows)
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 1
