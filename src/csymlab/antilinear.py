@@ -49,10 +49,15 @@ class AntiLinearMap:
             raise InputError(f"vector has dimension {x.shape[0]}, map expects {self.dim}")
         return self.matrix @ np.conj(x)
 
-    def map_subspace(self, s: Subspace) -> Subspace:
+    def _image(self, s: Subspace) -> np.ndarray:
+        """The image M conj(B) of S's basis B, column by column."""
         if s.ambient_dim != self.dim:
             raise InputError(f"subspace ambient {s.ambient_dim} != map dimension {self.dim}")
-        return orthonormal_basis(self.matrix @ np.conj(s.basis), s.tol)
+        return self.matrix @ np.conj(s.basis)
+
+    def map_subspace(self, s: Subspace) -> Subspace:
+        """The image of S, its rank decided by orthonormal_basis."""
+        return orthonormal_basis(self._image(s), s.tol)
 
 
 def conjugation_axiom_residuals(matrix) -> tuple[float, float]:
@@ -74,6 +79,11 @@ class Conjugation(AntiLinearMap):
             raise InputError(f"conjugation matrix is not unitary (residual {unit:.3e})")
         if symm > bound:
             raise InputError(f"conjugation matrix is not symmetric (residual {symm:.3e})")
+
+    def map_subspace(self, s: Subspace) -> Subspace:
+        """C S with the image of S's basis as its basis: C is antiunitary, so
+        the image is orthonormal and no rank is decided."""
+        return _trusted(self._image(s), s.tol)
 
 
 def entrywise_conjugation(n: int, tol: Tolerance = DEFAULT_TOL) -> Conjugation:

@@ -139,7 +139,9 @@ def _jsonify(value):
 
 
 def _regime(rel) -> str:
-    return "operator" if rel.is_operator and rel.is_everywhere_defined else "relation"
+    # an everywhere-defined operator is an operator with an n-dimensional
+    # graph; the dimension is tested first, so a relation takes no top-block SVD
+    return "operator" if rel.graph.dim == rel.ambient_dim and rel.is_operator else "relation"
 
 
 def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:

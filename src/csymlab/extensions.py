@@ -341,13 +341,15 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
         detail=f"dims {dp.a.domain().dim}+{l_domain.dim} vs {a_ext.domain().dim}",
     )
     # D(A_ext*) = mul(A_ext)^perp in finite dimensions, so A_ext* is not built
+    # and D(B) = C D(A), B being CAC: both C-images are trusted, no rank cut
+    b_domain = dp.c.map_subspace(dp.a.domain())
     l_domain_star = dp.c.map_subspace(l_domain)
     star_domain = complement(a_ext.multivalued_part())
-    star_sum = subspace_sum(dp.b.domain(), l_domain_star)
+    star_sum = subspace_sum(b_domain, l_domain_star)
     checks.add(
         "domain_sum_star",
         subspace_equal(star_sum, star_domain),
-        detail=f"dims {dp.b.domain().dim}+{l_domain_star.dim} vs {star_domain.dim}",
+        detail=f"dims {b_domain.dim}+{l_domain_star.dim} vs {star_domain.dim}",
     )
     return ExtensionResult(a_ext, frak_ext, ExtensionParameter("unitary", u), checks)
 

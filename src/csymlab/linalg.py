@@ -23,10 +23,13 @@ Every SVD and matrix norm of the package is one of four kinds:
   polar's rank r and takagi's grouping of the same singular values.
 - Structural rank (the rank is known by construction, so the SVD only
   re-orthonormalizes): complement; orthonormal_basis in adjoint (J is
-  unitary), conjugated and map_subspace (C is antiunitary), from_matrix
-  and _complement_formula_intersect's complements.  QR or _trusted could
-  replace them, but frakM's basis, on which the brute-force sweep's hit
-  counts depend, is built through them.
+  unitary), in build_doubled's B* (C is antiunitary), in from_matrix and
+  in the general AntiLinearMap.map_subspace; _complement_formula_intersect's
+  complements.  QR or _trusted could replace them, but frakM's basis, on
+  which the brute-force sweep's hit counts depend, is built through them.
+  B*'s is the only C-image SVD left: LinearRelation.conjugated (B = CAC)
+  and Conjugation.map_subspace (D(B) = C D(A), the C-images of N+ and of
+  the kernels) take the image of the orthonormal basis through _trusted.
 - 2-norm value (a number that is reported or scales a cut), by
   _spectral_norm, the top eigenvalue of the smaller Gram matrix, with no
   SVD: max_angle_sin and adjoint_gap wherever a check reports them as
@@ -37,7 +40,8 @@ Every SVD and matrix norm of the package is one of four kinds:
 - Bound-only decision (a yes/no against tol.bound()), by _norm_within,
   the Frobenius certificate: is_subspace_of (subspace_equal,
   contained_in, equals), is_c_selfadjoint, preserves_subspace,
-  build_doubled's frakA* guard and the brute-force filter.  Each builds
+  build_doubled's frakA* guard (on the two diagonal blocks of the doubled
+  gap matrix) and the brute-force filter.  Each builds
   its residual matrix once (_angle_residual, LinearRelation._gap_matrix,
   extensions._omega_block) and takes a Gram eigenvalue only when the
   Frobenius norm leaves the answer open.

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .antilinear import AntiLinearMap
+from .antilinear import AntiLinearMap, Conjugation
 from .errors import InputError
 from .linalg import (
     DEFAULT_TOL,
@@ -145,9 +145,10 @@ class LinearRelation:
         k = c.matrix
         return np.vstack([k @ np.conj(self._top()), k @ np.conj(self._bottom())])
 
-    def conjugated(self, c: AntiLinearMap) -> "LinearRelation":
-        """C R C: graph {(Cx, Cy)}; involutive when C is a conjugation."""
-        return LinearRelation(orthonormal_basis(self.conjugated_basis(c), self.tol))
+    def conjugated(self, c: Conjugation) -> "LinearRelation":
+        """C R C: graph {(Cx, Cy)}, involutive; its basis is conjugated_basis(c),
+        orthonormal with no rank cut since C is antiunitary."""
+        return LinearRelation(_trusted(self.conjugated_basis(c), self.tol))
 
     def contained_in(self, other: "LinearRelation") -> bool:
         return is_subspace_of(self.graph, other.graph)

@@ -30,6 +30,10 @@ def within(a, b, bound, equal=False):
     return cs.max_angle_sin(a, b) <= bound and (not equal or a.dim == b.dim)
 
 
+# C-symmetric fixtures with a nonzero defect, under the entrywise and the flip conjugation
+DEFECT_SPECS = (cs.race_schrodinger(16), cs.zero_on_subspace(8), cs.fd_derivative_minimal(16))
+
+
 def zero_relation(n):
     """The zero operator on the zero domain (empty graph)."""
     return cs.LinearRelation(cs.zero_subspace(2 * n))
@@ -72,6 +76,12 @@ def patch_everywhere(monkeypatch, module, name, replacement):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.partition(".")[0] == "csymlab" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, replacement)
+
+
+def linear_map_subspace(self, s):
+    """Conjugation.map_subspace with np.conj dropped: the linear image K B
+    of S's basis B, a mutation of C x = K conj(x)."""
+    return cs.linalg._trusted(self.matrix @ s.basis, s.tol)
 
 
 def check_trusted_bases(monkeypatch):

@@ -1,11 +1,14 @@
 """C-symmetry predicates, weak form, defect spaces, anti-involution."""
 
+import types
+
 import numpy as np
 import pytest
 
 import csymlab as cs
+from csymlab.cli import cmd_check
 
-from conftest import count_calls, full_relation, random_complex, within, zero_relation
+from conftest import count_calls, full_relation, linear_map_subspace, random_complex, within, zero_relation
 
 
 def test_entrywise_csym_is_transpose_symmetry(rng):
@@ -220,3 +223,23 @@ def test_selfadjoint_fails_for_nonsymmetric_k(rng):
     perturbed = cs.AntiLinearMap(k @ q)
     assert cs.conjugation_axiom_residuals(perturbed.matrix)[1] > 1e-5
     assert not cs.is_c_selfadjoint(rel, perturbed)
+
+
+def test_domain_criterion_check_fails_without_conjugating(monkeypatch, rng):
+    # mutation: C D(T) taken as the linear image K D(T).  No operator input
+    # shows it: D(A*) is C^n, so the criterion holds iff dim D(A) = n, with
+    # or without np.conj.  The relation T = D x C(D^perp) under a random
+    # conjugation is C-self-adjoint with the complex domain D != C^n
+    n = 6
+    c = cs.random_conjugation(n, rng)
+    d = cs.orthonormal_basis(random_complex(rng, n, 2))
+    e = c.map_subspace(cs.complement(d))
+    graph = np.zeros((2 * n, n), dtype=complex)
+    graph[:n, :2], graph[n:, 2:] = d.basis, e.basis
+    t = cs.LinearRelation(cs.Subspace(graph))
+    spec = types.SimpleNamespace(relation=lambda: t, conjugation=lambda: c, tol=c.tol)
+    results, _ = cmd_check(spec, None)
+    assert results["c_selfadjoint"] and results["domain_criterion"] and not results["everywhere_defined"]
+    monkeypatch.setattr(cs.Conjugation, "map_subspace", linear_map_subspace)
+    _, checks = cmd_check(spec, None)
+    assert {check.name: check.status for check in checks}["domain_criterion_matches_predicate"] == "fail"

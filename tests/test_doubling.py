@@ -7,7 +7,7 @@ import pytest
 
 import csymlab as cs
 
-from conftest import block_slices, random_complex, within
+from conftest import DEFECT_SPECS, block_slices, linear_map_subspace, random_complex, within
 
 
 def doubled(spec):
@@ -93,26 +93,50 @@ def test_build_doubled_rejects_wrong_block_adjoint(monkeypatch, mutation):
 
 
 def test_frakE_checks_fail_without_conjugating(monkeypatch):
-    # mutation: frakE applied as the linear map (x, y) -> (Ky, Kx); B = CAC
-    # keeps the true conjugation
+    # mutation: C applied as the linear map x -> Kx to every graph but those
+    # of A and A*, so B = CAC and B* = CA*C stay true while the frakE guard
+    # and the extension check take linear images
     spec = cs.race_schrodinger(16)
     dp = doubled(spec)
     param = cs.canonical_extension(dp).parameter
     original = cs.LinearRelation.conjugated_basis
 
     def linear(self, c):
+        if self is dp.a or self is dp.a_star:
+            return original(self, c)
         n = self.ambient_dim
         g = self.graph.basis
         return np.vstack([c.matrix @ g[:n], c.matrix @ g[n:]])
 
-    monkeypatch.setattr(
-        cs.LinearRelation, "conjugated", lambda self, c: cs.LinearRelation(cs.orthonormal_basis(original(self, c)))
-    )
     monkeypatch.setattr(cs.LinearRelation, "conjugated_basis", linear)
     with pytest.raises(cs.PropertyViolationError, match="frakE frakA frakE = frakA fails"):
         doubled(spec)
     res = cs.extension_from_parameter(dp, param)
     assert {c.name: c.status for c in res.checks}["doubled_frakE_selfadjoint"] == "fail"
+
+
+@pytest.mark.parametrize("wrong_slot", [False, True], ids=["true_adjoint", "random_a_star_slot"])
+@pytest.mark.parametrize(
+    "spec", [*DEFECT_SPECS, cs.random_restriction(8, seed=1)], ids=lambda spec: spec.name
+)
+def test_doubled_gap_blocks_match_the_whole_gap(spec, wrong_slot):
+    # oracle: the 2n-row blocks that build_doubled's guard decides on give
+    # the yes/no and, up to rounding, the angle of the whole 4n-row gap
+    # matrix, for the true frakA* and for one whose A* slot is a random
+    # relation of the same dimension
+    dp = doubled(spec)
+    t = dp.a_star
+    if wrong_slot:
+        rng = np.random.default_rng(0)
+        t = cs.LinearRelation(cs.orthonormal_basis(random_complex(rng, 2 * dp.ambient_dim, t.graph.dim)))
+    frak_a_star = cs.block_relation(dp.b_star, t)
+    whole = dp.frakA._gap_matrix(frak_a_star.graph.basis)
+    blocks = cs.doubling._doubled_gap_blocks(dp.a, dp.b, frak_a_star, dp.b_star.graph.dim)
+    bound = dp.tol.bound()
+    decision = all(cs.linalg._norm_within(m, bound) for m in blocks)
+    assert decision == cs.linalg._norm_within(whole, bound) == (not wrong_slot)
+    angle = max(cs.linalg._spectral_norm(m) for m in blocks)
+    assert abs(angle - cs.linalg._spectral_norm(whole)) <= 8 * np.finfo(float).eps * max(1.0, angle)
 
 
 def test_frozen_deficiency_dims():
@@ -193,6 +217,19 @@ def test_nplus_from_wrong_sign_fails_componentwise_characterization():
     status = _statuses(cs.deficiency(dataclasses.replace(dp, n_plus=wrong)))
     assert status["componentwise_characterization"] == "fail"
     assert status["dim_nplus_equals_dim_nminus"] == "pass"
+
+
+def test_c_image_checks_fail_without_conjugating(monkeypatch):
+    # mutation: the trusted C-images drop np.conj.  race's potential is
+    # complex, so N+, N- and the kernels are not real and the linear image
+    # misses them; the entrywise C of real data (zero_on_subspace,
+    # fd_derivative_minimal) would not notice
+    dp = doubled(cs.race_schrodinger(16))
+    assert _statuses(cs.deficiency(dp))["frakE_maps_nplus_onto_nminus"] == "pass"
+    assert _statuses(cs.race_decomposition(dp).checks)["c_maps_kernels"] == "pass"
+    monkeypatch.setattr(cs.Conjugation, "map_subspace", linear_map_subspace)
+    assert _statuses(cs.deficiency(dp))["frakE_maps_nplus_onto_nminus"] == "fail"
+    assert _statuses(cs.race_decomposition(dp).checks)["c_maps_kernels"] == "fail"
 
 
 def test_frakM_missing_a_column_fails_the_von_neumann_count(monkeypatch):

@@ -17,6 +17,7 @@ from csymlab.extensions import (
 )
 
 from conftest import (
+    DEFECT_SPECS,
     block_slices,
     count_calls,
     nonblock_parameter,
@@ -46,11 +47,7 @@ L_MANIFOLD_CHECKS = (
     "domain_sum_star",
 )
 
-DEFECT_FIXTURES = pytest.mark.parametrize(
-    "spec",
-    [cs.race_schrodinger(16), cs.zero_on_subspace(8), cs.fd_derivative_minimal(16)],
-    ids=lambda spec: spec.name,
-)
+DEFECT_FIXTURES = pytest.mark.parametrize("spec", DEFECT_SPECS, ids=lambda spec: spec.name)
 
 
 def test_parameter_kind_validation():

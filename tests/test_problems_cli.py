@@ -437,11 +437,12 @@ def test_cli_verify_all_factors_each_matrix_once(tmp_path, monkeypatch, capsys):
     assert (len(polars), len(sums)) == (2, 1)
 
 
-@pytest.mark.parametrize("command, count", [("check", 2), ("verify-all", 7)])
+@pytest.mark.parametrize("command, count", [("check", 2), ("verify-all", 6)])
 def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, count):
     # domain, multivalued part and operator test share one top-block SVD per
-    # relation: in check those of A and A*, in verify-all of seven relations
-    # (B*'s domain is not read)
+    # relation: in check those of A and A*, in verify-all of six relations
+    # (A, A*, the two extensions, frakA and frakA*; B's domain is read as
+    # C D(A), and B*'s is not read)
     calls = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
     assert main([command, "--spec", _complex_symmetric_n32(tmp_path)]) == 0
     capsys.readouterr()
@@ -464,12 +465,23 @@ def _count_numpy_linalg(monkeypatch, *names):
 
 def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
     # one top-block SVD per relation whose domain is read, and no M-spaces
-    # beyond frakM; the Gram eigenvalues are those of the reported 2-norms
-    # and of extend_basis's rank scale, none of a predicate
+    # beyond frakM; C-images (B, C D(A), C L's domain) take none.  The Gram
+    # eigenvalues are those of the reported 2-norms and of extend_basis's
+    # rank scale, none of a predicate
     calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh")
     assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (calls.count("svd"), calls.count("eigvalsh")) == (26, 11)
+    assert (calls.count("svd"), calls.count("eigvalsh")) == (23, 11)
+
+
+def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
+    # A*, B* and frakM's complements and stacked sum; a relation's regime is
+    # read off its graph dimension, so no top-block SVD runs
+    calls = _count_numpy_linalg(monkeypatch, "svd")
+    top = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
+    assert main(["deficiency", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
+    capsys.readouterr()
+    assert (len(calls), len(top)) == (9, 0)
 
 
 def test_cli_race_n24_fails_only_where_the_kernel_identity_is_reported(capsys):
@@ -556,16 +568,21 @@ HARNESS_COMMANDS = (
         ("--example", "zero_on_subspace", "--n", "8"),
         ("--example", "random_csym", "--n", "6"),
         "complex_symmetric",
+        "restriction",
     ],
     ids=lambda source: source if isinstance(source, str) else source[1],
 )
 def test_cli_reports_unchanged_with_checked_bases(tmp_path, monkeypatch, capsys, source):
     # trusted bases skip the Gram check; running every command again with the
-    # check put back must pass it everywhere and give the same reports
+    # check put back must pass it everywhere and give the same reports.  The
+    # restriction's conjugation is of kind matrix, so its trusted C-images
+    # (B, C D(A), the C-images of N+ and of the kernels) are not permutations
     if source == "complex_symmetric":
         m = cs.random_symmetric(6, np.random.default_rng(0))
         spec = cs.ProblemSpec("complex_symmetric", 6, "entrywise", None, None, m, cs.DEFAULT_TOL)
         source = ("--spec", write_spec(tmp_path, spec.to_json_dict()))
+    elif source == "restriction":
+        source = ("--spec", write_spec(tmp_path, cs.random_restriction(6, seed=0).to_json_dict()))
     argvs = [[cmd, *source, *opts] for cmd, *opts in HARNESS_COMMANDS]
     trusted = [_report(capsys, argv) for argv in argvs]
     assert [code for code, _ in trusted] == [0] * len(argvs)
