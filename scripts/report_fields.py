@@ -60,6 +60,8 @@ def corpus() -> list[tuple[str, tuple[str, ...]]]:
     cases.append(("extend_swap_race_n16", ("extend", *race(16), "--swap")))
     cases.append(("enumerate_race_n8", ("enumerate", *race(8), "--budget", "500")))
     cases.append(("deficiency_race_n56", ("deficiency", *race(56))))
+    cases.append(("deficiency_race_n128", ("deficiency", *race(128))))
+    cases.append(("check_scalar_1e308", ("check", "--spec", "{scalar}")))
     return cases
 
 
@@ -81,6 +83,16 @@ def complex_symmetric_spec(cs, directory: Path) -> Path:
     spec = cs.ProblemSpec("complex_symmetric_n32", 32, "entrywise", None, None, m, cs.DEFAULT_TOL)
     path = directory / "complex_symmetric_n32.json"
     path.write_text(json.dumps(spec.to_json_dict()))
+    return path
+
+
+def scalar_spec(directory: Path) -> Path:
+    """The 1 x 1 operator 1e308 under the entrywise C: an everywhere-defined
+    operator whose graph [1; 1e308] is as ill-scaled as a float allows."""
+    data = {"name": "scalar_1e308", "dim": 1, "conjugation": {"kind": "entrywise"}}
+    data["operator"] = {"images": [[1e308]]}
+    path = directory / "scalar_1e308.json"
+    path.write_text(json.dumps(data))
     return path
 
 
@@ -115,9 +127,9 @@ def main(argv=None) -> int:
 
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        spec = str(complex_symmetric_spec(cs, Path(tmp)))
+        files = {"spec": str(complex_symmetric_spec(cs, Path(tmp))), "scalar": str(scalar_spec(Path(tmp)))}
         for name, case in corpus():
-            results[name] = run_case(cli_main, [part.format(spec=spec) for part in case])
+            results[name] = run_case(cli_main, [part.format(**files) for part in case])
     print(json.dumps(results, indent=1, sort_keys=True))
     return 0
 

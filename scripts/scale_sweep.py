@@ -9,7 +9,9 @@ the benchmark's span tracer (bench/tracer.py), each run in a fresh child
 process that imports csymlab from --src (this checkout's src/ by default)
 and calls the CLI in process.  The untraced runs give the wall time (the
 median is recorded, with every run), the peak resident set size of the
-median run, and the exit code with the error message of a failed report.
+median run, and the exit code with the error message of a failed report;
+for a report that exits 1, `failed` names the stage: the error of the
+violated property, or the names of the failed checks.
 The traced run gives the tracer's SVD call count and largest SVD
 dimension (`linalg.svd.calls` and `linalg.svd.max_dim` of the benchmark;
 SVDs inside np.linalg.norm are counted), the shape of the largest SVD by
@@ -71,12 +73,15 @@ class ShapeTracer(tracer.Tracer):
 spans = ShapeTracer()
 if traced:
     spans.install()
-err = io.StringIO()
+err, printed = io.StringIO(), io.StringIO()
 start = time.perf_counter()
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(err):
     code = main(argv)
 wall = time.perf_counter() - start
 out = {"exit_code": code, "error": err.getvalue().strip() or None}
+if code == 1:
+    report = json.loads(printed.getvalue())
+    out["failed"] = report.get("error") or [c["name"] for c in report["check_list"] if c["status"] == "fail"]
 if traced:
     out["svd_calls"] = spans.stats[tracer.SVD][0]
     out["eigvalsh_calls"] = spans.stats[EIGVALSH][0]

@@ -138,12 +138,6 @@ def _jsonify(value):
     return value
 
 
-def _regime(rel) -> str:
-    # an everywhere-defined operator is an operator with an n-dimensional
-    # graph; the dimension is tested first, so a relation takes no top-block SVD
-    return "operator" if rel.graph.dim == rel.ambient_dim and rel.is_operator else "relation"
-
-
 def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     rel = spec.relation()
     c = spec.conjugation()
@@ -379,12 +373,11 @@ DISPATCH = {
 
 def build_report(command: str, spec: ProblemSpec, args) -> dict:
     results, checks = DISPATCH[command](spec, args)
-    rel = spec.relation()
     return {
         "command": command,
         "spec_name": spec.name,
         "inputs_digest": spec.digest(),
-        "regime": _regime(rel),
+        "regime": spec.relation().regime,
         "seed": args.seed,
         "tol": spec.tol.eps,
         "tool_version": __version__,

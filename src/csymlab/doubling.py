@@ -64,7 +64,7 @@ def doubled_conjugation(c: Conjugation) -> Conjugation:
 
 
 def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:
-    """{((x, y), (v, u)) : (y, v) in S, (x, u) in T} on H + H."""
+    """{((x, y), (v, u)) : (y, v) in S, (x, u) in T} on H + H, given on D(T) x D(S) if S, T are."""
     if s.ambient_dim != t.ambient_dim:
         raise PreconditionError(f"ambient mismatch: {s.ambient_dim} vs {t.ambient_dim}")
     n = s.ambient_dim
@@ -74,8 +74,12 @@ def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:
     cols[2 * n : 3 * n, : gs.shape[1]] = gs[n:]
     cols[:n, gs.shape[1] :] = gt[:n]
     cols[3 * n :, gs.shape[1] :] = gt[n:]
+    domain = None
+    if s.given_domain is not None and t.given_domain is not None:
+        ds, dt = s.given_domain.basis, t.given_domain.basis
+        domain = _trusted(np.block([[np.zeros((n, ds.shape[1])), dt], [ds, np.zeros((n, dt.shape[1]))]]), s.tol)
     # the two column groups are orthonormal and mutually orthogonal
-    return LinearRelation(_trusted(cols, s.tol))
+    return LinearRelation(_trusted(cols, s.tol), domain)
 
 
 def _doubled_gap_blocks(
@@ -249,13 +253,11 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
     independent of the eigenspace members it is compared with.  ``t_star``
     is T* when already computed.
 
-    There is no domain-level check D(T*) = D(T) + N((T*)^2 + I).  When T
-    and T* are both single-valued (the operator regime), T* single-valued
-    makes D(T) = mul(T*)^perp the whole space, so dim graph(T) = n =
-    dim graph(T*), and T inside T* gives T = T*.  Then (T*)^2 + I =
-    T*T + I is injective, N((T*)^2 + I) = {0}, and the form says nothing.
-    Otherwise it is skipped and the independence of
-    the eigenspace sum is recorded as a measurement.
+    There is no domain-level check D(T*) = D(T) + N((T*)^2 + I).  In the
+    operator regime (T.regime), T inside T* and dim graph(T*) = 2n - n give
+    T = T*, so (T*)^2 + I = T*T + I is injective and the form says nothing.
+    Otherwise mul T* = D(T)^perp is not {0}, the form is skipped and the
+    independence of the eigenspace sum is recorded as a measurement.
     """
     if t_star is None:
         t_star = t.adjoint()
@@ -286,15 +288,12 @@ def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) ->
         subspace_equal(kernel, eig_sum),
         detail=f"dim N((T*)^2+I) = {kernel.dim}",
     )
-    operator_regime = t.is_operator and t_star.is_operator
-    if not operator_regime:
+    if t.regime != "operator":
         measurements["eigenspace_sum_direct"] = eig_sum.dim == n_plus_first.dim + n_minus_first.dim
-        checks.skip(
-            "domain_decomposition",
-            "adjoint is multivalued; the decomposition is expressed at graph level",
-        )
+        reason = "adjoint is multivalued; the decomposition is expressed at graph level"
+        checks.skip("domain_decomposition", reason)
     return DecompositionReport(
-        "operator" if operator_regime else "relation",
+        t.regime,
         {
             "graph_t": t.graph,
             "n_hat_plus": plus,
@@ -342,15 +341,12 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
         kernel_trivial == selfadj,
         detail=f"dim N(I+A*B*) = {spaces.m_bstar.dim}, C-self-adjoint = {selfadj}",
     )
-    operator_regime = a.is_everywhere_defined and a.is_operator
     measurements = {"dim_kernel": spaces.m_bstar.dim, "two_dim_nplus": 2 * dp.n_plus.dim}
-    if not operator_regime:
-        checks.skip(
-            "domain_decomposition",
-            "domain is not everywhere defined; verbatim form needs single-valued adjoints",
-        )
+    if a.regime != "operator":
+        reason = "domain is not everywhere defined; verbatim form needs single-valued adjoints"
+        checks.skip("domain_decomposition", reason)
     return DecompositionReport(
-        "operator" if operator_regime else "relation",
+        a.regime,
         {"frakM": dp.frakM, "frakM_prime": spaces.frakM_prime, "kernel": spaces.m_bstar},
         checks,
         measurements,

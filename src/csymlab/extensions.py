@@ -340,9 +340,8 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
         subspace_equal(dom_sum, a_ext.domain()),
         detail=f"dims {dp.a.domain().dim}+{l_domain.dim} vs {a_ext.domain().dim}",
     )
-    # D(A_ext*) = mul(A_ext)^perp in finite dimensions, so A_ext* is not built
-    # and D(B) = C D(A), B being CAC: both C-images are trusted, no rank cut
-    b_domain = dp.c.map_subspace(dp.a.domain())
+    # D(A_ext*) = mul(A_ext)^perp, so A_ext* is not built; D(B) = C D(A) is given
+    b_domain = dp.b.domain()
     l_domain_star = dp.c.map_subspace(l_domain)
     star_domain = complement(a_ext.multivalued_part())
     star_sum = subspace_sum(b_domain, l_domain_star)

@@ -13,20 +13,20 @@ subspace's dimension.
 Every SVD and matrix norm of the package is one of four kinds:
 
 - Rank decision (the rank is unknown; singular values are cut at
-  zero_cutoff): orthonormal_basis on data from outside (ProblemSpec's
-  graph and domain, fixtures, an "onb" parameter) and on projections
+  zero_cutoff): orthonormal_basis on data from outside (a ProblemSpec's
+  non-orthonormal domain columns, an "onb" parameter) and on projections
   (kernel_one_plus's and m_spaces' first components, the sweep's
   candidates and isotropic completions, extensions' domain sums);
   extend_basis's SVD of the new residual; intersect, and through it
-  kernel_one_plus, imaginary_members and frakM';
-  LinearRelation._top_svd (domain, multivalued part, is_operator);
-  polar's rank r and takagi's grouping of the same singular values.
+  kernel_one_plus, imaginary_members and frakM'; LinearRelation._top_svd
+  (domain, multivalued part, is_operator) of a relation given by its graph
+  alone; polar's rank r and takagi's grouping of the same singular values.
 - Structural rank (the rank is known by construction, so the SVD only
-  re-orthonormalizes): complement; orthonormal_basis in adjoint (J is
-  unitary), in build_doubled's B* (C is antiunitary), in from_matrix and
-  in the general AntiLinearMap.map_subspace; _complement_formula_intersect's
-  complements.  QR or _trusted could replace them, but frakM's basis, on
-  which the brute-force sweep's hit counts depend, is built through them.
+  re-orthonormalizes, uncut): complement; orthonormal_basis in adjoint (J
+  is unitary), in build_doubled's B* (C is antiunitary) and in the general
+  AntiLinearMap.map_subspace; operator_relation's graph [D; AD] (rank that
+  of D); _complement_formula_intersect's complements.  QR or _trusted could
+  replace them, but the sweep's hit counts depend on frakM's bits.
   B*'s is the only C-image SVD left: LinearRelation.conjugated (B = CAC)
   and Conjugation.map_subspace (D(B) = C D(A), the C-images of N+ and of
   the kernels) take the image of the orthonormal basis through _trusted.

@@ -5,8 +5,8 @@ Complex numbers travel as [re, im] pairs so fixture files stay hand-editable
 and diffable.  Parse errors carry the JSON-pointer path of the offending
 element.  The operator is stored as domain columns and their images; the
 relation is the span of the stacked pairs, so a non-orthonormal domain basis
-is legal input (it is orthonormalized on load, with a warning when that
-actually changes the columns).
+is legal input (relations.operator_relation orthonormalizes it, with a
+warning, and refuses dependent columns).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,9 +27,9 @@ from .antilinear import (
 )
 from .doubling import DoubledProblem, build_doubled
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix, _gram_residual, orthonormal_basis
+from .linalg import DEFAULT_TOL, Tolerance, _as_complex_matrix
 from .polar import PolarFactors, polar
-from .relations import LinearRelation, from_matrix
+from .relations import LinearRelation, from_matrix, operator_relation
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +71,7 @@ class ProblemSpec:
     def _relation(self) -> LinearRelation:
         if self.domain_basis is None:
             return from_matrix(self.images, self.tol)
-        graph_cols = np.vstack([self.domain_basis, self.images])
-        graph = orthonormal_basis(graph_cols, self.tol, 2 * self.dim)
-        if graph.dim != self.domain_basis.shape[1]:
-            raise InputError(
-                "domain columns and images do not define an operator graph "
-                f"(rank {graph.dim} from {self.domain_basis.shape[1]} pairs)"
-            )
-        return LinearRelation(graph)
+        return operator_relation(self.domain_basis, self.images, self.tol)
 
     def doubled(self) -> DoubledProblem:
         """The doubled problem of relation() and conjugation(), built on the
@@ -92,9 +84,7 @@ class ProblemSpec:
 
     def matrix(self) -> np.ndarray | None:
         """Full matrix when everywhere-defined, else None."""
-        if self.domain_basis is None:
-            return np.asarray(self.images)
-        return None
+        return np.asarray(self.images) if self.domain_basis is None else None
 
     def polar(self) -> PolarFactors:
         """Polar factors of matrix(), built on the first call and then
@@ -224,18 +214,6 @@ def spec_from_dict(data) -> ProblemSpec:
     domain = None
     if "domain_basis" in op:
         domain = _parse_vectors(op["domain_basis"], dim, "/operator/domain_basis")
-        ortho = orthonormal_basis(domain, tol, dim)
-        if ortho.dim != domain.shape[1]:
-            raise InputError(
-                "/operator/domain_basis: columns are linearly dependent"
-            )
-        gram = _gram_residual(domain)
-        if gram > tol.bound():
-            warnings.warn(
-                f"domain basis is not orthonormal (Gram residual {gram:.3e}); "
-                "it will be orthonormalized",
-                stacklevel=2,
-            )
     images = _parse_vectors(op["images"], dim, "/operator/images")
     expected = dim if domain is None else domain.shape[1]
     if images.shape[1] != expected:

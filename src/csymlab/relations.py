@@ -4,12 +4,15 @@ A relation on C^n is carried by an orthonormal basis of its graph inside
 C^(2n); the first n coordinates are the argument, the last n the value.
 Adjoints and the kernels N(I + R S) are computed by exact subspace algebra,
 never through pseudo-inverses, so rank decisions stay centralized in the
-Tolerance rule.  The domain, the multivalued part and the operator test are
-one rank decision, read off one cached SVD of the graph basis's top block.
+Tolerance rule.  An operator given on its domain (operator_relation) records
+it, and domain(), multivalued_part() and is_operator read it; for a relation
+given by its graph alone they are one rank decision, read off one cached SVD
+of the graph basis's top block.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _gram_residual,
     _spectral_norm,
     _trusted,
     complement,
@@ -28,6 +32,7 @@ from .linalg import (
     is_subspace_of,
     orthonormal_basis,
     subspace_equal,
+    zero_subspace,
 )
 
 
@@ -36,6 +41,7 @@ class LinearRelation:
     """Subspace of C^n + C^n holding the graph of a (possibly multivalued) map."""
 
     graph: Subspace
+    given_domain: Subspace | None = None  # of an operator given on it; None if given by its graph
 
     def __post_init__(self):
         if self.graph.ambient_dim % 2:
@@ -67,8 +73,8 @@ class LinearRelation:
         return u, int(np.sum(sines > self.tol.zero_cutoff(1.0))), vh
 
     def domain(self) -> Subspace:
-        """span X = U[:, :r]; built on the first call and then reused."""
-        return self._domain
+        """given_domain, else span X = U[:, :r]; built on the first call and then reused."""
+        return self._domain if self.given_domain is None else self.given_domain
 
     @cached_property
     def _domain(self) -> Subspace:
@@ -76,16 +82,24 @@ class LinearRelation:
         return _trusted(u[:, :r], self.tol)
 
     def multivalued_part(self) -> Subspace:
-        """{y : (0, y) in graph} = span Y V[:, r:]; zero iff the relation is
-        an operator.  [X; Y] V is orthonormal and ||X V[:, r:]|| is at most
-        tol.zero_cutoff(1.0), so these columns are orthonormal as built."""
+        """{y : (0, y) in graph}: {0} with a given_domain, else span Y V[:, r:]
+        ([X; Y] V is orthonormal and ||X V[:, r:]|| is at most
+        tol.zero_cutoff(1.0), so these columns are orthonormal as built)."""
+        if self.given_domain is not None:
+            return zero_subspace(self.ambient_dim, self.tol)
         _, r, vh = self._top_svd
         return _trusted(self._bottom() @ vh[r:].conj().T, self.tol)
 
     @property
     def is_operator(self) -> bool:
-        """multivalued_part().dim == 0, i.e. X has full column rank."""
-        return self._top_svd[1] == self.graph.dim
+        """multivalued_part().dim == 0, i.e. a given_domain or X of full column rank."""
+        return self.given_domain is not None or self._top_svd[1] == self.graph.dim
+
+    @property
+    def regime(self) -> str:
+        """"operator" for an n-dimensional graph that is an operator (one defined
+        everywhere), else "relation"; other dimensions take no top-block SVD."""
+        return "operator" if self.graph.dim == self.ambient_dim and self.is_operator else "relation"
 
     @property
     def is_everywhere_defined(self) -> bool:
@@ -147,8 +161,9 @@ class LinearRelation:
 
     def conjugated(self, c: Conjugation) -> "LinearRelation":
         """C R C: graph {(Cx, Cy)}, involutive; its basis is conjugated_basis(c),
-        orthonormal with no rank cut since C is antiunitary."""
-        return LinearRelation(_trusted(self.conjugated_basis(c), self.tol))
+        orthonormal with no rank cut since C is antiunitary, given on C D if R is on D."""
+        domain = None if self.given_domain is None else c.map_subspace(self.given_domain)
+        return LinearRelation(_trusted(self.conjugated_basis(c), self.tol), domain)
 
     def contained_in(self, other: "LinearRelation") -> bool:
         return is_subspace_of(self.graph, other.graph)
@@ -157,13 +172,32 @@ class LinearRelation:
         return subspace_equal(self.graph, other.graph)
 
 
+def operator_relation(cols: np.ndarray, images: np.ndarray, tol: Tolerance) -> LinearRelation:
+    """The operator sending the columns of cols to images, given on their span D.
+
+    D's basis is cols if they are orthonormal (I, every fixture's domain), else
+    orthonormal_basis(cols), refused if it drops a column: the one rank decision
+    on an operator input.  [cols; images] has the rank k of cols (its singular
+    values are at least theirs), so the k left singular vectors of its thin SVD
+    span the graph with no cut: orthonormal_basis's bits wherever it keeps k."""
+    gram = _gram_residual(cols)
+    if gram <= tol.bound():
+        domain = _trusted(cols, tol)
+    else:
+        warnings.warn(f"domain columns are not orthonormal (Gram residual {gram:.3e})", stacklevel=3)
+        domain = orthonormal_basis(cols, tol)
+        if domain.dim != cols.shape[1]:
+            raise InputError(f"domain columns are linearly dependent (rank {domain.dim} of {cols.shape[1]})")
+    u, _, _ = np.linalg.svd(np.vstack([cols, images]), full_matrices=False)
+    return LinearRelation(_trusted(u, tol), domain)
+
+
 def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:
-    """Everywhere-defined operator given by a square matrix."""
+    """Everywhere-defined operator given by a square matrix (D = I)."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"square matrix required, got shape {m.shape}")
-    cols = np.vstack([np.eye(m.shape[0], dtype=complex), m])
-    return LinearRelation(orthonormal_basis(cols, tol))
+    return operator_relation(np.eye(m.shape[0], dtype=complex), m, tol)
 
 
 def kernel_one_plus(outer: LinearRelation, inner: LinearRelation) -> Subspace:

@@ -311,6 +311,55 @@ def test_race_corollary_detects_nonselfadjoint():
     assert rep.checks.all_pass  # the corollary check passes because both sides agree
 
 
+def _race_statuses(dp):
+    return _statuses(cs.race_decomposition(dp).checks)
+
+
+RACE_CHECKS = ("bstar_decomposition", "astar_decomposition", "c_maps_kernels", "selfadjointness_corollary")
+
+
+def test_race_decomposition_frakM_missing_a_column_fails_bstar_decomposition():
+    # mutation: frakM loses a direction after the M-spaces are built, so
+    # graph(A) + frakM falls one short of graph(B*)
+    dp = doubled(cs.race_schrodinger(16))
+    assert set(_race_statuses(dp)[name] for name in RACE_CHECKS) == {"pass"}
+    object.__setattr__(dp, "frakM", cs.linalg._trusted(dp.frakM.basis[:, 1:], dp.tol))
+    status = _race_statuses(dp)
+    assert [name for name in RACE_CHECKS if status[name] == "fail"] == ["bstar_decomposition"]
+
+
+def test_race_decomposition_frakM_prime_missing_a_column_fails_astar_decomposition():
+    # mutation: frakM' = graph(A*) - graph(B) loses a direction
+    dp = doubled(cs.race_schrodinger(16))
+    spaces = dp.spaces
+    short = cs.linalg._trusted(spaces.frakM_prime.basis[:, 1:], dp.tol)
+    dp.__dict__["spaces"] = dataclasses.replace(spaces, frakM_prime=short)
+    status = _race_statuses(dp)
+    assert [name for name in RACE_CHECKS if status[name] == "fail"] == ["astar_decomposition"]
+
+
+def _gap_only(a, c):
+    """is_c_selfadjoint without its test dim graph(A) = n: the adjoint gap of
+    C graph(A), which every C-symmetric A passes."""
+    return cs.linalg._norm_within(a._gap_matrix(a.conjugated_basis(c)), a.tol.bound())
+
+
+@pytest.mark.parametrize(
+    "spec, regime, predicate",
+    [(cs.race_schrodinger(16), "relation", _gap_only), (cs.random_csym(6), "operator", lambda a, c: False)],
+    ids=["race_n16", "random_csym_n6"],
+)
+def test_race_corollary_fails_with_a_wrong_selfadjointness_predicate(monkeypatch, spec, regime, predicate):
+    # mutation, in each regime: the restriction has a nonzero kernel and the
+    # gap-only predicate calls it C-self-adjoint; the everywhere-defined
+    # matrix has a zero kernel and the predicate denies it
+    dp = doubled(spec)
+    assert cs.race_decomposition(dp).regime == regime
+    monkeypatch.setattr(cs.doubling, "is_c_selfadjoint", predicate)
+    status = _race_statuses(dp)
+    assert [name for name in RACE_CHECKS if status[name] == "fail"] == ["selfadjointness_corollary"]
+
+
 def _csym_from_matrix_n5():
     rng = np.random.default_rng(0)
     c = cs.random_conjugation(5, rng)

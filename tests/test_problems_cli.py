@@ -1,5 +1,7 @@
 """Problem spec parsing, example builders, CLI commands and exit codes."""
 
+import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -59,6 +61,37 @@ def test_spec_restricted_domain():
     rel = cs.spec_from_dict(data).relation()
     assert rel.domain().dim == 1
     assert not rel.is_everywhere_defined
+
+
+def test_spec_takes_an_orthonormal_domain_as_given(monkeypatch):
+    # every fixture's domain columns are orthonormal: they become the
+    # relation's domain bit for bit, with no SVD of their own
+    spec = cs.race_schrodinger(16)
+    calls = count_calls(monkeypatch, cs.linalg, "orthonormal_basis")
+    rel = spec.relation()
+    assert len(calls) == 0
+    assert rel.domain().basis.tobytes() == spec.domain_basis.tobytes()
+    assert rel.is_operator and rel.multivalued_part().dim == 0
+
+
+def test_spec_domain_independence_is_decided_at_its_tolerance(tmp_path, capsys):
+    # columns e1 and e1 + 1e-12 e2: independent, not orthonormal.  The one
+    # rank decision on an operator input is taken where the spec builds its
+    # relation, so a direct construction, a fixture and --tol go through it
+    domain = np.array([[1.0, 1.0], [0.0, 1e-12], [0.0, 0.0]], dtype=complex)
+    spec = cs.ProblemSpec("near", 3, "entrywise", None, domain, domain, cs.Tolerance(1e-14))
+    with pytest.warns(UserWarning, match="not orthonormal"):
+        assert spec.relation().graph.dim == 2
+    with pytest.raises(cs.InputError, match="linearly dependent"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dataclasses.replace(spec, tol=cs.DEFAULT_TOL).relation()
+    path = write_spec(tmp_path, dataclasses.replace(spec, tol=cs.DEFAULT_TOL).to_json_dict())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["check", "--spec", path]) == 2
+        assert "linearly dependent" in capsys.readouterr().err
+        assert main(["check", "--spec", path, "--tol", "1e-14"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["is_operator"] is True
 
 
 def test_spec_error_pointers():
@@ -437,12 +470,12 @@ def test_cli_verify_all_factors_each_matrix_once(tmp_path, monkeypatch, capsys):
     assert (len(polars), len(sums)) == (2, 1)
 
 
-@pytest.mark.parametrize("command, count", [("check", 2), ("verify-all", 6)])
+@pytest.mark.parametrize("command, count", [("check", 1), ("verify-all", 3)])
 def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, count):
     # domain, multivalued part and operator test share one top-block SVD per
-    # relation: in check those of A and A*, in verify-all of six relations
-    # (A, A*, the two extensions, frakA and frakA*; B's domain is read as
-    # C D(A), and B*'s is not read)
+    # relation given by its graph: in check that of A*, in verify-all of A*
+    # and the two extensions.  A, B = CAC and frakA = block(A, B) carry their
+    # domains, and vn's regime is frakA's, so frakA* takes none either
     calls = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
     assert main([command, "--spec", _complex_symmetric_n32(tmp_path)]) == 0
     capsys.readouterr()
@@ -464,14 +497,15 @@ def _count_numpy_linalg(monkeypatch, *names):
 
 
 def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
-    # one top-block SVD per relation whose domain is read, and no M-spaces
-    # beyond frakM; C-images (B, C D(A), C L's domain) take none.  The Gram
+    # one top-block SVD per relation given by its graph whose domain is read
+    # (the extension), and no M-spaces beyond frakM; A carries its domain and
+    # C-images (B, C D(A), C L's domain) take none.  The Gram
     # eigenvalues are those of the reported 2-norms and of extend_basis's
     # rank scale, none of a predicate
     calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh")
     assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (calls.count("svd"), calls.count("eigvalsh")) == (23, 11)
+    assert (calls.count("svd"), calls.count("eigvalsh")) == (22, 11)
 
 
 def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
@@ -482,6 +516,58 @@ def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
     assert main(["deficiency", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
     assert (len(calls), len(top)) == (9, 0)
+
+
+@pytest.mark.parametrize("source", [("--example", "race_schrodinger", "--n", "16"), "complex_symmetric"])
+def test_cli_takes_no_top_block_svd_of_a_or_b(tmp_path, monkeypatch, capsys, source):
+    # A is given on its domain and B = CAC carries C D(A): no command reads
+    # either one's domain, multivalued part or operator test off its graph
+    if source == "complex_symmetric":
+        source = ("--spec", _complex_symmetric_n32(tmp_path))
+    spec = load_problem(build_parser().parse_args(["check", *source]))
+    dp = spec.doubled()
+    seen = []
+    top_svd = cs.LinearRelation._top_svd.func
+
+    def recorded(rel):
+        seen.append(rel)
+        return top_svd(rel)
+
+    recorded = functools.cached_property(recorded)
+    recorded.__set_name__(cs.LinearRelation, "_top_svd")
+    monkeypatch.setattr(cs.LinearRelation, "_top_svd", recorded)
+    for command in ("check", "deficiency", "extend", "verify-all"):
+        args = build_parser().parse_args([command, *source])
+        assert cs.cli.build_report(command, spec, args)["all_pass"]
+    assert seen and not any(rel is dp.a or rel is dp.b for rel in seen)
+
+
+@pytest.mark.parametrize("n", [56, 128])
+def test_cli_deficiency_keeps_every_graph_column(capsys, n):
+    # race at the default h: [D; AD] has the full column rank of D, but a
+    # rank cut relative to its norm, which the potential blows up, dropped 7
+    # of 54 columns at n=56 ("rank 47 from 54 pairs", exit 2); uncut,
+    # n+- = 2 codim D
+    assert main(["deficiency", "--example", "race_schrodinger", "--n", str(n)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_pass"] is True
+    assert (out["results"]["n_plus"], out["results"]["n_minus"]) == (4, 4)
+
+
+def test_cli_check_reads_an_extreme_operator_as_an_operator(tmp_path, capsys):
+    # the 1 x 1 operator 1e308: its graph [1; 1e308] has rank 1, which a cut
+    # relative to its norm read as 0 (regime relation, not an operator).  It
+    # is an everywhere-defined operator now; check still exits 1, because
+    # D(A*) is read off A*'s top-block SVD, whose only singular value is
+    # about 1e-308 and is cut (ROADMAP item 1), so the domain criterion
+    # disagrees with the C-self-adjointness predicate
+    data = {"dim": 1, "conjugation": {"kind": "entrywise"}, "operator": {"images": [[1e308]]}}
+    assert main(["check", "--spec", write_spec(tmp_path, data)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["regime"] == "operator"
+    assert (out["results"]["is_operator"], out["results"]["everywhere_defined"]) == (True, True)
+    failed = [check["name"] for check in out["check_list"] if check["status"] == "fail"]
+    assert failed == ["domain_criterion_matches_predicate"]
 
 
 def test_cli_race_n24_fails_only_where_the_kernel_identity_is_reported(capsys):

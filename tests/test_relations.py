@@ -11,7 +11,7 @@ import scipy.linalg
 
 import csymlab as cs
 
-from conftest import full_relation, random_complex, within, zero_relation
+from conftest import DEFECT_SPECS, full_relation, random_complex, within, zero_relation
 
 
 def random_relation(rng, n, k):
@@ -25,6 +25,50 @@ def test_from_matrix_roundtrip(rng):
     x = random_complex(rng, 4)
     assert rel.graph.contains_vector(np.concatenate([x, m @ x]))
     assert not rel.graph.contains_vector(np.concatenate([x, m @ x + 1e-3 * random_complex(rng, 4)]))
+
+
+def test_from_matrix_keeps_a_column_small_against_the_norm():
+    # [I; diag(1, 1e11)] has singular values sqrt(2) and about 1e11: a rank
+    # cut relative to the norm (1e-10 * 1e11 = 10) dropped the first column
+    rel = cs.from_matrix(np.diag([1.0, 1e11]))
+    assert rel.graph.dim == 2
+    assert rel.is_operator and rel.is_everywhere_defined and rel.regime == "operator"
+    assert rel.graph.contains_vector(np.array([1.0, 0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        cs.race_schrodinger(64, h=0.02),
+        cs.fd_derivative_minimal(16),
+        cs.zero_on_subspace(16),
+        cs.random_csym(64),
+        cs.random_restriction(9, seed=7),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_operator_graph_is_the_cut_basis_bit_for_bit(spec):
+    # the uncut SVD basis of [D; AD] is what orthonormal_basis returns where
+    # its cut keeps every column: frakM, and so the sweep's hit counts, are
+    # built from these bits
+    domain = np.eye(spec.dim, dtype=complex) if spec.domain_basis is None else spec.domain_basis
+    reference = cs.orthonormal_basis(np.vstack([domain, spec.images]), spec.tol)
+    assert spec.relation().graph.basis.tobytes() == reference.basis.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec", [*DEFECT_SPECS, cs.random_restriction(6, seed=2), cs.random_csym(5)], ids=lambda spec: spec.name
+)
+def test_given_domain_matches_the_graph(spec):
+    # oracle: A, B = CAC and frakA = block(A, B) carry their domains; the
+    # same graphs without them read domain, operator test and regime off
+    # the top-block SVD
+    dp = cs.build_doubled(spec.relation(), spec.conjugation())
+    for rel in (dp.a, dp.b, dp.frakA):
+        bare = cs.LinearRelation(rel.graph)
+        assert rel.given_domain is not None and bare.given_domain is None
+        assert within(rel.domain(), bare.domain(), 1e-9, equal=True)
+        assert (rel.is_operator, rel.multivalued_part().dim, rel.regime) == (bare.is_operator, 0, bare.regime)
 
 
 def test_zero_on_subspace_adjoint_frozen():
