@@ -20,7 +20,6 @@ from .linalg import (
     _norm_within,
     _trusted,
     complement,
-    orthonormal_basis,
 )
 
 
@@ -49,16 +48,6 @@ class AntiLinearMap:
             raise InputError(f"vector has dimension {x.shape[0]}, map expects {self.dim}")
         return self.matrix @ np.conj(x)
 
-    def _image(self, s: Subspace) -> np.ndarray:
-        """The image M conj(B) of S's basis B, column by column."""
-        if s.ambient_dim != self.dim:
-            raise InputError(f"subspace ambient {s.ambient_dim} != map dimension {self.dim}")
-        return self.matrix @ np.conj(s.basis)
-
-    def map_subspace(self, s: Subspace) -> Subspace:
-        """The image of S, its rank decided by orthonormal_basis."""
-        return orthonormal_basis(self._image(s), s.tol)
-
 
 def conjugation_axiom_residuals(matrix) -> tuple[float, float]:
     """(unitarity residual, symmetry residual) of a candidate conjugation matrix."""
@@ -83,7 +72,9 @@ class Conjugation(AntiLinearMap):
     def map_subspace(self, s: Subspace) -> Subspace:
         """C S with the image of S's basis as its basis: C is antiunitary, so
         the image is orthonormal and no rank is decided."""
-        return _trusted(self._image(s), s.tol)
+        if s.ambient_dim != self.dim:
+            raise InputError(f"subspace ambient {s.ambient_dim} != map dimension {self.dim}")
+        return _trusted(self.matrix @ np.conj(s.basis), s.tol)
 
 
 def entrywise_conjugation(n: int, tol: Tolerance = DEFAULT_TOL) -> Conjugation:

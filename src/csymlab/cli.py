@@ -19,12 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .csym import (
-    domain_criterion,
-    is_c_selfadjoint,
-    is_c_symmetric,
-    weak_c_symmetry_residual,
-)
+from .csym import is_c_selfadjoint, is_c_symmetric, weak_c_symmetry_residual
 from .doubling import DoubledProblem, deficiency, race_decomposition, vn_decomposition
 from .errors import InputError, PropertyViolationError
 from .extensions import (
@@ -144,7 +139,6 @@ def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     sym = is_c_symmetric(rel, c)
     csa = is_c_selfadjoint(rel, c)
     weak = weak_c_symmetry_residual(rel, c)
-    dc = domain_criterion(rel, rel, c)
     checks = CheckList()
     checks.add(
         "weak_form_matches_predicate",
@@ -152,19 +146,10 @@ def cmd_check(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
         residual=weak,
         detail="sesquilinear-form characterization of C-symmetry",
     )
-    if sym:
-        checks.add(
-            "domain_criterion_matches_predicate",
-            dc == csa,
-            detail="D(adjoint) = C D(relation) iff C-self-adjoint",
-        )
-    else:
-        checks.skip("domain_criterion_matches_predicate", "input is not C-symmetric")
     results = {
         "c_symmetric": sym,
         "c_selfadjoint": csa,
         "weak_form_residual": weak,
-        "domain_criterion": dc,
         "is_operator": rel.is_operator,
         "everywhere_defined": rel.is_everywhere_defined,
     }

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .antilinear import AntiLinearMap, Conjugation
+from .antilinear import AntiLinearMap, Conjugation, preserves_subspace
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
@@ -151,8 +151,7 @@ def anti_involution(dp: DoubledProblem) -> AntiLinearMap:
     frak_m = dp.frakM
     bound = frak_m.tol.bound()
     if frak_m.dim:
-        image = s.map_subspace(frak_m)
-        if not subspace_equal(image, frak_m):
+        if not preserves_subspace(s, frak_m):
             raise PropertyViolationError("S does not preserve frakM", {})
         ss = s.matrix @ np.conj(s.matrix)
         square_residual = float(np.abs(ss @ frak_m.basis + frak_m.basis).max())

@@ -213,18 +213,18 @@ def deficiency(dp: DoubledProblem) -> CheckList:
         all(2 * space.dim == excess for space in (dp.n_plus, dp.n_minus)),
         detail=f"dims {dp.n_plus.dim}, {dp.n_minus.dim}",
     )
-    image = dp.frakC.map_subspace(dp.n_plus)
-    residual = max_angle_sin(image, dp.n_minus) if image.dim == dp.n_minus.dim else 1.0
-    checks.add_residual("frakE_maps_nplus_onto_nminus", residual, bound)
-    # componentwise: w = (x, y) in N+ means (y, ix) in graph(B*) and (x, iy) in graph(A*)
+    # the frakE image is trusted, so it has N-'s dimension
+    checks.add_residual(
+        "frakE_maps_nplus_onto_nminus", max_angle_sin(dp.frakC.map_subspace(dp.n_plus), dp.n_minus), bound
+    )
+    # componentwise: w = (x, y) in N+ means (y, ix) in graph(B*) and (x, iy) in graph(A*);
+    # the residual is the largest distance of one such pair from its graph
     n = dp.ambient_dim
-    comp_res = 0.0
-    for w in dp.n_plus.basis.T:
-        x, y = w[:n], w[n:]
-        for target, pair_vec in ((dp.b_star, np.concatenate([y, 1j * x])),
-                                 (dp.a_star, np.concatenate([x, 1j * y]))):
-            gap = pair_vec - target.graph.project(pair_vec)
-            comp_res = max(comp_res, float(np.linalg.norm(gap)))
+    x, y = dp.n_plus.basis[:n], dp.n_plus.basis[n:]
+    comp_res = max(
+        float(np.linalg.norm(pairs - target.graph.project(pairs), axis=0).max(initial=0.0))
+        for target, pairs in ((dp.b_star, np.vstack([y, 1j * x])), (dp.a_star, np.vstack([x, 1j * y])))
+    )
     checks.add_residual("componentwise_characterization", comp_res, bound)
     return checks
 

@@ -21,9 +21,8 @@ certified once, upstream:
   of C graph(A_U), and graph(A) inside graph(B*);
 - by build_doubled's guard: frakE graph(frakA) = graph(frakA);
 - by construction, since the bordered bases keep those columns bit for
-  bit: graph(B) inside C graph(A_U), graph(frakA) inside
-  block_relation(S, T), and graph(A) inside both sides of
-  canonical_extension's round trip.
+  bit: graph(B) inside C graph(A_U) and graph(frakA) inside
+  block_relation(S, T).
 
 Two conditions on U play different roles.  Both read Omega =
 DoubledProblem.omega, in which frakE is i Omega from N+ to N- and -i Omega
@@ -35,7 +34,9 @@ each deficiency space onto the other.  In the bases N+- = [Y; +-iX] read
 off frakM's basis M = [X; Y], D = -I, so the block condition is U^2 = I.
 With unitarity, a block-compatible U is a Hermitian involution U = 2P - I,
 P the projector onto range(I + U), and the extension is
-graph(A) + M range(I + U): range(I + U) is its Lagrangian in frakM.  A
+graph(A) + M range(I + U): range(I + U) is its Lagrangian in frakM.
+canonical_extension runs this backwards: from an orthonormal Lagrangian
+basis L it takes U = 2 L L^H - I, with no Cayley transform.  A
 parameter passing the first condition but failing the second produces a
 perfectly good self-adjoint relation upstairs that is not the double of
 anything; that outcome is reported as a property violation carrying the
@@ -321,7 +322,8 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     checks.add_residual("inside_bstar", max_angle_sin(l_graph, dp.b_star.graph), bound)
     # L-manifolds: L = graph(A_U) - graph(A) and its S-image split frakM
     frak_m = dp.frakM
-    s_image = dp.s_map.map_subspace(l_graph)
+    # S is antiunitary, so the S-image of orthonormal columns is orthonormal
+    s_image = _trusted(dp.s_map.apply(l_graph.basis), tol)
     checks.add_residual("l_orthogonal_to_s_l", _orthogonality_residual(l_graph, s_image), bound)
     total = subspace_sum(l_graph, s_image)
     checks.add(
@@ -385,29 +387,29 @@ def _greedy_isotropic(s_coord: np.ndarray, m: int, tol, rng=None, first=None) ->
 
 
 def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResult:
-    """Deterministic C-self-adjoint extension from a greedy isotropic L.
+    """Deterministic C-self-adjoint extension from a greedy Lagrangian L.
 
     Repeatedly picks the first complement column inside frakM and pairs it
     with its anti-involution image until frakM is exhausted; the collected
-    half spans L and graph(A) + L is a C-self-adjoint extension.  With
-    swap=True the companion extension built from S(L) is returned instead.
+    half is an orthonormal basis L of a Lagrangian in frakM coordinates.
+    Its parameter is U = 2 L L^H - I, the block-compatible U whose
+    range(I + U) is L, and the extension graph(A) + M L is built from it
+    by extension_from_parameter.  With swap=True the companion extension
+    graph(A) + M S(L) is returned instead: S(L) = L^perp for a Lagrangian,
+    so its parameter is -U.  An L that is not Lagrangian fails the
+    compatibility condition frakE U frakE U = I, which is raised as a
+    property violation.
     """
     s_coord = dp.omega  # raises PreconditionError unless C-symmetric
-    frak_m = dp.frakM
-    if frak_m.dim % 2:
-        raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
-    if frak_m.dim == 0:
-        return extension_from_parameter(dp, ExtensionParameter("unitary", np.zeros((0, 0))))
-    l_coords = _greedy_isotropic(s_coord, frak_m.dim, dp.tol)
-    if swap:
-        l_coords = s_coord @ np.conj(l_coords)
-    a_tilde = LinearRelation(extend_basis(dp.a.graph, frak_m.basis @ l_coords))
-    res = extension_from_parameter(dp, recover_parameter(dp, a_tilde))
-    # both graphs keep graph(A)'s basis, so at equal dimensions the new columns decide
-    same_dim = res.a_ext.graph.dim == a_tilde.graph.dim
-    if not (same_dim and _new_columns(res.a_ext, dp.a).contained_in(a_tilde)):
-        raise PropertyViolationError("canonical extension failed the parameter round trip", {})
-    return res
+    m = dp.frakM.dim
+    if m % 2:
+        raise PropertyViolationError("frakM has odd dimension", {"dim": m})
+    l_coords = _greedy_isotropic(s_coord, m, dp.tol)
+    u = 2 * (l_coords @ l_coords.conj().T) - np.eye(m)
+    try:
+        return extension_from_parameter(dp, ExtensionParameter("unitary", -u if swap else u))
+    except InputError as exc:
+        raise PropertyViolationError(f"greedy L is not Lagrangian: {exc}", {}) from exc
 
 
 def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionParameter:
@@ -519,9 +521,11 @@ def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
         yield orthonormal_basis(z, tol, m).basis
 
 
-def brute_force_extensions(
-    dp: DoubledProblem, budget: int = 10000, seed: int = 0, max_hits: int | None = 1000
-) -> list[LinearRelation]:
+# brute_force_extensions returns at most this many hits
+MAX_HITS = 1000
+
+
+def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 0) -> list[LinearRelation]:
     """Sampled search for C-self-adjoint extensions, independent of the
     parameterization machinery.
 
@@ -543,9 +547,9 @@ def brute_force_extensions(
     filter never drops a candidate the direct test would accept.
 
     When the family is continuous nearly every half-dimension-one candidate
-    is a distinct hit, so the returned list is capped at max_hits (sampling
+    is a distinct hit, so the returned list is capped at MAX_HITS (sampling
     stops once the cap is reached; the structured sweep runs first and is
-    never truncated by the random streams).  Pass None to disable the cap.
+    never truncated by the random streams).
     """
     omega = dp.omega  # raises PreconditionError unless C-symmetric
     frak_m = dp.frakM
@@ -560,7 +564,7 @@ def brute_force_extensions(
     hits: list[LinearRelation] = []
     seen: set[bytes] = set()
     for l_coords in _sweep_candidates(dp, budget, seed):
-        if max_hits is not None and len(hits) >= max_hits:
+        if len(hits) >= MAX_HITS:
             break
         if l_coords is None:
             continue

@@ -23,13 +23,15 @@ Every SVD and matrix norm of the package is one of four kinds:
   alone; polar's rank r and takagi's grouping of the same singular values.
 - Structural rank (the rank is known by construction, so the SVD only
   re-orthonormalizes, uncut): complement; orthonormal_basis in adjoint (J
-  is unitary), in build_doubled's B* (C is antiunitary) and in the general
-  AntiLinearMap.map_subspace; operator_relation's graph [D; AD] (rank that
-  of D); _complement_formula_intersect's complements.  QR or _trusted could
+  is unitary) and in build_doubled's B* (C is antiunitary);
+  operator_relation's graph [D; AD] (rank that of D);
+  _complement_formula_intersect's complements.  QR or _trusted could
   replace them, but the sweep's hit counts depend on frakM's bits.
-  B*'s is the only C-image SVD left: LinearRelation.conjugated (B = CAC)
-  and Conjugation.map_subspace (D(B) = C D(A), the C-images of N+ and of
-  the kernels) take the image of the orthonormal basis through _trusted.
+  B*'s is the only antiunitary image that takes an SVD: images under C
+  (LinearRelation.conjugated for B = CAC, and Conjugation.map_subspace for
+  D(B) = C D(A) and the C-images of the kernels), under frakE (N+) and
+  under S (extension_from_parameter's S(L)) take the image of the
+  orthonormal basis through _trusted.
 - 2-norm value (a number that is reported or scales a cut), by
   _spectral_norm, the top eigenvalue of the smaller Gram matrix, with no
   SVD: max_angle_sin and adjoint_gap wherever a check reports them as

@@ -1,12 +1,10 @@
 """C-symmetry predicates, weak form, defect spaces, anti-involution."""
 
-import types
-
 import numpy as np
 import pytest
 
 import csymlab as cs
-from csymlab.cli import cmd_check
+from csymlab.fixtures import EXAMPLE_BUILDERS
 
 from conftest import count_calls, full_relation, linear_map_subspace, random_complex, within, zero_relation
 
@@ -225,7 +223,7 @@ def test_selfadjoint_fails_for_nonsymmetric_k(rng):
     assert not cs.is_c_selfadjoint(rel, perturbed)
 
 
-def test_domain_criterion_check_fails_without_conjugating(monkeypatch, rng):
+def test_domain_criterion_fails_without_conjugating(monkeypatch, rng):
     # mutation: C D(T) taken as the linear image K D(T).  No operator input
     # shows it: D(A*) is C^n, so the criterion holds iff dim D(A) = n, with
     # or without np.conj.  The relation T = D x C(D^perp) under a random
@@ -237,9 +235,29 @@ def test_domain_criterion_check_fails_without_conjugating(monkeypatch, rng):
     graph = np.zeros((2 * n, n), dtype=complex)
     graph[:n, :2], graph[n:, 2:] = d.basis, e.basis
     t = cs.LinearRelation(cs.Subspace(graph))
-    spec = types.SimpleNamespace(relation=lambda: t, conjugation=lambda: c, tol=c.tol)
-    results, _ = cmd_check(spec, None)
-    assert results["c_selfadjoint"] and results["domain_criterion"] and not results["everywhere_defined"]
+    assert cs.is_c_selfadjoint(t, c) and cs.domain_criterion(t, t, c) and not t.is_everywhere_defined
     monkeypatch.setattr(cs.Conjugation, "map_subspace", linear_map_subspace)
-    _, checks = cmd_check(spec, None)
-    assert {check.name: check.status for check in checks}["domain_criterion_matches_predicate"] == "fail"
+    assert not cs.domain_criterion(t, t, c)
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_BUILDERS))
+def test_domain_criterion_is_c_selfadjointness_on_operator_inputs(name):
+    # every CLI input is an operator, so D(A*) = mul(A)^perp = C^n and the
+    # criterion D(A*) = C D(A) holds iff dim D(A) = n: for a C-symmetric
+    # input that is C-self-adjointness.  This is why check reports no
+    # domain criterion; the extensions check it by domain_sum and
+    # domain_sum_star
+    for n in (6, 16):
+        spec = cs.build_example(name, n=n)
+        rel, c = spec.relation(), spec.conjugation()
+        assert rel.is_operator and rel.adjoint().domain().dim == n
+        assert cs.is_c_symmetric(rel, c)
+        assert cs.domain_criterion(rel, rel, c) == cs.is_c_selfadjoint(rel, c) == (rel.domain().dim == n)
+
+
+@pytest.mark.xfail(strict=True, reason="D(A*) is read off A*'s top-block SVD, cut at eps (ROADMAP item 1)")
+def test_adjoint_of_an_extreme_operator_is_everywhere_defined():
+    # the 1 x 1 operator 1e308 has A* = 1e308 on C^1; the only singular value
+    # of A*'s top block is about 1e-308 and the cut drops it
+    rel = cs.from_matrix(np.array([[1e308]], dtype=complex))
+    assert rel.adjoint().domain().dim == 1

@@ -272,11 +272,12 @@ def test_brute_force_f_min_members():
         assert within(rebuilt.a_ext, h, 1e-9, equal=True)
 
 
-def test_brute_force_respects_cap_and_determinism():
+def test_brute_force_respects_cap_and_determinism(monkeypatch):
     dp = doubled(cs.minimal_identity())
-    few = cs.brute_force_extensions(dp, budget=500, seed=3, max_hits=10)
+    monkeypatch.setattr(cs.extensions, "MAX_HITS", 10)
+    few = cs.brute_force_extensions(dp, budget=500, seed=3)
     assert len(few) == 10
-    again = cs.brute_force_extensions(dp, budget=500, seed=3, max_hits=10)
+    again = cs.brute_force_extensions(dp, budget=500, seed=3)
     for h, g in zip(few, again):
         np.testing.assert_array_equal(h.graph.basis, g.graph.basis)
 
@@ -454,14 +455,47 @@ def test_bordered_checks_fail_on_a_turned_new_column(monkeypatch, spec):
         assert status[name] == "fail", name
 
 
-def test_canonical_round_trip_refuses_another_extension(monkeypatch):
-    # mutation: recover_parameter answers with the companion extension's
-    # parameter, whose new columns leave the greedy extension's graph
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("spec", [*DEFECT_SPECS, cs.random_restriction(8, seed=1)], ids=lambda s: s.name)
+def test_canonical_parameter_matches_cayley_transform(spec, swap):
+    # oracle: graph(A) + M L (M S(L) with swap) bordered directly and its
+    # parameter recovered by the Cayley transform; random_restriction(8, 1)
+    # has frakM of dimension 14, past the brute-force guard
+    dp = doubled(spec)
+    l_coords = cs.extensions._greedy_isotropic(dp.omega, dp.frakM.dim, dp.tol)
+    if swap:
+        l_coords = dp.omega @ np.conj(l_coords)
+    a_tilde = cs.LinearRelation(cs.extend_basis(dp.a.graph, dp.frakM.basis @ l_coords))
+    u = cs.recover_parameter(dp, a_tilde).matrix
+    res = cs.canonical_extension(dp, swap=swap)
+    assert res.checks.all_pass
+    assert np.abs(res.parameter.matrix - u).max() <= dp.tol.bound()
+
+
+def test_cli_extend_recovers_no_parameter(monkeypatch, capsys):
+    # the canonical parameter is read off L in closed form
+    calls = count_calls(monkeypatch, cs.extensions, "recover_parameter")
+    for swap in ([], ["--swap"]):
+        assert main(["extend", "--example", "race_schrodinger", "--n", "16", *swap]) == 0
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_canonical_extension_refuses_a_non_lagrangian_l(monkeypatch):
+    # mutation: the greedy L's last column replaced by the S-image of its
+    # first; L stays orthonormal (L is isotropic) but is no longer Lagrangian
     dp = doubled(cs.race_schrodinger(16))
-    other = cs.canonical_extension(dp, swap=True).parameter
-    monkeypatch.setattr(cs.extensions, "recover_parameter", lambda dp, a_tilde: other)
-    with pytest.raises(cs.PropertyViolationError, match="failed the parameter round trip"):
-        cs.canonical_extension(dp)
+    greedy = cs.extensions._greedy_isotropic
+
+    def skewed(s_coord, m, tol, rng=None, first=None):
+        l_coords = greedy(s_coord, m, tol, rng, first)
+        l_coords[:, -1] = s_coord @ np.conj(l_coords[:, 0])
+        return l_coords
+
+    monkeypatch.setattr(cs.extensions, "_greedy_isotropic", skewed)
+    for swap in (False, True):
+        with pytest.raises(cs.PropertyViolationError, match="greedy L is not Lagrangian"):
+            cs.canonical_extension(dp, swap=swap)
 
 
 OMEGA_FIXTURES = pytest.mark.parametrize(
