@@ -77,6 +77,16 @@ class Conjugation(AntiLinearMap):
         return _trusted(self.matrix @ np.conj(s.basis), s.tol)
 
 
+def _trusted_conjugation(matrix: np.ndarray, tol: Tolerance) -> Conjugation:
+    """Conjugation(matrix, tol) for a matrix unitary and symmetric by
+    construction: shape checked, copied and frozen, with no axiom check."""
+    c = object.__new__(Conjugation)
+    object.__setattr__(c, "matrix", matrix)
+    object.__setattr__(c, "tol", tol)
+    AntiLinearMap.__post_init__(c)
+    return c
+
+
 def entrywise_conjugation(n: int, tol: Tolerance = DEFAULT_TOL) -> Conjugation:
     return Conjugation(np.eye(n, dtype=complex), tol)
 

@@ -129,7 +129,7 @@ def _jsonify(value):
         return int(value)
     if isinstance(value, (float, np.floating)):
         f = float(value)
-        return "inf" if np.isinf(f) else f
+        return ("inf" if f > 0 else "-inf") if np.isinf(f) else f
     return value
 
 

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .antilinear import AntiLinearMap, Conjugation
+from .antilinear import AntiLinearMap, Conjugation, _trusted_conjugation
 from .csym import MSpaces, _require_c_symmetric, anti_involution, is_c_selfadjoint, m_spaces
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
@@ -58,9 +58,15 @@ from .reporting import CheckList
 
 
 def doubled_conjugation(c: Conjugation) -> Conjugation:
+    """frakE(x, y) = (Cy, Cx), the matrix [[0, K], [K, 0]] of C's K.
+
+    Its Gram matrix is diag(K^H K, K^H K) and its transpose residual is
+    K's, so its axioms are C's, checked when C was built; they are not
+    checked again on the 2n x 2n matrix.
+    """
     k = c.matrix
     z = np.zeros_like(k)
-    return Conjugation(np.block([[z, k], [k, z]]), c.tol)
+    return _trusted_conjugation(np.block([[z, k], [k, z]]), c.tol)
 
 
 def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:

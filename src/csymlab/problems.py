@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,8 +113,26 @@ class ProblemSpec:
         return out
 
     def digest(self) -> str:
-        payload = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """sha256 of the spec's canonical byte form.
+
+        The header holds the name and the conjugation kind as UTF-8, each
+        after its byte length as <i8, dim as <i8 and tol.eps as <f8.  Then
+        each of conjugation_matrix, domain_basis and images adds a presence
+        byte and, when present, its shape as <i8 and its entries as <c16 in
+        C order.  Equal bytes mean bit-equal floats, and so do equal float
+        reprs in to_json_dict (repr round-trips, and -0.0 is not 0.0), so
+        two specs share a digest exactly when their JSON encodings agree.
+        """
+        name, kind = (text.encode("utf-8", "surrogatepass") for text in (self.name, self.conjugation_kind))
+        header = struct.pack("<q", len(name)) + name + struct.pack("<qq", self.dim, len(kind)) + kind
+        h = hashlib.sha256(header + struct.pack("<d", self.tol.eps))
+        for m in (self.conjugation_matrix, self.domain_basis, self.images):
+            if m is None:
+                h.update(b"\x00")
+            else:
+                h.update(b"\x01" + struct.pack("<qq", *m.shape))
+                h.update(np.ascontiguousarray(m, dtype="<c16").tobytes())
+        return h.hexdigest()
 
 
 def encode_matrix(m: np.ndarray) -> list:

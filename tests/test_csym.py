@@ -6,7 +6,15 @@ import pytest
 import csymlab as cs
 from csymlab.fixtures import EXAMPLE_BUILDERS
 
-from conftest import count_calls, full_relation, linear_map_subspace, random_complex, within, zero_relation
+from conftest import (
+    DEFECT_SPECS,
+    count_calls,
+    full_relation,
+    linear_map_subspace,
+    random_complex,
+    within,
+    zero_relation,
+)
 
 
 def test_entrywise_csym_is_transpose_symmetry(rng):
@@ -99,6 +107,29 @@ def test_anti_involution_square_and_invariance():
     # S is anti-isometric on pairs
     u, w = frak_m.basis[:, 0], frak_m.basis[:, -1]
     assert cs.inner(s.apply(u), s.apply(w)) == pytest.approx(cs.inner(w, u), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec", [*DEFECT_SPECS, cs.random_restriction(9, seed=7), cs.random_restriction(12, seed=3)], ids=lambda s: s.name
+)
+def test_anti_involution_square_residual_matches_the_dense_product(spec):
+    # anti_involution checks S^2 = -I as S(S(M)) + M on frakM's basis M; the
+    # dense S conj(S) it no longer forms is the oracle
+    dp = spec.doubled()
+    s, m = dp.s_map, dp.frakM.basis
+    columnwise = np.abs(s.apply(s.apply(m)) + m).max()
+    dense = np.abs(s.matrix @ np.conj(s.matrix) @ m + m).max()
+    assert abs(columnwise - dense) <= 8 * np.finfo(float).eps
+
+
+def test_anti_involution_square_check_fails_without_conjugating(monkeypatch):
+    # mutation: S applied as the linear map x -> S x.  For a K that is not
+    # real, S S = -diag(K K, K K) is not -I on frakM; the invariance check
+    # reads S's matrix and still passes
+    dp = cs.random_restriction(9, seed=7).doubled()
+    monkeypatch.setattr(cs.AntiLinearMap, "apply", lambda self, x: self.matrix @ np.asarray(x, dtype=complex))
+    with pytest.raises(cs.PropertyViolationError, match="S\\^2 = -I fails"):
+        cs.anti_involution(dp)
 
 
 def test_domain_criterion_on_extension():

@@ -42,6 +42,23 @@ def test_doubled_conjugation_swaps_components(rng):
     np.testing.assert_allclose(out[3:], c.apply(x), atol=1e-12)
 
 
+def test_doubled_conjugation_has_the_axiom_residuals_of_c(rng):
+    # frakE's Gram matrix is diag(K^H K, K^H K) and its transpose residual
+    # is K's, so doubled_conjugation does not check them again: the dense
+    # 2n x 2n residuals are the oracle, equal up to the rounding of the Gram
+    # products on fixtures and random conjugations
+    specs = (*DEFECT_SPECS, cs.minimal_identity(), cs.random_csym(6), cs.random_restriction(9, seed=7))
+    conjugations = [spec.conjugation() for spec in specs]
+    conjugations += [cs.random_conjugation(n, rng) for n in (1, 2, 3, 5, 17, 33, 64) for _ in range(3)]
+    for c in conjugations:
+        frak_c = cs.doubled_conjugation(c)
+        assert isinstance(frak_c, cs.Conjugation) and not frak_c.matrix.flags.writeable
+        unit, symm = cs.conjugation_axiom_residuals(c.matrix)
+        frak_unit, frak_symm = cs.conjugation_axiom_residuals(frak_c.matrix)
+        assert frak_symm == symm
+        assert abs(frak_unit - unit) <= 4 * np.finfo(float).eps
+
+
 def test_symmetry_equivalence(rng):
     # frakA and frakA* are the block forms of (A, B) and (B*, A*), so the
     # doubled angle is the one-space angle: A is C-symmetric iff frakA is

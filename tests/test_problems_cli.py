@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import hashlib
+import itertools
 import json
 import sys
 import warnings
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import csymlab as cs
-from csymlab.cli import build_parser, load_problem, main
+from csymlab.cli import _jsonify, build_parser, load_problem, main
 
 from conftest import check_trusted_bases, count_calls, nonblock_parameter, patch_everywhere
 
@@ -136,10 +138,77 @@ def test_encode_matrix_matches_per_entry_encoding():
 
 
 def test_inputs_digest_pinned(capsys):
-    # hashes the JSON encoding of the spec, so a change to the encoding moves it
+    # hashes the canonical byte form of the spec (ProblemSpec.digest), so a
+    # change to the byte form moves it
     assert main(["check", "--example", "race_schrodinger", "--n", "8"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["inputs_digest"] == "5f5842e075c9e07a6b67fb32db0250a68fb8872cf887698db48dc8e09650fe11"
+    assert out["inputs_digest"] == "c06ead05b19425000031f29fe8be135e6da418326cb55123555265533e56930a"
+
+
+def json_digest(spec):
+    """sha256 of the sorted, compact JSON of spec.to_json_dict(): the digest
+    before the byte form, kept as the oracle of its equivalence."""
+    payload = json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _with_entry(spec, value, row=0, col=0):
+    images = spec.images.copy()
+    images[row, col] = value
+    return dataclasses.replace(spec, images=images)
+
+
+def _storing(spec, images):
+    """spec holding images as given, past the C-order copy of __post_init__."""
+    out = dataclasses.replace(spec)
+    object.__setattr__(out, "images", images)
+    return out
+
+
+def digest_corpus():
+    """Specs that agree or differ in one way each: memory layout, signed
+    zeros, one ulp, name, tol, conjugation kind, an explicit domain, and the
+    JSON round trip."""
+    toy = cs.spec_from_dict(SYMMETRIC_SPEC)  # images hold exact zeros
+    rest = cs.random_restriction(5, seed=2)  # kind matrix, with a domain
+    n = toy.dim
+    z = complex(toy.images[0, 0])
+    return [
+        toy,
+        # F order and strided views, stored as given and copied to C order
+        _storing(toy, np.asfortranarray(toy.images)),
+        _storing(toy, np.repeat(toy.images, 2, axis=1)[:, ::2]),
+        dataclasses.replace(toy, images=np.asfortranarray(toy.images)),
+        dataclasses.replace(toy, images=np.repeat(toy.images, 2, axis=1)[:, ::2]),
+        dataclasses.replace(toy, images=np.repeat(toy.images, 3, axis=0)[::3]),
+        cs.spec_from_dict(toy.to_json_dict()),
+        cs.spec_from_dict(json.loads(json.dumps(toy.to_json_dict()))),
+        _with_entry(toy, complex(z.real, -0.0)),
+        _with_entry(toy, complex(-0.0, toy.images[1, 0].imag), 1, 0),
+        _with_entry(toy, complex(np.nextafter(z.real, np.inf), z.imag)),
+        dataclasses.replace(toy, name="toy2"),
+        dataclasses.replace(toy, tol=cs.Tolerance(toy.tol.eps * 10)),
+        dataclasses.replace(toy, tol=cs.Tolerance(np.nextafter(toy.tol.eps, 1.0))),
+        dataclasses.replace(toy, conjugation_kind="matrix", conjugation_matrix=np.eye(n)),
+        dataclasses.replace(toy, conjugation_matrix=np.eye(n)),
+        dataclasses.replace(toy, domain_basis=np.eye(n)),
+        dataclasses.replace(toy, conjugation_kind="flip"),
+        rest,
+        dataclasses.replace(rest, domain_basis=np.asfortranarray(rest.domain_basis)),
+        dataclasses.replace(rest, conjugation_matrix=rest.conjugation_matrix.T.copy().T),
+        cs.spec_from_dict(rest.to_json_dict()),
+        dataclasses.replace(rest, domain_basis=-rest.domain_basis, images=-rest.images),
+    ]
+
+
+def test_spec_digest_separates_what_the_json_digest_separates():
+    corpus = digest_corpus()
+    new = [spec.digest() for spec in corpus]
+    old = [json_digest(spec) for spec in corpus]
+    for i, j in itertools.combinations(range(len(corpus)), 2):
+        assert (new[i] == new[j]) == (old[i] == old[j]), (corpus[i].name, corpus[j].name, i, j)
+    # the corpus has equal pairs (layouts, round trips) and separated ones
+    assert 1 < len(set(new)) < len(corpus)
 
 
 def test_parse_spec_round_trip(tmp_path):
@@ -430,6 +499,38 @@ def test_cli_defect_geometry_takes_no_svd_in_c4n(monkeypatch, capsys, command):
     assert len(members) == 0
 
 
+@pytest.mark.parametrize("command", ["extend", "verify-all"])
+@pytest.mark.parametrize("source", ["example", "spec"])
+def test_cli_digest_builds_no_json_form(tmp_path, monkeypatch, capsys, command, source):
+    # inputs_digest hashes the spec's bytes: no report encodes its spec as JSON
+    if source == "example":
+        argv = [command, "--example", "race_schrodinger", "--n", "16"]
+    else:
+        argv = [command, "--spec", write_spec(tmp_path, cs.random_restriction(6, seed=0).to_json_dict())]
+    calls = count_calls(monkeypatch, cs.ProblemSpec, "to_json_dict")
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["inputs_digest"]) == 64
+    assert len(calls) == 0
+
+
+def test_cli_extend_checks_conjugation_axioms_in_n_dimensions(monkeypatch, capsys):
+    # frakE = [[0, K], [K, 0]] has C's axiom residuals, so doubled_conjugation
+    # does not check them again on the 2n x 2n matrix
+    shapes = []
+    original = cs.antilinear.conjugation_axiom_residuals
+
+    def recorded(matrix):
+        shapes.append(np.shape(matrix))
+        return original(matrix)
+
+    patch_everywhere(monkeypatch, cs.antilinear, "conjugation_axiom_residuals", recorded)
+    n = 128
+    assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert (n, n) in shapes
+    assert max(max(shape) for shape in shapes) == n
+
+
 def test_cli_verify_all_gram_checks_pinned(monkeypatch, capsys):
     # every basis of an --example input is built inside the package and is
     # orthonormal by construction, so none runs the checked constructor
@@ -601,6 +702,34 @@ def _drop_first_column(function):
 def _failing_checks(capsys, argv):
     assert main(argv) == 1
     return {c["name"] for c in json.loads(capsys.readouterr().out)["check_list"] if c["status"] == "fail"}
+
+
+def _weak_residual_without_conj(a, c):
+    """csym.weak_c_symmetry_residual with np.conj dropped: C's matrix K
+    applied as a linear map, a mutation of C x = K conj(x)."""
+    n = a.ambient_dim
+    tops, bots = a.graph.basis[:n], a.graph.basis[n:]
+    return float(np.abs(tops.conj().T @ (c.matrix @ bots) - bots.conj().T @ (c.matrix @ tops)).max())
+
+
+def test_cli_weak_form_check_fails_without_conjugating(monkeypatch, capsys):
+    # random_csym is complex and its K is not real, so the linear pairing
+    # does not vanish on the C-symmetric input; is_c_symmetric, which the
+    # check compares it with, is computed independently and stays true
+    argv = ["verify-all", "--example", "random_csym", "--n", "6"]
+
+    def statuses():
+        return {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["check_list"]}
+
+    assert main(argv) == 0
+    honest = statuses()
+    patch_everywhere(monkeypatch, cs.csym, "weak_c_symmetry_residual", _weak_residual_without_conj)
+    assert main(argv) == 1
+    mutated = statuses()
+    assert mutated.keys() == honest.keys()
+    (flipped,) = [name for name in honest if mutated[name] != honest[name]]
+    assert flipped.endswith("weak_form_matches_predicate")
+    assert (honest[flipped], mutated[flipped]) == ("pass", "fail")
 
 
 def test_cli_m_spaces_identity_catches_short_kernel(monkeypatch, capsys):
@@ -820,3 +949,20 @@ def test_cli_infinity_serialization(capsys):
     out = capsys.readouterr().out
     assert code in (0, 1)
     json.loads(out)  # must stay valid JSON even with inf markers
+
+
+def test_jsonify_keeps_the_sign_of_infinity():
+    value = {
+        "pos": np.inf,
+        "neg": -np.inf,
+        "scalar": np.float64(-np.inf),
+        "list": [float("-inf"), 1.5, float("inf")],
+        "vector": np.array([-np.inf, 0.0, np.inf]),
+    }
+    assert _jsonify(value) == {
+        "pos": "inf",
+        "neg": "-inf",
+        "scalar": "-inf",
+        "list": ["-inf", 1.5, "inf"],
+        "vector": ["-inf", 0.0, "inf"],
+    }
