@@ -25,15 +25,13 @@ from .errors import InputError, PropertyViolationError
 from .extensions import (
     ExtensionParameter,
     ExtensionResult,
-    _new_columns,
     brute_force_extensions,
     canonical_extension,
+    completeness_roundtrip,
     extension_from_parameter,
-    extension_graph,
-    recover_parameter,
 )
 from .fixtures import EXAMPLE_BUILDERS, build_example
-from .linalg import Tolerance, max_angle_sin
+from .linalg import Tolerance
 from .polar import CjtRefusal, cjt_factorization, conjugation_covariance, takagi
 from .powers import QA_TERMS, doubled_matrix, power_report, qa_partial_sums
 from .problems import ProblemSpec, decode_matrix, encode_matrix, parse_spec
@@ -195,12 +193,7 @@ def cmd_enumerate(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     if budget < 1:
         raise InputError(f"--budget must be positive, got {budget}")
     hits = brute_force_extensions(dp, budget=budget, seed=args.seed)
-    worst = 0.0
-    for hit in hits:
-        rebuilt = extension_graph(dp, recover_parameter(dp, hit))
-        # rebuilt borders graph(A), which recover_parameter required inside hit
-        worst = max(worst, max_angle_sin(_new_columns(rebuilt, dp.a).graph, hit.graph))
-    operators = sum(hit.is_operator for hit in hits)
+    worst, operators = completeness_roundtrip(dp, hits)
     checks = CheckList()
     checks.add_residual(
         "completeness_roundtrip",

@@ -42,7 +42,9 @@ from .antilinear import AntiLinearMap, Conjugation, preserves_subspace
 from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
-    _norm_within,
+    Tolerance,
+    _adjoint,
+    _norms_within,
     _trusted,
     intersect,
     orthonormal_basis,
@@ -62,7 +64,18 @@ def is_c_symmetric(a: LinearRelation, c: Conjugation) -> bool:
 def is_c_selfadjoint(a: LinearRelation, c: Conjugation) -> bool:
     """CAC = A*, read off the C-image of graph(A) without building either side."""
     image = a.conjugated_basis(c)  # raises InputError for a conjugation of another dimension
-    return a.graph.dim == a.ambient_dim and _norm_within(a._gap_matrix(image), a.tol.bound())
+    return bool(_c_selfadjoint(a.graph.basis[None], image[None], a.tol)[0])
+
+
+def _c_selfadjoint(graphs: np.ndarray, images: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """is_c_selfadjoint for a stack of graph bases [X; Y] of one dimension
+    and their C-images Q: dimension n and Y^H Q_top - X^H Q_bot = 0, the
+    adjoint-gap matrix of LinearRelation._gap_matrix."""
+    n = graphs.shape[-2] // 2
+    if graphs.shape[-1] != n:
+        return np.zeros(graphs.shape[:-2], dtype=bool)
+    gap = _adjoint(graphs[:, n:]) @ images[:, :n] - _adjoint(graphs[:, :n]) @ images[:, n:]
+    return _norms_within(gap, tol.bound())
 
 
 def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:

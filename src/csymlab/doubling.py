@@ -74,18 +74,25 @@ def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:
     if s.ambient_dim != t.ambient_dim:
         raise PreconditionError(f"ambient mismatch: {s.ambient_dim} vs {t.ambient_dim}")
     n = s.ambient_dim
-    gs, gt = s.graph.basis, t.graph.basis
-    cols = np.zeros((4 * n, gs.shape[1] + gt.shape[1]), dtype=complex)
-    cols[n : 2 * n, : gs.shape[1]] = gs[:n]
-    cols[2 * n : 3 * n, : gs.shape[1]] = gs[n:]
-    cols[:n, gs.shape[1] :] = gt[:n]
-    cols[3 * n :, gs.shape[1] :] = gt[n:]
     domain = None
     if s.given_domain is not None and t.given_domain is not None:
         ds, dt = s.given_domain.basis, t.given_domain.basis
         domain = _trusted(np.block([[np.zeros((n, ds.shape[1])), dt], [ds, np.zeros((n, dt.shape[1]))]]), s.tol)
     # the two column groups are orthonormal and mutually orthogonal
-    return LinearRelation(_trusted(cols, s.tol), domain)
+    return LinearRelation(_trusted(_block_columns(s.graph.basis, t.graph.basis), s.tol), domain)
+
+
+def _block_columns(gs: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """The graph basis of block_relation(S, T) from those of S and T, or a
+    stack of them from two stacks."""
+    n = gs.shape[-2] // 2
+    ds = gs.shape[-1]
+    cols = np.zeros((*gs.shape[:-2], 4 * n, ds + gt.shape[-1]), dtype=complex)
+    cols[..., n : 2 * n, :ds] = gs[..., :n, :]
+    cols[..., 2 * n : 3 * n, :ds] = gs[..., n:, :]
+    cols[..., :n, ds:] = gt[..., :n, :]
+    cols[..., 3 * n :, ds:] = gt[..., n:, :]
+    return cols
 
 
 def _doubled_gap_blocks(

@@ -62,24 +62,41 @@ The brute-force sweep decides in frakM coordinates and lifts only distinct
 survivors to C^(2n): its filter ||L^H Omega conj(L)||_2 is the 2-norm of a
 block of the direct adjoint-gap matrix of graph(A) + L, which never exceeds
 the matrix's, so it cannot reject a candidate the direct test accepts.
+
+The sweep and enumerate's round trip run on stacks (B x m x k arrays):
+numpy's stacked svd, solve and eigvalsh run the LAPACK routine of one
+matrix on each, so a stack gives every candidate, hit and angle the bits it
+has alone, at one call per step instead of one per candidate.  The greedy
+completion, the rank test, the filter and the dedup keys take the sweep's
+candidates a stack at a time; the direct test still runs once per distinct
+survivor, in order.  completeness_roundtrip takes the hits in blocks of
+ROUNDTRIP_BLOCK through the kernels of recover_parameter (_cayley_unitaries)
+and extension_graph (_rebuilt_columns), which those two run on a stack of
+one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .antilinear import conjugation_axiom_residuals
-from .csym import is_c_selfadjoint
-from .doubling import DoubledProblem, _orthogonality_residual, block_relation
+from .csym import _c_selfadjoint, is_c_selfadjoint
+from .doubling import DoubledProblem, _block_columns, _orthogonality_residual, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
+    _adjoint,
     _as_complex_matrix,
+    _bordered,
     _complement_formula_intersect,
     _gram_residual,
-    _norm_within,
+    _norms_within,
+    _outside,
+    _ranked_svd,
+    _spectral_norms,
     _trusted,
     complement,
     extend_basis,
@@ -88,7 +105,7 @@ from .linalg import (
     subspace_equal,
     subspace_sum,
 )
-from .relations import LinearRelation
+from .relations import LinearRelation, _conjugated_graphs
 from .reporting import CheckList
 
 
@@ -114,19 +131,55 @@ class ExtensionParameter:
         object.__setattr__(self, "matrix", m)
 
 
-def frakE_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
-    """|| (frakE U)^2 - I || on N+ in coordinates."""
+def frakE_condition_residual(dp: DoubledProblem, u: np.ndarray):
+    """|| (frakE U)^2 - I || on N+ in coordinates, for U or each U of a stack."""
     g = -1j * dp.omega @ np.conj(u)  # anti-linear matrix of frakE о U on N+
-    k = u.shape[0]
-    return float(np.abs(g @ np.conj(g) - np.eye(k)).max()) if k else 0.0
+    return np.abs(g @ np.conj(g) - np.eye(u.shape[-1])).max(axis=(-2, -1), initial=0.0)
 
 
-def block_condition_residual(dp: DoubledProblem, u: np.ndarray) -> float:
-    """|| D U D U - I || on N+; zero iff the doubled extension stays block.
+def block_condition_residual(dp: DoubledProblem, u: np.ndarray):
+    """|| D U D U - I || on N+, for U or each U of a stack; zero iff the
+    doubled extension stays block.
 
     D = -I in the bases N+-, so this is || U^2 - I ||."""
-    k = u.shape[0]
-    return float(np.abs(u @ u - np.eye(k)).max()) if k else 0.0
+    return np.abs(u @ u - np.eye(u.shape[-1])).max(axis=(-2, -1), initial=0.0)
+
+
+def _first_over(residuals: np.ndarray, bound: float) -> float:
+    """The first of a stack's residuals over bound; there is one."""
+    return float(residuals[np.argmax(residuals > bound)])
+
+
+def _check_unitaries(dp: DoubledProblem, us: np.ndarray) -> None:
+    """InputError unless every U of a stack is unitary and satisfies the
+    compatibility condition frakE U frakE U = I, naming the first failure."""
+    bound = dp.tol.bound()
+    unit = _gram_residual(us)
+    if np.any(unit > bound):
+        raise InputError(f"parameter does not give a unitary map (residual {_first_over(unit, bound):.3e})")
+    frake = frakE_condition_residual(dp, us)
+    if np.any(frake > bound):
+        raise InputError(
+            "parameter violates the compatibility condition frakE U frakE U = I "
+            f"(residual {_first_over(frake, bound):.3e})"
+        )
+
+
+def _check_blocks(dp: DoubledProblem, us: np.ndarray) -> None:
+    """PropertyViolationError, carrying the block diagnosis of the first
+    failure, unless D U D U = I holds for every U of a stack."""
+    over = np.atleast_1d(block_condition_residual(dp, us) > dp.tol.bound())
+    if over.any():
+        first = int(np.argmax(over))
+        raise PropertyViolationError(
+            "parameter is admissible for the doubled relation but destroys its block "
+            "structure; the self-adjoint extension upstairs is not the double of any "
+            "relation downstairs (D U D U = I fails)",
+            {
+                "block_condition": float(block_condition_residual(dp, us[first])),
+                "frakE_condition": float(frakE_condition_residual(dp, us[first])),
+            },
+        )
 
 
 def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarray:
@@ -135,6 +188,14 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
     Validates the form's own invariant and the compatibility condition
     frakE U frakE U = I; violations are input errors.
     """
+    u = _parameter_coordinates(dp, p)
+    _check_unitaries(dp, u[None])
+    return u
+
+
+def _parameter_coordinates(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarray:
+    """The k x k matrix of U that a parameter form gives, with the form's
+    own invariant checked (InputError) but not U's."""
     k = dp.n_plus.dim
     bound = dp.tol.bound()
     if p.kind == "unitary":
@@ -163,14 +224,6 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
         if gram > bound:
             raise InputError(f"basis parameter is not orthonormal (Gram residual {gram:.3e})")
         u = 1j * dp.omega @ np.conj(w @ w.T)  # U = frakE о C_v with C_v fixing the basis
-    unit = _gram_residual(u)
-    if unit > bound:
-        raise InputError(f"parameter does not give a unitary map (residual {unit:.3e})")
-    frake = frakE_condition_residual(dp, u)
-    if frake > bound:
-        raise InputError(
-            f"parameter violates the compatibility condition frakE U frakE U = I (residual {frake:.3e})"
-        )
     return u
 
 
@@ -193,26 +246,24 @@ class ExtensionResult:
 def _deficiency_span(dp: DoubledProblem, p: ExtensionParameter) -> tuple[np.ndarray, np.ndarray]:
     """U in coordinates and the 4n x k columns (w - Uw, i(w + Uw)), w in N+.
 
-    With frakM's basis [X; Y], N+- = [Y; +-iX], so the columns are
-    (Y(I - U), iX(I + U), iY(I + U), -X(I - U)), read off frakM's blocks.
     Raises InputError for invalid parameter data, PropertyViolationError when
     the parameter is admissible upstairs but the doubled extension has no
     block structure (D U D U = I fails), carrying the block diagnosis.
     """
     u = parameter_as_unitary(dp, p)
-    block_res = block_condition_residual(dp, u)
-    if block_res > dp.tol.bound():
-        raise PropertyViolationError(
-            "parameter is admissible for the doubled relation but destroys its block "
-            "structure; the self-adjoint extension upstairs is not the double of any "
-            "relation downstairs (D U D U = I fails)",
-            {"block_condition": block_res, "frakE_condition": frakE_condition_residual(dp, u)},
-        )
+    _check_blocks(dp, u[None])
+    return u, _deficiency_columns(dp, u)
+
+
+def _deficiency_columns(dp: DoubledProblem, u: np.ndarray) -> np.ndarray:
+    """The 4n x k columns (w - Uw, i(w + Uw)), w in N+, for U or each U of
+    a stack.  With frakM's basis [X; Y], N+- = [Y; +-iX], so the columns
+    are (Y(I - U), iX(I + U), iY(I + U), -X(I - U)), read off frakM's blocks."""
     n = dp.ambient_dim
     x, y = dp.frakM.basis[:n], dp.frakM.basis[n:]
-    eye = np.eye(u.shape[0])
+    eye = np.eye(u.shape[-1])
     minus, plus = eye - u, eye + u
-    return u, np.vstack([y @ minus, 1j * (x @ plus), 1j * (y @ plus), -(x @ minus)])
+    return np.concatenate([y @ minus, 1j * (x @ plus), 1j * (y @ plus), -(x @ minus)], axis=-2)
 
 
 def extension_graph(dp: DoubledProblem, p: ExtensionParameter) -> LinearRelation:
@@ -223,15 +274,31 @@ def extension_graph(dp: DoubledProblem, p: ExtensionParameter) -> LinearRelation
     PropertyViolationError when the graph does not have dimension
     dim graph(A) + k/2.
     """
-    _, defect_cols = _deficiency_span(dp, p)
-    n = dp.ambient_dim
-    graph = extend_basis(dp.a.graph, defect_cols[n : 3 * n])
-    gap = dp.n_plus.dim - 2 * (graph.dim - dp.a.graph.dim)
-    if gap:
+    new = _rebuilt_columns(dp, _parameter_coordinates(dp, p)[None])[0]
+    return LinearRelation(_trusted(np.hstack([dp.a.graph.basis, new]), dp.tol))
+
+
+def _rebuilt_columns(dp: DoubledProblem, us: np.ndarray) -> np.ndarray:
+    """extension_graph for a stack of unitaries U in coordinates: the k/2
+    columns that each adds to graph(A), one stacked extend_basis of the
+    (y, v) rows of the deficiency span.  Refuses the stack at its first
+    failing check, in the order unitary, frakE, block, dimension gap.
+    """
+    _check_unitaries(dp, us)
+    _check_blocks(dp, us)
+    n, k = dp.ambient_dim, us.shape[-1]
+    if not k:
+        return np.zeros((len(us), 2 * n, 0), dtype=complex)
+    cols = _deficiency_columns(dp, us)[:, n : 3 * n]
+    if not np.isfinite(cols).all():
+        raise InputError("cols contains non-finite entries")
+    u, rank = _bordered(dp.a.graph, cols)
+    gap = k - 2 * rank
+    if gap.any():
         raise PropertyViolationError(
-            "deficiency rows do not add half the deficiency to graph(A)", {"dim_gap": gap}
+            "deficiency rows do not add half the deficiency to graph(A)", {"dim_gap": int(gap[gap != 0][0])}
         )
-    return LinearRelation(graph)
+    return u[:, :, : k // 2]
 
 
 def _closed_form_slices(
@@ -355,35 +422,53 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     return ExtensionResult(a_ext, frak_ext, ExtensionParameter("unitary", u), checks)
 
 
-def _greedy_isotropic(s_coord: np.ndarray, m: int, tol, rng=None, first=None) -> np.ndarray:
-    """Columns of an isotropic L with L + S(L) = C^m, in frakM coordinates.
+def _greedy_isotropic(
+    s_coord: np.ndarray, first: np.ndarray, tol, rng=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of isotropic L with L + S(L) = C^m in frakM coordinates, one
+    L for each row of the B x m stack first.
 
-    Candidates are the first column of the orthogonal complement of the span
-    collected so far, or random unit vectors in it when rng is given.  Each
-    new vector is automatically S-isotropic against everything before, so
-    no repair step is needed.
+    Each first vector is normalized and paired with its S-image.  Every
+    later column is the first column of the orthogonal complement of the
+    span collected so far, or with rng a random unit vector in it, drawn
+    step by step: a stream passes one first vector at a time to keep its
+    order.  Each new vector is automatically S-isotropic against everything
+    before, so no repair step is needed.  A step is one stacked full SVD
+    (the complement) and one stacked thin SVD (the span, cut per matrix like
+    orthonormal_basis), the LAPACK routines that one L alone would take.
+    Returns the B x m x h columns and the mask of the L whose span lost rank
+    (their columns are meaningless).
     """
-    cols = []
-    used = np.zeros((m, 0), dtype=complex)
-    while 2 * len(cols) < m:
-        if cols or first is None:
-            rest = complement(_trusted(used, tol)).basis
+    count, m = first.shape
+    cols = np.zeros((count, m, m // 2), dtype=complex)
+    lost = np.zeros(count, dtype=bool)
+    alive = np.arange(count)
+    used = np.zeros((count, m, 0), dtype=complex)
+    v = _unit_rows(first)
+    for j in range(m // 2):
+        if not alive.size:
+            break
+        if j:
+            rest = np.linalg.svd(used, full_matrices=True)[0][:, :, 2 * j :]
             if rng is None:
-                v = rest[:, 0]
+                v = rest[:, :, 0]
             else:
-                coeff = rng.standard_normal(rest.shape[1]) + 1j * rng.standard_normal(rest.shape[1])
-                v = rest @ coeff
-                v = v / np.linalg.norm(v)
-        else:
-            v = first / np.linalg.norm(first)
-        sv = s_coord @ np.conj(v)
-        cols.append(v)
-        used = orthonormal_basis(np.column_stack([used, v, sv]), tol, m).basis
-        if used.shape[1] != 2 * len(cols):
-            raise PropertyViolationError(
-                "isotropic construction lost rank", {"dim": used.shape[1]}
-            )
-    return np.column_stack(cols) if cols else np.zeros((m, 0), dtype=complex)
+                shape = (alive.size, m - 2 * j, 1)
+                coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                v = _unit_rows((rest @ coeff)[:, :, 0])
+        sv = (s_coord @ np.conj(v)[:, :, None])[:, :, 0]
+        cols[alive, :, j] = v
+        u, rank = _ranked_svd(np.concatenate([used, v[:, :, None], sv[:, :, None]], axis=2), tol)
+        kept = rank == 2 * j + 2
+        lost[alive[~kept]] = True
+        alive, used = alive[kept], u[kept]
+    return cols, lost
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each row of v over its np.linalg.norm: the bits of normalizing one
+    vector, which np.linalg.norm(v, axis=1) does not round alike."""
+    return v / np.array([np.linalg.norm(row) for row in v])[:, None]
 
 
 def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResult:
@@ -404,7 +489,10 @@ def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResu
     m = dp.frakM.dim
     if m % 2:
         raise PropertyViolationError("frakM has odd dimension", {"dim": m})
-    l_coords = _greedy_isotropic(s_coord, m, dp.tol)
+    cols, lost = _greedy_isotropic(s_coord, np.eye(1, m, dtype=complex), dp.tol)
+    if lost[0]:
+        raise PropertyViolationError("isotropic construction lost rank", {})
+    l_coords = cols[0]
     u = 2 * (l_coords @ l_coords.conj().T) - np.eye(m)
     try:
         return extension_from_parameter(dp, ExtensionParameter("unitary", -u if swap else u))
@@ -421,40 +509,100 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     V = Q P^-1, so V N+ = Q X for the k columns X solving P X = N+; V itself
     is never formed.  Rebuilding the extension from U is left to callers.
     """
-    if not dp.a.contained_in(a_tilde):
+    return ExtensionParameter("unitary", _cayley_unitaries(dp, a_tilde.graph.basis[None])[0])
+
+
+def _cayley_unitaries(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
+    """recover_parameter for a stack of graph bases of one dimension: U in
+    coordinates for each, one stacked solve for the stack.  Refuses the
+    stack at its first failing guard, in the order containment of graph(A),
+    C-self-adjointness, doubled dimension, solve, stray."""
+    tol = dp.tol
+    a = dp.a.graph.basis
+    if a.shape[1] > graphs.shape[-1] or not _norms_within(_outside(a, graphs), tol.bound()).all():
         raise PreconditionError("relation does not extend A")
-    if not is_c_selfadjoint(a_tilde, dp.c):
+    # C is antiunitary, so the C-images of the orthonormal graph bases are orthonormal
+    images = _conjugated_graphs(graphs, dp.c.matrix)
+    if not _c_selfadjoint(graphs, images, tol).all():
         raise PreconditionError("extension is not C-self-adjoint")
     k = dp.n_plus.dim
     if k == 0:
-        return ExtensionParameter("unitary", np.zeros((0, 0)))
-    # C is antiunitary, so the C-image of the orthonormal graph basis is orthonormal
-    conj_tilde = LinearRelation(_trusted(a_tilde.conjugated_basis(dp.c), dp.tol))
-    frak_t = block_relation(a_tilde, conj_tilde)
+        return np.zeros((len(graphs), 0, 0))
+    g = _block_columns(graphs, images)  # the doubled extensions block(A~, C A~ C)
     n2 = 2 * dp.ambient_dim
-    g = frak_t.graph.basis
-    if g.shape[1] != n2:
-        raise PropertyViolationError(
-            "doubled extension has the wrong graph dimension", {"dim": g.shape[1]}
-        )
+    if g.shape[-1] != n2:
+        raise PropertyViolationError("doubled extension has the wrong graph dimension", {"dim": g.shape[-1]})
     try:
-        x = np.linalg.solve(g[n2:] + 1j * g[:n2], dp.n_plus.basis)
+        x = np.linalg.solve(g[:, n2:] + 1j * g[:, :n2], dp.n_plus.basis)
     except np.linalg.LinAlgError as exc:
         raise PropertyViolationError(f"Cayley transform is not everywhere defined: {exc}", {})
-    image = (g[n2:] - 1j * g[:n2]) @ x
+    image = (g[:, n2:] - 1j * g[:, :n2]) @ x
     u = dp.n_minus.basis.conj().T @ image
-    stray = float(np.abs(image - dp.n_minus.basis @ u).max())
-    if stray > dp.tol.bound():
+    stray = np.abs(image - dp.n_minus.basis @ u).max(axis=(-2, -1))
+    if np.any(stray > tol.bound()):
         raise PropertyViolationError(
-            "Cayley transform does not carry N+ onto N-", {"stray": stray}
+            "Cayley transform does not carry N+ onto N-", {"stray": _first_over(stray, tol.bound())}
         )
-    return ExtensionParameter("unitary", u)
+    return u
+
+
+# completeness_roundtrip takes its hits this many at a time: a stack per
+# stage instead of a call per hit, and flat peak memory
+ROUNDTRIP_BLOCK = 8
+
+
+def completeness_roundtrip(dp: DoubledProblem, hits: list[LinearRelation]) -> tuple[float, int]:
+    """enumerate's completeness test on C-self-adjoint extensions of A of
+    one graph dimension (brute_force_extensions' hits): the largest angle
+    from the new columns of extension_graph(recover_parameter(hit)) into
+    the hit, over all hits, and the number of hits that are operators.
+
+    Hits go through in blocks of ROUNDTRIP_BLOCK, every stage one stacked
+    call, which runs the LAPACK routine of one hit alone on each; so the
+    angle keeps its bits.  A block that fails is run again hit by hit, so
+    the first failing hit raises, with its first failing guard.
+    """
+    worst, operators = 0.0, 0
+    for start in range(0, len(hits), ROUNDTRIP_BLOCK):
+        block = hits[start : start + ROUNDTRIP_BLOCK]
+        graphs = np.stack([hit.graph.basis for hit in block])
+        try:
+            angles = _roundtrip_angles(dp, graphs)
+        except (InputError, PreconditionError, PropertyViolationError):
+            for graph in graphs:
+                _roundtrip_angles(dp, graph[None])
+            raise
+        worst = max(worst, *angles.tolist())
+        operators += int(_operator_flags(block, graphs, dp.tol).sum())
+    return worst, operators
+
+
+def _roundtrip_angles(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
+    """For each graph basis of a stack, the sine of the largest angle from
+    the columns that the rebuilt extension adds to graph(A) into the graph;
+    the Cayley guard has required graph(A) inside it."""
+    new = _rebuilt_columns(dp, _cayley_unitaries(dp, graphs))
+    return _spectral_norms(_outside(new, graphs))
+
+
+def _operator_flags(hits: list[LinearRelation], graphs: np.ndarray, tol) -> np.ndarray:
+    """is_operator of each hit: a given domain, else full column rank of its
+    graph basis's top block at tol.zero_cutoff(1.0), LinearRelation._top_svd's
+    cut, on the singular values of one stacked SVD.  The SVD takes no
+    vectors, so its values may differ from _top_svd's by rounding, which
+    matters only for a sine within rounding of the cut."""
+    flags = np.array([hit.given_domain is not None for hit in hits])
+    if not flags.all():
+        sines = np.linalg.svd(graphs[~flags, : graphs.shape[-2] // 2], compute_uv=False)
+        flags[~flags] = np.sum(sines > tol.zero_cutoff(1.0), axis=-1) == graphs.shape[-1]
+    return flags
 
 
 def _omega_block(omega: np.ndarray, l_coords: np.ndarray) -> np.ndarray:
     """L^H Omega conj(L), the frakM block of the adjoint-gap matrix of
-    graph(A) + M L for orthonormal L (see brute_force_extensions)."""
-    return l_coords.conj().T @ omega @ np.conj(l_coords)
+    graph(A) + M L for orthonormal L (see brute_force_extensions), for L or
+    each L of a stack."""
+    return _adjoint(l_coords) @ omega @ np.conj(l_coords)
 
 
 def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
@@ -475,9 +623,12 @@ def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
 
 
 def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
-    """The brute-force sweep's `budget` candidates L, m x h in frakM
-    coordinates, in order; None stands for a first vector whose isotropic
-    completion lost rank.  frakM must have even dimension 0 < m <= 8."""
+    """The brute-force sweep's `budget` candidates L in order, in stacks:
+    yields (L, lost), L a B x m x h stack in frakM coordinates and lost the
+    mask of the candidates whose isotropic completion lost rank.  The
+    structured sweep comes as one stack; the isotropic completions of
+    random first vectors, drawn one at a time, and the raw random subspaces
+    follow as one stack each.  frakM must have even dimension 0 < m <= 8."""
     frak_m = dp.frakM
     m = frak_m.dim
     half = m // 2
@@ -500,25 +651,25 @@ def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
                         if nv > 1e-8:
                             yield v / nv
 
-    evaluated = 0
-    for v in first_vectors():
-        if evaluated >= budget:
-            break
-        if half > 1:
-            try:
-                l_coords = _greedy_isotropic(s_coord, m, tol, first=v)
-            except PropertyViolationError:
-                l_coords = None
-            yield l_coords
-        else:
-            yield v.reshape(-1, 1)
-        evaluated += 1
+    firsts = np.array(list(itertools.islice(first_vectors(), budget))).reshape(-1, m)
+    if half > 1:
+        yield _greedy_isotropic(s_coord, firsts, tol)
+    else:
+        yield firsts[:, :, None], np.zeros(len(firsts), dtype=bool)
+    evaluated = len(firsts)
     iso_share = max(0, (budget - evaluated) // 10)
-    for _ in range(iso_share):
-        yield _greedy_isotropic(s_coord, m, tol, rng=rng)
-    for _ in range(budget - evaluated - iso_share):
-        z = rng.standard_normal((m, half)) + 1j * rng.standard_normal((m, half))
-        yield orthonormal_basis(z, tol, m).basis
+    completions = [
+        _greedy_isotropic(s_coord, (rng.standard_normal(m) + 1j * rng.standard_normal(m))[None], tol, rng)
+        for _ in range(iso_share)
+    ]
+    if completions:
+        yield tuple(np.concatenate(part) for part in zip(*completions))
+    raw = budget - evaluated - iso_share
+    if raw > 0:
+        shape = (m, half)
+        z = np.array([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(raw)])
+        u, rank = _ranked_svd(z, tol)
+        yield u, rank != half
 
 
 # brute_force_extensions returns at most this many hits
@@ -560,26 +711,26 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     if frak_m.dim % 2:
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     tol = dp.tol
-    bound = tol.bound()
     hits: list[LinearRelation] = []
     seen: set[bytes] = set()
-    for l_coords in _sweep_candidates(dp, budget, seed):
-        if len(hits) >= MAX_HITS:
-            break
-        if l_coords is None:
-            continue
-        span = orthonormal_basis(l_coords, tol, frak_m.dim)
-        if 2 * span.dim != frak_m.dim or not _norm_within(_omega_block(omega, span.basis), bound):
-            continue
+    for stack, lost in _sweep_candidates(dp, budget, seed):
+        # the rank test 2 dim L = m and the filter over the whole stack
+        spans, rank = _ranked_svd(stack[~lost], tol)
+        spans = spans[2 * rank == frak_m.dim]
+        spans = spans[_norms_within(_omega_block(omega, spans), tol.bound())]
         # dedup on the rounded projector of L, which is basis-independent;
         # adding 0.0 normalizes negative zeros so keys are reproducible
-        key = (np.round(span.projector(), 8) + 0.0).tobytes()
-        if key in seen:
-            continue
-        # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
-        lifted = np.hstack([dp.a.graph.basis, frak_m.basis @ span.basis])
-        cand = LinearRelation(_trusted(lifted, tol))
-        if is_c_selfadjoint(cand, dp.c):
-            seen.add(key)
-            hits.append(cand)
+        keys = np.round(spans @ _adjoint(spans), 8) + 0.0
+        for span, key in zip(spans, keys):
+            if len(hits) >= MAX_HITS:
+                return hits
+            key = key.tobytes()
+            if key in seen:
+                continue
+            # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
+            lifted = np.hstack([dp.a.graph.basis, frak_m.basis @ span])
+            cand = LinearRelation(_trusted(lifted, tol))
+            if is_c_selfadjoint(cand, dp.c):
+                seen.add(key)
+                hits.append(cand)
     return hits

@@ -15,12 +15,15 @@ Every SVD and matrix norm of the package is one of four kinds:
 - Rank decision (the rank is unknown; singular values are cut at
   zero_cutoff): orthonormal_basis on data from outside (a ProblemSpec's
   non-orthonormal domain columns, an "onb" parameter) and on projections
-  (kernel_one_plus's and m_spaces' first components, the sweep's
-  candidates and isotropic completions, extensions' domain sums);
-  extend_basis's SVD of the new residual; intersect, and through it
+  (kernel_one_plus's and m_spaces' first components, extensions' domain
+  sums); _ranked_svd, its cut matrix by matrix on stacks of m-row matrices
+  (the sweep's candidates and the spans of its isotropic completions);
+  extend_basis's SVD of the new residual, and _bordered's on the stacked
+  residuals of the enumerate round trip; intersect, and through it
   kernel_one_plus, imaginary_members and frakM'; LinearRelation._top_svd
   (domain, multivalued part, is_operator) of a relation given by its graph
-  alone; polar's rank r and takagi's grouping of the same singular values.
+  alone, and its cut on the stacked top blocks of the round trip's hits;
+  polar's rank r and takagi's grouping of the same singular values.
 - Structural rank (the rank is known by construction, so the SVD only
   re-orthonormalizes, uncut): complement; orthonormal_basis in adjoint (J
   is unitary) and in build_doubled's B* (C is antiunitary);
@@ -34,17 +37,18 @@ Every SVD and matrix norm of the package is one of four kinds:
   orthonormal basis through _trusted.
 - 2-norm value (a number that is reported or scales a cut), by
   _spectral_norm, the top eigenvalue of the smaller Gram matrix, with no
-  SVD: max_angle_sin and adjoint_gap wherever a check reports them as
-  residuals (deficiency and race_decomposition; extension_from_parameter
-  and enumerate's roundtrip angle take them over the k new columns of a
-  bordered graph, so on k x k Gram matrices), build_doubled's error
-  payload, extend_basis's scale ||cols||_2 and powers' ||A||_2.
+  SVD (_spectral_norms on stacks): max_angle_sin and adjoint_gap wherever
+  a check reports them as residuals (deficiency and race_decomposition;
+  extension_from_parameter and enumerate's roundtrip angle take them over
+  the k new columns of a bordered graph, so on k x k Gram matrices),
+  build_doubled's error payload, extend_basis's scale ||cols||_2 and
+  powers' ||A||_2.
 - Bound-only decision (a yes/no against tol.bound()), by _norm_within,
-  the Frobenius certificate: is_subspace_of (subspace_equal,
-  contained_in, equals), is_c_selfadjoint, preserves_subspace,
-  build_doubled's frakA* guard (on the two diagonal blocks of the doubled
-  gap matrix) and the brute-force filter.  Each builds
-  its residual matrix once (_angle_residual, LinearRelation._gap_matrix,
+  the Frobenius certificate (_norms_within on stacks): is_subspace_of
+  (subspace_equal, contained_in, equals), is_c_selfadjoint,
+  preserves_subspace, build_doubled's frakA* guard (on the two diagonal
+  blocks of the doubled gap matrix) and the brute-force filter.  Each
+  builds its residual matrix once (_angle_residual, LinearRelation._gap_matrix,
   extensions._omega_block) and takes a Gram eigenvalue only when the
   Frobenius norm leaves the answer open.
 
@@ -93,8 +97,9 @@ class Tolerance:
         if not (self.eps > 0 and np.isfinite(self.eps)):
             raise InputError(f"tolerance eps must be positive and finite, got {self.eps}")
 
-    def zero_cutoff(self, sigma_max: float) -> float:
-        return self.eps * max(1.0, float(sigma_max))
+    def zero_cutoff(self, sigma_max):
+        """eps * max(1, sigma_max), elementwise for an array of sigma_max."""
+        return self.eps * np.maximum(1.0, sigma_max)
 
     def bound(self, scale: float = 1.0) -> float:
         return 1e3 * self.eps * scale
@@ -117,9 +122,10 @@ def _as_complex_matrix(a, name="matrix"):
     return m
 
 
-def _gram_residual(m: np.ndarray) -> float:
-    """max |m^H m - I| over the entries; 0.0 when m has no columns."""
-    return float(np.abs(m.conj().T @ m - np.eye(m.shape[1])).max()) if m.shape[1] else 0.0
+def _gram_residual(m: np.ndarray):
+    """max |m^H m - I| over the entries, of a matrix or of each matrix in a
+    stack; 0.0 when m has no columns."""
+    return np.abs(_adjoint(m) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1), initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +202,18 @@ def orthonormal_basis(cols, tol: Tolerance = DEFAULT_TOL, ambient_dim=None) -> S
         raise InputError(f"columns live in dimension {a.shape[0]}, expected {ambient_dim}")
     if a.shape[1] == 0:
         return _trusted(a, tol)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol.zero_cutoff(s[0] if s.size else 0.0)))
+    u, rank = _ranked_svd(a, tol)
     return _trusted(u[:, :rank], tol)
+
+
+def _ranked_svd(a: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The thin U and the rank of a matrix with at least one column, or of
+    each matrix in a stack: the singular values cut at
+    tol.zero_cutoff(sigma_0) matrix by matrix.  numpy's stacked svd runs
+    the LAPACK routine of one matrix on each, so U[i, :, :rank[i]] holds
+    the bits of orthonormal_basis(a[i])."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u, np.sum(s > tol.zero_cutoff(s[..., :1]), axis=-1)
 
 
 def zero_subspace(n: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -232,11 +247,19 @@ def extend_basis(s: Subspace, cols) -> Subspace:
         raise InputError(f"columns live in dimension {cols.shape[0]}, subspace in {s.ambient_dim}")
     if cols.shape[1] == 0:
         return s
+    u, rank = _bordered(s, cols)
+    return _trusted(np.hstack([s.basis, u[:, :rank]]), s.tol)
+
+
+def _bordered(s: Subspace, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The thin U of the twice-projected residual of a column block with at
+    least one column, or of each block in a stack, and the rank of what it
+    adds to S: [S.basis, U[i, :, :rank[i]]] is extend_basis(S, cols[i])
+    bit for bit."""
     residual = cols - s.basis @ (s.basis.conj().T @ cols)
     residual -= s.basis @ (s.basis.conj().T @ residual)
     u, sigma, _ = np.linalg.svd(residual, full_matrices=False)
-    rank = int(np.sum(sigma > s.tol.zero_cutoff(_spectral_norm(cols))))
-    return _trusted(np.hstack([s.basis, u[:, :rank]]), s.tol)
+    return u, np.sum(sigma > s.tol.zero_cutoff(_spectral_norms(cols))[..., None], axis=-1)
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -288,7 +311,17 @@ def _angle_residual(s1: Subspace, s2: Subspace) -> np.ndarray:
     """S1 - S2 (S2^H S1): the part of S1's basis outside S2.  Its 2-norm is
     the sine of the largest principal angle from S1 into S2."""
     _check_same_ambient(s1, s2)
-    return s1.basis - s2.basis @ (s2.basis.conj().T @ s1.basis)
+    return _outside(s1.basis, s2.basis)
+
+
+def _outside(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """B1 - B2 (B2^H B1) for orthonormal bases or stacks of them."""
+    return b1 - b2 @ (_adjoint(b2) @ b1)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def max_angle_sin(s1: Subspace, s2: Subspace) -> float:
@@ -306,10 +339,17 @@ def _spectral_norm(m: np.ndarray) -> float:
     The Gram matrix carries sigma_max^2 to relative accuracy eps, so
     sigma_max keeps its relative accuracy; no SVD is taken.
     """
-    if not m.size:
-        return 0.0
-    gram = m.conj().T @ m if m.shape[0] >= m.shape[1] else m @ m.conj().T
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return float(_spectral_norms(m))
+
+
+def _spectral_norms(m: np.ndarray) -> np.ndarray:
+    """_spectral_norm of a matrix, or of each matrix in a stack by one
+    stacked eigvalsh."""
+    rows, cols = m.shape[-2:]
+    if not rows * cols:
+        return np.zeros(m.shape[:-2])
+    gram = _adjoint(m) @ m if rows >= cols else m @ _adjoint(m)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def _norm_within(m: np.ndarray, bound: float) -> bool:
@@ -321,12 +361,19 @@ def _norm_within(m: np.ndarray, bound: float) -> bool:
     2-norm computed (_spectral_norm).  The answer is that of
     _spectral_norm(m) <= bound; only the work differs.
     """
-    frobenius = float(np.linalg.norm(m))
-    if frobenius <= bound:
-        return True
-    if frobenius > np.sqrt(min(m.shape)) * bound:
-        return False
-    return _spectral_norm(m) <= bound
+    return bool(_norms_within(m[None], bound)[0])
+
+
+def _norms_within(m: np.ndarray, bound: float) -> np.ndarray:
+    """_norm_within for each matrix in a stack; the 2-norms still open after
+    the Frobenius certificate are taken in one stacked eigvalsh."""
+    flat = m.reshape(*m.shape[:-2], -1)
+    frobenius = np.sqrt(np.vecdot(flat, flat).real)
+    within = frobenius <= bound
+    open_ = ~within & (frobenius <= np.sqrt(min(m.shape[-2:])) * bound)
+    if open_.any():
+        within[open_] = _spectral_norms(m[open_]) <= bound
+    return within
 
 
 def is_subspace_of(s1: Subspace, s2: Subspace) -> bool:

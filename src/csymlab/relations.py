@@ -156,8 +156,7 @@ class LinearRelation:
         """
         if c.dim != self.ambient_dim:
             raise InputError(f"conjugation dimension {c.dim} != relation ambient {self.ambient_dim}")
-        k = c.matrix
-        return np.vstack([k @ np.conj(self._top()), k @ np.conj(self._bottom())])
+        return _conjugated_graphs(self.graph.basis, c.matrix)
 
     def conjugated(self, c: Conjugation) -> "LinearRelation":
         """C R C: graph {(Cx, Cy)}, involutive; its basis is conjugated_basis(c),
@@ -170,6 +169,12 @@ class LinearRelation:
 
     def equals(self, other: "LinearRelation") -> bool:
         return subspace_equal(self.graph, other.graph)
+
+
+def _conjugated_graphs(graphs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(K conj X; K conj Y) for a graph basis [X; Y] or a stack of them."""
+    n = k.shape[0]
+    return np.concatenate([k @ np.conj(graphs[..., :n, :]), k @ np.conj(graphs[..., n:, :])], axis=-2)
 
 
 def operator_relation(cols: np.ndarray, images: np.ndarray, tol: Tolerance) -> LinearRelation:

@@ -118,8 +118,10 @@ def sample_parameters(dp, count, seed=0):
         return [cs.ExtensionParameter("conjugation", np.zeros((0, 0))) for _ in range(count)]
     rng = np.random.default_rng(seed)
     out = []
+    m = frak_m.dim
     for _ in range(count):
-        l_coords = cs.extensions._greedy_isotropic(s_coord, frak_m.dim, dp.tol, rng=rng)
+        first = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        l_coords = cs.extensions._greedy_isotropic(s_coord, first[None], dp.tol, rng)[0][0]
         a_tilde = cs.LinearRelation(cs.extend_basis(dp.a.graph, frak_m.basis @ l_coords))
         out.append(cs.parameter_as_conjugation(dp, cs.recover_parameter(dp, a_tilde)))
     return out
@@ -151,3 +153,79 @@ def block_slices(r):
     s = cs.LinearRelation(cs.orthonormal_basis(hit_s.basis[n : 3 * n], tol, 2 * n))
     t = cs.LinearRelation(cs.orthonormal_basis(np.vstack([hit_t.basis[:n], hit_t.basis[3 * n :]]), tol, 2 * n))
     return s, t
+
+
+def greedy_isotropic_oracle(s_coord, m, tol, rng=None, first=None):
+    """extensions._greedy_isotropic one L at a time, the oracle of the
+    stacked one: complement and span are one SVD each per step, and a span
+    that loses rank raises PropertyViolationError."""
+    cols = []
+    used = np.zeros((m, 0), dtype=complex)
+    while 2 * len(cols) < m:
+        if cols or first is None:
+            rest = cs.complement(cs.linalg._trusted(used, tol)).basis
+            if rng is None:
+                v = rest[:, 0]
+            else:
+                coeff = rng.standard_normal(rest.shape[1]) + 1j * rng.standard_normal(rest.shape[1])
+                v = rest @ coeff
+                v = v / np.linalg.norm(v)
+        else:
+            v = first / np.linalg.norm(first)
+        sv = s_coord @ np.conj(v)
+        cols.append(v)
+        used = cs.orthonormal_basis(np.column_stack([used, v, sv]), tol, m).basis
+        if used.shape[1] != 2 * len(cols):
+            raise cs.PropertyViolationError("isotropic construction lost rank", {"dim": used.shape[1]})
+    return np.column_stack(cols) if cols else np.zeros((m, 0), dtype=complex)
+
+
+def sweep_oracle(dp, budget, seed):
+    """The brute-force sweep one candidate at a time, the oracle of the
+    stacked one: (candidates, hits), the candidates L in order (None where
+    the isotropic completion lost rank) and the graph bases of the hits."""
+    frak_m, omega, tol = dp.frakM, dp.omega, dp.tol
+    m = frak_m.dim
+    half = m // 2
+    rng = np.random.default_rng(seed)
+    pool = cs.extensions._sweep_pool(dp, frak_m)
+    firsts = []
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            for th in (0.0, np.pi / 4, np.pi / 2):
+                for ph in (1.0, 1j, -1.0, -1j):
+                    v = np.cos(th) * pool[i] + np.sin(th) * ph * pool[j]
+                    nv = np.linalg.norm(v)
+                    if i != j and nv > 1e-8 and len(firsts) < budget:
+                        firsts.append(v / nv)
+
+    def completed(**kwargs):
+        try:
+            return greedy_isotropic_oracle(omega, m, tol, **kwargs)
+        except cs.PropertyViolationError:
+            return None
+
+    candidates = [completed(first=v) if half > 1 else v.reshape(-1, 1) for v in firsts]
+    iso_share = max(0, (budget - len(firsts)) // 10)
+    candidates += [completed(rng=rng) for _ in range(iso_share)]
+    for _ in range(budget - len(firsts) - iso_share):
+        z = rng.standard_normal((m, half)) + 1j * rng.standard_normal((m, half))
+        candidates.append(cs.orthonormal_basis(z, tol, m).basis)
+    hits, seen = [], set()
+    for l_coords in candidates:
+        if len(hits) >= cs.extensions.MAX_HITS:
+            break
+        if l_coords is None:
+            continue
+        span = cs.orthonormal_basis(l_coords, tol, m)
+        block = span.basis.conj().T @ omega @ np.conj(span.basis)
+        if 2 * span.dim != m or not cs.linalg._norm_within(block, tol.bound()):
+            continue
+        key = (np.round(span.projector(), 8) + 0.0).tobytes()
+        if key in seen:
+            continue
+        lifted = np.hstack([dp.a.graph.basis, frak_m.basis @ span.basis])
+        if cs.is_c_selfadjoint(cs.LinearRelation(cs.linalg._trusted(lifted, tol)), dp.c):
+            seen.add(key)
+            hits.append(lifted)
+    return candidates, hits

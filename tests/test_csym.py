@@ -150,12 +150,11 @@ def _lifted_sweep(example, n):
     dp = cs.build_doubled(spec.relation(), spec.conjugation())
     frak_m = dp.frakM
     w = dp.omega
-    for l_coords in cs.extensions._sweep_candidates(dp, 200, 0):
-        if l_coords is None:
-            continue
-        span = cs.orthonormal_basis(l_coords, dp.tol, frak_m.dim).basis
-        graph = cs.Subspace(np.hstack([dp.a.graph.basis, frak_m.basis @ span]), dp.tol)
-        yield dp, w, span, cs.LinearRelation(graph)
+    for stack, lost in cs.extensions._sweep_candidates(dp, 200, 0):
+        for l_coords in stack[~lost]:
+            span = cs.orthonormal_basis(l_coords, dp.tol, frak_m.dim).basis
+            graph = cs.Subspace(np.hstack([dp.a.graph.basis, frak_m.basis @ span]), dp.tol)
+            yield dp, w, span, cs.LinearRelation(graph)
 
 
 def test_selfadjoint_predicate_agrees_with_adjoint_route_on_sweep():
@@ -185,7 +184,7 @@ def test_sweep_residual_without_conj_fails(monkeypatch):
     # mutation: L^H W L instead of L^H W conj(L) is no block of the direct
     # gap matrix; it exceeds the direct gap and drops every hit
     def unconjugated(w, l_coords):
-        return l_coords.conj().T @ w @ l_coords
+        return np.swapaxes(l_coords.conj(), -1, -2) @ w @ l_coords
 
     monkeypatch.setattr(cs.extensions, "_omega_block", unconjugated)
     above = [

@@ -302,6 +302,58 @@ def test_vn_rejects_nonsymmetric(rng):
         cs.vn_decomposition(cs.from_matrix(random_complex(rng, 3, 3) + np.diag([9.0, 0, 0])))
 
 
+def _vn_failures(dp):
+    """The failing checks of vn_decomposition on dp's frakA."""
+    checks = cs.vn_decomposition(dp.frakA, dp.frakA_star).checks
+    return {name for name, status in _statuses(checks).items() if status == "fail"}
+
+
+def _turned(space, towards):
+    """space with its first basis column turned by 0.1 rad towards the unit
+    vector `towards`, orthogonal to every column of space."""
+    b = space.basis.copy()
+    b[:, 0] = np.cos(0.1) * b[:, 0] + np.sin(0.1) * towards
+    return cs.Subspace(b)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+def test_vn_member_orthogonal_to_graph_catches_a_tilted_member(monkeypatch, sign):
+    # mutation: one N_hat member turned towards graph(T); its first
+    # components move out of N((T*)^2 + I), so the kernel split fails with it
+    dp = doubled(cs.race_schrodinger(16))
+    assert _vn_failures(dp) == set()
+    plus, minus = dp.frakA_star.imaginary_members()
+    towards = dp.frakA.graph.basis[:, 0]
+    members = (_turned(plus, towards), minus) if sign == "plus" else (plus, _turned(minus, towards))
+    monkeypatch.setattr(cs.LinearRelation, "imaginary_members", lambda self: members)
+    assert _vn_failures(dp) == {f"graph_orth_t_nhat_{sign}", "kernel_splits_into_eigenspace_members"}
+
+
+def test_vn_members_orthogonal_to_each_other_catches_a_tilted_member(monkeypatch):
+    # mutation: N_hat_plus's first column turned towards N_hat_minus; the
+    # sums and the first components keep their spans, so this check alone fails
+    dp = doubled(cs.race_schrodinger(16))
+    plus, minus = dp.frakA_star.imaginary_members()
+    members = (_turned(plus, minus.basis[:, 0]), minus)
+    monkeypatch.setattr(cs.LinearRelation, "imaginary_members", lambda self: members)
+    assert _vn_failures(dp) == {"graph_orth_nhat_plus_minus"}
+
+
+def test_vn_decomposition_catches_a_short_graph_sum(monkeypatch):
+    # mutation: the graph-level sums lose their last direction; the kernel
+    # split sums first components, one level down, and keeps its own
+    dp = doubled(cs.race_schrodinger(16))
+    graph_ambient = 2 * dp.frakA.ambient_dim
+    subspace_sum = cs.doubling.subspace_sum
+
+    def short(s1, s2):
+        total = subspace_sum(s1, s2)
+        return cs.Subspace(total.basis[:, :-1]) if s1.ambient_dim == graph_ambient else total
+
+    monkeypatch.setattr(cs.doubling, "subspace_sum", short)
+    assert _vn_failures(dp) == {"graph_decomposition_spans_adjoint"}
+
+
 def test_race_decomposition_fixture_measurements():
     spec = cs.zero_on_subspace(4)
     rep = cs.race_decomposition(cs.build_doubled(spec.relation(), spec.conjugation()))

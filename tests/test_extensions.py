@@ -20,10 +20,12 @@ from conftest import (
     DEFECT_SPECS,
     block_slices,
     count_calls,
+    greedy_isotropic_oracle,
     nonblock_parameter,
     parameter_as_onb,
     random_complex,
     sample_parameters,
+    sweep_oracle,
     within,
 )
 
@@ -307,7 +309,7 @@ def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
 
     def counted_svd(a, *args, **kwargs):
         if not in_pool:
-            rows.append(np.shape(a)[0])
+            rows.append(np.shape(a)[-2])  # a stack counts by its matrices' rows
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(cs.extensions, "_sweep_pool", counted_pool)
@@ -316,6 +318,155 @@ def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
     hits = cs.brute_force_extensions(dp, budget=200, seed=0)
     assert rows and max(rows) <= m
     assert len(direct) == len(hits) == 93
+
+
+# fixtures with frakM of dimension 4 (race, fd, zero), 6 and 8
+SWEEP_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        cs.race_schrodinger(16),
+        cs.race_schrodinger(32),
+        cs.fd_derivative_minimal(16),
+        cs.zero_on_subspace(16),
+        cs.random_restriction(10, seed=6),
+        cs.random_restriction(9, seed=7),
+    ],
+    ids=lambda s: s.name,
+)
+
+
+@SWEEP_SPECS
+@pytest.mark.parametrize("budget", [200, 2000])
+def test_stacked_sweep_matches_one_candidate_at_a_time(spec, budget):
+    # the stacked SVDs, solves and filter run the LAPACK routine of one
+    # candidate alone on each matrix: same candidates, masks and hits, bit for bit
+    dp = doubled(spec)
+    for seed in range(3):
+        candidates, hit_bases = sweep_oracle(dp, budget, seed)
+        stacks = list(cs.extensions._sweep_candidates(dp, budget, seed))
+        stacked = np.concatenate([cols for cols, _ in stacks])
+        lost = np.concatenate([mask for _, mask in stacks])
+        assert lost.tolist() == [c is None for c in candidates]
+        kept = [c for c in candidates if c is not None]
+        assert all(np.array_equal(c, o) for c, o in zip(stacked[~lost], kept))
+        hits = cs.brute_force_extensions(dp, budget=budget, seed=seed)
+        assert len(hits) == len(hit_bases)
+        assert all(np.array_equal(h.graph.basis, o) for h, o in zip(hits, hit_bases))
+
+
+@SWEEP_SPECS
+def test_stacked_greedy_matches_one_completion_at_a_time(spec):
+    # the canonical L from e1, and the random stream one draw at a time
+    dp = doubled(spec)
+    m = dp.frakM.dim
+    cols, lost = cs.extensions._greedy_isotropic(dp.omega, np.eye(1, m, dtype=complex), dp.tol)
+    assert not lost[0] and np.array_equal(cols[0], greedy_isotropic_oracle(dp.omega, m, dp.tol))
+    rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(5):
+        first = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        cols, lost = cs.extensions._greedy_isotropic(dp.omega, first[None], dp.tol, rng)
+        oracle = greedy_isotropic_oracle(dp.omega, m, dp.tol, rng=oracle_rng)
+        assert not lost[0] and np.array_equal(cols[0], oracle)
+
+
+def _degenerate_firsts(rng, m):
+    """Real and complex first vectors: under S conj(v) = conj(v) the real
+    ones lose rank at once, the complex ones do not."""
+    real = rng.standard_normal((3, m)).astype(complex)
+    return np.concatenate([real, random_complex(rng, 3, m)])[[0, 3, 1, 4, 2, 5]]
+
+
+def test_stacked_greedy_masks_what_loses_rank():
+    # S conj(v) = conj(v) is no anti-involution: the oracle raises exactly
+    # for the real first vectors, and the stack masks exactly those
+    m = 6
+    s_coord, tol = np.eye(m, dtype=complex), cs.DEFAULT_TOL
+    firsts = _degenerate_firsts(np.random.default_rng(0), m)
+    cols, lost = cs.extensions._greedy_isotropic(s_coord, firsts, tol)
+    for v, c, masked in zip(firsts, cols, lost):
+        try:
+            expected = greedy_isotropic_oracle(s_coord, m, tol, first=v)
+        except cs.PropertyViolationError:
+            expected = None
+        assert masked == (expected is None)
+        assert masked or np.array_equal(c, expected)
+    assert lost.tolist() == [True, False] * 3
+
+
+def test_stacked_greedy_mask_needs_the_rank_cut(monkeypatch):
+    # mutation: a stacked rank cut that keeps every column lets the
+    # candidates that lost rank through as completed
+    m = 6
+    firsts = _degenerate_firsts(np.random.default_rng(0), m)
+    ranked = cs.extensions._ranked_svd
+    monkeypatch.setattr(
+        cs.extensions, "_ranked_svd", lambda a, tol: (ranked(a, tol)[0], np.full(len(a), a.shape[-1]))
+    )
+    _, lost = cs.extensions._greedy_isotropic(np.eye(m, dtype=complex), firsts, cs.DEFAULT_TOL)
+    assert not lost.any()
+
+
+def test_brute_force_drops_masked_candidates(monkeypatch):
+    # candidates masked as lost never become hits, although here their
+    # columns are the honest completions: the hits are exactly those of the
+    # unmasked candidates
+    dp = doubled(cs.random_restriction(10, seed=6))
+    honest = cs.brute_force_extensions(dp, budget=200, seed=0)
+    greedy = cs.extensions._greedy_isotropic
+
+    def losing_every_other(s_coord, first, tol, rng=None):
+        cols, lost = greedy(s_coord, first, tol, rng)
+        lost[::2] = True
+        return cols, lost
+
+    monkeypatch.setattr(cs.extensions, "_greedy_isotropic", losing_every_other)
+    kept = {(np.round(h.graph.basis @ h.graph.basis.conj().T, 8) + 0.0).tobytes() for h in honest}
+    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
+    masked_keys = {(np.round(h.graph.basis @ h.graph.basis.conj().T, 8) + 0.0).tobytes() for h in hits}
+    assert 0 < len(hits) < len(honest) and masked_keys < kept
+
+
+def test_blocked_roundtrip_matches_hit_by_hit():
+    # 93 hits, 11 full blocks and a partial one: every angle and operator
+    # decision as recover_parameter, extension_graph and is_operator give it
+    dp = doubled(cs.race_schrodinger(32))
+    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
+    assert len(hits) > cs.extensions.ROUNDTRIP_BLOCK and len(hits) % cs.extensions.ROUNDTRIP_BLOCK
+    worst, operators = cs.extensions.completeness_roundtrip(dp, hits)
+    angles = []
+    for hit in hits:
+        rebuilt = cs.extension_graph(dp, cs.recover_parameter(dp, hit))
+        angles.append(cs.max_angle_sin(_new_columns(rebuilt, dp.a).graph, hit.graph))
+    assert worst == max(angles) <= dp.tol.bound()
+    assert operators == sum(cs.LinearRelation(hit.graph).is_operator for hit in hits) == 88
+
+
+def test_roundtrip_refuses_a_wrong_cayley_transform_in_the_last_block(monkeypatch, capsys):
+    # mutation: P = B + A instead of B + iA for the last hit, which sits in
+    # the partial last block; the CLI rebuilds the same hits
+    dp = doubled(cs.race_schrodinger(32))
+    target = cs.brute_force_extensions(dp, budget=200, seed=0)[-1].graph.basis
+    block_columns = cs.extensions._block_columns
+
+    def dropped(graphs, images):
+        g = block_columns(graphs, images)
+        g[[np.array_equal(graph, target) for graph in graphs], : g.shape[-2] // 2] *= -1j
+        return g
+
+    monkeypatch.setattr(cs.extensions, "_block_columns", dropped)
+    assert main(["enumerate", "--example", "race_schrodinger", "--n", "32", "--budget", "200"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "Cayley transform does not carry N+ onto N-"
+
+
+def test_roundtrip_raises_for_the_first_failing_hit(monkeypatch):
+    # a block that fails runs again hit by hit: the error is the first hit's
+    # in order, with its first failing guard
+    dp = doubled(cs.race_schrodinger(16))
+    hits = cs.brute_force_extensions(dp, budget=200, seed=0)[:8]
+    outside = cs.LinearRelation(cs.orthonormal_basis(random_complex(np.random.default_rng(1), 32, 16)))
+    with pytest.raises(cs.PreconditionError, match="does not extend A"):
+        cs.extensions.completeness_roundtrip(dp, [*hits[:5], outside, *hits[5:]])
 
 
 @pytest.mark.parametrize("swap", [[], ["--swap"]], ids=["plain", "swap"])
@@ -462,7 +613,7 @@ def test_canonical_parameter_matches_cayley_transform(spec, swap):
     # parameter recovered by the Cayley transform; random_restriction(8, 1)
     # has frakM of dimension 14, past the brute-force guard
     dp = doubled(spec)
-    l_coords = cs.extensions._greedy_isotropic(dp.omega, dp.frakM.dim, dp.tol)
+    l_coords = cs.extensions._greedy_isotropic(dp.omega, np.eye(1, dp.frakM.dim, dtype=complex), dp.tol)[0][0]
     if swap:
         l_coords = dp.omega @ np.conj(l_coords)
     a_tilde = cs.LinearRelation(cs.extend_basis(dp.a.graph, dp.frakM.basis @ l_coords))
@@ -487,10 +638,10 @@ def test_canonical_extension_refuses_a_non_lagrangian_l(monkeypatch):
     dp = doubled(cs.race_schrodinger(16))
     greedy = cs.extensions._greedy_isotropic
 
-    def skewed(s_coord, m, tol, rng=None, first=None):
-        l_coords = greedy(s_coord, m, tol, rng, first)
-        l_coords[:, -1] = s_coord @ np.conj(l_coords[:, 0])
-        return l_coords
+    def skewed(s_coord, first, tol, rng=None):
+        l_coords, lost = greedy(s_coord, first, tol, rng)
+        l_coords[:, :, -1] = (s_coord @ np.conj(l_coords[:, :, :1]))[:, :, 0]
+        return l_coords, lost
 
     monkeypatch.setattr(cs.extensions, "_greedy_isotropic", skewed)
     for swap in (False, True):

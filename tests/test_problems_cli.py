@@ -531,6 +531,20 @@ def test_cli_extend_checks_conjugation_axioms_in_n_dimensions(monkeypatch, capsy
     assert max(max(shape) for shape in shapes) == n
 
 
+@pytest.mark.parametrize("source", ["random_csym", "race_schrodinger"])
+def test_cli_verify_all_checks_conjugation_axioms_once(tmp_path, monkeypatch, capsys, source):
+    # the spec builds its conjugation once, and frakE repeats none of C's
+    # checks; random_csym's C is of kind matrix, race's entrywise
+    if source == "random_csym":
+        argv = ["--spec", write_spec(tmp_path, cs.random_csym(64, seed=0).to_json_dict())]
+    else:
+        argv = ["--example", source, "--n", "16"]
+    calls = count_calls(monkeypatch, cs.antilinear, "conjugation_axiom_residuals")
+    assert main(["verify-all", *argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_cli_verify_all_gram_checks_pinned(monkeypatch, capsys):
     # every basis of an --example input is built inside the package and is
     # orthonormal by construction, so none runs the checked constructor
@@ -684,11 +698,13 @@ def test_cli_race_n24_fails_only_where_the_kernel_identity_is_reported(capsys):
 
 def test_cli_verify_all_eigvalsh_count_pinned(monkeypatch, capsys):
     # the predicates (the sweep's filter, C-self-adjointness, containment)
-    # decide by the Frobenius certificate and take no Gram eigenvalues
+    # decide by the Frobenius certificate and take no Gram eigenvalues; the
+    # round trip takes the rank scales and angles of its 93 hits in 12
+    # stacked calls each, not one per hit (213 = 27 + 2 x 93 hit by hit)
     calls = _count_numpy_linalg(monkeypatch, "eigvalsh")
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "32"]) == 0
     capsys.readouterr()
-    assert len(calls) == 213
+    assert len(calls) == 27 + 2 * 12
 
 
 def _drop_first_column(function):
@@ -885,12 +901,13 @@ def test_cli_enumerate_roundtrip_catches_wrong_block(monkeypatch, capsys):
     # mutation: rebuild from the (x, u) rows of the deficiency span, i.e. the
     # companion block, instead of the (y, v) rows; graph(A) is bordered as in
     # extension_graph, so the round trip's new columns are the wrong ones
-    def xu_rows(dp, p):
-        _, cols = cs.extensions._deficiency_span(dp, p)
-        n = dp.ambient_dim
-        return cs.LinearRelation(cs.extend_basis(dp.a.graph, np.vstack([cols[:n], cols[3 * n :]])))
+    def xu_rows(dp, us):
+        n, k = dp.ambient_dim, us.shape[-1]
+        cols = cs.extensions._deficiency_columns(dp, us)
+        u, _ = cs.linalg._bordered(dp.a.graph, np.concatenate([cols[:, :n], cols[:, 3 * n :]], axis=1))
+        return u[:, :, : k // 2]
 
-    monkeypatch.setattr(cs.cli, "extension_graph", xu_rows)
+    monkeypatch.setattr(cs.extensions, "_rebuilt_columns", xu_rows)
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 1
     out = json.loads(capsys.readouterr().out)
     (check,) = [c for c in out["check_list"] if c["name"].endswith("completeness_roundtrip")]
