@@ -91,6 +91,7 @@ from .linalg import (
     _adjoint,
     _as_complex_matrix,
     _bordered,
+    _check_same_ambient,
     _complement_formula_intersect,
     _gram_residual,
     _norms_within,
@@ -105,7 +106,7 @@ from .linalg import (
     subspace_equal,
     subspace_sum,
 )
-from .relations import LinearRelation, _conjugated_graphs
+from .relations import LinearRelation, _conjugated_graphs, _top_svds
 from .reporting import CheckList
 
 
@@ -509,6 +510,7 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     V = Q P^-1, so V N+ = Q X for the k columns X solving P X = N+; V itself
     is never formed.  Rebuilding the extension from U is left to callers.
     """
+    _check_same_ambient(dp.a.graph, a_tilde.graph)
     return ExtensionParameter("unitary", _cayley_unitaries(dp, a_tilde.graph.basis[None])[0])
 
 
@@ -587,14 +589,10 @@ def _roundtrip_angles(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
 
 def _operator_flags(hits: list[LinearRelation], graphs: np.ndarray, tol) -> np.ndarray:
     """is_operator of each hit: a given domain, else full column rank of its
-    graph basis's top block at tol.zero_cutoff(1.0), LinearRelation._top_svd's
-    cut, on the singular values of one stacked SVD.  The SVD takes no
-    vectors, so its values may differ from _top_svd's by rounding, which
-    matters only for a sine within rounding of the cut."""
+    graph basis's top block, by LinearRelation._top_svd's stacked kernel."""
     flags = np.array([hit.given_domain is not None for hit in hits])
     if not flags.all():
-        sines = np.linalg.svd(graphs[~flags, : graphs.shape[-2] // 2], compute_uv=False)
-        flags[~flags] = np.sum(sines > tol.zero_cutoff(1.0), axis=-1) == graphs.shape[-1]
+        flags[~flags] = _top_svds(graphs[~flags], tol)[1] == graphs.shape[-1]
     return flags
 
 
@@ -623,12 +621,13 @@ def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
 
 
 def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
-    """The brute-force sweep's `budget` candidates L in order, in stacks:
-    yields (L, lost), L a B x m x h stack in frakM coordinates and lost the
-    mask of the candidates whose isotropic completion lost rank.  The
-    structured sweep comes as one stack; the isotropic completions of
-    random first vectors, drawn one at a time, and the raw random subspaces
-    follow as one stack each.  frakM must have even dimension 0 < m <= 8."""
+    """The brute-force sweep's `budget` candidates L in order, in stacks of
+    at most SWEEP_BLOCK: yields (L, lost), L a B x m x h stack in frakM
+    coordinates and lost the mask of the candidates whose isotropic
+    completion lost rank.  The structured sweep comes first, then the
+    isotropic completions of random first vectors, drawn one at a time, and
+    the raw random subspaces; a stack is drawn only when it is asked for.
+    frakM must have even dimension 0 < m <= 8."""
     frak_m = dp.frakM
     m = frak_m.dim
     half = m // 2
@@ -651,25 +650,44 @@ def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
                         if nv > 1e-8:
                             yield v / nv
 
-    firsts = np.array(list(itertools.islice(first_vectors(), budget))).reshape(-1, m)
-    if half > 1:
-        yield _greedy_isotropic(s_coord, firsts, tol)
-    else:
-        yield firsts[:, :, None], np.zeros(len(firsts), dtype=bool)
-    evaluated = len(firsts)
+    evaluated = 0
+    for firsts in _blocks(itertools.islice(first_vectors(), budget)):
+        evaluated += len(firsts)
+        if half > 1:
+            yield _greedy_isotropic(s_coord, np.array(firsts), tol)
+        else:
+            yield np.array(firsts)[:, :, None], np.zeros(len(firsts), dtype=bool)
     iso_share = max(0, (budget - evaluated) // 10)
-    completions = [
-        _greedy_isotropic(s_coord, (rng.standard_normal(m) + 1j * rng.standard_normal(m))[None], tol, rng)
-        for _ in range(iso_share)
-    ]
-    if completions:
-        yield tuple(np.concatenate(part) for part in zip(*completions))
-    raw = budget - evaluated - iso_share
-    if raw > 0:
-        shape = (m, half)
-        z = np.array([rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(raw)])
-        u, rank = _ranked_svd(z, tol)
+
+    def completions():
+        for _ in range(iso_share):
+            first = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            yield _greedy_isotropic(s_coord, first[None], tol, rng)
+
+    for block in _blocks(completions()):
+        yield tuple(np.concatenate(part) for part in zip(*block))
+
+    def raw_subspaces():
+        for _ in range(budget - evaluated - iso_share):
+            yield rng.standard_normal((m, half)) + 1j * rng.standard_normal((m, half))
+
+    for block in _blocks(raw_subspaces()):
+        u, rank = _ranked_svd(np.array(block), tol)
         yield u, rank != half
+
+
+# _sweep_candidates draws and stacks this many candidates at a time: one
+# LAPACK call per step for all of them, yet brute_force_extensions stops
+# drawing once it holds MAX_HITS
+SWEEP_BLOCK = 256
+
+
+def _blocks(items):
+    """Lists of SWEEP_BLOCK consecutive items (the last one shorter), each
+    drawn when it is asked for."""
+    items = iter(items)
+    while block := list(itertools.islice(items, SWEEP_BLOCK)):
+        yield block
 
 
 # brute_force_extensions returns at most this many hits
@@ -698,9 +716,9 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     filter never drops a candidate the direct test would accept.
 
     When the family is continuous nearly every half-dimension-one candidate
-    is a distinct hit, so the returned list is capped at MAX_HITS (sampling
-    stops once the cap is reached; the structured sweep runs first and is
-    never truncated by the random streams).
+    is a distinct hit, so the returned list is capped at MAX_HITS (no block
+    of candidates is drawn once the cap is reached; the structured sweep
+    runs first and is never truncated by the random streams).
     """
     omega = dp.omega  # raises PreconditionError unless C-symmetric
     frak_m = dp.frakM
@@ -722,8 +740,6 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
         # adding 0.0 normalizes negative zeros so keys are reproducible
         keys = np.round(spans @ _adjoint(spans), 8) + 0.0
         for span, key in zip(spans, keys):
-            if len(hits) >= MAX_HITS:
-                return hits
             key = key.tobytes()
             if key in seen:
                 continue
@@ -733,4 +749,6 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
             if is_c_selfadjoint(cand, dp.c):
                 seen.add(key)
                 hits.append(cand)
+                if len(hits) == MAX_HITS:
+                    return hits
     return hits

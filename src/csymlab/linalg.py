@@ -367,13 +367,23 @@ def _norm_within(m: np.ndarray, bound: float) -> bool:
 def _norms_within(m: np.ndarray, bound: float) -> np.ndarray:
     """_norm_within for each matrix in a stack; the 2-norms still open after
     the Frobenius certificate are taken in one stacked eigvalsh."""
-    flat = m.reshape(*m.shape[:-2], -1)
-    frobenius = np.sqrt(np.vecdot(flat, flat).real)
+    frobenius = _frobenius_norms(m)
     within = frobenius <= bound
     open_ = ~within & (frobenius <= np.sqrt(min(m.shape[-2:])) * bound)
     if open_.any():
         within[open_] = _spectral_norms(m[open_]) <= bound
     return within
+
+
+def _frobenius_norms(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix in a stack, with the bits of
+    np.linalg.norm of that matrix: its real and imaginary parts are
+    flattened in memory order and each summed by a vector dot product."""
+    if abs(m.strides[-1]) > abs(m.strides[-2]):
+        m = np.swapaxes(m, -1, -2)
+    flat = m.reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ _adjoint(re) + im @ _adjoint(im))[..., 0, 0])
 
 
 def is_subspace_of(s1: Subspace, s2: Subspace) -> bool:

@@ -229,6 +229,16 @@ def test_recover_parameter_rejects_non_extensions():
         cs.recover_parameter(dp, other)  # C-self-adjoint but does not extend A
 
 
+def test_recover_parameter_refuses_another_ambient_dimension():
+    # a relation on C^3 handed to a problem on C^2 is a caller mistake,
+    # refused before any stacked product mixes the two dimensions
+    dp = doubled(cs.minimal_identity())
+    other = doubled(cs.race_schrodinger(8)).a
+    assert other.ambient_dim != dp.ambient_dim
+    with pytest.raises(cs.InputError, match="ambient dimensions differ"):
+        cs.recover_parameter(dp, other)
+
+
 def test_l_manifold_decomposition():
     for spec in FIXTURES():
         dp = doubled(spec)
@@ -426,6 +436,32 @@ def test_brute_force_drops_masked_candidates(monkeypatch):
     assert 0 < len(hits) < len(honest) and masked_keys < kept
 
 
+def test_sweep_draws_no_block_once_the_cap_is_reached(monkeypatch):
+    # frakM of dimension 2: nearly every line is a distinct hit.  The sweep
+    # stops in the block that brings the MAX_HITS-th hit, so the budget's
+    # size costs nothing; one block less does not reach the cap
+    dp = doubled(cs.random_restriction(4, seed=0))
+    assert dp.frakM.dim == 2
+    monkeypatch.setattr(cs.extensions, "MAX_HITS", 5)
+    monkeypatch.setattr(cs.extensions, "SWEEP_BLOCK", 4)
+    sweep = cs.extensions._sweep_candidates
+    drawn = []
+
+    def counted(*args):
+        for stack, lost in sweep(*args):
+            drawn.append(len(stack))
+            yield stack, lost
+
+    monkeypatch.setattr(cs.extensions, "_sweep_candidates", counted)
+    hits = cs.brute_force_extensions(dp, budget=10**6, seed=0)
+    blocks = len(drawn)
+    assert len(hits) == 5 and drawn == [4] * blocks
+    monkeypatch.setattr(cs.extensions, "MAX_HITS", 10**6)
+    # these budgets stay inside the structured sweep, which comes first
+    assert len(cs.brute_force_extensions(dp, budget=4 * blocks, seed=0)) >= 5
+    assert len(cs.brute_force_extensions(dp, budget=4 * blocks - 4, seed=0)) < 5
+
+
 def test_blocked_roundtrip_matches_hit_by_hit():
     # 93 hits, 11 full blocks and a partial one: every angle and operator
     # decision as recover_parameter, extension_graph and is_operator give it
@@ -439,6 +475,11 @@ def test_blocked_roundtrip_matches_hit_by_hit():
         angles.append(cs.max_angle_sin(_new_columns(rebuilt, dp.a).graph, hit.graph))
     assert worst == max(angles) <= dp.tol.bound()
     assert operators == sum(cs.LinearRelation(hit.graph).is_operator for hit in hits) == 88
+    # the stacked top-block SVD gives each hit the bits of its own
+    graphs = np.stack([hit.graph.basis for hit in hits])
+    for hit, *stacked in zip(hits, *cs.relations._top_svds(graphs, dp.tol)):
+        u, r, vh = cs.LinearRelation(hit.graph)._top_svd
+        assert np.array_equal(stacked[0], u) and stacked[1] == r and np.array_equal(stacked[2], vh)
 
 
 def test_roundtrip_refuses_a_wrong_cayley_transform_in_the_last_block(monkeypatch, capsys):

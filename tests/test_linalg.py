@@ -290,6 +290,17 @@ def test_norm_within_agrees_with_spectral_norm(rng, monkeypatch, scale):
     assert "rank_one" in branches["within"] and "rank_one" in branches["outside"]
 
 
+def test_frobenius_norms_keep_the_bits_of_numpy_norm(rng):
+    # the certificate's Frobenius norm of each matrix of a stack is
+    # np.linalg.norm of that matrix alone, bit for bit, whatever its layout
+    big = random_complex(rng, 40, 12)
+    for m in (big[:30, :7], big[:30, :7].T, np.asfortranarray(big[:30, :7]), big.conj().T[2:9, 1:30]):
+        assert cs.linalg._frobenius_norms(m[None])[0] == np.linalg.norm(m)
+    stack = np.stack([big[:30, :7], big[5:35, 3:10], 1e-13 * big[10:40, 5:12]])
+    assert cs.linalg._frobenius_norms(stack).tolist() == [np.linalg.norm(m) for m in stack]
+    assert cs.linalg._norms_within(np.zeros((0, 3, 3), dtype=complex), 1.0).shape == (0,)
+
+
 def test_predicates_take_no_gram_eigenvalues(rng, monkeypatch):
     # containment far inside or far outside the bound is settled by the
     # Frobenius norm alone
