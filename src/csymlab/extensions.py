@@ -68,8 +68,8 @@ numpy's stacked svd, solve and eigvalsh run the LAPACK routine of one
 matrix on each, so a stack gives every candidate, hit and angle the bits it
 has alone, at one call per step instead of one per candidate.  The greedy
 completion, the rank test, the filter and the dedup keys take the sweep's
-candidates a stack at a time; the direct test still runs once per distinct
-survivor, in order.  completeness_roundtrip takes the hits in blocks of
+candidates SWEEP_BLOCK at a time, a block drawn only when it is needed;
+the direct test still runs once per distinct survivor, in order.  completeness_roundtrip takes the hits in blocks of
 ROUNDTRIP_BLOCK through the kernels of recover_parameter (_cayley_unitaries)
 and extension_graph (_rebuilt_columns), which those two run on a stack of
 one.
