@@ -59,6 +59,12 @@ def corpus() -> list[tuple[str, tuple[str, ...]]]:
         cases.append((f"extend_swap_race_h0.02_n{n}", ("extend", *small_h, "--swap")))
     cases.append(("extend_swap_race_n16", ("extend", *race(16), "--swap")))
     cases.append(("enumerate_race_n8", ("enumerate", *race(8), "--budget", "500")))
+    # the random part of the sweep and hundreds of round-trip hits
+    zero = ("--example", "zero_on_subspace", "--n", "16")
+    for label, source in (("race_n16", race(16)), ("zero_n16", zero)):
+        for seed in ("0", "1"):
+            argv = ("enumerate", *source, "--budget", "2000", "--seed", seed)
+            cases.append((f"enumerate_{label}_budget2000_seed{seed}", argv))
     cases.append(("deficiency_race_n56", ("deficiency", *race(56))))
     cases.append(("deficiency_race_n128", ("deficiency", *race(128))))
     cases.append(("check_scalar_1e308", ("check", "--spec", "{scalar}")))

@@ -44,7 +44,7 @@ from .linalg import (
     Subspace,
     Tolerance,
     _adjoint,
-    _norms_within,
+    _norm_within,
     _trusted,
     intersect,
     orthonormal_basis,
@@ -64,18 +64,15 @@ def is_c_symmetric(a: LinearRelation, c: Conjugation) -> bool:
 def is_c_selfadjoint(a: LinearRelation, c: Conjugation) -> bool:
     """CAC = A*, read off the C-image of graph(A) without building either side."""
     image = a.conjugated_basis(c)  # raises InputError for a conjugation of another dimension
-    return bool(_c_selfadjoint(a.graph.basis[None], image[None], a.tol)[0])
+    return a.graph.dim == a.ambient_dim and _norm_within(_adjoint_gaps(a.graph.basis, image), a.tol.bound())
 
 
-def _c_selfadjoint(graphs: np.ndarray, images: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """is_c_selfadjoint for a stack of graph bases [X; Y] of one dimension
-    and their C-images Q: dimension n and Y^H Q_top - X^H Q_bot = 0, the
-    adjoint-gap matrix of LinearRelation._gap_matrix."""
+def _adjoint_gaps(graphs: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Y^H Q_top - X^H Q_bot for graph columns [X; Y] and image columns Q,
+    or for stacks of them: the adjoint-gap matrix of
+    LinearRelation._gap_matrix, or one block of it."""
     n = graphs.shape[-2] // 2
-    if graphs.shape[-1] != n:
-        return np.zeros(graphs.shape[:-2], dtype=bool)
-    gap = _adjoint(graphs[:, n:]) @ images[:, :n] - _adjoint(graphs[:, :n]) @ images[:, n:]
-    return _norms_within(gap, tol.bound())
+    return _adjoint(graphs[..., n:, :]) @ images[..., :n, :] - _adjoint(graphs[..., :n, :]) @ images[..., n:, :]
 
 
 def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:

@@ -160,6 +160,20 @@ class DoubledProblem:
         m = self.frakM.basis
         return m.conj().T @ self.s_map.matrix @ np.conj(m)
 
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """The 2n x 2n matrix of frakA's Cayley transform g + if -> g - if
+        over graph(frakA)'s pairs (f, g), from ran(frakA + i) onto
+        ran(frakA - i), and 0 on the orthogonal complement N+ of its domain.
+
+        With P_A = B + iA and Q_A = B - iA from graph(frakA)'s basis it is
+        Q_A P_A^+.  P_A's columns are orthonormal up to the C-symmetry
+        residual, so its pseudoinverse cuts nothing.
+        """
+        n2 = 2 * self.ambient_dim
+        g = self.frakA.graph.basis
+        return (g[n2:] - 1j * g[:n2]) @ np.linalg.pinv(g[n2:] + 1j * g[:n2])
+
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     """Assemble A*, B = CAC, B*, frakA, frakE, frakM and the deficiency

@@ -69,10 +69,12 @@ matrix on each, so a stack gives every candidate, hit and angle the bits it
 has alone, at one call per step instead of one per candidate.  The greedy
 completion, the rank test, the filter and the dedup keys take the sweep's
 candidates SWEEP_BLOCK at a time, a block drawn only when it is needed;
-the direct test still runs once per distinct survivor, in order.  completeness_roundtrip takes the hits in blocks of
-ROUNDTRIP_BLOCK through the kernels of recover_parameter (_cayley_unitaries)
-and extension_graph (_rebuilt_columns), which those two run on a stack of
-one.
+the direct test runs once per distinct survivor, on its k/2 new columns W
+over graph(A) (_c_selfadjoint_grown), one stacked call per block.
+completeness_roundtrip takes the hits in blocks of ROUNDTRIP_BLOCK through
+the kernels of recover_parameter (_cayley_unitaries, a k x k Cayley solve
+on W) and extension_graph (_rebuilt_columns), which those two run on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antilinear import conjugation_axiom_residuals
-from .csym import _c_selfadjoint, is_c_selfadjoint
-from .doubling import DoubledProblem, _block_columns, _orthogonality_residual, block_relation
+from .csym import _adjoint_gaps
+from .doubling import DoubledProblem, _orthogonality_residual, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
@@ -106,7 +108,7 @@ from .linalg import (
     subspace_equal,
     subspace_sum,
 )
-from .relations import LinearRelation, _conjugated_graphs, _top_svds
+from .relations import LinearRelation, _conjugated_graphs
 from .reporting import CheckList
 
 
@@ -507,8 +509,10 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     The doubled extension is self-adjoint, so V(b + ia) = b - ia over its
     graph pairs (a, b) is an everywhere-defined unitary; its restriction to
     N+ is the wanted U.  With P = B + iA and Q = B - iA from the graph basis,
-    V = Q P^-1, so V N+ = Q X for the k columns X solving P X = N+; V itself
-    is never formed.  Rebuilding the extension from U is left to callers.
+    V = Q P^-1, so V N+ = Q X for the columns X solving P X = N+.  Only the
+    k doubled columns that the extension adds to graph(frakA) are solved
+    for, by a k x k system: see _cayley_unitaries.  V itself is never
+    formed.  Rebuilding the extension from U is left to callers.
     """
     _check_same_ambient(dp.a.graph, a_tilde.graph)
     return ExtensionParameter("unitary", _cayley_unitaries(dp, a_tilde.graph.basis[None])[0])
@@ -516,29 +520,55 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
 
 def _cayley_unitaries(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
     """recover_parameter for a stack of graph bases of one dimension: U in
-    coordinates for each, one stacked solve for the stack.  Refuses the
-    stack at its first failing guard, in the order containment of graph(A),
-    C-self-adjointness, doubled dimension, solve, stray."""
+    coordinates for each.  Refuses the stack at its first failing guard, in
+    the order containment of graph(A), C-self-adjointness, doubled
+    dimension, solve, stray.
+
+    Each graph is read as graph(A) + span W, W its new columns: its last
+    columns when it begins with graph(A)'s basis bit for bit (the sweep
+    builds its hits so, and they extend A exactly), else the new columns of
+    extend_basis(graph(A), basis).  C-self-adjointness is decided on the
+    n x n adjoint gap of graph(A) + span W (_c_selfadjoint_grown).  The
+    doubled extension is then graph(frakA) plus the k columns block(W, CW),
+    so P = [P_A, P_W] and Q = [Q_A, Q_W].  N+ is orthogonal to
+    ran(P_A) = ran(frakA + i), since frakM is orthogonal to graph(A) and
+    lies in graph(B*); so P X = N+ gives (N+^H P_W) X_W = I, a k x k
+    system, and P_A X_A = N+ - P_W X_W.  The Cayley image is
+    Q_W X_W + Q_A X_A, where Q_A X_A = Q_A P_A^+ (N+ - P_W X_W) is frakA's
+    Cayley transform (DoubledProblem.cayley, factored once per problem).
+    """
     tol = dp.tol
+    n = dp.ambient_dim
     a = dp.a.graph.basis
-    if a.shape[1] > graphs.shape[-1] or not _norms_within(_outside(a, graphs), tol.bound()).all():
+    d, h = a.shape[1], graphs.shape[-1] - a.shape[1]
+    if h < 0:
         raise PreconditionError("relation does not extend A")
-    # C is antiunitary, so the C-images of the orthonormal graph bases are orthonormal
-    images = _conjugated_graphs(graphs, dp.c.matrix)
-    if not _c_selfadjoint(graphs, images, tol).all():
+    grown = (graphs[..., :d] == a).all(axis=(-2, -1))
+    w, same_span = graphs[..., d:], np.ones(len(graphs), dtype=bool)
+    if not grown.all():
+        rest = graphs[~grown]
+        if not _norms_within(_outside(a, rest), tol.bound()).all():
+            raise PreconditionError("relation does not extend A")
+        u, rank = _bordered(dp.a.graph, rest)
+        w = w.copy()
+        w[~grown], same_span[~grown] = u[..., :h], rank == h
+    # C is antiunitary, so the C-images of orthonormal columns are orthonormal
+    images = _conjugated_graphs(w, dp.c.matrix)
+    if graphs.shape[-1] != n or not same_span.all() or not _c_selfadjoint_grown(dp, _known_gap(dp), w, images).all():
         raise PreconditionError("extension is not C-self-adjoint")
     k = dp.n_plus.dim
     if k == 0:
         return np.zeros((len(graphs), 0, 0))
-    g = _block_columns(graphs, images)  # the doubled extensions block(A~, C A~ C)
-    n2 = 2 * dp.ambient_dim
-    if g.shape[-1] != n2:
-        raise PropertyViolationError("doubled extension has the wrong graph dimension", {"dim": g.shape[-1]})
+    if 2 * h != k:
+        raise PropertyViolationError("doubled extension has the wrong graph dimension", {"dim": 2 * graphs.shape[-1]})
+    second, first = _doubled_parts(w, images)
+    p_w = second + 1j * first
+    n_plus = dp.n_plus.basis
     try:
-        x = np.linalg.solve(g[:, n2:] + 1j * g[:, :n2], dp.n_plus.basis)
+        x = np.linalg.inv(_adjoint(n_plus) @ p_w)
     except np.linalg.LinAlgError as exc:
         raise PropertyViolationError(f"Cayley transform is not everywhere defined: {exc}", {})
-    image = (g[:, n2:] - 1j * g[:, :n2]) @ x
+    image = (second - 1j * first) @ x + dp.cayley @ (n_plus - p_w @ x)
     u = dp.n_minus.basis.conj().T @ image
     stray = np.abs(image - dp.n_minus.basis @ u).max(axis=(-2, -1))
     if np.any(stray > tol.bound()):
@@ -546,6 +576,39 @@ def _cayley_unitaries(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
             "Cayley transform does not carry N+ onto N-", {"stray": _first_over(stray, tol.bound())}
         )
     return u
+
+
+def _doubled_parts(w: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The second and first components in H + H of the doubled columns
+    block(W, CW), for graph columns W = [X; Y] and their C-images
+    CW = [U; V], or for stacks of them: [[Y, 0], [0, V]] and [[0, U], [X, 0]]."""
+    n, h = w.shape[-2] // 2, w.shape[-1]
+    second = np.zeros((*w.shape[:-2], 2 * n, 2 * h), dtype=complex)
+    first = np.zeros_like(second)
+    second[..., :n, :h], second[..., n:, h:] = w[..., n:, :], images[..., n:, :]
+    first[..., :n, h:], first[..., n:, :h] = images[..., :n, :], w[..., :n, :]
+    return second, first
+
+
+def _known_gap(dp: DoubledProblem) -> np.ndarray:
+    """graph(A)'s block of the adjoint-gap matrix of C graph(A~), for every
+    A~ grown from graph(A): C graph(A) is graph(B)'s basis as built."""
+    return _adjoint_gaps(dp.a.graph.basis, dp.b.graph.basis)
+
+
+def _c_selfadjoint_grown(dp: DoubledProblem, known_gap: np.ndarray, w: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """is_c_selfadjoint of graph(A) + span W for each W of a stack, W
+    orthonormal and orthogonal to graph(A), and images their C-images: its
+    dimension is n and its n x n adjoint gap, assembled from known_gap
+    (_known_gap) and the blocks of W, is within tol.bound()."""
+    a, c_a = dp.a.graph.basis, dp.b.graph.basis
+    n, d = dp.ambient_dim, a.shape[1]
+    if d + w.shape[-1] != n:
+        return np.zeros(w.shape[:-2], dtype=bool)
+    gap = np.empty((*w.shape[:-2], n, n), dtype=complex)
+    gap[..., :d, :d], gap[..., :d, d:] = known_gap, _adjoint_gaps(a, images)
+    gap[..., d:, :d], gap[..., d:, d:] = _adjoint_gaps(w, c_a), _adjoint_gaps(w, images)
+    return _norms_within(gap, dp.tol.bound())
 
 
 # completeness_roundtrip takes its hits this many at a time: a stack per
@@ -561,8 +624,11 @@ def completeness_roundtrip(dp: DoubledProblem, hits: list[LinearRelation]) -> tu
 
     Hits go through in blocks of ROUNDTRIP_BLOCK, every stage one stacked
     call, which runs the LAPACK routine of one hit alone on each; so the
-    angle keeps its bits.  A block that fails is run again hit by hit, so
-    the first failing hit raises, with its first failing guard.
+    angle keeps its bits.  Each hit's Cayley transform is a k x k solve on
+    its new columns over graph(A) (_cayley_unitaries), and its operator
+    flag reads the singular values of its top block alone.  A block that
+    fails is run again hit by hit, so the first failing hit raises, with its
+    first failing guard.
     """
     worst, operators = 0.0, 0
     for start in range(0, len(hits), ROUNDTRIP_BLOCK):
@@ -589,10 +655,12 @@ def _roundtrip_angles(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
 
 def _operator_flags(hits: list[LinearRelation], graphs: np.ndarray, tol) -> np.ndarray:
     """is_operator of each hit: a given domain, else full column rank of its
-    graph basis's top block, by LinearRelation._top_svd's stacked kernel."""
+    graph basis's top block at LinearRelation._top_svd's cut, from the top
+    blocks' singular values alone."""
     flags = np.array([hit.given_domain is not None for hit in hits])
     if not flags.all():
-        flags[~flags] = _top_svds(graphs[~flags], tol)[1] == graphs.shape[-1]
+        sines = np.linalg.svd(graphs[~flags, : graphs.shape[-2] // 2], compute_uv=False)
+        flags[~flags] = np.sum(sines > tol.zero_cutoff(1.0), axis=-1) == graphs.shape[-1]
     return flags
 
 
@@ -729,6 +797,7 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     if frak_m.dim % 2:
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     tol = dp.tol
+    known_gap = _known_gap(dp)
     hits: list[LinearRelation] = []
     seen: set[bytes] = set()
     for stack, lost in _sweep_candidates(dp, budget, seed):
@@ -738,17 +807,37 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
         spans = spans[_norms_within(_omega_block(omega, spans), tol.bound())]
         # dedup on the rounded projector of L, which is basis-independent;
         # adding 0.0 normalizes negative zeros so keys are reproducible
-        keys = np.round(spans @ _adjoint(spans), 8) + 0.0
-        for span, key in zip(spans, keys):
-            key = key.tobytes()
-            if key in seen:
-                continue
-            # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
-            lifted = np.hstack([dp.a.graph.basis, frak_m.basis @ span])
-            cand = LinearRelation(_trusted(lifted, tol))
-            if is_c_selfadjoint(cand, dp.c):
-                seen.add(key)
-                hits.append(cand)
-                if len(hits) == MAX_HITS:
-                    return hits
+        keys = [key.tobytes() for key in np.round(spans @ _adjoint(spans), 8) + 0.0]
+        # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
+        new = frak_m.basis @ spans
+        for i in _distinct_c_selfadjoint(dp, known_gap, new, keys, seen):
+            seen.add(keys[i])
+            hits.append(LinearRelation(_trusted(np.hstack([dp.a.graph.basis, new[i]]), tol)))
+            if len(hits) == MAX_HITS:
+                return hits
     return hits
+
+
+def _distinct_c_selfadjoint(
+    dp: DoubledProblem, known_gap: np.ndarray, new: np.ndarray, keys: list[bytes], seen: set[bytes]
+) -> list[int]:
+    """The candidates graph(A) + span new[i] of a sweep block that become
+    hits, in order: those whose key is not in seen and that pass the direct
+    C-self-adjointness test, each key taken once, at its first passing
+    candidate.  The test runs once per candidate a sequential sweep would
+    test, one stacked call per round: a round takes the first open
+    candidate of each open key, and only a key whose candidate failed stays
+    open for the next."""
+    accepted: list[int] = []
+    open_ = [i for i, key in enumerate(keys) if key not in seen]
+    while open_:
+        first: dict[bytes, int] = {}
+        for i in open_:
+            first.setdefault(keys[i], i)
+        tried = list(first.values())
+        images = _conjugated_graphs(new[tried], dp.c.matrix)
+        passed = _c_selfadjoint_grown(dp, known_gap, new[tried], images)
+        accepted += [i for i, ok in zip(tried, passed) if ok]
+        done = {keys[i] for i, ok in zip(tried, passed) if ok}
+        open_ = [i for i in open_ if i > first[keys[i]] and keys[i] not in done]
+    return sorted(accepted)

@@ -127,6 +127,27 @@ def sample_parameters(dp, count, seed=0):
     return out
 
 
+def cayley_oracle(dp, graph, new_phase=1.0):
+    """(U, stray) of recover_parameter for one graph basis by the dense
+    Cayley solve, the oracle of extensions._cayley_unitaries: P = B + iA
+    and Q = B - iA from the whole 4n x 2n basis of the doubled extension
+    block(A~, C A~ C), P X = N+ solved in 2n dimensions, U = N-^H Q X and
+    the stray of Q X from N-.
+
+    new_phase multiplies the first components of the doubled columns past
+    graph(A)'s, in a graph that begins with graph(A)'s basis: -1j makes
+    P = B + A and Q = B - A on them, the round-trip tests' mutation."""
+    n, d = dp.ambient_dim, dp.a.graph.dim
+    images = cs.relations._conjugated_graphs(graph, dp.c.matrix)
+    g = cs.doubling._block_columns(graph, images)
+    second, first = g[2 * n :], g[: 2 * n].copy()
+    first[:, d:n] *= new_phase
+    first[:, n + d :] *= new_phase
+    image = (second - 1j * first) @ np.linalg.solve(second + 1j * first, dp.n_plus.basis)
+    u = dp.n_minus.basis.conj().T @ image
+    return u, float(np.abs(image - dp.n_minus.basis @ u).max())
+
+
 def parameter_as_onb(dp, p):
     """Orthonormal basis of N+ fixed by the parameter's conjugation, ambient columns."""
     j = cs.parameter_as_conjugation(dp, p).matrix

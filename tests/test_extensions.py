@@ -19,6 +19,7 @@ from csymlab.extensions import (
 from conftest import (
     DEFECT_SPECS,
     block_slices,
+    cayley_oracle,
     count_calls,
     greedy_isotropic_oracle,
     nonblock_parameter,
@@ -303,7 +304,8 @@ def test_brute_force_selfadjoint_input_returns_input():
 def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
     # the sweep decides in frakM coordinates: apart from its pool, built once
     # per sweep, it runs no SVD with more than m rows, and the direct test in
-    # C^(2n) runs once per distinct survivor (every survivor is a hit here)
+    # C^(2n), on the new columns over graph(A), runs once per distinct
+    # survivor (every survivor is a hit here)
     dp = doubled(cs.race_schrodinger(32))
     m = dp.frakM.dim
     assert dp.s_map  # the problem's cached geometry is built before counting
@@ -324,7 +326,13 @@ def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
 
     monkeypatch.setattr(cs.extensions, "_sweep_pool", counted_pool)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    direct = count_calls(monkeypatch, cs.csym, "is_c_selfadjoint")
+    grown, direct = cs.extensions._c_selfadjoint_grown, []
+
+    def counted_grown(dp, known_gap, w, images):
+        direct.extend(w)  # a stack counts by its candidates
+        return grown(dp, known_gap, w, images)
+
+    monkeypatch.setattr(cs.extensions, "_c_selfadjoint_grown", counted_grown)
     hits = cs.brute_force_extensions(dp, budget=200, seed=0)
     assert rows and max(rows) <= m
     assert len(direct) == len(hits) == 93
@@ -362,6 +370,67 @@ def test_stacked_sweep_matches_one_candidate_at_a_time(spec, budget):
         hits = cs.brute_force_extensions(dp, budget=budget, seed=seed)
         assert len(hits) == len(hit_bases)
         assert all(np.array_equal(h.graph.basis, o) for h, o in zip(hits, hit_bases))
+
+
+@SWEEP_SPECS
+@pytest.mark.parametrize("budget", [200, 2000])
+def test_cayley_kernel_matches_the_dense_solve(spec, budget):
+    # the k x k solve on each hit's new columns against the dense solve on
+    # its whole doubled graph; a hit whose basis is rotated by a random
+    # unitary no longer begins with graph(A)'s basis, so its new columns
+    # come from extend_basis, and it keeps its parameter
+    dp = doubled(spec)
+    graphs = np.stack([hit.graph.basis for hit in cs.brute_force_extensions(dp, budget=budget, seed=0)])
+    us = cs.extensions._cayley_unitaries(dp, graphs)
+    for graph, u in zip(graphs, us):
+        np.testing.assert_allclose(u, cayley_oracle(dp, graph)[0], rtol=0, atol=1e-12)
+    n = dp.ambient_dim
+    rotated = graphs[-1] @ np.linalg.qr(random_complex(np.random.default_rng(budget), n, n))[0]
+    assert not np.array_equal(rotated[:, : dp.a.graph.dim], dp.a.graph.basis)
+    u = cs.recover_parameter(dp, cs.LinearRelation(cs.Subspace(rotated))).matrix
+    np.testing.assert_allclose(u, cayley_oracle(dp, rotated)[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u, us[-1], rtol=0, atol=1e-12)
+
+
+@SWEEP_SPECS
+def test_grown_c_selfadjointness_matches_the_whole_gap(spec):
+    # the n x n gap assembled from graph(A)'s block and the new columns'
+    # against is_c_selfadjoint on the whole basis: hits pass; random
+    # half-dimensional L in frakM (not Lagrangian) and random columns
+    # orthogonal to graph(A) (outside frakM) fail, and the Cayley kernel
+    # refuses them
+    dp = doubled(spec)
+    rng = np.random.default_rng(5)
+    a, m = dp.a.graph.basis, dp.frakM.dim
+    new = [hit.graph.basis[:, a.shape[1] :] for hit in cs.brute_force_extensions(dp, budget=200, seed=0)[:6]]
+    for _ in range(6):
+        new.append(dp.frakM.basis @ cs.orthonormal_basis(random_complex(rng, m, m // 2)).basis)
+        new.append(cs.extend_basis(dp.a.graph, random_complex(rng, 2 * dp.ambient_dim, m // 2)).basis[:, a.shape[1] :])
+    stack = np.stack(new)
+    images = cs.relations._conjugated_graphs(stack, dp.c.matrix)
+    grown = cs.extensions._c_selfadjoint_grown(dp, cs.extensions._known_gap(dp), stack, images)
+    relations = [cs.LinearRelation(cs.Subspace(np.hstack([a, w]))) for w in new]
+    assert grown.tolist() == [cs.is_c_selfadjoint(r, dp.c) for r in relations] == [True] * 6 + [False] * 12
+    for relation in relations[6:8]:
+        with pytest.raises(cs.PreconditionError, match="not C-self-adjoint"):
+            cs.recover_parameter(dp, relation)
+
+
+def test_grown_c_selfadjointness_reads_the_cross_blocks():
+    # frakM of dimension 2: one new column w, whose own 1 x 1 block of the
+    # antisymmetric gap vanishes, so only its blocks against graph(A)
+    # refuse a w orthogonal to graph(A) outside frakM
+    dp = doubled(cs.random_restriction(4, seed=0))
+    assert dp.frakM.dim == 2
+    a = dp.a.graph.basis
+    w = cs.extend_basis(dp.a.graph, random_complex(np.random.default_rng(3), 2 * dp.ambient_dim, 1)).basis[:, -1:]
+    images = cs.relations._conjugated_graphs(w, dp.c.matrix)
+    assert abs(cs.csym._adjoint_gaps(w, images)).max() < 1e-15
+    relation = cs.LinearRelation(cs.Subspace(np.hstack([a, w])))
+    assert not cs.is_c_selfadjoint(relation, dp.c)
+    assert not cs.extensions._c_selfadjoint_grown(dp, cs.extensions._known_gap(dp), w[None], images[None])[0]
+    with pytest.raises(cs.PreconditionError, match="not C-self-adjoint"):
+        cs.recover_parameter(dp, relation)
 
 
 @SWEEP_SPECS
@@ -482,22 +551,91 @@ def test_blocked_roundtrip_matches_hit_by_hit():
         assert np.array_equal(stacked[0], u) and stacked[1] == r and np.array_equal(stacked[2], vh)
 
 
-def test_roundtrip_refuses_a_wrong_cayley_transform_in_the_last_block(monkeypatch, capsys):
-    # mutation: P = B + A instead of B + iA for the last hit, which sits in
-    # the partial last block; the CLI rebuilds the same hits
+@pytest.mark.parametrize(
+    "spec",
+    [cs.race_schrodinger(16), cs.race_schrodinger(32), cs.fd_derivative_minimal(16), cs.zero_on_subspace(16)],
+    ids=lambda s: s.name,
+)
+def test_values_only_operator_flags_match_is_operator(spec):
+    # the round trip's flags read the top blocks' singular values alone; on
+    # every hit they give is_operator, whose _top_svd computes vectors too
+    dp = doubled(spec)
+    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
+    flags = cs.extensions._operator_flags(hits, np.stack([hit.graph.basis for hit in hits]), dp.tol)
+    assert flags.tolist() == [hit.is_operator for hit in hits]
+
+
+def test_roundtrip_solves_k_by_k_and_takes_top_block_values_only(monkeypatch):
+    # no dense Cayley solve: every solve or inverse of the round trip is
+    # k x k, and no SVD of an n-row top block computes singular vectors
     dp = doubled(cs.race_schrodinger(32))
-    target = cs.brute_force_extensions(dp, budget=200, seed=0)[-1].graph.basis
-    block_columns = cs.extensions._block_columns
+    n, k = dp.ambient_dim, dp.n_plus.dim
+    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
+    sizes, top_vectors = [], []
+    for name in ("solve", "inv"):
+        original = getattr(np.linalg, name)
 
-    def dropped(graphs, images):
-        g = block_columns(graphs, images)
-        g[[np.array_equal(graph, target) for graph in graphs], : g.shape[-2] // 2] *= -1j
-        return g
+        def counted(a, *args, _original=original, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
 
-    monkeypatch.setattr(cs.extensions, "_block_columns", dropped)
-    assert main(["enumerate", "--example", "race_schrodinger", "--n", "32", "--budget", "200"]) == 1
+        monkeypatch.setattr(np.linalg, name, counted)
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        if np.shape(a)[-2] == n:
+            top_vectors.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert cs.extensions.completeness_roundtrip(dp, hits)[1] == 88
+    assert sizes and max(sizes) <= k
+    assert top_vectors and not any(top_vectors)
+
+
+@pytest.mark.parametrize(
+    "name, n, target, error",
+    [
+        ("race_schrodinger", 32, -1, "Cayley transform does not carry N+ onto N-"),
+        # here N+^H P_W is singular
+        ("zero_on_subspace", 16, -2, "Cayley transform is not everywhere defined: Singular matrix"),
+    ],
+)
+def test_roundtrip_refuses_a_wrong_cayley_transform_in_the_last_block(monkeypatch, capsys, name, n, target, error):
+    # mutation: P = B + A instead of B + iA on the new columns of one hit,
+    # which sits in the last block; the CLI rebuilds the same hits
+    dp = doubled(getattr(cs, name)(n))
+    new = cs.brute_force_extensions(dp, budget=200, seed=0)[target].graph.basis[:, dp.a.graph.dim :]
+    doubled_parts = cs.extensions._doubled_parts
+
+    def dropped(w, images):
+        second, first = doubled_parts(w, images)
+        first[[np.array_equal(cols, new) for cols in w]] *= -1j
+        return second, first
+
+    monkeypatch.setattr(cs.extensions, "_doubled_parts", dropped)
+    assert main(["enumerate", "--example", name, "--n", str(n), "--budget", "200"]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["error"] == "Cayley transform does not carry N+ onto N-"
+    assert out["error"] == error
+
+
+def test_wrong_cayley_transform_strays_as_in_the_dense_solve(monkeypatch):
+    # the same mutation on every hit: graph(frakA)'s part of the image,
+    # frakA's own Cayley transform, keeps the stray the dense solve's
+    dp = doubled(cs.race_schrodinger(32))
+    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
+    doubled_parts = cs.extensions._doubled_parts
+
+    def dropped(w, images):
+        second, first = doubled_parts(w, images)
+        return second, -1j * first
+
+    monkeypatch.setattr(cs.extensions, "_doubled_parts", dropped)
+    for hit in hits:
+        with pytest.raises(cs.PropertyViolationError, match="does not carry N\\+ onto N-") as err:
+            cs.recover_parameter(dp, hit)
+        stray = cayley_oracle(dp, hit.graph.basis, new_phase=-1j)[1]
+        assert err.value.residuals["stray"] == pytest.approx(stray, rel=0, abs=1e-12)
 
 
 def test_roundtrip_raises_for_the_first_failing_hit(monkeypatch):
@@ -779,17 +917,20 @@ def test_deficiency_span_matches_ambient_unitary(spec):
 
 @DEFECT_FIXTURES
 def test_recover_parameter_matches_full_cayley_transform(spec):
+    # on extension_graph and extension_from_parameter results, against the
+    # whole V and against the dense Cayley solve
     dp = doubled(spec)
     n2 = 2 * dp.ambient_dim
     for p in sample_parameters(dp, 3, seed=8):
-        a_tilde = cs.extension_graph(dp, p)
-        u = cs.recover_parameter(dp, a_tilde).matrix
-        # reference: V = Q P^-1 on all of C^(2n), restricted to N+ afterwards
-        conj = cs.LinearRelation(cs.Subspace(a_tilde.conjugated_basis(dp.c)))
-        g = cs.block_relation(a_tilde, conj).graph.basis
-        v = np.linalg.solve((g[n2:] + 1j * g[:n2]).T, (g[n2:] - 1j * g[:n2]).T).T
-        reference = dp.n_minus.basis.conj().T @ v @ dp.n_plus.basis
-        np.testing.assert_allclose(u, reference, rtol=0, atol=1e-12)
+        for a_tilde in (cs.extension_graph(dp, p), cs.extension_from_parameter(dp, p).a_ext):
+            u = cs.recover_parameter(dp, a_tilde).matrix
+            # reference: V = Q P^-1 on all of C^(2n), restricted to N+ afterwards
+            conj = cs.LinearRelation(cs.Subspace(a_tilde.conjugated_basis(dp.c)))
+            g = cs.block_relation(a_tilde, conj).graph.basis
+            v = np.linalg.solve((g[n2:] + 1j * g[:n2]).T, (g[n2:] - 1j * g[:n2]).T).T
+            reference = dp.n_minus.basis.conj().T @ v @ dp.n_plus.basis
+            np.testing.assert_allclose(u, reference, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(u, cayley_oracle(dp, a_tilde.graph.basis)[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["plain", "swap"])
