@@ -65,6 +65,8 @@ def corpus() -> list[tuple[str, tuple[str, ...]]]:
         for seed in ("0", "1"):
             argv = ("enumerate", *source, "--budget", "2000", "--seed", seed)
             cases.append((f"enumerate_{label}_budget2000_seed{seed}", argv))
+    # 246 hits in 31 round-trip blocks, with 128-row new columns
+    cases.append(("enumerate_race_h0.02_n64", ("enumerate", *race(64, "--h", "0.02"), "--budget", "2000")))
     cases.append(("deficiency_race_n56", ("deficiency", *race(56))))
     cases.append(("deficiency_race_n128", ("deficiency", *race(128))))
     cases.append(("check_scalar_1e308", ("check", "--spec", "{scalar}")))

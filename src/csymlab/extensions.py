@@ -58,23 +58,17 @@ a parameter satisfying both conditions (recover_parameter), and every such
 parameter arises this way.  Soundness and completeness are both exercised
 against brute force in the tests.
 
-The brute-force sweep decides in frakM coordinates and lifts only distinct
-survivors to C^(2n): its filter ||L^H Omega conj(L)||_2 is the 2-norm of a
-block of the direct adjoint-gap matrix of graph(A) + L, which never exceeds
-the matrix's, so it cannot reject a candidate the direct test accepts.
-
-The sweep and enumerate's round trip run on stacks (B x m x k arrays):
-numpy's stacked svd, solve and eigvalsh run the LAPACK routine of one
-matrix on each, so a stack gives every candidate, hit and angle the bits it
-has alone, at one call per step instead of one per candidate.  The greedy
-completion, the rank test, the filter and the dedup keys take the sweep's
-candidates SWEEP_BLOCK at a time, a block drawn only when it is needed;
-the direct test runs once per distinct survivor, on its k/2 new columns W
-over graph(A) (_c_selfadjoint_grown), one stacked call per block.
-completeness_roundtrip takes the hits in blocks of ROUNDTRIP_BLOCK through
-the kernels of recover_parameter (_cayley_unitaries, a k x k Cayley solve
-on W) and extension_graph (_rebuilt_columns), which those two run on a
-stack of one.
+The brute-force sweep and enumerate's round trip run on stacks (B x m x k
+arrays): numpy's stacked svd, solve and eigvalsh run the LAPACK routine of
+one matrix on each, so a stack gives every candidate, hit and angle the
+bits it has alone, at one call per step instead of one per candidate.  The
+sweep takes its candidates SWEEP_BLOCK at a time, a block drawn only when
+it is needed, and decides C-self-adjointness once per distinct survivor,
+on its k/2 new columns W over graph(A) (_c_selfadjoint_grown); a hit is
+its W alone.  completeness_roundtrip takes the hits ROUNDTRIP_BLOCK at a
+time through the kernels of recover_parameter (_cayley_unitaries, a k x k
+Cayley solve on W) and extension_graph (_rebuilt_columns), which those two
+run on a stack of one.
 """
 
 from __future__ import annotations
@@ -96,6 +90,7 @@ from .linalg import (
     _check_same_ambient,
     _complement_formula_intersect,
     _gram_residual,
+    _norm_within,
     _norms_within,
     _outside,
     _ranked_svd,
@@ -513,23 +508,31 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     k doubled columns that the extension adds to graph(frakA) are solved
     for, by a k x k system: see _cayley_unitaries.  V itself is never
     formed.  Rebuilding the extension from U is left to callers.
+
+    The relation must contain graph(A); its new columns W are those of
+    extend_basis(graph(A), basis), on which C-self-adjointness is decided
+    (_c_selfadjoint_grown).
     """
     _check_same_ambient(dp.a.graph, a_tilde.graph)
-    return ExtensionParameter("unitary", _cayley_unitaries(dp, a_tilde.graph.basis[None])[0])
+    graph, h = a_tilde.graph, a_tilde.graph.dim - dp.a.graph.dim
+    if h < 0 or not _norm_within(_outside(dp.a.graph.basis, graph.basis), dp.tol.bound()):
+        raise PreconditionError("relation does not extend A")
+    u, rank = _bordered(dp.a.graph, graph.basis)
+    w = u[None, :, :h]
+    # C is antiunitary, so the C-images of orthonormal columns are orthonormal
+    images = _conjugated_graphs(w, dp.c.matrix)
+    if graph.dim != dp.ambient_dim or rank != h or not _c_selfadjoint_grown(dp, _known_gap(dp), w, images)[0]:
+        raise PreconditionError("extension is not C-self-adjoint")
+    return ExtensionParameter("unitary", _cayley_unitaries(dp, w, images)[0])
 
 
-def _cayley_unitaries(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
-    """recover_parameter for a stack of graph bases of one dimension: U in
-    coordinates for each.  Refuses the stack at its first failing guard, in
-    the order containment of graph(A), C-self-adjointness, doubled
-    dimension, solve, stray.
+def _cayley_unitaries(dp: DoubledProblem, w: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """U in coordinates for each C-self-adjoint extension graph(A) + span W
+    of a stack, W its k/2 new columns (orthonormal and orthogonal to
+    graph(A)) and images their C-images.  Refuses the stack at its first
+    failing guard, in the order doubled dimension, solve, stray.
 
-    Each graph is read as graph(A) + span W, W its new columns: its last
-    columns when it begins with graph(A)'s basis bit for bit (the sweep
-    builds its hits so, and they extend A exactly), else the new columns of
-    extend_basis(graph(A), basis).  C-self-adjointness is decided on the
-    n x n adjoint gap of graph(A) + span W (_c_selfadjoint_grown).  The
-    doubled extension is then graph(frakA) plus the k columns block(W, CW),
+    The doubled extension is graph(frakA) plus the k columns block(W, CW),
     so P = [P_A, P_W] and Q = [Q_A, Q_W].  N+ is orthogonal to
     ran(P_A) = ran(frakA + i), since frakM is orthogonal to graph(A) and
     lies in graph(B*); so P X = N+ gives (N+^H P_W) X_W = I, a k x k
@@ -537,30 +540,12 @@ def _cayley_unitaries(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
     Q_W X_W + Q_A X_A, where Q_A X_A = Q_A P_A^+ (N+ - P_W X_W) is frakA's
     Cayley transform (DoubledProblem.cayley, factored once per problem).
     """
-    tol = dp.tol
-    n = dp.ambient_dim
-    a = dp.a.graph.basis
-    d, h = a.shape[1], graphs.shape[-1] - a.shape[1]
-    if h < 0:
-        raise PreconditionError("relation does not extend A")
-    grown = (graphs[..., :d] == a).all(axis=(-2, -1))
-    w, same_span = graphs[..., d:], np.ones(len(graphs), dtype=bool)
-    if not grown.all():
-        rest = graphs[~grown]
-        if not _norms_within(_outside(a, rest), tol.bound()).all():
-            raise PreconditionError("relation does not extend A")
-        u, rank = _bordered(dp.a.graph, rest)
-        w = w.copy()
-        w[~grown], same_span[~grown] = u[..., :h], rank == h
-    # C is antiunitary, so the C-images of orthonormal columns are orthonormal
-    images = _conjugated_graphs(w, dp.c.matrix)
-    if graphs.shape[-1] != n or not same_span.all() or not _c_selfadjoint_grown(dp, _known_gap(dp), w, images).all():
-        raise PreconditionError("extension is not C-self-adjoint")
-    k = dp.n_plus.dim
+    k, h = dp.n_plus.dim, w.shape[-1]
     if k == 0:
-        return np.zeros((len(graphs), 0, 0))
+        return np.zeros((len(w), 0, 0))
     if 2 * h != k:
-        raise PropertyViolationError("doubled extension has the wrong graph dimension", {"dim": 2 * graphs.shape[-1]})
+        dim = 2 * (dp.a.graph.dim + h)
+        raise PropertyViolationError("doubled extension has the wrong graph dimension", {"dim": dim})
     second, first = _doubled_parts(w, images)
     p_w = second + 1j * first
     n_plus = dp.n_plus.basis
@@ -571,9 +556,9 @@ def _cayley_unitaries(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
     image = (second - 1j * first) @ x + dp.cayley @ (n_plus - p_w @ x)
     u = dp.n_minus.basis.conj().T @ image
     stray = np.abs(image - dp.n_minus.basis @ u).max(axis=(-2, -1))
-    if np.any(stray > tol.bound()):
+    if np.any(stray > dp.tol.bound()):
         raise PropertyViolationError(
-            "Cayley transform does not carry N+ onto N-", {"stray": _first_over(stray, tol.bound())}
+            "Cayley transform does not carry N+ onto N-", {"stray": _first_over(stray, dp.tol.bound())}
         )
     return u
 
@@ -616,52 +601,32 @@ def _c_selfadjoint_grown(dp: DoubledProblem, known_gap: np.ndarray, w: np.ndarra
 ROUNDTRIP_BLOCK = 8
 
 
-def completeness_roundtrip(dp: DoubledProblem, hits: list[LinearRelation]) -> tuple[float, int]:
-    """enumerate's completeness test on C-self-adjoint extensions of A of
-    one graph dimension (brute_force_extensions' hits): the largest angle
-    from the new columns of extension_graph(recover_parameter(hit)) into
-    the hit, over all hits, and the number of hits that are operators.
+def completeness_roundtrip(dp: DoubledProblem, new: np.ndarray) -> tuple[float, int]:
+    """enumerate's completeness test on brute_force_extensions' hits, their
+    new columns W over graph(A): the largest angle from the new columns of
+    extension_graph(recover_parameter(hit)) into the hit, over all hits,
+    and the number of hits that are operators.
 
     Hits go through in blocks of ROUNDTRIP_BLOCK, every stage one stacked
     call, which runs the LAPACK routine of one hit alone on each; so the
-    angle keeps its bits.  Each hit's Cayley transform is a k x k solve on
-    its new columns over graph(A) (_cayley_unitaries), and its operator
-    flag reads the singular values of its top block alone.  A block that
-    fails is run again hit by hit, so the first failing hit raises, with its
-    first failing guard.
+    angle keeps its bits.  The sweep has decided that each hit extends A
+    C-self-adjointly, so its Cayley transform is the k x k solve on W alone
+    (_cayley_unitaries).  A block's graphs [graph(A), W] are formed for the
+    angle and the operator flags, which read the top blocks' singular values
+    at LinearRelation._top_svd's cut; A's is_operator answers for A.
     """
+    if not new.shape[-1]:  # frakM = 0: the hit is A, rebuilt exactly
+        return 0.0, int(dp.a.is_operator) * len(new)
+    a, n = dp.a.graph.basis, dp.ambient_dim
     worst, operators = 0.0, 0
-    for start in range(0, len(hits), ROUNDTRIP_BLOCK):
-        block = hits[start : start + ROUNDTRIP_BLOCK]
-        graphs = np.stack([hit.graph.basis for hit in block])
-        try:
-            angles = _roundtrip_angles(dp, graphs)
-        except (InputError, PreconditionError, PropertyViolationError):
-            for graph in graphs:
-                _roundtrip_angles(dp, graph[None])
-            raise
-        worst = max(worst, *angles.tolist())
-        operators += int(_operator_flags(block, graphs, dp.tol).sum())
+    for start in range(0, len(new), ROUNDTRIP_BLOCK):
+        w = new[start : start + ROUNDTRIP_BLOCK]
+        rebuilt = _rebuilt_columns(dp, _cayley_unitaries(dp, w, _conjugated_graphs(w, dp.c.matrix)))
+        graphs = np.concatenate([np.broadcast_to(a, (len(w), *a.shape)), w], axis=-1)
+        worst = max(worst, *_spectral_norms(_outside(rebuilt, graphs)).tolist())
+        sines = np.linalg.svd(graphs[:, :n], compute_uv=False)
+        operators += int(np.sum(np.sum(sines > dp.tol.zero_cutoff(1.0), axis=-1) == graphs.shape[-1]))
     return worst, operators
-
-
-def _roundtrip_angles(dp: DoubledProblem, graphs: np.ndarray) -> np.ndarray:
-    """For each graph basis of a stack, the sine of the largest angle from
-    the columns that the rebuilt extension adds to graph(A) into the graph;
-    the Cayley guard has required graph(A) inside it."""
-    new = _rebuilt_columns(dp, _cayley_unitaries(dp, graphs))
-    return _spectral_norms(_outside(new, graphs))
-
-
-def _operator_flags(hits: list[LinearRelation], graphs: np.ndarray, tol) -> np.ndarray:
-    """is_operator of each hit: a given domain, else full column rank of its
-    graph basis's top block at LinearRelation._top_svd's cut, from the top
-    blocks' singular values alone."""
-    flags = np.array([hit.given_domain is not None for hit in hits])
-    if not flags.all():
-        sines = np.linalg.svd(graphs[~flags, : graphs.shape[-2] // 2], compute_uv=False)
-        flags[~flags] = np.sum(sines > tol.zero_cutoff(1.0), axis=-1) == graphs.shape[-1]
-    return flags
 
 
 def _omega_block(omega: np.ndarray, l_coords: np.ndarray) -> np.ndarray:
@@ -762,7 +727,7 @@ def _blocks(items):
 MAX_HITS = 1000
 
 
-def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 0) -> list[LinearRelation]:
+def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 0) -> np.ndarray:
     """Sampled search for C-self-adjoint extensions, independent of the
     parameterization machinery.
 
@@ -774,6 +739,10 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     Each candidate is kept iff the direct C-self-adjointness test passes.
     Results are deduplicated and deterministic for a fixed seed.
 
+    Returns the hits as one B x 2n x k/2 array, in the order found: each
+    hit is graph(A) + span W for its new columns W = M L, orthonormal and
+    orthogonal to graph(A).  When frakM = 0 the one hit, A, has no columns.
+
     Candidates are filtered and deduplicated in frakM coordinates, and only
     new survivors are lifted to C^(2n) for the direct test.  With M the
     frakM basis, L orthonormal, J(x, y) = (y, -x), K^ = diag(K, K) and
@@ -784,7 +753,7 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     filter never drops a candidate the direct test would accept.
 
     When the family is continuous nearly every half-dimension-one candidate
-    is a distinct hit, so the returned list is capped at MAX_HITS (no block
+    is a distinct hit, so the hits are capped at MAX_HITS (no block
     of candidates is drawn once the cap is reached; the structured sweep
     runs first and is never truncated by the random streams).
     """
@@ -793,13 +762,13 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     if frak_m.dim > 8:
         raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
     if frak_m.dim == 0:
-        return [dp.a]
+        return np.zeros((1, 2 * dp.ambient_dim, 0), dtype=complex)
     if frak_m.dim % 2:
         raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
     tol = dp.tol
     known_gap = _known_gap(dp)
-    hits: list[LinearRelation] = []
-    seen: set[bytes] = set()
+    hits = [np.zeros((0, 2 * dp.ambient_dim, frak_m.dim // 2), dtype=complex)]
+    seen: set[bytes] = set()  # one key per hit
     for stack, lost in _sweep_candidates(dp, budget, seed):
         # the rank test 2 dim L = m and the filter over the whole stack
         spans, rank = _ranked_svd(stack[~lost], tol)
@@ -810,12 +779,12 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
         keys = [key.tobytes() for key in np.round(spans @ _adjoint(spans), 8) + 0.0]
         # frakM is orthogonal to graph(A), so the lifted columns are orthonormal
         new = frak_m.basis @ spans
-        for i in _distinct_c_selfadjoint(dp, known_gap, new, keys, seen):
-            seen.add(keys[i])
-            hits.append(LinearRelation(_trusted(np.hstack([dp.a.graph.basis, new[i]]), tol)))
-            if len(hits) == MAX_HITS:
-                return hits
-    return hits
+        taken = _distinct_c_selfadjoint(dp, known_gap, new, keys, seen)[: MAX_HITS - len(seen)]
+        seen.update(keys[i] for i in taken)
+        hits.append(new[taken])  # a copy, so the block itself is not kept
+        if len(seen) == MAX_HITS:
+            break
+    return np.concatenate(hits)
 
 
 def _distinct_c_selfadjoint(

@@ -19,13 +19,13 @@ Every SVD and matrix norm of the package is one of four kinds:
   sums); _ranked_svd, its cut matrix by matrix on stacks of m-row matrices
   (the sweep's candidates and the spans of its isotropic completions);
   extend_basis's SVD of the new residual, and _bordered's on the stacked
-  residuals of the enumerate round trip (its rebuilt columns, and the new
-  columns of a hit whose basis does not begin with graph(A)'s); intersect,
-  and through it kernel_one_plus, imaginary_members and frakM';
-  LinearRelation._top_svd (domain, multivalued part, is_operator) of a
-  relation given by its graph alone, and its cut on the singular values
-  alone (compute_uv=False) of the stacked top blocks of the round trip's
-  hits; polar's rank r and takagi's grouping of the same singular values.
+  residuals of the enumerate round trip's rebuilt columns and on the
+  relation that recover_parameter is given; intersect, and through it
+  kernel_one_plus, imaginary_members and frakM'; LinearRelation._top_svd
+  (domain, multivalued part, is_operator) of a relation given by its graph
+  alone, and its cut on the singular values alone (compute_uv=False) of the
+  stacked top blocks of the round trip's hits; polar's rank r and takagi's
+  grouping of the same singular values.
 - Structural rank (the rank is known by construction, so the SVD only
   re-orthonormalizes, uncut): complement; orthonormal_basis in adjoint (J
   is unitary) and in build_doubled's B* (C is antiunitary);
@@ -53,7 +53,7 @@ Every SVD and matrix norm of the package is one of four kinds:
   the Frobenius certificate (_norms_within on stacks): is_subspace_of
   (subspace_equal, contained_in, equals), is_c_selfadjoint (and, on the
   n x n gap assembled from graph(A)'s block and the new columns' blocks,
-  the sweep's and the round trip's, extensions._c_selfadjoint_grown),
+  the sweep's and recover_parameter's, extensions._c_selfadjoint_grown),
   preserves_subspace, build_doubled's frakA* guard (on the two diagonal
   blocks of the doubled gap matrix) and the brute-force filter.  Each
   builds its residual matrix once (_angle_residual, LinearRelation._gap_matrix,

@@ -68,8 +68,9 @@ class LinearRelation:
         angles between graph(R) and {(0, y)}, so r decides the domain, the
         multivalued part and is_operator at once.  Built on the first access
         and then reused (the graph is immutable)."""
-        u, r, vh = _top_svds(self.graph.basis, self.tol)
-        return u, int(r), vh
+        x = self._top()
+        u, sines, vh = np.linalg.svd(x, full_matrices=x.shape[1] > x.shape[0])
+        return u, int(np.sum(sines > self.tol.zero_cutoff(1.0))), vh
 
     def domain(self) -> Subspace:
         """given_domain, else span X = U[:, :r]; built on the first call and then reused."""
@@ -168,16 +169,6 @@ class LinearRelation:
 
     def equals(self, other: "LinearRelation") -> bool:
         return subspace_equal(self.graph, other.graph)
-
-
-def _top_svds(graphs: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LinearRelation._top_svd of a graph basis, or of each basis in a stack
-    of one dimension by one stacked SVD: (U, r, V^H) of the top block, r
-    its rank at tol.zero_cutoff(1.0).  numpy's stacked svd runs the LAPACK
-    routine of one matrix on each, so every rank is that basis's alone."""
-    x = graphs[..., : graphs.shape[-2] // 2, :]
-    u, sines, vh = np.linalg.svd(x, full_matrices=x.shape[-1] > x.shape[-2])
-    return u, np.sum(sines > tol.zero_cutoff(1.0), axis=-1), vh
 
 
 def _conjugated_graphs(graphs: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -148,6 +148,12 @@ def cayley_oracle(dp, graph, new_phase=1.0):
     return u, float(np.abs(image - dp.n_minus.basis @ u).max())
 
 
+def hit_relations(dp, new):
+    """The hits of brute_force_extensions as relations: graph(A) + span W
+    for each W of the B x 2n x k/2 array, with graph(A)'s basis first."""
+    return [cs.LinearRelation(cs.linalg._trusted(np.hstack([dp.a.graph.basis, w]), dp.tol)) for w in new]
+
+
 def parameter_as_onb(dp, p):
     """Orthonormal basis of N+ fixed by the parameter's conjugation, ambient columns."""
     j = cs.parameter_as_conjugation(dp, p).matrix

@@ -16,7 +16,7 @@ import csymlab as cs
 from csymlab.cli import main
 from csymlab.extensions import parameter_as_unitary
 
-from conftest import parameter_as_onb, sample_parameters, within, zero_relation
+from conftest import hit_relations, parameter_as_onb, sample_parameters, within, zero_relation
 
 
 def report(num, label, ok, detail):
@@ -160,7 +160,7 @@ def test_criterion_06_extension_completeness():
     counts = {}
     for label, spec in (("F_min", cs.minimal_identity()), ("F_zero", cs.zero_on_subspace(4))):
         dp = cs.build_doubled(spec.relation(), spec.conjugation())
-        hits = cs.brute_force_extensions(dp, budget=10**4, seed=0)
+        hits = hit_relations(dp, cs.brute_force_extensions(dp, budget=10**4, seed=0))
         counts[label] = len(hits)
         for h in hits:
             p = cs.recover_parameter(dp, h)

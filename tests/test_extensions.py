@@ -22,6 +22,7 @@ from conftest import (
     cayley_oracle,
     count_calls,
     greedy_isotropic_oracle,
+    hit_relations,
     nonblock_parameter,
     parameter_as_onb,
     random_complex,
@@ -271,7 +272,7 @@ def test_brute_force_f_min_members():
     # extensions of the identity on span{e1} in C^2 are diag(1, c) plus one
     # multivalued relation; the structured sweep must find the landmarks
     dp = doubled(cs.minimal_identity())
-    hits = cs.brute_force_extensions(dp, budget=2000, seed=0)
+    hits = hit_relations(dp, cs.brute_force_extensions(dp, budget=2000, seed=0))
     assert len(hits) >= 4
     landmarks = [np.diag([1.0, 0.0]), np.diag([1.0, 1.0]), np.diag([1.0, 1j])]
     for m in landmarks:
@@ -289,16 +290,16 @@ def test_brute_force_respects_cap_and_determinism(monkeypatch):
     dp = doubled(cs.minimal_identity())
     monkeypatch.setattr(cs.extensions, "MAX_HITS", 10)
     few = cs.brute_force_extensions(dp, budget=500, seed=3)
-    assert len(few) == 10
-    again = cs.brute_force_extensions(dp, budget=500, seed=3)
-    for h, g in zip(few, again):
-        np.testing.assert_array_equal(h.graph.basis, g.graph.basis)
+    assert few.shape == (10, 2 * dp.ambient_dim, dp.frakM.dim // 2)
+    np.testing.assert_array_equal(few, cs.brute_force_extensions(dp, budget=500, seed=3))
 
 
 def test_brute_force_selfadjoint_input_returns_input():
     dp = doubled(cs.random_csym(3, seed=1))
     hits = cs.brute_force_extensions(dp, budget=50, seed=0)
-    assert len(hits) == 1 and within(hits[0], dp.a, 1e-10, equal=True)
+    assert hits.shape == (1, 2 * dp.ambient_dim, 0)
+    assert within(hit_relations(dp, hits)[0], dp.a, 1e-10, equal=True)
+    assert cs.extensions.completeness_roundtrip(dp, hits) == (0.0, 1)  # A is an operator
 
 
 def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
@@ -338,6 +339,28 @@ def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
     assert len(direct) == len(hits) == 93
 
 
+def test_enumerate_decides_c_selfadjointness_once_per_hit(monkeypatch, capsys):
+    # the sweep decides every hit on its new columns, and the round trip
+    # takes that decision as made: 93 candidates at race n=32, all of them
+    # tested before brute_force_extensions returns
+    grown, brute_force, direct, at_return = cs.extensions._c_selfadjoint_grown, cs.cli.brute_force_extensions, [], []
+
+    def counted_grown(dp, known_gap, w, images):
+        direct.extend(w)
+        return grown(dp, known_gap, w, images)
+
+    def counted_brute_force(*args, **kwargs):
+        hits = brute_force(*args, **kwargs)
+        at_return.append(len(direct))
+        return hits
+
+    monkeypatch.setattr(cs.extensions, "_c_selfadjoint_grown", counted_grown)
+    monkeypatch.setattr(cs.cli, "brute_force_extensions", counted_brute_force)
+    assert main(["enumerate", "--example", "race_schrodinger", "--n", "32", "--budget", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["hits"] == 93
+    assert at_return == [len(direct)] == [93]
+
+
 # fixtures with frakM of dimension 4 (race, fd, zero), 6 and 8
 SWEEP_SPECS = pytest.mark.parametrize(
     "spec",
@@ -367,7 +390,7 @@ def test_stacked_sweep_matches_one_candidate_at_a_time(spec, budget):
         assert lost.tolist() == [c is None for c in candidates]
         kept = [c for c in candidates if c is not None]
         assert all(np.array_equal(c, o) for c, o in zip(stacked[~lost], kept))
-        hits = cs.brute_force_extensions(dp, budget=budget, seed=seed)
+        hits = hit_relations(dp, cs.brute_force_extensions(dp, budget=budget, seed=seed))
         assert len(hits) == len(hit_bases)
         assert all(np.array_equal(h.graph.basis, o) for h, o in zip(hits, hit_bases))
 
@@ -376,12 +399,13 @@ def test_stacked_sweep_matches_one_candidate_at_a_time(spec, budget):
 @pytest.mark.parametrize("budget", [200, 2000])
 def test_cayley_kernel_matches_the_dense_solve(spec, budget):
     # the k x k solve on each hit's new columns against the dense solve on
-    # its whole doubled graph; a hit whose basis is rotated by a random
-    # unitary no longer begins with graph(A)'s basis, so its new columns
-    # come from extend_basis, and it keeps its parameter
+    # its whole doubled graph; recover_parameter reads the new columns of a
+    # relation off extend_basis, so a hit whose basis is rotated by a random
+    # unitary, and no longer begins with graph(A)'s basis, keeps its parameter
     dp = doubled(spec)
-    graphs = np.stack([hit.graph.basis for hit in cs.brute_force_extensions(dp, budget=budget, seed=0)])
-    us = cs.extensions._cayley_unitaries(dp, graphs)
+    new = cs.brute_force_extensions(dp, budget=budget, seed=0)
+    us = cs.extensions._cayley_unitaries(dp, new, cs.relations._conjugated_graphs(new, dp.c.matrix))
+    graphs = [hit.graph.basis for hit in hit_relations(dp, new)]
     for graph, u in zip(graphs, us):
         np.testing.assert_allclose(u, cayley_oracle(dp, graph)[0], rtol=0, atol=1e-12)
     n = dp.ambient_dim
@@ -402,7 +426,7 @@ def test_grown_c_selfadjointness_matches_the_whole_gap(spec):
     dp = doubled(spec)
     rng = np.random.default_rng(5)
     a, m = dp.a.graph.basis, dp.frakM.dim
-    new = [hit.graph.basis[:, a.shape[1] :] for hit in cs.brute_force_extensions(dp, budget=200, seed=0)[:6]]
+    new = list(cs.brute_force_extensions(dp, budget=200, seed=0)[:6])
     for _ in range(6):
         new.append(dp.frakM.basis @ cs.orthonormal_basis(random_complex(rng, m, m // 2)).basis)
         new.append(cs.extend_basis(dp.a.graph, random_complex(rng, 2 * dp.ambient_dim, m // 2)).basis[:, a.shape[1] :])
@@ -490,7 +514,7 @@ def test_brute_force_drops_masked_candidates(monkeypatch):
     # columns are the honest completions: the hits are exactly those of the
     # unmasked candidates
     dp = doubled(cs.random_restriction(10, seed=6))
-    honest = cs.brute_force_extensions(dp, budget=200, seed=0)
+    honest = hit_relations(dp, cs.brute_force_extensions(dp, budget=200, seed=0))
     greedy = cs.extensions._greedy_isotropic
 
     def losing_every_other(s_coord, first, tol, rng=None):
@@ -500,7 +524,7 @@ def test_brute_force_drops_masked_candidates(monkeypatch):
 
     monkeypatch.setattr(cs.extensions, "_greedy_isotropic", losing_every_other)
     kept = {(np.round(h.graph.basis @ h.graph.basis.conj().T, 8) + 0.0).tobytes() for h in honest}
-    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
+    hits = hit_relations(dp, cs.brute_force_extensions(dp, budget=200, seed=0))
     masked_keys = {(np.round(h.graph.basis @ h.graph.basis.conj().T, 8) + 0.0).tobytes() for h in hits}
     assert 0 < len(hits) < len(honest) and masked_keys < kept
 
@@ -532,23 +556,21 @@ def test_sweep_draws_no_block_once_the_cap_is_reached(monkeypatch):
 
 
 def test_blocked_roundtrip_matches_hit_by_hit():
-    # 93 hits, 11 full blocks and a partial one: every angle and operator
-    # decision as recover_parameter, extension_graph and is_operator give it
+    # 93 hits, 11 full blocks and a partial one: the angle of each hit run
+    # alone, bit for bit, and every operator decision as is_operator gives
+    # it; recover_parameter and extension_graph, which border the relation
+    # afresh, reproduce every hit too
     dp = doubled(cs.race_schrodinger(32))
-    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
-    assert len(hits) > cs.extensions.ROUNDTRIP_BLOCK and len(hits) % cs.extensions.ROUNDTRIP_BLOCK
-    worst, operators = cs.extensions.completeness_roundtrip(dp, hits)
-    angles = []
+    new = cs.brute_force_extensions(dp, budget=200, seed=0)
+    assert len(new) > cs.extensions.ROUNDTRIP_BLOCK and len(new) % cs.extensions.ROUNDTRIP_BLOCK
+    worst, operators = cs.extensions.completeness_roundtrip(dp, new)
+    assert worst == max(cs.extensions.completeness_roundtrip(dp, w[None])[0] for w in new)
+    hits = hit_relations(dp, new)
     for hit in hits:
         rebuilt = cs.extension_graph(dp, cs.recover_parameter(dp, hit))
-        angles.append(cs.max_angle_sin(_new_columns(rebuilt, dp.a).graph, hit.graph))
-    assert worst == max(angles) <= dp.tol.bound()
-    assert operators == sum(cs.LinearRelation(hit.graph).is_operator for hit in hits) == 88
-    # the stacked top-block SVD gives each hit the bits of its own
-    graphs = np.stack([hit.graph.basis for hit in hits])
-    for hit, *stacked in zip(hits, *cs.relations._top_svds(graphs, dp.tol)):
-        u, r, vh = cs.LinearRelation(hit.graph)._top_svd
-        assert np.array_equal(stacked[0], u) and stacked[1] == r and np.array_equal(stacked[2], vh)
+        assert cs.max_angle_sin(_new_columns(rebuilt, dp.a).graph, hit.graph) <= dp.tol.bound()
+    assert worst <= dp.tol.bound()
+    assert operators == sum(hit.is_operator for hit in hits) == 88
 
 
 @pytest.mark.parametrize(
@@ -558,11 +580,13 @@ def test_blocked_roundtrip_matches_hit_by_hit():
 )
 def test_values_only_operator_flags_match_is_operator(spec):
     # the round trip's flags read the top blocks' singular values alone; on
-    # every hit they give is_operator, whose _top_svd computes vectors too
+    # every hit, taken as a block of one, they give is_operator, whose
+    # _top_svd computes vectors too
     dp = doubled(spec)
-    hits = cs.brute_force_extensions(dp, budget=200, seed=0)
-    flags = cs.extensions._operator_flags(hits, np.stack([hit.graph.basis for hit in hits]), dp.tol)
-    assert flags.tolist() == [hit.is_operator for hit in hits]
+    new = cs.brute_force_extensions(dp, budget=200, seed=0)
+    flags = [cs.extensions.completeness_roundtrip(dp, w[None])[1] for w in new]
+    assert flags == [hit.is_operator for hit in hit_relations(dp, new)]
+    assert cs.extensions.completeness_roundtrip(dp, new)[1] == sum(flags)
 
 
 def test_roundtrip_solves_k_by_k_and_takes_top_block_values_only(monkeypatch):
@@ -605,7 +629,7 @@ def test_roundtrip_refuses_a_wrong_cayley_transform_in_the_last_block(monkeypatc
     # mutation: P = B + A instead of B + iA on the new columns of one hit,
     # which sits in the last block; the CLI rebuilds the same hits
     dp = doubled(getattr(cs, name)(n))
-    new = cs.brute_force_extensions(dp, budget=200, seed=0)[target].graph.basis[:, dp.a.graph.dim :]
+    new = cs.brute_force_extensions(dp, budget=200, seed=0)[target]
     doubled_parts = cs.extensions._doubled_parts
 
     def dropped(w, images):
@@ -631,21 +655,11 @@ def test_wrong_cayley_transform_strays_as_in_the_dense_solve(monkeypatch):
         return second, -1j * first
 
     monkeypatch.setattr(cs.extensions, "_doubled_parts", dropped)
-    for hit in hits:
+    for hit in hit_relations(dp, hits):
         with pytest.raises(cs.PropertyViolationError, match="does not carry N\\+ onto N-") as err:
             cs.recover_parameter(dp, hit)
         stray = cayley_oracle(dp, hit.graph.basis, new_phase=-1j)[1]
         assert err.value.residuals["stray"] == pytest.approx(stray, rel=0, abs=1e-12)
-
-
-def test_roundtrip_raises_for_the_first_failing_hit(monkeypatch):
-    # a block that fails runs again hit by hit: the error is the first hit's
-    # in order, with its first failing guard
-    dp = doubled(cs.race_schrodinger(16))
-    hits = cs.brute_force_extensions(dp, budget=200, seed=0)[:8]
-    outside = cs.LinearRelation(cs.orthonormal_basis(random_complex(np.random.default_rng(1), 32, 16)))
-    with pytest.raises(cs.PreconditionError, match="does not extend A"):
-        cs.extensions.completeness_roundtrip(dp, [*hits[:5], outside, *hits[5:]])
 
 
 @pytest.mark.parametrize("swap", [[], ["--swap"]], ids=["plain", "swap"])

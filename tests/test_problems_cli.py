@@ -748,6 +748,35 @@ def test_cli_weak_form_check_fails_without_conjugating(monkeypatch, capsys):
     assert (honest[flipped], mutated[flipped]) == ("pass", "fail")
 
 
+@pytest.mark.parametrize("command", [["powers", "--budget", "3"], ["verify-all"]], ids=["powers", "verify-all"])
+def test_cli_norm_identities_fail_without_conjugating_y(monkeypatch, capsys, command):
+    # mutation: C dropped on y in power_norm_identities, so ||frakA^m (x, y)||^2
+    # is compared with ||(AC)^m x||^2 + ||(AC)^m y||^2; random_csym's K is not
+    # real, so at every exponent both norm identities fail, and nothing else.
+    # Keyed on base names, whatever the prefixes are joined with
+    argv = [command[0], "--example", "random_csym", "--n", "6", *command[1:]]
+    bases = ("norm_identity_even", "norm_identity_odd")
+
+    def run():
+        code = main(argv)
+        out = json.loads(capsys.readouterr().out)
+        return code, out, {c["name"]: c["status"] for c in out["check_list"]}
+
+    code, honest_out, honest = run()
+    assert code == 0
+    # Conjugation.apply's one caller in the package is power_norm_identities
+    monkeypatch.setattr(cs.Conjugation, "apply", lambda self, x: np.asarray(x, dtype=complex))
+    code, mutated_out, mutated = run()
+    assert code == 1 and mutated.keys() == honest.keys()
+    flipped = [name for name in honest if mutated[name] != honest[name]]
+    assert all((honest[name], mutated[name]) == ("pass", "fail") for name in flipped)
+    matched = [base for name in flipped for base in bases if name.endswith(base)]
+    assert len(matched) == len(flipped) and sorted(matched) == sorted(bases * 3)
+    if command[0] == "powers":
+        honest_n1, mutated_n1 = (out["results"]["reports"][0]["norm_residuals"] for out in (honest_out, mutated_out))
+        assert max(honest_n1) < 1e-9 and min(mutated_n1) > 100
+
+
 def test_cli_m_spaces_identity_catches_short_kernel(monkeypatch, capsys):
     # mutation: N(I + A*B*) misses a direction in m_spaces only
     monkeypatch.setattr(cs.csym, "kernel_one_plus", _drop_first_column(cs.kernel_one_plus))

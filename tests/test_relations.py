@@ -11,7 +11,7 @@ import scipy.linalg
 
 import csymlab as cs
 
-from conftest import DEFECT_SPECS, full_relation, random_complex, within, zero_relation
+from conftest import DEFECT_SPECS, full_relation, hit_relations, random_complex, within, zero_relation
 
 
 def random_relation(rng, n, k):
@@ -281,7 +281,7 @@ def test_is_operator_matches_multivalued_part(rng):
     ):
         dp = cs.build_doubled(spec.relation(), spec.conjugation())
         rels += [dp.a, dp.b, dp.a_star, dp.b_star, dp.frakA, dp.frakA_star]
-        rels += cs.brute_force_extensions(dp, budget=200, seed=0)
+        rels += hit_relations(dp, cs.brute_force_extensions(dp, budget=200, seed=0))
     n = 5
     for k in range(1, 2 * n + 1):
         rels.append(random_relation(rng, n, k))
