@@ -68,6 +68,7 @@ from .linalg import (
     intersect,
     is_subspace_of,
     max_angle_sin,
+    orthogonal_difference,
     orthonormal_basis,
     subspace_equal,
     subspace_sum,

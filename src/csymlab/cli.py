@@ -195,12 +195,15 @@ def cmd_enumerate(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     hits = brute_force_extensions(dp, budget=budget, seed=args.seed)
     worst, operators = completeness_roundtrip(dp, hits)
     checks = CheckList()
-    checks.add_residual(
-        "completeness_roundtrip",
-        worst,
-        spec.tol.bound(),
-        detail=f"{len(hits)} hits reproduced from recovered parameters",
-    )
+    if dp.frakM.dim == 0:
+        checks.skip("completeness_roundtrip", "frakM = 0: the one hit is A itself and nothing is rebuilt")
+    else:
+        checks.add_residual(
+            "completeness_roundtrip",
+            worst,
+            spec.tol.bound(),
+            detail=f"{len(hits)} hits reproduced from recovered parameters",
+        )
     results = {
         "budget": budget,
         "hits": len(hits),

@@ -19,9 +19,9 @@ computed independently.
 m_spaces and anti_involution read A, B = CAC, A*, B* and frakM from the
 DoubledProblem that owns them (doubling.build_doubled), which caches both
 results.  frakM is built there, since N+- are read off its basis; m_spaces
-adds frakM' = graph(A*) - graph(B), with graph(B)'s complement taken as
-J^-1 graph(B*) = {(-v, u) : (u, v) in graph(B*)}, and the kernels of
-I + A*B* and I + B*A*, each from one intersect in the middle coordinate
+adds frakM' = graph(A*) - graph(B), by the same kernel as frakM
+(linalg.orthogonal_difference), and the kernels of I + A*B* and I + B*A*,
+each from one intersect in the middle coordinate
 (relations.kernel_one_plus), independent of frakM.
 
 m_spaces, anti_involution and doubling.deficiency share one guard,
@@ -45,8 +45,7 @@ from .linalg import (
     Tolerance,
     _adjoint,
     _norm_within,
-    _trusted,
-    intersect,
+    orthogonal_difference,
     orthonormal_basis,
     subspace_equal,
 )
@@ -129,9 +128,7 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
     _require_c_symmetric(dp)
     frak_m = dp.frakM
     n = dp.ambient_dim
-    # graph(B*) is the complement of J graph(B), so J^-1 graph(B*) is graph(B)'s
-    u, v = dp.b_star.graph.basis[:n], dp.b_star.graph.basis[n:]
-    frak_m_prime = intersect(dp.a_star.graph, _trusted(np.vstack([-v, u]), dp.tol))
+    frak_m_prime = orthogonal_difference(dp.a_star.graph, dp.b.graph)
     m_bstar = kernel_one_plus(dp.a_star, dp.b_star)
     m_astar = kernel_one_plus(dp.b_star, dp.a_star)
     # kernel of I + A*B* = first components of frakM, in every regime

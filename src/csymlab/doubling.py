@@ -19,7 +19,12 @@ w = (y, ix) the pair (w, iw) = (y, ix, iy, -x) lies in graph(frakA*) iff
 graph(B*) and orthogonal to graph(A), graph(A*) being the complement of
 J graph(A), J(x, y) = (y, -x); N- likewise.  The map (x, y) -> (y, +-ix) is
 unitary, so N+- come with orthonormal bases and no SVD in C^(4n), and the
-identity needs no C-symmetry.
+identity needs no C-symmetry.  frakM itself is linalg.orthogonal_difference
+(graph(B*), graph(A)): the directions of graph(B*) whose cosine with
+graph(A) is zero, from one SVD of the dim graph(A) x dim graph(B*) matrix of
+cosines, with no complement in C^(2n).  The brute-force sweep draws its
+candidates in another basis of the same subspace, which it builds itself
+(extensions._sweep_frame).
 
 DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
 frakA, frakA*, frakE, frakM and N+-, built once by build_doubled, and the
@@ -43,12 +48,11 @@ from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     Tolerance,
-    _complement_formula_intersect,
     _norm_within,
     _spectral_norm,
     _trusted,
-    complement,
     max_angle_sin,
+    orthogonal_difference,
     orthonormal_basis,
     subspace_equal,
     subspace_sum,
@@ -196,9 +200,9 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     bound = a.tol.bound()
     a_star = a.adjoint()
     b = a.conjugated(c)
-    # frakM is built from B*'s bits, and the brute-force sweep's hit counts
-    # depend on them, so B* keeps this SVD until ROADMAP item 3; C being
-    # antiunitary, B = CAC above needs none
+    # the brute-force sweep's frame (extensions._sweep_frame) is built from
+    # B*'s bits, and its hit counts depend on them, so B* keeps this SVD
+    # until ROADMAP item 3; C being antiunitary, B = CAC above needs none
     b_star = LinearRelation(orthonormal_basis(a_star.conjugated_basis(c), a.tol))
     frak_a = block_relation(a, b)
     frak_a_star = block_relation(b_star, a_star)
@@ -210,8 +214,7 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
         )
     if not b.conjugated(c).equals(a):
         raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
-    # frakM's basis is the brute-force sweep's coordinate system
-    frak_m = _complement_formula_intersect(b_star.graph, complement(a.graph))
+    frak_m = orthogonal_difference(b_star.graph, a.graph)
     top, bottom = frak_m.basis[:n], frak_m.basis[n:]
     n_plus = _trusted(np.vstack([bottom, 1j * top]), a.tol)
     n_minus = _trusted(np.vstack([bottom, -1j * top]), a.tol)

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antilinear import conjugation_axiom_residuals
-from .csym import _adjoint_gaps
+from .csym import _adjoint_gaps, _require_c_symmetric
 from .doubling import DoubledProblem, _orthogonality_residual, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
@@ -88,7 +88,6 @@ from .linalg import (
     _as_complex_matrix,
     _bordered,
     _check_same_ambient,
-    _complement_formula_intersect,
     _gram_residual,
     _norm_within,
     _norms_within,
@@ -636,9 +635,37 @@ def _omega_block(omega: np.ndarray, l_coords: np.ndarray) -> np.ndarray:
     return _adjoint(l_coords) @ omega @ np.conj(l_coords)
 
 
+def _complement_formula_intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """S1 cap S2 as complement(complement(S1) + complement(S2)), the sum
+    taken by one SVD of the stacked complements.
+
+    The brute-force sweep draws its candidates in the bases of its frame and
+    of its aligned pools, and its hit counts change with those bases, so
+    these two (and nothing else) keep this formula.
+    """
+    _check_same_ambient(s1, s2)
+    stacked = np.hstack([complement(s1).basis, complement(s2).basis])
+    return complement(orthonormal_basis(stacked, s1.tol))
+
+
+def _sweep_frame(dp: DoubledProblem) -> tuple[Subspace, np.ndarray]:
+    """The basis M of frakM in which the brute-force sweep draws its
+    candidates, and Omega = M^H S conj(M), S's matrix in it, formed as
+    DoubledProblem.omega forms it.
+
+    M spans dp.frakM in another basis: graph(B*) cap complement(graph(A))
+    by the complement formula, whose bits the sweep's hit counts depend on.
+    Built once per sweep.
+    """
+    frak_m = _complement_formula_intersect(dp.b_star.graph, complement(dp.a.graph))
+    m = frak_m.basis
+    return frak_m, m.conj().T @ dp.s_map.matrix @ np.conj(m)
+
+
 def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
-    """frakM basis directions plus the members aligned with one coordinate
-    block (pure first or pure second component), in frakM coordinates.
+    """The frame's basis directions plus the members of frakM aligned with
+    one coordinate block (pure first or pure second component), in the
+    frame's coordinates.
 
     The pool's basis is part of the sweep, so it keeps the complement formula.
     """
@@ -653,20 +680,19 @@ def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
     return pool
 
 
-def _sweep_candidates(dp: DoubledProblem, budget: int, seed: int):
+def _sweep_candidates(dp: DoubledProblem, frak_m: Subspace, s_coord: np.ndarray, budget: int, seed: int):
     """The brute-force sweep's `budget` candidates L in order, in stacks of
-    at most SWEEP_BLOCK: yields (L, lost), L a B x m x h stack in frakM
-    coordinates and lost the mask of the candidates whose isotropic
-    completion lost rank.  The structured sweep comes first, then the
-    isotropic completions of random first vectors, drawn one at a time, and
-    the raw random subspaces; a stack is drawn only when it is asked for.
-    frakM must have even dimension 0 < m <= 8."""
-    frak_m = dp.frakM
+    at most SWEEP_BLOCK: yields (L, lost), L a B x m x h stack in the
+    coordinates of the frame (frak_m, s_coord) of _sweep_frame and lost the
+    mask of the candidates whose isotropic completion lost rank.  The
+    structured sweep comes first, then the isotropic completions of random
+    first vectors, drawn one at a time, and the raw random subspaces; a
+    stack is drawn only when it is asked for.  frakM must have even
+    dimension 0 < m <= 8."""
     m = frak_m.dim
     half = m // 2
     tol = dp.tol
     rng = np.random.default_rng(seed)
-    s_coord = dp.omega
     pool = _sweep_pool(dp, frak_m)
 
     def first_vectors():
@@ -743,9 +769,10 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     hit is graph(A) + span W for its new columns W = M L, orthonormal and
     orthogonal to graph(A).  When frakM = 0 the one hit, A, has no columns.
 
-    Candidates are filtered and deduplicated in frakM coordinates, and only
-    new survivors are lifted to C^(2n) for the direct test.  With M the
-    frakM basis, L orthonormal, J(x, y) = (y, -x), K^ = diag(K, K) and
+    Candidates are filtered and deduplicated in frakM coordinates, in the
+    sweep's own basis of frakM (_sweep_frame), and only new survivors are
+    lifted to C^(2n) for the direct test.  With M that basis, L
+    orthonormal, J(x, y) = (y, -x), K^ = diag(K, K) and
     Omega = M^H S conj(M) = -(J M)^H K^ conj(M), the h x h matrix
     L^H Omega conj(L) is minus the lower-right block of the adjoint-gap
     matrix (J G)^H K^ conj(G) of G = [graph(A), M L].  A block's 2-norm
@@ -757,19 +784,19 @@ def brute_force_extensions(dp: DoubledProblem, budget: int = 10000, seed: int = 
     of candidates is drawn once the cap is reached; the structured sweep
     runs first and is never truncated by the random streams).
     """
-    omega = dp.omega  # raises PreconditionError unless C-symmetric
-    frak_m = dp.frakM
-    if frak_m.dim > 8:
-        raise InputError(f"frakM dimension {frak_m.dim} exceeds the brute-force guard (8)")
-    if frak_m.dim == 0:
+    _require_c_symmetric(dp)
+    if dp.frakM.dim > 8:
+        raise InputError(f"frakM dimension {dp.frakM.dim} exceeds the brute-force guard (8)")
+    if dp.frakM.dim == 0:
         return np.zeros((1, 2 * dp.ambient_dim, 0), dtype=complex)
-    if frak_m.dim % 2:
-        raise PropertyViolationError("frakM has odd dimension", {"dim": frak_m.dim})
+    if dp.frakM.dim % 2:
+        raise PropertyViolationError("frakM has odd dimension", {"dim": dp.frakM.dim})
+    frak_m, omega = _sweep_frame(dp)
     tol = dp.tol
     known_gap = _known_gap(dp)
     hits = [np.zeros((0, 2 * dp.ambient_dim, frak_m.dim // 2), dtype=complex)]
     seen: set[bytes] = set()  # one key per hit
-    for stack, lost in _sweep_candidates(dp, budget, seed):
+    for stack, lost in _sweep_candidates(dp, frak_m, omega, budget, seed):
         # the rank test 2 dim L = m and the filter over the whole stack
         spans, rank = _ranked_svd(stack[~lost], tol)
         spans = spans[2 * rank == frak_m.dim]

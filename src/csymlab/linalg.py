@@ -8,7 +8,8 @@ notion of "numerically zero".  Every subspace predicate compares its
 residual with tol.bound() of the Tolerance its first operand carries.
 Intersections are read off the principal angles between the two subspaces
 (sin theta at or below the zero cutoff), from one SVD in the smaller
-subspace's dimension.
+subspace's dimension; orthogonal differences S1 cap S2^perp likewise
+(cos theta at or below the same cutoff), from one SVD of S2^H S1.
 
 Every SVD and matrix norm of the package is one of four kinds:
 
@@ -21,7 +22,8 @@ Every SVD and matrix norm of the package is one of four kinds:
   extend_basis's SVD of the new residual, and _bordered's on the stacked
   residuals of the enumerate round trip's rebuilt columns and on the
   relation that recover_parameter is given; intersect, and through it
-  kernel_one_plus, imaginary_members and frakM'; LinearRelation._top_svd
+  kernel_one_plus and imaginary_members; orthogonal_difference, and
+  through it frakM and frakM' (build_doubled, m_spaces); LinearRelation._top_svd
   (domain, multivalued part, is_operator) of a relation given by its graph
   alone, and its cut on the singular values alone (compute_uv=False) of the
   stacked top blocks of the round trip's hits; polar's rank r and takagi's
@@ -30,13 +32,15 @@ Every SVD and matrix norm of the package is one of four kinds:
   re-orthonormalizes, uncut): complement; orthonormal_basis in adjoint (J
   is unitary) and in build_doubled's B* (C is antiunitary);
   operator_relation's graph [D; AD] (rank that of D);
-  _complement_formula_intersect's complements.  QR or _trusted could
-  replace them, but the sweep's hit counts depend on frakM's bits.
+  extensions._complement_formula_intersect's complements, which build the
+  brute-force sweep's frame and pools.  QR or _trusted could replace them,
+  but the sweep's hit counts depend on the frame's bits.
   DoubledProblem.cayley's pseudoinverse of P_A = B + iA, read off
   graph(frakA)'s basis (its columns are orthonormal up to the C-symmetry
   residual), is taken once per problem and cuts nothing; it leaves the
   round trip one k x k Cayley solve per hit.
-  B*'s is the only antiunitary image that takes an SVD: images under C
+  B*'s is the only antiunitary image that takes an SVD, because the
+  sweep's frame is built from its bits: images under C
   (LinearRelation.conjugated for B = CAC, and Conjugation.map_subspace for
   D(B) = C D(A) and the C-images of the kernels), under frakE (N+) and
   under S (extension_from_parameter's S(L)) take the image of the
@@ -300,19 +304,24 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return _trusted(s1.basis @ vh[inside].conj().T, s1.tol)
 
 
-def _complement_formula_intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """S1 cap S2 as complement(complement(S1) + complement(S2)).
+def orthogonal_difference(s1: Subspace, s2: Subspace) -> Subspace:
+    """S1 cap S2^perp from the principal angles between S1 and S2.
 
-    Same subspace as intersect, in a different basis.  The brute-force
-    sweep draws its candidates in the bases of frakM and of its aligned
-    pools, and its hit counts change with those bases, so these two (and
-    nothing else) keep this formula, with the sum taken by one SVD of the
-    stacked complements rather than by extend_basis, to keep the sweep's
-    hits fixed.
+    The singular values of S2^H S1 are the cosines of the principal angles
+    and its right singular vectors V the principal directions in S1 (Bjorck
+    & Golub, Math. Comp. 27 (1973)), so the difference is S1 V restricted to
+    the directions with cos theta <= tol.zero_cutoff(1.0), the cut intersect
+    puts on sines; its columns are orthonormal by construction.  When
+    dim S2 < dim S1 the missing cosines are 0.  One SVD of a
+    dim S2 x dim S1 matrix, with no complement.
     """
     _check_same_ambient(s1, s2)
-    stacked = np.hstack([complement(s1).basis, complement(s2).basis])
-    return complement(orthonormal_basis(stacked, s1.tol))
+    if s1.dim == 0 or s2.dim == 0:
+        return s1
+    _, cosines, vh = np.linalg.svd(s2.basis.conj().T @ s1.basis)
+    cosines = np.pad(cosines, (0, s1.dim - cosines.size))
+    outside = cosines <= s1.tol.zero_cutoff(1.0)
+    return _trusted(s1.basis @ vh[outside].conj().T, s1.tol)
 
 
 def _angle_residual(s1: Subspace, s2: Subspace) -> np.ndarray:

@@ -210,8 +210,9 @@ def greedy_isotropic_oracle(s_coord, m, tol, rng=None, first=None):
 def sweep_oracle(dp, budget, seed):
     """The brute-force sweep one candidate at a time, the oracle of the
     stacked one: (candidates, hits), the candidates L in order (None where
-    the isotropic completion lost rank) and the graph bases of the hits."""
-    frak_m, omega, tol = dp.frakM, dp.omega, dp.tol
+    the isotropic completion lost rank) and the graph bases of the hits.
+    Like the sweep it draws in the sweep's frame, not in dp.frakM's basis."""
+    (frak_m, omega), tol = cs.extensions._sweep_frame(dp), dp.tol
     m = frak_m.dim
     half = m // 2
     rng = np.random.default_rng(seed)

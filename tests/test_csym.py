@@ -145,12 +145,12 @@ def test_domain_criterion_on_extension():
 
 def _lifted_sweep(example, n):
     """(dp, Omega, L, graph(A) + M L) for every candidate L of the budget-200
-    sweep at seed 0, L orthonormalized in frakM coordinates, M the frakM basis."""
+    sweep at seed 0, L orthonormalized in frakM coordinates, M the sweep's
+    basis of frakM and Omega S's matrix in it."""
     spec = cs.build_example(example, n=n)
     dp = cs.build_doubled(spec.relation(), spec.conjugation())
-    frak_m = dp.frakM
-    w = dp.omega
-    for stack, lost in cs.extensions._sweep_candidates(dp, 200, 0):
+    frak_m, w = cs.extensions._sweep_frame(dp)
+    for stack, lost in cs.extensions._sweep_candidates(dp, frak_m, w, 200, 0):
         for l_coords in stack[~lost]:
             span = cs.orthonormal_basis(l_coords, dp.tol, frak_m.dim).basis
             graph = cs.Subspace(np.hstack([dp.a.graph.basis, frak_m.basis @ span]), dp.tol)

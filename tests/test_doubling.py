@@ -252,17 +252,34 @@ def test_c_image_checks_fail_without_conjugating(monkeypatch):
 def test_frakM_missing_a_column_fails_the_von_neumann_count(monkeypatch):
     # mutation: frakM loses its last basis column, so N+ and N- still have
     # equal dimensions, one short of (dim graph(frakA*) - dim graph(frakA))/2
-    original = cs.linalg._complement_formula_intersect
+    original = cs.linalg.orthogonal_difference
 
     def short(s1, s2):
         full = original(s1, s2)
         return cs.Subspace(full.basis[:, :-1], full.tol)
 
-    monkeypatch.setattr(cs.doubling, "_complement_formula_intersect", short)
+    monkeypatch.setattr(cs.doubling, "orthogonal_difference", short)
     dp = doubled(cs.race_schrodinger(16, h=0.02))
     status = _statuses(cs.deficiency(dp))
     assert status["dim_nplus_equals_dim_nminus"] == "fail"
     assert status["componentwise_characterization"] == "pass"
+
+
+def _unpadded_difference(s1, s2):
+    """orthogonal_difference without the zero cosines of the directions of S1
+    that S2^H S1 has no singular value for (dim S2 < dim S1)."""
+    _, cosines, vh = np.linalg.svd(s2.basis.conj().T @ s1.basis)
+    outside = cosines <= s1.tol.zero_cutoff(1.0)
+    return cs.linalg._trusted(s1.basis @ vh[: cosines.size][outside].conj().T, s1.tol)
+
+
+@pytest.mark.parametrize("kernel", [cs.intersect, _unpadded_difference], ids=["cut_on_sines", "unpadded"])
+@pytest.mark.parametrize("spec", [*DEFECT_SPECS, cs.race_schrodinger(16, h=0.02)], ids=lambda s: s.name)
+def test_frakM_kernel_mutations_fail_the_von_neumann_count(monkeypatch, kernel, spec):
+    # mutation: frakM cut on sines (graph(B*) cap graph(A) = graph(A)) or
+    # missing the directions of graph(B*) beyond dim graph(A)
+    monkeypatch.setattr(cs.doubling, "orthogonal_difference", kernel)
+    assert _statuses(cs.deficiency(doubled(spec)))["dim_nplus_equals_dim_nminus"] == "fail"
 
 
 def test_vn_decomposition_operator_regime(rng):

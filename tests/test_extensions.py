@@ -294,6 +294,21 @@ def test_brute_force_respects_cap_and_determinism(monkeypatch):
     np.testing.assert_array_equal(few, cs.brute_force_extensions(dp, budget=500, seed=3))
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify-all"])
+def test_enumerate_skips_the_roundtrip_when_frakM_is_zero(capsys, command):
+    # a C-self-adjoint input: the one hit is A itself and nothing is rebuilt,
+    # so the round trip has nothing to test and says so instead of a 0.0
+    # residual that cannot fail
+    assert main([command, "--example", "random_csym", "--n", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    prefix = "enumerate" if command == "verify-all" else ""
+    check = next(c for c in out["check_list"] if c["name"] == prefix + "completeness_roundtrip")
+    assert check["status"] == "skip" and "frakM = 0" in check["detail"] and "residual" not in check
+    assert out["all_pass"] is True
+    results = out["results"]["enumerate"] if command == "verify-all" else out["results"]
+    assert results["hits"] == 1
+
+
 def test_brute_force_selfadjoint_input_returns_input():
     dp = doubled(cs.random_csym(3, seed=1))
     hits = cs.brute_force_extensions(dp, budget=50, seed=0)
@@ -303,29 +318,36 @@ def test_brute_force_selfadjoint_input_returns_input():
 
 
 def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
-    # the sweep decides in frakM coordinates: apart from its pool, built once
-    # per sweep, it runs no SVD with more than m rows, and the direct test in
-    # C^(2n), on the new columns over graph(A), runs once per distinct
-    # survivor (every survivor is a hit here)
+    # the sweep decides in frakM coordinates: apart from its frame and its
+    # pool, each built once per sweep, it runs no SVD with more than m rows,
+    # and the direct test in C^(2n), on the new columns over graph(A), runs
+    # once per distinct survivor (every survivor is a hit here)
     dp = doubled(cs.race_schrodinger(32))
     m = dp.frakM.dim
     assert dp.s_map  # the problem's cached geometry is built before counting
-    pool, svd = cs.extensions._sweep_pool, np.linalg.svd
-    in_pool, rows = [], []
+    svd = np.linalg.svd
+    exempt, rows, built = [], [], []
 
-    def counted_pool(*args):
-        in_pool.append(True)
-        try:
-            return pool(*args)
-        finally:
-            in_pool.pop()
+    def counted_once(name):
+        original = getattr(cs.extensions, name)
+
+        def counted(*args):
+            exempt.append(True)
+            built.append(name)
+            try:
+                return original(*args)
+            finally:
+                exempt.pop()
+
+        monkeypatch.setattr(cs.extensions, name, counted)
 
     def counted_svd(a, *args, **kwargs):
-        if not in_pool:
+        if not exempt:
             rows.append(np.shape(a)[-2])  # a stack counts by its matrices' rows
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(cs.extensions, "_sweep_pool", counted_pool)
+    counted_once("_sweep_frame")
+    counted_once("_sweep_pool")
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     grown, direct = cs.extensions._c_selfadjoint_grown, []
 
@@ -336,6 +358,7 @@ def test_brute_force_lifts_only_distinct_survivors(monkeypatch):
     monkeypatch.setattr(cs.extensions, "_c_selfadjoint_grown", counted_grown)
     hits = cs.brute_force_extensions(dp, budget=200, seed=0)
     assert rows and max(rows) <= m
+    assert built == ["_sweep_frame", "_sweep_pool"]
     assert len(direct) == len(hits) == 93
 
 
@@ -362,18 +385,43 @@ def test_enumerate_decides_c_selfadjointness_once_per_hit(monkeypatch, capsys):
 
 
 # fixtures with frakM of dimension 4 (race, fd, zero), 6 and 8
-SWEEP_SPECS = pytest.mark.parametrize(
+SWEEP_FIXTURES = (
+    cs.race_schrodinger(16),
+    cs.race_schrodinger(32),
+    cs.fd_derivative_minimal(16),
+    cs.zero_on_subspace(16),
+    cs.random_restriction(10, seed=6),
+    cs.random_restriction(9, seed=7),
+)
+SWEEP_SPECS = pytest.mark.parametrize("spec", SWEEP_FIXTURES, ids=lambda s: s.name)
+
+
+# a random operator on the first 4 coordinates of C^6 under the entrywise
+# conjugation: not C-symmetric, with frakM of dimension 4
+NON_C_SYMMETRIC = cs.ProblemSpec(
+    "non_c_symmetric",
+    6,
+    "entrywise",
+    None,
+    np.eye(6)[:, :4],
+    random_complex(np.random.default_rng(5), 6, 4),
+    cs.DEFAULT_TOL,
+)
+
+
+@pytest.mark.parametrize(
     "spec",
-    [
-        cs.race_schrodinger(16),
-        cs.race_schrodinger(32),
-        cs.fd_derivative_minimal(16),
-        cs.zero_on_subspace(16),
-        cs.random_restriction(10, seed=6),
-        cs.random_restriction(9, seed=7),
-    ],
+    [*DEFECT_SPECS, *SWEEP_FIXTURES, cs.race_schrodinger(128, h=0.02), NON_C_SYMMETRIC],
     ids=lambda s: s.name,
 )
+def test_frakM_spans_the_complement_formula(spec):
+    # oracle: frakM from the cosines of graph(B*) against graph(A) spans the
+    # complement formula's graph(B*) cap complement(graph(A)), the sweep's
+    # frame, with or without C-symmetry
+    dp = doubled(spec)
+    frame = cs.extensions._complement_formula_intersect(dp.b_star.graph, cs.complement(dp.a.graph))
+    assert dp.frakM.dim > 0
+    assert within(dp.frakM, frame, dp.tol.bound(), equal=True) and within(frame, dp.frakM, dp.tol.bound())
 
 
 @SWEEP_SPECS
@@ -384,7 +432,7 @@ def test_stacked_sweep_matches_one_candidate_at_a_time(spec, budget):
     dp = doubled(spec)
     for seed in range(3):
         candidates, hit_bases = sweep_oracle(dp, budget, seed)
-        stacks = list(cs.extensions._sweep_candidates(dp, budget, seed))
+        stacks = list(cs.extensions._sweep_candidates(dp, *cs.extensions._sweep_frame(dp), budget, seed))
         stacked = np.concatenate([cols for cols, _ in stacks])
         lost = np.concatenate([mask for _, mask in stacks])
         assert lost.tolist() == [c is None for c in candidates]

@@ -209,6 +209,46 @@ def test_intersect_angle_threshold(rng, angle, merged):
     assert cs.intersect(cs.Subspace(q[:, :1]), cs.Subspace(tilted)).dim == expected - 1
 
 
+def test_orthogonal_difference_matches_complement_formula(rng):
+    # S1 = k planted directions orthogonal to S2 plus at most dim S2 random
+    # ones, so S1 cap S2^perp has dimension k; dim S2 is below and above dim S1
+    for n in (8, 32, 128):
+        for _ in range(3):
+            s2 = cs.orthonormal_basis(random_complex(rng, n, int(rng.integers(1, n // 2))))
+            k = int(rng.integers(1, (n - s2.dim) // 2 + 1))
+            planted = cs.complement(s2).basis @ random_complex(rng, n - s2.dim, k)
+            s1 = cs.orthonormal_basis(np.hstack([planted, random_complex(rng, n, int(rng.integers(0, s2.dim + 1)))]))
+            diff = cs.orthogonal_difference(s1, s2)
+            assert diff.dim == k
+            assert_same_subspace(diff, complement_formula(s1, cs.complement(s2)))
+            np.testing.assert_allclose(diff.basis.conj().T @ diff.basis, np.eye(k), atol=1e3 * MACHINE_EPS)
+
+
+def test_orthogonal_difference_edge_cases(rng):
+    n = 16
+    s = cs.orthonormal_basis(random_complex(rng, n, 6))
+    inner = cs.orthonormal_basis(s.basis @ random_complex(rng, 6, 3))
+    outer = cs.complement(s)
+    empty = cs.zero_subspace(n)
+    assert cs.orthogonal_difference(empty, s).dim == 0
+    for s1, s2, expected in ((s, empty, s), (inner, s, empty), (s, s, empty), (s, outer, s), (s, inner, None)):
+        diff = cs.orthogonal_difference(s1, s2)
+        if expected is None:  # the part of S outside its subspace inner
+            assert diff.dim == 3 and cs.is_subspace_of(diff, s)
+            assert np.abs(inner.basis.conj().T @ diff.basis).max() <= 1e3 * MACHINE_EPS
+        else:
+            assert_same_subspace(diff, expected)
+
+
+@pytest.mark.parametrize("angle, outside", [(1e-13, True), (1e-6, False)])
+def test_orthogonal_difference_angle_threshold(rng, angle, outside):
+    # q0 against cos(angle) q1 + sin(angle) q0: the cosine is sin(angle),
+    # cut at zero_cutoff(1.0) like intersect's sines
+    q = cs.orthonormal_basis(random_complex(rng, 12, 2)).basis
+    tilted = np.cos(angle) * q[:, 1:] + np.sin(angle) * q[:, :1]
+    assert cs.orthogonal_difference(cs.Subspace(q[:, :1]), cs.Subspace(tilted)).dim == int(outside)
+
+
 @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (16, 16), (1, 9), (9, 1), (0, 5), (5, 0)])
 @pytest.mark.parametrize("scale", [1.0, 1e-14, 1e8])
 def test_spectral_norm_matches_numpy(rng, shape, scale):
@@ -333,7 +373,7 @@ def test_intersect_with_coordinate_blocks_matches_complement_formula(rng, n):
         for s1, s2 in ((s, block), (block, s)):
             meet = cs.intersect(s1, s2)
             assert meet.dim == planted
-            assert_same_subspace(meet, cs.linalg._complement_formula_intersect(s1, s2))
+            assert_same_subspace(meet, cs.extensions._complement_formula_intersect(s1, s2))
 
 
 @pytest.mark.parametrize("n", [2, 4, 9])
@@ -348,7 +388,7 @@ def test_kernel_with_wide_residual(n):
     graph = cs.Subspace(g)
     top = coordinate_block(2 * n, np.arange(n))
     kernel = cs.intersect(graph, top)
-    assert_same_subspace(kernel, cs.linalg._complement_formula_intersect(graph, top))
+    assert_same_subspace(kernel, cs.extensions._complement_formula_intersect(graph, top))
     assert_same_subspace(kernel, coordinate_block(2 * n, np.arange(n - 1)))
     # all rows vanish: graph = C^n x span{e_1}, kernel = C^n
     full = np.zeros((2 * n, n + 1), dtype=complex)

@@ -617,21 +617,22 @@ def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
     # images under C, frakE and S (B, C D(A), C L's domain, S L) take none,
     # nor does the canonical parameter, read off L in closed form.  The Gram
     # eigenvalues are those of the reported 2-norms and of extend_basis's
-    # rank scale, none of a predicate
+    # rank scale, none of a predicate.  frakM is one SVD of its cosines
     calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh")
     assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (calls.count("svd"), calls.count("eigvalsh")) == (19, 10)
+    assert (calls.count("svd"), calls.count("eigvalsh")) == (15, 10)
 
 
 def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
-    # A*, B* and frakM's complements and stacked sum; a relation's regime is
-    # read off its graph dimension, so no top-block SVD runs
+    # graph(A), A*'s two, B* and the one of frakM's cosines against
+    # graph(A); a relation's regime is read off its graph dimension, so no
+    # top-block SVD runs
     calls = _count_numpy_linalg(monkeypatch, "svd")
     top = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
     assert main(["deficiency", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (len(calls), len(top)) == (9, 0)
+    assert (len(calls), len(top)) == (5, 0)
 
 
 @pytest.mark.parametrize("source", [("--example", "race_schrodinger", "--n", "16"), "complex_symmetric"])
@@ -793,13 +794,13 @@ def test_cli_vn_kernel_check_catches_short_kernel(monkeypatch, capsys):
 
 
 def test_cli_domain_sum_star_catches_short_multivalued_part(monkeypatch, capsys):
-    # mutation: mul(A_ext) misses a direction; the swap extension of
-    # zero_on_subspace has a 2-dimensional multivalued part
+    # mutation: mul(A_ext) misses a direction; both canonical extensions of
+    # zero_on_subspace have a nonzero multivalued part
     monkeypatch.setattr(
         cs.LinearRelation, "multivalued_part", _drop_first_column(cs.LinearRelation.multivalued_part)
     )
     failing = _failing_checks(capsys, ["verify-all", "--example", "zero_on_subspace", "--n", "16"])
-    assert failing == {"extend_swapdomain_sum_star"}
+    assert failing == {"extenddomain_sum_star", "extend_swapdomain_sum_star"}
 
 
 def _report(capsys, argv):
