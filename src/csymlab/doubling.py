@@ -183,6 +183,8 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     """Assemble A*, B = CAC, B*, frakA, frakE, frakM and the deficiency
     subspaces N+- of frakA*.
 
+    A* is LinearRelation.adjoint, one complete QR and no SVD; B and B* are
+    the C-images of graph(A) and graph(A*), orthonormal as built.
     frakA* is the block form with B* and A* swapped in.  It is checked
     against graph(frakA) alone: its dimension must be 4n - dim graph(frakA)
     and its adjoint gap must vanish, decided on the two blocks of the block
@@ -200,10 +202,9 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     bound = a.tol.bound()
     a_star = a.adjoint()
     b = a.conjugated(c)
-    # the brute-force sweep's frame (extensions._sweep_frame) is built from
-    # B*'s bits, and its hit counts depend on them, so B* keeps this SVD
-    # until ROADMAP item 3; C being antiunitary, B = CAC above needs none
-    b_star = LinearRelation(orthonormal_basis(a_star.conjugated_basis(c), a.tol))
+    # B* = (CAC)* = C A* C: C is antiunitary, so the C-image of A*'s basis
+    # is orthonormal as built and takes no SVD, as B = CAC above
+    b_star = LinearRelation(_trusted(a_star.conjugated_basis(c), a.tol))
     frak_a = block_relation(a, b)
     frak_a_star = block_relation(b_star, a_star)
     gaps = _doubled_gap_blocks(a, b, frak_a_star, b_star.graph.dim)

@@ -655,9 +655,15 @@ def _sweep_frame(dp: DoubledProblem) -> tuple[Subspace, np.ndarray]:
 
     M spans dp.frakM in another basis: graph(B*) cap complement(graph(A))
     by the complement formula, whose bits the sweep's hit counts depend on.
-    Built once per sweep.
+    graph(B*) enters it re-orthonormalized by SVDs, unlike dp.b_star: the
+    orthonormal_basis of J graph(A), J(x, y) = (y, -x), its complement
+    (graph(A*)), and the orthonormal_basis of that basis's C-image.  Built
+    once per sweep.
     """
-    frak_m = _complement_formula_intersect(dp.b_star.graph, complement(dp.a.graph))
+    tol, n, g = dp.tol, dp.ambient_dim, dp.a.graph.basis
+    a_star = complement(orthonormal_basis(np.vstack([g[n:], -g[:n]]), tol, 2 * n))
+    b_star = orthonormal_basis(_conjugated_graphs(a_star.basis, dp.c.matrix), tol)
+    frak_m = _complement_formula_intersect(b_star, complement(dp.a.graph))
     m = frak_m.basis
     return frak_m, m.conj().T @ dp.s_map.matrix @ np.conj(m)
 

@@ -29,22 +29,24 @@ Every SVD and matrix norm of the package is one of four kinds:
   stacked top blocks of the round trip's hits; polar's rank r and takagi's
   grouping of the same singular values.
 - Structural rank (the rank is known by construction, so the SVD only
-  re-orthonormalizes, uncut): complement; orthonormal_basis in adjoint (J
-  is unitary) and in build_doubled's B* (C is antiunitary);
-  operator_relation's graph [D; AD] (rank that of D);
-  extensions._complement_formula_intersect's complements, which build the
-  brute-force sweep's frame and pools.  QR or _trusted could replace them,
-  but the sweep's hit counts depend on the frame's bits.
+  re-orthonormalizes, uncut): complement; operator_relation's graph
+  [D; AD] (rank that of D); extensions._sweep_frame, the one
+  re-orthonormalization of a basis that is orthonormal as built: it
+  rebuilds graph(B*) by SVDs (orthonormal_basis of J graph(A), complement,
+  orthonormal_basis of the C-image) and takes
+  extensions._complement_formula_intersect's complements, which also build
+  the sweep's pools, because the sweep's hit counts depend on those bits.
   DoubledProblem.cayley's pseudoinverse of P_A = B + iA, read off
   graph(frakA)'s basis (its columns are orthonormal up to the C-symmetry
   residual), is taken once per problem and cuts nothing; it leaves the
   round trip one k x k Cayley solve per hit.
-  B*'s is the only antiunitary image that takes an SVD, because the
-  sweep's frame is built from its bits: images under C
-  (LinearRelation.conjugated for B = CAC, and Conjugation.map_subspace for
-  D(B) = C D(A) and the C-images of the kernels), under frakE (N+) and
-  under S (extension_from_parameter's S(L)) take the image of the
-  orthonormal basis through _trusted.
+  LinearRelation.adjoint takes no SVD: J graph(R), J(x, y) = (y, -x), is
+  orthonormal of known rank as built, and graph(R*), its complement, is
+  the trailing columns of one complete Householder QR.  Images under C
+  (LinearRelation.conjugated for B = CAC, build_doubled's B* = C A* C, and
+  Conjugation.map_subspace for D(B) = C D(A) and the C-images of the
+  kernels), under frakE (N+) and under S (extension_from_parameter's S(L))
+  take the image of the orthonormal basis through _trusted.
 - 2-norm value (a number that is reported or scales a cut), by
   _spectral_norm, the top eigenvalue of the smaller Gram matrix, with no
   SVD (_spectral_norms on stacks): max_angle_sin and adjoint_gap wherever

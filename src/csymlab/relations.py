@@ -27,7 +27,7 @@ from .linalg import (
     _gram_residual,
     _spectral_norm,
     _trusted,
-    complement,
+    full_space,
     intersect,
     is_subspace_of,
     orthonormal_basis,
@@ -114,8 +114,18 @@ class LinearRelation:
 
     @cached_property
     def _adjoint(self) -> "LinearRelation":
-        flipped = np.vstack([self._bottom(), -self._top()])
-        return LinearRelation(complement(orthonormal_basis(flipped, self.tol, 2 * self.ambient_dim)))
+        """J [X; Y] = [Y; -X] is orthonormal as built, J(x, y) = (y, -x) being
+        unitary, and has the rank k = dim graph(R), so no rank decision is
+        made: the last 2n - k columns of its complete Householder QR are an
+        orthonormal basis of the complement (Golub & Van Loan, Matrix
+        Computations, 4th ed., 5.2)."""
+        n2, k = self.graph.basis.shape
+        if k == 0:
+            return LinearRelation(full_space(n2, self.tol))
+        if k == n2:
+            return LinearRelation(zero_subspace(n2, self.tol))
+        q, _ = np.linalg.qr(np.vstack([self._bottom(), -self._top()]), mode="complete")
+        return LinearRelation(_trusted(q[:, k:], self.tol))
 
     def imaginary_members(self) -> tuple[Subspace, Subspace]:
         """The graph elements (w, iw) and (w, -iw): graph(R) intersected

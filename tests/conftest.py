@@ -78,6 +78,22 @@ def patch_everywhere(monkeypatch, module, name, replacement):
             monkeypatch.setattr(mod, name, replacement)
 
 
+def svd_adjoint_graph(rel):
+    """graph(R*) by SVDs: the complement of orthonormal_basis(J graph(R)),
+    J(x, y) = (y, -x), with the rank of J graph(R) decided by a cut."""
+    n, g = rel.ambient_dim, rel.graph.basis
+    return cs.complement(cs.orthonormal_basis(np.vstack([g[n:], -g[:n]]), rel.tol, 2 * n))
+
+
+def svd_sweep_frame(dp):
+    """The brute-force sweep's basis of frakM rebuilt step by step: graph(A*)
+    by svd_adjoint_graph, graph(B*) as the orthonormal_basis of its C-image,
+    and the complement formula's graph(B*) cap complement(graph(A))."""
+    a_star = svd_adjoint_graph(dp.a)
+    b_star = cs.orthonormal_basis(cs.relations._conjugated_graphs(a_star.basis, dp.c.matrix), dp.tol)
+    return cs.extensions._complement_formula_intersect(b_star, cs.complement(dp.a.graph))
+
+
 def linear_map_subspace(self, s):
     """Conjugation.map_subspace with np.conj dropped: the linear image K B
     of S's basis B, a mutation of C x = K conj(x)."""

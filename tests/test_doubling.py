@@ -132,6 +132,28 @@ def test_frakE_checks_fail_without_conjugating(monkeypatch):
     assert {c.name: c.status for c in res.checks}["doubled_frakE_selfadjoint"] == "fail"
 
 
+@pytest.mark.parametrize("spec", [cs.race_schrodinger(16), cs.random_restriction(8, seed=1)], ids=lambda s: s.name)
+def test_b_star_without_conjugating_fails_the_doubled_guard(monkeypatch, spec):
+    # mutation: B* = C A* C taken as the linear image (K X; K Y) of A*'s
+    # basis [X; Y].  Both inputs are complex, so that image is not the
+    # adjoint of B and the block form of frakA* fails its adjoint gap
+    a = spec.relation()
+    a_star = a.adjoint()
+    original = cs.LinearRelation.conjugated_basis
+
+    def linear(self, c):
+        if self is not a_star:
+            return original(self, c)
+        n = self.ambient_dim
+        g = self.graph.basis
+        return np.vstack([c.matrix @ g[:n], c.matrix @ g[n:]])
+
+    monkeypatch.setattr(cs.LinearRelation, "conjugated_basis", linear)
+    with pytest.raises(cs.PropertyViolationError, match="adjoint of the doubled relation") as info:
+        cs.build_doubled(a, spec.conjugation())
+    assert info.value.residuals["angle"] > 1e-3
+
+
 @pytest.mark.parametrize("wrong_slot", [False, True], ids=["true_adjoint", "random_a_star_slot"])
 @pytest.mark.parametrize(
     "spec", [*DEFECT_SPECS, cs.random_restriction(8, seed=1)], ids=lambda spec: spec.name

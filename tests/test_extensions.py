@@ -27,6 +27,8 @@ from conftest import (
     parameter_as_onb,
     random_complex,
     sample_parameters,
+    svd_adjoint_graph,
+    svd_sweep_frame,
     sweep_oracle,
     within,
 )
@@ -409,19 +411,49 @@ NON_C_SYMMETRIC = cs.ProblemSpec(
 )
 
 
-@pytest.mark.parametrize(
+ORACLE_SPECS = pytest.mark.parametrize(
     "spec",
     [*DEFECT_SPECS, *SWEEP_FIXTURES, cs.race_schrodinger(128, h=0.02), NON_C_SYMMETRIC],
     ids=lambda s: s.name,
 )
+
+
+@ORACLE_SPECS
 def test_frakM_spans_the_complement_formula(spec):
     # oracle: frakM from the cosines of graph(B*) against graph(A) spans the
     # complement formula's graph(B*) cap complement(graph(A)), the sweep's
     # frame, with or without C-symmetry
     dp = doubled(spec)
-    frame = cs.extensions._complement_formula_intersect(dp.b_star.graph, cs.complement(dp.a.graph))
+    frame = svd_sweep_frame(dp)
     assert dp.frakM.dim > 0
     assert within(dp.frakM, frame, dp.tol.bound(), equal=True) and within(frame, dp.frakM, dp.tol.bound())
+
+
+@ORACLE_SPECS
+def test_qr_adjoints_span_the_svd_complement(spec):
+    # oracle: graph(R*) from the complete QR of J graph(R) spans the
+    # complement of orthonormal_basis(J graph(R)), for A, for B = CAC and for
+    # relations given by their graphs alone (frakA, and the canonical
+    # extension where A is C-symmetric); B* = C A* C spans B's adjoint
+    dp = doubled(spec)
+    bound = dp.tol.bound()
+    rels = [dp.a, dp.b, dp.frakA]
+    if cs.is_c_symmetric(dp.a, dp.c):
+        rels.append(cs.canonical_extension(dp).a_ext)
+    for rel in rels:
+        assert within(rel.adjoint(), svd_adjoint_graph(rel), bound, equal=True)
+    assert within(dp.b_star, svd_adjoint_graph(dp.b), bound, equal=True)
+
+
+@SWEEP_SPECS
+def test_sweep_frame_keeps_the_bits_of_the_svd_chain(spec):
+    # the sweep's hit counts depend on its frame's bits, which come from the
+    # SVD chain of graph(B*), not from dp.b_star's QR and C-image
+    dp = doubled(spec)
+    frame, omega = cs.extensions._sweep_frame(dp)
+    m = svd_sweep_frame(dp).basis
+    assert np.array_equal(frame.basis, m)
+    assert np.array_equal(omega, m.conj().T @ dp.s_map.matrix @ np.conj(m))
 
 
 @SWEEP_SPECS

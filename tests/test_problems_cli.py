@@ -617,22 +617,24 @@ def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
     # images under C, frakE and S (B, C D(A), C L's domain, S L) take none,
     # nor does the canonical parameter, read off L in closed form.  The Gram
     # eigenvalues are those of the reported 2-norms and of extend_basis's
-    # rank scale, none of a predicate.  frakM is one SVD of its cosines
-    calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh")
+    # rank scale, none of a predicate.  frakM is one SVD of its cosines.
+    # A* is one complete QR of J graph(A) and B* = C A* C takes none
+    calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh", "qr")
     assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (calls.count("svd"), calls.count("eigvalsh")) == (15, 10)
+    assert (calls.count("svd"), calls.count("eigvalsh"), calls.count("qr")) == (12, 10, 1)
 
 
 def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
-    # graph(A), A*'s two, B* and the one of frakM's cosines against
-    # graph(A); a relation's regime is read off its graph dimension, so no
-    # top-block SVD runs
-    calls = _count_numpy_linalg(monkeypatch, "svd")
+    # graph(A) and the one of frakM's cosines against graph(A); A* is one
+    # complete QR of J graph(A), and B* = C A* C takes no factorization; a
+    # relation's regime is read off its graph dimension, so no top-block
+    # SVD runs
+    calls = _count_numpy_linalg(monkeypatch, "svd", "qr")
     top = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
     assert main(["deficiency", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (len(calls), len(top)) == (5, 0)
+    assert (calls.count("svd"), calls.count("qr"), len(top)) == (2, 1, 0)
 
 
 @pytest.mark.parametrize("source", [("--example", "race_schrodinger", "--n", "16"), "complex_symmetric"])
@@ -684,17 +686,36 @@ def test_cli_check_reads_an_extreme_operator_as_an_operator(tmp_path, capsys):
     assert (out["results"]["c_symmetric"], out["results"]["c_selfadjoint"]) == (True, True)
 
 
-def test_cli_race_n24_fails_only_where_the_kernel_identity_is_reported(capsys):
-    # the kernel identity of m_spaces fails at race n=24 (its bound is not
-    # scaled by ||A||); extend and enumerate do not report it, so they build
-    # no M-spaces and pass, while verify-all's race section still fails on it
+def test_cli_race_n24_fails_only_at_the_vn_kernel_split(capsys):
+    # race at the default h, n=24: the eigenspace members' first components
+    # lie 4.8e-7 from N((T*)^2+I) of frakA*, past the 1e-7 bound, so vn's
+    # kernel split fails and nothing else; the race section reports the
+    # exact dim_kernel 4.  extend and enumerate build no vn decomposition
+    # and pass
     example = ["--example", "race_schrodinger", "--n", "24"]
     for command in ("extend", "enumerate"):
         assert main([command, *example]) == 0
         assert json.loads(capsys.readouterr().out)["all_pass"] is True
     assert main(["verify-all", *example]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert out["error"].startswith("kernels of I + A*B* and I + B*A* disagree")
+    assert "error" not in out
+    assert [c["name"] for c in out["check_list"] if c["status"] == "fail"] == [
+        "vnkernel_splits_into_eigenspace_members"
+    ]
+    assert out["results"]["race"]["measurements"]["dim_kernel"] == 4
+
+
+@pytest.mark.parametrize(
+    "n",
+    [8, 16, 22, 24, 26, pytest.param(28, marks=pytest.mark.xfail(strict=True, reason="silent dim_kernel 3"))],
+)
+def test_cli_race_reports_the_exact_kernel_or_refuses(capsys, n):
+    # race at the default h has dim N(I + A*B*) = 4 at every n >= 4;
+    # verify-all must report it or exit non-zero.  n=28 passes with 3 (the
+    # rank-nullity refusal of ROADMAP item 1a mends it)
+    code = main(["verify-all", "--example", "race_schrodinger", "--n", str(n)])
+    out = json.loads(capsys.readouterr().out)
+    assert code != 0 or out["results"]["race"]["measurements"]["dim_kernel"] == 4
 
 
 def test_cli_verify_all_eigvalsh_count_pinned(monkeypatch, capsys):
@@ -833,9 +854,10 @@ HARNESS_COMMANDS = (
 )
 def test_cli_reports_unchanged_with_checked_bases(tmp_path, monkeypatch, capsys, source):
     # trusted bases skip the Gram check; running every command again with the
-    # check put back must pass it everywhere and give the same reports.  The
-    # restriction's conjugation is of kind matrix, so its trusted C-images
-    # (B, C D(A), the C-images of N+ and of the kernels) are not permutations
+    # check put back must pass it everywhere and give the same reports, A*'s
+    # QR basis and B* = C A* C among them.  The restriction's conjugation is
+    # of kind matrix, so its trusted C-images (B, B*, C D(A), the C-images of
+    # N+ and of the kernels) are not permutations
     if source == "complex_symmetric":
         m = cs.random_symmetric(6, np.random.default_rng(0))
         spec = cs.ProblemSpec("complex_symmetric", 6, "entrywise", None, None, m, cs.DEFAULT_TOL)

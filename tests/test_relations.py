@@ -218,6 +218,7 @@ def test_identity_and_zero_relations():
     z = zero_relation(3)
     assert z.graph.dim == 0
     assert within(z.adjoint(), full_relation(3), 1e-10, equal=True)
+    assert full_relation(3).adjoint().graph.dim == 0
 
 
 MACHINE_EPS = np.finfo(float).eps
