@@ -65,6 +65,10 @@ def corpus() -> list[tuple[str, tuple[str, ...]]]:
         for seed in ("0", "1"):
             argv = ("enumerate", *source, "--budget", "2000", "--seed", seed)
             cases.append((f"enumerate_{label}_budget2000_seed{seed}", argv))
+    # 307 hits with 301 operator flags, and fd's 236 hits: the round trip's
+    # most marginal top-block cuts
+    for label, source in (("race_n32", race(32)), ("fd_n16", ("--example", "fd_derivative_minimal", "--n", "16"))):
+        cases.append((f"enumerate_{label}_budget2000", ("enumerate", *source, "--budget", "2000", "--seed", "0")))
     # 246 hits in 31 round-trip blocks, with 128-row new columns
     cases.append(("enumerate_race_h0.02_n64", ("enumerate", *race(64, "--h", "0.02"), "--budget", "2000")))
     cases.append(("deficiency_race_n56", ("deficiency", *race(56))))

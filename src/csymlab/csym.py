@@ -43,13 +43,12 @@ from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     Tolerance,
-    _adjoint,
     _norm_within,
     orthogonal_difference,
     orthonormal_basis,
     subspace_equal,
 )
-from .relations import LinearRelation, kernel_one_plus
+from .relations import LinearRelation, _adjoint_gaps, kernel_one_plus
 
 if TYPE_CHECKING:
     from .doubling import DoubledProblem
@@ -64,14 +63,6 @@ def is_c_selfadjoint(a: LinearRelation, c: Conjugation) -> bool:
     """CAC = A*, read off the C-image of graph(A) without building either side."""
     image = a.conjugated_basis(c)  # raises InputError for a conjugation of another dimension
     return a.graph.dim == a.ambient_dim and _norm_within(_adjoint_gaps(a.graph.basis, image), a.tol.bound())
-
-
-def _adjoint_gaps(graphs: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Y^H Q_top - X^H Q_bot for graph columns [X; Y] and image columns Q,
-    or for stacks of them: the adjoint-gap matrix of
-    LinearRelation._gap_matrix, or one block of it."""
-    n = graphs.shape[-2] // 2
-    return _adjoint(graphs[..., n:, :]) @ images[..., :n, :] - _adjoint(graphs[..., :n, :]) @ images[..., n:, :]
 
 
 def weak_c_symmetry_residual(a: LinearRelation, c: Conjugation) -> float:

@@ -154,29 +154,17 @@ class DoubledProblem:
         is -I from N- to N+, and the symplectic form omega(x, y) =
         <Jx, Cy> of frakM, J(x, y) = (y, -x), has matrix -Omega.
 
-        The product is formed exactly so, left to right: the brute-force
-        sweep reads Omega as S's coordinates, and its hit counts depend on
-        the rounding.  With -W, W = Y^H K conj(X) - X^H K conj(Y) summed
-        blockwise, in place of Omega, the sweep finds 56 hits instead of 57
-        on race_schrodinger n=16 and 55 instead of 56 on
-        fd_derivative_minimal n=16.  Raises like s_map.
+        The product is formed exactly so, left to right.  Its bits are read
+        by canonical_extension's greedy L, whose reported extension can
+        change with them (zero_on_subspace's is_operator did once, with a
+        rounding-level change of frakM's basis), and by the parameter
+        conversions and checks (parameter_as_unitary,
+        frakE_condition_residual).  The brute-force sweep reads the Omega
+        of its own frame instead (extensions._sweep_frame).  Raises like
+        s_map.
         """
         m = self.frakM.basis
         return m.conj().T @ self.s_map.matrix @ np.conj(m)
-
-    @cached_property
-    def cayley(self) -> np.ndarray:
-        """The 2n x 2n matrix of frakA's Cayley transform g + if -> g - if
-        over graph(frakA)'s pairs (f, g), from ran(frakA + i) onto
-        ran(frakA - i), and 0 on the orthogonal complement N+ of its domain.
-
-        With P_A = B + iA and Q_A = B - iA from graph(frakA)'s basis it is
-        Q_A P_A^+.  P_A's columns are orthonormal up to the C-symmetry
-        residual, so its pseudoinverse cuts nothing.
-        """
-        n2 = 2 * self.ambient_dim
-        g = self.frakA.graph.basis
-        return (g[n2:] - 1j * g[:n2]) @ np.linalg.pinv(g[n2:] + 1j * g[:n2])
 
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:

@@ -66,9 +66,10 @@ sweep takes its candidates SWEEP_BLOCK at a time, a block drawn only when
 it is needed, and decides C-self-adjointness once per distinct survivor,
 on its k/2 new columns W over graph(A) (_c_selfadjoint_grown); a hit is
 its W alone.  completeness_roundtrip takes the hits ROUNDTRIP_BLOCK at a
-time through the kernels of recover_parameter (_cayley_unitaries, a k x k
-Cayley solve on W) and extension_graph (_rebuilt_columns), which those two
-run on a stack of one.
+time through the kernels of recover_parameter (_cayley_unitaries, von
+Neumann's formula U = [L, -iG] [L, iG]^-1 in frakM's coordinates, with
+L = M^H W and G the adjoint gap of M against CW) and extension_graph
+(_rebuilt_columns), which those two run on a stack of one.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antilinear import conjugation_axiom_residuals
-from .csym import _adjoint_gaps, _require_c_symmetric
+from .csym import _require_c_symmetric
 from .doubling import DoubledProblem, _orthogonality_residual, block_relation
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
@@ -102,7 +103,7 @@ from .linalg import (
     subspace_equal,
     subspace_sum,
 )
-from .relations import LinearRelation, _conjugated_graphs
+from .relations import LinearRelation, _adjoint_gaps, _conjugated_graphs
 from .reporting import CheckList
 
 
@@ -503,10 +504,11 @@ def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionP
     The doubled extension is self-adjoint, so V(b + ia) = b - ia over its
     graph pairs (a, b) is an everywhere-defined unitary; its restriction to
     N+ is the wanted U.  With P = B + iA and Q = B - iA from the graph basis,
-    V = Q P^-1, so V N+ = Q X for the columns X solving P X = N+.  Only the
-    k doubled columns that the extension adds to graph(frakA) are solved
-    for, by a k x k system: see _cayley_unitaries.  V itself is never
-    formed.  Rebuilding the extension from U is left to callers.
+    V = Q P^-1, so U = N-^H Q X for the columns X solving P X = N+.  Only the
+    k doubled columns that the extension adds to graph(frakA) enter, and
+    only through their frakM coordinates: U = [L, -iG] [L, iG]^-1, a k x k
+    solve (see _cayley_unitaries).  Neither V nor frakA's own Cayley
+    transform is formed.  Rebuilding the extension from U is left to callers.
 
     The relation must contain graph(A); its new columns W are those of
     extend_basis(graph(A), basis), on which C-self-adjointness is decided
@@ -529,15 +531,19 @@ def _cayley_unitaries(dp: DoubledProblem, w: np.ndarray, images: np.ndarray) -> 
     """U in coordinates for each C-self-adjoint extension graph(A) + span W
     of a stack, W its k/2 new columns (orthonormal and orthogonal to
     graph(A)) and images their C-images.  Refuses the stack at its first
-    failing guard, in the order doubled dimension, solve, stray.
+    failing guard, in the order doubled dimension, solve, unitarity.
 
     The doubled extension is graph(frakA) plus the k columns block(W, CW),
-    so P = [P_A, P_W] and Q = [Q_A, Q_W].  N+ is orthogonal to
-    ran(P_A) = ran(frakA + i), since frakM is orthogonal to graph(A) and
-    lies in graph(B*); so P X = N+ gives (N+^H P_W) X_W = I, a k x k
-    system, and P_A X_A = N+ - P_W X_W.  The Cayley image is
-    Q_W X_W + Q_A X_A, where Q_A X_A = Q_A P_A^+ (N+ - P_W X_W) is frakA's
-    Cayley transform (DoubledProblem.cayley, factored once per problem).
+    so P = [P_A, P_W] and Q = [Q_A, Q_W] with P = B + iA and Q = B - iA.
+    N+ is orthogonal to ran(P_A) = ran(frakA + i) and N- to
+    ran(Q_A) = ran(frakA - i), since frakM is orthogonal to graph(A) and
+    lies in graph(B*); so P X = N+ gives (N+^H P_W) X_W = I, and
+    U = N-^H Q X = (N-^H Q_W) X_W.  With frakM's basis M, L = M^H W and
+    G = _adjoint_gaps(M, CW), N+^H P_W = [L, iG] and N-^H Q_W = [L, -iG]:
+    U = [L, -iG] [L, iG]^-1, von Neumann's formula in frakM's coordinates,
+    a k x k solve on k x k data.  U is unitary iff the two factors have one
+    Gram matrix, that is iff L^H G = 0, the Lagrangian condition of
+    graph(A) + span W; the last guard checks it on U's Gram residual.
     """
     k, h = dp.n_plus.dim, w.shape[-1]
     if k == 0:
@@ -545,33 +551,19 @@ def _cayley_unitaries(dp: DoubledProblem, w: np.ndarray, images: np.ndarray) -> 
     if 2 * h != k:
         dim = 2 * (dp.a.graph.dim + h)
         raise PropertyViolationError("doubled extension has the wrong graph dimension", {"dim": dim})
-    second, first = _doubled_parts(w, images)
-    p_w = second + 1j * first
-    n_plus = dp.n_plus.basis
+    m = dp.frakM.basis
+    lag, gap = _adjoint(m) @ w, _adjoint_gaps(m, images)
     try:
-        x = np.linalg.inv(_adjoint(n_plus) @ p_w)
+        x = np.linalg.inv(np.concatenate([lag, 1j * gap], axis=-1))
     except np.linalg.LinAlgError as exc:
         raise PropertyViolationError(f"Cayley transform is not everywhere defined: {exc}", {})
-    image = (second - 1j * first) @ x + dp.cayley @ (n_plus - p_w @ x)
-    u = dp.n_minus.basis.conj().T @ image
-    stray = np.abs(image - dp.n_minus.basis @ u).max(axis=(-2, -1))
-    if np.any(stray > dp.tol.bound()):
+    u = np.concatenate([lag, -1j * gap], axis=-1) @ x
+    gram = _gram_residual(u)
+    if np.any(gram > dp.tol.bound()):
         raise PropertyViolationError(
-            "Cayley transform does not carry N+ onto N-", {"stray": _first_over(stray, dp.tol.bound())}
+            "Cayley transform does not carry N+ onto N-", {"gram": _first_over(gram, dp.tol.bound())}
         )
     return u
-
-
-def _doubled_parts(w: np.ndarray, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The second and first components in H + H of the doubled columns
-    block(W, CW), for graph columns W = [X; Y] and their C-images
-    CW = [U; V], or for stacks of them: [[Y, 0], [0, V]] and [[0, U], [X, 0]]."""
-    n, h = w.shape[-2] // 2, w.shape[-1]
-    second = np.zeros((*w.shape[:-2], 2 * n, 2 * h), dtype=complex)
-    first = np.zeros_like(second)
-    second[..., :n, :h], second[..., n:, h:] = w[..., n:, :], images[..., n:, :]
-    first[..., :n, h:], first[..., n:, :h] = images[..., :n, :], w[..., :n, :]
-    return second, first
 
 
 def _known_gap(dp: DoubledProblem) -> np.ndarray:
@@ -635,17 +627,19 @@ def _omega_block(omega: np.ndarray, l_coords: np.ndarray) -> np.ndarray:
     return _adjoint(l_coords) @ omega @ np.conj(l_coords)
 
 
-def _complement_formula_intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """S1 cap S2 as complement(complement(S1) + complement(S2)), the sum
-    taken by one SVD of the stacked complements.
+def _complement_formula_intersect(s1_perp: Subspace, s2: Subspace) -> Subspace:
+    """S1 cap S2 as complement(s1_perp + complement(S2)), given
+    s1_perp = complement(S1), the sum taken by one SVD of the stacked
+    complements.  A caller that meets S1 with several S2 takes its
+    complement once.
 
     The brute-force sweep draws its candidates in the bases of its frame and
     of its aligned pools, and its hit counts change with those bases, so
     these two (and nothing else) keep this formula.
     """
-    _check_same_ambient(s1, s2)
-    stacked = np.hstack([complement(s1).basis, complement(s2).basis])
-    return complement(orthonormal_basis(stacked, s1.tol))
+    _check_same_ambient(s1_perp, s2)
+    stacked = np.hstack([s1_perp.basis, complement(s2).basis])
+    return complement(orthonormal_basis(stacked, s1_perp.tol))
 
 
 def _sweep_frame(dp: DoubledProblem) -> tuple[Subspace, np.ndarray]:
@@ -663,7 +657,7 @@ def _sweep_frame(dp: DoubledProblem) -> tuple[Subspace, np.ndarray]:
     tol, n, g = dp.tol, dp.ambient_dim, dp.a.graph.basis
     a_star = complement(orthonormal_basis(np.vstack([g[n:], -g[:n]]), tol, 2 * n))
     b_star = orthonormal_basis(_conjugated_graphs(a_star.basis, dp.c.matrix), tol)
-    frak_m = _complement_formula_intersect(b_star, complement(dp.a.graph))
+    frak_m = _complement_formula_intersect(complement(b_star), complement(dp.a.graph))
     m = frak_m.basis
     return frak_m, m.conj().T @ dp.s_map.matrix @ np.conj(m)
 
@@ -678,9 +672,10 @@ def _sweep_pool(dp: DoubledProblem, frak_m: Subspace) -> list[np.ndarray]:
     m = frak_m.dim
     n, n2 = dp.ambient_dim, 2 * dp.ambient_dim
     pool = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
+    frak_m_perp = complement(frak_m)
     for block in (slice(0, n), slice(n, n2)):
         aligned = _trusted(np.eye(n2, dtype=complex)[:, block], dp.tol)
-        part = _complement_formula_intersect(frak_m, aligned)
+        part = _complement_formula_intersect(frak_m_perp, aligned)
         coords = frak_m.basis.conj().T @ part.basis
         pool.extend(coords[:, j] for j in range(part.dim))
     return pool

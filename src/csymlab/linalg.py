@@ -36,10 +36,6 @@ Every SVD and matrix norm of the package is one of four kinds:
   orthonormal_basis of the C-image) and takes
   extensions._complement_formula_intersect's complements, which also build
   the sweep's pools, because the sweep's hit counts depend on those bits.
-  DoubledProblem.cayley's pseudoinverse of P_A = B + iA, read off
-  graph(frakA)'s basis (its columns are orthonormal up to the C-symmetry
-  residual), is taken once per problem and cuts nothing; it leaves the
-  round trip one k x k Cayley solve per hit.
   LinearRelation.adjoint takes no SVD: J graph(R), J(x, y) = (y, -x), is
   orthonormal of known rank as built, and graph(R*), its complement, is
   the trailing columns of one complete Householder QR.  Images under C

@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
+    _adjoint,
     _gram_residual,
     _spectral_norm,
     _trusted,
@@ -157,7 +158,7 @@ class LinearRelation:
         n = self.ambient_dim
         if q.ndim != 2 or q.shape[0] != 2 * n:
             raise InputError(f"columns of shape {q.shape} do not live in C^{2 * n}")
-        return self._bottom().conj().T @ q[:n] - self._top().conj().T @ q[n:]
+        return _adjoint_gaps(self.graph.basis, q)
 
     def conjugated_basis(self, c: AntiLinearMap) -> np.ndarray:
         """The columns (K conj X; K conj Y) spanning graph(C R C), no rank cut.
@@ -185,6 +186,14 @@ def _conjugated_graphs(graphs: np.ndarray, k: np.ndarray) -> np.ndarray:
     """(K conj X; K conj Y) for a graph basis [X; Y] or a stack of them."""
     n = k.shape[0]
     return np.concatenate([k @ np.conj(graphs[..., :n, :]), k @ np.conj(graphs[..., n:, :])], axis=-2)
+
+
+def _adjoint_gaps(graphs: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Y^H Q_top - X^H Q_bot for graph columns [X; Y] and image columns Q,
+    or for stacks of them: the adjoint-gap matrix of
+    LinearRelation._gap_matrix, or one block of it."""
+    n = graphs.shape[-2] // 2
+    return _adjoint(graphs[..., n:, :]) @ images[..., :n, :] - _adjoint(graphs[..., :n, :]) @ images[..., n:, :]
 
 
 def operator_relation(cols: np.ndarray, images: np.ndarray, tol: Tolerance) -> LinearRelation:

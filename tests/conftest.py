@@ -91,7 +91,7 @@ def svd_sweep_frame(dp):
     and the complement formula's graph(B*) cap complement(graph(A))."""
     a_star = svd_adjoint_graph(dp.a)
     b_star = cs.orthonormal_basis(cs.relations._conjugated_graphs(a_star.basis, dp.c.matrix), dp.tol)
-    return cs.extensions._complement_formula_intersect(b_star, cs.complement(dp.a.graph))
+    return cs.extensions._complement_formula_intersect(cs.complement(b_star), cs.complement(dp.a.graph))
 
 
 def linear_map_subspace(self, s):
@@ -143,22 +143,23 @@ def sample_parameters(dp, count, seed=0):
     return out
 
 
-def cayley_oracle(dp, graph, new_phase=1.0):
+def cayley_oracle(dp, graph, drop_c=False):
     """(U, stray) of recover_parameter for one graph basis by the dense
     Cayley solve, the oracle of extensions._cayley_unitaries: P = B + iA
     and Q = B - iA from the whole 4n x 2n basis of the doubled extension
     block(A~, C A~ C), P X = N+ solved in 2n dimensions, U = N-^H Q X and
     the stray of Q X from N-.
 
-    new_phase multiplies the first components of the doubled columns past
-    graph(A)'s, in a graph that begins with graph(A)'s basis: -1j makes
-    P = B + A and Q = B - A on them, the round-trip tests' mutation."""
+    drop_c, in a graph that begins with graph(A)'s basis, puts the columns
+    past graph(A)'s in place of their C-images, the round-trip tests'
+    mutation: the doubled relation is then not self-adjoint, and U not
+    unitary."""
     n, d = dp.ambient_dim, dp.a.graph.dim
     images = cs.relations._conjugated_graphs(graph, dp.c.matrix)
+    if drop_c:
+        images[:, d:] = graph[:, d:]
     g = cs.doubling._block_columns(graph, images)
-    second, first = g[2 * n :], g[: 2 * n].copy()
-    first[:, d:n] *= new_phase
-    first[:, n + d :] *= new_phase
+    second, first = g[2 * n :], g[: 2 * n]
     image = (second - 1j * first) @ np.linalg.solve(second + 1j * first, dp.n_plus.basis)
     u = dp.n_minus.basis.conj().T @ image
     return u, float(np.abs(image - dp.n_minus.basis @ u).max())

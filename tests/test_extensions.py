@@ -671,11 +671,19 @@ def test_values_only_operator_flags_match_is_operator(spec):
 
 def test_roundtrip_solves_k_by_k_and_takes_top_block_values_only(monkeypatch):
     # no dense Cayley solve: every solve or inverse of the round trip is
-    # k x k, and no SVD of an n-row top block computes singular vectors
+    # k x k, it takes no pseudo-inverse, and no SVD of an n-row top block
+    # computes singular vectors
     dp = doubled(cs.race_schrodinger(32))
     n, k = dp.ambient_dim, dp.n_plus.dim
     hits = cs.brute_force_extensions(dp, budget=200, seed=0)
-    sizes, top_vectors = [], []
+    sizes, top_vectors, pinv_sizes = [], [], []
+    pinv = np.linalg.pinv
+
+    def counted_pinv(a, *args, **kwargs):
+        pinv_sizes.append(np.shape(a)[-1])
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     for name in ("solve", "inv"):
         original = getattr(np.linalg, name)
 
@@ -694,52 +702,60 @@ def test_roundtrip_solves_k_by_k_and_takes_top_block_values_only(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     assert cs.extensions.completeness_roundtrip(dp, hits)[1] == 88
     assert sizes and max(sizes) <= k
+    assert not pinv_sizes
     assert top_vectors and not any(top_vectors)
 
 
+def _drop_c(w, images):
+    """The Cayley kernel's mutation: each hit's own columns W in place of
+    its C-images, so G = _adjoint_gaps(M, W) and L^H G is not 0."""
+    return w
+
+
+def _zero_gap(w, images):
+    """The Cayley kernel's mutation to G = 0: [L, iG] is then singular."""
+    return np.zeros_like(images)
+
+
 @pytest.mark.parametrize(
-    "name, n, target, error",
+    "name, n, target, mutation, error",
     [
-        ("race_schrodinger", 32, -1, "Cayley transform does not carry N+ onto N-"),
-        # here N+^H P_W is singular
-        ("zero_on_subspace", 16, -2, "Cayley transform is not everywhere defined: Singular matrix"),
+        ("race_schrodinger", 32, -1, _drop_c, "Cayley transform does not carry N+ onto N-"),
+        ("zero_on_subspace", 16, -2, _zero_gap, "Cayley transform is not everywhere defined: Singular matrix"),
     ],
+    ids=["drop_c", "zero_gap"],
 )
-def test_roundtrip_refuses_a_wrong_cayley_transform_in_the_last_block(monkeypatch, capsys, name, n, target, error):
-    # mutation: P = B + A instead of B + iA on the new columns of one hit,
-    # which sits in the last block; the CLI rebuilds the same hits
+def test_roundtrip_refuses_a_wrong_cayley_transform_in_the_last_block(
+    monkeypatch, capsys, name, n, target, mutation, error
+):
+    # the mutation on one hit, which sits in the last block; the CLI
+    # rebuilds the same hits
     dp = doubled(getattr(cs, name)(n))
     new = cs.brute_force_extensions(dp, budget=200, seed=0)[target]
-    doubled_parts = cs.extensions._doubled_parts
+    cayley_unitaries = cs.extensions._cayley_unitaries
 
-    def dropped(w, images):
-        second, first = doubled_parts(w, images)
-        first[[np.array_equal(cols, new) for cols in w]] *= -1j
-        return second, first
+    def mutated(dp, w, images):
+        hit = np.array([np.array_equal(cols, new) for cols in w])
+        return cayley_unitaries(dp, w, np.where(hit[:, None, None], mutation(w, images), images))
 
-    monkeypatch.setattr(cs.extensions, "_doubled_parts", dropped)
+    monkeypatch.setattr(cs.extensions, "_cayley_unitaries", mutated)
     assert main(["enumerate", "--example", name, "--n", str(n), "--budget", "200"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["error"] == error
 
 
 def test_wrong_cayley_transform_strays_as_in_the_dense_solve(monkeypatch):
-    # the same mutation on every hit: graph(frakA)'s part of the image,
-    # frakA's own Cayley transform, keeps the stray the dense solve's
+    # the drop-C mutation on every hit: the guard's Gram residual of U is
+    # that of the dense solve's U, which also forms frakA's own part
     dp = doubled(cs.race_schrodinger(32))
     hits = cs.brute_force_extensions(dp, budget=200, seed=0)
-    doubled_parts = cs.extensions._doubled_parts
-
-    def dropped(w, images):
-        second, first = doubled_parts(w, images)
-        return second, -1j * first
-
-    monkeypatch.setattr(cs.extensions, "_doubled_parts", dropped)
+    cayley_unitaries = cs.extensions._cayley_unitaries
+    monkeypatch.setattr(cs.extensions, "_cayley_unitaries", lambda dp, w, images: cayley_unitaries(dp, w, w))
     for hit in hit_relations(dp, hits):
         with pytest.raises(cs.PropertyViolationError, match="does not carry N\\+ onto N-") as err:
             cs.recover_parameter(dp, hit)
-        stray = cayley_oracle(dp, hit.graph.basis, new_phase=-1j)[1]
-        assert err.value.residuals["stray"] == pytest.approx(stray, rel=0, abs=1e-12)
+        gram = cs.linalg._gram_residual(cayley_oracle(dp, hit.graph.basis, drop_c=True)[0])
+        assert err.value.residuals["gram"] == pytest.approx(gram, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("swap", [[], ["--swap"]], ids=["plain", "swap"])
