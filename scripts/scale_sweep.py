@@ -3,8 +3,9 @@
 
     python3 scripts/scale_sweep.py --label change
     python3 scripts/scale_sweep.py --src OTHER_CHECKOUT/src --label parent
+    python3 scripts/scale_sweep.py --label "change n=2048" --sizes 2048
 
-For each n in SIZES the report runs REPEATS times untraced and once under
+For each n of --sizes (SIZES by default) the report runs REPEATS times untraced and once under
 the benchmark's span tracer (bench/tracer.py), each run in a fresh child
 process that imports csymlab from --src (this checkout's src/ by default)
 and calls the CLI in process.  The untraced runs give the wall time (the
@@ -132,6 +133,7 @@ def main() -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding csymlab/")
     parser.add_argument("--label", required=True, help="name of this run in the output file")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scale.json")
+    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES, metavar="N", help="values of n to run")
     args = parser.parse_args()
     if not (args.src / "csymlab" / "__init__.py").is_file():
         parser.error(f"no csymlab package under {args.src}")
@@ -139,7 +141,7 @@ def main() -> int:
     record["command"] = " ".join(COMMAND) + " --n N"
     record["machine"] = machine()
     results = []
-    for n in SIZES:
+    for n in args.sizes:
         results.append(measure(args.src.resolve(), n))
         print(json.dumps(results[-1]), file=sys.stderr)
     record.setdefault("runs", {})[args.label] = results

@@ -8,9 +8,12 @@ von Neumann deficiency theory applies upstairs and is pulled back down.
 Coordinates of the doubled graph in C^(4n): (x, y, v, u) with domain pair
 (x, y) and value pair (v, u) = (Ay, Bx).
 
-frakA* is assembled from B* and A*, and frakE (antiunitary) keeps graph
-bases orthonormal, so neither is re-derived by a rank decision in C^(4n).
-Nor do build_doubled's guards take a 4n-row product (see there).
+frakA = block(A, B) and frakA* = block(B*, A*) are, up to a row
+permutation, graph(A) + graph(B) and graph(B*) + graph(A*), so
+build_doubled and deficiency() read the one-space graphs and build no
+4n-row basis; DoubledProblem builds frakA and frakA* on first use, for
+vn_decomposition.  frakE (antiunitary) keeps graph bases orthonormal, so
+no image under it is re-derived by a rank decision.
 
 The deficiency spaces are read off frakM = graph(B*) - graph(A), the
 orthogonal difference in H + H: N+- = {(y, +-ix) : (x, y) in frakM}.  For
@@ -27,7 +30,7 @@ candidates in another basis of the same subspace, which it builds itself
 (extensions._sweep_frame).
 
 DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
-frakA, frakA*, frakE, frakM and N+-, built once by build_doubled, and the
+frakE, frakM and N+-, built once by build_doubled, and frakA, frakA*, the
 other M-spaces, the anti-involution S and omega, built on first use.
 Everything downstream reads them from it.  omega, the matrix of S in
 frakM's basis, is the one coordinate matrix of the defect space: frakE
@@ -99,16 +102,23 @@ def _block_columns(gs: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _doubled_gap_blocks(
-    a: LinearRelation, b: LinearRelation, frak_a_star: LinearRelation, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two nonzero blocks of block(A, B)'s adjoint gap matrix against
-    frak_a_star = block(S, T), dim graph(S) = k: the A-columns of
-    block(A, B) meet only T's columns (rows :n and 3n:), its B-columns only
-    S's (rows n:3n).  The 2-norm of the whole is the larger of theirs."""
-    n = a.ambient_dim
-    g = frak_a_star.graph.basis
-    return a._gap_matrix(np.vstack([g[:n, k:], g[3 * n :, k:]])), b._gap_matrix(g[n : 3 * n, :k])
+def _require_block_adjoint(a: LinearRelation, b: LinearRelation, s: LinearRelation, t: LinearRelation) -> None:
+    """PropertyViolationError unless block(S, T) is the adjoint of
+    block(A, B), decided on the four one-space graphs.
+
+    The dimensions must add up to 4n, and the adjoint gap matrix of
+    block(A, B) against block(S, T) must vanish.  That matrix has two
+    nonzero blocks, A._gap_matrix(graph(T)) and B._gap_matrix(graph(S)):
+    A's columns of block(A, B) meet only T's (rows :n and 3n:), B's only
+    S's (rows n:3n).  Its 2-norm is the larger of theirs.
+    """
+    gaps = (a._gap_matrix(t.graph.basis), b._gap_matrix(s.graph.basis))
+    dims = a.graph.dim + b.graph.dim + s.graph.dim + t.graph.dim
+    if dims != 4 * a.ambient_dim or not all(_norm_within(m, a.tol.bound()) for m in gaps):
+        raise PropertyViolationError(
+            "adjoint of the doubled relation disagrees with the block form",
+            {"angle": max(_spectral_norm(m) for m in gaps)},
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +128,6 @@ class DoubledProblem:
     b: LinearRelation
     a_star: LinearRelation
     b_star: LinearRelation
-    frakA: LinearRelation
-    frakA_star: LinearRelation
     frakC: Conjugation
     frakM: Subspace
     n_plus: Subspace
@@ -133,7 +141,19 @@ class DoubledProblem:
     def tol(self) -> Tolerance:
         return self.a.tol
 
-    # The defect geometry below is computed once per problem on first use.
+    # frakA, frakA* and the defect geometry below are computed once per
+    # problem on first use.
+    @cached_property
+    def frakA(self) -> LinearRelation:
+        """block(A, B), the doubled relation; build_doubled decided its
+        adjoint on the one-space graphs."""
+        return block_relation(self.a, self.b)
+
+    @cached_property
+    def frakA_star(self) -> LinearRelation:
+        """block(B*, A*), the adjoint of frakA (build_doubled's guard)."""
+        return block_relation(self.b_star, self.a_star)
+
     @cached_property
     def spaces(self) -> MSpaces:
         """M-spaces of A and B*; raises PreconditionError unless C-symmetric."""
@@ -168,48 +188,37 @@ class DoubledProblem:
 
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
-    """Assemble A*, B = CAC, B*, frakA, frakE, frakM and the deficiency
-    subspaces N+- of frakA*.
+    """Assemble A*, B = CAC, B*, frakE, frakM and the deficiency subspaces
+    N+- of frakA*.
 
     A* is LinearRelation.adjoint, one complete QR and no SVD; B and B* are
     the C-images of graph(A) and graph(A*), orthonormal as built.
-    frakA* is the block form with B* and A* swapped in.  It is checked
-    against graph(frakA) alone: its dimension must be 4n - dim graph(frakA)
-    and its adjoint gap must vanish, decided on the two blocks of the block
-    diagonal gap matrix (_doubled_gap_blocks) at about a quarter of the
-    flops of the whole.  frakE frakA frakE = frakA asks C graph(A) =
-    graph(B), true bit for bit as built, and C graph(B) = graph(A), checked
-    on the 2n x n basis with no rank cut.  Failure of either guard means a
-    bug, not a regime boundary, and raises.  N+- are the unitary images
-    {(y, +-ix)} of frakM's basis [X; Y] (see the module docstring);
-    deficiency() checks them.
+    frakA* = block(B*, A*) is checked against frakA = block(A, B) on the
+    one-space graphs (_require_block_adjoint): the four dimensions must add
+    up to 4n and the two 2n-row blocks of the adjoint gap matrix must
+    vanish; neither block relation is built.  frakE frakA frakE = frakA
+    asks C graph(A) = graph(B), true bit for bit as built, and
+    C graph(B) = graph(A), checked on the 2n x n basis with no rank cut.
+    Failure of either guard means a bug, not a regime boundary, and raises.
+    N+- are the unitary images {(y, +-ix)} of frakM's basis [X; Y] (see the
+    module docstring); deficiency() checks them.
     """
     if c.dim != a.ambient_dim:
         raise PreconditionError(f"conjugation dimension {c.dim} != relation ambient {a.ambient_dim}")
     n = a.ambient_dim
-    bound = a.tol.bound()
     a_star = a.adjoint()
     b = a.conjugated(c)
     # B* = (CAC)* = C A* C: C is antiunitary, so the C-image of A*'s basis
     # is orthonormal as built and takes no SVD, as B = CAC above
     b_star = LinearRelation(_trusted(a_star.conjugated_basis(c), a.tol))
-    frak_a = block_relation(a, b)
-    frak_a_star = block_relation(b_star, a_star)
-    gaps = _doubled_gap_blocks(a, b, frak_a_star, b_star.graph.dim)
-    if frak_a.graph.dim + frak_a_star.graph.dim != 4 * n or not all(_norm_within(m, bound) for m in gaps):
-        raise PropertyViolationError(
-            "adjoint of the doubled relation disagrees with the block form",
-            {"angle": max(_spectral_norm(m) for m in gaps)},
-        )
+    _require_block_adjoint(a, b, b_star, a_star)
     if not b.conjugated(c).equals(a):
         raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
     frak_m = orthogonal_difference(b_star.graph, a.graph)
     top, bottom = frak_m.basis[:n], frak_m.basis[n:]
     n_plus = _trusted(np.vstack([bottom, 1j * top]), a.tol)
     n_minus = _trusted(np.vstack([bottom, -1j * top]), a.tol)
-    return DoubledProblem(
-        a, c, b, a_star, b_star, frak_a, frak_a_star, doubled_conjugation(c), frak_m, n_plus, n_minus
-    )
+    return DoubledProblem(a, c, b, a_star, b_star, doubled_conjugation(c), frak_m, n_plus, n_minus)
 
 
 def deficiency(dp: DoubledProblem) -> CheckList:
@@ -218,14 +227,15 @@ def deficiency(dp: DoubledProblem) -> CheckList:
 
     N+- are built from frakM, so their dimensions agree by construction;
     the dimension check compares both with the von Neumann count
-    (dim graph(frakA*) - dim graph(frakA)) / 2, read from the graph bases.
+    (dim graph(frakA*) - dim graph(frakA)) / 2, read off the one-space
+    graphs: dim graph(B*) + dim graph(A*) - dim graph(A) - dim graph(B).
     The componentwise check proves membership in graph(frakA*); with the
     count it proves equality.
     """
     _require_c_symmetric(dp)
     bound = dp.tol.bound()
     checks = CheckList()
-    excess = dp.frakA_star.graph.dim - dp.frakA.graph.dim
+    excess = dp.b_star.graph.dim + dp.a_star.graph.dim - dp.a.graph.dim - dp.b.graph.dim
     # N+- share frakM's column count as built, so each is held to the count
     checks.add(
         "dim_nplus_equals_dim_nminus",

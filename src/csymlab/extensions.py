@@ -12,8 +12,11 @@ extension_from_parameter returns one record carrying every check of the
 extension, the L-manifold decomposition of frakM included.
 
 The checks, too, are taken on the new columns alone (_new_columns), at
-O(n^2 k) each instead of O(n^3).  The known block of each graph is
-certified once, upstream:
+O(n^2 k) each instead of O(n^3).  The doubled extension is not built as
+a 4n-row basis at all: frakA = block(A, B) puts graph(A)'s columns in the
+(y, v) rows and graph(B)'s in the (x, u) rows (_row_blocks), so its checks
+read the two row blocks of the k new columns against graph(A) and
+graph(B).  The known block of each graph is certified once, upstream:
 
 - by the C-symmetry guard (B inside A*, csym._require_c_symmetric, which
   every builder reaches through DoubledProblem.omega): graph(frakA)'s
@@ -21,8 +24,8 @@ certified once, upstream:
   of C graph(A_U), and graph(A) inside graph(B*);
 - by build_doubled's guard: frakE graph(frakA) = graph(frakA);
 - by construction, since the bordered bases keep those columns bit for
-  bit: graph(B) inside C graph(A_U) and graph(frakA) inside
-  block_relation(S, T).
+  bit: graph(B) inside C graph(A_U), and graph(A) inside S and graph(B)
+  inside T, the slices below.
 
 Two conditions on U play different roles.  Both read Omega =
 DoubledProblem.omega, in which frakE is i Omega from N+ to N- and -i Omega
@@ -49,8 +52,9 @@ extension is read off in closed form: S = graph(A) plus the (y, v) rows of
 the deficiency span, and its companion T = graph(B) plus the (x, u) rows.
 The doubled extension always lies inside block_relation(S, T), so the
 block check is a dimension count (dim S + dim T = dim frak(A)_U) plus one
-angle between the two; without the condition the split fails, the slices
-come out too large, and the parameter is refused with the block diagnosis.
+angle between the two, taken on the row blocks of the new columns against
+S and T; without the condition the split fails, the slices come out too
+large, and the parameter is refused with the block diagnosis.
 
 The D-condition is not an extra restriction on the extensions themselves:
 every C-self-adjoint extension induces, through its own doubled relation,
@@ -81,7 +85,7 @@ import numpy as np
 
 from .antilinear import conjugation_axiom_residuals
 from .csym import _require_c_symmetric
-from .doubling import DoubledProblem, _orthogonality_residual, block_relation
+from .doubling import DoubledProblem, _orthogonality_residual
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
@@ -94,6 +98,7 @@ from .linalg import (
     _norms_within,
     _outside,
     _ranked_svd,
+    _spectral_norm,
     _spectral_norms,
     _trusted,
     complement,
@@ -148,13 +153,18 @@ def _first_over(residuals: np.ndarray, bound: float) -> float:
     return float(residuals[np.argmax(residuals > bound)])
 
 
-def _check_unitaries(dp: DoubledProblem, us: np.ndarray) -> None:
-    """InputError unless every U of a stack is unitary and satisfies the
-    compatibility condition frakE U frakE U = I, naming the first failure."""
+def _check_unitary(dp: DoubledProblem, us: np.ndarray) -> None:
+    """InputError unless every U of a stack is unitary, naming the first failure."""
     bound = dp.tol.bound()
     unit = _gram_residual(us)
     if np.any(unit > bound):
         raise InputError(f"parameter does not give a unitary map (residual {_first_over(unit, bound):.3e})")
+
+
+def _check_compatible(dp: DoubledProblem, us: np.ndarray) -> None:
+    """InputError unless every U of a stack satisfies the compatibility
+    condition frakE U frakE U = I, naming the first failure."""
+    bound = dp.tol.bound()
     frake = frakE_condition_residual(dp, us)
     if np.any(frake > bound):
         raise InputError(
@@ -187,7 +197,8 @@ def parameter_as_unitary(dp: DoubledProblem, p: ExtensionParameter) -> np.ndarra
     frakE U frakE U = I; violations are input errors.
     """
     u = _parameter_coordinates(dp, p)
-    _check_unitaries(dp, u[None])
+    _check_unitary(dp, u[None])
+    _check_compatible(dp, u[None])
     return u
 
 
@@ -236,7 +247,6 @@ class ExtensionResult:
     block split, C-self-adjointness and the L-manifold decomposition."""
 
     a_ext: LinearRelation
-    frak_ext: LinearRelation
     parameter: ExtensionParameter
     checks: CheckList
 
@@ -272,17 +282,20 @@ def extension_graph(dp: DoubledProblem, p: ExtensionParameter) -> LinearRelation
     PropertyViolationError when the graph does not have dimension
     dim graph(A) + k/2.
     """
-    new = _rebuilt_columns(dp, _parameter_coordinates(dp, p)[None])[0]
+    us = _parameter_coordinates(dp, p)[None]
+    _check_unitary(dp, us)
+    new = _rebuilt_columns(dp, us)[0]
     return LinearRelation(_trusted(np.hstack([dp.a.graph.basis, new]), dp.tol))
 
 
 def _rebuilt_columns(dp: DoubledProblem, us: np.ndarray) -> np.ndarray:
-    """extension_graph for a stack of unitaries U in coordinates: the k/2
-    columns that each adds to graph(A), one stacked extend_basis of the
-    (y, v) rows of the deficiency span.  Refuses the stack at its first
-    failing check, in the order unitary, frakE, block, dimension gap.
+    """extension_graph for a stack of U in coordinates, unitary as checked
+    by the caller: the k/2 columns that each adds to graph(A), one stacked
+    extend_basis of the (y, v) rows of the deficiency span.  Refuses the
+    stack at its first failing check, in the order frakE, block, dimension
+    gap.
     """
-    _check_unitaries(dp, us)
+    _check_compatible(dp, us)
     _check_blocks(dp, us)
     n, k = dp.ambient_dim, us.shape[-1]
     if not k:
@@ -310,10 +323,15 @@ def _closed_form_slices(
     equal iff the extension is block (the tests cut S and T out of the
     doubled extension by intersection as an oracle).
     """
-    n = dp.ambient_dim
-    s = extend_basis(dp.a.graph, defect_cols[n : 3 * n])
-    t = extend_basis(dp.b.graph, np.vstack([defect_cols[:n], defect_cols[3 * n :]]))
-    return LinearRelation(s), LinearRelation(t)
+    s_rows, t_rows = _row_blocks(defect_cols, dp.ambient_dim)
+    return LinearRelation(extend_basis(dp.a.graph, s_rows)), LinearRelation(extend_basis(dp.b.graph, t_rows))
+
+
+def _row_blocks(cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (y, v) and (x, u) rows of columns (x, y, v, u) in C^(4n), or of
+    a stack of them: the rows that S's and T's columns of block_relation(S, T)
+    fill."""
+    return cols[..., n : 3 * n, :], np.concatenate([cols[..., :n, :], cols[..., 3 * n :, :]], axis=-2)
 
 
 def _new_columns(grown: LinearRelation, known: LinearRelation) -> LinearRelation:
@@ -352,23 +370,34 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     tol = dp.tol
     bound = tol.bound()
     checks = CheckList()
-    # the columns (w - Uw, i(w + Uw))/2 are orthonormal for unitary U, and
-    # orthogonal to graph(frakA) because N+- are read off frakM (its members
-    # lie in graph(B*) and are orthogonal to graph(A)), so no SVD is needed
-    frak_ext = LinearRelation(_trusted(np.hstack([dp.frakA.graph.basis, defect_cols / 2]), tol))
-    frak_new = _new_columns(frak_ext, dp.frakA)
+    a, b = dp.a.graph.basis, dp.b.graph.basis
+    # frak(A)_U = graph(frakA) + span q with no SVD: q = (w - Uw, i(w + Uw))/2
+    # is orthonormal for unitary U, and orthogonal to graph(frakA) because
+    # N+- are read off frakM (its members lie in graph(B*) and are orthogonal
+    # to graph(A)); each check reads q's row blocks (module docstring)
+    q = defect_cols / 2
+    q_s, q_t = _row_blocks(q, n)
     # the gap matrix is skew-Hermitian and its graph(frakA) block is 0 by the
-    # C-symmetry guard (frakA is symmetric iff B lies in A*), so the new columns carry the rest
-    checks.add_residual("doubled_selfadjoint", frak_ext.adjoint_gap(frak_new.graph.basis), bound)
-    # C is antiunitary, so the C-image of orthonormal columns is orthonormal;
-    # frakE graph(frakA) = graph(frakA) is build_doubled's guard
-    einv_res = max_angle_sin(_trusted(frak_new.conjugated_basis(dp.frakC), tol), frak_ext.graph)
-    checks.add_residual("doubled_frakE_selfadjoint", einv_res, bound)
+    # C-symmetry guard (frakA is symmetric iff B lies in A*), so q's rows
+    # carry the rest: A's columns meet q's (x, u) rows, B's its (y, v) rows
+    gap = np.vstack([dp.a._gap_matrix(q_t), dp.b._gap_matrix(q_s), _adjoint_gaps(q, q)])
+    checks.add_residual("doubled_selfadjoint", _spectral_norm(gap), bound)
+    # frakE is antiunitary, so the frakE image of q is orthonormal; frakE
+    # graph(frakA) = graph(frakA) is build_doubled's guard.  The image's
+    # projection onto frak(A)_U takes graph(A) on its (y, v) rows, graph(B)
+    # on its (x, u) rows, and q on both with one coefficient matrix
+    image = LinearRelation(_trusted(q, tol)).conjugated_basis(dp.frakC)
+    e_s, e_t = _row_blocks(image, n)
+    shared = _adjoint(q) @ image
+    stray = np.vstack([_outside(e_s, a) - q_s @ shared, _outside(e_t, b) - q_t @ shared])
+    checks.add_residual("doubled_frakE_selfadjoint", _spectral_norm(stray), bound)
     a_ext, t_block = _closed_form_slices(dp, defect_cols)
-    dims = a_ext.graph.dim + t_block.graph.dim - frak_ext.graph.dim
-    # block_relation(S, T) keeps graph(frakA)'s columns bit for bit, so at
-    # equal dimensions the new columns of frak(A)_U decide the equality
-    if dims or not frak_new.contained_in(block_relation(a_ext, t_block)):
+    dims = a_ext.graph.dim + t_block.graph.dim - (dp.a.graph.dim + dp.b.graph.dim + q.shape[1])
+    # S and T keep graph(A)'s and graph(B)'s columns bit for bit, so at equal
+    # dimensions frak(A)_U = block_relation(S, T) iff q's (y, v) rows lie in
+    # graph(S) and its (x, u) rows in graph(T)
+    outside = np.vstack([_outside(q_s, a_ext.graph.basis), _outside(q_t, t_block.graph.basis)])
+    if dims or not _norm_within(outside, bound):
         raise PropertyViolationError(
             "extracted blocks do not reassemble the doubled extension", {"dims": dims}
         )
@@ -417,7 +446,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
         subspace_equal(star_sum, star_domain),
         detail=f"dims {b_domain.dim}+{l_domain_star.dim} vs {star_domain.dim}",
     )
-    return ExtensionResult(a_ext, frak_ext, ExtensionParameter("unitary", u), checks)
+    return ExtensionResult(a_ext, ExtensionParameter("unitary", u), checks)
 
 
 def _greedy_isotropic(
@@ -602,7 +631,9 @@ def completeness_roundtrip(dp: DoubledProblem, new: np.ndarray) -> tuple[float, 
     call, which runs the LAPACK routine of one hit alone on each; so the
     angle keeps its bits.  The sweep has decided that each hit extends A
     C-self-adjointly, so its Cayley transform is the k x k solve on W alone
-    (_cayley_unitaries).  A block's graphs [graph(A), W] are formed for the
+    (_cayley_unitaries), which refuses a U that is not unitary; the rebuild
+    (_rebuilt_columns) checks the frakE and block conditions on it but not
+    unitarity again.  A block's graphs [graph(A), W] are formed for the
     angle and the operator flags, which read the top blocks' singular values
     at LinearRelation._top_svd's cut; A's is_operator answers for A.
     """

@@ -56,8 +56,10 @@ Every SVD and matrix norm of the package is one of four kinds:
   (subspace_equal, contained_in, equals), is_c_selfadjoint (and, on the
   n x n gap assembled from graph(A)'s block and the new columns' blocks,
   the sweep's and recover_parameter's, extensions._c_selfadjoint_grown),
-  preserves_subspace, build_doubled's frakA* guard (on the two diagonal
-  blocks of the doubled gap matrix) and the brute-force filter.  Each
+  preserves_subspace, build_doubled's frakA* guard (on the two nonzero
+  2n-row blocks of the doubled gap matrix, A's gap against graph(A*) and
+  B's against graph(B*)), extension_from_parameter's block reassembly and
+  the brute-force filter.  Each
   builds its residual matrix once (_angle_residual, LinearRelation._gap_matrix,
   extensions._omega_block) and takes a Gram eigenvalue only when the
   Frobenius norm leaves the answer open.

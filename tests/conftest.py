@@ -182,6 +182,29 @@ def parameter_as_onb(dp, p):
     return cs.ExtensionParameter("onb", dp.n_plus.basis @ coords)
 
 
+def doubled_extension(dp, defect_cols):
+    """graph(frak(A)_U) as one 4n-row basis, the oracle of the block-form
+    checks of extension_from_parameter: graph(frakA) = block(A, B), built by
+    DoubledProblem on first use, bordered by the deficiency columns halved,
+    which are orthonormal and orthogonal to it as built."""
+    return cs.LinearRelation(cs.linalg._trusted(np.hstack([dp.frakA.graph.basis, defect_cols / 2]), dp.tol))
+
+
+def bordered_doubled_residuals(dp, defect_cols, s, t):
+    """The doubled checks of extension_from_parameter taken on the 4n-row
+    basis of doubled_extension, on its new columns q: the adjoint gap of q,
+    the angle from frakE q into frak(A)_U, and the angle from q into
+    block_relation(S, T), the reassembly guard's residual."""
+    frak = doubled_extension(dp, defect_cols)
+    q = cs.linalg._trusted(frak.graph.basis[:, dp.frakA.graph.dim :], dp.tol)
+    frake = cs.linalg._trusted(cs.LinearRelation(q).conjugated_basis(dp.frakC), dp.tol)
+    return {
+        "doubled_selfadjoint": frak.adjoint_gap(q.basis),
+        "doubled_frakE_selfadjoint": cs.max_angle_sin(frake, frak.graph),
+        "reassembly": cs.max_angle_sin(q, cs.block_relation(s, t).graph),
+    }
+
+
 def block_slices(r):
     """(S, T) cut out of a relation on H + H by intersection, the oracle of
     extensions._closed_form_slices.

@@ -89,21 +89,19 @@ def test_block_form_adjoint_matches_built_adjoint(spec):
 
 @pytest.mark.parametrize("mutation", ["swapped", "symmetric_part"])
 def test_build_doubled_rejects_wrong_block_adjoint(monkeypatch, mutation):
-    # mutations of the block form of frakA*: A* and B* swapped (a positive
+    # mutations of the block form of frakA* = block(B*, A*) at the guard that
+    # decides it on the one-space graphs: A* and B* swapped (a positive
     # adjoint gap), or B and A in their places, which gives frakA itself,
     # inside frakA* with gap 0 but of too small a dimension
     spec = cs.race_schrodinger(16)
-    original = cs.doubling.block_relation
-    assembled = []
+    original = cs.doubling._require_block_adjoint
 
-    def mutated(s, t):
-        # build_doubled assembles frakA = block(A, B), then frakA* = block(B*, A*)
-        assembled.append((s, t))
-        if len(assembled) == 2:
-            s, t = (t, s) if mutation == "swapped" else assembled[0]
-        return original(s, t)
+    def mutated(a, b, s, t):
+        # build_doubled passes frakA = block(A, B) and frakA* = block(B*, A*)
+        s, t = (t, s) if mutation == "swapped" else (a, b)
+        return original(a, b, s, t)
 
-    monkeypatch.setattr(cs.doubling, "block_relation", mutated)
+    monkeypatch.setattr(cs.doubling, "_require_block_adjoint", mutated)
     with pytest.raises(cs.PropertyViolationError, match="adjoint of the doubled relation") as info:
         doubled(spec)
     assert (info.value.residuals["angle"] > 1e-3) == (mutation == "swapped")
@@ -159,23 +157,34 @@ def test_b_star_without_conjugating_fails_the_doubled_guard(monkeypatch, spec):
     "spec", [*DEFECT_SPECS, cs.random_restriction(8, seed=1)], ids=lambda spec: spec.name
 )
 def test_doubled_gap_blocks_match_the_whole_gap(spec, wrong_slot):
-    # oracle: the 2n-row blocks that build_doubled's guard decides on give
-    # the yes/no and, up to rounding, the angle of the whole 4n-row gap
-    # matrix, for the true frakA* and for one whose A* slot is a random
-    # relation of the same dimension
+    # oracle: the 2n-row blocks A._gap_matrix(graph(A*)) and
+    # B._gap_matrix(graph(B*)) that build_doubled's guard decides on are the
+    # nonzero blocks of the whole 4n-row gap matrix of frakA against
+    # block(B*, A*), up to rounding, and give its yes/no and its angle, for
+    # the true frakA* and for one whose A* slot is a random relation of the
+    # same dimension
     dp = doubled(spec)
     t = dp.a_star
     if wrong_slot:
         rng = np.random.default_rng(0)
         t = cs.LinearRelation(cs.orthonormal_basis(random_complex(rng, 2 * dp.ambient_dim, t.graph.dim)))
-    frak_a_star = cs.block_relation(dp.b_star, t)
-    whole = dp.frakA._gap_matrix(frak_a_star.graph.basis)
-    blocks = cs.doubling._doubled_gap_blocks(dp.a, dp.b, frak_a_star, dp.b_star.graph.dim)
+    whole = dp.frakA._gap_matrix(cs.block_relation(dp.b_star, t).graph.basis)
+    blocks = dp.a._gap_matrix(t.graph.basis), dp.b._gap_matrix(dp.b_star.graph.basis)
+    d, k = dp.a.graph.dim, dp.b_star.graph.dim
+    rounding = 8 * np.finfo(float).eps
+    assert np.abs(whole[:d, k:] - blocks[0]).max() <= rounding
+    assert np.abs(whole[d:, :k] - blocks[1]).max() <= rounding
+    assert not whole[:d, :k].any() and not whole[d:, k:].any()
     bound = dp.tol.bound()
-    decision = all(cs.linalg._norm_within(m, bound) for m in blocks)
-    assert decision == cs.linalg._norm_within(whole, bound) == (not wrong_slot)
+    assert cs.linalg._norm_within(whole, bound) == (not wrong_slot)
     angle = max(cs.linalg._spectral_norm(m) for m in blocks)
-    assert abs(angle - cs.linalg._spectral_norm(whole)) <= 8 * np.finfo(float).eps * max(1.0, angle)
+    assert abs(angle - cs.linalg._spectral_norm(whole)) <= rounding * max(1.0, angle)
+    if not wrong_slot:
+        cs.doubling._require_block_adjoint(dp.a, dp.b, dp.b_star, t)
+        return
+    with pytest.raises(cs.PropertyViolationError, match="adjoint of the doubled relation") as info:
+        cs.doubling._require_block_adjoint(dp.a, dp.b, dp.b_star, t)
+    assert info.value.residuals["angle"] == angle
 
 
 def test_frozen_deficiency_dims():

@@ -19,8 +19,10 @@ from csymlab.extensions import (
 from conftest import (
     DEFECT_SPECS,
     block_slices,
+    bordered_doubled_residuals,
     cayley_oracle,
     count_calls,
+    doubled_extension,
     greedy_isotropic_oracle,
     hit_relations,
     nonblock_parameter,
@@ -87,6 +89,16 @@ def test_frakE_gate_rejects_generic_unitary():
     assert frakE_condition_residual(dp, bad) > 1e-2
     with pytest.raises(cs.InputError):
         parameter_as_unitary(dp, cs.ExtensionParameter("unitary", bad))
+
+
+def test_extension_builders_refuse_a_non_unitary_parameter_first():
+    # 2U fails unitarity and the frakE condition; both builders name
+    # unitarity, which the round trip leaves to its Cayley kernel
+    dp = doubled(cs.minimal_identity())
+    u = 2.0 * cs.canonical_extension(dp).parameter.matrix
+    for build in (cs.extension_from_parameter, cs.extension_graph):
+        with pytest.raises(cs.InputError, match="does not give a unitary map"):
+            build(dp, cs.ExtensionParameter("unitary", u))
 
 
 def test_phase_twist_keeps_frakE_but_breaks_block():
@@ -653,6 +665,16 @@ def test_blocked_roundtrip_matches_hit_by_hit():
     assert operators == sum(hit.is_operator for hit in hits) == 88
 
 
+def test_roundtrip_decides_unitarity_once_per_block(monkeypatch):
+    # _cayley_unitaries refuses a non-unitary U on its Gram residual, so the
+    # rebuild checks only the frakE and block conditions on the same stack
+    dp = doubled(cs.race_schrodinger(32))
+    new = cs.brute_force_extensions(dp, budget=200, seed=0)
+    calls = count_calls(monkeypatch, cs.linalg, "_gram_residual")
+    cs.extensions.completeness_roundtrip(dp, new)
+    assert len(calls) == -(-len(new) // cs.extensions.ROUNDTRIP_BLOCK)
+
+
 @pytest.mark.parametrize(
     "spec",
     [cs.race_schrodinger(16), cs.race_schrodinger(32), cs.fd_derivative_minimal(16), cs.zero_on_subspace(16)],
@@ -830,7 +852,7 @@ def test_closed_form_slices_match_intersection_oracle(spec):
     for p in sample_parameters(dp, 3, seed=6):
         _, defect_cols = _deficiency_span(dp, p)
         s, t = _closed_form_slices(dp, defect_cols)
-        oracle_s, oracle_t = block_slices(cs.extension_from_parameter(dp, p).frak_ext)
+        oracle_s, oracle_t = block_slices(doubled_extension(dp, defect_cols))
         assert s.equals(oracle_s) and t.equals(oracle_t)
 
 
@@ -858,17 +880,21 @@ def _turn_first_new_column(grown, known):
     return cs.LinearRelation(cs.Subspace(g))
 
 
+@pytest.mark.parametrize("slice_", ["s", "t"])
 @DEFECT_FIXTURES
-def test_block_check_refuses_a_turned_slice(monkeypatch, spec):
-    # mutation: a new column of S turned out of the doubled extension; the
-    # dimensions still add up, so the containment of frak(A)_U's new columns
-    # in block_relation(S, T) has to refuse it
+def test_block_check_refuses_a_turned_slice(monkeypatch, spec, slice_):
+    # mutation: a new column of S, or of T, turned out of the doubled
+    # extension; the dimensions still add up, so the containment of
+    # frak(A)_U's new columns in block_relation(S, T), their (y, v) rows in
+    # S and their (x, u) rows in T, has to refuse it
     dp = doubled(spec)
     p = cs.canonical_extension(dp).parameter
 
     def turned(dp, cols):
         s, t = _closed_form_slices(dp, cols)
-        return _turn_first_new_column(s, dp.a), t
+        if slice_ == "s":
+            return _turn_first_new_column(s, dp.a), t
+        return s, _turn_first_new_column(t, dp.b)
 
     monkeypatch.setattr(cs.extensions, "_closed_form_slices", turned)
     with pytest.raises(cs.PropertyViolationError, match="blocks do not reassemble") as info:
@@ -964,16 +990,19 @@ BORDERED_FIXTURES = pytest.mark.parametrize(
 def test_bordered_checks_against_full_basis_oracle(spec):
     # each check taken over the whole basis: the bordered residual is a block
     # of it (up to rounding), and a guard certifies the rest, so a bordered
-    # pass with the guards passing is a full-basis pass
+    # pass with the guards passing is a full-basis pass.  The doubled checks
+    # read the row blocks of the deficiency columns against the one-space
+    # graphs; the oracle takes them on the 4n-row basis of frak(A)_U
     dp = doubled(spec)  # build_doubled's guards raise on failure
     cs.csym._require_c_symmetric(dp)
-    bound = dp.tol.bound()
+    n, bound = dp.ambient_dim, dp.tol.bound()
     rounding = 8 * np.finfo(float).eps
     for p in sample_parameters(dp, 3, seed=4):
         res = cs.extension_from_parameter(dp, p)
         reported = {c.name: c for c in res.checks}
-        frak, a_ext = res.frak_ext, res.a_ext
-        s, t = _closed_form_slices(dp, _deficiency_span(dp, p)[1])
+        a_ext, defect_cols = res.a_ext, _deficiency_span(dp, p)[1]
+        frak = doubled_extension(dp, defect_cols)
+        s, t = _closed_form_slices(dp, defect_cols)
         conj = cs.LinearRelation(cs.Subspace(a_ext.conjugated_basis(dp.c)))
         frake = cs.Subspace(frak.conjugated_basis(dp.frakC))
         full = {
@@ -986,11 +1015,19 @@ def test_bordered_checks_against_full_basis_oracle(spec):
         for name, value in full.items():
             assert reported[name].residual <= value + rounding, name
             assert reported[name].status == "pass" and value <= bound, name
-        # the block reassembly raises instead of reporting; at equal
-        # dimensions the largest angle is the same both ways
+        # the block-form residuals against the bordered 4n-row ones; the
+        # block reassembly raises instead of reporting, so its residual is
+        # taken here as the guard takes it
+        bordered = bordered_doubled_residuals(dp, defect_cols, s, t)
+        q_s, q_t = cs.extensions._row_blocks(defect_cols / 2, n)
+        outside = np.vstack([cs.linalg._outside(q_s, s.graph.basis), cs.linalg._outside(q_t, t.graph.basis)])
+        block_form = {name: reported[name].residual for name in ("doubled_selfadjoint", "doubled_frakE_selfadjoint")}
+        block_form["reassembly"] = cs.linalg._spectral_norm(outside)
+        for name, value in block_form.items():
+            assert abs(value - bordered[name]) <= rounding, name
+        # at equal dimensions the largest angle is the same both ways
         block = cs.block_relation(s, t)
-        bordered = cs.max_angle_sin(_new_columns(frak, dp.frakA).graph, block.graph)
-        assert bordered <= cs.max_angle_sin(block.graph, frak.graph) + rounding <= bound
+        assert bordered["reassembly"] <= cs.max_angle_sin(block.graph, frak.graph) + rounding <= bound
 
 
 @OMEGA_FIXTURES

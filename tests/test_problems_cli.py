@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -497,6 +498,35 @@ def test_cli_defect_geometry_takes_no_svd_in_c4n(monkeypatch, capsys, command):
     capsys.readouterr()
     assert rows and max(rows) <= 2 * n
     assert len(members) == 0
+
+
+@pytest.mark.parametrize("name", sorted(cs.fixtures.EXAMPLE_BUILDERS))
+def test_cli_defect_commands_build_no_block_relation(monkeypatch, capsys, name):
+    # build_doubled decides frakA* on the one-space graphs, deficiency counts
+    # their dimensions and the extension checks read the row blocks of the
+    # deficiency columns, so these commands pass with the 4n-row block
+    # constructors refusing every call; frakA and frakA* are vn's alone
+    def refuse(*args):
+        raise AssertionError("a 4n-row block basis was built")
+
+    for helper in ("block_relation", "_block_columns"):
+        patch_everywhere(monkeypatch, cs.doubling, helper, refuse)
+    for command in (["deficiency"], ["extend"], ["extend", "--swap"]):
+        assert main([*command, "--example", name, "--n", "16"]) == 0, command
+    capsys.readouterr()
+
+
+def test_cli_extend_traced_peak_pinned(capsys):
+    # no 4n x 2n graph basis of frakA, frakA* or frak(A)_U is built: the
+    # traced peak of extend at n = 256 was 72.7 MB with them, 35.4 MB without
+    tracemalloc.start()
+    try:
+        assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "256"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 45e6, peak
 
 
 @pytest.mark.parametrize("command", ["extend", "verify-all"])
