@@ -71,6 +71,9 @@ def corpus() -> list[tuple[str, tuple[str, ...]]]:
         cases.append((f"enumerate_{label}_budget2000", ("enumerate", *source, "--budget", "2000", "--seed", "0")))
     # 246 hits in 31 round-trip blocks, with 128-row new columns
     cases.append(("enumerate_race_h0.02_n64", ("enumerate", *race(64, "--h", "0.02"), "--budget", "2000")))
+    # race at the default h where vn's kernel split decides the exit code
+    for n in (22, 26, 28):
+        cases.append((f"verify-all_race_n{n}", ("verify-all", *race(n))))
     cases.append(("deficiency_race_n56", ("deficiency", *race(56))))
     cases.append(("deficiency_race_n128", ("deficiency", *race(128))))
     cases.append(("check_scalar_1e308", ("check", "--spec", "{scalar}")))

@@ -25,7 +25,6 @@ from .csym import (
 )
 from .doubling import (
     DoubledProblem,
-    block_relation,
     build_doubled,
     deficiency,
     doubled_conjugation,

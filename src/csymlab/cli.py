@@ -313,7 +313,7 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
     results["enumerate"] = res
     checks.extend(sub, prefix="enumerate")
 
-    vn = vn_decomposition(dp.frakA, dp.frakA_star)
+    vn = vn_decomposition(dp)
     checks.extend(vn.checks, prefix="vn")
     results["vn"] = {"regime": vn.regime}
     race = race_decomposition(dp)

@@ -27,8 +27,10 @@ each from one intersect in the middle coordinate
 m_spaces, anti_involution and doubling.deficiency share one guard,
 _require_c_symmetric: B inside A*, or PreconditionError.  It builds no
 M-space, so the extension builders, which reach it through omega and
-anti_involution, never build frakM'; race_decomposition is the only reader
-of m_spaces.
+anti_involution, never build frakM'; the defect decompositions of
+verify-all are the only readers of m_spaces: race_decomposition, and
+vn_decomposition, whose kernel of (frakA*)^2 + I is N(I + B*A*) x
+N(I + A*B*).
 """
 
 from __future__ import annotations

@@ -8,12 +8,12 @@ von Neumann deficiency theory applies upstairs and is pulled back down.
 Coordinates of the doubled graph in C^(4n): (x, y, v, u) with domain pair
 (x, y) and value pair (v, u) = (Ay, Bx).
 
-frakA = block(A, B) and frakA* = block(B*, A*) are, up to a row
-permutation, graph(A) + graph(B) and graph(B*) + graph(A*), so
-build_doubled and deficiency() read the one-space graphs and build no
-4n-row basis; DoubledProblem builds frakA and frakA* on first use, for
-vn_decomposition.  frakE (antiunitary) keeps graph bases orthonormal, so
-no image under it is re-derived by a rank decision.
+frakA = block(A, B) and frakA* = block(B*, A*) are, in the row order
+(y, v | x, u), the block pairs graph(A) + graph(B) and graph(B*) +
+graph(A*), so build_doubled, deficiency() and vn_decomposition read the
+one-space graphs and no 4n-row basis is built.  frakE (antiunitary) keeps
+graph bases orthonormal, so no image under it is re-derived by a rank
+decision.
 
 The deficiency spaces are read off frakM = graph(B*) - graph(A), the
 orthogonal difference in H + H: N+- = {(y, +-ix) : (x, y) in frakM}.  For
@@ -30,8 +30,8 @@ candidates in another basis of the same subspace, which it builds itself
 (extensions._sweep_frame).
 
 DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
-frakE, frakM and N+-, built once by build_doubled, and frakA, frakA*, the
-other M-spaces, the anti-involution S and omega, built on first use.
+frakE, frakM and N+-, built once by build_doubled, and the other M-spaces,
+the anti-involution S and omega, built on first use.
 Everything downstream reads them from it.  omega, the matrix of S in
 frakM's basis, is the one coordinate matrix of the defect space: frakE
 between N+ and N-, the block map D, and the symplectic form whose
@@ -56,11 +56,10 @@ from .linalg import (
     _trusted,
     max_angle_sin,
     orthogonal_difference,
-    orthonormal_basis,
     subspace_equal,
     subspace_sum,
 )
-from .relations import LinearRelation, kernel_one_plus
+from .relations import LinearRelation
 from .reporting import CheckList
 
 
@@ -74,32 +73,6 @@ def doubled_conjugation(c: Conjugation) -> Conjugation:
     k = c.matrix
     z = np.zeros_like(k)
     return _trusted_conjugation(np.block([[z, k], [k, z]]), c.tol)
-
-
-def block_relation(s: LinearRelation, t: LinearRelation) -> LinearRelation:
-    """{((x, y), (v, u)) : (y, v) in S, (x, u) in T} on H + H, given on D(T) x D(S) if S, T are."""
-    if s.ambient_dim != t.ambient_dim:
-        raise PreconditionError(f"ambient mismatch: {s.ambient_dim} vs {t.ambient_dim}")
-    n = s.ambient_dim
-    domain = None
-    if s.given_domain is not None and t.given_domain is not None:
-        ds, dt = s.given_domain.basis, t.given_domain.basis
-        domain = _trusted(np.block([[np.zeros((n, ds.shape[1])), dt], [ds, np.zeros((n, dt.shape[1]))]]), s.tol)
-    # the two column groups are orthonormal and mutually orthogonal
-    return LinearRelation(_trusted(_block_columns(s.graph.basis, t.graph.basis), s.tol), domain)
-
-
-def _block_columns(gs: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """The graph basis of block_relation(S, T) from those of S and T, or a
-    stack of them from two stacks."""
-    n = gs.shape[-2] // 2
-    ds = gs.shape[-1]
-    cols = np.zeros((*gs.shape[:-2], 4 * n, ds + gt.shape[-1]), dtype=complex)
-    cols[..., n : 2 * n, :ds] = gs[..., :n, :]
-    cols[..., 2 * n : 3 * n, :ds] = gs[..., n:, :]
-    cols[..., :n, ds:] = gt[..., :n, :]
-    cols[..., 3 * n :, ds:] = gt[..., n:, :]
-    return cols
 
 
 def _require_block_adjoint(a: LinearRelation, b: LinearRelation, s: LinearRelation, t: LinearRelation) -> None:
@@ -141,19 +114,7 @@ class DoubledProblem:
     def tol(self) -> Tolerance:
         return self.a.tol
 
-    # frakA, frakA* and the defect geometry below are computed once per
-    # problem on first use.
-    @cached_property
-    def frakA(self) -> LinearRelation:
-        """block(A, B), the doubled relation; build_doubled decided its
-        adjoint on the one-space graphs."""
-        return block_relation(self.a, self.b)
-
-    @cached_property
-    def frakA_star(self) -> LinearRelation:
-        """block(B*, A*), the adjoint of frakA (build_doubled's guard)."""
-        return block_relation(self.b_star, self.a_star)
-
+    # the defect geometry below is computed once per problem on first use
     @cached_property
     def spaces(self) -> MSpaces:
         """M-spaces of A and B*; raises PreconditionError unless C-symmetric."""
@@ -258,10 +219,9 @@ def deficiency(dp: DoubledProblem) -> CheckList:
     return checks
 
 
-def _orthogonality_residual(s1: Subspace, s2: Subspace) -> float:
-    if s1.dim == 0 or s2.dim == 0:
-        return 0.0
-    return float(np.abs(s1.basis.conj().T @ s2.basis).max())
+def _cross_residual(b1: np.ndarray, b2: np.ndarray) -> float:
+    """Largest |<b1_i, b2_j>| over the columns of two bases, 0 if either is empty."""
+    return float(np.abs(b1.conj().T @ b2).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,63 +232,96 @@ class DecompositionReport:
     measurements: dict
 
 
-def vn_decomposition(t: LinearRelation, t_star: LinearRelation | None = None) -> DecompositionReport:
-    """graph(T*) = graph(T) + N_hat_plus + N_hat_minus, orthogonally.
+def _imaginary_pair(w: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (y, v) and (x, u) row blocks of the columns (w, +-iw)/sqrt(2) of
+    C^(4n), w = (x, y) a column of C^(2n); orthonormal for orthonormal w."""
+    n = w.shape[0] // 2
+    x, y = w[:n], w[n:]
+    s = sign * 1j
+    return np.vstack([y, s * x]) / np.sqrt(2.0), np.vstack([x, s * y]) / np.sqrt(2.0)
 
-    N_hat_+- are the graph elements (w, +-iw) of T*.  The orthogonal
-    decomposition holds for every symmetric relation; the splitting of
-    N((T*)^2 + I) into the first components of N_hat_+- is additionally
-    checked.  The kernel comes from relations.kernel_one_plus(T*, T*),
-    independent of the eigenspace members it is compared with.  ``t_star``
-    is T* when already computed.
 
-    There is no domain-level check D(T*) = D(T) + N((T*)^2 + I).  In the
-    operator regime (T.regime), T inside T* and dim graph(T*) = 2n - n give
-    T = T*, so (T*)^2 + I = T*T + I is injective and the form says nothing.
-    Otherwise mul T* = D(T)^perp is not {0}, the form is skipped and the
+def _square_kernel(spaces: MSpaces) -> Subspace:
+    """N((frakA*)^2 + I) = N(I + B*A*) x N(I + A*B*) in H + H.
+
+    frakA*(x, y) = (B*y, A*x), so (frakA*)^2 (x, y) = (B*A*x, A*B*y); the
+    two kernels are the M-spaces' kernel_one_plus results, and their
+    orthonormal bases stacked block-diagonally are orthonormal as built.
+    """
+    first, second = spaces.m_astar, spaces.m_bstar
+    n = first.ambient_dim
+    basis = np.zeros((2 * n, first.dim + second.dim), dtype=complex)
+    basis[:n, : first.dim] = first.basis
+    basis[n:, first.dim :] = second.basis
+    return _trusted(basis, first.tol)
+
+
+def vn_decomposition(dp: DoubledProblem) -> DecompositionReport:
+    """graph(frakA*) = graph(frakA) + N_hat_plus + N_hat_minus, orthogonally,
+    read off dp's one-space objects with no 4n-row basis.
+
+    N_hat_+- are the graph elements (w, +-iw)/sqrt(2), w in N+-, of frakA*.
+    In the row order (y, v | x, u), graph(frakA) is the block pair
+    graph(A) + graph(B), graph(frakA*) is graph(B*) + graph(A*), and with
+    M = [X; Y] frakM's basis and JM = [Y; -X], N_hat_+- = [+-iM; JM]/sqrt(2)
+    (_imaginary_pair of N+- = [Y; +-iX]).  So graph(frakA) is orthogonal to
+    N_hat_+- iff graph(A)^H (+-iM) and graph(B)^H JM vanish, N_hat_+ to
+    N_hat_- iff (-M^H M + (JM)^H JM)/2 does, and the three span graph(frakA*)
+    iff graph(A) + M = graph(B*) and graph(B) + JM = graph(A*).
+
+    The splitting of N((frakA*)^2 + I) into the first components of
+    N_hat_+-, that is into N+ + N-, is additionally checked; the kernel is
+    N(I + B*A*) x N(I + A*B*) (_square_kernel), from the cached M-spaces,
+    whose kernel_one_plus does not read N+-.  Raises PreconditionError
+    unless A is C-symmetric (frakA symmetric).
+
+    There is no domain-level check D(frakA*) = D(frakA) + N((frakA*)^2 + I).
+    In the operator regime (dim graph(A) + dim graph(B) = 2n and both are
+    operators, so frakA is an everywhere-defined operator), frakA inside
+    frakA* and dim graph(frakA*) = 4n - 2n give frakA = frakA*, so
+    (frakA*)^2 + I is injective and the form says nothing.  Otherwise
+    mul frakA* = D(frakA)^perp is not {0}, the form is skipped and the
     independence of the eigenspace sum is recorded as a measurement.
     """
-    if t_star is None:
-        t_star = t.adjoint()
-    tol = t.tol
-    bound = tol.bound()
-    if not t.contained_in(t_star):
-        raise PreconditionError("relation is not symmetric")
-    n = t.ambient_dim
+    spaces = dp.spaces  # raises PreconditionError unless C-symmetric
+    bound = dp.tol.bound()
+    n = dp.ambient_dim
     checks = CheckList()
     measurements = {}
-    plus, minus = t_star.imaginary_members()
-    checks.add_residual("graph_orth_t_nhat_plus", _orthogonality_residual(t.graph, plus), bound)
-    checks.add_residual("graph_orth_t_nhat_minus", _orthogonality_residual(t.graph, minus), bound)
-    checks.add_residual("graph_orth_nhat_plus_minus", _orthogonality_residual(plus, minus), bound)
-    total = subspace_sum(subspace_sum(t.graph, plus), minus)
+    hats = {"plus": _imaginary_pair(dp.n_plus.basis, 1), "minus": _imaginary_pair(dp.n_minus.basis, -1)}
+    for label, (yv, xu) in hats.items():
+        residual = max(_cross_residual(dp.a.graph.basis, yv), _cross_residual(dp.b.graph.basis, xu))
+        checks.add_residual(f"graph_orth_t_nhat_{label}", residual, bound)
+    (yv_plus, xu_plus), (yv_minus, xu_minus) = hats.values()
+    cross = yv_plus.conj().T @ yv_minus + xu_plus.conj().T @ xu_minus
+    checks.add_residual("graph_orth_nhat_plus_minus", float(np.abs(cross).max(initial=0.0)), bound)
+    m = dp.frakM.basis
+    jm = _trusted(np.vstack([m[n:], -m[:n]]), dp.tol)
+    spans = True
+    for small, part, big in ((dp.a, dp.frakM, dp.b_star), (dp.b, jm, dp.a_star)):
+        total = subspace_sum(small.graph, part)
+        spans = spans and subspace_equal(total, big.graph) and total.dim == small.graph.dim + part.dim
+    k = dp.frakM.dim
     checks.add(
         "graph_decomposition_spans_adjoint",
-        subspace_equal(total, t_star.graph) and total.dim == t.graph.dim + plus.dim + minus.dim,
-        detail=f"dims {t.graph.dim}+{plus.dim}+{minus.dim} vs {t_star.graph.dim}",
+        spans,
+        detail=f"dims {dp.a.graph.dim + dp.b.graph.dim}+{k}+{k} vs {dp.b_star.graph.dim + dp.a_star.graph.dim}",
     )
-    # kernel of (T*)^2 + I against the eigenspace members
-    kernel = kernel_one_plus(t_star, t_star)
-    n_plus_first = orthonormal_basis(plus.basis[:n], tol, n)
-    n_minus_first = orthonormal_basis(minus.basis[:n], tol, n)
-    eig_sum = subspace_sum(n_plus_first, n_minus_first)
+    kernel = _square_kernel(spaces)
+    eig_sum = subspace_sum(dp.n_plus, dp.n_minus)
     checks.add(
         "kernel_splits_into_eigenspace_members",
         subspace_equal(kernel, eig_sum),
         detail=f"dim N((T*)^2+I) = {kernel.dim}",
     )
-    if t.regime != "operator":
-        measurements["eigenspace_sum_direct"] = eig_sum.dim == n_plus_first.dim + n_minus_first.dim
+    operator = dp.a.graph.dim + dp.b.graph.dim == 2 * n and dp.a.is_operator and dp.b.is_operator
+    if not operator:
+        measurements["eigenspace_sum_direct"] = eig_sum.dim == dp.n_plus.dim + dp.n_minus.dim
         reason = "adjoint is multivalued; the decomposition is expressed at graph level"
         checks.skip("domain_decomposition", reason)
     return DecompositionReport(
-        t.regime,
-        {
-            "graph_t": t.graph,
-            "n_hat_plus": plus,
-            "n_hat_minus": minus,
-            "kernel_sq": kernel,
-        },
+        "operator" if operator else "relation",
+        {"n_plus": dp.n_plus, "n_minus": dp.n_minus, "kernel_sq": kernel},
         checks,
         measurements,
     )
@@ -356,7 +349,7 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
         ("astar_decomposition", dp.a_star, dp.b, spaces.frakM_prime),
     ):
         total = subspace_sum(small.graph, m_part)
-        ok = subspace_equal(total, big.graph) and _orthogonality_residual(small.graph, m_part) <= bound
+        ok = subspace_equal(total, big.graph) and _cross_residual(small.graph.basis, m_part.basis) <= bound
         checks.add(name, ok, detail=f"dims {small.graph.dim}+{m_part.dim} vs {big.graph.dim}")
     # C maps N(I + A*B*) onto N(I + B*A*)
     image = c.map_subspace(spaces.m_bstar)

@@ -85,7 +85,7 @@ import numpy as np
 
 from .antilinear import conjugation_axiom_residuals
 from .csym import _require_c_symmetric
-from .doubling import DoubledProblem, _orthogonality_residual
+from .doubling import DoubledProblem, _cross_residual
 from .errors import InputError, PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
@@ -418,7 +418,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     frak_m = dp.frakM
     # S is antiunitary, so the S-image of orthonormal columns is orthonormal
     s_image = _trusted(dp.s_map.apply(l_graph.basis), tol)
-    checks.add_residual("l_orthogonal_to_s_l", _orthogonality_residual(l_graph, s_image), bound)
+    checks.add_residual("l_orthogonal_to_s_l", _cross_residual(l_graph.basis, s_image.basis), bound)
     total = subspace_sum(l_graph, s_image)
     checks.add(
         "l_plus_s_l_spans_frakM",

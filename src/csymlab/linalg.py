@@ -22,9 +22,9 @@ Every SVD and matrix norm of the package is one of four kinds:
   extend_basis's SVD of the new residual, and _bordered's on the stacked
   residuals of the enumerate round trip's rebuilt columns and on the
   relation that recover_parameter is given; intersect, and through it
-  kernel_one_plus and imaginary_members; orthogonal_difference, and
-  through it frakM and frakM' (build_doubled, m_spaces); LinearRelation._top_svd
-  (domain, multivalued part, is_operator) of a relation given by its graph
+  kernel_one_plus; orthogonal_difference, and through it frakM and frakM'
+  (build_doubled, m_spaces); LinearRelation._top_svd (domain, multivalued
+  part, is_operator) of a relation given by its graph
   alone, and its cut on the singular values alone (compute_uv=False) of the
   stacked top blocks of the round trip's hits; polar's rank r and takagi's
   grouping of the same singular values.

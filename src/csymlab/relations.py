@@ -128,20 +128,6 @@ class LinearRelation:
         q, _ = np.linalg.qr(np.vstack([self._bottom(), -self._top()]), mode="complete")
         return LinearRelation(_trusted(q[:, k:], self.tol))
 
-    def imaginary_members(self) -> tuple[Subspace, Subspace]:
-        """The graph elements (w, iw) and (w, -iw): graph(R) intersected
-        with the graphs of +-i.  Built on the first call and then reused,
-        like domain()."""
-        return self._imaginary_members
-
-    @cached_property
-    def _imaginary_members(self) -> tuple[Subspace, Subspace]:
-        eye = np.eye(self.ambient_dim, dtype=complex)
-        return tuple(
-            intersect(self.graph, _trusted(np.vstack([eye, sign * 1j * eye]) / np.sqrt(2.0), self.tol))
-            for sign in (1, -1)
-        )
-
     def adjoint_gap(self, q) -> float:
         """sin of the largest angle from span(q) into graph(R*), R* never built.
 

@@ -143,6 +143,102 @@ def sample_parameters(dp, count, seed=0):
     return out
 
 
+def block_relation(s, t):
+    """{((x, y), (v, u)) : (y, v) in S, (x, u) in T} on H + H as one 4n-row
+    basis, given on D(T) x D(S) if S, T are: the oracle form of the block
+    pairs the package reads instead."""
+    assert s.ambient_dim == t.ambient_dim
+    n = s.ambient_dim
+    domain = None
+    if s.given_domain is not None and t.given_domain is not None:
+        ds, dt = s.given_domain.basis, t.given_domain.basis
+        cols = np.block([[np.zeros((n, ds.shape[1])), dt], [ds, np.zeros((n, dt.shape[1]))]])
+        domain = cs.linalg._trusted(cols, s.tol)
+    # the two column groups are orthonormal and mutually orthogonal
+    return cs.LinearRelation(cs.linalg._trusted(block_columns(s.graph.basis, t.graph.basis), s.tol), domain)
+
+
+def block_columns(gs, gt):
+    """The graph basis of block_relation(S, T) from those of S and T, or a
+    stack of them from two stacks."""
+    n = gs.shape[-2] // 2
+    ds = gs.shape[-1]
+    cols = np.zeros((*gs.shape[:-2], 4 * n, ds + gt.shape[-1]), dtype=complex)
+    cols[..., n : 2 * n, :ds] = gs[..., :n, :]
+    cols[..., 2 * n : 3 * n, :ds] = gs[..., n:, :]
+    cols[..., :n, ds:] = gt[..., :n, :]
+    cols[..., 3 * n :, ds:] = gt[..., n:, :]
+    return cols
+
+
+def frak_a(dp):
+    """frakA = block(A, B), the doubled relation, as a 4n-row basis."""
+    return block_relation(dp.a, dp.b)
+
+
+def frak_a_star(dp):
+    """frakA* = block(B*, A*), the adjoint of frakA (build_doubled's guard)."""
+    return block_relation(dp.b_star, dp.a_star)
+
+
+def imaginary_members(rel):
+    """The graph elements (w, iw) and (w, -iw) of a relation: its graph
+    intersected with the graphs of +-i."""
+    eye = np.eye(rel.ambient_dim, dtype=complex)
+    return tuple(
+        cs.intersect(rel.graph, cs.linalg._trusted(np.vstack([eye, sign * 1j * eye]) / np.sqrt(2.0), rel.tol))
+        for sign in (1, -1)
+    )
+
+
+def vn_oracle(t, t_star=None):
+    """graph(T*) = graph(T) + N_hat_plus + N_hat_minus for a symmetric
+    relation T given by one basis, the 4n-row oracle of
+    doubling.vn_decomposition on T = frakA: N_hat_+- by imaginary_members,
+    the kernel of (T*)^2 + I by kernel_one_plus(T*, T*), the first
+    components of N_hat_+- by orthonormal_basis, and the report built with
+    the check names and details of vn_decomposition.  t_star is T* when
+    already computed."""
+    if t_star is None:
+        t_star = t.adjoint()
+    tol = t.tol
+    bound = tol.bound()
+    if not t.contained_in(t_star):
+        raise cs.PreconditionError("relation is not symmetric")
+    n = t.ambient_dim
+    checks = cs.reporting.CheckList()
+    measurements = {}
+
+    def orthogonality(s1, s2):
+        return float(np.abs(s1.basis.conj().T @ s2.basis).max(initial=0.0))
+
+    plus, minus = imaginary_members(t_star)
+    checks.add_residual("graph_orth_t_nhat_plus", orthogonality(t.graph, plus), bound)
+    checks.add_residual("graph_orth_t_nhat_minus", orthogonality(t.graph, minus), bound)
+    checks.add_residual("graph_orth_nhat_plus_minus", orthogonality(plus, minus), bound)
+    total = cs.subspace_sum(cs.subspace_sum(t.graph, plus), minus)
+    checks.add(
+        "graph_decomposition_spans_adjoint",
+        cs.subspace_equal(total, t_star.graph) and total.dim == t.graph.dim + plus.dim + minus.dim,
+        detail=f"dims {t.graph.dim}+{plus.dim}+{minus.dim} vs {t_star.graph.dim}",
+    )
+    kernel = cs.kernel_one_plus(t_star, t_star)
+    n_plus_first = cs.orthonormal_basis(plus.basis[:n], tol, n)
+    n_minus_first = cs.orthonormal_basis(minus.basis[:n], tol, n)
+    eig_sum = cs.subspace_sum(n_plus_first, n_minus_first)
+    checks.add(
+        "kernel_splits_into_eigenspace_members",
+        cs.subspace_equal(kernel, eig_sum),
+        detail=f"dim N((T*)^2+I) = {kernel.dim}",
+    )
+    if t.regime != "operator":
+        measurements["eigenspace_sum_direct"] = eig_sum.dim == n_plus_first.dim + n_minus_first.dim
+        reason = "adjoint is multivalued; the decomposition is expressed at graph level"
+        checks.skip("domain_decomposition", reason)
+    subspaces = {"graph_t": t.graph, "n_hat_plus": plus, "n_hat_minus": minus, "kernel_sq": kernel}
+    return cs.doubling.DecompositionReport(t.regime, subspaces, checks, measurements)
+
+
 def cayley_oracle(dp, graph, drop_c=False):
     """(U, stray) of recover_parameter for one graph basis by the dense
     Cayley solve, the oracle of extensions._cayley_unitaries: P = B + iA
@@ -158,7 +254,7 @@ def cayley_oracle(dp, graph, drop_c=False):
     images = cs.relations._conjugated_graphs(graph, dp.c.matrix)
     if drop_c:
         images[:, d:] = graph[:, d:]
-    g = cs.doubling._block_columns(graph, images)
+    g = block_columns(graph, images)
     second, first = g[2 * n :], g[: 2 * n]
     image = (second - 1j * first) @ np.linalg.solve(second + 1j * first, dp.n_plus.basis)
     u = dp.n_minus.basis.conj().T @ image
@@ -184,10 +280,10 @@ def parameter_as_onb(dp, p):
 
 def doubled_extension(dp, defect_cols):
     """graph(frak(A)_U) as one 4n-row basis, the oracle of the block-form
-    checks of extension_from_parameter: graph(frakA) = block(A, B), built by
-    DoubledProblem on first use, bordered by the deficiency columns halved,
-    which are orthonormal and orthogonal to it as built."""
-    return cs.LinearRelation(cs.linalg._trusted(np.hstack([dp.frakA.graph.basis, defect_cols / 2]), dp.tol))
+    checks of extension_from_parameter: graph(frakA) = block(A, B)
+    bordered by the deficiency columns halved, which are orthonormal and
+    orthogonal to it as built."""
+    return cs.LinearRelation(cs.linalg._trusted(np.hstack([frak_a(dp).graph.basis, defect_cols / 2]), dp.tol))
 
 
 def bordered_doubled_residuals(dp, defect_cols, s, t):
@@ -196,12 +292,12 @@ def bordered_doubled_residuals(dp, defect_cols, s, t):
     the angle from frakE q into frak(A)_U, and the angle from q into
     block_relation(S, T), the reassembly guard's residual."""
     frak = doubled_extension(dp, defect_cols)
-    q = cs.linalg._trusted(frak.graph.basis[:, dp.frakA.graph.dim :], dp.tol)
+    q = cs.linalg._trusted(frak.graph.basis[:, dp.a.graph.dim + dp.b.graph.dim :], dp.tol)
     frake = cs.linalg._trusted(cs.LinearRelation(q).conjugated_basis(dp.frakC), dp.tol)
     return {
         "doubled_selfadjoint": frak.adjoint_gap(q.basis),
         "doubled_frakE_selfadjoint": cs.max_angle_sin(frake, frak.graph),
-        "reassembly": cs.max_angle_sin(q, cs.block_relation(s, t).graph),
+        "reassembly": cs.max_angle_sin(q, block_relation(s, t).graph),
     }
 
 

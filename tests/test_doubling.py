@@ -7,7 +7,18 @@ import pytest
 
 import csymlab as cs
 
-from conftest import DEFECT_SPECS, block_slices, linear_map_subspace, random_complex, within
+from conftest import (
+    DEFECT_SPECS,
+    block_relation,
+    block_slices,
+    frak_a,
+    frak_a_star,
+    imaginary_members,
+    linear_map_subspace,
+    random_complex,
+    vn_oracle,
+    within,
+)
 
 
 def doubled(spec):
@@ -17,7 +28,7 @@ def doubled(spec):
 def test_block_relation_slices_roundtrip(rng):
     s = cs.from_matrix(random_complex(rng, 3, 3))
     t = cs.from_matrix(random_complex(rng, 3, 3))
-    frak = cs.block_relation(s, t)
+    frak = block_relation(s, t)
     s2, t2 = block_slices(frak)
     assert within(s2, s, 1e-10, equal=True) and within(t2, t, 1e-10, equal=True)
 
@@ -25,7 +36,7 @@ def test_block_relation_slices_roundtrip(rng):
 def test_block_relation_acts_as_block_matrix(rng):
     a = random_complex(rng, 3, 3)
     b = random_complex(rng, 3, 3)
-    frak = cs.block_relation(cs.from_matrix(a), cs.from_matrix(b))
+    frak = block_relation(cs.from_matrix(a), cs.from_matrix(b))
     x = random_complex(rng, 3)
     y = random_complex(rng, 3)
     # (x, y) -> (Ay, Bx), and not (Bx, Ay)
@@ -72,9 +83,9 @@ def test_symmetry_equivalence(rng):
             a = cs.from_matrix(random_complex(rng, n, n))
         dp = cs.build_doubled(a, c)
         one_space = cs.max_angle_sin(dp.b.graph, dp.a_star.graph)
-        doubled_angle = cs.max_angle_sin(dp.frakA.graph, dp.frakA_star.graph)
+        doubled_angle = cs.max_angle_sin(frak_a(dp).graph, frak_a_star(dp).graph)
         assert abs(one_space - doubled_angle) <= 1e-14
-        assert dp.frakA.contained_in(dp.frakA_star) == cs.is_c_symmetric(a, c)
+        assert frak_a(dp).contained_in(frak_a_star(dp)) == cs.is_c_symmetric(a, c)
 
 
 @pytest.mark.parametrize(
@@ -84,7 +95,7 @@ def test_symmetry_equivalence(rng):
 )
 def test_block_form_adjoint_matches_built_adjoint(spec):
     dp = doubled(spec)
-    assert within(dp.frakA_star, dp.frakA.adjoint(), 1e3 * np.finfo(float).eps, equal=True)
+    assert within(frak_a_star(dp), frak_a(dp).adjoint(), 1e3 * np.finfo(float).eps, equal=True)
 
 
 @pytest.mark.parametrize("mutation", ["swapped", "symmetric_part"])
@@ -168,7 +179,7 @@ def test_doubled_gap_blocks_match_the_whole_gap(spec, wrong_slot):
     if wrong_slot:
         rng = np.random.default_rng(0)
         t = cs.LinearRelation(cs.orthonormal_basis(random_complex(rng, 2 * dp.ambient_dim, t.graph.dim)))
-    whole = dp.frakA._gap_matrix(cs.block_relation(dp.b_star, t).graph.basis)
+    whole = frak_a(dp)._gap_matrix(block_relation(dp.b_star, t).graph.basis)
     blocks = dp.a._gap_matrix(t.graph.basis), dp.b._gap_matrix(dp.b_star.graph.basis)
     d, k = dp.a.graph.dim, dp.b_star.graph.dim
     rounding = 8 * np.finfo(float).eps
@@ -215,7 +226,7 @@ def test_deficiency_rejects_nonsymmetric():
 def test_imaginary_members_on_explicit_relation():
     # graph of multiplication by i in C^1: the +i members are everything
     rel = cs.from_matrix(np.array([[1j]]))
-    plus, minus = rel.imaginary_members()
+    plus, minus = imaginary_members(rel)
     assert (plus.dim, minus.dim) == (1, 0)
     assert within(plus, np.array([1.0, 1j]), 1e-14)
 
@@ -247,7 +258,7 @@ def test_deficiency_spaces_match_imaginary_members_of_frakA_star(spec):
     dp = doubled(spec)
     n2 = 2 * dp.ambient_dim
     assert dp.n_plus.dim > 0
-    for mine, members in zip((dp.n_plus, dp.n_minus), dp.frakA_star.imaginary_members()):
+    for mine, members in zip((dp.n_plus, dp.n_minus), imaginary_members(frak_a_star(dp))):
         assert cs.subspace_equal(mine, cs.orthonormal_basis(members.basis[:n2], dp.tol, n2))
 
 
@@ -313,11 +324,12 @@ def test_frakM_kernel_mutations_fail_the_von_neumann_count(monkeypatch, kernel, 
     assert _statuses(cs.deficiency(doubled(spec)))["dim_nplus_equals_dim_nminus"] == "fail"
 
 
-def test_vn_decomposition_operator_regime(rng):
-    # symmetric everywhere-defined matrix: zero defect, checks exact
+def test_vn_oracle_operator_regime(rng):
+    # the 4n-row oracle on a symmetric everywhere-defined matrix, not a
+    # doubled one: zero defect, checks exact
     h = cs.random_symmetric(4, rng)
     h = cs.from_matrix(h + np.conj(h.T))  # hermitian
-    rep = cs.vn_decomposition(h.adjoint())
+    rep = vn_oracle(h.adjoint())
     assert rep.regime == "operator"
     assert rep.checks.all_pass
     assert rep.subspaces["n_hat_plus"].dim == 0
@@ -326,18 +338,17 @@ def test_vn_decomposition_operator_regime(rng):
 def test_vn_decomposition_with_defect():
     # doubled minimal identity: symmetric with defect (2, 2)
     dp = doubled(cs.minimal_identity())
-    rep = cs.vn_decomposition(dp.frakA)
+    rep = cs.vn_decomposition(dp)
     assert rep.checks.all_pass, rep.checks.to_list()
-    assert rep.subspaces["n_hat_plus"].dim == 2
-    assert rep.subspaces["n_hat_minus"].dim == 2
-    total = rep.subspaces["graph_t"].dim + 4
-    assert total == dp.frakA_star.graph.dim
+    assert rep.subspaces["n_plus"].dim == 2
+    assert rep.subspaces["n_minus"].dim == 2
+    assert frak_a(dp).graph.dim + 4 == frak_a_star(dp).graph.dim
 
 
 def test_vn_decomposition_relation_regime_measures_independence():
     # F_zero doubled: adjoint is multivalued, domain form degrades honestly
     dp = doubled(cs.zero_on_subspace(4))
-    rep = cs.vn_decomposition(dp.frakA)
+    rep = cs.vn_decomposition(dp)
     assert rep.regime == "relation"
     assert rep.checks.all_pass
     assert rep.measurements["eigenspace_sum_direct"] is False
@@ -345,60 +356,113 @@ def test_vn_decomposition_relation_regime_measures_independence():
     assert "domain_decomposition" in skipped
 
 
-def test_vn_rejects_nonsymmetric(rng):
+def test_vn_rejects_nonsymmetric():
     with pytest.raises(cs.InputError):
-        cs.vn_decomposition(cs.from_matrix(random_complex(rng, 3, 3) + np.diag([9.0, 0, 0])))
+        cs.vn_decomposition(doubled(_nonsymmetric_spec()))
+
+
+VN_ORACLE_SPECS = [
+    *(cs.build_example(name, n=16) for name in sorted(cs.fixtures.EXAMPLE_BUILDERS)),
+    *(cs.race_schrodinger(n) for n in (8, 24, 26, 28, 32)),
+]
+
+
+@pytest.mark.parametrize("spec", VN_ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_vn_decomposition_matches_the_4n_row_oracle(spec):
+    # oracle: the generic von Neumann decomposition of frakA on its 4n-row
+    # bases (intersects with the graphs of +-i in C^(4n), kernel_one_plus of
+    # frakA* with itself).  The block-pair form reports the same regime,
+    # checks, statuses and details, and every residual of both lies within
+    # the bound; race n=24 and 26 fail the kernel split in both
+    dp = doubled(spec)
+    mine = cs.vn_decomposition(dp)
+    oracle = vn_oracle(frak_a(dp), frak_a_star(dp))
+    assert mine.regime == oracle.regime
+    rows = [[(c.name, c.status, c.detail) for c in rep.checks] for rep in (mine, oracle)]
+    assert rows[0] == rows[1]
+    bound = dp.tol.bound()
+    assert all(c.residual <= bound for rep in (mine, oracle) for c in rep.checks if c.residual is not None)
+    assert mine.measurements == oracle.measurements
+    assert mine.subspaces["kernel_sq"].dim == oracle.subspaces["kernel_sq"].dim
 
 
 def _vn_failures(dp):
-    """The failing checks of vn_decomposition on dp's frakA."""
-    checks = cs.vn_decomposition(dp.frakA, dp.frakA_star).checks
+    """The failing checks of vn_decomposition on dp."""
+    checks = cs.vn_decomposition(dp).checks
     return {name for name, status in _statuses(checks).items() if status == "fail"}
 
 
-def _turned(space, towards):
-    """space with its first basis column turned by 0.1 rad towards the unit
-    vector `towards`, orthogonal to every column of space."""
-    b = space.basis.copy()
+def _turned(basis, towards):
+    """basis with its first column turned by 0.1 rad towards the unit vector
+    `towards`, orthogonal to every column of basis."""
+    b = basis.copy()
     b[:, 0] = np.cos(0.1) * b[:, 0] + np.sin(0.1) * towards
-    return cs.Subspace(b)
+    return b
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
-def test_vn_member_orthogonal_to_graph_catches_a_tilted_member(monkeypatch, sign):
-    # mutation: one N_hat member turned towards graph(T); its first
-    # components move out of N((T*)^2 + I), so the kernel split fails with it
+def test_vn_member_orthogonal_to_graph_catches_a_tilted_member(sign):
+    # mutation: one column w of N+- turned towards a unit d orthogonal to
+    # N+-.  d = (g_x, -+i g_y) for a column g = (g_x, g_y) of graph(B), so
+    # the (x, u) block (d_x, +-i d_y) of (d, +-id) is g: the N_hat member
+    # (w, +-iw)/sqrt(2) leans into graph(frakA), and w leaves
+    # N((T*)^2 + I), so the kernel split fails with it.  d is orthogonal to
+    # N+- = [Y; +-iX] because JM = [Y; -X] is orthogonal to graph(B),
+    # M = [X; Y] frakM's basis
     dp = doubled(cs.race_schrodinger(16))
     assert _vn_failures(dp) == set()
-    plus, minus = dp.frakA_star.imaginary_members()
-    towards = dp.frakA.graph.basis[:, 0]
-    members = (_turned(plus, towards), minus) if sign == "plus" else (plus, _turned(minus, towards))
-    monkeypatch.setattr(cs.LinearRelation, "imaginary_members", lambda self: members)
-    assert _vn_failures(dp) == {f"graph_orth_t_nhat_{sign}", "kernel_splits_into_eigenspace_members"}
+    n = dp.ambient_dim
+    g = dp.b.graph.basis[:, 0]
+    unit = 1j if sign == "plus" else -1j
+    towards = np.concatenate([g[:n], -unit * g[n:]])
+    space = dp.n_plus if sign == "plus" else dp.n_minus
+    assert np.abs(space.basis.conj().T @ towards).max() <= 1e-12
+    tilted = cs.Subspace(_turned(space.basis, towards), dp.tol)
+    mutated = dataclasses.replace(dp, **{f"n_{sign}": tilted})
+    assert _vn_failures(mutated) == {f"graph_orth_t_nhat_{sign}", "kernel_splits_into_eigenspace_members"}
 
 
 def test_vn_members_orthogonal_to_each_other_catches_a_tilted_member(monkeypatch):
-    # mutation: N_hat_plus's first column turned towards N_hat_minus; the
-    # sums and the first components keep their spans, so this check alone fails
+    # mutation: N_hat_plus's first column turned towards N_hat_minus's, in
+    # both row blocks; the graph sums and N+- keep their spans, so this
+    # check alone fails
     dp = doubled(cs.race_schrodinger(16))
-    plus, minus = dp.frakA_star.imaginary_members()
-    members = (_turned(plus, minus.basis[:, 0]), minus)
-    monkeypatch.setattr(cs.LinearRelation, "imaginary_members", lambda self: members)
+    original = cs.doubling._imaginary_pair
+    minus = original(dp.n_minus.basis, -1)
+
+    def tilted(w, sign):
+        pair = original(w, sign)
+        if sign < 0:
+            return pair
+        # the first columns of the two blocks are one unit column of C^(4n)
+        return tuple(_turned(block, other[:, 0]) for block, other in zip(pair, minus))
+
+    monkeypatch.setattr(cs.doubling, "_imaginary_pair", tilted)
     assert _vn_failures(dp) == {"graph_orth_nhat_plus_minus"}
 
 
 def test_vn_decomposition_catches_a_short_graph_sum(monkeypatch):
-    # mutation: the graph-level sums lose their last direction; the kernel
-    # split sums first components, one level down, and keeps its own
+    # mutation: the graph-level sums graph(A) + M and graph(B) + JM lose
+    # their last direction; the kernel split sums N+ and N-, one level down,
+    # and keeps its own
     dp = doubled(cs.race_schrodinger(16))
-    graph_ambient = 2 * dp.frakA.ambient_dim
     subspace_sum = cs.doubling.subspace_sum
 
     def short(s1, s2):
         total = subspace_sum(s1, s2)
-        return cs.Subspace(total.basis[:, :-1]) if s1.ambient_dim == graph_ambient else total
+        return cs.Subspace(total.basis[:, :-1]) if s1 is dp.a.graph or s1 is dp.b.graph else total
 
     monkeypatch.setattr(cs.doubling, "subspace_sum", short)
+    assert _vn_failures(dp) == {"graph_decomposition_spans_adjoint"}
+
+
+def test_vn_graph_sum_counts_catch_a_dependent_frakM_column():
+    # mutation: frakM's basis repeats a column after N+- are built, so the
+    # sums still span graph(B*) and graph(A*) but fall one short of
+    # dim graph(A) + dim frakM: the dimension count alone refuses it
+    dp = doubled(cs.race_schrodinger(16))
+    m = dp.frakM.basis
+    object.__setattr__(dp, "frakM", cs.linalg._trusted(np.hstack([m, m[:, :1]]), dp.tol))
     assert _vn_failures(dp) == {"graph_decomposition_spans_adjoint"}
 
 
@@ -504,10 +568,10 @@ def test_operator_regime_has_no_defect(build):
     # everywhere-defined C-symmetric A has CAC = A*, so frakA = frakA* and
     # every defect space is {0}
     dp = build()
-    assert dp.frakA.equals(dp.frakA_star)
-    vn = cs.vn_decomposition(dp.frakA, dp.frakA_star)
+    assert frak_a(dp).equals(frak_a_star(dp))
+    vn = cs.vn_decomposition(dp)
     assert vn.regime == "operator"
-    assert [vn.subspaces[name].dim for name in ("kernel_sq", "n_hat_plus", "n_hat_minus")] == [0, 0, 0]
+    assert [vn.subspaces[name].dim for name in ("kernel_sq", "n_plus", "n_minus")] == [0, 0, 0]
     race = cs.race_decomposition(dp)
     assert race.regime == "operator"
     assert race.measurements == {"dim_kernel": 0, "two_dim_nplus": 0}

@@ -18,11 +18,13 @@ from csymlab.extensions import (
 
 from conftest import (
     DEFECT_SPECS,
+    block_relation,
     block_slices,
     bordered_doubled_residuals,
     cayley_oracle,
     count_calls,
     doubled_extension,
+    frak_a,
     greedy_isotropic_oracle,
     hit_relations,
     nonblock_parameter,
@@ -449,7 +451,7 @@ def test_qr_adjoints_span_the_svd_complement(spec):
     # extension where A is C-symmetric); B* = C A* C spans B's adjoint
     dp = doubled(spec)
     bound = dp.tol.bound()
-    rels = [dp.a, dp.b, dp.frakA]
+    rels = [dp.a, dp.b, frak_a(dp)]
     if cs.is_c_symmetric(dp.a, dp.c):
         rels.append(cs.canonical_extension(dp).a_ext)
     for rel in rels:
@@ -913,7 +915,7 @@ def test_bordered_checks_fail_on_a_turned_new_column(monkeypatch, spec):
         u, cols = _deficiency_span(dp, p)
         s, t = _closed_form_slices(dp, cols)
         s_new = _new_columns(_turn_first_new_column(s, dp.a), dp.a)
-        return u, 2 * cs.block_relation(s_new, _new_columns(t, dp.b)).graph.basis
+        return u, 2 * block_relation(s_new, _new_columns(t, dp.b)).graph.basis
 
     monkeypatch.setattr(cs.extensions, "_deficiency_span", turned)
     status = {c.name: c.status for c in cs.extension_from_parameter(dp, p).checks}
@@ -1026,7 +1028,7 @@ def test_bordered_checks_against_full_basis_oracle(spec):
         for name, value in block_form.items():
             assert abs(value - bordered[name]) <= rounding, name
         # at equal dimensions the largest angle is the same both ways
-        block = cs.block_relation(s, t)
+        block = block_relation(s, t)
         assert bordered["reassembly"] <= cs.max_angle_sin(block.graph, frak.graph) + rounding <= bound
 
 
@@ -1073,7 +1075,7 @@ def test_recover_parameter_matches_full_cayley_transform(spec):
             u = cs.recover_parameter(dp, a_tilde).matrix
             # reference: V = Q P^-1 on all of C^(2n), restricted to N+ afterwards
             conj = cs.LinearRelation(cs.Subspace(a_tilde.conjugated_basis(dp.c)))
-            g = cs.block_relation(a_tilde, conj).graph.basis
+            g = block_relation(a_tilde, conj).graph.basis
             v = np.linalg.solve((g[n2:] + 1j * g[:n2]).T, (g[n2:] - 1j * g[:n2]).T).T
             reference = dp.n_minus.basis.conj().T @ v @ dp.n_plus.basis
             np.testing.assert_allclose(u, reference, rtol=0, atol=1e-12)

@@ -262,7 +262,8 @@ def test_cli_tol_reaches_the_conjugation(example):
     spec = load_problem(build_parser().parse_args(["check", "--example", example, "--tol", "1e-12"]))
     dp = spec.doubled()
     assert spec.tol == cs.Tolerance(1e-12)
-    assert all(obj.tol == spec.tol for obj in (spec.conjugation(), dp.c, dp.frakC, dp.a, dp.frakA_star, dp.n_plus))
+    objects = (spec.conjugation(), dp.c, dp.frakC, dp.a, dp.a_star, dp.b_star, dp.n_plus)
+    assert all(obj.tol == spec.tol for obj in objects)
 
 
 def test_cli_check_runs(capsys):
@@ -460,60 +461,62 @@ def test_cli_verify_all_builds_relation_once(monkeypatch, capsys):
 
 def test_cli_verify_all_adjoint_count_pinned(monkeypatch, capsys):
     # A* is built once, by check's C-symmetry test, and reused from the cache
-    # by the domain criterion and the doubling; frakA* is assembled from A*
-    # and B*, and C-self-adjointness, the extensions' domain_sum_star and vn
-    # build none
+    # by the domain criterion and the doubling; frakA* is read as the block
+    # pair (B*, A*), and C-self-adjointness, the extensions' domain_sum_star
+    # and vn build none
     calls = count_calls(monkeypatch, cs.LinearRelation, "_adjoint")
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
 
 
-def test_cli_verify_all_imaginary_members_count_pinned(monkeypatch, capsys):
-    # vn's N_hat+- are the members (w, +-iw) of frakA*, intersected once and
-    # then read from its cache; N+- of the doubled problem are read off
-    # frakM and intersect nothing
-    calls = count_calls(monkeypatch, cs.LinearRelation, "_imaginary_members")
-    assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("command", [["deficiency"], ["extend"], ["extend", "--swap"]], ids=" ".join)
-def test_cli_defect_geometry_takes_no_svd_in_c4n(monkeypatch, capsys, command):
-    # N+- come from frakM in C^(2n) and the doubled extension grows graph(frakA)
-    # by columns orthonormal as built, so no SVD has more than 2n rows and
-    # frakA*'s imaginary members are never intersected
+def _record_svd_rows(monkeypatch):
+    """The row count of every np.linalg.svd operand, of each matrix of a
+    stack, in call order."""
     rows = []
     svd = np.linalg.svd
 
     def counted_svd(a, *args, **kwargs):
-        rows.append(np.shape(a)[0])
+        rows.append(np.shape(a)[-2])
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    members = count_calls(monkeypatch, cs.LinearRelation, "_imaginary_members")
+    return rows
+
+
+DEFECT_COMMANDS = (["deficiency"], ["extend"], ["extend", "--swap"], ["verify-all"])
+
+
+@pytest.mark.parametrize("command", DEFECT_COMMANDS, ids=" ".join)
+def test_cli_defect_geometry_takes_no_svd_in_c4n(monkeypatch, capsys, command):
+    # N+- come from frakM in C^(2n), the doubled extension grows graph(frakA)
+    # by columns orthonormal as built, and vn reads frakA, frakA* and N_hat+-
+    # as block pairs of 2n-row pieces, so no SVD has more than 2n rows
+    rows = _record_svd_rows(monkeypatch)
     n = 16
     assert main([*command, "--example", "race_schrodinger", "--n", str(n), "--h", "0.02"]) == 0
     capsys.readouterr()
     assert rows and max(rows) <= 2 * n
-    assert len(members) == 0
 
 
 @pytest.mark.parametrize("name", sorted(cs.fixtures.EXAMPLE_BUILDERS))
 def test_cli_defect_commands_build_no_block_relation(monkeypatch, capsys, name):
     # build_doubled decides frakA* on the one-space graphs, deficiency counts
-    # their dimensions and the extension checks read the row blocks of the
-    # deficiency columns, so these commands pass with the 4n-row block
-    # constructors refusing every call; frakA and frakA* are vn's alone
-    def refuse(*args):
-        raise AssertionError("a 4n-row block basis was built")
-
-    for helper in ("block_relation", "_block_columns"):
-        patch_everywhere(monkeypatch, cs.doubling, helper, refuse)
-    for command in (["deficiency"], ["extend"], ["extend", "--swap"]):
-        assert main([*command, "--example", name, "--n", "16"]) == 0, command
+    # their dimensions, the extension checks read the row blocks of the
+    # deficiency columns and vn reads graph(frakA), graph(frakA*) and N_hat+-
+    # as block pairs, so the package has no 4n-row block constructor, nor
+    # the intersection of frakA* with the graphs of +-i, and these commands
+    # take no SVD with more than 2n rows on every fixture
+    for module in [mod for name_, mod in sys.modules.items() if name_.partition(".")[0] == "csymlab"]:
+        assert not {"block_relation", "_block_columns"} & set(vars(module)), module.__name__
+    assert not any(hasattr(cs.LinearRelation, name_) for name_ in ("imaginary_members", "_imaginary_members"))
+    assert not any(hasattr(cs.DoubledProblem, name_) for name_ in ("frakA", "frakA_star"))
+    rows = _record_svd_rows(monkeypatch)
+    n = 16
+    for command in DEFECT_COMMANDS:
+        assert main([*command, "--example", name, "--n", str(n)]) == 0, command
     capsys.readouterr()
+    assert rows and max(rows) <= 2 * n
 
 
 def test_cli_extend_traced_peak_pinned(capsys):
@@ -619,8 +622,8 @@ def test_cli_verify_all_factors_each_matrix_once(tmp_path, monkeypatch, capsys):
 def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, count):
     # domain, multivalued part and operator test share one top-block SVD per
     # relation given by its graph whose domain is read: in verify-all the two
-    # extensions'.  check reads no D(A*).  A, B = CAC and frakA = block(A, B)
-    # carry their domains, and vn's regime is frakA's, so frakA* takes none
+    # extensions'.  check reads no D(A*).  A and B = CAC carry their domains,
+    # and vn's regime reads their operator tests, so it takes none
     calls = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
     assert main([command, "--spec", _complex_symmetric_n32(tmp_path)]) == 0
     capsys.readouterr()
@@ -717,11 +720,12 @@ def test_cli_check_reads_an_extreme_operator_as_an_operator(tmp_path, capsys):
 
 
 def test_cli_race_n24_fails_only_at_the_vn_kernel_split(capsys):
-    # race at the default h, n=24: the eigenspace members' first components
-    # lie 4.8e-7 from N((T*)^2+I) of frakA*, past the 1e-7 bound, so vn's
-    # kernel split fails and nothing else; the race section reports the
-    # exact dim_kernel 4.  extend and enumerate build no vn decomposition
-    # and pass
+    # race at the default h, n=24: N+ + N-, the first components of the
+    # eigenspace members, lies 1.2e-6 from N((T*)^2+I) = N(I + B*A*) x
+    # N(I + A*B*), past the 1e-7 bound (frakM's second components against
+    # kernel_one_plus's N(I + B*A*)), so vn's kernel split fails and nothing
+    # else; the race section reports the exact dim_kernel 4.  extend and
+    # enumerate build no vn decomposition and pass
     example = ["--example", "race_schrodinger", "--n", "24"]
     for command in ("extend", "enumerate"):
         assert main([command, *example]) == 0
@@ -733,6 +737,19 @@ def test_cli_race_n24_fails_only_at_the_vn_kernel_split(capsys):
         "vnkernel_splits_into_eigenspace_members"
     ]
     assert out["results"]["race"]["measurements"]["dim_kernel"] == 4
+
+
+def test_cli_race_n22_splits_the_kernel_exactly(capsys):
+    # race at the default h, n=22: N+ + N- lies 9.1e-8 from N(I + B*A*) x
+    # N(I + A*B*), inside the 1e-7 bound, so verify-all passes with the
+    # exact dims.  The margin is rounding: the 4n-row oracle
+    # (conftest.vn_oracle) fails here, at 1.06e-7 from
+    # kernel_one_plus(frakA*, frakA*)
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "22"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["race"]["measurements"]["dim_kernel"] == 4
+    (split,) = [c for c in out["check_list"] if c["name"] == "vnkernel_splits_into_eigenspace_members"]
+    assert (split["status"], split["detail"]) == ("pass", "dim N((T*)^2+I) = 8")
 
 
 @pytest.mark.parametrize(
@@ -838,8 +855,9 @@ def test_cli_m_spaces_identity_catches_short_kernel(monkeypatch, capsys):
 
 
 def test_cli_vn_kernel_check_catches_short_kernel(monkeypatch, capsys):
-    # mutation: N((T*)^2 + I) misses a direction in vn_decomposition only
-    monkeypatch.setattr(cs.doubling, "kernel_one_plus", _drop_first_column(cs.kernel_one_plus))
+    # mutation: vn's embedded N((T*)^2 + I) misses a direction; the M-spaces
+    # it is read from, which m_spaces checks and race reads, stay whole
+    monkeypatch.setattr(cs.doubling, "_square_kernel", _drop_first_column(cs.doubling._square_kernel))
     failing = _failing_checks(capsys, ["verify-all", "--example", "race_schrodinger", "--n", "16"])
     assert failing == {"vnkernel_splits_into_eigenspace_members"}
 

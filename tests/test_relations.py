@@ -11,7 +11,16 @@ import scipy.linalg
 
 import csymlab as cs
 
-from conftest import DEFECT_SPECS, full_relation, hit_relations, random_complex, within, zero_relation
+from conftest import (
+    DEFECT_SPECS,
+    frak_a,
+    frak_a_star,
+    full_relation,
+    hit_relations,
+    random_complex,
+    within,
+    zero_relation,
+)
 
 
 def random_relation(rng, n, k):
@@ -64,7 +73,7 @@ def test_given_domain_matches_the_graph(spec):
     # same graphs without them read domain, operator test and regime off
     # the top-block SVD
     dp = cs.build_doubled(spec.relation(), spec.conjugation())
-    for rel in (dp.a, dp.b, dp.frakA):
+    for rel in (dp.a, dp.b, frak_a(dp)):
         bare = cs.LinearRelation(rel.graph)
         assert rel.given_domain is not None and bare.given_domain is None
         assert within(rel.domain(), bare.domain(), 1e-9, equal=True)
@@ -281,7 +290,7 @@ def test_is_operator_matches_multivalued_part(rng):
         cs.random_restriction(4, 3),
     ):
         dp = cs.build_doubled(spec.relation(), spec.conjugation())
-        rels += [dp.a, dp.b, dp.a_star, dp.b_star, dp.frakA, dp.frakA_star]
+        rels += [dp.a, dp.b, dp.a_star, dp.b_star, frak_a(dp), frak_a_star(dp)]
         rels += hit_relations(dp, cs.brute_force_extensions(dp, budget=200, seed=0))
     n = 5
     for k in range(1, 2 * n + 1):
