@@ -115,19 +115,17 @@ def _jsonify(value):
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            return encode_matrix(value)
-        return [_jsonify(v) for v in value.tolist()]
+        return _jsonify(encode_matrix(value) if value.ndim == 2 else value.tolist())
     if isinstance(value, (complex, np.complexfloating)):
         z = complex(value)
-        return [z.real, z.imag]
+        return [_jsonify(z.real), _jsonify(z.imag)]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         f = float(value)
-        return ("inf" if f > 0 else "-inf") if np.isinf(f) else f
+        return f if np.isfinite(f) else str(f)
     return value
 
 
@@ -370,7 +368,7 @@ def build_report(command: str, spec: ProblemSpec, args) -> dict:
 
 
 def emit(payload: dict, json_path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if json_path:
         with open(json_path, "w") as handle:

@@ -19,10 +19,10 @@ computed independently.
 m_spaces and anti_involution read A, B = CAC, A*, B* and frakM from the
 DoubledProblem that owns them (doubling.build_doubled), which caches both
 results.  frakM is built there, since N+- are read off its basis; m_spaces
-adds frakM' = graph(A*) - graph(B), by the same kernel as frakM
-(linalg.orthogonal_difference), and the kernels of I + A*B* and I + B*A*,
-each from one intersect in the middle coordinate
-(relations.kernel_one_plus), independent of frakM.
+adds frakM' = J frakM (MSpaces), the graph sums graph(A) + frakM and
+graph(B) + frakM', and the kernels of I + A*B* and I + B*A*, each from one
+intersect in the middle coordinate (relations.kernel_one_plus),
+independent of frakM.
 
 m_spaces, anti_involution and doubling.deficiency share one guard,
 _require_c_symmetric: B inside A*, or PreconditionError.  It builds no
@@ -30,7 +30,7 @@ M-space, so the extension builders, which reach it through omega and
 anti_involution, never build frakM'; the defect decompositions of
 verify-all are the only readers of m_spaces: race_decomposition, and
 vn_decomposition, whose kernel of (frakA*)^2 + I is N(I + B*A*) x
-N(I + A*B*).
+N(I + A*B*), compared there with N+ + N-.
 """
 
 from __future__ import annotations
@@ -42,14 +42,7 @@ import numpy as np
 
 from .antilinear import AntiLinearMap, Conjugation, preserves_subspace
 from .errors import PreconditionError, PropertyViolationError
-from .linalg import (
-    Subspace,
-    Tolerance,
-    _norm_within,
-    orthogonal_difference,
-    orthonormal_basis,
-    subspace_equal,
-)
+from .linalg import Subspace, _norm_within, _trusted, subspace_equal, subspace_sum
 from .relations import LinearRelation, _adjoint_gaps, kernel_one_plus
 
 if TYPE_CHECKING:
@@ -96,15 +89,19 @@ def domain_criterion(a_tilde: LinearRelation, a: LinearRelation, c: Conjugation)
 class MSpaces:
     """The defect geometry between graph(A) and graph(B*) beyond frakM.
 
-    frakM_prime = graph(A*) - graph(B) is the orthogonal difference in
-    H + H, the companion of DoubledProblem.frakM = graph(B*) - graph(A).
-    m_bstar and m_astar are the kernels N(I + A* о B*) and N(I + B* о A*),
-    computed by kernel_one_plus and not read off frakM, so that their
-    first-component identity with frakM and frakM_prime, established in
-    m_spaces, compares two independent computations.
+    frakM_prime = graph(A*) - graph(B) is J frakM, J(x, y) = (y, -x), with
+    basis [Y; -X] for frakM's [X; Y]: J is unitary and maps graph(B*) =
+    (J graph(B))^perp onto graph(B)^perp, graph(A)^perp onto graph(A*).
+    bstar_sum = graph(A) + frakM and astar_sum = graph(B) + frakM' are the
+    sums race_decomposition and vn_decomposition compare with graph(B*) and
+    graph(A*).  m_bstar and m_astar, the kernels N(I + A* о B*) and
+    N(I + B* о A*), come from kernel_one_plus, not from frakM, so that vn's
+    comparison with N+ + N- compares two independent computations.
     """
 
     frakM_prime: Subspace
+    bstar_sum: Subspace
+    astar_sum: Subspace
     m_bstar: Subspace
     m_astar: Subspace
 
@@ -119,20 +116,16 @@ def m_spaces(dp: DoubledProblem) -> MSpaces:
     """The M-spaces of dp's A, B, A* and B*; raises PreconditionError
     unless A is C-symmetric."""
     _require_c_symmetric(dp)
-    frak_m = dp.frakM
+    m = dp.frakM.basis
     n = dp.ambient_dim
-    frak_m_prime = orthogonal_difference(dp.a_star.graph, dp.b.graph)
-    m_bstar = kernel_one_plus(dp.a_star, dp.b_star)
-    m_astar = kernel_one_plus(dp.b_star, dp.a_star)
-    # kernel of I + A*B* = first components of frakM, in every regime
-    first = orthonormal_basis(frak_m.basis[:n], frak_m.tol, n)
-    first_prime = orthonormal_basis(frak_m_prime.basis[:n], frak_m.tol, n)
-    if not subspace_equal(m_bstar, first) or not subspace_equal(m_astar, first_prime):
-        raise PropertyViolationError(
-            "kernels of I + A*B* and I + B*A* disagree with the first components of the M-spaces",
-            {"dims": abs(m_bstar.dim - first.dim) + abs(m_astar.dim - first_prime.dim)},
-        )
-    return MSpaces(frak_m_prime, m_bstar, m_astar)
+    frak_m_prime = _trusted(np.vstack([m[n:], -m[:n]]), dp.tol)
+    return MSpaces(
+        frak_m_prime,
+        subspace_sum(dp.a.graph, dp.frakM),
+        subspace_sum(dp.b.graph, frak_m_prime),
+        kernel_one_plus(dp.a_star, dp.b_star),
+        kernel_one_plus(dp.b_star, dp.a_star),
+    )
 
 
 def anti_involution(dp: DoubledProblem) -> AntiLinearMap:

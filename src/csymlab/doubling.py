@@ -267,25 +267,27 @@ def vn_decomposition(dp: DoubledProblem) -> DecompositionReport:
     (_imaginary_pair of N+- = [Y; +-iX]).  So graph(frakA) is orthogonal to
     N_hat_+- iff graph(A)^H (+-iM) and graph(B)^H JM vanish, N_hat_+ to
     N_hat_- iff (-M^H M + (JM)^H JM)/2 does, and the three span graph(frakA*)
-    iff graph(A) + M = graph(B*) and graph(B) + JM = graph(A*).
+    iff graph(A) + M = graph(B*) and graph(B) + JM = graph(A*), the cached
+    M-spaces' sums (JM is frakM').
 
     The splitting of N((frakA*)^2 + I) into the first components of
-    N_hat_+-, that is into N+ + N-, is additionally checked; the kernel is
-    N(I + B*A*) x N(I + A*B*) (_square_kernel), from the cached M-spaces,
-    whose kernel_one_plus does not read N+-.  Raises PreconditionError
-    unless A is C-symmetric (frakA symmetric).
+    N_hat_+-, N+ + N- = span(Y) x span(X), is additionally checked, the one
+    check of the kernels against frakM: the kernel is N(I + B*A*) x
+    N(I + A*B*) (_square_kernel), from the cached M-spaces, whose
+    kernel_one_plus does not read N+-.  Its n-row form, each kernel against
+    one component of frakM, passed race_schrodinger(26) with dim 3, not 4.
+    Raises PreconditionError unless A is C-symmetric (frakA symmetric).
 
     There is no domain-level check D(frakA*) = D(frakA) + N((frakA*)^2 + I).
-    In the operator regime (dim graph(A) + dim graph(B) = 2n and both are
-    operators, so frakA is an everywhere-defined operator), frakA inside
-    frakA* and dim graph(frakA*) = 4n - 2n give frakA = frakA*, so
+    In A's operator regime frakA is an everywhere-defined operator (B = CAC
+    has A's graph dimension and top-block singular values), so frakA inside
+    frakA* and dim graph(frakA*) = 4n - 2n give frakA = frakA*,
     (frakA*)^2 + I is injective and the form says nothing.  Otherwise
     mul frakA* = D(frakA)^perp is not {0}, the form is skipped and the
     independence of the eigenspace sum is recorded as a measurement.
     """
     spaces = dp.spaces  # raises PreconditionError unless C-symmetric
     bound = dp.tol.bound()
-    n = dp.ambient_dim
     checks = CheckList()
     measurements = {}
     hats = {"plus": _imaginary_pair(dp.n_plus.basis, 1), "minus": _imaginary_pair(dp.n_minus.basis, -1)}
@@ -295,12 +297,8 @@ def vn_decomposition(dp: DoubledProblem) -> DecompositionReport:
     (yv_plus, xu_plus), (yv_minus, xu_minus) = hats.values()
     cross = yv_plus.conj().T @ yv_minus + xu_plus.conj().T @ xu_minus
     checks.add_residual("graph_orth_nhat_plus_minus", float(np.abs(cross).max(initial=0.0)), bound)
-    m = dp.frakM.basis
-    jm = _trusted(np.vstack([m[n:], -m[:n]]), dp.tol)
-    spans = True
-    for small, part, big in ((dp.a, dp.frakM, dp.b_star), (dp.b, jm, dp.a_star)):
-        total = subspace_sum(small.graph, part)
-        spans = spans and subspace_equal(total, big.graph) and total.dim == small.graph.dim + part.dim
+    sums = ((spaces.bstar_sum, dp.a, dp.frakM, dp.b_star), (spaces.astar_sum, dp.b, spaces.frakM_prime, dp.a_star))
+    spans = all(subspace_equal(t, big.graph) and t.dim == small.graph.dim + part.dim for t, small, part, big in sums)
     k = dp.frakM.dim
     checks.add(
         "graph_decomposition_spans_adjoint",
@@ -314,13 +312,12 @@ def vn_decomposition(dp: DoubledProblem) -> DecompositionReport:
         subspace_equal(kernel, eig_sum),
         detail=f"dim N((T*)^2+I) = {kernel.dim}",
     )
-    operator = dp.a.graph.dim + dp.b.graph.dim == 2 * n and dp.a.is_operator and dp.b.is_operator
-    if not operator:
+    if dp.a.regime != "operator":
         measurements["eigenspace_sum_direct"] = eig_sum.dim == dp.n_plus.dim + dp.n_minus.dim
         reason = "adjoint is multivalued; the decomposition is expressed at graph level"
         checks.skip("domain_decomposition", reason)
     return DecompositionReport(
-        "operator" if operator else "relation",
+        dp.a.regime,
         {"n_plus": dp.n_plus, "n_minus": dp.n_minus, "kernel_sq": kernel},
         checks,
         measurements,
@@ -344,11 +341,10 @@ def race_decomposition(dp: DoubledProblem) -> DecompositionReport:
     bound = dp.tol.bound()
     checks = CheckList()
     # graph(B*) = graph(A) + frakM and graph(A*) = graph(B) + frakM'
-    for name, big, small, m_part in (
-        ("bstar_decomposition", dp.b_star, a, dp.frakM),
-        ("astar_decomposition", dp.a_star, dp.b, spaces.frakM_prime),
+    for name, big, small, m_part, total in (
+        ("bstar_decomposition", dp.b_star, a, dp.frakM, spaces.bstar_sum),
+        ("astar_decomposition", dp.a_star, dp.b, spaces.frakM_prime, spaces.astar_sum),
     ):
-        total = subspace_sum(small.graph, m_part)
         ok = subspace_equal(total, big.graph) and _cross_residual(small.graph.basis, m_part.basis) <= bound
         checks.add(name, ok, detail=f"dims {small.graph.dim}+{m_part.dim} vs {big.graph.dim}")
     # C maps N(I + A*B*) onto N(I + B*A*)

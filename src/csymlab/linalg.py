@@ -16,18 +16,18 @@ Every SVD and matrix norm of the package is one of four kinds:
 - Rank decision (the rank is unknown; singular values are cut at
   zero_cutoff): orthonormal_basis on data from outside (a ProblemSpec's
   non-orthonormal domain columns, an "onb" parameter) and on projections
-  (kernel_one_plus's and m_spaces' first components, extensions' domain
-  sums); _ranked_svd, its cut matrix by matrix on stacks of m-row matrices
-  (the sweep's candidates and the spans of its isotropic completions);
+  (kernel_one_plus's first components, extensions' domain sums);
+  _ranked_svd, its cut matrix by matrix on stacks of m-row matrices (the
+  sweep's candidates and the spans of its isotropic completions);
   extend_basis's SVD of the new residual, and _bordered's on the stacked
   residuals of the enumerate round trip's rebuilt columns and on the
   relation that recover_parameter is given; intersect, and through it
-  kernel_one_plus; orthogonal_difference, and through it frakM and frakM'
-  (build_doubled, m_spaces); LinearRelation._top_svd (domain, multivalued
-  part, is_operator) of a relation given by its graph
-  alone, and its cut on the singular values alone (compute_uv=False) of the
-  stacked top blocks of the round trip's hits; polar's rank r and takagi's
-  grouping of the same singular values.
+  kernel_one_plus; orthogonal_difference, and through it frakM
+  (build_doubled); LinearRelation._top_svd (domain, multivalued part,
+  is_operator) of a relation given by its graph alone, and its cut on the
+  singular values alone (compute_uv=False) of the stacked top blocks of
+  the round trip's hits; polar's rank r and takagi's grouping of the same
+  singular values.
 - Structural rank (the rank is known by construction, so the SVD only
   re-orthonormalizes, uncut): complement; operator_relation's graph
   [D; AD] (rank that of D); extensions._sweep_frame, the one
@@ -41,8 +41,9 @@ Every SVD and matrix norm of the package is one of four kinds:
   the trailing columns of one complete Householder QR.  Images under C
   (LinearRelation.conjugated for B = CAC, build_doubled's B* = C A* C, and
   Conjugation.map_subspace for D(B) = C D(A) and the C-images of the
-  kernels), under frakE (N+) and under S (extension_from_parameter's S(L))
-  take the image of the orthonormal basis through _trusted.
+  kernels), under frakE (N+), under S (extension_from_parameter's S(L))
+  and under J (m_spaces' frakM' = J frakM) take the image of the
+  orthonormal basis through _trusted.
 - 2-norm value (a number that is reported or scales a cut), by
   _spectral_norm, the top eigenvalue of the smaller Gram matrix, with no
   SVD (_spectral_norms on stacks): max_angle_sin and adjoint_gap wherever

@@ -94,6 +94,12 @@ def svd_sweep_frame(dp):
     return cs.extensions._complement_formula_intersect(cs.complement(b_star), cs.complement(dp.a.graph))
 
 
+def frakM_prime_oracle(dp):
+    """frakM' = graph(A*) - graph(B) by its own orthogonal_difference SVD,
+    the oracle of m_spaces' J frakM."""
+    return cs.orthogonal_difference(dp.a_star.graph, dp.b.graph)
+
+
 def linear_map_subspace(self, s):
     """Conjugation.map_subspace with np.conj dropped: the linear image K B
     of S's basis B, a mutation of C x = K conj(x)."""

@@ -9,6 +9,7 @@ from csymlab.fixtures import EXAMPLE_BUILDERS
 from conftest import (
     DEFECT_SPECS,
     count_calls,
+    frakM_prime_oracle,
     full_relation,
     linear_map_subspace,
     random_complex,
@@ -79,6 +80,23 @@ def test_m_spaces_two_path_identity():
             assert overlap <= 1e-10
         total = cs.subspace_sum(dp.a.graph, dp.frakM)
         assert within(total, dp.b_star, 1e-9, equal=True)
+
+
+# every shipped fixture at n=16, and race at the default h over a sweep of n
+M_SPACE_SPECS = (
+    *(build(n=16) for build in EXAMPLE_BUILDERS.values()),
+    *(cs.race_schrodinger(n) for n in range(8, 33, 2)),
+)
+
+
+@pytest.mark.parametrize("spec", M_SPACE_SPECS, ids=lambda s: f"{s.name}_n{s.dim}")
+def test_m_spaces_frakM_prime_matches_the_orthogonal_difference(spec):
+    # frakM' = J frakM, J(x, y) = (y, -x), against graph(A*) - graph(B)
+    # by its own SVD: the same subspace, both ways
+    dp = spec.doubled()
+    mine, oracle = dp.spaces.frakM_prime, frakM_prime_oracle(dp)
+    assert mine.dim == oracle.dim == dp.frakM.dim
+    assert max(cs.max_angle_sin(mine, oracle), cs.max_angle_sin(oracle, mine)) <= 1e-12
 
 
 def test_m_spaces_trivial_for_selfadjoint(rng):

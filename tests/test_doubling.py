@@ -442,17 +442,17 @@ def test_vn_members_orthogonal_to_each_other_catches_a_tilted_member(monkeypatch
 
 
 def test_vn_decomposition_catches_a_short_graph_sum(monkeypatch):
-    # mutation: the graph-level sums graph(A) + M and graph(B) + JM lose
-    # their last direction; the kernel split sums N+ and N-, one level down,
-    # and keeps its own
+    # mutation: the graph-level sums graph(A) + M and graph(B) + JM, built
+    # once by m_spaces, lose their last direction; the kernel split sums N+
+    # and N-, one level down, and keeps its own
     dp = doubled(cs.race_schrodinger(16))
-    subspace_sum = cs.doubling.subspace_sum
+    subspace_sum = cs.csym.subspace_sum
 
     def short(s1, s2):
         total = subspace_sum(s1, s2)
         return cs.Subspace(total.basis[:, :-1]) if s1 is dp.a.graph or s1 is dp.b.graph else total
 
-    monkeypatch.setattr(cs.doubling, "subspace_sum", short)
+    monkeypatch.setattr(cs.csym, "subspace_sum", short)
     assert _vn_failures(dp) == {"graph_decomposition_spans_adjoint"}
 
 
@@ -499,24 +499,28 @@ def _race_statuses(dp):
 RACE_CHECKS = ("bstar_decomposition", "astar_decomposition", "c_maps_kernels", "selfadjointness_corollary")
 
 
-def test_race_decomposition_frakM_missing_a_column_fails_bstar_decomposition():
-    # mutation: frakM loses a direction after the M-spaces are built, so
-    # graph(A) + frakM falls one short of graph(B*)
+def _race_failures_with_short_sum(field):
+    """The failing RACE_CHECKS of race_schrodinger(16) after the M-spaces'
+    sum `field` loses a direction, once the honest run passes them all."""
     dp = doubled(cs.race_schrodinger(16))
     assert set(_race_statuses(dp)[name] for name in RACE_CHECKS) == {"pass"}
-    object.__setattr__(dp, "frakM", cs.linalg._trusted(dp.frakM.basis[:, 1:], dp.tol))
+    spaces = dp.spaces
+    short = cs.linalg._trusted(getattr(spaces, field).basis[:, 1:], dp.tol)
+    dp.__dict__["spaces"] = dataclasses.replace(spaces, **{field: short})
     status = _race_statuses(dp)
-    assert [name for name in RACE_CHECKS if status[name] == "fail"] == ["bstar_decomposition"]
+    return [name for name in RACE_CHECKS if status[name] == "fail"]
+
+
+def test_race_decomposition_frakM_missing_a_column_fails_bstar_decomposition():
+    # mutation: graph(A) + frakM, the sum m_spaces builds once for race and
+    # vn, falls one short of graph(B*)
+    assert _race_failures_with_short_sum("bstar_sum") == ["bstar_decomposition"]
 
 
 def test_race_decomposition_frakM_prime_missing_a_column_fails_astar_decomposition():
-    # mutation: frakM' = graph(A*) - graph(B) loses a direction
-    dp = doubled(cs.race_schrodinger(16))
-    spaces = dp.spaces
-    short = cs.linalg._trusted(spaces.frakM_prime.basis[:, 1:], dp.tol)
-    dp.__dict__["spaces"] = dataclasses.replace(spaces, frakM_prime=short)
-    status = _race_statuses(dp)
-    assert [name for name in RACE_CHECKS if status[name] == "fail"] == ["astar_decomposition"]
+    # mutation: graph(B) + frakM', frakM' = graph(A*) - graph(B), falls one
+    # short of graph(A*)
+    assert _race_failures_with_short_sum("astar_sum") == ["astar_decomposition"]
 
 
 def _gap_only(a, c):

@@ -817,7 +817,7 @@ def test_doubled_problem_caches_defect_geometry():
     rebuilt = cs.build_doubled(dp.a, dp.c)
     assert within(dp.frakM, rebuilt.frakM, 1e-10, equal=True)
     fresh = cs.m_spaces(rebuilt)
-    for name in ("frakM_prime", "m_bstar", "m_astar"):
+    for name in ("frakM_prime", "bstar_sum", "astar_sum", "m_bstar", "m_astar"):
         assert within(getattr(dp.spaces, name), getattr(fresh, name), 1e-10, equal=True)
 
 

@@ -769,11 +769,48 @@ def test_cli_verify_all_eigvalsh_count_pinned(monkeypatch, capsys):
     # the predicates (the sweep's filter, C-self-adjointness, containment)
     # decide by the Frobenius certificate and take no Gram eigenvalues; the
     # round trip takes the rank scales and angles of its 93 hits in 12
-    # stacked calls each, not one per hit (213 = 27 + 2 x 93 hit by hit)
+    # stacked calls each, not one per hit (211 = 25 + 2 x 93 hit by hit).
+    # The graph sums graph(A) + frakM and graph(B) + frakM' are built once,
+    # by m_spaces, for race and vn alike, so each takes one rank scale
     calls = _count_numpy_linalg(monkeypatch, "eigvalsh")
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "32"]) == 0
     capsys.readouterr()
-    assert len(calls) == 27 + 2 * 12
+    assert len(calls) == 25 + 2 * 12
+
+
+M_SPACE_EXAMPLES = [(name, 16) for name in sorted(cs.fixtures.EXAMPLE_BUILDERS)]
+M_SPACE_EXAMPLES += [("race_schrodinger", n) for n in range(8, 33, 2)]
+
+
+@pytest.mark.parametrize("example, n", M_SPACE_EXAMPLES)
+def test_cli_verify_all_builds_each_m_space_once(monkeypatch, capsys, example, n):
+    # frakM is verify-all's one orthogonal_difference and frakM' is J frakM;
+    # m_spaces takes no rank decision of its own, and graph(A) + frakM and
+    # graph(B) + frakM' are one subspace_sum each, which race and vn share
+    calls = {name: [] for name in ("orthogonal_difference", "orthonormal_basis", "subspace_sum")}
+    for name, seen in calls.items():
+
+        def recorded(*args, _original=getattr(cs.linalg, name), _seen=seen):
+            _seen.append((sys._getframe(1).f_code.co_name, args))
+            return _original(*args)
+
+        patch_everywhere(monkeypatch, cs.linalg, name, recorded)
+    problems = []
+
+    def build_doubled(a, c, _original=cs.build_doubled):
+        problems.append(_original(a, c))
+        return problems[-1]
+
+    patch_everywhere(monkeypatch, cs.doubling, "build_doubled", build_doubled)
+    main(["verify-all", "--example", example, "--n", str(n)])
+    assert "error" not in json.loads(capsys.readouterr().out)
+    (dp,) = problems
+    assert [caller for caller, _ in calls["orthogonal_difference"]] == ["build_doubled"]
+    assert "m_spaces" not in [caller for caller, _ in calls["orthonormal_basis"]]
+    sums = [args for _, args in calls["subspace_sum"] if args[0] is dp.a.graph or args[0] is dp.b.graph]
+    assert len(sums) == 2
+    assert sums[0][0] is dp.a.graph and sums[0][1] is dp.frakM
+    assert sums[1][0] is dp.b.graph and sums[1][1] is dp.spaces.frakM_prime
 
 
 def _drop_first_column(function):
@@ -847,16 +884,22 @@ def test_cli_norm_identities_fail_without_conjugating_y(monkeypatch, capsys, com
 
 
 def test_cli_m_spaces_identity_catches_short_kernel(monkeypatch, capsys):
-    # mutation: N(I + A*B*) misses a direction in m_spaces only
+    # mutation: N(I + A*B*) and N(I + B*A*) each miss a direction in
+    # m_spaces only; vn's kernel split, which compares their product with
+    # N+ + N- = span(Y) x span(X) for frakM = [X; Y], is the one check of
+    # the kernels against frakM, and it alone fails
     monkeypatch.setattr(cs.csym, "kernel_one_plus", _drop_first_column(cs.kernel_one_plus))
     assert main(["verify-all", "--example", "race_schrodinger", "--n", "16"]) == 1
     out = json.loads(capsys.readouterr().out)
-    assert "kernels of I + A*B* and I + B*A* disagree" in out["error"]
+    assert {c["name"] for c in out["check_list"] if c["status"] == "fail"} == {
+        "vnkernel_splits_into_eigenspace_members"
+    }
+    assert out["results"]["race"]["measurements"]["dim_kernel"] == 3
 
 
 def test_cli_vn_kernel_check_catches_short_kernel(monkeypatch, capsys):
     # mutation: vn's embedded N((T*)^2 + I) misses a direction; the M-spaces
-    # it is read from, which m_spaces checks and race reads, stay whole
+    # it is read from, which race reads too, stay whole
     monkeypatch.setattr(cs.doubling, "_square_kernel", _drop_first_column(cs.doubling._square_kernel))
     failing = _failing_checks(capsys, ["verify-all", "--example", "race_schrodinger", "--n", "16"])
     assert failing == {"vnkernel_splits_into_eigenspace_members"}
@@ -1068,6 +1111,28 @@ def test_cli_infinity_serialization(capsys):
     json.loads(out)  # must stay valid JSON even with inf markers
 
 
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which RFC 8259 does not allow."""
+
+    def refuse(token):
+        raise ValueError(f"non-finite JSON number {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", ["powers", "verify-all"])
+def test_cli_non_finite_residuals_stay_valid_json(tmp_path, capsys, command):
+    # the 1 x 1 operator 1e308(1 + i): its powers overflow, and the
+    # residuals they leave are NaN, which the report encodes as "nan"
+    data = {"dim": 1, "conjugation": {"kind": "entrywise"}, "operator": {"images": [[[1e308, 1e308]]]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([command, "--spec", write_spec(tmp_path, data)]) == 1
+    out = capsys.readouterr().out
+    report = _strict_json(out)
+    assert '"nan"' in out and report["all_pass"] is False
+
+
 def test_jsonify_keeps_the_sign_of_infinity():
     value = {
         "pos": np.inf,
@@ -1075,6 +1140,8 @@ def test_jsonify_keeps_the_sign_of_infinity():
         "scalar": np.float64(-np.inf),
         "list": [float("-inf"), 1.5, float("inf")],
         "vector": np.array([-np.inf, 0.0, np.inf]),
+        "nan": np.nan,
+        "complex": complex(np.nan, -np.inf),
     }
     assert _jsonify(value) == {
         "pos": "inf",
@@ -1082,4 +1149,6 @@ def test_jsonify_keeps_the_sign_of_infinity():
         "scalar": "-inf",
         "list": ["-inf", 1.5, "inf"],
         "vector": ["-inf", 0.0, "inf"],
+        "nan": "nan",
+        "complex": ["nan", "-inf"],
     }
