@@ -330,9 +330,12 @@ def cmd_verify_all(spec: ProblemSpec, args) -> tuple[dict, CheckList]:
             checks.skip("takagi", str(exc))
         powers_args = argparse.Namespace(**vars(args))
         powers_args.budget = min(args.budget, 3) if args.budget is not None else 3
-        res, sub = cmd_powers(spec, args=powers_args)
-        results["powers"] = res
-        checks.extend(sub, prefix="powers")
+        try:
+            res, sub = cmd_powers(spec, args=powers_args)
+            results["powers"] = res
+            checks.extend(sub, prefix="powers")
+        except InputError as exc:
+            checks.skip("powers", str(exc))
     else:
         checks.skip("polar", "input is not an everywhere-defined matrix")
     return results, checks

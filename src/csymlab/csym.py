@@ -25,12 +25,16 @@ intersect in the middle coordinate (relations.kernel_one_plus),
 independent of frakM.
 
 m_spaces, anti_involution and doubling.deficiency share one guard,
-_require_c_symmetric: B inside A*, or PreconditionError.  It builds no
-M-space, so the extension builders, which reach it through omega and
-anti_involution, never build frakM'; the defect decompositions of
-verify-all are the only readers of m_spaces: race_decomposition, and
-vn_decomposition, whose kernel of (frakA*)^2 + I is N(I + B*A*) x
-N(I + A*B*), compared there with N+ + N-.
+_require_c_symmetric: B inside A*, or PreconditionError.  It reads
+DoubledProblem.c_symmetric, decided once per problem on the adjoint gap
+of graph(B) against A, a dim graph(A) x dim graph(B) matrix: graph(A*) is
+the complement of J graph(A), so no projection through A*'s basis is
+made.  is_c_symmetric, which check reports, keeps that projection.  The
+guard builds no M-space, so the extension builders, which reach it
+through omega and anti_involution, never build frakM'; the defect
+decompositions of verify-all are the only readers of m_spaces:
+race_decomposition, and vn_decomposition, whose kernel of (frakA*)^2 + I
+is N(I + B*A*) x N(I + A*B*), compared there with N+ + N-.
 """
 
 from __future__ import annotations
@@ -107,8 +111,9 @@ class MSpaces:
 
 
 def _require_c_symmetric(dp: DoubledProblem) -> None:
-    """Raise PreconditionError unless dp's B = CAC lies inside A*."""
-    if not dp.b.contained_in(dp.a_star):
+    """Raise PreconditionError unless dp's B = CAC lies inside A*
+    (DoubledProblem.c_symmetric, decided once per problem)."""
+    if not dp.c_symmetric:
         raise PreconditionError("relation is not C-symmetric; the defect theory needs CAC inside A*")
 
 

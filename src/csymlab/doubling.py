@@ -30,8 +30,11 @@ candidates in another basis of the same subspace, which it builds itself
 (extensions._sweep_frame).
 
 DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
-frakE, frakM and N+-, built once by build_doubled, and the other M-spaces,
-the anti-involution S and omega, built on first use.
+frakE, frakM and N+-, built once by build_doubled, and the C-symmetry
+verdict, the other M-spaces, the anti-involution S and omega, built on
+first use.  build_doubled's guards and the C-symmetry verdict are decided
+on the bases as built (the frakE image of graph(frakA) against its basis,
+A's adjoint gap of graph(B)), not by projections onto A*'s basis.
 Everything downstream reads them from it.  omega, the matrix of S in
 frakM's basis, is the one coordinate matrix of the defect space: frakE
 between N+ and N-, the block map D, and the symplectic form whose
@@ -116,6 +119,16 @@ class DoubledProblem:
 
     # the defect geometry below is computed once per problem on first use
     @cached_property
+    def c_symmetric(self) -> bool:
+        """B inside A*, the hypothesis of the defect theory, decided on
+        A._gap_matrix(graph(B)): graph(A*) is the complement of J graph(A),
+        J(x, y) = (y, -x), so that matrix's 2-norm is the sine of the
+        largest angle from graph(B) into graph(A*), with no projection
+        through A*'s basis.  Its vanishing also gives dim graph(B) <=
+        dim graph(A*)."""
+        return _norm_within(self.a._gap_matrix(self.b.graph.basis), self.tol.bound())
+
+    @cached_property
     def spaces(self) -> MSpaces:
         """M-spaces of A and B*; raises PreconditionError unless C-symmetric."""
         return m_spaces(self)
@@ -148,6 +161,18 @@ class DoubledProblem:
         return m.conj().T @ self.s_map.matrix @ np.conj(m)
 
 
+def _conjugates_back(a: LinearRelation, b: LinearRelation, c: Conjugation) -> bool:
+    """C graph(B) = graph(A), B = CAC built as the C-image of graph(A).
+
+    C(Cx) = K conj(K conj(x)) = K conj(K) x, so the C-image of B's basis is
+    A's basis to rounding and ||C graph(B) - graph(A)||_2 <= tol.bound() on
+    the bases certifies the equality with no projection.  Only when that
+    certificate fails is the subspace equality decided (LinearRelation.equals).
+    """
+    image = b.conjugated_basis(c)
+    return _norm_within(image - a.graph.basis, a.tol.bound()) or b.conjugated(c).equals(a)
+
+
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     """Assemble A*, B = CAC, B*, frakE, frakM and the deficiency subspaces
     N+- of frakA*.
@@ -159,7 +184,7 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     up to 4n and the two 2n-row blocks of the adjoint gap matrix must
     vanish; neither block relation is built.  frakE frakA frakE = frakA
     asks C graph(A) = graph(B), true bit for bit as built, and
-    C graph(B) = graph(A), checked on the 2n x n basis with no rank cut.
+    C graph(B) = graph(A), certified on the bases (_conjugates_back).
     Failure of either guard means a bug, not a regime boundary, and raises.
     N+- are the unitary images {(y, +-ix)} of frakM's basis [X; Y] (see the
     module docstring); deficiency() checks them.
@@ -173,7 +198,7 @@ def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
     # is orthonormal as built and takes no SVD, as B = CAC above
     b_star = LinearRelation(_trusted(a_star.conjugated_basis(c), a.tol))
     _require_block_adjoint(a, b, b_star, a_star)
-    if not b.conjugated(c).equals(a):
+    if not _conjugates_back(a, b, c):
         raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
     frak_m = orthogonal_difference(b_star.graph, a.graph)
     top, bottom = frak_m.basis[:n], frak_m.basis[n:]

@@ -411,9 +411,10 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
     # 0 by the C-symmetry guard, so the C-images of the new columns carry the rest
     csa_res = a_ext.adjoint_gap(a_new.conjugated_basis(dp.c)) if a_ext.graph.dim == n else 1.0
     checks.add_residual("extension_c_selfadjoint", csa_res, bound)
-    # graph(A) lies in graph(B*) by the C-symmetry guard
+    # graph(A) lies in graph(B*) by the C-symmetry guard, and graph(B*) is the
+    # complement of J graph(B), so the new columns' gap against B is the sine
     l_graph = a_new.graph
-    checks.add_residual("inside_bstar", max_angle_sin(l_graph, dp.b_star.graph), bound)
+    checks.add_residual("inside_bstar", dp.b.adjoint_gap(l_graph.basis), bound)
     # L-manifolds: L = graph(A_U) - graph(A) and its S-image split frakM
     frak_m = dp.frakM
     # S is antiunitary, so the S-image of orthonormal columns is orthonormal
@@ -635,7 +636,7 @@ def completeness_roundtrip(dp: DoubledProblem, new: np.ndarray) -> tuple[float, 
     (_rebuilt_columns) checks the frakE and block conditions on it but not
     unitarity again.  A block's graphs [graph(A), W] are formed for the
     angle and the operator flags, which read the top blocks' singular values
-    at LinearRelation._top_svd's cut; A's is_operator answers for A.
+    at LinearRelation._top_rank's cut; A's is_operator answers for A.
     """
     if not new.shape[-1]:  # frakM = 0: the hit is A, rebuilt exactly
         return 0.0, int(dp.a.is_operator) * len(new)

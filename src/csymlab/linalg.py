@@ -23,11 +23,14 @@ Every SVD and matrix norm of the package is one of four kinds:
   residuals of the enumerate round trip's rebuilt columns and on the
   relation that recover_parameter is given; intersect, and through it
   kernel_one_plus; orthogonal_difference, and through it frakM
-  (build_doubled); LinearRelation._top_svd (domain, multivalued part,
-  is_operator) of a relation given by its graph alone, and its cut on the
-  singular values alone (compute_uv=False) of the stacked top blocks of
-  the round trip's hits; polar's rank r and takagi's grouping of the same
-  singular values.
+  (build_doubled); LinearRelation._top_rank (domain, multivalued part,
+  is_operator) of a relation given by its graph alone, from the singular
+  values alone (compute_uv=False) of its top block, the cut the round
+  trip puts on the stacked top blocks of its hits; polar's rank r and
+  takagi's grouping of the same singular values.  Singular vectors follow
+  a rank decision only where they are read: LinearRelation._top_svd's, for
+  a proper domain or a nonzero multivalued part, sliced at _top_rank (an
+  everywhere-defined relation's domain is full_space).
 - Structural rank (the rank is known by construction, so the SVD only
   re-orthonormalizes, uncut): complement; operator_relation's graph
   [D; AD] (rank that of D); extensions._sweep_frame, the one
@@ -59,11 +62,15 @@ Every SVD and matrix norm of the package is one of four kinds:
   the sweep's and recover_parameter's, extensions._c_selfadjoint_grown),
   preserves_subspace, build_doubled's frakA* guard (on the two nonzero
   2n-row blocks of the doubled gap matrix, A's gap against graph(A*) and
-  B's against graph(B*)), extension_from_parameter's block reassembly and
-  the brute-force filter.  Each
+  B's against graph(B*)) and its frakE certificate (the difference of the
+  bases of C graph(B) and graph(A), doubling._conjugates_back), the
+  C-symmetry guard (A's dim graph(A) x dim graph(B) adjoint gap of graph(B),
+  DoubledProblem.c_symmetric), extension_from_parameter's block reassembly
+  and the brute-force filter.  Each
   builds its residual matrix once (_angle_residual, LinearRelation._gap_matrix,
   extensions._omega_block) and takes a Gram eigenvalue only when the
-  Frobenius norm leaves the answer open.
+  Frobenius norm leaves the answer open.  is_subspace_of and
+  subspace_equal against the whole space are decided by dimensions alone.
 
 Sums are grown by bordering: extend_basis(S, cols) keeps the basis of S as
 it is and appends an orthonormal basis of what cols add.  The columns are
@@ -405,12 +412,17 @@ def _frobenius_norms(m: np.ndarray) -> np.ndarray:
 
 
 def is_subspace_of(s1: Subspace, s2: Subspace) -> bool:
-    """True iff S1 is contained in S2 within S1's tol.bound()."""
+    """True iff S1 is contained in S2 within S1's tol.bound().  Every S1 is
+    contained in the whole space, so an S2 of full dimension takes no
+    product."""
     _check_same_ambient(s1, s2)
+    if s2.dim == s2.ambient_dim:
+        return True
     return s1.dim <= s2.dim and _norm_within(_angle_residual(s1, s2), s1.tol.bound())
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
-    """True iff dims agree and the largest principal angle is within S1's tol.bound()."""
+    """True iff dims agree and the largest principal angle is within S1's
+    tol.bound(); against the whole space, the dimension count alone."""
     _check_same_ambient(s1, s2)
     return s1.dim == s2.dim and is_subspace_of(s1, s2)

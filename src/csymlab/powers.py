@@ -85,8 +85,22 @@ class DoubledMatrix:
     tol: Tolerance
 
     def bound(self, power: int) -> float:
-        """The residual bound at the scale (1 + max(1, ||A||_2))^power."""
-        return self.tol.bound((1.0 + max(1.0, self.norm)) ** power)
+        """The residual bound at the scale (1 + max(1, ||A||_2))^power;
+        InputError when that scale leaves the float range."""
+        try:
+            scale = (1.0 + max(1.0, self.norm)) ** power
+        except OverflowError:
+            scale = math.inf
+        _require_finite(scale, f"the residual scale (1 + ||A||_2)^{power}")
+        return self.tol.bound(scale)
+
+
+def _require_finite(value: float, what: str) -> None:
+    """InputError naming what overflowed unless value is finite: the
+    identities hold exactly, so a value past the float range is no evidence
+    against them."""
+    if not math.isfinite(value):
+        raise InputError(f"{what} leaves the float range; the power identities cannot be evaluated")
 
 
 def doubled_matrix(a, c: Conjugation, tol: Tolerance = DEFAULT_TOL) -> DoubledMatrix:
@@ -163,10 +177,18 @@ def power_norm_identities(d: DoubledMatrix, x, y, n: int):
     v = np.column_stack([x, d.c.apply(y)])  # the Frobenius norm sums both columns
     for _ in range(2 * n):
         u, v = frak @ u, ak @ np.conj(v)
-    even = abs(float(np.linalg.norm(u)) ** 2 - float(np.linalg.norm(v)) ** 2)
+    even = _squared_norm_gap(u, v, 2 * n)
     u, v = frak @ u, ak @ np.conj(v)
-    odd = abs(float(np.linalg.norm(u)) ** 2 - float(np.linalg.norm(v)) ** 2)
+    odd = _squared_norm_gap(u, v, 2 * n + 1)
     return even, odd
+
+
+def _squared_norm_gap(u: np.ndarray, v: np.ndarray, m: int) -> float:
+    """| ||u||^2 - ||v||^2 | for the two sides at exponent m; InputError
+    when either square leaves the float range."""
+    squares = np.square([np.linalg.norm(u), np.linalg.norm(v)])
+    _require_finite(float(squares.max()), f"||(AC)^{m} x||^2")
+    return float(abs(squares[0] - squares[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +211,10 @@ def qa_partial_sums(d: DoubledMatrix, x, n_terms: int) -> QaDiagnostics:
 
     A step annihilates x when ||(AC)^k x|| <= eps ||A||_2 ||(AC)^(k-1) x||:
     the cut is relative to the step, so a matrix of small norm that
-    annihilates nothing keeps finite terms.
+    annihilates nothing keeps finite terms.  A squared norm past the float
+    range is an InputError naming it, not a marker.  The partial sums stay
+    finite: a nonzero norm, the root of a sum of squares, is at least
+    2.2e-162, so no term exceeds 5e161.
     """
     if n_terms < 1:
         raise InputError(f"need at least one term, got {n_terms}")
@@ -206,6 +231,7 @@ def qa_partial_sums(d: DoubledMatrix, x, n_terms: int) -> QaDiagnostics:
     for k in range(1, n_terms + 1):
         v = d.ak @ np.conj(v)
         previous, norm = norm, float(np.linalg.norm(v))
+        _require_finite(norm * norm, f"||(AC)^{k} x||^2")
         if norm <= d.tol.eps * d.norm * previous:
             diverged = True
         if diverged:

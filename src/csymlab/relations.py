@@ -6,8 +6,10 @@ Adjoints and the kernels N(I + R S) are computed by exact subspace algebra,
 never through pseudo-inverses, so rank decisions stay centralized in the
 Tolerance rule.  An operator given on its domain (operator_relation) records
 it, and domain(), multivalued_part() and is_operator read it; for a relation
-given by its graph alone they are one rank decision, read off one cached SVD
-of the graph basis's top block.
+given by its graph alone they are one rank decision, read off the singular
+values alone of the graph basis's top block.  Its singular vectors are taken
+only for a proper domain or a nonzero multivalued part; the domain of an
+everywhere-defined relation is the whole space.
 """
 
 from __future__ import annotations
@@ -63,38 +65,48 @@ class LinearRelation:
         return self.graph.basis[self.ambient_dim :]
 
     @cached_property
-    def _top_svd(self) -> tuple[np.ndarray, int, np.ndarray]:
-        """(U, r, V^H) of the top block X of the graph basis, r its rank at
-        tol.zero_cutoff(1.0).  The singular values of X are the sines of the
-        angles between graph(R) and {(0, y)}, so r decides the domain, the
-        multivalued part and is_operator at once.  Built on the first access
-        and then reused (the graph is immutable)."""
+    def _top_rank(self) -> int:
+        """The rank r of the top block X of the graph basis at
+        tol.zero_cutoff(1.0), from its singular values alone.  They are the
+        sines of the angles between graph(R) and {(0, y)}, so r decides the
+        domain, the multivalued part and is_operator at once.  Built on the
+        first access and then reused (the graph is immutable)."""
+        sines = np.linalg.svd(self._top(), compute_uv=False)
+        return int(np.sum(sines > self.tol.zero_cutoff(1.0)))
+
+    @cached_property
+    def _top_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, V^H) of X, taken only when a proper domain (r < n) or a
+        nonzero multivalued part (r < dim graph) is read, and sliced there
+        at _top_rank."""
         x = self._top()
-        u, sines, vh = np.linalg.svd(x, full_matrices=x.shape[1] > x.shape[0])
-        return u, int(np.sum(sines > self.tol.zero_cutoff(1.0))), vh
+        u, _, vh = np.linalg.svd(x, full_matrices=x.shape[1] > x.shape[0])
+        return u, vh
 
     def domain(self) -> Subspace:
-        """given_domain, else span X = U[:, :r]; built on the first call and then reused."""
+        """given_domain, else span X: the whole space at r = n, else
+        U[:, :r]; built on the first call and then reused."""
         return self._domain if self.given_domain is None else self.given_domain
 
     @cached_property
     def _domain(self) -> Subspace:
-        u, r, _ = self._top_svd
-        return _trusted(u[:, :r], self.tol)
+        r = self._top_rank
+        if r == self.ambient_dim:
+            return full_space(self.ambient_dim, self.tol)
+        return _trusted(self._top_svd[0][:, :r], self.tol)
 
     def multivalued_part(self) -> Subspace:
-        """{y : (0, y) in graph}: {0} with a given_domain, else span Y V[:, r:]
-        ([X; Y] V is orthonormal and ||X V[:, r:]|| is at most
-        tol.zero_cutoff(1.0), so these columns are orthonormal as built)."""
-        if self.given_domain is not None:
+        """{y : (0, y) in graph}: {0} with a given_domain or at r = dim graph,
+        else span Y V[:, r:] ([X; Y] V is orthonormal and ||X V[:, r:]|| is at
+        most tol.zero_cutoff(1.0), so these columns are orthonormal as built)."""
+        if self.is_operator:
             return zero_subspace(self.ambient_dim, self.tol)
-        _, r, vh = self._top_svd
-        return _trusted(self._bottom() @ vh[r:].conj().T, self.tol)
+        return _trusted(self._bottom() @ self._top_svd[1][self._top_rank :].conj().T, self.tol)
 
     @property
     def is_operator(self) -> bool:
         """multivalued_part().dim == 0, i.e. a given_domain or X of full column rank."""
-        return self.given_domain is not None or self._top_svd[1] == self.graph.dim
+        return self.given_domain is not None or self._top_rank == self.graph.dim
 
     @property
     def regime(self) -> str:

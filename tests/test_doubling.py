@@ -10,6 +10,7 @@ import csymlab as cs
 from conftest import (
     DEFECT_SPECS,
     block_relation,
+    count_calls,
     block_slices,
     frak_a,
     frak_a_star,
@@ -23,6 +24,15 @@ from conftest import (
 
 def doubled(spec):
     return cs.build_doubled(spec.relation(), spec.conjugation())
+
+
+def _nonsymmetric_spec():
+    # a random matrix restricted to a 3-dimensional domain in C^6: not
+    # C-symmetric, with frakM of dimension 6
+    rng = np.random.default_rng(5)
+    domain = np.linalg.qr(random_complex(rng, 6, 3))[0]
+    images = random_complex(rng, 6, 6) @ domain
+    return cs.ProblemSpec("nonsymmetric", 6, "entrywise", None, domain, images, cs.DEFAULT_TOL)
 
 
 def test_block_relation_slices_roundtrip(rng):
@@ -86,6 +96,78 @@ def test_symmetry_equivalence(rng):
         doubled_angle = cs.max_angle_sin(frak_a(dp).graph, frak_a_star(dp).graph)
         assert abs(one_space - doubled_angle) <= 1e-14
         assert frak_a(dp).contained_in(frak_a_star(dp)) == cs.is_c_symmetric(a, c)
+
+
+def _criterion_03_inputs():
+    """The 100 (A, C) pairs of acceptance criterion 3, in its order: C-symmetric
+    matrices at even i, unstructured ones at odd i."""
+    rng = np.random.default_rng(3)
+    for i in range(100):
+        n = int(rng.integers(1, 7))
+        c = cs.random_conjugation(n, rng)
+        if i % 2 == 0:
+            yield cs.from_matrix(cs.random_csym_matrix(n, rng, c)), c
+        else:
+            yield cs.from_matrix(random_complex(rng, n, n)), c
+
+
+SHIPPED_SPECS = [
+    cs.race_schrodinger(16),
+    cs.race_schrodinger(128, h=0.02),
+    cs.fd_derivative_minimal(16),
+    cs.zero_on_subspace(16),
+    cs.random_csym(6),
+    cs.minimal_identity(),
+    *(cs.random_restriction(8, seed=seed) for seed in range(4)),
+    _nonsymmetric_spec(),
+]
+
+
+def test_gap_guard_agrees_with_is_c_symmetric():
+    # the defect path's guard decides B inside A* on A's adjoint gap of
+    # graph(B); check's is_c_symmetric projects graph(CAC) through A*'s basis
+    verdicts = []
+    for a, c in _criterion_03_inputs():
+        verdicts.append(cs.build_doubled(a, c).c_symmetric)
+        assert verdicts[-1] == cs.is_c_symmetric(a, c)
+    assert all(verdicts[::2]) and not all(verdicts[1::2])
+    for spec in SHIPPED_SPECS:
+        dp = doubled(spec)
+        assert dp.c_symmetric == cs.is_c_symmetric(dp.a, dp.c) == (spec.name != "nonsymmetric"), spec.name
+
+
+def test_gap_guard_projects_nothing_through_a_star(monkeypatch):
+    # decided once per problem, on a dim graph(A) x dim graph(B) matrix
+    dp = doubled(cs.race_schrodinger(16))
+    projections = count_calls(monkeypatch, cs.linalg, "_angle_residual")
+    gaps = count_calls(monkeypatch, cs.LinearRelation, "_gap_matrix")
+    for _ in range(3):
+        cs.csym._require_c_symmetric(dp)
+    assert (len(projections), len(gaps)) == (0, 1)
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda spec: spec.name)
+def test_frakE_guard_is_certified_on_the_bases(monkeypatch, spec):
+    # C(Cx) = K conj(K) x = x, so C graph(B) and graph(A) have one basis to
+    # rounding and no subspace equality is decided.  random_restriction's K
+    # is complex with K K != I, so a certificate that took the linear image
+    # K graph(B) would fall back to equals there
+    equals = count_calls(monkeypatch, cs.LinearRelation, "equals")
+    doubled(spec)
+    assert not equals
+
+
+def test_frakE_guard_falls_back_to_the_subspace_equality(rng, monkeypatch):
+    # B's basis turned by a unitary spans the same graph: the certificate
+    # fails on the bases, and the equality it falls back to accepts it
+    spec = cs.random_restriction(6, seed=0)
+    a, c = spec.relation(), spec.conjugation()
+    turn = np.linalg.qr(random_complex(rng, a.graph.dim, a.graph.dim))[0]
+    b = cs.LinearRelation(cs.Subspace(a.conjugated_basis(c) @ turn))
+    equals = count_calls(monkeypatch, cs.LinearRelation, "equals")
+    assert cs.doubling._conjugates_back(a, b, c) and len(equals) == 1
+    shifted = cs.LinearRelation(cs.Subspace(np.roll(a.conjugated_basis(c), 1, axis=0)))
+    assert not cs.doubling._conjugates_back(a, shifted, c)
 
 
 @pytest.mark.parametrize(
@@ -229,15 +311,6 @@ def test_imaginary_members_on_explicit_relation():
     plus, minus = imaginary_members(rel)
     assert (plus.dim, minus.dim) == (1, 0)
     assert within(plus, np.array([1.0, 1j]), 1e-14)
-
-
-def _nonsymmetric_spec():
-    # a random matrix restricted to a 3-dimensional domain in C^6: not
-    # C-symmetric, with frakM of dimension 6
-    rng = np.random.default_rng(5)
-    domain = np.linalg.qr(random_complex(rng, 6, 3))[0]
-    images = random_complex(rng, 6, 6) @ domain
-    return cs.ProblemSpec("nonsymmetric", 6, "entrywise", None, domain, images, cs.DEFAULT_TOL)
 
 
 ORACLE_SPECS = [

@@ -141,6 +141,23 @@ def test_check_bound_lives_in_tolerance_only():
     assert not stray
 
 
+def test_whole_space_shortcut_needs_the_containing_side_whole(rng, monkeypatch):
+    # every subspace lies in the whole space, decided with no product; the
+    # whole space lies in a proper subspace never, and equals only a
+    # subspace of full dimension
+    whole = cs.full_space(5)
+    rotated = cs.orthonormal_basis(random_complex(rng, 5, 5))
+    proper = cs.orthonormal_basis(random_complex(rng, 5, 3))
+    residuals = []
+    original = cs.linalg._angle_residual
+    monkeypatch.setattr(cs.linalg, "_angle_residual", lambda s1, s2: residuals.append(1) or original(s1, s2))
+    assert cs.is_subspace_of(proper, whole) and cs.is_subspace_of(whole, rotated)
+    assert cs.subspace_equal(rotated, whole) and cs.subspace_equal(whole, rotated)
+    assert not residuals
+    assert not cs.is_subspace_of(whole, proper)
+    assert not cs.subspace_equal(whole, proper) and not cs.subspace_equal(proper, whole)
+
+
 def test_zero_and_full():
     z = cs.zero_subspace(4)
     f = cs.full_space(4)

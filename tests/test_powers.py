@@ -229,6 +229,30 @@ def test_qa_accepts_a_tiny_nonzero_vector():
     np.testing.assert_allclose(qa.terms, [(np.sqrt(3.0) * 1e-13) ** (-1.0 / k) for k in range(1, 5)])
 
 
+@pytest.mark.parametrize("entry", [1e308 * (1 + 1j), 1e308, 1e20])
+def test_qa_refuses_a_square_past_the_float_range(entry):
+    # the identities hold exactly, so an overflow is refused, not read as
+    # the annihilation marker; 1e20 overflows at the eighth power
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(cs.InputError, match="float range"):
+        d = cs.doubled_matrix(np.array([[entry]]), cs.entrywise_conjugation(1))
+        cs.qa_partial_sums(d, np.ones(1), 8)
+
+
+def test_norm_identities_refuse_a_square_past_the_float_range():
+    # A = 1e50: ||(AC)^3 x||^2 = 1e300 is finite, ||(AC)^4 x||^2 is not
+    d = cs.doubled_matrix(np.array([[1e50]]), cs.entrywise_conjugation(1))
+    assert np.isfinite(cs.power_norm_identities(d, np.ones(1), np.ones(1), 1)[1])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(cs.InputError, match=r"\^4 x\|\|\^2"):
+        cs.power_norm_identities(d, np.ones(1), np.ones(1), 2)
+
+
+def test_power_bound_refuses_a_scale_past_the_float_range():
+    d = cs.doubled_matrix(np.array([[0.0, 0.0], [1e100, 0.0]]), cs.entrywise_conjugation(2))
+    assert d.bound(3) == pytest.approx(cs.DEFAULT_TOL.bound(1e300))
+    with pytest.raises(cs.InputError, match=r"\^4 leaves the float range"):
+        d.bound(4)
+
+
 def test_power_rejects_bad_order(rng):
     c = cs.entrywise_conjugation(2)
     a = random_complex(rng, 2, 2)

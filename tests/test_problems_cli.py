@@ -618,16 +618,30 @@ def test_cli_verify_all_factors_each_matrix_once(tmp_path, monkeypatch, capsys):
     assert (len(polars), len(sums)) == (2, 1)
 
 
-@pytest.mark.parametrize("command, count", [("check", 0), ("verify-all", 2)])
-def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, count):
-    # domain, multivalued part and operator test share one top-block SVD per
-    # relation given by its graph whose domain is read: in verify-all the two
-    # extensions'.  check reads no D(A*).  A and B = CAC carry their domains,
-    # and vn's regime reads their operator tests, so it takes none
-    calls = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
-    assert main([command, "--spec", _complex_symmetric_n32(tmp_path)]) == 0
+@pytest.mark.parametrize(
+    "command, source, ranks, vectors",
+    [
+        ("check", "complex_symmetric", 0, 0),
+        ("verify-all", "complex_symmetric", 2, 0),
+        ("verify-all", ("--example", "zero_on_subspace", "--n", "16"), 2, 2),
+    ],
+    ids=["check-0", "verify-all-2", "verify-all-multivalued-2"],
+)
+def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, source, ranks, vectors):
+    # domain, multivalued part and operator test share one values-only rank
+    # read per relation given by its graph whose domain is read: in verify-all
+    # the two extensions'.  check reads no D(A*).  A and B = CAC carry their
+    # domains, and vn's regime reads their operator tests, so it takes none.
+    # Singular vectors are taken only for a proper domain or a nonzero
+    # multivalued part: never for complex_symmetric's extensions (A itself,
+    # everywhere defined), once for each of zero_on_subspace's multivalued ones
+    if source == "complex_symmetric":
+        source = ("--spec", _complex_symmetric_n32(tmp_path))
+    rank_reads = count_calls(monkeypatch, cs.LinearRelation, "_top_rank")
+    vector_svds = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
+    assert main([command, *source]) == 0
     capsys.readouterr()
-    assert len(calls) == count
+    assert (len(rank_reads), len(vector_svds)) == (ranks, vectors)
 
 
 def _count_numpy_linalg(monkeypatch, *names):
@@ -658,6 +672,62 @@ def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
     assert (calls.count("svd"), calls.count("eigvalsh"), calls.count("qr")) == (12, 10, 1)
 
 
+def _record_svds(monkeypatch):
+    """The shape and compute_uv flag of every np.linalg.svd call."""
+    calls = []
+    original = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append((np.shape(a)[-2:], kwargs.get("compute_uv", True)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+def test_cli_extend_takes_no_square_singular_vectors(monkeypatch, capsys):
+    # the extension is an everywhere-defined operator: its 128 x 128 top
+    # block gives its rank by singular values alone, its domain is the whole
+    # space and its multivalued part {0}, so no n x n SVD computes vectors
+    n = 128
+    calls = _record_svds(monkeypatch)
+    assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert ((n, n), False) in calls
+    assert ((n, n), True) not in calls
+
+
+@pytest.mark.parametrize("command", ["deficiency", "extend", "enumerate", "verify-all"])
+def test_cli_c_symmetry_guard_projects_nothing_through_a_star(monkeypatch, capsys, command):
+    # B inside A* is decided once per problem on A's adjoint gap of graph(B),
+    # never as an angle from graph(B) into A*'s basis.  (verify-all's check
+    # section keeps that projection for its own C-image, is_c_symmetric)
+    spec = cs.race_schrodinger(16)
+    dp = spec.doubled()
+    projected = []
+    original = cs.linalg._angle_residual
+
+    def recorded(s1, s2):
+        projected.append((s1, s2))
+        return original(s1, s2)
+
+    monkeypatch.setattr(cs.linalg, "_angle_residual", recorded)
+    args = build_parser().parse_args([command, "--example", "race_schrodinger", "--n", "16", "--budget", "50"])
+    assert cs.cli.build_report(command, spec, args)["all_pass"]
+    assert "c_symmetric" in vars(dp)
+    assert not any(s1 is dp.b.graph and s2 is dp.a_star.graph for s1, s2 in projected)
+
+
+def test_cli_extend_zero_on_subspace_keeps_its_multivalued_extension(capsys):
+    # the canonical extension of zero_on_subspace n=16 is multivalued, so its
+    # domain is a proper subspace read off the top block's singular vectors
+    assert main(["extend", "--example", "zero_on_subspace", "--n", "16"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["is_operator"] is False
+    details = {check["name"]: check["detail"] for check in out["check_list"] if "detail" in check}
+    assert details["domain_sum"] == details["domain_sum_star"] == "dims 14+1 vs 15"
+
+
 def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
     # graph(A) and the one of frakM's cosines against graph(A); A* is one
     # complete QR of J graph(A), and B* = C A* C takes no factorization; a
@@ -673,25 +743,28 @@ def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
 @pytest.mark.parametrize("source", [("--example", "race_schrodinger", "--n", "16"), "complex_symmetric"])
 def test_cli_takes_no_top_block_svd_of_a_or_b(tmp_path, monkeypatch, capsys, source):
     # A is given on its domain and B = CAC carries C D(A): no command reads
-    # either one's domain, multivalued part or operator test off its graph
+    # either one's domain, multivalued part or operator test off its graph,
+    # neither by the values-only rank nor by the SVD with vectors
     if source == "complex_symmetric":
         source = ("--spec", _complex_symmetric_n32(tmp_path))
     spec = load_problem(build_parser().parse_args(["check", *source]))
     dp = spec.doubled()
-    seen = []
-    top_svd = cs.LinearRelation._top_svd.func
+    seen = {"_top_rank": [], "_top_svd": []}
+    for name, relations in seen.items():
+        body = vars(cs.LinearRelation)[name].func
 
-    def recorded(rel):
-        seen.append(rel)
-        return top_svd(rel)
+        def recorded(rel, _body=body, _relations=relations):
+            _relations.append(rel)
+            return _body(rel)
 
-    recorded = functools.cached_property(recorded)
-    recorded.__set_name__(cs.LinearRelation, "_top_svd")
-    monkeypatch.setattr(cs.LinearRelation, "_top_svd", recorded)
+        recorded = functools.cached_property(recorded)
+        recorded.__set_name__(cs.LinearRelation, name)
+        monkeypatch.setattr(cs.LinearRelation, name, recorded)
     for command in ("check", "deficiency", "extend", "verify-all"):
         args = build_parser().parse_args([command, *source])
         assert cs.cli.build_report(command, spec, args)["all_pass"]
-    assert seen and not any(rel is dp.a or rel is dp.b for rel in seen)
+    assert seen["_top_rank"]
+    assert not any(rel is dp.a or rel is dp.b for relations in seen.values() for rel in relations)
 
 
 @pytest.mark.parametrize("n", [56, 128])
@@ -961,7 +1034,10 @@ def test_cli_reports_unchanged_with_checked_bases(tmp_path, monkeypatch, capsys,
     check_trusted_bases(monkeypatch)
     checked = count_calls(monkeypatch, cs.Subspace, "__post_init__")
     assert [_report(capsys, argv) for argv in argvs] == trusted
-    assert len(checked) > 100
+    # exactly 100 on the two everywhere-defined operators (random_csym,
+    # complex_symmetric), 157 on the others: build_doubled certifies
+    # C graph(B) = graph(A) on the bases and builds no C-image relation
+    assert len(checked) >= 100
 
 
 def test_checked_bases_catch_unprojected_extend_basis(monkeypatch, checked_subspaces):
@@ -1011,15 +1087,16 @@ def test_cli_one_bound_for_check_and_deficiency(tmp_path, capsys, command):
 def test_cli_verify_all_refuses_input_that_is_not_c_symmetric(tmp_path, capsys):
     # perturbation 1e-6 (weak residual ~2e-7): check reports it as not
     # C-symmetric and passes, while verify-all, whose theory needs the
-    # symmetry, refuses it like deficiency does instead of skipping it all
+    # symmetry, refuses it like deficiency, extend and enumerate do instead
+    # of skipping it all.  check reads A*'s basis, the others the adjoint gap
     path = perturbed_symmetric_spec(tmp_path, 1e-6)
     assert main(["check", "--spec", path]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["c_symmetric"] is False
-    for command in ("deficiency", "verify-all"):
+    for command in ("deficiency", "extend", "enumerate", "verify-all"):
         assert main([command, "--spec", path]) == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert "relation is not C-symmetric" in captured.err
+        assert captured.err == "error: relation is not C-symmetric; the defect theory needs CAC inside A*\n"
 
 
 def test_cli_verify_all_fails_with_zero_check_bound(monkeypatch, capsys):
@@ -1120,17 +1197,39 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.parametrize("command", ["powers", "verify-all"])
-def test_cli_non_finite_residuals_stay_valid_json(tmp_path, capsys, command):
-    # the 1 x 1 operator 1e308(1 + i): its powers overflow, and the
-    # residuals they leave are NaN, which the report encodes as "nan"
+def test_cli_powers_refuses_a_square_past_the_float_range(tmp_path, capsys):
+    # the 1 x 1 operator 1e308(1 + i): ||(AC) x||^2 overflows at the first
+    # power.  The identities hold exactly, so the input is refused (exit 2)
+    # with the overflow named, not failed with NaN residuals
     data = {"dim": 1, "conjugation": {"kind": "entrywise"}, "operator": {"images": [[[1e308, 1e308]]]}}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        assert main([command, "--spec", write_spec(tmp_path, data)]) == 1
-    out = capsys.readouterr().out
-    report = _strict_json(out)
-    assert '"nan"' in out and report["all_pass"] is False
+        assert main(["powers", "--spec", write_spec(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "||(AC)^1 x||^2 leaves the float range" in captured.err
+
+
+def test_cli_powers_refuses_a_residual_scale_past_the_float_range(tmp_path, capsys):
+    # ||A||_2 = 1e100 and (AC)^2 = 0: every norm is finite, but the norm
+    # identities' scale (1 + ||A||_2)^6 is not; it raised OverflowError
+    data = {"dim": 2, "conjugation": {"kind": "entrywise"}, "operator": {"images": [[0.0, 0.0], [1e100, 0.0]]}}
+    assert main(["powers", "--spec", write_spec(tmp_path, data), "--budget", "1"]) == 2
+    assert "the residual scale (1 + ||A||_2)^6 leaves the float range" in capsys.readouterr().err
+
+
+def test_cli_verify_all_skips_powers_past_the_float_range(tmp_path, capsys):
+    # verify-all keeps the rest of its report and records why powers is
+    # skipped, as it does for takagi; the report stays strict JSON
+    data = {"dim": 1, "conjugation": {"kind": "entrywise"}, "operator": {"images": [[[1e308, 1e308]]]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["verify-all", "--spec", write_spec(tmp_path, data)]) == 1
+    report = _strict_json(capsys.readouterr().out)
+    skipped = {check["name"]: check for check in report["check_list"] if check["status"] == "skip"}
+    assert "leaves the float range" in skipped["powers"]["detail"]
+    assert "powers" not in report["results"]
+    assert not any(check["name"].startswith("powersn") for check in report["check_list"])
 
 
 def test_jsonify_keeps_the_sign_of_infinity():

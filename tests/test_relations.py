@@ -13,6 +13,7 @@ import csymlab as cs
 
 from conftest import (
     DEFECT_SPECS,
+    count_calls,
     frak_a,
     frak_a_star,
     full_relation,
@@ -268,6 +269,26 @@ def test_domain_is_built_once(rng):
     first = rel.domain()
     assert rel.domain() is first
     assert first.dim == 3
+
+
+@pytest.mark.parametrize("k, domain_dim, mul_dim", [(3, 3, 0), (2, 2, 0), (4, 3, 1)])
+def test_top_block_vectors_only_for_a_proper_domain_or_a_multivalued_part(rng, monkeypatch, k, domain_dim, mul_dim):
+    # the rank comes from singular values alone; the SVD with vectors runs
+    # only when a proper domain or a nonzero multivalued part is read, and
+    # an everywhere-defined relation's domain is the whole space
+    rel = random_relation(rng, 3, k)
+    ranks = count_calls(monkeypatch, cs.LinearRelation, "_top_rank")
+    vectors = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
+    assert rel.is_operator == (mul_dim == 0)
+    assert (rel.domain().dim, rel.multivalued_part().dim) == (domain_dim, mul_dim)
+    assert (len(ranks), len(vectors)) == (1, int(domain_dim < 3 or mul_dim > 0))
+    reference = cs.orthonormal_basis(rel.graph.basis[:3], ambient_dim=3)
+    assert within(rel.domain(), reference, 1e-9, equal=True)
+    if domain_dim == 3:
+        assert np.array_equal(rel.domain().basis, np.eye(3))
+    given = cs.from_matrix(random_complex(rng, 3, 3))
+    assert given.is_operator and given.multivalued_part().dim == 0 and given.domain() is given.given_domain
+    assert len(ranks) == 1
 
 
 def _multivalued_reference(rel):
