@@ -54,12 +54,12 @@ def corpus() -> list[tuple[str, tuple[str, ...]]]:
     for label, source in FAMILIES:
         for command in ("deficiency", "extend", "verify-all"):
             cases.append((f"{command}_{label}", (command, *source)))
+        cases.append((f"extend_swap_{label}", ("extend", *source, "--swap")))
     for n in (64, 128):
         small_h = race(n, "--h", "0.02")
         cases.append((f"deficiency_race_h0.02_n{n}", ("deficiency", *small_h)))
         cases.append((f"extend_race_h0.02_n{n}", ("extend", *small_h)))
         cases.append((f"extend_swap_race_h0.02_n{n}", ("extend", *small_h, "--swap")))
-    cases.append(("extend_swap_race_n16", ("extend", *race(16), "--swap")))
     cases.append(("enumerate_race_n8", ("enumerate", *race(8), "--budget", "500")))
     # the random part of the sweep and hundreds of round-trip hits
     zero = ("--example", "zero_on_subspace", "--n", "16")
@@ -73,9 +73,13 @@ def corpus() -> list[tuple[str, tuple[str, ...]]]:
         cases.append((f"enumerate_{label}_budget2000", ("enumerate", *source, "--budget", "2000", "--seed", "0")))
     # 246 hits in 31 round-trip blocks, with 128-row new columns
     cases.append(("enumerate_race_h0.02_n64", ("enumerate", *race(64, "--h", "0.02"), "--budget", "2000")))
-    # race at the default h where vn's kernel split decides the exit code
+    # race at the default h where vn's kernel split decides the exit code,
+    # and both canonical extensions where the kernel cut loses a direction
     for n in (22, 26, 28):
         cases.append((f"verify-all_race_n{n}", ("verify-all", *race(n))))
+    for n in (26, 28):
+        cases.append((f"extend_race_n{n}", ("extend", *race(n))))
+        cases.append((f"extend_swap_race_n{n}", ("extend", *race(n), "--swap")))
     # race at the default h where the extensions' domain sums refuse
     cases.append(("verify-all_race_n48", ("verify-all", *race(48))))
     cases.append(("verify-all_fd_n32", ("verify-all", "--example", "fd_derivative_minimal", "--n", "32")))

@@ -67,7 +67,6 @@ from .linalg import (
     intersect,
     is_subspace_of,
     max_angle_sin,
-    orthogonal_difference,
     orthonormal_basis,
     subspace_equal,
     subspace_sum,

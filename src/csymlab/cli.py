@@ -163,7 +163,7 @@ def _extension_dims(dp: DoubledProblem, res: ExtensionResult) -> dict:
     return {
         "graph_a": dp.a.graph.dim,
         "graph_ext": res.a_ext.graph.dim,
-        "graph_bstar": dp.b_star.graph.dim,
+        "graph_bstar": dp.bstar_dim,
         "n_plus": dp.n_plus.dim,
         "l_graph": res.a_ext.graph.dim - dp.a.graph.dim,
     }

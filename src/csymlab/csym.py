@@ -17,21 +17,24 @@ adjoint-free weak form, and that check can only fail while the two are
 computed independently.
 
 m_spaces and anti_involution read A, B = CAC, A*, B* and frakM from the
-DoubledProblem that owns them (doubling.build_doubled), which caches both
-results.  frakM is built there, since N+- are read off its basis; m_spaces
-adds frakM' = J frakM (MSpaces), the graph sums graph(A) + frakM and
+DoubledProblem that owns them (doubling), which caches both results.
+frakM is built there, as the complement of [graph(A), J graph(B)] with no
+basis of B*, since N+- are read off its basis; m_spaces adds
+frakM' = J frakM (MSpaces), the graph sums graph(A) + frakM and
 graph(B) + frakM', and the kernels of I + A*B* and I + B*A*, each from one
 intersect in the middle coordinate (relations.kernel_one_plus),
-independent of frakM.
+independent of frakM.  m_spaces is the one reader here of the graph bases
+of A* and B*, which the DoubledProblem builds on that first use.
 
-m_spaces, anti_involution and doubling.deficiency share one guard,
+m_spaces, anti_involution, frakM and doubling.deficiency share one guard,
 _require_c_symmetric: B inside A*, or PreconditionError.  It reads
 DoubledProblem.c_symmetric, decided once per problem on the adjoint gap
 of graph(B) against A, a dim graph(A) x dim graph(B) matrix: graph(A*) is
 the complement of J graph(A), so no projection through A*'s basis is
 made.  is_c_symmetric, which check reports, keeps that projection.  The
 guard builds no M-space, so the extension builders, which reach it
-through omega and anti_involution, never build frakM'; the defect
+through frakM, omega and anti_involution, never build frakM', A* or B*;
+the defect
 decompositions of verify-all are the only readers of m_spaces:
 race_decomposition, and vn_decomposition, whose kernel of (frakA*)^2 + I
 is N(I + B*A*) x N(I + A*B*), compared there with N+ + N-.

@@ -10,10 +10,9 @@ Coordinates of the doubled graph in C^(4n): (x, y, v, u) with domain pair
 
 frakA = block(A, B) and frakA* = block(B*, A*) are, in the row order
 (y, v | x, u), the block pairs graph(A) + graph(B) and graph(B*) +
-graph(A*), so build_doubled, deficiency() and vn_decomposition read the
-one-space graphs and no 4n-row basis is built.  frakE (antiunitary) keeps
-graph bases orthonormal, so no image under it is re-derived by a rank
-decision.
+graph(A*), so deficiency() and vn_decomposition read the one-space graphs
+and no 4n-row basis is built.  frakE (antiunitary) keeps graph bases
+orthonormal, so no image under it is re-derived by a rank decision.
 
 The deficiency spaces are read off frakM = graph(B*) - graph(A), the
 orthogonal difference in H + H: N+- = {(y, +-ix) : (x, y) in frakM}.  For
@@ -21,24 +20,35 @@ w = (y, ix) the pair (w, iw) = (y, ix, iy, -x) lies in graph(frakA*) iff
 (ix, iy) is in graph(B*) and (y, -x) in graph(A*), that is iff (x, y) is in
 graph(B*) and orthogonal to graph(A), graph(A*) being the complement of
 J graph(A), J(x, y) = (y, -x); N- likewise.  The map (x, y) -> (y, +-ix) is
-unitary, so N+- come with orthonormal bases and no SVD in C^(4n), and the
-identity needs no C-symmetry.  frakM itself is linalg.orthogonal_difference
-(graph(B*), graph(A)): the directions of graph(B*) whose cosine with
-graph(A) is zero, from one SVD of the dim graph(A) x dim graph(B*) matrix of
-cosines, with no complement in C^(2n).  The brute-force sweep draws its
-candidates in another basis of the same subspace, which it builds itself
-(extensions._sweep_frame).
+unitary, so N+- come with orthonormal bases and no SVD in C^(4n).
 
-DoubledProblem owns every object derived from A and C: B = CAC, A*, B*,
-frakE, frakM and N+-, built once by build_doubled, and the C-symmetry
-verdict, the other M-spaces, the anti-involution S and omega, built on
-first use.  build_doubled's guards and the C-symmetry verdict are decided
-on the bases as built (the frakE image of graph(frakA) against its basis,
-A's adjoint gap of graph(B)), not by projections onto A*'s basis.
-Everything downstream reads them from it.  omega, the matrix of S in
-frakM's basis, is the one coordinate matrix of the defect space: frakE
-between N+ and N-, the block map D, and the symplectic form whose
-Lagrangians are the extensions are all read off it.
+frakM is built with no basis of B*: graph(B*) is the complement of
+J graph(B), so frakM is the complement of G = [graph(A), J graph(B)].  G is
+orthonormal exactly when A is C-symmetric (graph(A) orthogonal to
+J graph(B), the adjoint gap DoubledProblem.c_symmetric decides), and then
+frakM has the known dimension 2n - dim graph(A) - dim graph(B).  Its basis
+is linalg._complement_columns(G): columns of I - G G^H chosen by pivoted
+Cholesky, projected off G twice and orthonormalized, in O(n k d) for
+d = n - dim graph(A).  No report field depends on frakM's basis, only on
+the subspace: the canonical extension is the minimum-norm completion
+(extensions.minimum_norm_unitary), and the brute-force sweep draws its
+candidates in a basis it builds itself (extensions._sweep_frame).
+
+DoubledProblem owns every object derived from A and C: B = CAC and frakE,
+built by build_doubled, and on first use A* and B* (built together and
+checked against the block form of frakA*), the C-symmetry verdict, frakM,
+N+-, the M-spaces, the anti-involution S, omega and the canonical
+parameter.  Only the readers of graph bases of A* and B* build them:
+m_spaces, vn and race (check's is_c_symmetric builds A's own cached
+adjoint, which A* is); deficiency and extend count dim graph(R*) =
+2n - dim graph(R) and measure distances from graph(B*) and graph(A*) along
+J graph(B) and J graph(A).  The guards and the C-symmetry verdict are decided on the
+bases as built (the frakE image of graph(frakA) against its basis, A's
+adjoint gap of graph(B)), not by projections onto A*'s basis.  Everything
+downstream reads them from it.  omega, the matrix of S in frakM's basis,
+is the one coordinate matrix of the defect space: frakE between N+ and
+N-, the block map D, and the symplectic form whose Lagrangians are the
+extensions are all read off it.
 """
 
 from __future__ import annotations
@@ -54,11 +64,11 @@ from .errors import PreconditionError, PropertyViolationError
 from .linalg import (
     Subspace,
     Tolerance,
+    _complement_columns,
     _norm_within,
     _spectral_norm,
     _trusted,
     max_angle_sin,
-    orthogonal_difference,
     subspace_equal,
     subspace_sum,
 )
@@ -102,12 +112,7 @@ class DoubledProblem:
     a: LinearRelation
     c: Conjugation
     b: LinearRelation
-    a_star: LinearRelation
-    b_star: LinearRelation
     frakC: Conjugation
-    frakM: Subspace
-    n_plus: Subspace
-    n_minus: Subspace
 
     @property
     def ambient_dim(self) -> int:
@@ -117,7 +122,34 @@ class DoubledProblem:
     def tol(self) -> Tolerance:
         return self.a.tol
 
-    # the defect geometry below is computed once per problem on first use
+    @property
+    def bstar_dim(self) -> int:
+        """dim graph(B*) = 2n - dim graph(B): graph(B*) is the complement of
+        J graph(B), so the count needs no basis of it."""
+        return 2 * self.ambient_dim - self.b.graph.dim
+
+    # A* and B*, and the defect geometry below, are computed once per problem
+    # on first use
+    @cached_property
+    def _adjoints(self) -> tuple[LinearRelation, LinearRelation]:
+        """(A*, B*): A* is LinearRelation.adjoint, one complete QR and no
+        SVD, and B* = (CAC)* = C A* C the C-image of its basis, orthonormal
+        as built (C is antiunitary).  frakA* = block(B*, A*) is checked
+        against frakA = block(A, B) on the one-space graphs
+        (_require_block_adjoint) before either is returned."""
+        a_star = self.a.adjoint()
+        b_star = LinearRelation(_trusted(a_star.conjugated_basis(self.c), self.tol))
+        _require_block_adjoint(self.a, self.b, b_star, a_star)
+        return a_star, b_star
+
+    @property
+    def a_star(self) -> LinearRelation:
+        return self._adjoints[0]
+
+    @property
+    def b_star(self) -> LinearRelation:
+        return self._adjoints[1]
+
     @cached_property
     def c_symmetric(self) -> bool:
         """B inside A*, the hypothesis of the defect theory, decided on
@@ -127,6 +159,29 @@ class DoubledProblem:
         through A*'s basis.  Its vanishing also gives dim graph(B) <=
         dim graph(A*)."""
         return _norm_within(self.a._gap_matrix(self.b.graph.basis), self.tol.bound())
+
+    @cached_property
+    def frakM(self) -> Subspace:
+        """frakM = graph(B*) - graph(A), the complement of
+        G = [graph(A), J graph(B)] (module docstring); raises
+        PreconditionError unless C-symmetric, when G is not orthonormal."""
+        _require_c_symmetric(self)
+        a, b = self.a.graph.basis, self.b.graph.basis
+        n = self.ambient_dim
+        g = np.hstack([a, np.vstack([b[n:], -b[:n]])])
+        return _trusted(_complement_columns(g, 2 * n - a.shape[1] - b.shape[1], "frakM"), self.tol)
+
+    @cached_property
+    def n_plus(self) -> Subspace:
+        """N+ = {(y, ix) : (x, y) in frakM}, unitary image of frakM's basis."""
+        n = self.ambient_dim
+        return _trusted(np.vstack([self.frakM.basis[n:], 1j * self.frakM.basis[:n]]), self.tol)
+
+    @cached_property
+    def n_minus(self) -> Subspace:
+        """N- = {(y, -ix) : (x, y) in frakM}."""
+        n = self.ambient_dim
+        return _trusted(np.vstack([self.frakM.basis[n:], -1j * self.frakM.basis[:n]]), self.tol)
 
     @cached_property
     def spaces(self) -> MSpaces:
@@ -142,23 +197,27 @@ class DoubledProblem:
     def omega(self) -> np.ndarray:
         """Omega = M^H S conj(M), the k x k matrix of S on frakM in its basis M.
 
-        With M = [X; Y], N+- = [Y; +-iX] (build_doubled), and each defect
-        coordinate matrix is Omega up to a unit: frakE: N+ -> N- is
-        i Omega and frakE: N- -> N+ is -i Omega (antilinear), D = diag(-I, I)
-        is -I from N- to N+, and the symplectic form omega(x, y) =
-        <Jx, Cy> of frakM, J(x, y) = (y, -x), has matrix -Omega.
-
-        The product is formed exactly so, left to right.  Its bits are read
-        by canonical_extension's greedy L, whose reported extension can
-        change with them (zero_on_subspace's is_operator did once, with a
-        rounding-level change of frakM's basis), and by the parameter
-        conversions and checks (parameter_as_unitary,
-        frakE_condition_residual).  The brute-force sweep reads the Omega
-        of its own frame instead (extensions._sweep_frame).  Raises like
-        s_map.
+        With M = [X; Y], N+- = [Y; +-iX], and each defect coordinate matrix
+        is Omega up to a unit: frakE: N+ -> N- is i Omega and frakE: N- -> N+
+        is -i Omega (antilinear), D = diag(-I, I) is -I from N- to N+, and the
+        symplectic form omega(x, y) = <Jx, Cy> of frakM, J(x, y) = (y, -x),
+        has matrix -Omega.  The parameter conversions and checks read it
+        (parameter_as_unitary, frakE_condition_residual); no int, bool or
+        string field of a report depends on its bits.  The brute-force sweep
+        reads the Omega of its own frame instead (extensions._sweep_frame).
+        Raises like s_map.
         """
         m = self.frakM.basis
         return m.conj().T @ self.s_map.matrix @ np.conj(m)
+
+    @cached_property
+    def canonical_unitary(self) -> np.ndarray:
+        """U of the minimum-norm C-self-adjoint completion in frakM's
+        coordinates (extensions.minimum_norm_unitary), solved once for the
+        canonical extension and its swap."""
+        from .extensions import minimum_norm_unitary  # extensions imports this module
+
+        return minimum_norm_unitary(self)
 
 
 def _conjugates_back(a: LinearRelation, b: LinearRelation, c: Conjugation) -> bool:
@@ -174,37 +233,20 @@ def _conjugates_back(a: LinearRelation, b: LinearRelation, c: Conjugation) -> bo
 
 
 def build_doubled(a: LinearRelation, c: Conjugation) -> DoubledProblem:
-    """Assemble A*, B = CAC, B*, frakE, frakM and the deficiency subspaces
-    N+- of frakA*.
+    """Assemble B = CAC and frakE, and check frakE frakA frakE = frakA.
 
-    A* is LinearRelation.adjoint, one complete QR and no SVD; B and B* are
-    the C-images of graph(A) and graph(A*), orthonormal as built.
-    frakA* = block(B*, A*) is checked against frakA = block(A, B) on the
-    one-space graphs (_require_block_adjoint): the four dimensions must add
-    up to 4n and the two 2n-row blocks of the adjoint gap matrix must
-    vanish; neither block relation is built.  frakE frakA frakE = frakA
-    asks C graph(A) = graph(B), true bit for bit as built, and
-    C graph(B) = graph(A), certified on the bases (_conjugates_back).
-    Failure of either guard means a bug, not a regime boundary, and raises.
-    N+- are the unitary images {(y, +-ix)} of frakM's basis [X; Y] (see the
-    module docstring); deficiency() checks them.
+    B is the C-image of graph(A), orthonormal as built.  frakE frakA frakE =
+    frakA asks C graph(A) = graph(B), true bit for bit as built, and
+    C graph(B) = graph(A), certified on the bases (_conjugates_back); its
+    failure means a bug, not a regime boundary, and raises.  A*, B*, frakM
+    and N+- are built on first use (DoubledProblem), each by its own guard.
     """
     if c.dim != a.ambient_dim:
         raise PreconditionError(f"conjugation dimension {c.dim} != relation ambient {a.ambient_dim}")
-    n = a.ambient_dim
-    a_star = a.adjoint()
     b = a.conjugated(c)
-    # B* = (CAC)* = C A* C: C is antiunitary, so the C-image of A*'s basis
-    # is orthonormal as built and takes no SVD, as B = CAC above
-    b_star = LinearRelation(_trusted(a_star.conjugated_basis(c), a.tol))
-    _require_block_adjoint(a, b, b_star, a_star)
     if not _conjugates_back(a, b, c):
         raise PropertyViolationError("frakE frakA frakE = frakA fails", {})
-    frak_m = orthogonal_difference(b_star.graph, a.graph)
-    top, bottom = frak_m.basis[:n], frak_m.basis[n:]
-    n_plus = _trusted(np.vstack([bottom, 1j * top]), a.tol)
-    n_minus = _trusted(np.vstack([bottom, -1j * top]), a.tol)
-    return DoubledProblem(a, c, b, a_star, b_star, doubled_conjugation(c), frak_m, n_plus, n_minus)
+    return DoubledProblem(a, c, b, doubled_conjugation(c))
 
 
 def deficiency(dp: DoubledProblem) -> CheckList:
@@ -214,14 +256,18 @@ def deficiency(dp: DoubledProblem) -> CheckList:
     N+- are built from frakM, so their dimensions agree by construction;
     the dimension check compares both with the von Neumann count
     (dim graph(frakA*) - dim graph(frakA)) / 2, read off the one-space
-    graphs: dim graph(B*) + dim graph(A*) - dim graph(A) - dim graph(B).
-    The componentwise check proves membership in graph(frakA*); with the
-    count it proves equality.
+    graphs: dim graph(B*) + dim graph(A*) - dim graph(A) - dim graph(B),
+    with dim graph(R*) = 2n - dim graph(R).  The componentwise check proves
+    membership in graph(frakA*); with the count it proves equality.  It
+    reads each pair's distance from graph(B*) and graph(A*) as the norm of
+    its components along J graph(B) and J graph(A), their complements, so
+    neither adjoint is built.
     """
     _require_c_symmetric(dp)
     bound = dp.tol.bound()
     checks = CheckList()
-    excess = dp.b_star.graph.dim + dp.a_star.graph.dim - dp.a.graph.dim - dp.b.graph.dim
+    n = dp.ambient_dim
+    excess = 4 * n - 2 * dp.a.graph.dim - 2 * dp.b.graph.dim
     # N+- share frakM's column count as built, so each is held to the count
     checks.add(
         "dim_nplus_equals_dim_nminus",
@@ -234,11 +280,10 @@ def deficiency(dp: DoubledProblem) -> CheckList:
     )
     # componentwise: w = (x, y) in N+ means (y, ix) in graph(B*) and (x, iy) in graph(A*);
     # the residual is the largest distance of one such pair from its graph
-    n = dp.ambient_dim
     x, y = dp.n_plus.basis[:n], dp.n_plus.basis[n:]
     comp_res = max(
-        float(np.linalg.norm(pairs - target.graph.project(pairs), axis=0).max(initial=0.0))
-        for target, pairs in ((dp.b_star, np.vstack([y, 1j * x])), (dp.a_star, np.vstack([x, 1j * y])))
+        float(np.linalg.norm(relation._gap_matrix(pairs), axis=0).max(initial=0.0))
+        for relation, pairs in ((dp.b, np.vstack([y, 1j * x])), (dp.a, np.vstack([x, 1j * y])))
     )
     checks.add_residual("componentwise_characterization", comp_res, bound)
     return checks

@@ -19,7 +19,7 @@ read the two row blocks of the k new columns against graph(A) and
 graph(B).  The known block of each graph is certified once, upstream:
 
 - by the C-symmetry guard (B inside A*, csym._require_c_symmetric, which
-  every builder reaches through DoubledProblem.omega): graph(frakA)'s
+  every builder reaches through DoubledProblem.frakM and omega): graph(frakA)'s
   block of the doubled adjoint gap, graph(A)'s block of the adjoint gap
   of C graph(A_U), and graph(A) inside graph(B*);
 - by build_doubled's guard: frakE graph(frakA) = graph(frakA);
@@ -38,8 +38,11 @@ off frakM's basis M = [X; Y], D = -I, so the block condition is U^2 = I.
 With unitarity, a block-compatible U is a Hermitian involution U = 2P - I,
 P the projector onto range(I + U), and the extension is
 graph(A) + M range(I + U): range(I + U) is its Lagrangian in frakM.
-canonical_extension runs this backwards: from an orthonormal Lagrangian
-basis L it takes U = 2 L L^H - I, with no Cayley transform.  A
+canonical_extension reports the minimum-norm C-self-adjoint completion X
+of A (minimum_norm_unitary): Z = X D_perp in closed form, the new columns
+of graph(X) over graph(A), and their Cayley transform U, solved once per
+problem (DoubledProblem.canonical_unitary); graph(X) is one subspace in
+every basis of frakM, so frakM's basis decides no report field.  A
 parameter passing the first condition but failing the second produces a
 perfectly good self-adjoint relation upstairs that is not the double of
 anything; that outcome is reported as a property violation carrying the
@@ -93,6 +96,7 @@ from .linalg import (
     _as_complex_matrix,
     _bordered,
     _check_same_ambient,
+    _complement_columns,
     _gram_residual,
     _norm_within,
     _norms_within,
@@ -426,7 +430,7 @@ def extension_from_parameter(dp: DoubledProblem, p: ExtensionParameter) -> Exten
         subspace_equal(total, frak_m) and total.dim == l_graph.dim + s_image.dim,
         detail=f"dims {l_graph.dim}+{s_image.dim} vs {frak_m.dim}",
     )
-    q_upper = dp.b_star.graph.dim - a_ext.graph.dim
+    q_upper = dp.bstar_dim - a_ext.graph.dim
     q_lower = a_ext.graph.dim - dp.a.graph.dim
     checks.add("quotient_dimensions_equal", q_upper == q_lower, detail=f"{q_upper} vs {q_lower}")
     # domain-level counterpart of the deficiency span: D(A_U) = D(A) + second components
@@ -500,32 +504,91 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
 
 
 def canonical_extension(dp: DoubledProblem, swap: bool = False) -> ExtensionResult:
-    """Deterministic C-self-adjoint extension from a greedy Lagrangian L.
+    """The minimum-norm C-self-adjoint completion of A, with full verification.
 
-    Repeatedly picks the first complement column inside frakM and pairs it
-    with its anti-involution image until frakM is exhausted; the collected
-    half is an orthonormal basis L of a Lagrangian in frakM coordinates.
-    Its parameter is U = 2 L L^H - I, the block-compatible U whose
-    range(I + U) is L, and the extension graph(A) + M L is built from it
-    by extension_from_parameter.  With swap=True the companion extension
-    graph(A) + M S(L) is returned instead: S(L) = L^perp for a Lagrangian,
-    so its parameter is -U.  An L that is not Lagrangian fails the
-    compatibility condition frakE U frakE U = I, which is raised as a
-    property violation.
+    Its parameter U (DoubledProblem.canonical_unitary, minimum_norm_unitary)
+    is solved once per problem, and the extension is rebuilt from it and
+    checked by extension_from_parameter.  With swap=True the companion
+    extension of -U is returned instead: graph(A) + M range(I - U), where
+    range(I + U) is the completion's Lagrangian L in frakM coordinates and
+    range(I - U) = S(L) its complement.  The extension is one subspace in
+    every basis of frakM, so no report field moves with frakM's basis.
     """
-    s_coord = dp.omega  # raises PreconditionError unless C-symmetric
-    m = dp.frakM.dim
-    if m % 2:
-        raise PropertyViolationError("frakM has odd dimension", {"dim": m})
-    cols, lost = _greedy_isotropic(s_coord, np.eye(1, m, dtype=complex), dp.tol)
-    if lost[0]:
-        raise PropertyViolationError("isotropic construction lost rank", {})
-    l_coords = cols[0]
-    u = 2 * (l_coords @ l_coords.conj().T) - np.eye(m)
+    u = dp.canonical_unitary
     try:
         return extension_from_parameter(dp, ExtensionParameter("unitary", -u if swap else u))
     except InputError as exc:
-        raise PropertyViolationError(f"greedy L is not Lagrangian: {exc}", {}) from exc
+        raise PropertyViolationError(f"minimum-norm completion gives an invalid parameter: {exc}", {}) from exc
+
+
+def minimum_norm_unitary(dp: DoubledProblem) -> np.ndarray:
+    """U in frakM coordinates of the minimum-norm C-self-adjoint completion X
+    of A, an operator given on D (orthonormal basis D, images AD).
+
+    The operator completions X of A (X D = AD) that are C-self-adjoint,
+    CXC = X*, are those with XK symmetric, C = K conj.  With D_perp an
+    orthonormal basis of D's complement (linalg._complement_columns),
+    X = AD D^H + Z D_perp^H, and E = C D_perp = K conj(D_perp), which is
+    orthonormal, the condition reads Z E^T - E Z^T = R for R = Q^T - Q,
+    Q = AD D^H K.  Its least-norm solution is R conj(E) - E (E^H R conj(E))/2;
+    since D^H K conj(E) = D^H D_perp = 0, both Q conj(E) and E^H R conj(E)
+    vanish and
+        Z = K conj(D) ((AD)^T (conj(K) D_perp)),
+    formed right to left in O(n^2 d), d = dim D_perp.  Every completion is
+    Z + E S with S complex symmetric d x d, and Re <Z, E S> = 0, so Z, and
+    with it ||X||_F^2 = ||AD||_F^2 + ||Z||_F^2, is least (the completions
+    are an affine family of complex symmetric data: Behrndt, Hassi & de
+    Snoo, Boundary Value Problems, Weyl Functions, and Differential
+    Operators, 2020).  A unitary commuting with C
+    maps the completions of A onto those of its conjugate and keeps the
+    norm, so no basis enters.
+
+    graph(X) = graph(A) + span [D_perp; Z]; W, those columns projected off
+    graph(A) twice and orthonormalized by a thin SVD with no rank cut (they
+    are independent by construction; a cut relative to ||[D_perp; Z]||
+    would drop them for large Z), are its new columns, and U their Cayley
+    transform (_cayley_unitaries).  Two guards name the completion: W must
+    lie in graph(B*), and in the extension rebuilt from U, graph(A) +
+    M range(I + U), which holds W = M L iff U L = L.  A wrong Z still gives
+    some valid extension through U, which every check of the extension
+    passes; the first guard refuses it.  canonical_extension names the
+    completion too if U fails a parameter condition.  Raises
+    PreconditionError unless A is C-symmetric and given on its domain with
+    recorded images (relations.operator_relation).
+    """
+    _require_c_symmetric(dp)
+    bound = dp.tol.bound()
+    d_perp, z = _minimum_norm_completion(dp)
+    g = dp.a.graph.basis
+    w = np.linalg.svd(_outside(_outside(np.vstack([d_perp, z]), g), g), full_matrices=False)[0]
+    gap = dp.b._gap_matrix(w)
+    if not _norm_within(gap, bound):
+        raise PropertyViolationError(
+            "minimum-norm completion does not lie in graph(B*)", {"angle": _spectral_norm(gap)}
+        )
+    u = _cayley_unitaries(dp, w[None], _conjugated_graphs(w[None], dp.c.matrix))[0]
+    # W lies in frakM (in graph(B*), orthogonal to graph(A)), so W = M L with
+    # L = M^H W, and the extension rebuilt from U, graph(A) + M range(I + U),
+    # holds W iff U fixes L
+    coords = _adjoint(dp.frakM.basis) @ w
+    moved = u @ coords - coords
+    if not _norm_within(moved, bound):
+        raise PropertyViolationError(
+            "minimum-norm completion is not the extension rebuilt from its parameter",
+            {"residual": _spectral_norm(moved)},
+        )
+    return u
+
+
+def _minimum_norm_completion(dp: DoubledProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(D_perp, Z) of the minimum-norm completion X = AD D^H + Z D_perp^H of
+    A (minimum_norm_unitary): D_perp from D alone, Z in closed form."""
+    a = dp.a
+    if a.given_images is None:
+        raise PreconditionError("the minimum-norm completion needs an operator given on its domain")
+    d, ad, k = a.given_domain.basis, a.given_images, dp.c.matrix
+    d_perp = _complement_columns(d, dp.ambient_dim - d.shape[1], "the complement of D(A)")
+    return d_perp, k @ (np.conj(d) @ (ad.T @ (np.conj(k) @ d_perp)))
 
 
 def recover_parameter(dp: DoubledProblem, a_tilde: LinearRelation) -> ExtensionParameter:

@@ -8,8 +8,10 @@ notion of "numerically zero".  Every subspace predicate compares its
 residual with tol.bound() of the Tolerance its first operand carries.
 Intersections are read off the principal angles between the two subspaces
 (sin theta at or below the zero cutoff), from one SVD in the smaller
-subspace's dimension; orthogonal differences S1 cap S2^perp likewise
-(cos theta at or below the same cutoff), from one SVD of S2^H S1.
+subspace's dimension.  A complement whose dimension is known
+(_complement_columns: frakM, the complement of a domain) is read off
+columns of the projector I - G G^H chosen by pivoted Cholesky, in
+O(N r dim) instead of the full SVD of complement.
 
 Every SVD and matrix norm of the package is one of four kinds:
 
@@ -22,8 +24,7 @@ Every SVD and matrix norm of the package is one of four kinds:
   extend_basis's SVD of the new residual, and _bordered's on the stacked
   residuals of the enumerate round trip's rebuilt columns and on the
   relation that recover_parameter is given; intersect, and through it
-  kernel_one_plus; orthogonal_difference, and through it frakM
-  (build_doubled); LinearRelation._top_rank (domain, multivalued part,
+  kernel_one_plus; LinearRelation._top_rank (domain, multivalued part,
   is_operator) of a relation given by its graph alone, from the singular
   values alone (compute_uv=False) of its top block, the cut the round
   trip puts on the stacked top blocks of its hits; polar's rank r and
@@ -32,7 +33,11 @@ Every SVD and matrix norm of the package is one of four kinds:
   a proper domain or a nonzero multivalued part, sliced at _top_rank (an
   everywhere-defined relation's domain is full_space).
 - Structural rank (the rank is known by construction, so the SVD only
-  re-orthonormalizes, uncut): complement; operator_relation's graph
+  re-orthonormalizes, uncut): complement; _complement_columns' thin SVD of
+  its chosen projector columns (DoubledProblem.frakM, the complement of
+  [graph(A), J graph(B)], and the complement of D(A) that the minimum-norm
+  completion reads) and the completion's new columns
+  (extensions.minimum_norm_unitary); operator_relation's graph
   [D; AD] (rank that of D); extensions._sweep_frame, the one
   re-orthonormalization of a basis that is orthonormal as built: it
   rebuilds graph(B*) by SVDs (orthonormal_basis of J graph(A), complement,
@@ -41,8 +46,9 @@ Every SVD and matrix norm of the package is one of four kinds:
   the sweep's pools, because the sweep's hit counts depend on those bits.
   LinearRelation.adjoint takes no SVD: J graph(R), J(x, y) = (y, -x), is
   orthonormal of known rank as built, and graph(R*), its complement, is
-  the trailing columns of one complete Householder QR.  Images under C
-  (LinearRelation.conjugated for B = CAC, build_doubled's B* = C A* C, and
+  the trailing columns of one complete Householder QR, built only where
+  a graph basis of A* or B* is read.  Images under C
+  (LinearRelation.conjugated for B = CAC, DoubledProblem's B* = C A* C, and
   Conjugation.map_subspace for D(B) = C D(A) and the C-images of the
   kernels), under frakE (N+), under S (extension_from_parameter's S(L))
   and under J (m_spaces' frakM' = J frakM) take the image of the
@@ -53,20 +59,23 @@ Every SVD and matrix norm of the package is one of four kinds:
   a check reports them as residuals (deficiency and race_decomposition;
   extension_from_parameter and enumerate's roundtrip angle take them over
   the k new columns of a bordered graph, so on k x k Gram matrices),
-  build_doubled's error payload, extend_basis's scale ||cols||_2 and
-  powers' ||A||_2.
+  the error payloads of the doubled guards and of the completion's,
+  extend_basis's scale ||cols||_2 and powers' ||A||_2.  A matrix whose
+  largest entry lies outside [2^-500, 2^500] is scaled by a power of two
+  first, so its Gram matrix neither overflows nor underflows.
 - Bound-only decision (a yes/no against tol.bound()), by _norm_within,
   the Frobenius certificate (_norms_within on stacks): is_subspace_of
   (subspace_equal, contained_in, equals), is_c_selfadjoint (and, on the
   n x n gap assembled from graph(A)'s block and the new columns' blocks,
   the sweep's and recover_parameter's, extensions._c_selfadjoint_grown),
-  preserves_subspace, build_doubled's frakA* guard (on the two nonzero
-  2n-row blocks of the doubled gap matrix, A's gap against graph(A*) and
-  B's against graph(B*)) and its frakE certificate (the difference of the
-  bases of C graph(B) and graph(A), doubling._conjugates_back), the
-  C-symmetry guard (A's dim graph(A) x dim graph(B) adjoint gap of graph(B),
-  DoubledProblem.c_symmetric), extension_from_parameter's block reassembly
-  and the brute-force filter.  Each
+  preserves_subspace, the frakA* guard where A* and B* are built (on the
+  two nonzero 2n-row blocks of the doubled gap matrix, A's gap against
+  graph(A*) and B's against graph(B*)), build_doubled's frakE certificate
+  (the difference of the bases of C graph(B) and graph(A),
+  doubling._conjugates_back), the C-symmetry guard (A's dim graph(A) x
+  dim graph(B) adjoint gap of graph(B), DoubledProblem.c_symmetric), the
+  minimum-norm completion's two guards, extension_from_parameter's block
+  reassembly and the brute-force filter.  Each
   builds its residual matrix once (_angle_residual, LinearRelation._gap_matrix,
   extensions._omega_block) and takes a Gram eigenvalue only when the
   Frobenius norm leaves the answer open.  is_subspace_of and
@@ -94,7 +103,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, PropertyViolationError
 
 
 @dataclass(frozen=True)
@@ -253,6 +262,45 @@ def complement(s: Subspace) -> Subspace:
     return _trusted(u[:, k:], s.tol)
 
 
+def _complement_columns(g: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """An orthonormal basis of span(G)^perp, for G with orthonormal columns
+    whose complement has the known dimension dim, in O(N r dim) for G N x r.
+
+    The columns are dim columns P e_i of the projector P = I - G G^H, chosen
+    by pivoted Cholesky of P (Higham, "Analysis of the Cholesky
+    decomposition of a semi-definite matrix", 1990): each pivot is the
+    largest diagonal entry of the Schur complement left by the columns
+    chosen so far, starting from diag(P) = 1 - ||row_i(G)||^2, and each
+    column of P is formed when it is chosen.  That Schur complement is a
+    projector of rank dim - j after j steps, so its trace is dim - j and
+    step j's pivot is at least (dim - j)/N in exact arithmetic; a pivot
+    below half of that raises PropertyViolationError naming `what`.  The
+    chosen columns are projected off G twice and orthonormalized by a thin
+    SVD with no rank cut: they are independent by construction.
+    """
+    n = g.shape[0]
+    schur = np.zeros((n, dim), dtype=complex)
+    diagonal = 1.0 - np.sum(np.abs(g) ** 2, axis=1)
+    pivots = []
+    for j in range(dim):
+        p = int(np.argmax(diagonal))
+        if diagonal[p] < (dim - j) / (2 * n):
+            raise PropertyViolationError(
+                f"{what}: pivoted Cholesky of the projector breaks down at column {j + 1} of {dim}",
+                {"pivot": float(diagonal[p])},
+            )
+        column = -(g @ g[p].conj()) - schur[:, :j] @ schur[p, :j].conj()
+        column[p] += 1.0
+        schur[:, j] = column / np.sqrt(diagonal[p])
+        diagonal -= np.abs(schur[:, j]) ** 2
+        pivots.append(p)
+    if not dim:
+        return schur
+    chosen = np.zeros((n, dim), dtype=complex)
+    chosen[pivots, np.arange(dim)] = 1.0
+    return np.linalg.svd(_outside(_outside(chosen, g), g), full_matrices=False)[0]
+
+
 def extend_basis(s: Subspace, cols) -> Subspace:
     """span(S) + span(cols) with the basis [S.basis, new].
 
@@ -312,26 +360,6 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return _trusted(s1.basis @ vh[inside].conj().T, s1.tol)
 
 
-def orthogonal_difference(s1: Subspace, s2: Subspace) -> Subspace:
-    """S1 cap S2^perp from the principal angles between S1 and S2.
-
-    The singular values of S2^H S1 are the cosines of the principal angles
-    and its right singular vectors V the principal directions in S1 (Bjorck
-    & Golub, Math. Comp. 27 (1973)), so the difference is S1 V restricted to
-    the directions with cos theta <= tol.zero_cutoff(1.0), the cut intersect
-    puts on sines; its columns are orthonormal by construction.  When
-    dim S2 < dim S1 the missing cosines are 0.  One SVD of a
-    dim S2 x dim S1 matrix, with no complement.
-    """
-    _check_same_ambient(s1, s2)
-    if s1.dim == 0 or s2.dim == 0:
-        return s1
-    _, cosines, vh = np.linalg.svd(s2.basis.conj().T @ s1.basis)
-    cosines = np.pad(cosines, (0, s1.dim - cosines.size))
-    outside = cosines <= s1.tol.zero_cutoff(1.0)
-    return _trusted(s1.basis @ vh[outside].conj().T, s1.tol)
-
-
 def _angle_residual(s1: Subspace, s2: Subspace) -> np.ndarray:
     """S1 - S2 (S2^H S1): the part of S1's basis outside S2.  Its 2-norm is
     the sine of the largest principal angle from S1 into S2."""
@@ -369,12 +397,26 @@ def _spectral_norm(m: np.ndarray) -> float:
 
 def _spectral_norms(m: np.ndarray) -> np.ndarray:
     """_spectral_norm of a matrix, or of each matrix in a stack by one
-    stacked eigvalsh."""
+    stacked eigvalsh.
+
+    The Gram matrix squares the entries, so a matrix whose largest entry
+    lies outside [2^-500, 2^500] is first scaled by 2^-e, e the binary
+    exponent of that entry, and its norm scaled back by 2^e: exact, and
+    no Gram entry overflows or underflows.  Every other matrix is taken
+    as it is, bit for bit.
+    """
     rows, cols = m.shape[-2:]
     if not rows * cols:
         return np.zeros(m.shape[:-2])
+    exponent = np.zeros(m.shape[:-2], dtype=int)
+    largest = np.abs(m).max(axis=(-2, -1))
+    outside = (largest > 2.0**500) | ((largest < 2.0**-500) & (largest > 0))
+    if outside.any():
+        exponent = np.where(outside, np.frexp(largest)[1], 0)
+        shift = -exponent[..., None, None]
+        m = np.ldexp(m.real, shift) + 1j * np.ldexp(m.imag, shift)
     gram = _adjoint(m) @ m if rows >= cols else m @ _adjoint(m)
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), exponent)
 
 
 def _norm_within(m: np.ndarray, bound: float) -> bool:

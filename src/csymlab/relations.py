@@ -5,8 +5,9 @@ C^(2n); the first n coordinates are the argument, the last n the value.
 Adjoints and the kernels N(I + R S) are computed by exact subspace algebra,
 never through pseudo-inverses, so rank decisions stay centralized in the
 Tolerance rule.  An operator given on its domain (operator_relation) records
-it, and domain(), multivalued_part() and is_operator read it; for a relation
-given by its graph alone they are one rank decision, read off the singular
+it and the images of its basis, domain(), multivalued_part() and is_operator
+read the domain, and the canonical extension reads both.  For a relation
+given by its graph alone the three are one rank decision, read off the singular
 values alone of the graph basis's top block.  Its singular vectors are taken
 only for a proper domain or a nonzero multivalued part; the domain of an
 everywhere-defined relation is the whole space.
@@ -45,6 +46,7 @@ class LinearRelation:
 
     graph: Subspace
     given_domain: Subspace | None = None  # of an operator given on it; None if given by its graph
+    given_images: np.ndarray | None = None  # the operator's images of given_domain's basis, if recorded
 
     def __post_init__(self):
         if self.graph.ambient_dim % 2:
@@ -201,17 +203,23 @@ def operator_relation(cols: np.ndarray, images: np.ndarray, tol: Tolerance) -> L
     orthonormal_basis(cols), refused if it drops a column: the one rank decision
     on an operator input.  [cols; images] has the rank k of cols (its singular
     values are at least theirs), so the k left singular vectors of its thin SVD
-    span the graph with no cut: orthonormal_basis's bits wherever it keeps k."""
+    span the graph with no cut: orthonormal_basis's bits wherever it keeps k.
+    The images of D's basis are recorded (given_images): images itself, or
+    for orthonormalized columns images times the coefficients that give D's
+    basis from cols, so no reader recovers them from the graph basis."""
     gram = _gram_residual(cols)
     if gram <= tol.bound():
-        domain = _trusted(cols, tol)
+        domain, domain_images = _trusted(cols, tol), images
     else:
         warnings.warn(f"domain columns are not orthonormal (Gram residual {gram:.3e})", stacklevel=3)
         domain = orthonormal_basis(cols, tol)
         if domain.dim != cols.shape[1]:
             raise InputError(f"domain columns are linearly dependent (rank {domain.dim} of {cols.shape[1]})")
+        domain_images = images @ np.linalg.lstsq(cols, domain.basis)[0]
     u, _, _ = np.linalg.svd(np.vstack([cols, images]), full_matrices=False)
-    return LinearRelation(_trusted(u, tol), domain)
+    domain_images = np.array(domain_images, dtype=complex)
+    domain_images.setflags(write=False)
+    return LinearRelation(_trusted(u, tol), domain, domain_images)
 
 
 def from_matrix(m, tol: Tolerance = DEFAULT_TOL) -> LinearRelation:

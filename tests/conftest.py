@@ -94,10 +94,73 @@ def svd_sweep_frame(dp):
     return cs.extensions._complement_formula_intersect(cs.complement(b_star), cs.complement(dp.a.graph))
 
 
+def orthogonal_difference(s1, s2):
+    """S1 cap S2^perp from the principal angles between S1 and S2: the
+    oracle of frakM = graph(B*) - graph(A), which the package builds as the
+    complement of [graph(A), J graph(B)].
+
+    The singular values of S2^H S1 are the cosines of the principal angles
+    and its right singular vectors V the principal directions in S1 (Bjorck
+    & Golub, Math. Comp. 27 (1973)), so the difference is S1 V restricted to
+    the directions with cos theta <= tol.zero_cutoff(1.0), the cut intersect
+    puts on sines.  When dim S2 < dim S1 the missing cosines are 0.
+    """
+    cs.linalg._check_same_ambient(s1, s2)
+    if s1.dim == 0 or s2.dim == 0:
+        return s1
+    _, cosines, vh = np.linalg.svd(s2.basis.conj().T @ s1.basis)
+    cosines = np.pad(cosines, (0, s1.dim - cosines.size))
+    outside = cosines <= s1.tol.zero_cutoff(1.0)
+    return cs.linalg._trusted(s1.basis @ vh[outside].conj().T, s1.tol)
+
+
+def frakM_oracle(dp):
+    """frakM = graph(B*) - graph(A) by orthogonal_difference on B*'s basis."""
+    return orthogonal_difference(dp.b_star.graph, dp.a.graph)
+
+
 def frakM_prime_oracle(dp):
     """frakM' = graph(A*) - graph(B) by its own orthogonal_difference SVD,
     the oracle of m_spaces' J frakM."""
-    return cs.orthogonal_difference(dp.a_star.graph, dp.b.graph)
+    return orthogonal_difference(dp.a_star.graph, dp.b.graph)
+
+
+def completion_matrix(dp):
+    """The n x n matrix X = AD D^H + Z D_perp^H of the package's minimum-norm
+    completion (extensions._minimum_norm_completion)."""
+    d_perp, z = cs.extensions._minimum_norm_completion(dp)
+    d, ad = dp.a.given_domain.basis, dp.a.given_images
+    return ad @ d.conj().T + z @ d_perp.conj().T
+
+
+def completion_oracle(dp):
+    """The minimum-norm C-self-adjoint completion by a dense least-norm solve.
+
+    X = AD D^H + Z D_perp^H with D_perp from cs.complement (a full SVD), and
+    Z the least-norm solution of the n^2 equations "XK symmetric",
+    Z E^T - E Z^T = Q^T - Q for E = K conj(D_perp) and Q = AD D^H K, written
+    over the reals and handed to np.linalg.lstsq: none of the package's
+    closed form enters."""
+    d, ad, k = dp.a.given_domain.basis, dp.a.given_images, dp.c.matrix
+    n = dp.ambient_dim
+    d_perp = cs.complement(cs.Subspace(d, dp.tol)).basis
+    e = k @ np.conj(d_perp)
+    q = ad @ d.conj().T @ k
+    columns = []
+    for unit in (1.0, 1j):
+        for index in range(d_perp.size):
+            z = np.zeros(d_perp.shape, dtype=complex)
+            z.flat[index] = unit
+            image = z @ e.T - e @ z.T
+            columns.append(np.concatenate([image.real.ravel(), image.imag.ravel()]))
+    rhs = q.T - q
+    if not columns:  # A everywhere defined: X = A
+        return ad @ d.conj().T
+    solution = np.linalg.lstsq(np.array(columns).T, np.concatenate([rhs.real.ravel(), rhs.imag.ravel()]))[0]
+    half = d_perp.size
+    z = (solution[:half] + 1j * solution[half:]).reshape(d_perp.shape)
+    assert np.abs(z @ e.T - e @ z.T - rhs).max(initial=0.0) <= 1e-10 * max(1.0, np.abs(rhs).max(initial=0.0))
+    return ad @ d.conj().T + z @ d_perp.conj().T
 
 
 def linear_map_subspace(self, s):

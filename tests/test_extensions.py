@@ -22,9 +22,12 @@ from conftest import (
     block_slices,
     bordered_doubled_residuals,
     cayley_oracle,
+    completion_matrix,
+    completion_oracle,
     count_calls,
     doubled_extension,
     frak_a,
+    frakM_oracle,
     greedy_isotropic_oracle,
     hit_relations,
     nonblock_parameter,
@@ -434,12 +437,16 @@ ORACLE_SPECS = pytest.mark.parametrize(
 
 @ORACLE_SPECS
 def test_frakM_spans_the_complement_formula(spec):
-    # oracle: frakM from the cosines of graph(B*) against graph(A) spans the
+    # oracle: frakM, the complement of [graph(A), J graph(B)], spans the
     # complement formula's graph(B*) cap complement(graph(A)), the sweep's
-    # frame, with or without C-symmetry
+    # frame.  Without C-symmetry that frame exists but frakM is not built
     dp = doubled(spec)
     frame = svd_sweep_frame(dp)
-    assert dp.frakM.dim > 0
+    assert frame.dim > 0
+    if not dp.c_symmetric:
+        with pytest.raises(cs.PreconditionError, match="not C-symmetric"):
+            dp.frakM
+        return
     assert within(dp.frakM, frame, dp.tol.bound(), equal=True) and within(frame, dp.frakM, dp.tol.bound())
 
 
@@ -796,7 +803,7 @@ def test_extension_builders_refuse_non_c_symmetric_input_with_zero_frakm():
     # and frakM = 0, so a guard placed after the frakM.dim == 0 return misses it
     a = cs.from_matrix([[0.0, 1.0], [0.0, 0.0]])
     c = cs.entrywise_conjugation(2)
-    assert cs.build_doubled(a, c).frakM.dim == 0
+    assert frakM_oracle(cs.build_doubled(a, c)).dim == 0
     for build in (
         cs.canonical_extension,
         cs.brute_force_extensions,
@@ -836,10 +843,9 @@ def test_extend_fails_when_adjoint_gap_sign_is_flipped(monkeypatch, tmp_path, ca
         return g[n:].conj().T @ q[:n] + g[:n].conj().T @ q[n:]
 
     monkeypatch.setattr(cs.LinearRelation, "_gap_matrix", flipped)
-    # build_doubled checks frakA* with the same gap, so the CLI fails there
-    assert main(["extend", *example, "--param", str(path)]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert "adjoint of the doubled relation disagrees with the block form" in out["error"]
+    # the C-symmetry guard decides with the same gap, so the CLI refuses there
+    assert main(["extend", *example, "--param", str(path)]) == 2
+    assert "not C-symmetric" in capsys.readouterr().err
     # dp and the parameter were built before the patch
     res = cs.extension_from_parameter(dp, cs.ExtensionParameter("unitary", param))
     status = {c.name: c.status for c in res.checks}
@@ -926,14 +932,18 @@ def test_bordered_checks_fail_on_a_turned_new_column(monkeypatch, spec):
 @pytest.mark.parametrize("swap", [False, True])
 @pytest.mark.parametrize("spec", [*DEFECT_SPECS, cs.random_restriction(8, seed=1)], ids=lambda s: s.name)
 def test_canonical_parameter_matches_cayley_transform(spec, swap):
-    # oracle: graph(A) + M L (M S(L) with swap) bordered directly and its
-    # parameter recovered by the Cayley transform; random_restriction(8, 1)
-    # has frakM of dimension 14, past the brute-force guard
+    # oracle: graph(X) of the least-norm completion X solved densely
+    # (conftest.completion_oracle), its S-image with swap, bordered on
+    # graph(A) and its parameter recovered by the Cayley transform;
+    # random_restriction(8, 1) has frakM of dimension 14, past the
+    # brute-force guard
     dp = doubled(spec)
-    l_coords = cs.extensions._greedy_isotropic(dp.omega, np.eye(1, dp.frakM.dim, dtype=complex), dp.tol)[0][0]
+    n = dp.ambient_dim
+    graph = cs.orthonormal_basis(np.vstack([np.eye(n), completion_oracle(dp)]), dp.tol)
+    new = cs.linalg._outside(graph.basis, dp.a.graph.basis)
     if swap:
-        l_coords = dp.omega @ np.conj(l_coords)
-    a_tilde = cs.LinearRelation(cs.extend_basis(dp.a.graph, dp.frakM.basis @ l_coords))
+        new = dp.s_map.apply(new)
+    a_tilde = cs.LinearRelation(cs.extend_basis(dp.a.graph, new))
     u = cs.recover_parameter(dp, a_tilde).matrix
     res = cs.canonical_extension(dp, swap=swap)
     assert res.checks.all_pass
@@ -941,7 +951,8 @@ def test_canonical_parameter_matches_cayley_transform(spec, swap):
 
 
 def test_cli_extend_recovers_no_parameter(monkeypatch, capsys):
-    # the canonical parameter is read off L in closed form
+    # the canonical parameter is the Cayley transform of the completion's
+    # new columns, solved once per problem, not recovered from a relation
     calls = count_calls(monkeypatch, cs.extensions, "recover_parameter")
     for swap in ([], ["--swap"]):
         assert main(["extend", "--example", "race_schrodinger", "--n", "16", *swap]) == 0
@@ -949,21 +960,152 @@ def test_cli_extend_recovers_no_parameter(monkeypatch, capsys):
     assert calls == []
 
 
-def test_canonical_extension_refuses_a_non_lagrangian_l(monkeypatch):
-    # mutation: the greedy L's last column replaced by the S-image of its
-    # first; L stays orthonormal (L is isotropic) but is no longer Lagrangian
-    dp = doubled(cs.race_schrodinger(16))
-    greedy = cs.extensions._greedy_isotropic
+COMPLETION_SPECS = pytest.mark.parametrize(
+    "spec",
+    [
+        *DEFECT_SPECS,
+        cs.zero_on_subspace(16),
+        cs.minimal_identity(),
+        cs.random_restriction(10, seed=3),
+        cs.random_restriction(12, seed=5),
+        cs.race_schrodinger(64, h=0.02),
+        cs.random_csym(6),
+    ],
+    ids=lambda s: s.name,
+)
 
-    def skewed(s_coord, first, tol, rng=None):
-        l_coords, lost = greedy(s_coord, first, tol, rng)
-        l_coords[:, :, -1] = (s_coord @ np.conj(l_coords[:, :, :1]))[:, :, 0]
-        return l_coords, lost
 
-    monkeypatch.setattr(cs.extensions, "_greedy_isotropic", skewed)
+@COMPLETION_SPECS
+def test_minimum_norm_completion_is_the_canonical_operator_extension(spec):
+    # X D = AD and XK symmetric (C-self-adjoint, C = K conj), X equals the
+    # dense least-norm solve, and the canonical extension is graph(X): an
+    # operator, passing every check
+    dp = doubled(spec)
+    n = dp.ambient_dim
+    x = completion_matrix(dp)
+    d, ad, k = dp.a.given_domain.basis, dp.a.given_images, dp.c.matrix
+    scale = max(1.0, float(np.linalg.norm(x)))
+    assert np.abs(x @ d - ad).max() <= 1e-12 * scale
+    assert np.abs(x @ k - (x @ k).T).max() <= 1e-12 * scale
+    assert np.abs(x - completion_oracle(dp)).max() <= 1e-10 * scale
+    res = cs.canonical_extension(dp)
+    assert res.checks.all_pass and res.a_ext.is_operator
+    assert within(res.a_ext, cs.orthonormal_basis(np.vstack([np.eye(n), x])), 1e-10, equal=True)
+
+
+@COMPLETION_SPECS
+def test_minimum_norm_completion_is_stationary(spec):
+    # the completions are Z + E S, S complex symmetric d x d and
+    # E = K conj(D_perp); Z is orthogonal to every E S, so it has least norm
+    dp = doubled(spec)
+    d_perp, z = cs.extensions._minimum_norm_completion(dp)
+    e = dp.c.matrix @ np.conj(d_perp)
+    d, ad = dp.a.given_domain.basis, dp.a.given_images
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        s = random_complex(rng, d_perp.shape[1], d_perp.shape[1])
+        step = e @ (s + s.T)
+        other = ad @ d.conj().T + (z + step) @ d_perp.conj().T
+        assert np.abs(other @ dp.c.matrix - (other @ dp.c.matrix).T).max() <= 1e-12 * max(1.0, np.linalg.norm(other))
+        assert abs(np.vdot(step, z).real) <= 1e-10 * max(1.0, np.linalg.norm(z)) * np.linalg.norm(step)
+
+
+def test_minimum_norm_completion_moves_with_a_c_commuting_unitary():
+    # Q = V R V^H, R real orthogonal and K = V V^T, commutes with C = K conj,
+    # so it maps the completions of A onto those of Q A Q^H at equal norm:
+    # both canonical extensions of the rotated problem are (Q + Q) times
+    # the original's, in whatever basis frakM is built
+    rng = np.random.default_rng(11)
+    n = 9
+    v = cs.haar_unitary(n, rng)
+    k = v @ v.T
+    a = cs.random_csym_matrix(n, rng, cs.Conjugation(k))
+    domain = cs.orthonormal_basis(random_complex(rng, n, 6)).basis
+    q = v @ np.linalg.qr(rng.standard_normal((n, n)))[0] @ v.conj().T
+    assert np.abs(q @ k - k @ np.conj(q)).max() <= 1e-13
+    specs = [
+        cs.ProblemSpec(name, n, "matrix", k, rotation @ domain, rotation @ a @ domain, cs.DEFAULT_TOL)
+        for name, rotation in (("plain", np.eye(n)), ("rotated", q))
+    ]
+    plain, rotated = (spec.doubled() for spec in specs)
     for swap in (False, True):
-        with pytest.raises(cs.PropertyViolationError, match="greedy L is not Lagrangian"):
-            cs.canonical_extension(dp, swap=swap)
+        g = cs.canonical_extension(plain, swap=swap).a_ext.graph.basis
+        moved = cs.Subspace(np.vstack([q @ g[:n], q @ g[n:]]))
+        assert within(moved, cs.canonical_extension(rotated, swap=swap).a_ext, 1e-10, equal=True)
+
+
+def test_minimum_norm_completion_reads_no_particular_domain_basis():
+    # the same restriction given on non-orthonormal domain columns (which
+    # operator_relation orthonormalizes, with a warning) and on an
+    # orthonormal basis of their span has one canonical extension
+    rng = np.random.default_rng(4)
+    n = 7
+    c = cs.random_conjugation(n, rng)
+    a = cs.random_csym_matrix(n, rng, c)
+    cols = random_complex(rng, n, 4)
+    q = np.linalg.qr(cols)[0]
+    specs = [cs.ProblemSpec("p", n, "matrix", c.matrix, d, a @ d, cs.DEFAULT_TOL) for d in (cols, q)]
+    with pytest.warns(UserWarning, match="not orthonormal"):
+        given = cs.canonical_extension(specs[0].doubled())
+    assert given.checks.all_pass and given.a_ext.is_operator
+    assert within(given.a_ext, cs.canonical_extension(specs[1].doubled()).a_ext, 1e-10, equal=True)
+
+
+def _completion_with(dp, conj_images, conj_k):
+    """_minimum_norm_completion with (AD)^H for (AD)^T, or K for conj(K)."""
+    d, ad, k = dp.a.given_domain.basis, dp.a.given_images, dp.c.matrix
+    d_perp = cs.linalg._complement_columns(d, dp.ambient_dim - d.shape[1], "test")
+    images = ad.conj().T if conj_images else ad.T
+    return d_perp, k @ (np.conj(d) @ (images @ ((k if conj_k else np.conj(k)) @ d_perp)))
+
+
+def _zero_completion(dp):
+    d_perp, z = _completion_with(dp, False, False)
+    return d_perp, np.zeros_like(z)
+
+
+COMPLETION_MUTATIONS = {
+    "zero": _zero_completion,
+    "adjoint_images": lambda dp: _completion_with(dp, True, False),
+    "unconjugated_k": lambda dp: _completion_with(dp, False, True),
+}
+
+
+@pytest.mark.parametrize(
+    "mutation, spec",
+    [
+        ("zero", cs.race_schrodinger(16)),
+        ("zero", cs.fd_derivative_minimal(16)),
+        ("adjoint_images", cs.fd_derivative_minimal(16)),
+        ("unconjugated_k", cs.random_restriction(8, seed=1)),
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_canonical_extension_refuses_a_wrong_completion(monkeypatch, mutation, spec):
+    # mutations of Z on inputs where they change it.  A wrong Z still gives
+    # some valid extension through its Cayley transform, which every check
+    # of extension_from_parameter passes; the guard that the completion's
+    # new columns lie in graph(B*) (or the Cayley transform's unitarity)
+    # refuses it, naming the completion
+    mutated = COMPLETION_MUTATIONS[mutation]
+    dp = doubled(spec)
+    z = cs.extensions._minimum_norm_completion(dp)[1]
+    assert np.abs(mutated(dp)[1] - z).max() > 1e-3 * max(1.0, np.abs(z).max())
+    monkeypatch.setattr(cs.extensions, "_minimum_norm_completion", mutated)
+    for swap in (False, True):
+        with pytest.raises(cs.PropertyViolationError, match="minimum-norm completion|Cayley transform"):
+            cs.canonical_extension(doubled(spec), swap=swap)
+
+
+def test_canonical_extension_refuses_a_parameter_that_misses_the_completion(monkeypatch):
+    # mutation: the Cayley transform negated, the parameter of the swap; it
+    # is a valid parameter, but its extension does not hold the completion's
+    # new columns, so the second guard refuses it
+    original = cs.extensions._cayley_unitaries
+    monkeypatch.setattr(cs.extensions, "_cayley_unitaries", lambda dp, w, images: -original(dp, w, images))
+    with pytest.raises(cs.PropertyViolationError, match="not the extension rebuilt from its parameter") as info:
+        cs.canonical_extension(doubled(cs.race_schrodinger(16)))
+    assert info.value.residuals["residual"] > 1.0
 
 
 OMEGA_FIXTURES = pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import csymlab as cs
 
-from conftest import random_complex, within
+from conftest import orthogonal_difference, random_complex, within
 
 
 def gram_rank(vectors, tol=1e-10):
@@ -235,7 +235,7 @@ def test_orthogonal_difference_matches_complement_formula(rng):
             k = int(rng.integers(1, (n - s2.dim) // 2 + 1))
             planted = cs.complement(s2).basis @ random_complex(rng, n - s2.dim, k)
             s1 = cs.orthonormal_basis(np.hstack([planted, random_complex(rng, n, int(rng.integers(0, s2.dim + 1)))]))
-            diff = cs.orthogonal_difference(s1, s2)
+            diff = orthogonal_difference(s1, s2)
             assert diff.dim == k
             assert_same_subspace(diff, complement_formula(s1, cs.complement(s2)))
             np.testing.assert_allclose(diff.basis.conj().T @ diff.basis, np.eye(k), atol=1e3 * MACHINE_EPS)
@@ -247,9 +247,9 @@ def test_orthogonal_difference_edge_cases(rng):
     inner = cs.orthonormal_basis(s.basis @ random_complex(rng, 6, 3))
     outer = cs.complement(s)
     empty = cs.zero_subspace(n)
-    assert cs.orthogonal_difference(empty, s).dim == 0
+    assert orthogonal_difference(empty, s).dim == 0
     for s1, s2, expected in ((s, empty, s), (inner, s, empty), (s, s, empty), (s, outer, s), (s, inner, None)):
-        diff = cs.orthogonal_difference(s1, s2)
+        diff = orthogonal_difference(s1, s2)
         if expected is None:  # the part of S outside its subspace inner
             assert diff.dim == 3 and cs.is_subspace_of(diff, s)
             assert np.abs(inner.basis.conj().T @ diff.basis).max() <= 1e3 * MACHINE_EPS
@@ -263,7 +263,7 @@ def test_orthogonal_difference_angle_threshold(rng, angle, outside):
     # cut at zero_cutoff(1.0) like intersect's sines
     q = cs.orthonormal_basis(random_complex(rng, 12, 2)).basis
     tilted = np.cos(angle) * q[:, 1:] + np.sin(angle) * q[:, :1]
-    assert cs.orthogonal_difference(cs.Subspace(q[:, :1]), cs.Subspace(tilted)).dim == int(outside)
+    assert orthogonal_difference(cs.Subspace(q[:, :1]), cs.Subspace(tilted)).dim == int(outside)
 
 
 @pytest.mark.parametrize("shape", [(40, 7), (7, 40), (16, 16), (1, 9), (9, 1), (0, 5), (5, 0)])
@@ -276,6 +276,46 @@ def test_spectral_norm_matches_numpy(rng, shape, scale):
         low_rank = m[:, :1] @ m[:1, :] if min(shape) > 1 else m
         ref = float(np.linalg.norm(low_rank, 2))
         assert abs(cs.linalg._spectral_norm(low_rank) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e200, 1e-200, 1e-310])
+def test_spectral_norm_of_extreme_entries_is_exact(rng, scale):
+    # the Gram matrix squares the entries: unscaled, 1e308 gave inf and
+    # 1e-200 gave 0.  The power-of-two scaling is exact
+    m = random_complex(rng, 5, 3)
+    m /= np.abs(m).max()
+    reference = float(np.linalg.norm(m, 2))
+    assert cs.linalg._spectral_norm(scale * m) == pytest.approx(scale * reference, rel=1e-13)
+    stack = np.stack([m, scale * m])
+    norms = cs.linalg._spectral_norms(stack)
+    assert norms[0] == cs.linalg._spectral_norm(m)
+    assert norms[1] == pytest.approx(scale * reference, rel=1e-13)
+
+
+def test_doubled_matrix_of_the_extreme_scalar_has_its_norm():
+    # the 1 x 1 operator 1e308: ||A||_2 = 1e308, which the Gram product read as inf
+    doubled = cs.doubled_matrix(np.array([[1e308]]), cs.entrywise_conjugation(1))
+    assert doubled.norm == 1e308
+
+
+@pytest.mark.parametrize("n, r", [(8, 3), (32, 20), (64, 1), (40, 38), (6, 0)])
+def test_complement_columns_span_the_complement(rng, n, r):
+    # pivoted Cholesky of I - G G^H: an orthonormal basis of span(G)^perp of
+    # the known dimension n - r, against the complement's full SVD
+    g = cs.orthonormal_basis(random_complex(rng, n, r), ambient_dim=n).basis
+    cols = cs.linalg._complement_columns(g, n - r, "test")
+    assert cols.shape == (n, n - r)
+    assert np.abs(cols.conj().T @ cols - np.eye(n - r)).max() <= 1e3 * MACHINE_EPS
+    assert np.abs(g.conj().T @ cols).max(initial=0.0) <= 1e3 * MACHINE_EPS
+    assert within(cs.Subspace(cols), cs.complement(cs.Subspace(g)), 1e-12, equal=True)
+
+
+def test_complement_columns_refuse_a_dimension_the_projector_lacks(rng):
+    # asked for one column more than span(G)^perp has, the last pivot is at
+    # rounding level, far below half of its exact lower bound
+    g = cs.orthonormal_basis(random_complex(rng, 10, 4)).basis
+    with pytest.raises(cs.PropertyViolationError, match="frakM: pivoted Cholesky .* column 7 of 7"):
+        cs.linalg._complement_columns(g, 7, "frakM")
 
 
 def test_max_angle_sin_makes_no_svd(rng, monkeypatch):

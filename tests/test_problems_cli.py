@@ -623,7 +623,7 @@ def test_cli_verify_all_factors_each_matrix_once(tmp_path, monkeypatch, capsys):
     [
         ("check", "complex_symmetric", 0, 0),
         ("verify-all", "complex_symmetric", 2, 0),
-        ("verify-all", ("--example", "zero_on_subspace", "--n", "16"), 2, 2),
+        ("verify-all", ("--example", "zero_on_subspace", "--n", "16"), 2, 1),
     ],
     ids=["check-0", "verify-all-2", "verify-all-multivalued-2"],
 )
@@ -634,7 +634,8 @@ def test_cli_top_block_svd_count_pinned(tmp_path, monkeypatch, capsys, command, 
     # domains, and vn's regime reads their operator tests, so it takes none.
     # Singular vectors are taken only for a proper domain or a nonzero
     # multivalued part: never for complex_symmetric's extensions (A itself,
-    # everywhere defined), once for each of zero_on_subspace's multivalued ones
+    # everywhere defined), once for zero_on_subspace's multivalued swap (its
+    # canonical extension, the completion X = 0, is an operator)
     if source == "complex_symmetric":
         source = ("--spec", _complex_symmetric_n32(tmp_path))
     rank_reads = count_calls(monkeypatch, cs.LinearRelation, "_top_rank")
@@ -661,15 +662,30 @@ def _count_numpy_linalg(monkeypatch, *names):
 def test_cli_extend_svd_count_pinned(monkeypatch, capsys):
     # one top-block SVD per relation given by its graph whose domain is read
     # (the extension), and no M-spaces beyond frakM; A carries its domain and
-    # images under C, frakE and S (B, C D(A), C L's domain, S L) take none,
-    # nor does the canonical parameter, read off L in closed form.  The Gram
-    # eigenvalues are those of the reported 2-norms and of extend_basis's
-    # rank scale, none of a predicate.  frakM is one SVD of its cosines.
-    # A* is one complete QR of J graph(A) and B* = C A* C takes none
+    # images under C, frakE and S (B, C D(A), C L's domain, S L) take none.
+    # The Gram eigenvalues are those of the reported 2-norms and of
+    # extend_basis's rank scale, none of a predicate.  Of the 11 SVDs two
+    # are O(n^3): graph(A)'s thin SVD of [D; AD] and the extension's
+    # values-only top-block rank.  frakM and D(A)'s complement are one thin
+    # SVD each of their chosen projector columns (256 x 4, 128 x 2), the
+    # completion's new columns one more (256 x 2), and the bordered sums
+    # and the domain sum the rest; neither A* nor B* is built, so no QR runs
     calls = _count_numpy_linalg(monkeypatch, "svd", "eigvalsh", "qr")
     assert main(["extend", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (calls.count("svd"), calls.count("eigvalsh"), calls.count("qr")) == (12, 10, 1)
+    assert (calls.count("svd"), calls.count("eigvalsh"), calls.count("qr")) == (11, 10, 0)
+
+
+@pytest.mark.parametrize("command", ["deficiency", "extend"])
+def test_cli_defect_path_builds_no_adjoint(monkeypatch, capsys, command):
+    # deficiency and extend count dim graph(R*) = 2n - dim graph(R) and read
+    # distances from graph(B*) and graph(A*) along J graph(B) and J graph(A):
+    # no QR and no LinearRelation._adjoint
+    qrs = _count_numpy_linalg(monkeypatch, "qr")
+    adjoints = count_calls(monkeypatch, cs.LinearRelation, "_adjoint")
+    assert main([command, "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
+    capsys.readouterr()
+    assert (qrs, adjoints) == ([], [])
 
 
 def _record_svds(monkeypatch):
@@ -718,26 +734,29 @@ def test_cli_c_symmetry_guard_projects_nothing_through_a_star(monkeypatch, capsy
     assert not any(s1 is dp.b.graph and s2 is dp.a_star.graph for s1, s2 in projected)
 
 
-def test_cli_extend_zero_on_subspace_keeps_its_multivalued_extension(capsys):
-    # the canonical extension of zero_on_subspace n=16 is multivalued, so its
-    # domain is a proper subspace read off the top block's singular vectors
-    assert main(["extend", "--example", "zero_on_subspace", "--n", "16"]) == 0
+@pytest.mark.parametrize("swap, operator, dims", [([], True, "dims 14+2 vs 16"), (["--swap"], False, "dims 14+0 vs 14")])
+def test_cli_extend_zero_on_subspace_keeps_its_multivalued_extension(capsys, swap, operator, dims):
+    # the canonical extension of zero_on_subspace n=16 is the minimum-norm
+    # completion X = 0, an operator; its swap is multivalued, with the
+    # proper domain D(A) read off the top block's singular vectors
+    assert main(["extend", "--example", "zero_on_subspace", "--n", "16", *swap]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["results"]["is_operator"] is False
+    assert out["results"]["is_operator"] is operator
     details = {check["name"]: check["detail"] for check in out["check_list"] if "detail" in check}
-    assert details["domain_sum"] == details["domain_sum_star"] == "dims 14+1 vs 15"
+    assert details["domain_sum"] == details["domain_sum_star"] == dims
 
 
 def test_cli_deficiency_svd_count_pinned(monkeypatch, capsys):
-    # graph(A) and the one of frakM's cosines against graph(A); A* is one
-    # complete QR of J graph(A), and B* = C A* C takes no factorization; a
-    # relation's regime is read off its graph dimension, so no top-block
+    # graph(A)'s thin SVD of [D; AD] (256 x 126) and the 256 x 4 one that
+    # orthonormalizes frakM's projector columns; neither A* nor B* is built;
+    # a relation's regime is read off its graph dimension, so no top-block
     # SVD runs
-    calls = _count_numpy_linalg(monkeypatch, "svd", "qr")
+    calls = _record_svds(monkeypatch)
+    qrs = _count_numpy_linalg(monkeypatch, "qr")
     top = count_calls(monkeypatch, cs.LinearRelation, "_top_svd")
     assert main(["deficiency", "--example", "race_schrodinger", "--h", "0.02", "--n", "128"]) == 0
     capsys.readouterr()
-    assert (calls.count("svd"), calls.count("qr"), len(top)) == (2, 1, 0)
+    assert ([shape for shape, _ in calls], len(qrs), len(top)) == ([(256, 126), (256, 4)], 0, 0)
 
 
 @pytest.mark.parametrize("source", [("--example", "race_schrodinger", "--n", "16"), "complex_symmetric"])
@@ -792,24 +811,43 @@ def test_cli_check_reads_an_extreme_operator_as_an_operator(tmp_path, capsys):
     assert (out["results"]["c_symmetric"], out["results"]["c_selfadjoint"]) == (True, True)
 
 
-def test_cli_race_n24_fails_only_at_the_vn_kernel_split(capsys):
+def test_cli_race_n24_splits_the_kernel_exactly(capsys):
     # race at the default h, n=24: N+ + N-, the first components of the
-    # eigenspace members, lies 1.2e-6 from N((T*)^2+I) = N(I + B*A*) x
-    # N(I + A*B*), past the 1e-7 bound (frakM's second components against
-    # kernel_one_plus's N(I + B*A*)), so vn's kernel split fails and nothing
-    # else; the race section reports the exact dim_kernel 4.  extend and
-    # enumerate build no vn decomposition and pass
-    example = ["--example", "race_schrodinger", "--n", "24"]
-    for command in ("extend", "enumerate"):
-        assert main([command, *example]) == 0
-        assert json.loads(capsys.readouterr().out)["all_pass"] is True
-    assert main(["verify-all", *example]) == 1
+    # eigenspace members, lay 1.2e-6 from N((T*)^2+I) = N(I + B*A*) x
+    # N(I + A*B*) with frakM from the cosines of B*'s QR basis, past the
+    # 1e-7 bound; frakM as the complement of [graph(A), J graph(B)] brings
+    # it to 1.7e-9, so verify-all passes with the exact dims 4 and 8
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "24"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert "error" not in out
+    assert out["results"]["race"]["measurements"]["dim_kernel"] == 4
+    (split,) = [c for c in out["check_list"] if c["name"] == "vnkernel_splits_into_eigenspace_members"]
+    assert (split["status"], split["detail"]) == ("pass", "dim N((T*)^2+I) = 8")
+
+
+def test_cli_race_n26_refuses_at_the_vn_kernel_split(capsys):
+    # race at the default h, n=26: kernel_one_plus's cut loses a direction
+    # of N(I + A*B*) (dim_kernel 3 where 4 is exact), and vn's split,
+    # against N+ + N- of the exact dimension 8, refuses it: no pass with a
+    # wrong dimension
+    assert main(["verify-all", "--example", "race_schrodinger", "--n", "26"]) == 1
+    out = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in out["check_list"] if c["status"] == "fail"] == [
         "vnkernel_splits_into_eigenspace_members"
     ]
+    assert out["results"]["race"]["measurements"]["dim_kernel"] == 3
+
+
+def test_cli_scaled_race_splits_the_kernel_exactly(tmp_path, capsys):
+    # race n=16 with A -> 1e4 A: the vn split failed with exact dims when
+    # frakM came from the cosines of B*'s QR basis, and passes with frakM as
+    # the complement of [graph(A), J graph(B)]
+    spec = cs.race_schrodinger(16)
+    scaled = dataclasses.replace(spec, images=1e4 * spec.images)
+    assert main(["verify-all", "--spec", write_spec(tmp_path, scaled.to_json_dict())]) == 0
+    out = json.loads(capsys.readouterr().out)
     assert out["results"]["race"]["measurements"]["dim_kernel"] == 4
+    (split,) = [c for c in out["check_list"] if c["name"] == "vnkernel_splits_into_eigenspace_members"]
+    assert split["detail"] == "dim N((T*)^2+I) = 8"
 
 
 def test_cli_race_n22_splits_the_kernel_exactly(capsys):
@@ -857,10 +895,10 @@ M_SPACE_EXAMPLES += [("race_schrodinger", n) for n in range(8, 33, 2)]
 
 @pytest.mark.parametrize("example, n", M_SPACE_EXAMPLES)
 def test_cli_verify_all_builds_each_m_space_once(monkeypatch, capsys, example, n):
-    # frakM is verify-all's one orthogonal_difference and frakM' is J frakM;
+    # frakM is built once, by its projector kernel, and frakM' is J frakM;
     # m_spaces takes no rank decision of its own, and graph(A) + frakM and
     # graph(B) + frakM' are one subspace_sum each, which race and vn share
-    calls = {name: [] for name in ("orthogonal_difference", "orthonormal_basis", "subspace_sum")}
+    calls = {name: [] for name in ("_complement_columns", "orthonormal_basis", "subspace_sum")}
     for name, seen in calls.items():
 
         def recorded(*args, _original=getattr(cs.linalg, name), _seen=seen):
@@ -878,7 +916,7 @@ def test_cli_verify_all_builds_each_m_space_once(monkeypatch, capsys, example, n
     main(["verify-all", "--example", example, "--n", str(n)])
     assert "error" not in json.loads(capsys.readouterr().out)
     (dp,) = problems
-    assert [caller for caller, _ in calls["orthogonal_difference"]] == ["build_doubled"]
+    assert [caller for caller, _ in calls["_complement_columns"]].count("frakM") == 1
     assert "m_spaces" not in [caller for caller, _ in calls["orthonormal_basis"]]
     sums = [args for _, args in calls["subspace_sum"] if args[0] is dp.a.graph or args[0] is dp.b.graph]
     assert len(sums) == 2
@@ -979,13 +1017,14 @@ def test_cli_vn_kernel_check_catches_short_kernel(monkeypatch, capsys):
 
 
 def test_cli_domain_sum_star_catches_short_multivalued_part(monkeypatch, capsys):
-    # mutation: mul(A_ext) misses a direction; both canonical extensions of
-    # zero_on_subspace have a nonzero multivalued part
+    # mutation: mul(A_ext) misses a direction.  zero_on_subspace's swapped
+    # canonical extension has a nonzero multivalued part; its canonical
+    # extension, the completion X = 0, is an operator, and so is untouched
     monkeypatch.setattr(
         cs.LinearRelation, "multivalued_part", _drop_first_column(cs.LinearRelation.multivalued_part)
     )
     failing = _failing_checks(capsys, ["verify-all", "--example", "zero_on_subspace", "--n", "16"])
-    assert failing == {"extenddomain_sum_star", "extend_swapdomain_sum_star"}
+    assert failing == {"extend_swapdomain_sum_star"}
 
 
 def _report(capsys, argv):
@@ -1034,10 +1073,11 @@ def test_cli_reports_unchanged_with_checked_bases(tmp_path, monkeypatch, capsys,
     check_trusted_bases(monkeypatch)
     checked = count_calls(monkeypatch, cs.Subspace, "__post_init__")
     assert [_report(capsys, argv) for argv in argvs] == trusted
-    # exactly 100 on the two everywhere-defined operators (random_csym,
-    # complex_symmetric), 157 on the others: build_doubled certifies
-    # C graph(B) = graph(A) on the bases and builds no C-image relation
-    assert len(checked) >= 100
+    # exactly 88 on the two everywhere-defined operators (random_csym,
+    # complex_symmetric), 142 to 146 on the others: build_doubled certifies
+    # C graph(B) = graph(A) on the bases and builds no C-image relation,
+    # and only verify-all builds A* and B*
+    assert len(checked) >= 88
 
 
 def test_checked_bases_catch_unprojected_extend_basis(monkeypatch, checked_subspaces):

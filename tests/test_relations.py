@@ -81,6 +81,21 @@ def test_given_domain_matches_the_graph(spec):
         assert (rel.is_operator, rel.multivalued_part().dim, rel.regime) == (bare.is_operator, 0, bare.regime)
 
 
+def test_operator_relation_records_the_images_of_its_domain_basis(rng):
+    # orthonormal domain columns are kept with their images as given;
+    # others are orthonormalized, and the recorded images are A applied to
+    # the orthonormal basis, which the canonical extension reads
+    a = random_complex(rng, 5, 5)
+    cols = random_complex(rng, 5, 3)
+    with pytest.warns(UserWarning, match="not orthonormal"):
+        rel = cs.relations.operator_relation(cols, a @ cols, cs.DEFAULT_TOL)
+    assert np.abs(rel.given_images - a @ rel.given_domain.basis).max() <= 1e-12
+    q = np.linalg.qr(cols)[0]
+    rel = cs.relations.operator_relation(q, a @ q, cs.DEFAULT_TOL)
+    assert rel.given_domain.basis is not q and np.array_equal(rel.given_images, a @ q)
+    assert cs.LinearRelation(rel.graph).given_images is None
+
+
 def test_zero_on_subspace_adjoint_frozen():
     # A = 0 on span{e2, e3} in C^4.  Adjoint pairs (u, v) need
     # <0, u> = <x, v> for all x in the domain, i.e. v orthogonal to e2, e3:
